@@ -24,10 +24,12 @@ from .model import (
     IndexBar,
     Timing,
     TweetBucket,
+    TweetBuckets,
 )
 from .regression import RegressionFit, fit_es_regression
 from .returns import ReturnSeries, Surprise, daily_returns, earnings_surprise, trading_return
 from .sentiment import (
+    DailyCounts,
     DailyTweetCounts,
     EventPolarity,
     PolarityThresholds,
@@ -45,6 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DailyBar",
+    "DailyCounts",
     "DailyTweetCounts",
     "Dataset",
     "EarningsEvent",
@@ -68,6 +71,7 @@ __all__ = [
     "TradeReturnCurves",
     "TradingCalendar",
     "TweetBucket",
+    "TweetBuckets",
     "abnormal_returns",
     "aggregate_study",
     "anchor_event",

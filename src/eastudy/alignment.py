@@ -10,6 +10,11 @@ Boundary convention at the close itself: an instant exactly at 16:00:00
 belongs to the day just closing, while an announcement stamped 16:00:00 is
 an AfterClose event whose day 0 is the next trading date. The asymmetry is
 deliberate and covered by tests.
+
+Columns of instants (epoch seconds) map to their days in one
+``np.searchsorted`` over the close instants: ``TradingCalendar.day_indices``.
+``close_delimited_day`` does the same for one instant by bisection and is
+the reference the vectorized path is tested against.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from zoneinfo import ZoneInfo
+
+import numpy as np
 
 from .errors import NonTradingAnnouncement, OutOfCalendarRange
 from .model import Dataset, EarningsEvent, Timing
@@ -40,6 +47,16 @@ def to_eastern(instant: datetime) -> datetime:
     return instant.astimezone(EASTERN)
 
 
+def eastern_hours(ts: np.ndarray) -> np.ndarray:
+    """US/Eastern wall-clock hour of each UTC epoch second.
+
+    Converts each distinct instant once; hourly buckets repeat few of them.
+    """
+    unique, inverse = np.unique(ts, return_inverse=True)
+    hours = [datetime.fromtimestamp(t, EASTERN).hour for t in unique.tolist()]
+    return np.array(hours, dtype=np.int64)[inverse.reshape(-1)]
+
+
 @dataclass
 class TradingCalendar:
     """Ordered trading dates with close-delimited day assignment.
@@ -52,8 +69,8 @@ class TradingCalendar:
 
     dates: tuple[date, ...]
 
-    _closes_ts: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _lower_ts: float = field(init=False, repr=False, compare=False)
+    _closes_ts: np.ndarray = field(init=False, repr=False, compare=False)  # int64 epoch s
+    _lower_ts: int = field(init=False, repr=False, compare=False)
     _index: dict[date, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -62,8 +79,10 @@ class TradingCalendar:
         for a, b in zip(self.dates, self.dates[1:]):
             if a >= b:
                 raise ValueError("trading dates must be strictly increasing")
-        self._closes_ts = tuple(close_instant(d).timestamp() for d in self.dates)
-        self._lower_ts = close_instant(self.dates[0] - timedelta(days=1)).timestamp()
+        self._closes_ts = np.array(
+            [int(close_instant(d).timestamp()) for d in self.dates], dtype=np.int64
+        )
+        self._lower_ts = int(close_instant(self.dates[0] - timedelta(days=1)).timestamp())
         self._index = {d: i for i, d in enumerate(self.dates)}
 
     @classmethod
@@ -104,8 +123,22 @@ class TradingCalendar:
         return self.dates[bisect_left(self._closes_ts, ts)]
 
     def covers(self, instant: datetime) -> bool:
-        ts = instant.timestamp()
-        return self._lower_ts < ts <= self._closes_ts[-1]
+        return bool(self.covers_ts(instant.timestamp()))
+
+    def covers_ts(self, ts):
+        """Coverage mask for epoch seconds (a scalar or an array)."""
+        return (ts > self._lower_ts) & (ts <= self._closes_ts[-1])
+
+    def day_indices(self, ts: np.ndarray) -> np.ndarray:
+        """Calendar index of the close-delimited day of each epoch second.
+
+        Raises OutOfCalendarRange if any instant is outside coverage.
+        """
+        inside = self.covers_ts(ts)
+        if not inside.all():
+            first = datetime.fromtimestamp(int(ts[np.argmin(inside)]), ZoneInfo("UTC"))
+            raise OutOfCalendarRange(f"{first.isoformat()} is outside calendar coverage")
+        return np.searchsorted(self._closes_ts, ts, side="left")
 
     def next_after(self, day: date) -> date:
         """First trading date strictly after the given calendar day."""

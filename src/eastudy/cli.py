@@ -48,7 +48,7 @@ from .reports import (
     volume_report,
 )
 from .returns import daily_returns, earnings_surprise
-from .sentiment import daily_counts, sentiment_score
+from .sentiment import covered_tweets, sentiment_score
 from .synth import SynthSpec, generate
 from .trading import run_strategy, trade_return_curves
 
@@ -180,6 +180,9 @@ def _manifest(out: OutputDir, command: str, effective: dict, paths: dict[str, st
             "bars": len(ds.bars),
             "index": len(ds.index),
             "tweets": len(ds.tweets),
+            "tweets_outside_calendar": covered_tweets(
+                ds.tweets, TradingCalendar.from_dataset(ds)
+            )[1],
             "events": len(ds.events),
         }
     if extra:
@@ -263,9 +266,10 @@ def _emit_backtest(out: OutputDir, universe, ds, spread: float,
     if thresholds_until is None:
         threshold_universe = universe
     else:
-        threshold_universe = build_universe(ds, universe.cal, until=thresholds_until)
+        threshold_universe = universe.until(thresholds_until)
     thresholds, n_th = stratum_thresholds(threshold_universe, Timing.AFTER_CLOSE, -1)
-    ledger = run_strategy(ds, thresholds, spread=spread, start=start, end=end, cal=universe.cal)
+    ledger = run_strategy(ds, thresholds, spread=spread, start=start, end=end,
+                          cal=universe.cal, day_counts=universe.counts)
     out.write_csv(
         "trades.csv",
         ["ticker", "open_date", "close_date", "open_px", "close_px", "net_return"],
@@ -359,8 +363,6 @@ def _cmd_calendar(args, config, out: OutputDir) -> int:
 
 def _cmd_score(args, config, out: OutputDir) -> int:
     ds, paths = _load(args, config)
-    cal = TradingCalendar.from_dataset(ds)
-    covered = [b for b in ds.tweets if cal.covers(b.hour_start)]
     rows = [
         (
             c.ticker,
@@ -370,7 +372,7 @@ def _cmd_score(args, config, out: OutputDir) -> int:
             c.n_pos,
             sentiment_score(c.n_neg, c.n_neut, c.n_pos),
         )
-        for c in daily_counts(covered, cal)
+        for c in build_universe(ds).counts
     ]
     out.write_csv(
         "scores.csv", ["ticker", "trading_date", "n_neg", "n_neut", "n_pos", "sent"], rows

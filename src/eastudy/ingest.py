@@ -7,6 +7,11 @@ silently. ``load_dataset`` raises on the first problem (carrying all
 diagnostics), while the ``parse_*`` functions expose the collect-all
 behavior directly.
 
+Tweet buckets are parsed straight into columns (``AcceptedTweets``). The
+file repeats each hour stamp once per ticker, so the timestamp parse and
+whole-hour check run once per distinct stamp text and are reused; every
+row still gets every check and its own row-numbered diagnostic.
+
 The trading calendar is implied by the index file: a date is a trading
 day iff the index has a bar for it.
 """
@@ -18,6 +23,8 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .alignment import MARKET_CLOSE, MARKET_OPEN, TradingCalendar, anchor_event, to_eastern
 from .errors import (
@@ -36,14 +43,18 @@ from .model import (
     TICKER_RE,
     Timing,
     TweetBucket,
+    TweetBuckets,
 )
 from .returns import calendar_aligned_returns, daily_returns
-from .sentiment import daily_counts
+from .sentiment import covered_tweets, daily_counts
 
 PRICES_HEADER = ["date", "ticker", "close", "volume"]
 INDEX_HEADER = ["date", "close"]
 TWEETS_HEADER = ["hour_start_utc", "ticker", "n_neg", "n_neut", "n_pos"]
 EVENTS_HEADER = ["ticker", "announce_at_utc", "timing", "eps_reported", "eps_estimated"]
+# largest count per label in one bucket: int64 sums over any file that fits
+# in memory stay exact
+MAX_COUNT = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -189,64 +200,108 @@ def parse_index_csv(path: str | Path):
     return accepted, diags
 
 
+@dataclass(frozen=True)
+class AcceptedTweets:
+    """The accepted rows of a tweets file, in file order.
+
+    ``lines`` holds each row's physical line number and ``buckets`` its
+    columns. Item ``i`` is ``(line, TweetBucket)``, as for the other parsers.
+    """
+
+    lines: np.ndarray
+    buckets: TweetBuckets
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, i: int) -> tuple[int, TweetBucket]:
+        return int(self.lines[i]), self.buckets[i]
+
+
+def _hour_start(text: str) -> tuple[int, str]:
+    """(UTC epoch seconds, "") of a whole-hour stamp, else (0, the problem)."""
+    try:
+        instant = parse_rfc3339(text)
+    except ValueError:
+        return 0, "bad"
+    if instant.minute or instant.second or instant.microsecond:
+        return 0, "part-hour"
+    return int(instant.timestamp()), ""
+
+
 def parse_tweets_csv(path: str | Path):
+    """Parse tweets.csv -> (AcceptedTweets, list[Diagnostic])."""
     path = Path(path)
-    accepted: list[tuple[int, TweetBucket]] = []
     diags: list[Diagnostic] = []
-    seen: set[tuple[str, datetime]] = set()
+    n_cells = len(TWEETS_HEADER)
+    stamps: dict[str, tuple[int, str]] = {}  # stamp text -> _hour_start(text)
+    ints: dict[str, int] = {}  # count cell text -> int(text)
+    codes: dict[str, int] = {}  # ticker cell text -> code, in order of first use
+    names: dict[str, int] = {}  # ticker name -> code
+    seen: set[tuple[int, int]] = set()
+    rows: list[int] = []  # line, code, ts, n_neg, n_neut, n_pos of each accepted row
+    add_row = rows.extend
     for lineno, cells in _read_rows(path, TWEETS_HEADER):
-        if len(cells) != len(TWEETS_HEADER):
+        if len(cells) != n_cells:
             diags.append(
                 Diagnostic(str(path), lineno, "schema", f"expected 5 cells, got {len(cells)}")
             )
             continue
         raw_hour, raw_ticker, raw_neg, raw_neut, raw_pos = cells
-        try:
-            hour_start = parse_rfc3339(raw_hour)
-        except ValueError:
+        stamp = stamps.get(raw_hour)
+        if stamp is None:
+            stamp = stamps[raw_hour] = _hour_start(raw_hour)
+        ts, problem = stamp
+        if problem == "bad":
             diags.append(
                 _cell_error(path, lineno, "hour_start_utc", f"bad timestamp {raw_hour!r}")
             )
             continue
-        if hour_start.minute or hour_start.second or hour_start.microsecond:
+        if problem:
             diags.append(
                 _invariant(path, lineno, f"hour_start not on a whole hour: {raw_hour!r}")
             )
             continue
-        ticker = raw_ticker.strip()
-        if not TICKER_RE.match(ticker):
-            diags.append(_cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}"))
-            continue
+        code = codes.get(raw_ticker)
+        if code is None:
+            ticker = raw_ticker.strip()
+            if not TICKER_RE.match(ticker):
+                diags.append(_cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}"))
+                continue
+            code = codes[raw_ticker] = names.setdefault(ticker, len(names))
         try:
-            counts = [int(raw_neg), int(raw_neut), int(raw_pos)]
-        except ValueError:
-            diags.append(
-                _cell_error(path, lineno, "n_neg/n_neut/n_pos", "counts must be integers")
-            )
+            n_neg, n_neut, n_pos = ints[raw_neg], ints[raw_neut], ints[raw_pos]
+        except KeyError:
+            try:
+                n_neg, n_neut, n_pos = int(raw_neg), int(raw_neut), int(raw_pos)
+            except ValueError:
+                diags.append(
+                    _cell_error(path, lineno, "n_neg/n_neut/n_pos", "counts must be integers")
+                )
+                continue
+            ints.update(((raw_neg, n_neg), (raw_neut, n_neut), (raw_pos, n_pos)))
+        if not (0 <= n_neg <= MAX_COUNT and 0 <= n_neut <= MAX_COUNT and 0 <= n_pos <= MAX_COUNT):
+            if min(n_neg, n_neut, n_pos) < 0:
+                diags.append(_invariant(path, lineno, "tweet counts must be non-negative"))
+            else:
+                diags.append(_invariant(path, lineno, f"tweet counts must be at most {MAX_COUNT}"))
             continue
-        if min(counts) < 0:
-            diags.append(_invariant(path, lineno, "tweet counts must be non-negative"))
-            continue
-        key = (ticker, hour_start)
+        key = (code, ts)
         if key in seen:
             diags.append(
-                _invariant(path, lineno, f"duplicate bucket for {ticker} at {raw_hour}")
+                _invariant(path, lineno, f"duplicate bucket for {raw_ticker.strip()} at {raw_hour}")
             )
             continue
         seen.add(key)
-        accepted.append(
-            (
-                lineno,
-                TweetBucket(
-                    ticker=ticker,
-                    hour_start=hour_start,
-                    n_neg=counts[0],
-                    n_neut=counts[1],
-                    n_pos=counts[2],
-                ),
-            )
-        )
-    return accepted, diags
+        add_row((lineno, code, ts, n_neg, n_neut, n_pos))
+    lines, code, ts, n_neg, n_neut, n_pos = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+    # renumber the codes so that they follow the sorted ticker names
+    tickers = tuple(sorted(names))
+    renumber = np.zeros(len(names), dtype=np.int64)
+    for new, name in enumerate(tickers):
+        renumber[names[name]] = new
+    buckets = TweetBuckets(tickers, renumber[code], ts, n_neg, n_neut, n_pos)
+    return AcceptedTweets(lines, buckets), diags
 
 
 def parse_events_csv(path: str | Path):
@@ -376,7 +431,7 @@ def load_dataset(
     return Dataset(
         bars=tuple(sorted((b for _, b in bars), key=lambda b: (b.ticker, b.date))),
         index=tuple(b for _, b in index),
-        tweets=tuple(sorted((b for _, b in tweets), key=lambda b: (b.ticker, b.hour_start))),
+        tweets=tweets.buckets.canonical(),
         events=tuple(sorted((e for _, e in events), key=lambda e: e.key())),
     )
 
@@ -402,11 +457,19 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> list[Path]:
         paths[1], INDEX_HEADER,
         ((b.date.isoformat(), repr(b.close)) for b in ds.index),
     )
+    tw = ds.tweets
+    stamps = {
+        t: format_rfc3339(datetime.fromtimestamp(t, timezone.utc))
+        for t in np.unique(tw.ts).tolist()
+    }
     _write_csv(
         paths[2], TWEETS_HEADER,
         (
-            (format_rfc3339(b.hour_start), b.ticker, b.n_neg, b.n_neut, b.n_pos)
-            for b in ds.tweets
+            (stamps[t], tw.tickers[c], neg, neut, pos)
+            for c, t, neg, neut, pos in zip(
+                tw.code.tolist(), tw.ts.tolist(),
+                tw.n_neg.tolist(), tw.n_neut.tolist(), tw.n_pos.tolist(),
+            )
         ),
     )
     _write_csv(
@@ -446,10 +509,7 @@ def validate_event_coverage(
     window itself cannot be served. Report-only: nothing raises.
     """
     cal = TradingCalendar.from_dataset(ds)
-    covered = [b for b in ds.tweets if cal.covers(b.hour_start)]
-    tweet_totals = {
-        (c.ticker, c.trading_date): c.total for c in daily_counts(covered, cal)
-    }
+    counts = daily_counts(covered_tweets(ds.tweets, cal)[0], cal)
     index_returns = daily_returns(ds.index).as_dict() if len(ds.index) > 1 else {}
     stock_returns_cache: dict[str, dict] = {}
     out = []
@@ -463,7 +523,7 @@ def validate_event_coverage(
         except (OutOfCalendarRange, NonTradingAnnouncement) as exc:
             reasons.append(f"announcement not anchorable: {exc}")
         else:
-            day0_tweets = tweet_totals.get((ev.ticker, anchor.day0), 0)
+            day0_tweets = sum(counts.at(ev.ticker, anchor.day0))
             if day0_tweets == 0:
                 reasons.append("no day-0 tweets")
             if ev.ticker not in stock_returns_cache:

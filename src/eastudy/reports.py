@@ -9,9 +9,11 @@ regressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from typing import Sequence
+
+import numpy as np
 
 from .alignment import TradingCalendar, anchor_event, to_eastern
 from .errors import NonTradingAnnouncement, OutOfCalendarRange
@@ -20,9 +22,11 @@ from .model import Dataset, EarningsEvent, Timing
 from .regression import RegressionFit, fit_es_regression
 from .returns import earnings_surprise
 from .sentiment import (
+    DailyCounts,
     EventPolarity,
     PolarityThresholds,
     categorize_event,
+    covered_tweets,
     daily_counts,
     sentiment_score,
     tercile_thresholds,
@@ -51,24 +55,50 @@ class EventUniverse:
 
     Events that cannot be anchored or that have zero day-0 tweets are
     dropped (recorded in ``dropped``), mirroring the exclusion of
-    announcements with no same-day tweet activity.
+    announcements with no same-day tweet activity. ``counts`` holds the
+    daily and hourly tweet counts every report reads; tweet buckets outside
+    the calendar are left out of them and counted in ``tweets_outside``.
     """
 
     ds: Dataset
     cal: TradingCalendar
-    counts: dict[tuple[str, date], tuple[int, int, int]]
+    counts: DailyCounts
     events: list[AnchoredEvent]
     dropped: list[tuple[EarningsEvent, str]]
+    tweets_outside: int
 
     def timing_events(self, timing: Timing) -> list[AnchoredEvent]:
         return [ae for ae in self.events if ae.event.timing is timing]
 
     def counts_at(self, ticker: str, day: date) -> tuple[int, int, int]:
-        return self.counts.get((ticker, day), (0, 0, 0))
+        return self.counts.at(ticker, day)
 
     def score(self, ae: AnchoredEvent, polarity_day: int) -> float:
         day = ae.day0 if polarity_day == 0 else ae.day_m1
         return sentiment_score(*self.counts_at(ae.event.ticker, day))
+
+    def until(self, until: date | None) -> "EventUniverse":
+        """The universe of the dataset's events announced up to ``until``
+        (all of them if None), sharing this universe's counts."""
+        events: list[AnchoredEvent] = []
+        dropped: list[tuple[EarningsEvent, str]] = []
+        for ev in sorted(self.ds.events, key=lambda e: e.key()):
+            if until is not None and to_eastern(ev.announce_at).date() > until:
+                continue
+            try:
+                anchor = anchor_event(ev, self.cal)
+                day_m1 = anchor.day(-1)
+            except (OutOfCalendarRange, NonTradingAnnouncement) as exc:
+                dropped.append((ev, f"not anchorable: {exc}"))
+                continue
+            day0_tweets = sum(self.counts.at(ev.ticker, anchor.day0))
+            if day0_tweets == 0:
+                dropped.append((ev, "no day-0 tweets"))
+                continue
+            events.append(
+                AnchoredEvent(event=ev, day0=anchor.day0, day_m1=day_m1, day0_tweets=day0_tweets)
+            )
+        return replace(self, events=events, dropped=dropped)
 
 
 def build_universe(
@@ -76,32 +106,12 @@ def build_universe(
     cal: TradingCalendar | None = None,
     until: date | None = None,
 ) -> EventUniverse:
+    """Count the tweets by day once, then anchor the events up to ``until``."""
     if cal is None:
         cal = TradingCalendar.from_dataset(ds)
-    covered = [b for b in ds.tweets if cal.covers(b.hour_start)]
-    counts = {
-        (c.ticker, c.trading_date): (c.n_neg, c.n_neut, c.n_pos)
-        for c in daily_counts(covered, cal)
-    }
-    events: list[AnchoredEvent] = []
-    dropped: list[tuple[EarningsEvent, str]] = []
-    for ev in sorted(ds.events, key=lambda e: e.key()):
-        if until is not None and to_eastern(ev.announce_at).date() > until:
-            continue
-        try:
-            anchor = anchor_event(ev, cal)
-            day_m1 = anchor.day(-1)
-        except (OutOfCalendarRange, NonTradingAnnouncement) as exc:
-            dropped.append((ev, f"not anchorable: {exc}"))
-            continue
-        day0_tweets = sum(counts.get((ev.ticker, anchor.day0), (0, 0, 0)))
-        if day0_tweets == 0:
-            dropped.append((ev, "no day-0 tweets"))
-            continue
-        events.append(
-            AnchoredEvent(event=ev, day0=anchor.day0, day_m1=day_m1, day0_tweets=day0_tweets)
-        )
-    return EventUniverse(ds=ds, cal=cal, counts=counts, events=events, dropped=dropped)
+    covered, n_outside = covered_tweets(ds.tweets, cal)
+    counts = daily_counts(covered, cal)
+    return EventUniverse(ds, cal, counts, [], [], n_outside).until(until)
 
 
 def stratum_thresholds(
@@ -189,22 +199,11 @@ def volume_report(
     three-day multiplier compares days -1..+1 cumulatively against three
     average ticker-days; the quiet baseline excludes event windows.
     """
-    ds, cal = universe.ds, universe.cal
+    ds, cal, counts = universe.ds, universe.cal, universe.counts
     tickers = ds.tickers
     volume_by: dict[tuple[str, date], int] = {
         (b.ticker, b.date): b.volume for b in ds.bars
     }
-    total_by_day: dict[tuple[str, date], int] = {
-        key: sum(c) for key, c in universe.counts.items()
-    }
-    hour_by_day: dict[tuple[str, date], dict[int, int]] = {}
-    for b in ds.tweets:
-        if not cal.covers(b.hour_start):
-            continue
-        day = cal.close_delimited_day(b.hour_start)
-        hours = hour_by_day.setdefault((b.ticker, day), {})
-        hour = to_eastern(b.hour_start).hour
-        hours[hour] = hours.get(hour, 0) + b.total
 
     groups: list[tuple[str, list[AnchoredEvent]]] = [
         ("all", universe.events),
@@ -212,12 +211,12 @@ def volume_report(
         ("beforeopen", universe.timing_events(Timing.BEFORE_OPEN)),
     ]
 
-    def day_at(ae: AnchoredEvent, k: int) -> date | None:
-        try:
-            i = cal.index_of(ae.day0) + k
-            return cal.date_at(i) if i >= 0 else None
-        except OutOfCalendarRange:
-            return None
+    n_days = len(cal.dates)
+
+    def day_at(ae: AnchoredEvent, k: int) -> int | None:
+        """Calendar index of the event's relative day k, if there is one."""
+        i = cal.index_of(ae.day0) + k
+        return i if 0 <= i < n_days else None
 
     daily_rows = []
     mean_at: dict[int, float] = {}
@@ -226,11 +225,11 @@ def volume_report(
             tweet_vals: list[float] = []
             volume_vals: list[float] = []
             for ae in group:
-                d = day_at(ae, k)
-                if d is None:
+                i = day_at(ae, k)
+                if i is None:
                     continue
-                tweet_vals.append(float(total_by_day.get((ae.event.ticker, d), 0)))
-                vol = volume_by.get((ae.event.ticker, d))
+                tweet_vals.append(float(counts.day_totals(ae.event.ticker)[i]))
+                vol = volume_by.get((ae.event.ticker, cal.dates[i]))
                 if vol is not None:
                     volume_vals.append(float(vol))
             if not tweet_vals:
@@ -244,41 +243,37 @@ def volume_report(
     hourly_rows = []
     for name, group in groups:
         for k in (-1, 0, 1):
-            per_hour: dict[int, list[float]] = {h: [] for h in range(24)}
-            n_ev = 0
+            per_hour: list[list[float]] = [[] for _ in range(24)]
             for ae in group:
-                d = day_at(ae, k)
-                if d is None:
+                i = day_at(ae, k)
+                if i is None:
                     continue
-                n_ev += 1
-                hours = hour_by_day.get((ae.event.ticker, d), {})
+                hours = counts.hour_totals(ae.event.ticker)[i].tolist()
                 for h in range(24):
-                    per_hour[h].append(float(hours.get(h, 0)))
+                    per_hour[h].append(float(hours[h]))
+            n_ev = len(per_hour[0])
             if n_ev == 0:
                 continue
             for h in range(24):
                 mt, st = _mean_se(per_hour[h])
                 hourly_rows.append((name, k, h, n_ev, mt, st))
 
-    n_days = len(cal.dates)
     n_tickers = max(len(tickers), 1)
-    total_tweets = sum(total_by_day.values())
+    total_tweets = int(counts.totals.sum())
     overall_mean = total_tweets / (n_days * n_tickers)
 
-    elevated: set[tuple[str, date]] = set()
+    # quiet cells: every (bar ticker, trading day) outside days -1..+1 of an event
+    quiet = np.ones((len(tickers), n_days), dtype=bool)
+    ticker_pos = {t: j for j, t in enumerate(tickers)}
     for ae in universe.events:
+        j = ticker_pos.get(ae.event.ticker)
         for k in (-1, 0, 1):
-            d = day_at(ae, k)
-            if d is not None:
-                elevated.add((ae.event.ticker, d))
-    quiet_total = 0
-    quiet_cells = 0
-    for t in tickers:
-        for d in cal.dates:
-            if (t, d) in elevated:
-                continue
-            quiet_cells += 1
-            quiet_total += total_by_day.get((t, d), 0)
+            i = day_at(ae, k)
+            if j is not None and i is not None:
+                quiet[j, i] = False
+    totals = np.array([counts.day_totals(t) for t in tickers], dtype=np.int64).reshape(quiet.shape)
+    quiet_total = int(totals[quiet].sum())
+    quiet_cells = int(np.count_nonzero(quiet))
     quiet_mean = quiet_total / quiet_cells if quiet_cells else 0.0
 
     three_day = sum(mean_at.get(k, 0.0) for k in (-1, 0, 1))

@@ -1,8 +1,14 @@
 """Daily sentiment aggregation and event polarity classification.
 
-Hourly tweet buckets roll up into close-delimited trading days. A day's
-sentiment score is the Laplace-smoothed mean of the {-1, 0, +1} label
-distribution, which keeps the score strictly inside (-1, +1) even for
+Hourly tweet buckets roll up into close-delimited trading days in one pass
+over the bucket columns: one ``np.searchsorted`` assigns every bucket its
+trading day, and ``np.add.at`` sums the label counts into an int64
+(ticker x trading day) grid, so totals are exact integers whatever the
+order of the buckets. The same pass keeps each bucket's grid cell, from
+which the US/Eastern hour-of-day totals are summed when first asked for.
+
+A day's sentiment score is the Laplace-smoothed mean of the {-1, 0, +1}
+label distribution, which keeps the score strictly inside (-1, +1) even for
 empty days. Events are classified negative/neutral/positive by tercile
 cuts of the score distribution within their stratum (timing class x
 scoring day), so the three classes are uniformly populated.
@@ -13,10 +19,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
+from typing import Iterable, Iterator
 
-from .alignment import TradingCalendar
+import numpy as np
+
+from .alignment import TradingCalendar, eastern_hours
 from .errors import TooFewEvents, ZeroDenominator
-from .model import TweetBucket
+from .model import TweetBucket, TweetBuckets
 
 LAPLACE_LABELS = 3  # one pseudo-count per sentiment label
 
@@ -54,26 +64,95 @@ class PolarityThresholds:
             raise ValueError(f"t_low {self.t_low} exceeds t_high {self.t_high}")
 
 
+class DailyCounts:
+    """Close-delimited daily tweet counts as integer (ticker x day) grids.
+
+    Rows are ``tickers`` (the buckets' sorted ticker table), columns the
+    calendar's trading days. Iterating yields a ``DailyTweetCounts`` for
+    every cell that received at least one bucket, in (ticker, date) order.
+    """
+
+    def __init__(self, tweets: TweetBuckets, cal: TradingCalendar):
+        self.tickers = tweets.tickers
+        self.cal = cal
+        self._row = {t: i for i, t in enumerate(self.tickers)}
+        self._tweets = tweets
+        self._cells = tweets.code * len(cal) + cal.day_indices(tweets.ts)
+        n_cells = len(self.tickers) * len(cal)
+        labels = np.zeros((3, n_cells), dtype=np.int64)
+        for row, column in zip(labels, (tweets.n_neg, tweets.n_neut, tweets.n_pos)):
+            np.add.at(row, self._cells, column)
+        self.labels = labels.reshape(3, len(self.tickers), len(cal))
+        self.buckets = np.bincount(self._cells, minlength=n_cells).reshape(
+            len(self.tickers), len(cal)
+        )
+
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """Tweets per (ticker, day) cell."""
+        return self.labels.sum(axis=0)
+
+    @cached_property
+    def hourly(self) -> np.ndarray:
+        """Tweets per (ticker, day, US/Eastern hour of day) cell."""
+        grid = np.zeros(self.buckets.size * 24, dtype=np.int64)
+        np.add.at(grid, self._cells * 24 + eastern_hours(self._tweets.ts), self._tweets.total)
+        return grid.reshape(*self.buckets.shape, 24)
+
+    def at(self, ticker: str, day: date) -> tuple[int, int, int]:
+        """(n_neg, n_neut, n_pos) of one ticker on one trading date."""
+        row = self._row.get(ticker)
+        if row is None:
+            return (0, 0, 0)
+        return tuple(self.labels[:, row, self.cal.index_of(day)].tolist())
+
+    def day_totals(self, ticker: str) -> np.ndarray:
+        """Tweets of one ticker per trading day (zeros for an unknown ticker)."""
+        return self._ticker_row(self.totals, ticker)
+
+    def hour_totals(self, ticker: str) -> np.ndarray:
+        """Tweets of one ticker per (trading day, US/Eastern hour of day)."""
+        return self._ticker_row(self.hourly, ticker)
+
+    def _ticker_row(self, grid: np.ndarray, ticker: str) -> np.ndarray:
+        row = self._row.get(ticker)
+        return grid[row] if row is not None else np.zeros(grid.shape[1:], dtype=np.int64)
+
+    def __iter__(self) -> Iterator[DailyTweetCounts]:
+        rows, days = np.nonzero(self.buckets)
+        neg, neut, pos = (a.tolist() for a in self.labels[:, rows, days])
+        for k, (r, d) in enumerate(zip(rows.tolist(), days.tolist())):
+            yield DailyTweetCounts(
+                ticker=self.tickers[r],
+                trading_date=self.cal.dates[d],
+                n_neg=neg[k],
+                n_neut=neut[k],
+                n_pos=pos[k],
+            )
+
+
+def covered_tweets(tweets: TweetBuckets, cal: TradingCalendar) -> tuple[TweetBuckets, int]:
+    """The tweet buckets inside the calendar's coverage, and how many are not.
+
+    This is the one policy for buckets outside the calendar: they are left
+    out of every count and reported as ``dataset.tweets_outside_calendar``
+    in the manifest, never an error and never silently.
+    """
+    inside = cal.covers_ts(tweets.ts)
+    n_outside = len(inside) - int(np.count_nonzero(inside))
+    return (tweets[inside] if n_outside else tweets), n_outside
+
+
 def daily_counts(
-    tweets: tuple[TweetBucket, ...] | list[TweetBucket],
+    tweets: TweetBuckets | Iterable[TweetBucket],
     cal: TradingCalendar,
-) -> list[DailyTweetCounts]:
+) -> DailyCounts:
     """Sum hourly buckets into close-delimited daily counts.
 
     Sum-preserving: every input tweet lands in exactly one output day.
     Raises OutOfCalendarRange if a bucket falls outside calendar coverage.
     """
-    acc: dict[tuple[str, date], list[int]] = {}
-    for bucket in tweets:
-        day = cal.close_delimited_day(bucket.hour_start)
-        counts = acc.setdefault((bucket.ticker, day), [0, 0, 0])
-        counts[0] += bucket.n_neg
-        counts[1] += bucket.n_neut
-        counts[2] += bucket.n_pos
-    return [
-        DailyTweetCounts(ticker=t, trading_date=d, n_neg=c[0], n_neut=c[1], n_pos=c[2])
-        for (t, d), c in sorted(acc.items())
-    ]
+    return DailyCounts(TweetBuckets.of(tweets), cal)
 
 
 def sentiment_score(n_neg: int, n_neut: int, n_pos: int) -> float:

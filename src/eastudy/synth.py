@@ -25,7 +25,7 @@ from .model import (
     EarningsEvent,
     IndexBar,
     Timing,
-    TweetBucket,
+    TweetBuckets,
     validate_ticker,
 )
 from .sentiment import EventPolarity
@@ -140,6 +140,10 @@ def _ticker_name(i: int) -> str:
     return validate_ticker("SY" + "".join(reversed(letters))[-4:])
 
 
+def _eastern_epoch(day: date, hour: int) -> int:
+    return int(datetime.combine(day, time(hour, 0), tzinfo=EASTERN).timestamp())
+
+
 def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, ...]]:
     """Generate a dataset plus the planted per-event ground truth."""
     _validate(spec)
@@ -152,14 +156,23 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
         index_levels.append(index_levels[-1] * (1.0 + float(r)))
     index_bars = tuple(IndexBar(date=d, close=lv) for d, lv in zip(dates, index_levels))
 
+    # UTC epoch seconds of each date's tweet slots, shared by every ticker
+    slot_ts = [
+        [_eastern_epoch(d - timedelta(days=1), h) for h in _EVENING_HOURS]
+        + [_eastern_epoch(d, h) for h in _DAYTIME_HOURS]
+        for d in dates
+    ]
+
     bars: list[DailyBar] = []
-    buckets: list[TweetBucket] = []
+    columns: tuple[list[int], ...] = ([], [], [], [], [])  # code, ts, neg, neut, pos
     events: list[EarningsEvent] = []
     truth: list[PlantedEvent] = []
     event_counter = 0
 
+    tickers = tuple(sorted(_ticker_name(ti) for ti in range(spec.n_tickers)))
     for ti in range(spec.n_tickers):
         ticker = _ticker_name(ti)
+        code = tickers.index(ticker)
         noise = rng.normal(0.0, spec.idio_vol, size=spec.n_days - 1)
 
         day0_by_idx: dict[int, EventPolarity] = {}
@@ -232,30 +245,19 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
                 "neut": rng.multinomial(n_neut, _SLOT_WEIGHTS),
                 "pos": rng.multinomial(n_pos, _SLOT_WEIGHTS),
             }
-            slot_times = [
-                datetime.combine(d - timedelta(days=1), time(h, 0), tzinfo=EASTERN)
-                for h in _EVENING_HOURS
-            ] + [datetime.combine(d, time(h, 0), tzinfo=EASTERN) for h in _DAYTIME_HOURS]
-            for s, hour_local in enumerate(slot_times):
+            for s, ts in enumerate(slot_ts[k]):
                 c_neg = int(slot_counts["neg"][s])
                 c_neut = int(slot_counts["neut"][s])
                 c_pos = int(slot_counts["pos"][s])
                 if c_neg + c_neut + c_pos == 0:
                     continue
-                buckets.append(
-                    TweetBucket(
-                        ticker=ticker,
-                        hour_start=hour_local.astimezone(UTC),
-                        n_neg=c_neg,
-                        n_neut=c_neut,
-                        n_pos=c_pos,
-                    )
-                )
+                for column, value in zip(columns, (code, ts, c_neg, c_neut, c_pos)):
+                    column.append(value)
 
     ds = Dataset(
         bars=tuple(sorted(bars, key=lambda b: (b.ticker, b.date))),
         index=index_bars,
-        tweets=tuple(sorted(buckets, key=lambda b: (b.ticker, b.hour_start))),
+        tweets=TweetBuckets(tickers, *(np.array(c, dtype=np.int64) for c in columns)).canonical(),
         events=tuple(sorted(events, key=lambda e: e.key())),
     )
     return ds, tuple(truth)

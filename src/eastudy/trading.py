@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .alignment import TradingCalendar, anchor_event
 from .errors import EmptyClass, MissingBar, NonTradingAnnouncement, OutOfCalendarRange
@@ -20,9 +20,11 @@ from .event_study import LabeledEvent
 from .model import Dataset, EarningsEvent, Timing
 from .returns import trading_return
 from .sentiment import (
+    DailyCounts,
     EventPolarity,
     PolarityThresholds,
     categorize_event,
+    covered_tweets,
     daily_counts,
     sentiment_score,
 )
@@ -129,7 +131,7 @@ def run_strategy(
     start: date | None = None,
     end: date | None = None,
     cal: TradingCalendar | None = None,
-    day_counts: Mapping[tuple[str, date], tuple[int, int, int]] | None = None,
+    day_counts: DailyCounts | None = None,
 ) -> TradeLedger:
     """Backtest the short-on-negative strategy over [start, end].
 
@@ -137,7 +139,8 @@ def run_strategy(
     stratum. Trades whose open or close bar is missing are skipped with a
     diagnostic. Several events closing on the same day split the portfolio
     equally, which is equivalent to applying their mean net return. The
-    ledger is a pure function of its inputs.
+    ledger is a pure function of its inputs. ``day_counts`` are the daily
+    counts of the tweets of ``ds`` inside ``cal``, counted here if absent.
     """
     if cal is None:
         cal = TradingCalendar.from_dataset(ds)
@@ -149,10 +152,7 @@ def run_strategy(
     if not in_range:
         raise OutOfCalendarRange(f"no trading dates between {start} and {end}")
     if day_counts is None:
-        day_counts = {
-            (c.ticker, c.trading_date): (c.n_neg, c.n_neut, c.n_pos)
-            for c in daily_counts(ds.tweets, cal)
-        }
+        day_counts = daily_counts(covered_tweets(ds.tweets, cal)[0], cal)
 
     trades: list[Trade] = []
     skipped: list[tuple[EarningsEvent, str]] = []
@@ -167,8 +167,7 @@ def run_strategy(
             continue
         if open_date < in_range[0] or anchor.day0 > in_range[-1]:
             continue
-        neg, neut, pos = day_counts.get((ev.ticker, open_date), (0, 0, 0))
-        score = sentiment_score(neg, neut, pos)
+        score = sentiment_score(*day_counts.at(ev.ticker, open_date))
         if categorize_event(score, thresholds) is not EventPolarity.NEGATIVE:
             continue
         prices = ds.close_prices(ev.ticker)

@@ -251,3 +251,24 @@ class TestPipeline:
     def test_missing_data_path_errors(self, tmp_path):
         rc = main(["--out", str(tmp_path), "pipeline"])
         assert rc == 2
+
+
+class TestTweetsOutsideCalendar:
+    def test_excluded_and_counted_alike_by_every_command(self, data_dir, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("prices.csv", "index.csv", "events.csv"):
+            (data / name).write_bytes((data_dir / name).read_bytes())
+        tweets = (data_dir / "tweets.csv").read_text() + "2030-01-02T15:00:00Z,SYA,1,1,1\n"
+        (data / "tweets.csv").write_text(tweets)
+        for command in ("pipeline", "backtest", "score"):
+            out = tmp_path / command
+            assert main(["--out", str(out), command, *data_flags(data)]) == 0, command
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["dataset"]["tweets_outside_calendar"] == 1, command
+        # the excluded bucket changes no report
+        clean = tmp_path / "clean"
+        assert main(["--out", str(clean), "pipeline", *data_flags(data_dir)]) == 0
+        for name in PIPELINE_FILES:
+            if name != "manifest.json":
+                assert (clean / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes()

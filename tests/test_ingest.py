@@ -173,11 +173,26 @@ class TestParsers:
             "2015-06-02T14:00:00Z,AAA,1,2,3\n"  # duplicate
             "2015-06-02T16:00:00Z,AAA,-1,2,3\n"  # negative count
             "2015-06-02T12:00:00+01:00,AAA,2,0,0\n"  # offset form, whole hour in UTC
+            # stamps are parsed once per distinct text: repeats still get their own diagnostics
+            "2015-06-02T14:30:00Z,BBB,1,2,3\n"  # not a whole hour, again
+            "2015-06-02T15:00:00,BBB,1,2,3\n"  # naive timestamp, again
+            "2015-06-02T15:00:00Z,AAA,1,1,1\n"
+            "2015-06-02T11:00:00-04:00,AAA,1,1,1\n"  # the same instant: duplicate
+            "2015-06-02T17:00:00Z,AAA,1,2147483648,0\n"  # count too large for the columns
         )
         accepted, diags = parse_tweets_csv(write(tmp_path / "t.csv", tweets))
-        assert len(accepted) == 2
-        assert len(diags) == 4
+        assert len(accepted) == 3
+        assert len(diags) == 8
         assert accepted[1][1].hour_start.hour == 11  # normalized to UTC
+        by_line = {d.line: d for d in diags}
+        assert sorted(by_line) == [3, 4, 5, 6, 8, 9, 11, 12]
+        assert "at most 2147483647" in by_line[12].message
+        for line in (3, 8):
+            assert by_line[line].kind == "invariant" and "whole hour" in by_line[line].message
+        for line in (4, 9):
+            assert by_line[line].kind == "schema" and "bad timestamp" in by_line[line].message
+        for line in (5, 11):
+            assert "duplicate bucket for AAA" in by_line[line].message
 
     def test_event_timing_value_checked(self, tmp_path):
         events = (

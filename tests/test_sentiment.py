@@ -1,9 +1,11 @@
-from datetime import date
+from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from eastudy.alignment import close_instant, to_eastern
 from eastudy.errors import OutOfCalendarRange, TooFewEvents, ZeroDenominator
 from eastudy.model import TweetBucket
 from eastudy.sentiment import (
@@ -20,6 +22,21 @@ from eastudy.sentiment import (
 from conftest import eastern, make_calendar
 
 counts = st.integers(min_value=0, max_value=10_000)
+
+# trading days across both 2015 DST changes (March 8 and November 1)
+DST_CALENDAR = make_calendar(date(2015, 3, 2), 185)
+_COVERAGE_START = close_instant(DST_CALENDAR.dates[0] - timedelta(days=1))
+_COVERAGE_HOURS = int(
+    (close_instant(DST_CALENDAR.dates[-1]) - _COVERAGE_START).total_seconds()
+) // 3600
+_CHANGEOVER_HOURS = [datetime(2015, 3, 8, h, tzinfo=timezone.utc) for h in (6, 7, 8)] + [
+    datetime(2015, 11, 1, h, tzinfo=timezone.utc) for h in (5, 6, 7)
+]
+hour_starts = st.one_of(
+    st.integers(1, _COVERAGE_HOURS).map(lambda k: _COVERAGE_START + timedelta(hours=k)),
+    st.sampled_from([close_instant(d) for d in DST_CALENDAR.dates]),  # exactly 16:00 ET
+    st.sampled_from(_CHANGEOVER_HOURS),
+)
 
 
 class TestSentimentScore:
@@ -163,7 +180,7 @@ class TestDailyCounts:
         assert (day.n_neg, day.n_neut, day.n_pos) == (1, 2, 3)
 
     def test_empty_input(self, week_calendar):
-        assert daily_counts([], week_calendar) == []
+        assert list(daily_counts([], week_calendar)) == []
 
     def test_split_across_close(self, week_calendar):
         buckets = [
@@ -190,3 +207,27 @@ class TestDailyCounts:
         ]
         days = daily_counts(buckets, cal)
         assert sum(c.total for c in days) == sum(b.total for b in buckets)
+
+    @given(st.lists(st.tuples(st.sampled_from(["AAA", "BBB"]), hour_starts, counts, counts,
+                              counts), max_size=40))
+    def test_columnar_counts_match_per_bucket_reference(self, spec):
+        buckets = [TweetBucket(t, at, neg, neut, pos) for t, at, neg, neut, pos in spec]
+        ref_days: dict = {}
+        ref_hours: dict = {}
+        for b in buckets:
+            day = DST_CALENDAR.close_delimited_day(b.hour_start)
+            acc = ref_days.setdefault((b.ticker, day), [0, 0, 0])
+            acc[0] += b.n_neg
+            acc[1] += b.n_neut
+            acc[2] += b.n_pos
+            key = (b.ticker, day, to_eastern(b.hour_start).hour)
+            ref_hours[key] = ref_hours.get(key, 0) + b.total
+        days = daily_counts(buckets, DST_CALENDAR)
+        assert {
+            (c.ticker, c.trading_date): [c.n_neg, c.n_neut, c.n_pos] for c in days
+        } == ref_days
+        hours = {
+            (days.tickers[r], DST_CALENDAR.dates[d], h): int(days.hourly[r, d, h])
+            for r, d, h in zip(*np.nonzero(days.hourly))
+        }
+        assert hours == {k: v for k, v in ref_hours.items() if v}
