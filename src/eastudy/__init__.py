@@ -4,7 +4,7 @@ Library surface re-exported here; the ``eastudy`` console script in
 ``eastudy.cli`` drives the same code end to end.
 """
 
-from .alignment import EventAnchor, TradingCalendar, anchor_event, relative_day
+from .alignment import EventAnchor, TradingCalendar, anchor_event
 from .errors import EastudyError
 from .event_study import (
     EventStudyResult,
@@ -16,7 +16,7 @@ from .event_study import (
     fit_market_model,
     summarize_car,
 )
-from .ingest import load_dataset, validate_event_coverage, write_dataset
+from .ingest import load_dataset, write_dataset
 from .model import (
     DailyBar,
     Dataset,
@@ -85,7 +85,6 @@ __all__ = [
     "generate",
     "generate_with_truth",
     "load_dataset",
-    "relative_day",
     "run_strategy",
     "sentiment_polarity_score",
     "sentiment_score",
@@ -93,6 +92,5 @@ __all__ = [
     "tercile_thresholds",
     "trade_return_curves",
     "trading_return",
-    "validate_event_coverage",
     "write_dataset",
 ]

@@ -190,7 +190,3 @@ def anchor_event(ev: EarningsEvent, cal: TradingCalendar) -> EventAnchor:
     if cal.index_of(day0) == 0:
         raise OutOfCalendarRange(f"day 0 of {ev.ticker} event has no prior trading date")
     return EventAnchor(event=ev, calendar=cal, day0=day0)
-
-
-def relative_day(anchor: EventAnchor, k: int) -> date:
-    return anchor.day(k)

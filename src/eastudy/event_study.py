@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
+from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alignment import EventAnchor, TradingCalendar, anchor_event
+from .alignment import EventAnchor
 from .errors import (
     DegenerateRegressor,
     EmptyClass,
@@ -31,22 +32,10 @@ from .sentiment import EventPolarity
 
 
 def z_critical(alpha: float) -> float:
-    """Two-sided normal critical value z_{1 - alpha/2}, via bisection on erf."""
+    """Two-sided normal critical value z_{1 - alpha/2}."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    target = 1 - alpha / 2
-
-    def cdf(z: float) -> float:
-        return 0.5 * (1 + math.erf(z / math.sqrt(2)))
-
-    lo, hi = 0.0, 10.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if cdf(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return NormalDist().inv_cdf(1 - alpha / 2)
 
 
 @dataclass(frozen=True)
@@ -64,6 +53,8 @@ class StudyConfig:
             raise ValueError("event window must start no earlier than day -1")
         if self.estimation_window_length < 3:
             raise ValueError("estimation window too short to fit two parameters")
+        if not 0 < self.significance_level < 1:
+            raise ValueError("significance level must be in (0, 1)")
 
     @property
     def taus(self) -> tuple[int, ...]:
@@ -230,38 +221,35 @@ class LabeledEvent:
     polarity: EventPolarity
 
 
-def label_events(
-    events: Sequence[EarningsEvent],
-    polarities: Mapping[EarningsEvent, EventPolarity],
-    cal: TradingCalendar,
-) -> list[LabeledEvent]:
-    return [
-        LabeledEvent(event=ev, anchor=anchor_event(ev, cal), polarity=polarities[ev])
-        for ev in events
-    ]
+@dataclass(frozen=True)
+class FittedEvent:
+    """One event's market-model fit and its abnormal returns over the window."""
+
+    item: LabeledEvent
+    fit: MarketModelFit
+    ars: tuple[float, ...]
 
 
-def aggregate_study(
-    labeled: Sequence[LabeledEvent],
+def fit_events(
+    items: Sequence[LabeledEvent],
     ds: Dataset,
     cfg: StudyConfig = StudyConfig(),
-) -> EventStudyResult:
-    """Fit, measure, and aggregate abnormal returns per polarity class.
+) -> tuple[list[FittedEvent], list[tuple[EarningsEvent, str]]]:
+    """Fit the market model and measure abnormal returns, event by event.
 
-    The caller chooses the event set (typically one timing class at a
-    time). Events whose history or window cannot be served are skipped
-    with a reason rather than failing the run. Results are independent of
-    input order: events are processed in canonical (ticker, announce_at)
-    order.
+    ``items`` need only ``event`` and ``anchor``. Events whose history or
+    window cannot be served are skipped with a reason rather than failing
+    the run. Events are processed in canonical (ticker, announce_at) order,
+    so the result does not depend on input order.
     """
-    if not labeled:
-        raise EmptyClass("no events to aggregate")
-    cal = labeled[0].anchor.calendar
+    if not items:
+        return [], []
+    cal = items[0].anchor.calendar
     index_returns = daily_returns(ds.index).as_dict()
     stock_returns: dict[str, dict[date, float]] = {}
-    per_class: dict[EventPolarity, list[tuple[tuple[float, ...], float]]] = {}
+    fitted: list[FittedEvent] = []
     skipped: list[tuple[EarningsEvent, str]] = []
-    for item in sorted(labeled, key=lambda le: le.event.key()):
+    for item in sorted(items, key=lambda le: le.event.key()):
         ticker = item.event.ticker
         if ticker not in stock_returns:
             bars = ds.bars_by_ticker.get(ticker, ())
@@ -275,15 +263,34 @@ def aggregate_study(
         except (InsufficientHistory, MissingBar, DegenerateRegressor, OutOfCalendarRange) as exc:
             skipped.append((item.event, f"{type(exc).__name__}: {exc}"))
             continue
-        per_class.setdefault(item.polarity, []).append((ars, fit.sigma2_eps))
+        fitted.append(FittedEvent(item, fit, ars))
+    return fitted, skipped
+
+
+def aggregate_study(
+    labeled: Sequence[LabeledEvent],
+    ds: Dataset,
+    cfg: StudyConfig = StudyConfig(),
+) -> EventStudyResult:
+    """Fit, measure, and aggregate abnormal returns per polarity class.
+
+    The caller chooses the event set (typically one timing class at a
+    time); ``fit_events`` does the per-event work and records skips.
+    """
+    if not labeled:
+        raise EmptyClass("no events to aggregate")
+    fitted, skipped = fit_events(labeled, ds, cfg)
+    per_class: dict[EventPolarity, list[FittedEvent]] = {}
+    for fe in fitted:
+        per_class.setdefault(fe.item.polarity, []).append(fe)
     if not per_class:
         raise EmptyClass("every event was skipped")
     critical = cfg.critical_value
     classes = {
         pol: summarize_car(
             pol,
-            [ars for ars, _ in rows],
-            [s2 for _, s2 in rows],
+            [fe.ars for fe in rows],
+            [fe.fit.sigma2_eps for fe in rows],
             cfg.taus,
             critical,
         )

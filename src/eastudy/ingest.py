@@ -1,4 +1,4 @@
-"""CSV ingestion, validation, canonical emission, and coverage checks.
+"""CSV ingestion, validation, canonical emission, and staged run output.
 
 Four inputs: daily bars, benchmark index levels, hourly tweet buckets, and
 announcement events. Parsing is total: every data row is either accepted
@@ -14,11 +14,18 @@ row still gets every check and its own row-numbered diagnostic.
 
 The trading calendar is implied by the index file: a date is a trading
 day iff the index has a bar for it.
+
+Every file a command writes goes through ``OutputDir``: it is staged beside
+the output directory and moved in only when the run succeeds.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -26,15 +33,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .alignment import MARKET_CLOSE, MARKET_OPEN, TradingCalendar, anchor_event, to_eastern
-from .errors import (
-    InvariantViolation,
-    MissingFile,
-    NonTradingAnnouncement,
-    OutOfCalendarRange,
-    SchemaMismatch,
-)
-from .event_study import StudyConfig
+from .alignment import MARKET_CLOSE, MARKET_OPEN, to_eastern
+from .errors import InvariantViolation, MissingFile, SchemaMismatch
 from .model import (
     DailyBar,
     Dataset,
@@ -45,8 +45,6 @@ from .model import (
     TweetBucket,
     TweetBuckets,
 )
-from .returns import calendar_aligned_returns, daily_returns
-from .sentiment import covered_tweets, daily_counts
 
 PRICES_HEADER = ["date", "ticker", "close", "volume"]
 INDEX_HEADER = ["date", "close"]
@@ -436,7 +434,7 @@ def load_dataset(
     )
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -488,77 +486,53 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> list[Path]:
     return paths
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    """Per-event data sufficiency for the event study."""
-
-    day0_tweets: int
-    estimation_days: int
-    event_window_ok: bool
-    excluded: bool
-    reasons: tuple[str, ...]
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
-def validate_event_coverage(
-    ds: Dataset, cfg: StudyConfig = StudyConfig()
-) -> list[tuple[EarningsEvent, CoverageReport]]:
-    """Report, per event, whether the study's data requirements are met.
+class OutputDir:
+    """One run's files, written into a temporary sibling of ``root``:
+    ``commit`` moves them into ``root``, ``discard`` deletes them."""
 
-    An event is marked excluded when it has no day-0 tweets, when fewer
-    than the required paired returns precede its event window, or when the
-    window itself cannot be served. Report-only: nothing raises.
-    """
-    cal = TradingCalendar.from_dataset(ds)
-    counts = daily_counts(covered_tweets(ds.tweets, cal)[0], cal)
-    index_returns = daily_returns(ds.index).as_dict() if len(ds.index) > 1 else {}
-    stock_returns_cache: dict[str, dict] = {}
-    out = []
-    for ev in sorted(ds.events, key=lambda e: e.key()):
-        reasons: list[str] = []
-        day0_tweets = 0
-        estimation_days = 0
-        window_ok = False
-        try:
-            anchor = anchor_event(ev, cal)
-        except (OutOfCalendarRange, NonTradingAnnouncement) as exc:
-            reasons.append(f"announcement not anchorable: {exc}")
-        else:
-            day0_tweets = sum(counts.at(ev.ticker, anchor.day0))
-            if day0_tweets == 0:
-                reasons.append("no day-0 tweets")
-            if ev.ticker not in stock_returns_cache:
-                bars = ds.bars_by_ticker.get(ev.ticker, ())
-                stock_returns_cache[ev.ticker] = (
-                    calendar_aligned_returns(bars, cal) if len(bars) > 1 else {}
-                )
-            stock_returns = stock_returns_cache[ev.ticker]
-            i = cal.index_of(anchor.day0) + cfg.event_window[0] - 1
-            while i >= 0 and estimation_days < cfg.estimation_window_length:
-                d = cal.date_at(i)
-                if d in stock_returns and d in index_returns:
-                    estimation_days += 1
-                i -= 1
-            if estimation_days < cfg.estimation_window_length:
-                reasons.append("insufficient estimation window")
-            try:
-                window_dates = [anchor.day(k) for k in cfg.taus]
-                window_ok = all(
-                    d in stock_returns and d in index_returns for d in window_dates
-                )
-            except OutOfCalendarRange:
-                window_ok = False
-            if not window_ok:
-                reasons.append("insufficient event window")
-        out.append(
-            (
-                ev,
-                CoverageReport(
-                    day0_tweets=day0_tweets,
-                    estimation_days=estimation_days,
-                    event_window_ok=window_ok,
-                    excluded=bool(reasons),
-                    reasons=tuple(reasons),
-                ),
-            )
-        )
-    return out
+    def __init__(self, root: str | Path):
+        self.root = Path(root)
+        self.created: list[Path] = []  # staged files, in the order written
+        self._stage: Path | None = None
+
+    def stage(self) -> Path:
+        """The staging directory, made beside ``root`` on first use."""
+        if self._stage is None:
+            self.root.parent.mkdir(parents=True, exist_ok=True)
+            stage = tempfile.mkdtemp(prefix=f".{self.root.name}.", dir=self.root.parent)
+            self._stage = Path(stage)
+        return self._stage
+
+    def _add(self, name: str) -> Path:
+        path = self.stage() / name
+        self.created.append(path)
+        return path
+
+    def write_csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+        _write_csv(self._add(name), header, ([_fmt(v) for v in row] for row in rows))
+
+    def write_json(self, name: str, payload: dict) -> None:
+        with open(self._add(name), "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    def commit(self) -> None:
+        if self._stage is None:
+            return
+        self.root.mkdir(parents=True, exist_ok=True)
+        for path in self.created:
+            os.replace(path, self.root / path.name)
+        self.discard()
+
+    def discard(self) -> None:
+        if self._stage is not None:
+            shutil.rmtree(self._stage, ignore_errors=True)
+            self._stage = None

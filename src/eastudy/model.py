@@ -180,7 +180,8 @@ class Dataset:
     bars_by_ticker: dict[str, tuple[DailyBar, ...]] = field(
         init=False, repr=False, compare=False
     )
-    index_by_date: dict[date, IndexBar] = field(init=False, repr=False, compare=False)
+    _closes: dict[str, dict[date, float]] = field(init=False, repr=False, compare=False)
+    _index_closes: dict[date, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.tweets = TweetBuckets.of(self.tweets)
@@ -188,13 +189,18 @@ class Dataset:
         for bar in self.bars:
             by_ticker.setdefault(bar.ticker, []).append(bar)
         self.bars_by_ticker = {t: tuple(bs) for t, bs in by_ticker.items()}
-        self.index_by_date = {b.date: b for b in self.index}
+        self._closes = {
+            t: {b.date: b.close for b in bs} for t, bs in self.bars_by_ticker.items()
+        }
+        self._index_closes = {b.date: b.close for b in self.index}
 
     def close_prices(self, ticker: str) -> dict[date, float]:
-        return {b.date: b.close for b in self.bars_by_ticker.get(ticker, ())}
+        """Closing price by date; the shared map, not a copy."""
+        return self._closes.get(ticker, {})
 
     def index_closes(self) -> dict[date, float]:
-        return {b.date: b.close for b in self.index}
+        """Index level by date; the shared map, not a copy."""
+        return self._index_closes
 
     @property
     def tickers(self) -> tuple[str, ...]:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import TradingCalendar, anchor_event, to_eastern
+from .alignment import EventAnchor, TradingCalendar, anchor_event, to_eastern
 from .errors import NonTradingAnnouncement, OutOfCalendarRange
 from .event_study import LabeledEvent
 from .model import Dataset, EarningsEvent, Timing
@@ -43,10 +43,17 @@ TIMING_NAMES = {Timing.AFTER_CLOSE: "afterclose", Timing.BEFORE_OPEN: "beforeope
 
 @dataclass(frozen=True)
 class AnchoredEvent:
-    event: EarningsEvent
-    day0: date
+    anchor: EventAnchor
     day_m1: date
     day0_tweets: int
+
+    @property
+    def event(self) -> EarningsEvent:
+        return self.anchor.event
+
+    @property
+    def day0(self) -> date:
+        return self.anchor.day0
 
 
 @dataclass
@@ -70,12 +77,9 @@ class EventUniverse:
     def timing_events(self, timing: Timing) -> list[AnchoredEvent]:
         return [ae for ae in self.events if ae.event.timing is timing]
 
-    def counts_at(self, ticker: str, day: date) -> tuple[int, int, int]:
-        return self.counts.at(ticker, day)
-
     def score(self, ae: AnchoredEvent, polarity_day: int) -> float:
         day = ae.day0 if polarity_day == 0 else ae.day_m1
-        return sentiment_score(*self.counts_at(ae.event.ticker, day))
+        return sentiment_score(*self.counts.at(ae.event.ticker, day))
 
     def until(self, until: date | None) -> "EventUniverse":
         """The universe of the dataset's events announced up to ``until``
@@ -95,9 +99,7 @@ class EventUniverse:
             if day0_tweets == 0:
                 dropped.append((ev, "no day-0 tweets"))
                 continue
-            events.append(
-                AnchoredEvent(event=ev, day0=anchor.day0, day_m1=day_m1, day0_tweets=day0_tweets)
-            )
+            events.append(AnchoredEvent(anchor=anchor, day_m1=day_m1, day0_tweets=day0_tweets))
         return replace(self, events=events, dropped=dropped)
 
 
@@ -145,13 +147,7 @@ def label_stratum(
     labeled = []
     for ae in universe.timing_events(timing):
         polarity = categorize_event(universe.score(ae, polarity_day), thresholds)
-        labeled.append(
-            LabeledEvent(
-                event=ae.event,
-                anchor=anchor_event(ae.event, universe.cal),
-                polarity=polarity,
-            )
-        )
+        labeled.append(LabeledEvent(event=ae.event, anchor=ae.anchor, polarity=polarity))
     return labeled
 
 

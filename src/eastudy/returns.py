@@ -12,9 +12,7 @@ from typing import Mapping, Sequence
 
 from .alignment import EventAnchor, TradingCalendar
 from .errors import GapInSeries, MissingBar, ZeroEstimate
-from .model import DailyBar, EarningsEvent, IndexBar
-
-INDEX_TICKER = "INDEX"
+from .model import INDEX_TICKER, DailyBar, EarningsEvent, IndexBar
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from eastudy.alignment import (
     TradingCalendar,
     anchor_event,
     close_instant,
-    relative_day,
 )
 from eastudy.errors import NonTradingAnnouncement, OutOfCalendarRange
 from eastudy.model import Timing
@@ -149,21 +148,21 @@ class TestRelativeDay:
     def test_walk(self, week_calendar):
         ev = make_event("AAA", eastern(2015, 6, 4, 17, 0), Timing.AFTER_CLOSE)
         anchor = anchor_event(ev, week_calendar)  # day0 = Friday 6/5
-        assert relative_day(anchor, 0) == date(2015, 6, 5)
-        assert relative_day(anchor, -1) == date(2015, 6, 4)
-        assert relative_day(anchor, 1) == date(2015, 6, 8)  # following Monday
+        assert anchor.day(0) == date(2015, 6, 5)
+        assert anchor.day(-1) == date(2015, 6, 4)
+        assert anchor.day(1) == date(2015, 6, 8)  # following Monday
 
     def test_monotone_in_k(self, week_calendar):
         ev = make_event("AAA", eastern(2015, 6, 4, 17, 0), Timing.AFTER_CLOSE)
         anchor = anchor_event(ev, week_calendar)
-        days = [relative_day(anchor, k) for k in range(-1, 6)]
+        days = [anchor.day(k) for k in range(-1, 6)]
         assert days == sorted(days) and len(set(days)) == len(days)
 
     def test_out_of_range(self, week_calendar):
         ev = make_event("AAA", eastern(2015, 6, 4, 17, 0), Timing.AFTER_CLOSE)
         anchor = anchor_event(ev, week_calendar)
         with pytest.raises(OutOfCalendarRange):
-            relative_day(anchor, 10)
+            anchor.day(10)
 
 
 class TestCalendarConstruction:

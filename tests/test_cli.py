@@ -1,9 +1,10 @@
+import argparse
 import csv
 import json
 
 import pytest
 
-from eastudy.cli import main
+from eastudy.cli import build_parser, main
 from eastudy.ingest import write_dataset
 from eastudy.synth import SynthSpec, generate
 
@@ -57,6 +58,8 @@ class TestSynthCommand:
         assert rc == 0
         for name in ("prices.csv", "index.csv", "tweets.csv", "events.csv"):
             assert (tmp_path / "d" / name).exists()
+        # the files were staged beside the output directory; nothing is left there
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "spec.json"]
 
     def test_seed_flag_overrides_spec(self, tmp_path):
         spec_file = tmp_path / "spec.json"
@@ -272,3 +275,173 @@ class TestTweetsOutsideCalendar:
         for name in PIPELINE_FILES:
             if name != "manifest.json":
                 assert (clean / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes()
+
+
+class TestIngestCoverage:
+    def test_excluded_count_follows_the_study_settings(self, data_dir, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "ingest", *data_flags(data_dir)]) == 0
+        assert "24 events (0 excluded by coverage)" in capsys.readouterr().out
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"study": {"estimation_window": 200}}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "ingest",
+                     *data_flags(data_dir)]) == 0
+        # the first event of each ticker has fewer than 200 days of history
+        assert "24 events (12 excluded by coverage)" in capsys.readouterr().out
+
+
+class TestFailedRun:
+    def test_failed_rerun_leaves_out_exactly_as_it_was(self, data_dir, tmp_path):
+        out = tmp_path / "reports"
+        assert main(["--out", str(out), "pipeline", *data_flags(data_dir)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == sorted(PIPELINE_FILES)
+        # no event is announced by then, so the backtest has no thresholds
+        rc = main(["--out", str(out), "pipeline", *data_flags(data_dir),
+                   "--thresholds-until", "2000-01-01"])
+        assert rc == 5
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["reports"]  # no staging left
+
+
+class TestInvalidSettings:
+    CASES = {
+        "malformed config": lambda bad, window, data: ["--config", str(bad), "score", *data],
+        "malformed spec": lambda bad, window, data: ["synth", "--spec", str(bad)],
+        "event window": lambda bad, window, data: ["--config", str(window), "study", *data],
+        "estimation window": lambda bad, window, data: [
+            "study", *data, "--estimation-window", "1"],
+        "significance": lambda bad, window, data: ["pipeline", *data, "--significance", "2"],
+        "until": lambda bad, window, data: ["thresholds", *data, "--until", "2015-13-01"],
+        "from": lambda bad, window, data: ["backtest", *data, "--from", "nope"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_5_with_an_error_line(self, case, data_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"until": ')
+        window = tmp_path / "window.json"
+        window.write_text(json.dumps({"study": {"event_window": [3, 1]}}))
+        argv = self.CASES[case](bad, window, data_flags(data_dir))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *argv]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestSubcommandsAreSlicesOfPipeline:
+    """Each report command writes the same bytes as ``pipeline``'s file of the
+    same name, under the same config, with or without ``until``."""
+
+    CONFIGS = {"no config": {}, "config until": {"until": "2015-10-15"}}
+
+    @pytest.fixture(scope="class")
+    def pipeline_out(self, data_dir, tmp_path_factory):
+        outs = {}
+        for label, config in self.CONFIGS.items():
+            root = tmp_path_factory.mktemp("pipeline")
+            cfg = root / "run.json"
+            cfg.write_text(json.dumps(config))
+            assert main(["--config", str(cfg), "--out", str(root / "out"), "pipeline",
+                         *data_flags(data_dir)]) == 0
+            outs[label] = root / "out"
+        return outs
+
+    def test_until_changes_the_pipeline(self, pipeline_out):
+        a, b = (pipeline_out[label] for label in self.CONFIGS)
+        for name in ("thresholds.csv", "study_sent0_afterclose.csv", "trades.csv"):
+            assert (a / name).read_bytes() != (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("label", sorted(CONFIGS))
+    @pytest.mark.parametrize(
+        "command", ["thresholds", "study", "curves", "backtest", "regress", "volume"]
+    )
+    def test_same_bytes_as_pipeline(self, command, label, data_dir, pipeline_out, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.CONFIGS[label]))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), command,
+                     *data_flags(data_dir)]) == 0
+        written = [p.name for p in out.iterdir() if p.suffix == ".csv"]
+        assert written
+        for name in written:
+            assert (out / name).read_bytes() == (pipeline_out[label] / name).read_bytes(), name
+
+
+# Option strings of each subcommand and of the top level, as they were before
+# the subcommands were built from one table: the table adds and drops none.
+DATA_OPTIONS = {"--prices", "--index", "--tweets", "--events"}
+CLI_SURFACE = {
+    "": {"--config", "--out", "--seed"},
+    "ingest": DATA_OPTIONS | {"--emit"},
+    "calendar": {"--index"},
+    "score": DATA_OPTIONS,
+    "thresholds": DATA_OPTIONS | {"--until"},
+    "returns": DATA_OPTIONS,
+    "surprise": DATA_OPTIONS,
+    "study": DATA_OPTIONS | {"--until", "--polarity-day", "--timing",
+                             "--estimation-window", "--significance"},
+    "curves": DATA_OPTIONS | {"--until", "--polarity-day", "--timing"},
+    "backtest": DATA_OPTIONS | {"--spread", "--from", "--to", "--thresholds-until"},
+    "regress": DATA_OPTIONS | {"--until"},
+    "volume": DATA_OPTIONS | {"--until"},
+    "synth": {"--spec"},
+    "pipeline": DATA_OPTIONS | {"--until", "--spread", "--from", "--to", "--thresholds-until",
+                                "--estimation-window", "--significance"},
+}
+
+# Manifest keys each command wrote before the registry, at the top level and
+# under "config" (with the keys of nested config sections).
+MANIFEST_BASE = {"command", "config", "created_utc", "dataset", "inputs", "outputs",
+                 "tool", "version"}
+MANIFEST_KEYS = {
+    "score": (set(), {}),
+    "thresholds": (set(), {"until": None}),
+    "returns": (set(), {}),
+    "surprise": (set(), {}),
+    "study": ({"skipped"}, {"polarity_day": None, "timing": None, "until": None}),
+    "curves": (set(), {"polarity_day": None, "timing": None, "until": None}),
+    "backtest": ({"backtest"}, {"from": None, "spread": None, "thresholds_until": None,
+                                "to": None}),
+    "regress": (set(), {"until": None}),
+    "volume": (set(), {"rel_days": None, "until": None}),
+    "pipeline": ({"backtest", "excluded_events", "studies"}, {
+        "until": None,
+        "backtest": {"from", "spread", "thresholds_until", "to"},
+        "study": {"estimation_window", "event_window", "significance"},
+        "volume": {"rel_days"},
+    }),
+}
+
+
+class TestSurface:
+    def test_options_per_subcommand(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parsers = {"": parser, **sub.choices}
+        got = {
+            name: {o for act in p._actions for o in act.option_strings} - {"-h", "--help"}
+            for name, p in parsers.items()
+        }
+        assert got == CLI_SURFACE
+
+    @pytest.mark.parametrize("command", sorted(MANIFEST_KEYS))
+    def test_manifest_keeps_its_keys(self, command, data_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), command, *data_flags(data_dir)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        top, config = MANIFEST_KEYS[command]
+        assert MANIFEST_BASE | top <= set(manifest)
+        assert set(config) <= set(manifest["config"])
+        for key, nested in config.items():
+            if nested:
+                assert nested <= set(manifest["config"][key]), key
+
+    def test_study_records_the_study_settings(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "study", *data_flags(data_dir),
+                     "--estimation-window", "100", "--significance", "0.05"]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["event_window"] == [-1, 10]
+        assert config["estimation_window"] == 100
+        assert config["significance"] == 0.05

@@ -2,17 +2,18 @@ from datetime import date
 
 import pytest
 
+from eastudy.alignment import anchor_event
 from eastudy.errors import InvariantViolation, MissingFile, SchemaMismatch
-from eastudy.event_study import StudyConfig
+from eastudy.event_study import StudyConfig, fit_events
 from eastudy.ingest import (
     load_dataset,
     parse_events_csv,
     parse_index_csv,
     parse_prices_csv,
     parse_tweets_csv,
-    validate_event_coverage,
     write_dataset,
 )
+from eastudy.reports import build_universe
 from eastudy.synth import SynthSpec, generate
 
 from conftest import business_days
@@ -223,6 +224,17 @@ class TestWriteReadFixpoint:
             assert p1.read_bytes() == p2.read_bytes()
 
 
+def coverage(ds, cfg=StudyConfig()):
+    """The study's own exclusions: the universe's (no anchor, no day-0 tweets),
+    then the market-model fit loop's. Returns (universe, fitted, reasons by event)."""
+    universe = build_universe(ds)
+    fitted, skipped = fit_events(universe.events, ds, cfg)
+    reasons: dict = {}
+    for ev, why in universe.dropped + skipped:
+        reasons.setdefault(ev, []).append(why)
+    return universe, fitted, reasons
+
+
 class TestCoverage:
     def test_event_without_day0_tweets_excluded(self, tmp_path):
         tweets = (
@@ -230,34 +242,36 @@ class TestCoverage:
             "2015-06-08T13:00:00Z,BBB,0,5,0\n"
         )
         ds = load_dataset(*fixture_files(tmp_path, tweets=tweets))
-        reports = dict(validate_event_coverage(ds))
-        aaa = next(rep for ev, rep in reports.items() if ev.ticker == "AAA")
-        assert aaa.excluded
-        assert "no day-0 tweets" in aaa.reasons
-        assert aaa.day0_tweets == 0
+        universe, _, reasons = coverage(ds)
+        aaa = next(ev for ev in ds.events if ev.ticker == "AAA")
+        assert aaa in reasons
+        assert "no day-0 tweets" in reasons[aaa]
+        assert sum(universe.counts.at("AAA", anchor_event(aaa, universe.cal).day0)) == 0
 
     def test_short_history_flags_estimation_window(self, tmp_path):
         ds = load_dataset(*fixture_files(tmp_path))
-        reports = dict(validate_event_coverage(ds))
-        aaa = next(rep for ev, rep in reports.items() if ev.ticker == "AAA")
-        assert aaa.excluded
-        assert "insufficient estimation window" in aaa.reasons
+        _, _, reasons = coverage(ds)
+        aaa = next(ev for ev in ds.events if ev.ticker == "AAA")
+        assert aaa in reasons
+        assert any(why.startswith("InsufficientHistory") for why in reasons[aaa])
 
     def test_fully_covered_event_not_excluded(self):
         ds = generate(SynthSpec(seed=9, n_tickers=2, n_days=160, events_per_ticker=1,
                                 first_event_day=135))
-        reports = validate_event_coverage(ds)
-        assert reports
-        for ev, rep in reports:
-            assert not rep.excluded, rep.reasons
-            assert rep.day0_tweets > 0
-            assert rep.estimation_days >= 120
-            assert rep.event_window_ok
+        universe, fitted, reasons = coverage(ds)
+        assert fitted
+        assert not reasons, reasons
+        assert {fe.item.event for fe in fitted} == set(ds.events)
+        for ae in universe.events:
+            assert ae.day0_tweets > 0
+        for fe in fitted:
+            assert fe.fit.n_obs >= 120
+            assert len(fe.ars) == len(StudyConfig().taus)  # the event window is served
 
     def test_shorter_requirement_accepts_shorter_history(self):
         ds = generate(SynthSpec(seed=9, n_tickers=1, n_days=90, events_per_ticker=1,
                                 first_event_day=60))
-        strict = validate_event_coverage(ds)
-        assert all(rep.excluded for _, rep in strict)
-        relaxed = validate_event_coverage(ds, StudyConfig(estimation_window_length=50))
-        assert all(not rep.excluded for _, rep in relaxed)
+        _, _, strict = coverage(ds)
+        assert set(strict) == set(ds.events)
+        _, _, relaxed = coverage(ds, StudyConfig(estimation_window_length=50))
+        assert not relaxed
