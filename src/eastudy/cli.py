@@ -4,8 +4,11 @@
 runs the one report of its name, so it writes exactly the files of that
 name that ``pipeline`` writes under the same settings. One resolver turns
 flags, then the JSON config file, then defaults into every command's
-settings. Files are staged beside the output directory and moved in only
-when the run succeeds, so a failed run leaves it as it found it.
+settings. Each event of the timing classes in use is fitted and held once
+per run (``fit_events``, ``hold_returns``); every study and curves stratum
+groups those shared rows by its own labels. Files are staged beside the
+output directory and moved in only when the run succeeds, so a failed run
+leaves it as it found it.
 """
 
 from __future__ import annotations
@@ -22,12 +25,20 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .alignment import TradingCalendar
-from .errors import EastudyError, InvalidSpec, InvariantViolation, MissingFile, SchemaMismatch
+from .errors import (
+    EastudyError,
+    InsufficientHistory,
+    InvalidSpec,
+    InvariantViolation,
+    MissingFile,
+    SchemaMismatch,
+)
 from .event_study import StudyConfig, aggregate_study, fit_events
 from .ingest import OutputDir, format_rfc3339, load_dataset, parse_index_csv, write_dataset
 from .model import Dataset, EarningsEvent, Timing
 from .reports import (
     CLASS_NAMES,
+    STRATA,
     TIMING_NAMES,
     all_thresholds,
     build_universe,
@@ -39,14 +50,12 @@ from .reports import (
 from .returns import daily_returns, earnings_surprise
 from .sentiment import covered_tweets, sentiment_score
 from .synth import SynthSpec, generate
-from .trading import run_strategy, trade_return_curves
+from .trading import hold_returns, run_strategy, trade_return_curves
 
 # exit codes: 0 ok, these three, and 5 for every other domain error
 EXIT_CODES = ((MissingFile, 2), (SchemaMismatch, 3), (InvariantViolation, 4))
 
 INPUTS = ("prices", "index", "tweets", "events")
-# (timing, scoring day) of the four study and curves strata
-STRATA = [(timing, day) for timing in (Timing.AFTER_CLOSE, Timing.BEFORE_OPEN) for day in (0, -1)]
 
 
 def _iso(day: date | None) -> str | None:
@@ -157,8 +166,7 @@ def _settings(args, config: dict) -> SimpleNamespace:
 
 
 def _manifest(out: OutputDir, command: str, effective: dict, paths: dict[str, str],
-              ds: Dataset, extra: dict | None = None) -> None:
-    outside = covered_tweets(ds.tweets, TradingCalendar.from_dataset(ds))[1]
+              ds: Dataset, tweets_outside: int, extra: dict | None = None) -> None:
     payload = {
         "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "tool": "eastudy",
@@ -171,7 +179,7 @@ def _manifest(out: OutputDir, command: str, effective: dict, paths: dict[str, st
             "bars": len(ds.bars),
             "index": len(ds.index),
             "tweets": len(ds.tweets),
-            "tweets_outside_calendar": outside,
+            "tweets_outside_calendar": tweets_outside,
             "events": len(ds.events),
         },
         **(extra or {}),
@@ -225,6 +233,8 @@ def _emit_thresholds(run) -> None:
 
 def _emit_returns(run) -> None:
     ds = run.ds
+    if len(ds.index) < 2:
+        raise InsufficientHistory("need at least two index bars to compute returns")
     bars = [ds.bars_by_ticker[ticker] for ticker in ds.tickers]
     series = [daily_returns(ds.index, run.universe.cal)]
     series += [daily_returns(b) for b in bars if len(b) >= 2]
@@ -242,8 +252,9 @@ def _emit_surprise(run) -> None:
 
 def _emit_study(run) -> dict:
     studies = {}
+    fitted = fit_events(run.events, run.ds, run.s.study)  # once, for every stratum
     for (timing, polarity_day), labeled in run.labels.items():
-        result = aggregate_study(labeled, run.ds, run.s.study)
+        result = aggregate_study(labeled, run.ds, run.s.study, fitted=fitted)
         name = _stratum_file("study", timing, polarity_day)
         rows = _class_rows(result.taus, result.classes, "car", "var_car", "theta", "significant")
         run.out.write_csv(name, ["tau", "class", "N", "car", "var", "theta", "significant"], rows)
@@ -253,8 +264,9 @@ def _emit_study(run) -> dict:
 
 
 def _emit_curves(run) -> None:
+    held = hold_returns(run.events, run.ds)  # once, for every stratum
     for (timing, polarity_day), labeled in run.labels.items():
-        curves = trade_return_curves(labeled, run.ds)
+        curves = trade_return_curves(labeled, run.ds, held=held)
         rows = _class_rows(curves.days, curves.classes, "stock_mean", "index_mean")
         header = ["d", "class", "N", "stock_rt", "index_rt"]
         run.out.write_csv(_stratum_file("curves", timing, polarity_day), header, rows)
@@ -353,14 +365,19 @@ def _cmd_report(args, config, out: OutputDir) -> int:
     ds = load_dataset(*(s.paths[name] for name in INPUTS))
     universe = build_universe(ds, until=s.until)
     strata = STRATA if len(reports) > 1 else [(s.timing, s.polarity_day)]
-    # each stratum is labelled once, for both its study and its curves
+    # each stratum is labelled once, for both its study and its curves; the
+    # study and the curves each measure the events of the strata's timings
+    # once, and drop those rows when done, so they never coexist in memory
     labelled = {"study", "curves"}.intersection(reports)
     labels = {st: label_stratum(universe, *st) for st in strata} if labelled else {}
-    run = SimpleNamespace(ds=ds, s=s, out=out, universe=universe, labels=labels)
+    timings = {timing for timing, _ in labels}
+    events = [ae for ae in universe.events if ae.event.timing in timings]
+    run = SimpleNamespace(ds=ds, s=s, out=out, universe=universe, labels=labels, events=events)
     extra = {"excluded_events": _reasons(universe.dropped)}
     for name in reports:
         extra.update(REPORTS[name](run) or {})
-    _manifest(out, args.command, _effective(s, reports), s.paths, ds, extra)
+    _manifest(out, args.command, _effective(s, reports), s.paths, ds,
+              universe.tweets_outside, extra)
     if len(reports) > 1:
         print(f"pipeline complete: {len(out.created)} files in {out.root}")
     return 0
@@ -418,7 +435,8 @@ def _cmd_synth(args, config, out: OutputDir) -> int:
         print(f"wrote {out.root / path.name}")
     effective = {f.name: getattr(spec, f.name) for f in dataclass_fields(SynthSpec)}
     effective["start"] = effective["start"].isoformat()
-    _manifest(out, "synth", effective, {p.stem: str(p) for p in paths}, ds)
+    outside = covered_tweets(ds.tweets, TradingCalendar.from_dataset(ds))[1]
+    _manifest(out, "synth", effective, {p.stem: str(p) for p in paths}, ds, outside)
     return 0
 
 

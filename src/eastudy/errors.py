@@ -11,23 +11,20 @@ class MissingFile(EastudyError):
     pass
 
 
-class SchemaMismatch(EastudyError):
-    """A CSV header or cell does not match the declared schema.
-
-    Carries ``diagnostics`` (list of Diagnostic) when raised by a loader.
-    """
+class _Diagnosed(EastudyError):
+    """Carries ``diagnostics`` (list of Diagnostic) when raised by a loader."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = list(diagnostics or [])
 
 
-class InvariantViolation(EastudyError):
+class SchemaMismatch(_Diagnosed):
+    """A CSV header or cell does not match the declared schema."""
+
+
+class InvariantViolation(_Diagnosed):
     """A parsed value violates a dataset invariant (row-level or cross-file)."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = list(diagnostics or [])
 
 
 class OutOfCalendarRange(EastudyError):

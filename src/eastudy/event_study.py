@@ -6,6 +6,11 @@ the 120 trading days ending at relative day -2, so nothing inside the
 returns are averaged across events of the same polarity class, cumulated
 over the window, and tested against a normal null with the variance
 estimator built from each event's residual variance.
+
+The fit and the abnormal returns belong to the event alone; a stratum only
+decides which class the event is averaged into. So ``fit_events`` measures
+each event once per run, and every stratum groups those shared rows by its
+own labels (``by_class``).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
+from itertools import accumulate
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
@@ -180,38 +186,27 @@ def summarize_car(
         raise EmptyClass(f"no events in class {polarity.name}")
     if len(sigma2_list) != n:
         raise ValueError("one residual variance is required per event")
-    ar_mean = []
-    car = []
-    var_car = []
-    theta = []
-    significant = []
-    running = 0.0
     sigma2_sum = math.fsum(sigma2_list)
-    for j in range(len(taus)):
-        mean_j = math.fsum(row[j] for row in ar_rows) / n
-        running += mean_j
-        length = j + 1
-        v = length * sigma2_sum / (n * n)
-        if v > 0:
-            t = running / math.sqrt(v)
-        elif running == 0.0:
-            t = 0.0
-        else:
-            t = math.copysign(math.inf, running)
-        ar_mean.append(mean_j)
-        car.append(running)
-        var_car.append(v)
-        theta.append(t)
-        significant.append(abs(t) > critical_value)
+    ar_mean = tuple(math.fsum(row[j] for row in ar_rows) / n for j in range(len(taus)))
+    car = tuple(accumulate(ar_mean, initial=0.0))[1:]  # 0.0 + AR, as a running sum
+    var_car = tuple(length * sigma2_sum / (n * n) for length in range(1, len(taus) + 1))
+    theta = tuple(_theta(c, v) for c, v in zip(car, var_car))
     return ClassStudy(
         polarity=polarity,
         n_events=n,
-        ar_mean=tuple(ar_mean),
-        car=tuple(car),
-        var_car=tuple(var_car),
-        theta=tuple(theta),
-        significant=tuple(significant),
+        ar_mean=ar_mean,
+        car=car,
+        var_car=var_car,
+        theta=theta,
+        significant=tuple(abs(t) > critical_value for t in theta),
     )
+
+
+def _theta(car: float, var_car: float) -> float:
+    """CAR over its standard deviation: 0 or signed infinity at zero variance."""
+    if var_car > 0:
+        return car / math.sqrt(var_car)
+    return 0.0 if car == 0.0 else math.copysign(math.inf, car)
 
 
 @dataclass(frozen=True)
@@ -267,24 +262,51 @@ def fit_events(
     return fitted, skipped
 
 
+def by_class(
+    labeled: Sequence[LabeledEvent],
+    rows: Sequence,
+    skipped: Sequence[tuple[EarningsEvent, str]],
+) -> tuple[dict[EventPolarity, list], list[tuple[EarningsEvent, str]]]:
+    """Group one per-event pass's rows by the class ``labeled`` gives them.
+
+    ``rows`` (each with an ``item.event``) and ``skipped`` come from a pass
+    such as ``fit_events`` over any superset of ``labeled``. Only the events
+    of ``labeled`` are kept, in the pass's canonical order, so the grouping
+    is the same whether the pass covered this stratum or a whole universe.
+    """
+    polarity = {le.event.key(): le.polarity for le in labeled}
+    per_class: dict[EventPolarity, list] = {}
+    for row in rows:
+        pol = polarity.get(row.item.event.key())
+        if pol is not None:
+            per_class.setdefault(pol, []).append(row)
+    own_skips = [(ev, why) for ev, why in skipped if ev.key() in polarity]
+    if sum(len(group) for group in per_class.values()) + len(own_skips) != len(labeled):
+        raise ValueError("the per-event rows do not cover every labeled event")
+    if not per_class:
+        raise EmptyClass("every event was skipped")
+    return dict(sorted(per_class.items())), own_skips
+
+
 def aggregate_study(
     labeled: Sequence[LabeledEvent],
     ds: Dataset,
     cfg: StudyConfig = StudyConfig(),
+    fitted: tuple[list[FittedEvent], list[tuple[EarningsEvent, str]]] | None = None,
 ) -> EventStudyResult:
     """Fit, measure, and aggregate abnormal returns per polarity class.
 
-    The caller chooses the event set (typically one timing class at a
-    time); ``fit_events`` does the per-event work and records skips.
+    The caller chooses the event set (typically one stratum at a time).
+    ``fitted`` is ``fit_events``' result with the same ``cfg`` over any
+    superset of ``labeled``, so that the strata of one run share one fit
+    per event; without it the events of ``labeled`` are fitted here. The
+    result is the same either way, skips included.
     """
     if not labeled:
         raise EmptyClass("no events to aggregate")
-    fitted, skipped = fit_events(labeled, ds, cfg)
-    per_class: dict[EventPolarity, list[FittedEvent]] = {}
-    for fe in fitted:
-        per_class.setdefault(fe.item.polarity, []).append(fe)
-    if not per_class:
-        raise EmptyClass("every event was skipped")
+    if fitted is None:
+        fitted = fit_events(labeled, ds, cfg)
+    per_class, skipped = by_class(labeled, *fitted)
     critical = cfg.critical_value
     classes = {
         pol: summarize_car(
@@ -294,6 +316,6 @@ def aggregate_study(
             cfg.taus,
             critical,
         )
-        for pol, rows in sorted(per_class.items())
+        for pol, rows in per_class.items()
     }
     return EventStudyResult(taus=cfg.taus, classes=classes, skipped=tuple(skipped))

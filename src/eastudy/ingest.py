@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .alignment import MARKET_CLOSE, MARKET_OPEN, to_eastern
-from .errors import InvariantViolation, MissingFile, SchemaMismatch
+from .errors import InvalidSpec, InvariantViolation, MissingFile, SchemaMismatch
 from .model import (
     DailyBar,
     Dataset,
@@ -83,8 +83,9 @@ def format_rfc3339(instant: datetime) -> str:
     return instant.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _read_rows(path: Path, header: list[str]):
-    """Yield (lineno, cells) for data rows; raise on a bad header."""
+def _read_rows(path: Path, header: list[str], diags: list[Diagnostic]):
+    """Yield (lineno, cells) for data rows of the header's width; raise on a
+    bad header, and add a diagnostic for each row of another width."""
     if not path.exists():
         raise MissingFile(str(path))
     with open(path, newline="", encoding="utf-8") as fh:
@@ -101,6 +102,11 @@ def _read_rows(path: Path, header: list[str]):
                 f"expected {','.join(header)!r}"
             )
         for lineno, cells in enumerate(reader, start=2):
+            if len(cells) != len(header):
+                diags.append(Diagnostic(
+                    str(path), lineno, "schema", f"expected {len(header)} cells, got {len(cells)}"
+                ))
+                continue
             yield lineno, cells
 
 
@@ -122,12 +128,7 @@ def parse_prices_csv(path: str | Path):
     accepted: list[tuple[int, DailyBar]] = []
     diags: list[Diagnostic] = []
     last_date: dict[str, date] = {}
-    for lineno, cells in _read_rows(path, PRICES_HEADER):
-        if len(cells) != len(PRICES_HEADER):
-            diags.append(
-                Diagnostic(str(path), lineno, "schema", f"expected 4 cells, got {len(cells)}")
-            )
-            continue
+    for lineno, cells in _read_rows(path, PRICES_HEADER, diags):
         raw_date, raw_ticker, raw_close, raw_volume = cells
         try:
             day = _parse_date(raw_date)
@@ -169,12 +170,7 @@ def parse_index_csv(path: str | Path):
     accepted: list[tuple[int, IndexBar]] = []
     diags: list[Diagnostic] = []
     prev: date | None = None
-    for lineno, cells in _read_rows(path, INDEX_HEADER):
-        if len(cells) != len(INDEX_HEADER):
-            diags.append(
-                Diagnostic(str(path), lineno, "schema", f"expected 2 cells, got {len(cells)}")
-            )
-            continue
+    for lineno, cells in _read_rows(path, INDEX_HEADER, diags):
         raw_date, raw_close = cells
         try:
             day = _parse_date(raw_date)
@@ -231,7 +227,6 @@ def parse_tweets_csv(path: str | Path):
     """Parse tweets.csv -> (AcceptedTweets, list[Diagnostic])."""
     path = Path(path)
     diags: list[Diagnostic] = []
-    n_cells = len(TWEETS_HEADER)
     stamps: dict[str, tuple[int, str]] = {}  # stamp text -> _hour_start(text)
     ints: dict[str, int] = {}  # count cell text -> int(text)
     codes: dict[str, int] = {}  # ticker cell text -> code, in order of first use
@@ -239,12 +234,7 @@ def parse_tweets_csv(path: str | Path):
     seen: set[tuple[int, int]] = set()
     rows: list[int] = []  # line, code, ts, n_neg, n_neut, n_pos of each accepted row
     add_row = rows.extend
-    for lineno, cells in _read_rows(path, TWEETS_HEADER):
-        if len(cells) != n_cells:
-            diags.append(
-                Diagnostic(str(path), lineno, "schema", f"expected 5 cells, got {len(cells)}")
-            )
-            continue
+    for lineno, cells in _read_rows(path, TWEETS_HEADER, diags):
         raw_hour, raw_ticker, raw_neg, raw_neut, raw_pos = cells
         stamp = stamps.get(raw_hour)
         if stamp is None:
@@ -306,12 +296,7 @@ def parse_events_csv(path: str | Path):
     path = Path(path)
     accepted: list[tuple[int, EarningsEvent]] = []
     diags: list[Diagnostic] = []
-    for lineno, cells in _read_rows(path, EVENTS_HEADER):
-        if len(cells) != len(EVENTS_HEADER):
-            diags.append(
-                Diagnostic(str(path), lineno, "schema", f"expected 5 cells, got {len(cells)}")
-            )
-            continue
+    for lineno, cells in _read_rows(path, EVENTS_HEADER, diags):
         raw_ticker, raw_at, raw_timing, raw_rep, raw_est = cells
         ticker = raw_ticker.strip()
         if not TICKER_RE.match(ticker):
@@ -344,39 +329,27 @@ def parse_events_csv(path: str | Path):
             )
             continue
         local_time = to_eastern(announce_at).time()
-        if timing is Timing.BEFORE_OPEN and local_time >= MARKET_OPEN:
-            diags.append(
-                _invariant(
-                    path, lineno,
-                    f"{ticker}: BeforeOpen announcement at {local_time} US/Eastern "
-                    "(not before 09:30)",
-                )
-            )
-            continue
-        if timing is Timing.AFTER_CLOSE and local_time < MARKET_CLOSE:
-            diags.append(
-                _invariant(
-                    path, lineno,
-                    f"{ticker}: AfterClose announcement at {local_time} US/Eastern "
-                    "(not at/after 16:00)",
-                )
-            )
+        if timing is Timing.BEFORE_OPEN:
+            wrong, rule = local_time >= MARKET_OPEN, "not before 09:30"
+        else:
+            wrong, rule = local_time < MARKET_CLOSE, "not at/after 16:00"
+        if wrong:
+            diags.append(_invariant(
+                path, lineno,
+                f"{ticker}: {timing.value} announcement at {local_time} US/Eastern ({rule})",
+            ))
             continue
         excluded = eps_estimated == 0.0
-        accepted.append(
-            (
-                lineno,
-                EarningsEvent(
-                    ticker=ticker,
-                    announce_at=announce_at,
-                    timing=timing,
-                    eps_reported=eps_reported,
-                    eps_estimated=eps_estimated,
-                    excluded=excluded,
-                    exclusion_reason="zero estimate" if excluded else "",
-                ),
-            )
+        event = EarningsEvent(
+            ticker=ticker,
+            announce_at=announce_at,
+            timing=timing,
+            eps_reported=eps_reported,
+            eps_estimated=eps_estimated,
+            excluded=excluded,
+            exclusion_reason="zero estimate" if excluded else "",
         )
+        accepted.append((lineno, event))
     return accepted, diags
 
 
@@ -438,8 +411,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def write_dataset(ds: Dataset, out_dir: str | Path) -> list[Path]:
@@ -500,6 +472,9 @@ class OutputDir:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        existing = next(p for p in (self.root, *self.root.parents) if p.exists())
+        if not existing.is_dir():
+            raise InvalidSpec(f"output directory {self.root}: {existing} is not a directory")
         self.created: list[Path] = []  # staged files, in the order written
         self._stage: Path | None = None
 

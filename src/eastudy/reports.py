@@ -32,7 +32,10 @@ from .sentiment import (
     tercile_thresholds,
 )
 
-POLARITY_DAYS = (0, -1)
+# (timing, scoring day) of the four strata, in report order
+STRATA = tuple(
+    (timing, day) for timing in (Timing.AFTER_CLOSE, Timing.BEFORE_OPEN) for day in (0, -1)
+)
 CLASS_NAMES = {
     EventPolarity.NEGATIVE: "negative",
     EventPolarity.NEUTRAL: "neutral",
@@ -127,12 +130,7 @@ def stratum_thresholds(
 def all_thresholds(
     universe: EventUniverse,
 ) -> list[tuple[Timing, int, PolarityThresholds, int]]:
-    rows = []
-    for timing in (Timing.AFTER_CLOSE, Timing.BEFORE_OPEN):
-        for day in POLARITY_DAYS:
-            th, n = stratum_thresholds(universe, timing, day)
-            rows.append((timing, day, th, n))
-    return rows
+    return [(timing, day, *stratum_thresholds(universe, timing, day)) for timing, day in STRATA]
 
 
 def label_stratum(
@@ -154,17 +152,13 @@ def label_stratum(
 def surprise_regressions(universe: EventUniverse) -> list[RegressionFit]:
     """The four sentiment-vs-surprise fits: timing x scoring day."""
     fits = []
-    for timing in (Timing.AFTER_CLOSE, Timing.BEFORE_OPEN):
-        for day in POLARITY_DAYS:
-            pairs = []
-            for ae in universe.timing_events(timing):
-                if ae.event.excluded:
-                    continue
-                pairs.append(
-                    (universe.score(ae, day), earnings_surprise(ae.event).es)
-                )
-            name = f"{TIMING_NAMES[timing]}_day{day}"
-            fits.append(fit_es_regression(pairs, stratum=name))
+    for timing, day in STRATA:
+        pairs = [
+            (universe.score(ae, day), earnings_surprise(ae.event).es)
+            for ae in universe.timing_events(timing)
+            if not ae.event.excluded
+        ]
+        fits.append(fit_es_regression(pairs, stratum=f"{TIMING_NAMES[timing]}_day{day}"))
     return fits
 
 
@@ -239,20 +233,14 @@ def volume_report(
     hourly_rows = []
     for name, group in groups:
         for k in (-1, 0, 1):
-            per_hour: list[list[float]] = [[] for _ in range(24)]
-            for ae in group:
-                i = day_at(ae, k)
-                if i is None:
-                    continue
-                hours = counts.hour_totals(ae.event.ticker)[i].tolist()
-                for h in range(24):
-                    per_hour[h].append(float(hours[h]))
-            n_ev = len(per_hour[0])
-            if n_ev == 0:
+            # one 24-hour tweet profile per event that has a day k
+            days = [(ae.event.ticker, day_at(ae, k)) for ae in group]
+            profiles = [counts.hour_totals(t)[i].tolist() for t, i in days if i is not None]
+            if not profiles:
                 continue
-            for h in range(24):
-                mt, st = _mean_se(per_hour[h])
-                hourly_rows.append((name, k, h, n_ev, mt, st))
+            for h, column in enumerate(zip(*profiles)):
+                mt, st = _mean_se([float(x) for x in column])
+                hourly_rows.append((name, k, h, len(profiles), mt, st))
 
     n_tickers = max(len(tickers), 1)
     total_tweets = int(counts.totals.sum())

@@ -11,7 +11,8 @@ planted jump sign, so the full pipeline can recover the planted classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from datetime import date, datetime, time, timedelta
 from zoneinfo import ZoneInfo
 
@@ -95,7 +96,15 @@ class PlantedEvent:
     jump: float
 
 
+# the value types a spec field of each default type accepts
+_FIELD_TYPES = {int: numbers.Integral, float: numbers.Real, date: date}
+
+
 def _validate(spec: SynthSpec) -> None:
+    for f in fields(spec):
+        value, kind = getattr(spec, f.name), type(f.default)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+            raise InvalidSpec(f"{f.name} must be {kind.__name__}, not {value!r}")
     if spec.n_tickers < 1 or spec.n_days < 2:
         raise InvalidSpec("need at least one ticker and two trading days")
     if min(spec.index_vol, spec.idio_vol, spec.tweet_rate, spec.es_noise) < 0:
@@ -240,15 +249,10 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
                 continue
             mix = _DAY0_MIX[day0_by_idx[k]] if k in day0_by_idx else _BASE_MIX
             n_neg, n_neut, n_pos = (int(c) for c in rng.multinomial(total, mix))
-            slot_counts = {
-                "neg": rng.multinomial(n_neg, _SLOT_WEIGHTS),
-                "neut": rng.multinomial(n_neut, _SLOT_WEIGHTS),
-                "pos": rng.multinomial(n_pos, _SLOT_WEIGHTS),
-            }
+            # drawn in label order: neg, neut, pos
+            slot_counts = [rng.multinomial(n, _SLOT_WEIGHTS) for n in (n_neg, n_neut, n_pos)]
             for s, ts in enumerate(slot_ts[k]):
-                c_neg = int(slot_counts["neg"][s])
-                c_neut = int(slot_counts["neut"][s])
-                c_pos = int(slot_counts["pos"][s])
+                c_neg, c_neut, c_pos = (int(counts[s]) for counts in slot_counts)
                 if c_neg + c_neut + c_pos == 0:
                     continue
                 for column, value in zip(columns, (code, ts, c_neg, c_neut, c_pos)):

@@ -6,6 +6,10 @@ the day before the announcement classifies the event as negative, short
 the stock at the day -1 close and buy it back at the day 0 close. All
 proceeds are reinvested; a fixed per-share spread is charged once per
 round trip.
+
+The trade-return curves split the same way as the event study: one
+hold-return pass (``hold_returns``) measures each event once per run, and
+every stratum averages those shared rows by its own labels.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Sequence
 
 from .alignment import TradingCalendar, anchor_event
 from .errors import EmptyClass, MissingBar, NonTradingAnnouncement, OutOfCalendarRange
-from .event_study import LabeledEvent
+from .event_study import LabeledEvent, by_class
 from .model import Dataset, EarningsEvent, Timing
 from .returns import trading_return
 from .sentiment import (
@@ -47,43 +51,68 @@ class TradeReturnCurves:
     skipped: tuple[tuple[EarningsEvent, str], ...]
 
 
+@dataclass(frozen=True)
+class HeldEvent:
+    """One event's hold-from-day--1 returns RT_d for d = 0..max_d."""
+
+    item: LabeledEvent
+    stock: tuple[float, ...]
+    index: tuple[float, ...]
+
+
+def hold_returns(
+    items: Sequence[LabeledEvent],
+    ds: Dataset,
+    max_d: int = 10,
+) -> tuple[list[HeldEvent], list[tuple[EarningsEvent, str]]]:
+    """RT_d of each event's stock and of the benchmark index, d = 0..max_d.
+
+    ``items`` need only ``event`` and ``anchor``. The index applies the same
+    buy-at-day--1 arithmetic to index levels on each event's own dates. An
+    event with any missing bar over day -1..day max_d is skipped with a
+    reason, not fatal. Events are processed in canonical (ticker,
+    announce_at) order, so the result does not depend on input order.
+    """
+    days = range(max_d + 1)
+    index_closes = ds.index_closes()
+    held: list[HeldEvent] = []
+    skipped: list[tuple[EarningsEvent, str]] = []
+    for item in sorted(items, key=lambda le: le.event.key()):
+        prices = ds.close_prices(item.event.ticker)
+        try:
+            stock = tuple(trading_return(item.anchor, prices, d) for d in days)
+            index = tuple(trading_return(item.anchor, index_closes, d) for d in days)
+        except (MissingBar, OutOfCalendarRange) as exc:
+            skipped.append((item.event, f"{type(exc).__name__}: {exc}"))
+            continue
+        held.append(HeldEvent(item, stock, index))
+    return held, skipped
+
+
 def trade_return_curves(
     labeled: Sequence[LabeledEvent],
     ds: Dataset,
     max_d: int = 10,
+    held: tuple[list[HeldEvent], list[tuple[EarningsEvent, str]]] | None = None,
 ) -> TradeReturnCurves:
     """Class means of RT_d for the stock and for the benchmark index.
 
-    The index curve applies the same buy-at-day--1 arithmetic to index
-    levels on each event's own dates. An event with any missing bar over
-    day -1..day max_d is skipped (recorded), not fatal.
+    ``held`` is ``hold_returns``' result with the same ``max_d`` over any
+    superset of ``labeled``, so that the strata of one run share one pass
+    per event; without it the events of ``labeled`` are measured here. The
+    result is the same either way, skips included.
     """
     if not labeled:
         raise EmptyClass("no events to average")
+    if held is None:
+        held = hold_returns(labeled, ds, max_d)
+    per_class, skipped = by_class(labeled, *held)
     days = tuple(range(max_d + 1))
-    index_closes = ds.index_closes()
-    rows: dict[EventPolarity, list[tuple[list[float], list[float]]]] = {}
-    skipped: list[tuple[EarningsEvent, str]] = []
-    for item in sorted(labeled, key=lambda le: le.event.key()):
-        prices = ds.close_prices(item.event.ticker)
-        try:
-            stock_rts = [trading_return(item.anchor, prices, d) for d in days]
-            index_rts = [trading_return(item.anchor, index_closes, d) for d in days]
-        except (MissingBar, OutOfCalendarRange) as exc:
-            skipped.append((item.event, f"{type(exc).__name__}: {exc}"))
-            continue
-        rows.setdefault(item.polarity, []).append((stock_rts, index_rts))
-    if not rows:
-        raise EmptyClass("every event was skipped")
     classes = {}
-    for pol, event_rows in sorted(rows.items()):
-        n = len(event_rows)
-        stock_mean = tuple(
-            sum(r[0][j] for r in event_rows) / n for j in range(len(days))
-        )
-        index_mean = tuple(
-            sum(r[1][j] for r in event_rows) / n for j in range(len(days))
-        )
+    for pol, rows in per_class.items():
+        n = len(rows)
+        stock_mean = tuple(sum(r.stock[j] for r in rows) / n for j in range(len(days)))
+        index_mean = tuple(sum(r.index[j] for r in rows) / n for j in range(len(days)))
         classes[pol] = ClassCurve(
             polarity=pol, n_events=n, stock_mean=stock_mean, index_mean=index_mean
         )

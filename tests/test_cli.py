@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from eastudy import event_study
 from eastudy.cli import build_parser, main
-from eastudy.ingest import write_dataset
+from eastudy.ingest import load_dataset, write_dataset
+from eastudy.reports import build_universe
 from eastudy.synth import SynthSpec, generate
 
 SPEC = {
@@ -303,8 +305,15 @@ class TestFailedRun:
         assert [p.name for p in tmp_path.iterdir()] == ["reports"]  # no staging left
 
 
+def mistyped_spec(bad, window, data):
+    spec = bad.parent / "typed.json"
+    spec.write_text(json.dumps({"n_tickers": "abc"}))
+    return ["synth", "--spec", str(spec)]
+
+
 class TestInvalidSettings:
     CASES = {
+        "mistyped spec": mistyped_spec,
         "malformed config": lambda bad, window, data: ["--config", str(bad), "score", *data],
         "malformed spec": lambda bad, window, data: ["synth", "--spec", str(bad)],
         "event window": lambda bad, window, data: ["--config", str(window), "study", *data],
@@ -327,6 +336,51 @@ class TestInvalidSettings:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+
+class TestOutputPathIsAFile:
+    def test_exit_5_and_the_file_is_left_alone(self, data_dir, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"not a directory\n")
+        rc = main(["--out", str(afile), "calendar", "--index", str(data_dir / "index.csv")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert afile.read_bytes() == b"not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]  # no staging left
+
+
+class TestOneRowIndex:
+    def test_returns_exits_5_on_a_dataset_that_loads(self, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("prices.csv", "index.csv", "tweets.csv", "events.csv"):
+            header, first = (data_dir / name).read_text().splitlines()[:2]
+            (data / name).write_text(f"{header}\n{first}\n")
+        for command in ("ingest", "score"):
+            assert main(["--out", str(tmp_path / command), command, *data_flags(data)]) == 0
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "returns", *data_flags(data)]) == 5
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestEachEventMeasuredOnce:
+    def test_pipeline_fits_each_universe_event_once(self, data_dir, tmp_path, monkeypatch):
+        fitted = []
+        fit = event_study.fit_market_model
+
+        def counting_fit(stock_returns, index_returns, anchor, *args):
+            fitted.append(anchor.event.key())
+            return fit(stock_returns, index_returns, anchor, *args)
+
+        monkeypatch.setattr(event_study, "fit_market_model", counting_fit)
+        assert main(["--out", str(tmp_path / "out"), "pipeline", *data_flags(data_dir)]) == 0
+        ds = load_dataset(*(data_dir / f"{name}.csv" for name in
+                            ("prices", "index", "tweets", "events")))
+        universe = build_universe(ds)
+        assert sorted(fitted) == sorted(ae.event.key() for ae in universe.events)
 
 
 class TestSubcommandsAreSlicesOfPipeline:

@@ -10,6 +10,7 @@ from eastudy.errors import DegenerateRegressor, EmptyClass, InsufficientHistory,
 from eastudy.event_study import (
     abnormal_returns,
     aggregate_study,
+    fit_events,
     fit_market_model,
     summarize_car,
     z_critical,
@@ -18,6 +19,7 @@ from eastudy.model import Timing
 from eastudy.reports import build_universe, label_stratum
 from eastudy.sentiment import EventPolarity
 from eastudy.synth import SynthSpec, generate_with_truth
+from eastudy.trading import hold_returns, trade_return_curves
 
 from conftest import eastern, make_calendar, make_event
 
@@ -323,6 +325,7 @@ class TestAggregateStudy:
         a = aggregate_study(labeled, ds)
         b = aggregate_study(shuffled, ds)
         assert a == b
+        assert trade_return_curves(labeled, ds) == trade_return_curves(shuffled, ds)
 
     def test_empty_input(self):
         _, ds, _, _ = planted_scenario()
@@ -378,3 +381,41 @@ class TestAggregateStudy:
         result = aggregate_study(labeled, ds)
         assert result.skipped  # the day-40 events lack 120 days of history
         assert all("InsufficientHistory" in why for _, why in result.skipped)
+
+
+class TestSharedPerEventRows:
+    """A stratum grouping rows measured once over the whole universe gets
+    what it gets by measuring its own events, skips included."""
+
+    @staticmethod
+    def scenario():
+        # first-round events lack estimation history; last-round events run
+        # past the calendar's end, so both passes skip events in every stratum
+        spec = SynthSpec(seed=3, n_tickers=12, n_days=220, events_per_ticker=3,
+                         first_event_day=60, event_spacing=75)
+        ds, _ = generate_with_truth(spec)
+        return ds, build_universe(ds)
+
+    @pytest.mark.parametrize("timing", list(Timing))
+    @pytest.mark.parametrize("polarity_day", [0, -1])
+    def test_same_result_as_a_stratum_of_its_own(self, timing, polarity_day):
+        ds, universe = self.scenario()
+        labeled = label_stratum(universe, timing, polarity_day)
+        fitted = fit_events(universe.events, ds)
+        held = hold_returns(universe.events, ds)
+
+        own = aggregate_study(labeled, ds)
+        assert own.skipped and own.classes
+        assert aggregate_study(labeled, ds, fitted=fitted) == own
+        curves = trade_return_curves(labeled, ds)
+        assert curves.skipped and curves.classes
+        assert trade_return_curves(labeled, ds, held=held) == curves
+
+    def test_rows_that_miss_a_labeled_event_are_refused(self):
+        ds, universe = self.scenario()
+        labeled = label_stratum(universe, Timing.AFTER_CLOSE, 0)
+        others = universe.timing_events(Timing.BEFORE_OPEN)
+        with pytest.raises(ValueError):
+            aggregate_study(labeled, ds, fitted=fit_events(others, ds))
+        with pytest.raises(ValueError):
+            trade_return_curves(labeled, ds, held=hold_returns(others, ds))
