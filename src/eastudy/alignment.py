@@ -158,9 +158,14 @@ class EventAnchor:
     calendar: TradingCalendar
     day0: date
 
+    @property
+    def day0_index(self) -> int:
+        """Calendar index of day 0: relative day k is at ``day0_index + k``."""
+        return self.calendar.index_of(self.day0)
+
     def day(self, k: int) -> date:
         """The k-th trading date relative to day 0, k in [-1, +10] typically."""
-        return self.calendar.date_at(self.calendar.index_of(self.day0) + k)
+        return self.calendar.date_at(self.day0_index + k)
 
 
 def anchor_event(ev: EarningsEvent, cal: TradingCalendar) -> EventAnchor:

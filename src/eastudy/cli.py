@@ -162,6 +162,8 @@ def _settings(args, config: dict) -> SimpleNamespace:
         s.study = StudyConfig(s.event_window, s.estimation_window, s.significance)
     except ValueError as exc:
         raise InvalidSpec(f"invalid study settings: {exc}") from None
+    if s.rel_min > s.rel_max:
+        raise InvalidSpec(f"invalid volume window: rel_min {s.rel_min} exceeds rel_max {s.rel_max}")
     return s
 
 

@@ -11,6 +11,14 @@ The fit and the abnormal returns belong to the event alone; a stratum only
 decides which class the event is averaged into. So ``fit_events`` measures
 each event once per run, and every stratum groups those shared rows by its
 own labels (``by_class``).
+
+Returns are read by calendar index, not by date (``AlignedReturns``): the
+estimation window is a slice of the days on which both the stock's and the
+index's return exist, and the abnormal returns are one gather over day 0
+plus the window's offsets. ``fit_events`` takes the returns from the
+dataset's price grid; ``fit_market_model`` and ``abnormal_returns`` take
+them as date mappings and run the same two kernels, ``fit_aligned`` and
+``abnormal_returns_aligned``.
 """
 
 from __future__ import annotations
@@ -18,13 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 from itertools import accumulate
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alignment import EventAnchor
+from .alignment import EventAnchor, TradingCalendar
 from .errors import (
     DegenerateRegressor,
     EmptyClass,
@@ -33,7 +42,6 @@ from .errors import (
     OutOfCalendarRange,
 )
 from .model import Dataset, EarningsEvent
-from .returns import calendar_aligned_returns, daily_returns
 from .sentiment import EventPolarity
 
 
@@ -82,46 +90,117 @@ class MarketModelFit:
         return self.alpha + self.beta * market_return
 
 
+@dataclass(frozen=True, eq=False)
+class AlignedReturns:
+    """A stock's and the index's daily returns by calendar index.
+
+    ``valid`` marks the trading days on which both returns exist; the
+    values elsewhere are never read.
+    """
+
+    stock: np.ndarray
+    index: np.ndarray
+    valid: np.ndarray
+
+    @classmethod
+    def from_mappings(
+        cls,
+        stock_returns: Mapping[date, float],
+        index_returns: Mapping[date, float],
+        cal: TradingCalendar,
+    ) -> "AlignedReturns":
+        """Returns keyed by date, placed on the calendar; other dates are ignored."""
+        return cls(
+            np.array([stock_returns.get(d, np.nan) for d in cal.dates], dtype=np.float64),
+            np.array([index_returns.get(d, np.nan) for d in cal.dates], dtype=np.float64),
+            np.array([d in stock_returns and d in index_returns for d in cal.dates], dtype=bool),
+        )
+
+    @cached_property
+    def valid_days(self) -> np.ndarray:
+        """Calendar indexes of the valid days, ascending."""
+        return np.flatnonzero(self.valid)
+
+    @cached_property
+    def valid_through(self) -> np.ndarray:
+        """Number of valid days at or before each calendar index."""
+        return np.cumsum(self.valid)
+
+
+def fit_aligned(
+    returns: AlignedReturns,
+    anchor: EventAnchor,
+    cfg: StudyConfig = StudyConfig(),
+) -> MarketModelFit:
+    """OLS fit of stock on index returns over the pre-event estimation window.
+
+    The window is the last ``estimation_window_length`` trading days on
+    which both returns exist, ending the day before the event window opens
+    (relative day -2 for the default window). Solved in closed form on
+    centered data; no iterative solver.
+    """
+    end = anchor.day0_index + cfg.event_window[0] - 1
+    if end >= len(returns.valid):
+        raise OutOfCalendarRange(f"calendar index {end} out of range")
+    length = cfg.estimation_window_length
+    n_before = int(returns.valid_through[end]) if end >= 0 else 0
+    if n_before < length:
+        raise InsufficientHistory(
+            f"{anchor.event.ticker}: {n_before} paired returns before the "
+            f"event window, need {length}"
+        )
+    window = returns.valid_days[n_before - length:n_before]
+    x = returns.index[window]
+    y = returns.stock[window]
+    x_mean, y_mean = x.mean(), y.mean()
+    xc = x - x_mean
+    sxx = float(xc @ xc)
+    if sxx == 0.0:
+        raise DegenerateRegressor("index returns are constant over the window")
+    beta = float(xc @ (y - y_mean)) / sxx
+    alpha = float(y_mean - beta * x_mean)
+    resid = y - (alpha + beta * x)
+    sigma2 = float(resid @ resid) / (length - 2)
+    return MarketModelFit(alpha=alpha, beta=beta, sigma2_eps=sigma2, n_obs=length)
+
+
+def abnormal_returns_aligned(
+    fit: MarketModelFit,
+    anchor: EventAnchor,
+    returns: AlignedReturns,
+    cfg: StudyConfig = StudyConfig(),
+) -> tuple[float, ...]:
+    """AR_tau = actual return minus market-model expectation, over the window.
+
+    MissingBar names the first day of the window that is past the calendar's
+    end or lacks a return.
+    """
+    days = anchor.day0_index + np.array(cfg.taus)
+    inside = (days >= 0) & (days < len(returns.valid))
+    served = inside.copy()
+    served[inside] = returns.valid[days[inside]]
+    if not served.all():
+        j = int(np.argmin(served))
+        if not inside[j]:
+            raise MissingBar(
+                f"{anchor.event.ticker}: calendar ends before relative day {cfg.taus[j]}"
+            )
+        raise MissingBar(
+            f"{anchor.event.ticker}: no return on {anchor.calendar.dates[days[j]]}"
+        )
+    ars = returns.stock[days] - (fit.alpha + fit.beta * returns.index[days])
+    return tuple(ars.tolist())
+
+
 def fit_market_model(
     stock_returns: Mapping[date, float],
     index_returns: Mapping[date, float],
     anchor: EventAnchor,
     cfg: StudyConfig = StudyConfig(),
 ) -> MarketModelFit:
-    """OLS fit of stock on index returns over the pre-event estimation window.
-
-    Uses the last ``estimation_window_length`` trading dates on which both
-    return series are available, ending the day before the event window
-    opens (relative day -2 for the default window). Solved in closed form
-    on centered data; no iterative solver.
-    """
-    cal = anchor.calendar
-    end_idx = cal.index_of(anchor.day0) + cfg.event_window[0] - 1
-    window: list[date] = []
-    i = end_idx
-    while i >= 0 and len(window) < cfg.estimation_window_length:
-        d = cal.date_at(i)
-        if d in stock_returns and d in index_returns:
-            window.append(d)
-        i -= 1
-    if len(window) < cfg.estimation_window_length:
-        raise InsufficientHistory(
-            f"{anchor.event.ticker}: {len(window)} paired returns before the "
-            f"event window, need {cfg.estimation_window_length}"
-        )
-    window.reverse()
-    x = np.array([index_returns[d] for d in window])
-    y = np.array([stock_returns[d] for d in window])
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
-    if sxx == 0.0:
-        raise DegenerateRegressor("index returns are constant over the window")
-    beta = float(xc @ (y - y.mean())) / sxx
-    alpha = float(y.mean() - beta * x.mean())
-    resid = y - (alpha + beta * x)
-    n = len(window)
-    sigma2 = float(resid @ resid) / (n - 2)
-    return MarketModelFit(alpha=alpha, beta=beta, sigma2_eps=sigma2, n_obs=n)
+    """``fit_aligned`` on returns keyed by date."""
+    returns = AlignedReturns.from_mappings(stock_returns, index_returns, anchor.calendar)
+    return fit_aligned(returns, anchor, cfg)
 
 
 def abnormal_returns(
@@ -131,19 +210,9 @@ def abnormal_returns(
     index_returns: Mapping[date, float],
     cfg: StudyConfig = StudyConfig(),
 ) -> tuple[float, ...]:
-    """AR_tau = actual return minus market-model expectation, over the window."""
-    ars = []
-    for tau in cfg.taus:
-        try:
-            d = anchor.day(tau)
-        except OutOfCalendarRange:
-            raise MissingBar(
-                f"{anchor.event.ticker}: calendar ends before relative day {tau}"
-            ) from None
-        if d not in stock_returns or d not in index_returns:
-            raise MissingBar(f"{anchor.event.ticker}: no return on {d}")
-        ars.append(stock_returns[d] - fit.expected(index_returns[d]))
-    return tuple(ars)
+    """``abnormal_returns_aligned`` on returns keyed by date."""
+    returns = AlignedReturns.from_mappings(stock_returns, index_returns, anchor.calendar)
+    return abnormal_returns_aligned(fit, anchor, returns, cfg)
 
 
 @dataclass(frozen=True)
@@ -232,29 +301,30 @@ def fit_events(
 ) -> tuple[list[FittedEvent], list[tuple[EarningsEvent, str]]]:
     """Fit the market model and measure abnormal returns, event by event.
 
-    ``items`` need only ``event`` and ``anchor``. Events whose history or
-    window cannot be served are skipped with a reason rather than failing
-    the run. Events are processed in canonical (ticker, announce_at) order,
-    so the result does not depend on input order.
+    ``items`` need only ``event`` and ``anchor``, all anchored on the
+    calendar the dataset's index implies. Returns are read from the
+    dataset's price grid by calendar index. Events whose history or window
+    cannot be served are skipped with a reason rather than failing the run.
+    Events are processed in canonical (ticker, announce_at) order, so the
+    result does not depend on input order.
     """
     if not items:
         return [], []
-    cal = items[0].anchor.calendar
-    index_returns = daily_returns(ds.index).as_dict()
-    stock_returns: dict[str, dict[date, float]] = {}
+    prices = ds.prices(items[0].anchor.calendar.dates)
+    aligned: dict[str, AlignedReturns] = {}
     fitted: list[FittedEvent] = []
     skipped: list[tuple[EarningsEvent, str]] = []
     for item in sorted(items, key=lambda le: le.event.key()):
         ticker = item.event.ticker
-        if ticker not in stock_returns:
-            bars = ds.bars_by_ticker.get(ticker, ())
-            if len(bars) < 2:
+        if ticker not in aligned:
+            if len(ds.bars_by_ticker.get(ticker, ())) < 2:
                 skipped.append((item.event, "no price history"))
                 continue
-            stock_returns[ticker] = calendar_aligned_returns(bars, cal)
+            stock, index = prices.returns[prices.row(ticker)], prices.index_returns
+            aligned[ticker] = AlignedReturns(stock, index, ~np.isnan(stock) & ~np.isnan(index))
         try:
-            fit = fit_market_model(stock_returns[ticker], index_returns, item.anchor, cfg)
-            ars = abnormal_returns(fit, item.anchor, stock_returns[ticker], index_returns, cfg)
+            fit = fit_aligned(aligned[ticker], item.anchor, cfg)
+            ars = abnormal_returns_aligned(fit, item.anchor, aligned[ticker], cfg)
         except (InsufficientHistory, MissingBar, DegenerateRegressor, OutOfCalendarRange) as exc:
             skipped.append((item.event, f"{type(exc).__name__}: {exc}"))
             continue

@@ -3,7 +3,10 @@
 All instants are timezone-aware UTC datetimes; naive timestamps are never
 accepted. Calendar dates are exchange-local ``datetime.date`` values. Tweet
 buckets, by far the largest input, are stored as columns (``TweetBuckets``)
-with instants as integer epoch seconds.
+with instants as integer epoch seconds. Daily bars are also held on the
+trading calendar as (ticker x trading day) grids (``PriceGrid``), so the
+event study, the hold returns and the volume report read a bar by calendar
+index rather than by date.
 """
 
 from __future__ import annotations
@@ -12,9 +15,12 @@ import enum
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
+
+from .errors import InvariantViolation
 
 TICKER_RE = re.compile(r"^[A-Z.]{1,6}$")
 
@@ -162,14 +168,96 @@ class EarningsEvent:
         return (self.ticker, self.announce_at)
 
 
+def _simple_returns(closes: np.ndarray) -> np.ndarray:
+    """(c[i] - c[i-1]) / c[i-1] along the last axis; NaN on the first day and
+    wherever either close is missing."""
+    out = np.full(closes.shape, np.nan)
+    out[..., 1:] = (closes[..., 1:] - closes[..., :-1]) / closes[..., :-1]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class PriceGrid:
+    """Daily bars on the trading calendar: one column per trading day.
+
+    ``dates`` are the index's dates, which are the trading calendar.
+    ``closes`` and ``volume`` have one float row per bar ticker
+    (``tickers``, sorted) and are NaN where that ticker has no bar;
+    ``index_closes`` has the index level of every trading day. The daily
+    returns are simple returns between consecutive trading days, NaN on the
+    first day and wherever either bar is missing, so no return spans a gap.
+    """
+
+    dates: tuple[date, ...]
+    tickers: tuple[str, ...]
+    closes: np.ndarray
+    volume: np.ndarray
+    index_closes: np.ndarray
+
+    @classmethod
+    def from_bars(cls, bars: Iterable[DailyBar], index: Iterable[IndexBar]) -> "PriceGrid":
+        """The grid of ``bars`` on the calendar of ``index``.
+
+        Raises InvariantViolation for a bar off the calendar, a ticker's bars
+        out of date order or repeated, or a close that is not a positive
+        number: the grid cannot hold them as the bars say.
+        """
+        bars, index = list(bars), list(index)
+        dates = tuple(b.date for b in index)
+        column = {d: i for i, d in enumerate(dates)}
+        tickers = tuple(sorted({b.ticker for b in bars}))
+        row = {t: i for i, t in enumerate(tickers)}
+        rows = np.array([row[b.ticker] for b in bars], dtype=np.int64)
+        cols = np.array([column.get(b.date, -1) for b in bars], dtype=np.int64)
+        if (cols < 0).any():
+            bar = bars[int(np.argmax(cols < 0))]
+            raise InvariantViolation(f"{bar.ticker} bar on {bar.date} is not a trading date")
+        order = np.argsort(rows, kind="stable")
+        same_ticker = np.diff(rows[order]) == 0
+        if (same_ticker & (np.diff(cols[order]) <= 0)).any():
+            raise InvariantViolation("a ticker's bars are out of date order or repeated")
+        closes = np.full((len(tickers), len(dates)), np.nan)
+        volume = np.full(closes.shape, np.nan)
+        closes[rows, cols] = [b.close for b in bars]
+        volume[rows, cols] = [float(b.volume) for b in bars]
+        index_closes = np.array([b.close for b in index], dtype=np.float64)
+        for values in (closes[rows, cols], index_closes):
+            if not (np.isfinite(values) & (values > 0)).all():
+                raise InvariantViolation("every close must be a positive number")
+        return cls(dates, tickers, closes, volume, index_closes)
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.tickers)}
+
+    def row(self, ticker: str) -> int:
+        """The ticker's row, or -1 if it has no bars."""
+        return self._rows.get(ticker, -1)
+
+    def close_row(self, ticker: str) -> np.ndarray:
+        """The ticker's close per trading day (all NaN if it has no bars)."""
+        row = self.row(ticker)
+        return self.closes[row] if row >= 0 else np.full(len(self.dates), np.nan)
+
+    @cached_property
+    def returns(self) -> np.ndarray:
+        """Daily return per (bar ticker, trading day)."""
+        return _simple_returns(self.closes)
+
+    @cached_property
+    def index_returns(self) -> np.ndarray:
+        """Daily return of the index per trading day."""
+        return _simple_returns(self.index_closes)
+
+
 @dataclass
 class Dataset:
     """Immutable-by-convention container for the four input collections.
 
     Collections are canonically sorted: tuples of records, except the tweet
     buckets, which are columns (a sequence of ``TweetBucket`` is converted).
-    Lookup maps are built once in ``__post_init__`` so the dataset can be
-    shared freely.
+    The per-ticker bar map is built once in ``__post_init__`` and the price
+    grid on first use, so the dataset can be shared freely.
     """
 
     bars: tuple[DailyBar, ...]
@@ -180,8 +268,6 @@ class Dataset:
     bars_by_ticker: dict[str, tuple[DailyBar, ...]] = field(
         init=False, repr=False, compare=False
     )
-    _closes: dict[str, dict[date, float]] = field(init=False, repr=False, compare=False)
-    _index_closes: dict[date, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.tweets = TweetBuckets.of(self.tweets)
@@ -189,20 +275,27 @@ class Dataset:
         for bar in self.bars:
             by_ticker.setdefault(bar.ticker, []).append(bar)
         self.bars_by_ticker = {t: tuple(bs) for t, bs in by_ticker.items()}
-        self._closes = {
-            t: {b.date: b.close for b in bs} for t, bs in self.bars_by_ticker.items()
-        }
-        self._index_closes = {b.date: b.close for b in self.index}
+
+    @cached_property
+    def _prices(self) -> PriceGrid:
+        return PriceGrid.from_bars(self.bars, self.index)
+
+    def prices(self, dates: tuple[date, ...]) -> PriceGrid:
+        """The bars on the trading calendar ``dates``, built once per dataset.
+
+        The calendar must be the one the index implies (the index's dates in
+        order); a ValueError says so otherwise. See ``PriceGrid.from_bars``
+        for the bars the grid refuses.
+        """
+        grid = self._prices
+        if dates != grid.dates:
+            raise ValueError("prices are read on the calendar the index implies, not another")
+        return grid
 
     def close_prices(self, ticker: str) -> dict[date, float]:
-        """Closing price by date; the shared map, not a copy."""
-        return self._closes.get(ticker, {})
-
-    def index_closes(self) -> dict[date, float]:
-        """Index level by date; the shared map, not a copy."""
-        return self._index_closes
+        """Closing price by date of one ticker, built on each call."""
+        return {b.date: b.close for b in self.bars_by_ticker.get(ticker, ())}
 
     @property
     def tickers(self) -> tuple[str, ...]:
         return tuple(sorted(self.bars_by_ticker))
-

@@ -3,7 +3,8 @@
 Builds the common event universe (anchored events with day-aligned tweet
 counts), per-stratum polarity thresholds, and the plot-ready report tables:
 tweet/trading-volume profiles, study and trade-return curves, surprise
-regressions.
+regressions. The volume report gathers each event's relative days by
+calendar index from the tweet count grids and the dataset's price grid.
 """
 
 from __future__ import annotations
@@ -187,60 +188,75 @@ def volume_report(
     the share volume of that ticker's bar. Hourly profiles cover days
     -1..+1 in US/Eastern wall-clock hours of the close-delimited day. The
     three-day multiplier compares days -1..+1 cumulatively against three
-    average ticker-days; the quiet baseline excludes event windows.
+    average ticker-days, and the day-0 ratio day 0 against the quiet
+    baseline, which excludes event windows; both read days -1..+1 whatever
+    ``rel_days`` prints. Every value is a gather from the tweet count grids
+    and the price grid's volume by calendar index.
     """
+    if rel_days[0] > rel_days[1]:
+        raise ValueError(f"relative days {list(rel_days)}: the first exceeds the last")
     ds, cal, counts = universe.ds, universe.cal, universe.counts
-    tickers = ds.tickers
-    volume_by: dict[tuple[str, date], int] = {
-        (b.ticker, b.date): b.volume for b in ds.bars
-    }
+    prices = ds.prices(cal.dates)
+    tickers = prices.tickers
+    n_days = len(cal.dates)
+    count_rows = {t: i for i, t in enumerate(counts.tickers)}
 
-    groups: list[tuple[str, list[AnchoredEvent]]] = [
-        ("all", universe.events),
-        ("afterclose", universe.timing_events(Timing.AFTER_CLOSE)),
-        ("beforeopen", universe.timing_events(Timing.BEFORE_OPEN)),
+    def cells(group: list[AnchoredEvent]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Day-0 calendar index, tweet count row and bar row (-1: none) per event."""
+        return (
+            np.array([ae.anchor.day0_index for ae in group], dtype=np.int64),
+            np.array([count_rows.get(ae.event.ticker, -1) for ae in group], dtype=np.int64),
+            np.array([prices.row(ae.event.ticker) for ae in group], dtype=np.int64),
+        )
+
+    def on_day(grid: np.ndarray, rows: np.ndarray, days: np.ndarray, missing) -> np.ndarray:
+        """grid[row, day] per event; ``missing`` for a row of -1."""
+        values = np.full((len(rows), *grid.shape[2:]), missing, dtype=grid.dtype)
+        known = rows >= 0
+        values[known] = grid[rows[known], days[known]]
+        return values
+
+    groups = [
+        (name, cells(group))
+        for name, group in (
+            ("all", universe.events),
+            ("afterclose", universe.timing_events(Timing.AFTER_CLOSE)),
+            ("beforeopen", universe.timing_events(Timing.BEFORE_OPEN)),
+        )
     ]
 
-    n_days = len(cal.dates)
+    def daily(group, k: int) -> tuple | None:
+        """(n, mean, se of tweets, mean, se of share volume) on relative day k."""
+        day0, count_row, bar_row = group
+        days = day0 + k
+        has_day = (days >= 0) & (days < n_days)
+        if not has_day.any():
+            return None
+        days = days[has_day]
+        tweets = on_day(counts.totals, count_row[has_day], days, 0).astype(np.float64).tolist()
+        volume = on_day(prices.volume, bar_row[has_day], days, np.nan)
+        volume = volume[~np.isnan(volume)].tolist()
+        mv, sv = _mean_se(volume) if volume else (0.0, 0.0)
+        return (len(tweets), *_mean_se(tweets), mv, sv)
 
-    def day_at(ae: AnchoredEvent, k: int) -> int | None:
-        """Calendar index of the event's relative day k, if there is one."""
-        i = cal.index_of(ae.day0) + k
-        return i if 0 <= i < n_days else None
-
-    daily_rows = []
-    mean_at: dict[int, float] = {}
-    for name, group in groups:
-        for k in range(rel_days[0], rel_days[1] + 1):
-            tweet_vals: list[float] = []
-            volume_vals: list[float] = []
-            for ae in group:
-                i = day_at(ae, k)
-                if i is None:
-                    continue
-                tweet_vals.append(float(counts.day_totals(ae.event.ticker)[i]))
-                vol = volume_by.get((ae.event.ticker, cal.dates[i]))
-                if vol is not None:
-                    volume_vals.append(float(vol))
-            if not tweet_vals:
-                continue
-            mt, st = _mean_se(tweet_vals)
-            mv, sv = _mean_se(volume_vals) if volume_vals else (0.0, 0.0)
-            daily_rows.append((name, k, len(tweet_vals), mt, st, mv, sv))
-            if name == "all":
-                mean_at[k] = mt
+    daily_rows = [
+        (name, k, *row)
+        for name, group in groups
+        for k in range(rel_days[0], rel_days[1] + 1)
+        if (row := daily(group, k)) is not None
+    ]
 
     hourly_rows = []
-    for name, group in groups:
+    for name, (day0, count_row, _) in groups:
         for k in (-1, 0, 1):
             # one 24-hour tweet profile per event that has a day k
-            days = [(ae.event.ticker, day_at(ae, k)) for ae in group]
-            profiles = [counts.hour_totals(t)[i].tolist() for t, i in days if i is not None]
-            if not profiles:
+            days = day0 + k
+            has_day = (days >= 0) & (days < n_days)
+            if not has_day.any():
                 continue
-            for h, column in enumerate(zip(*profiles)):
-                mt, st = _mean_se([float(x) for x in column])
-                hourly_rows.append((name, k, h, len(profiles), mt, st))
+            profiles = on_day(counts.hourly, count_row[has_day], days[has_day], 0)
+            for h, column in enumerate(profiles.T.astype(np.float64).tolist()):
+                hourly_rows.append((name, k, h, len(column), *_mean_se(column)))
 
     n_tickers = max(len(tickers), 1)
     total_tweets = int(counts.totals.sum())
@@ -248,18 +264,16 @@ def volume_report(
 
     # quiet cells: every (bar ticker, trading day) outside days -1..+1 of an event
     quiet = np.ones((len(tickers), n_days), dtype=bool)
-    ticker_pos = {t: j for j, t in enumerate(tickers)}
-    for ae in universe.events:
-        j = ticker_pos.get(ae.event.ticker)
-        for k in (-1, 0, 1):
-            i = day_at(ae, k)
-            if j is not None and i is not None:
-                quiet[j, i] = False
+    day0, _, bar_row = groups[0][1]
+    days = day0[:, None] + np.array([-1, 0, 1])
+    event_cell = (days >= 0) & (days < n_days) & (bar_row >= 0)[:, None]
+    quiet[np.broadcast_to(bar_row[:, None], days.shape)[event_cell], days[event_cell]] = False
     totals = np.array([counts.day_totals(t) for t in tickers], dtype=np.int64).reshape(quiet.shape)
     quiet_total = int(totals[quiet].sum())
     quiet_cells = int(np.count_nonzero(quiet))
     quiet_mean = quiet_total / quiet_cells if quiet_cells else 0.0
 
+    mean_at = {k: row[1] for k in (-1, 0, 1) if (row := daily(groups[0][1], k)) is not None}
     three_day = sum(mean_at.get(k, 0.0) for k in (-1, 0, 1))
     summary_rows = [
         ("mean_tweets_per_ticker_day", overall_mean),

@@ -1,7 +1,10 @@
 """Raw daily returns, anchored multi-day trading returns, earnings surprise.
 
 Returns are simple (raw) relative price changes, never log returns, so
-trading returns compose multiplicatively with daily returns.
+trading returns compose multiplicatively with daily returns. Trading
+returns are read from closes by calendar index (``hold_from_day_m1``), for
+many events at once; ``trading_return`` is the same kernel on closes keyed
+by date.
 """
 
 from __future__ import annotations
@@ -10,8 +13,10 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .alignment import EventAnchor, TradingCalendar
-from .errors import GapInSeries, MissingBar, ZeroEstimate
+from .errors import GapInSeries, MissingBar, OutOfCalendarRange, ZeroEstimate
 from .model import INDEX_TICKER, DailyBar, EarningsEvent, IndexBar
 
 
@@ -61,37 +66,56 @@ def daily_returns(
     return ReturnSeries(ticker=ticker, dates=tuple(dates), values=tuple(values))
 
 
-def calendar_aligned_returns(
-    bars: Sequence[DailyBar] | Sequence[IndexBar],
-    cal: TradingCalendar,
-) -> dict[date, float]:
-    """Per-date returns keeping only consecutive-trading-date bar pairs.
+def hold_from_day_m1(
+    closes: np.ndarray, rows: np.ndarray, day0: np.ndarray, days: Sequence[int]
+) -> np.ndarray:
+    """RT_d of many events at once: (p[day0 + d] - p[day0 - 1]) / p[day0 - 1].
 
-    A pair of bars that spans a missing trading date is dropped rather than
-    reported as a multi-day move, so downstream per-day arithmetic (market
-    model fits, abnormal returns) never mixes horizons.
+    ``closes`` is a (row x trading day) grid, NaN where there is no bar;
+    event e reads row ``rows[e]`` from calendar index ``day0[e]``, and a
+    negative row has no bars. The result has one row per event and one
+    column per d of ``days``, NaN where a close is missing or off the
+    calendar.
     """
-    out: dict[date, float] = {}
-    for prev, cur in zip(bars, bars[1:]):
-        if cal.next_after(prev.date) == cur.date:
-            out[cur.date] = (cur.close - prev.close) / prev.close
-    return out
+    cols = day0[:, None] + np.array([-1, *days], dtype=np.int64)
+    inside = (cols >= 0) & (cols < closes.shape[1]) & (rows >= 0)[:, None]
+    p = np.full(cols.shape, np.nan)
+    p[inside] = closes[np.broadcast_to(rows[:, None], cols.shape)[inside], cols[inside]]
+    return (p[:, 1:] - p[:, :1]) / p[:, :1]
+
+
+def check_hold(closes: np.ndarray, anchor: EventAnchor, days: Sequence[int]) -> None:
+    """Raise what reading RT_d for each d of ``days`` in turn meets first.
+
+    ``closes`` holds one price series per trading day, NaN where there is no
+    bar. For each d, day -1 and day d must be on the calendar
+    (OutOfCalendarRange) and have a close (MissingBar), in that order.
+    """
+    dates = anchor.calendar.dates
+    i0 = anchor.day0_index
+    for d in days:
+        for i in (i0 - 1, i0 + d):
+            if not 0 <= i < len(dates):
+                raise OutOfCalendarRange(f"calendar index {i} out of range")
+        for i in (i0 - 1, i0 + d):
+            if np.isnan(closes[i]):
+                raise MissingBar(f"{anchor.event.ticker}: no closing price on {dates[i]}")
 
 
 def trading_return(anchor: EventAnchor, prices: Mapping[date, float], d: int) -> float:
-    """RT_d = (p_{day d} - p_{day -1}) / p_{day -1}, the hold-from-day--1 return."""
+    """RT_d = (p_{day d} - p_{day -1}) / p_{day -1}, the hold-from-day--1 return.
+
+    ``check_hold`` and ``hold_from_day_m1`` on closes keyed by date, placed
+    on the anchor's calendar; a date the mapping lacks has no bar.
+    """
     if d < 0:
         raise ValueError("trading_return is defined for d >= 0")
-    base_date = anchor.day(-1)
-    end_date = anchor.day(d)
-    try:
-        base = prices[base_date]
-        end = prices[end_date]
-    except KeyError as exc:
-        raise MissingBar(
-            f"{anchor.event.ticker}: no closing price on {exc.args[0]}"
-        ) from None
-    return (end - base) / base
+    dates = anchor.calendar.dates
+    closes = np.array([prices.get(day, np.nan) for day in dates], dtype=np.float64)
+    check_hold(closes, anchor, (d,))
+    rt = hold_from_day_m1(closes[None, :], np.zeros(1, np.int64),
+                          np.array([anchor.day0_index]), (d,))
+    return float(rt[0, 0])
 
 
 def earnings_surprise(ev: EarningsEvent) -> Surprise:

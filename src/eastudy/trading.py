@@ -9,20 +9,25 @@ round trip.
 
 The trade-return curves split the same way as the event study: one
 hold-return pass (``hold_returns``) measures each event once per run, and
-every stratum averages those shared rows by its own labels.
+every stratum averages those shared rows by its own labels. Both read
+closes from the dataset's price grid by calendar index; the hold returns
+of all events are one gather.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
+
+import numpy as np
 
 from .alignment import TradingCalendar, anchor_event
 from .errors import EmptyClass, MissingBar, NonTradingAnnouncement, OutOfCalendarRange
 from .event_study import LabeledEvent, by_class
 from .model import Dataset, EarningsEvent, Timing
-from .returns import trading_return
+from .returns import check_hold, hold_from_day_m1
 from .sentiment import (
     DailyCounts,
     EventPolarity,
@@ -67,25 +72,35 @@ def hold_returns(
 ) -> tuple[list[HeldEvent], list[tuple[EarningsEvent, str]]]:
     """RT_d of each event's stock and of the benchmark index, d = 0..max_d.
 
-    ``items`` need only ``event`` and ``anchor``. The index applies the same
+    ``items`` need only ``event`` and ``anchor``, all anchored on the
+    calendar the dataset's index implies. The index applies the same
     buy-at-day--1 arithmetic to index levels on each event's own dates. An
     event with any missing bar over day -1..day max_d is skipped with a
     reason, not fatal. Events are processed in canonical (ticker,
     announce_at) order, so the result does not depend on input order.
     """
+    if not items:
+        return [], []
+    items = sorted(items, key=lambda le: le.event.key())
+    prices = ds.prices(items[0].anchor.calendar.dates)
     days = range(max_d + 1)
-    index_closes = ds.index_closes()
+    rows = np.array([prices.row(item.event.ticker) for item in items], dtype=np.int64)
+    day0 = np.array([item.anchor.day0_index for item in items], dtype=np.int64)
+    stock = hold_from_day_m1(prices.closes, rows, day0, days)
+    index = hold_from_day_m1(prices.index_closes[None, :], np.zeros_like(rows), day0, days)
+    served = ~(np.isnan(stock).any(axis=1) | np.isnan(index).any(axis=1))
+    stock_rows, index_rows = stock.tolist(), index.tolist()
     held: list[HeldEvent] = []
     skipped: list[tuple[EarningsEvent, str]] = []
-    for item in sorted(items, key=lambda le: le.event.key()):
-        prices = ds.close_prices(item.event.ticker)
-        try:
-            stock = tuple(trading_return(item.anchor, prices, d) for d in days)
-            index = tuple(trading_return(item.anchor, index_closes, d) for d in days)
+    for j, item in enumerate(items):
+        if served[j]:
+            held.append(HeldEvent(item, tuple(stock_rows[j]), tuple(index_rows[j])))
+            continue
+        try:  # name the first missing bar, stock before index
+            check_hold(prices.close_row(item.event.ticker), item.anchor, days)
+            check_hold(prices.index_closes, item.anchor, days)
         except (MissingBar, OutOfCalendarRange) as exc:
             skipped.append((item.event, f"{type(exc).__name__}: {exc}"))
-            continue
-        held.append(HeldEvent(item, stock, index))
     return held, skipped
 
 
@@ -182,6 +197,7 @@ def run_strategy(
         raise OutOfCalendarRange(f"no trading dates between {start} and {end}")
     if day_counts is None:
         day_counts = daily_counts(covered_tweets(ds.tweets, cal)[0], cal)
+    prices = ds.prices(cal.dates)
 
     trades: list[Trade] = []
     skipped: list[tuple[EarningsEvent, str]] = []
@@ -199,12 +215,11 @@ def run_strategy(
         score = sentiment_score(*day_counts.at(ev.ticker, open_date))
         if categorize_event(score, thresholds) is not EventPolarity.NEGATIVE:
             continue
-        prices = ds.close_prices(ev.ticker)
-        if open_date not in prices or anchor.day0 not in prices:
+        i0 = anchor.day0_index
+        open_px, close_px = prices.close_row(ev.ticker)[i0 - 1:i0 + 1].tolist()
+        if math.isnan(open_px) or math.isnan(close_px):
             skipped.append((ev, f"MissingBar: no close on {open_date} or {anchor.day0}"))
             continue
-        open_px = prices[open_date]
-        close_px = prices[anchor.day0]
         trades.append(
             Trade(
                 event=ev,
@@ -223,17 +238,16 @@ def run_strategy(
     for t in trades:
         by_close.setdefault(t.close_date, []).append(t)
 
-    index_closes = ds.index_closes()
-    base = index_closes[in_range[0]]
+    first = cal.index_of(in_range[0])
+    levels = prices.index_closes[first:first + len(in_range)]
     value = 1.0
     equity = []
-    benchmark = []
     for d in in_range:
         group = by_close.get(d)
         if group:
             value *= 1.0 + sum(t.net_return for t in group) / len(group)
         equity.append((d, value))
-        benchmark.append((d, index_closes[d] / base))
+    benchmark = list(zip(in_range, (levels / levels[0]).tolist()))
     return TradeLedger(
         trades=tuple(trades),
         equity=tuple(equity),

@@ -1,10 +1,12 @@
 import argparse
 import csv
+import hashlib
 import json
 
 import pytest
 
 from eastudy import event_study
+from eastudy.alignment import EventAnchor, TradingCalendar
 from eastudy.cli import build_parser, main
 from eastudy.ingest import load_dataset, write_dataset
 from eastudy.reports import build_universe
@@ -311,9 +313,16 @@ def mistyped_spec(bad, window, data):
     return ["synth", "--spec", str(spec)]
 
 
+def reversed_volume_window(bad, window, data):
+    config = bad.parent / "volume.json"
+    config.write_text(json.dumps({"volume": {"rel_min": 5, "rel_max": -5}}))
+    return ["--config", str(config), "volume", *data]
+
+
 class TestInvalidSettings:
     CASES = {
         "mistyped spec": mistyped_spec,
+        "volume window": reversed_volume_window,
         "malformed config": lambda bad, window, data: ["--config", str(bad), "score", *data],
         "malformed spec": lambda bad, window, data: ["synth", "--spec", str(bad)],
         "event window": lambda bad, window, data: ["--config", str(window), "study", *data],
@@ -369,18 +378,127 @@ class TestOneRowIndex:
 class TestEachEventMeasuredOnce:
     def test_pipeline_fits_each_universe_event_once(self, data_dir, tmp_path, monkeypatch):
         fitted = []
-        fit = event_study.fit_market_model
+        fit = event_study.fit_aligned
 
-        def counting_fit(stock_returns, index_returns, anchor, *args):
+        def counting_fit(returns, anchor, *args):
             fitted.append(anchor.event.key())
-            return fit(stock_returns, index_returns, anchor, *args)
+            return fit(returns, anchor, *args)
 
-        monkeypatch.setattr(event_study, "fit_market_model", counting_fit)
+        monkeypatch.setattr(event_study, "fit_aligned", counting_fit)
         assert main(["--out", str(tmp_path / "out"), "pipeline", *data_flags(data_dir)]) == 0
         ds = load_dataset(*(data_dir / f"{name}.csv" for name in
                             ("prices", "index", "tweets", "events")))
         universe = build_universe(ds)
         assert sorted(fitted) == sorted(ae.event.key() for ae in universe.events)
+
+
+def gapped_copy(data_dir, root):
+    """The Quickstart data with four bars removed and one event appended.
+
+    SYA loses a bar inside its first event's estimation window, SYB and SYC
+    bars inside event windows (SYC's on the day 0 of a traded event), and a
+    new SYF AfterClose event's day +10 runs past the calendar's end.
+    """
+    dates = [line.split(",")[0] for line in (data_dir / "index.csv").read_text().splitlines()[1:]]
+    pos = {d: i for i, d in enumerate(dates)}
+    drop = {
+        ("SYA", dates[pos["2015-07-13"] - 60]),
+        ("SYB", dates[pos["2015-09-01"] + 3]),
+        ("SYC", "2015-12-09"),
+        ("SYC", "2015-10-21"),
+    }
+    root.mkdir()
+    lines = (data_dir / "prices.csv").read_text().splitlines(keepends=True)
+    kept = [line for line in lines if tuple(line.split(",")[1::-1]) not in drop]
+    assert len(kept) == len(lines) - len(drop)
+    (root / "prices.csv").write_text("".join(kept))
+    for name in ("index.csv", "tweets.csv"):
+        (root / name).write_bytes((data_dir / name).read_bytes())
+    extra = f"SYF,{dates[-6]}T21:00:00Z,AfterClose,1.01,1.0\n"
+    (root / "events.csv").write_text((data_dir / "events.csv").read_text() + extra)
+    return root
+
+
+def manifest_reasons(manifest):
+    lists = {"excluded_events": manifest["excluded_events"],
+             "backtest": manifest["backtest"]["skipped"],
+             **{name: study["skipped"] for name, study in manifest["studies"].items()}}
+    return {name: [(r["ticker"], r["announce_at"], r["reason"]) for r in rows]
+            for name, rows in lists.items()}
+
+
+AC_SKIPS = [
+    ("SYB", "2015-08-31T20:30:00Z", "MissingBar: SYB: no return on 2015-09-04"),
+    ("SYC", "2015-10-20T20:30:00Z", "MissingBar: SYC: no return on 2015-10-21"),
+    ("SYC", "2015-12-08T21:30:00Z", "MissingBar: SYC: no return on 2015-12-09"),
+    ("SYF", "2016-02-19T21:00:00Z", "MissingBar: SYF: calendar ends before relative day 5"),
+]
+
+
+class TestSkipReasonsUnchanged:
+    """``pipeline`` on data with bar gaps and an event near the calendar's end
+    writes the CSVs and records the skip reasons that the day-by-day lookups
+    of returns and closes gave; the values below were pinned from them."""
+
+    DIGESTS = {
+        "curves_sent0_afterclose.csv": "9f00e44b7c4960e96112068fd45e164c26ba887e19e6bde57d82f50583bb2ba4",
+        "curves_sent0_beforeopen.csv": "b14083c6cacc3192a4bc5139c5570d94fc06bf07546cc75f56d00b6ad26ca6e3",
+        "curves_sentm1_afterclose.csv": "6abca41266e36ead2706c291bf0b8f14bda29bdbd82dd5666810b8d6927ed63f",
+        "curves_sentm1_beforeopen.csv": "4892d640bc9f5711c45eeb0329077ba770bc929dba1ee629d3c430c73c345719",
+        "equity.csv": "2f5e040889be43c65bcfca44c5bf85bf9f98b60dac52ff5ccc7d21f31fb8a8d6",
+        "regression.csv": "7e559f98d0bc2d4fe670a3c0081fe9986e843fcad02f67e4406c4d9bccead760",
+        "study_sent0_afterclose.csv": "b9933e48874fc1d7651eba85566081534e33d9b1c2f464474e876ad71717afd0",
+        "study_sent0_beforeopen.csv": "46fa00eae60428314b21dd0b21e8f17393d52c116e3fb91ff87848814d2c7e85",
+        "study_sentm1_afterclose.csv": "51fb6d47fc7423dc5134b102d271ec650e46f1c75b1e7cd812163fd0278c31d9",
+        "study_sentm1_beforeopen.csv": "ea29c60816647d9752f609fdf8cf86809969742ed00a130ee3465eb8ed616889",
+        "thresholds.csv": "b093dcd2e952257ce963f8d997ad1be9dc247490630ab87df0f4253cf0a25056",
+        "trades.csv": "b0b6ef855187e52f7224636a5a87aa6008df7f45c5a6cdd3a5c880168ebf2939",
+        "volume_daily.csv": "184371d2649d6c4142fcd5da124619d5ddcdef0b34141f2360d31e062e648406",
+        "volume_hourly.csv": "7ea8e1aa807e1fb74a3dce3916595800395c5cb8189b5c6a59e0518f8a5c9d34",
+        "volume_summary.csv": "94b4c843b0f6b918985a223a91117ff4b05d50c620cd6feae9a1a875ce0038cd",
+    }
+    REASONS = {
+        "excluded_events": [],
+        "backtest": [("SYC", "2015-10-20T20:30:00Z",
+                      "MissingBar: no close on 2015-10-20 or 2015-10-21")],
+        "study_sent0_afterclose.csv": AC_SKIPS,
+        "study_sent0_beforeopen.csv": [],
+        "study_sentm1_afterclose.csv": AC_SKIPS,
+        "study_sentm1_beforeopen.csv": [],
+    }
+
+    def test_same_csvs_and_reasons(self, data_dir, tmp_path):
+        data = gapped_copy(data_dir, tmp_path / "data")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "pipeline", *data_flags(data)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir() if p.suffix == ".csv"}
+        assert digests == self.DIGESTS
+        assert manifest_reasons(json.loads((out / "manifest.json").read_text())) == self.REASONS
+
+
+class TestDateLookupsPerEvent:
+    """``pipeline`` turns calendar indexes into dates a bounded number of times
+    per event: the fits, hold returns and volume profiles work by index."""
+
+    def test_at_most_four_of_each_per_event(self, data_dir, tmp_path, monkeypatch):
+        calls = {"date_at": 0, "day": 0}
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(TradingCalendar, "date_at")
+        counting(EventAnchor, "day")
+        assert main(["--out", str(tmp_path / "out"), "pipeline", *data_flags(data_dir)]) == 0
+        n_events = SPEC["n_tickers"] * SPEC["events_per_ticker"]
+        assert calls["date_at"] <= 4 * n_events, calls
+        assert calls["day"] <= 4 * n_events, calls
 
 
 class TestSubcommandsAreSlicesOfPipeline:

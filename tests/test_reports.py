@@ -120,3 +120,14 @@ class TestVolumeReport:
         assert ("all", -1) in keys and ("all", 0) in keys and ("all", 1) in keys
         hours = {row[2] for row in report.hourly_rows}
         assert hours == set(range(24))
+
+    def test_summary_reads_days_m1_to_p1_whatever_the_window(self, universe):
+        default = dict(volume_report(universe).summary_rows)
+        late = volume_report(universe, (2, 5))
+        assert {row[1] for row in late.daily_rows} == {2, 3, 4, 5}
+        assert dict(late.summary_rows) == default
+        assert default["three_day_event_multiplier"] > 1.5
+
+    def test_window_that_ends_before_it_starts(self, universe):
+        with pytest.raises(ValueError):
+            volume_report(universe, (5, -5))
