@@ -122,9 +122,6 @@ class TradingCalendar:
             )
         return self.dates[bisect_left(self._closes_ts, ts)]
 
-    def covers(self, instant: datetime) -> bool:
-        return bool(self.covers_ts(instant.timestamp()))
-
     def covers_ts(self, ts):
         """Coverage mask for epoch seconds (a scalar or an array)."""
         return (ts > self._lower_ts) & (ts <= self._closes_ts[-1])

@@ -4,9 +4,10 @@
 runs the one report of its name, so it writes exactly the files of that
 name that ``pipeline`` writes under the same settings. One resolver turns
 flags, then the JSON config file, then defaults into every command's
-settings. Each event of the timing classes in use is fitted and held once
-per run (``fit_events``, ``hold_returns``); every study and curves stratum
-groups those shared rows by its own labels. Files are staged beside the
+settings. Each run builds one event table (``build_universe``); a stratum
+is a mask over it with one label column, the study and the curves average
+the rows that ``fit_events`` and ``hold_returns`` measure once per run, and
+the backtest trades from the same table. Files are staged beside the
 output directory and moved in only when the run succeeds, so a failed run
 leaves it as it found it.
 """
@@ -16,12 +17,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import fields as dataclass_fields
 from datetime import date, datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import __version__
 from .alignment import TradingCalendar
@@ -33,24 +37,23 @@ from .errors import (
     MissingFile,
     SchemaMismatch,
 )
-from .event_study import StudyConfig, aggregate_study, fit_events
+from .event_study import StudyConfig, fit_events, study_classes
 from .ingest import OutputDir, format_rfc3339, load_dataset, parse_index_csv, write_dataset
-from .model import Dataset, EarningsEvent, Timing
+from .model import INDEX_TICKER, Dataset, EarningsEvent, Timing
 from .reports import (
     CLASS_NAMES,
     STRATA,
     TIMING_NAMES,
     all_thresholds,
     build_universe,
-    label_stratum,
+    stratum_labels,
     stratum_thresholds,
     surprise_regressions,
     volume_report,
 )
-from .returns import daily_returns, earnings_surprise
-from .sentiment import covered_tweets, sentiment_score
+from .sentiment import covered_tweets, sentiment_scores
 from .synth import SynthSpec, generate
-from .trading import hold_returns, run_strategy, trade_return_curves
+from .trading import curve_classes, hold_returns, run_strategy
 
 # exit codes: 0 ok, these three, and 5 for every other domain error
 EXIT_CODES = ((MissingFile, 2), (SchemaMismatch, 3), (InvariantViolation, 4))
@@ -211,11 +214,12 @@ def _class_rows(xs: Sequence, classes: dict, *series: str) -> list[tuple]:
 
 
 def _emit_score(run) -> None:
-    rows = (
-        (c.ticker, c.trading_date.isoformat(), c.n_neg, c.n_neut, c.n_pos,
-         sentiment_score(c.n_neg, c.n_neut, c.n_pos))
-        for c in run.universe.counts
-    )
+    counts, dates = run.universe.counts, run.universe.cal.dates
+    ticker_rows, days = np.nonzero(counts.buckets)  # every cell that received a bucket
+    labels = counts.labels[:, ticker_rows, days]
+    rows = zip([counts.tickers[r] for r in ticker_rows.tolist()],
+               [dates[d].isoformat() for d in days.tolist()],
+               *labels.tolist(), sentiment_scores(labels.T).tolist())
     header = ["ticker", "trading_date", "n_neg", "n_neut", "n_pos", "sent"]
     run.out.write_csv("scores.csv", header, rows)
 
@@ -233,30 +237,38 @@ def _emit_thresholds(run) -> None:
     run.out.write_csv("thresholds.csv", ["timing", "day", "t_low", "t_high", "n"], rows)
 
 
-def _emit_returns(run) -> None:
-    ds = run.ds
+def _emit_returns(run) -> dict:
+    ds, dates = run.ds, run.universe.cal.dates
     if len(ds.index) < 2:
         raise InsufficientHistory("need at least two index bars to compute returns")
-    bars = [ds.bars_by_ticker[ticker] for ticker in ds.tickers]
-    series = [daily_returns(ds.index, run.universe.cal)]
-    series += [daily_returns(b) for b in bars if len(b) >= 2]
-    rows = ((one.ticker, d.isoformat(), r) for one in series for d, r in zip(one.dates, one.values))
+    # returns between consecutive trading days: one that would span a
+    # missing bar is omitted, and counted in the manifest
+    prices = ds.prices(dates)
+    series = [(INDEX_TICKER, prices.index_returns), *zip(prices.tickers, prices.returns)]
+    rows = [(ticker, dates[i].isoformat(), r) for ticker, column in series
+            for i, r in enumerate(column.tolist()) if not math.isnan(r)]
     run.out.write_csv("returns.csv", ["ticker", "date", "ret"], rows)
+    n_bars = np.count_nonzero(~np.isnan(prices.closes), axis=1)
+    omitted = np.maximum(n_bars - 1, 0).sum() - np.count_nonzero(~np.isnan(prices.returns))
+    return {"returns": {"omitted_across_gaps": int(omitted)}}
 
 
 def _emit_surprise(run) -> None:
+    t = run.universe.table
     rows = (
-        (ev.ticker, format_rfc3339(ev.announce_at), earnings_surprise(ev).es)
-        for ev in run.ds.events if not ev.excluded
+        (ev.ticker, format_rfc3339(ev.announce_at), es)
+        for ev, es, excluded in zip(t.events, t.surprise.tolist(), t.excluded.tolist())
+        if not excluded
     )
     run.out.write_csv("surprise.csv", ["ticker", "announce_at", "es"], rows)
 
 
 def _emit_study(run) -> dict:
     studies = {}
-    fitted = fit_events(run.events, run.ds, run.s.study)  # once, for every stratum
-    for (timing, polarity_day), labeled in run.labels.items():
-        result = aggregate_study(labeled, run.ds, run.s.study, fitted=fitted)
+    fits = fit_events(run.anchors, run.ds, run.s.study)  # once, for every stratum
+    for (timing, polarity_day), labels in run.labels.items():
+        result = study_classes(fits, run.universe.table.events, run.universe.stratum(timing),
+                               labels, run.s.study)
         name = _stratum_file("study", timing, polarity_day)
         rows = _class_rows(result.taus, result.classes, "car", "var_car", "theta", "significant")
         run.out.write_csv(name, ["tau", "class", "N", "car", "var", "theta", "significant"], rows)
@@ -266,9 +278,10 @@ def _emit_study(run) -> dict:
 
 
 def _emit_curves(run) -> None:
-    held = hold_returns(run.events, run.ds)  # once, for every stratum
-    for (timing, polarity_day), labeled in run.labels.items():
-        curves = trade_return_curves(labeled, run.ds, held=held)
+    held = hold_returns(run.anchors, run.ds)  # once, for every stratum
+    for (timing, polarity_day), labels in run.labels.items():
+        curves = curve_classes(held, run.universe.table.events, run.universe.stratum(timing),
+                               labels)
         rows = _class_rows(curves.days, curves.classes, "stock_mean", "index_mean")
         header = ["d", "class", "N", "stock_rt", "index_rt"]
         run.out.write_csv(_stratum_file("curves", timing, polarity_day), header, rows)
@@ -280,7 +293,7 @@ def _emit_backtest(run) -> dict:
         sample = sample.until(s.thresholds_until)
     thresholds, n_th = stratum_thresholds(sample, Timing.AFTER_CLOSE, -1)
     ledger = run_strategy(run.ds, thresholds, spread=s.spread, start=s.start, end=s.end,
-                          cal=run.universe.cal, day_counts=run.universe.counts)
+                          table=run.universe.table)
     trades = (
         (t.ticker, t.open_date.isoformat(), t.close_date.isoformat(),
          t.open_price, t.close_price, t.net_return)
@@ -371,10 +384,12 @@ def _cmd_report(args, config, out: OutputDir) -> int:
     # study and the curves each measure the events of the strata's timings
     # once, and drop those rows when done, so they never coexist in memory
     labelled = {"study", "curves"}.intersection(reports)
-    labels = {st: label_stratum(universe, *st) for st in strata} if labelled else {}
-    timings = {timing for timing, _ in labels}
-    events = [ae for ae in universe.events if ae.event.timing in timings]
-    run = SimpleNamespace(ds=ds, s=s, out=out, universe=universe, labels=labels, events=events)
+    labels = {st: stratum_labels(universe, *st) for st in strata} if labelled else {}
+    measured = np.zeros(len(universe.table.events), dtype=bool)
+    for timing, _ in labels:
+        measured |= universe.stratum(timing)
+    anchors = universe.table.anchors_of(measured)
+    run = SimpleNamespace(ds=ds, s=s, out=out, universe=universe, labels=labels, anchors=anchors)
     extra = {"excluded_events": _reasons(universe.dropped)}
     for name in reports:
         extra.update(REPORTS[name](run) or {})
@@ -390,11 +405,11 @@ def _cmd_ingest(args, config, out: OutputDir) -> int:
     ds = load_dataset(*(s.paths[name] for name in INPUTS))
     # the exclusions the study itself makes: the universe's, then the fits'
     universe = build_universe(ds)
-    _, skipped = fit_events(universe.events, ds, s.study)
+    skips = fit_events(universe.table.anchors_of(universe.used), ds, s.study).skips
     print(
         f"loaded {len(ds.bars)} bars, {len(ds.index)} index bars, "
         f"{len(ds.tweets)} tweet buckets, {len(ds.events)} events "
-        f"({len(universe.dropped) + len(skipped)} excluded by coverage)"
+        f"({len(universe.dropped) + sum(map(bool, skips))} excluded by coverage)"
     )
     if args.emit:
         for path in write_dataset(ds, args.emit):

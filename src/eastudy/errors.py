@@ -39,10 +39,6 @@ class TooFewEvents(EastudyError):
     pass
 
 
-class ZeroDenominator(EastudyError):
-    pass
-
-
 class GapInSeries(EastudyError):
     """Consecutive bars skip one or more trading dates."""
 

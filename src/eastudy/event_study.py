@@ -9,8 +9,10 @@ estimator built from each event's residual variance.
 
 The fit and the abnormal returns belong to the event alone; a stratum only
 decides which class the event is averaged into. So ``fit_events`` measures
-each event once per run, and every stratum groups those shared rows by its
-own labels (``by_class``).
+each event of a run's event table once, into rows aligned to the table,
+and every stratum reads those rows through masks: the rows of class k are
+the stratum's rows labelled k whose fit succeeded (``class_rows``). Each
+class's means run ``math.fsum`` over the rows in canonical order.
 
 Returns are read by calendar index, not by date (``AlignedReturns``): the
 estimation window is a slice of the days on which both the stock's and the
@@ -285,107 +287,126 @@ class LabeledEvent:
     polarity: EventPolarity
 
 
-@dataclass(frozen=True)
-class FittedEvent:
-    """One event's market-model fit and its abnormal returns over the window."""
+@dataclass(frozen=True, eq=False)
+class EventFits:
+    """Market-model results, row i for the i-th anchor given to ``fit_events``.
 
-    item: LabeledEvent
-    fit: MarketModelFit
-    ars: tuple[float, ...]
+    ``skips[i]`` is "" where the event was fitted, why it was skipped, or
+    None where it was not asked for; the rows of the last two are NaN.
+    """
+
+    ars: np.ndarray  # (event, tau)
+    sigma2: np.ndarray  # residual variance
+    skips: tuple[str | None, ...]
 
 
 def fit_events(
-    items: Sequence[LabeledEvent],
+    anchors: Sequence[EventAnchor | None],
     ds: Dataset,
     cfg: StudyConfig = StudyConfig(),
-) -> tuple[list[FittedEvent], list[tuple[EarningsEvent, str]]]:
+) -> EventFits:
     """Fit the market model and measure abnormal returns, event by event.
 
-    ``items`` need only ``event`` and ``anchor``, all anchored on the
-    calendar the dataset's index implies. Returns are read from the
-    dataset's price grid by calendar index. Events whose history or window
-    cannot be served are skipped with a reason rather than failing the run.
-    Events are processed in canonical (ticker, announce_at) order, so the
-    result does not depend on input order.
+    An anchor of None is not fitted. The anchors are on the calendar the
+    dataset's index implies; returns are read from the dataset's price
+    grid by calendar index. Events whose history or window cannot be served
+    are skipped with a reason rather than failing the run.
     """
-    if not items:
-        return [], []
-    prices = ds.prices(items[0].anchor.calendar.dates)
+    ars = np.full((len(anchors), len(cfg.taus)), np.nan)
+    sigma2 = np.full(len(anchors), np.nan)
+    skips = [None if a is None else "" for a in anchors]
     aligned: dict[str, AlignedReturns] = {}
-    fitted: list[FittedEvent] = []
-    skipped: list[tuple[EarningsEvent, str]] = []
-    for item in sorted(items, key=lambda le: le.event.key()):
-        ticker = item.event.ticker
+    prices = None
+    for i, anchor in enumerate(anchors):
+        if anchor is None:
+            continue
+        if prices is None:
+            prices = ds.prices(anchor.calendar.dates)
+        ticker = anchor.event.ticker
         if ticker not in aligned:
-            if len(ds.bars_by_ticker.get(ticker, ())) < 2:
-                skipped.append((item.event, "no price history"))
+            row = prices.row(ticker)
+            if row < 0 or np.count_nonzero(~np.isnan(prices.closes[row])) < 2:
+                skips[i] = "no price history"
                 continue
-            stock, index = prices.returns[prices.row(ticker)], prices.index_returns
+            stock, index = prices.returns[row], prices.index_returns
             aligned[ticker] = AlignedReturns(stock, index, ~np.isnan(stock) & ~np.isnan(index))
         try:
-            fit = fit_aligned(aligned[ticker], item.anchor, cfg)
-            ars = abnormal_returns_aligned(fit, item.anchor, aligned[ticker], cfg)
+            fit = fit_aligned(aligned[ticker], anchor, cfg)
+            ars[i] = abnormal_returns_aligned(fit, anchor, aligned[ticker], cfg)
         except (InsufficientHistory, MissingBar, DegenerateRegressor, OutOfCalendarRange) as exc:
-            skipped.append((item.event, f"{type(exc).__name__}: {exc}"))
+            skips[i] = f"{type(exc).__name__}: {exc}"
             continue
-        fitted.append(FittedEvent(item, fit, ars))
-    return fitted, skipped
+        sigma2[i] = fit.sigma2_eps
+    return EventFits(ars, sigma2, tuple(skips))
 
 
-def by_class(
-    labeled: Sequence[LabeledEvent],
-    rows: Sequence,
-    skipped: Sequence[tuple[EarningsEvent, str]],
-) -> tuple[dict[EventPolarity, list], list[tuple[EarningsEvent, str]]]:
-    """Group one per-event pass's rows by the class ``labeled`` gives them.
+def labeled_columns(
+    labeled: Sequence[LabeledEvent], empty: str
+) -> tuple[list[EventAnchor], list[EarningsEvent], np.ndarray]:
+    """The anchors, events and int8 labels of ``labeled``, in canonical
+    (ticker, announce_at) order; EmptyClass(``empty``) if there are none."""
+    if not labeled:
+        raise EmptyClass(empty)
+    labeled = sorted(labeled, key=lambda le: le.event.key())
+    labels = np.array([le.polarity for le in labeled], dtype=np.int8)
+    return [le.anchor for le in labeled], [le.event for le in labeled], labels
 
-    ``rows`` (each with an ``item.event``) and ``skipped`` come from a pass
-    such as ``fit_events`` over any superset of ``labeled``. Only the events
-    of ``labeled`` are kept, in the pass's canonical order, so the grouping
-    is the same whether the pass covered this stratum or a whole universe.
-    """
-    polarity = {le.event.key(): le.polarity for le in labeled}
-    per_class: dict[EventPolarity, list] = {}
-    for row in rows:
-        pol = polarity.get(row.item.event.key())
-        if pol is not None:
-            per_class.setdefault(pol, []).append(row)
-    own_skips = [(ev, why) for ev, why in skipped if ev.key() in polarity]
-    if sum(len(group) for group in per_class.values()) + len(own_skips) != len(labeled):
-        raise ValueError("the per-event rows do not cover every labeled event")
-    if not per_class:
+
+def class_rows(
+    skips: Sequence[str | None],
+    events: Sequence[EarningsEvent],
+    in_stratum: np.ndarray,
+    labels: np.ndarray,
+) -> tuple[dict[EventPolarity, np.ndarray], list[tuple[EarningsEvent, str]]]:
+    """The rows of each polarity class among a stratum's measured events,
+    and the stratum's skipped events, both in row order. ``skips`` come
+    from one per-event pass over rows aligned to ``events``."""
+    ok = np.array([why == "" for why in skips], dtype=bool)
+    skipped = [(events[i], skips[i]) for i in np.flatnonzero(in_stratum & ~ok).tolist()]
+    if any(why is None for _, why in skipped):
+        raise ValueError("the per-event rows do not cover every event of the stratum")
+    classes = {
+        pol: rows for pol in EventPolarity
+        if len(rows := np.flatnonzero(in_stratum & (labels == pol) & ok))
+    }
+    if not classes:
         raise EmptyClass("every event was skipped")
-    return dict(sorted(per_class.items())), own_skips
+    return classes, skipped
+
+
+def study_classes(
+    fits: EventFits,
+    events: Sequence[EarningsEvent],
+    in_stratum: np.ndarray,
+    labels: np.ndarray,
+    cfg: StudyConfig,
+) -> EventStudyResult:
+    """Aggregate one stratum's abnormal returns per polarity class, from
+    ``fit_events``' rows under the same ``cfg`` (see ``class_rows``)."""
+    classes, skipped = class_rows(fits.skips, events, in_stratum, labels)
+    critical = cfg.critical_value
+    return EventStudyResult(
+        taus=cfg.taus,
+        classes={
+            pol: summarize_car(
+                pol, fits.ars[rows].tolist(), fits.sigma2[rows].tolist(), cfg.taus, critical
+            )
+            for pol, rows in classes.items()
+        },
+        skipped=tuple(skipped),
+    )
 
 
 def aggregate_study(
     labeled: Sequence[LabeledEvent],
     ds: Dataset,
     cfg: StudyConfig = StudyConfig(),
-    fitted: tuple[list[FittedEvent], list[tuple[EarningsEvent, str]]] | None = None,
 ) -> EventStudyResult:
     """Fit, measure, and aggregate abnormal returns per polarity class.
 
     The caller chooses the event set (typically one stratum at a time).
-    ``fitted`` is ``fit_events``' result with the same ``cfg`` over any
-    superset of ``labeled``, so that the strata of one run share one fit
-    per event; without it the events of ``labeled`` are fitted here. The
-    result is the same either way, skips included.
+    Events are taken in canonical (ticker, announce_at) order.
     """
-    if not labeled:
-        raise EmptyClass("no events to aggregate")
-    if fitted is None:
-        fitted = fit_events(labeled, ds, cfg)
-    per_class, skipped = by_class(labeled, *fitted)
-    critical = cfg.critical_value
-    classes = {
-        pol: summarize_car(
-            pol,
-            [fe.ars for fe in rows],
-            [fe.fit.sigma2_eps for fe in rows],
-            cfg.taus,
-            critical,
-        )
-        for pol, rows in per_class.items()
-    }
-    return EventStudyResult(taus=cfg.taus, classes=classes, skipped=tuple(skipped))
+    anchors, events, labels = labeled_columns(labeled, "no events to aggregate")
+    every = np.ones(len(events), dtype=bool)
+    return study_classes(fit_events(anchors, ds, cfg), events, every, labels, cfg)

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -92,25 +92,6 @@ class TweetBuckets:
     n_neut: np.ndarray
     n_pos: np.ndarray
 
-    @classmethod
-    def from_buckets(cls, buckets: Iterable[TweetBucket]) -> "TweetBuckets":
-        """Columns of the given buckets, in canonical (ticker, hour_start) order."""
-        buckets = list(buckets)
-        tickers = tuple(sorted({b.ticker for b in buckets}))
-        codes = {t: i for i, t in enumerate(tickers)}
-        return cls(
-            tickers=tickers,
-            code=np.array([codes[b.ticker] for b in buckets], dtype=np.int64),
-            ts=np.array([int(b.hour_start.timestamp()) for b in buckets], dtype=np.int64),
-            n_neg=np.array([b.n_neg for b in buckets], dtype=np.int64),
-            n_neut=np.array([b.n_neut for b in buckets], dtype=np.int64),
-            n_pos=np.array([b.n_pos for b in buckets], dtype=np.int64),
-        ).canonical()
-
-    @classmethod
-    def of(cls, tweets: "TweetBuckets | Iterable[TweetBucket]") -> "TweetBuckets":
-        return tweets if isinstance(tweets, cls) else cls.from_buckets(tweets)
-
     def canonical(self) -> "TweetBuckets":
         """The same rows sorted by (ticker, hour_start)."""
         return self[np.lexsort((self.ts, self.code))]
@@ -134,9 +115,6 @@ class TweetBuckets:
         return TweetBuckets(
             self.tickers, self.code[i], self.ts[i], self.n_neg[i], self.n_neut[i], self.n_pos[i]
         )
-
-    def __iter__(self) -> Iterator[TweetBucket]:
-        return (self[i] for i in range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TweetBuckets):
@@ -255,26 +233,14 @@ class Dataset:
     """Immutable-by-convention container for the four input collections.
 
     Collections are canonically sorted: tuples of records, except the tweet
-    buckets, which are columns (a sequence of ``TweetBucket`` is converted).
-    The per-ticker bar map is built once in ``__post_init__`` and the price
-    grid on first use, so the dataset can be shared freely.
+    buckets, which are columns. The price grid is built on first use, so the
+    dataset can be shared freely.
     """
 
     bars: tuple[DailyBar, ...]
     index: tuple[IndexBar, ...]
     tweets: TweetBuckets
     events: tuple[EarningsEvent, ...]
-
-    bars_by_ticker: dict[str, tuple[DailyBar, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        self.tweets = TweetBuckets.of(self.tweets)
-        by_ticker: dict[str, list[DailyBar]] = {}
-        for bar in self.bars:
-            by_ticker.setdefault(bar.ticker, []).append(bar)
-        self.bars_by_ticker = {t: tuple(bs) for t, bs in by_ticker.items()}
 
     @cached_property
     def _prices(self) -> PriceGrid:
@@ -292,10 +258,7 @@ class Dataset:
             raise ValueError("prices are read on the calendar the index implies, not another")
         return grid
 
-    def close_prices(self, ticker: str) -> dict[date, float]:
-        """Closing price by date of one ticker, built on each call."""
-        return {b.date: b.close for b in self.bars_by_ticker.get(ticker, ())}
-
     @property
     def tickers(self) -> tuple[str, ...]:
-        return tuple(sorted(self.bars_by_ticker))
+        """The tickers that have bars, sorted: the price grid's rows."""
+        return tuple(sorted({b.ticker for b in self.bars}))

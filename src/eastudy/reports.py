@@ -1,10 +1,12 @@
 """Analysis orchestration shared by the CLI subcommands.
 
-Builds the common event universe (anchored events with day-aligned tweet
-counts), per-stratum polarity thresholds, and the plot-ready report tables:
-tweet/trading-volume profiles, study and trade-return curves, surprise
-regressions. The volume report gathers each event's relative days by
-calendar index from the tweet count grids and the dataset's price grid.
+``build_universe`` counts the tweets by day and builds the event table once
+per run: every dataset event anchored and scored once, as columns
+(``EventTable``). Every report reads it through masks: the universe is the
+table plus a date window, a stratum the universe's events of one timing
+class, with thresholds cut from its score column and labels in one int8
+column. The volume report gathers each event's relative days by calendar
+index from the tweet count grids and the dataset's price grid.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import date
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,10 +29,10 @@ from .sentiment import (
     DailyCounts,
     EventPolarity,
     PolarityThresholds,
-    categorize_event,
+    categorize_scores,
     covered_tweets,
     daily_counts,
-    sentiment_score,
+    sentiment_scores,
     tercile_thresholds,
 )
 
@@ -37,6 +40,7 @@ from .sentiment import (
 STRATA = tuple(
     (timing, day) for timing in (Timing.AFTER_CLOSE, Timing.BEFORE_OPEN) for day in (0, -1)
 )
+SCORING_DAYS = (0, -1)  # the relative days of the table's count and score columns
 CLASS_NAMES = {
     EventPolarity.NEGATIVE: "negative",
     EventPolarity.NEUTRAL: "neutral",
@@ -45,66 +49,90 @@ CLASS_NAMES = {
 TIMING_NAMES = {Timing.AFTER_CLOSE: "afterclose", Timing.BEFORE_OPEN: "beforeopen"}
 
 
-@dataclass(frozen=True)
-class AnchoredEvent:
-    anchor: EventAnchor
-    day_m1: date
-    day0_tweets: int
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Every event of a dataset, anchored and scored once, as columns.
 
-    @property
-    def event(self) -> EarningsEvent:
-        return self.anchor.event
+    Row i is the i-th event in canonical (ticker, announce_at) order. A
+    ticker without bars or tweets has grid row -1. An event that cannot be
+    anchored has day 0 at -1, zero counts and its anchoring error.
+    """
 
-    @property
-    def day0(self) -> date:
-        return self.anchor.day0
+    cal: TradingCalendar
+    events: tuple[EarningsEvent, ...]
+    anchors: tuple[EventAnchor | None, ...]
+    anchor_errors: tuple[str, ...]  # "" where anchored
+    day0: np.ndarray  # calendar index of day 0
+    timing: np.ndarray  # Timing, compared elementwise
+    announced: np.ndarray  # US/Eastern announcement date, datetime64[D]
+    bar_row: np.ndarray  # row in the price grid
+    count_row: np.ndarray  # row in the tweet count grids
+    day_labels: np.ndarray  # (n_neg, n_neut, n_pos) per event and scoring day
+    sent: np.ndarray  # sentiment score per event and scoring day
+    surprise: np.ndarray  # earnings surprise, NaN where excluded
+    excluded: np.ndarray  # by the input, or for a zero EPS estimate
+
+    def anchors_of(self, mask: np.ndarray) -> list[EventAnchor | None]:
+        """The anchor of every event of ``mask``, None for every other event:
+        the rows ``fit_events`` and ``hold_returns`` measure."""
+        return [a if m else None for a, m in zip(self.anchors, mask.tolist())]
+
+    def sent_on(self, polarity_day: int) -> np.ndarray:
+        """Sent(polarity_day) of every event."""
+        return self.sent[:, SCORING_DAYS.index(polarity_day)]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EventUniverse:
-    """Anchorable events with day-0 tweet coverage, plus shared lookups.
+    """The event table, the events in use, and the shared tweet counts.
 
-    Events that cannot be anchored or that have zero day-0 tweets are
-    dropped (recorded in ``dropped``), mirroring the exclusion of
-    announcements with no same-day tweet activity. ``counts`` holds the
-    daily and hourly tweet counts every report reads; tweet buckets outside
-    the calendar are left out of them and counted in ``tweets_outside``.
+    ``window`` marks the events announced up to a date, ``used`` those of
+    them that are anchored and have day-0 tweets, and ``dropped`` lists the
+    others with a reason, mirroring the exclusion of announcements with no
+    same-day tweet activity. ``counts`` holds the daily and hourly tweet
+    counts every report reads; tweet buckets outside the calendar are left
+    out of them and counted in ``tweets_outside``.
     """
 
     ds: Dataset
-    cal: TradingCalendar
     counts: DailyCounts
-    events: list[AnchoredEvent]
-    dropped: list[tuple[EarningsEvent, str]]
+    table: EventTable
+    window: np.ndarray
     tweets_outside: int
 
-    def timing_events(self, timing: Timing) -> list[AnchoredEvent]:
-        return [ae for ae in self.events if ae.event.timing is timing]
+    @property
+    def cal(self) -> TradingCalendar:
+        return self.table.cal
 
-    def score(self, ae: AnchoredEvent, polarity_day: int) -> float:
-        day = ae.day0 if polarity_day == 0 else ae.day_m1
-        return sentiment_score(*self.counts.at(ae.event.ticker, day))
+    @cached_property
+    def used(self) -> np.ndarray:
+        # an event that cannot be anchored has no day-0 tweets either
+        return self.window & (self.table.day_labels[:, 0].sum(axis=1) > 0)
+
+    @property
+    def events(self) -> tuple[EarningsEvent, ...]:
+        return tuple(self.table.events[i] for i in np.flatnonzero(self.used).tolist())
+
+    @property
+    def dropped(self) -> list[tuple[EarningsEvent, str]]:
+        t = self.table
+        return [
+            (t.events[i],
+             f"not anchorable: {t.anchor_errors[i].partition(': ')[2]}" if t.day0[i] < 0
+             else "no day-0 tweets")
+            for i in np.flatnonzero(self.window & ~self.used).tolist()
+        ]
+
+    def stratum(self, timing: Timing) -> np.ndarray:
+        """The used events of one timing class."""
+        return self.used & (self.table.timing == timing)
 
     def until(self, until: date | None) -> "EventUniverse":
         """The universe of the dataset's events announced up to ``until``
-        (all of them if None), sharing this universe's counts."""
-        events: list[AnchoredEvent] = []
-        dropped: list[tuple[EarningsEvent, str]] = []
-        for ev in sorted(self.ds.events, key=lambda e: e.key()):
-            if until is not None and to_eastern(ev.announce_at).date() > until:
-                continue
-            try:
-                anchor = anchor_event(ev, self.cal)
-                day_m1 = anchor.day(-1)
-            except (OutOfCalendarRange, NonTradingAnnouncement) as exc:
-                dropped.append((ev, f"not anchorable: {exc}"))
-                continue
-            day0_tweets = sum(self.counts.at(ev.ticker, anchor.day0))
-            if day0_tweets == 0:
-                dropped.append((ev, "no day-0 tweets"))
-                continue
-            events.append(AnchoredEvent(anchor=anchor, day_m1=day_m1, day0_tweets=day0_tweets))
-        return replace(self, events=events, dropped=dropped)
+        (all of them if None), sharing this universe's table and counts."""
+        if until is None:
+            return replace(self, window=np.full(len(self.table.events), True))
+        return replace(self, window=self.table.announced <= np.datetime64(until))
 
 
 def build_universe(
@@ -112,19 +140,57 @@ def build_universe(
     cal: TradingCalendar | None = None,
     until: date | None = None,
 ) -> EventUniverse:
-    """Count the tweets by day once, then anchor the events up to ``until``."""
+    """Count the tweets by day and build the event table once, then keep the
+    events announced up to ``until``."""
     if cal is None:
         cal = TradingCalendar.from_dataset(ds)
     covered, n_outside = covered_tweets(ds.tweets, cal)
     counts = daily_counts(covered, cal)
-    return EventUniverse(ds, cal, counts, [], [], n_outside).until(until)
+    events = tuple(sorted(ds.events, key=EarningsEvent.key))
+    anchors, errors = [], []
+    for ev in events:
+        try:
+            anchors.append(anchor_event(ev, cal))
+            errors.append("")
+        except (OutOfCalendarRange, NonTradingAnnouncement) as exc:
+            anchors.append(None)
+            errors.append(f"{type(exc).__name__}: {exc}")
+    day0 = np.array([a.day0_index if a else -1 for a in anchors], dtype=np.int64)
+    bar_rows = {t: i for i, t in enumerate(ds.tickers)}  # the price grid's row order
+    count_row = np.array([counts.row(ev.ticker) for ev in events], dtype=np.int64)
+    # one gather of the label counts on every scoring day of every event
+    known = (day0 >= 0) & (count_row >= 0)
+    days = day0[known, None] + np.array(SCORING_DAYS)
+    day_labels = np.zeros((len(events), len(SCORING_DAYS), 3), dtype=np.int64)
+    day_labels[known] = np.moveaxis(counts.labels[:, count_row[known, None], days], 0, -1)
+    excluded = np.array([ev.excluded or ev.eps_estimated == 0 for ev in events], dtype=bool)
+    table = EventTable(
+        cal=cal,
+        events=events,
+        anchors=tuple(anchors),
+        anchor_errors=tuple(errors),
+        day0=day0,
+        timing=np.array([ev.timing for ev in events], dtype=object),
+        announced=np.array(
+            [to_eastern(ev.announce_at).date() for ev in events], dtype="datetime64[D]"
+        ),
+        bar_row=np.array([bar_rows.get(ev.ticker, -1) for ev in events], dtype=np.int64),
+        count_row=count_row,
+        day_labels=day_labels,
+        sent=sentiment_scores(day_labels),
+        surprise=np.array(
+            [math.nan if x else earnings_surprise(ev).es for ev, x in zip(events, excluded)]
+        ),
+        excluded=excluded,
+    )
+    return EventUniverse(ds, counts, table, np.full(len(events), True), n_outside).until(until)
 
 
 def stratum_thresholds(
     universe: EventUniverse, timing: Timing, polarity_day: int
 ) -> tuple[PolarityThresholds, int]:
     """Tercile cuts for one (timing, scoring-day) stratum."""
-    scores = [universe.score(ae, polarity_day) for ae in universe.timing_events(timing)]
+    scores = universe.table.sent_on(polarity_day)[universe.stratum(timing)].tolist()
     return tercile_thresholds(scores), len(scores)
 
 
@@ -132,6 +198,14 @@ def all_thresholds(
     universe: EventUniverse,
 ) -> list[tuple[Timing, int, PolarityThresholds, int]]:
     return [(timing, day, *stratum_thresholds(universe, timing, day)) for timing, day in STRATA]
+
+
+def stratum_labels(universe: EventUniverse, timing: Timing, polarity_day: int) -> np.ndarray:
+    """The class of every table row by the stratum's tercile cuts, as int8
+    ``EventPolarity`` values; only the rows of ``universe.stratum(timing)``
+    belong to the stratum."""
+    thresholds, _ = stratum_thresholds(universe, timing, polarity_day)
+    return categorize_scores(universe.table.sent_on(polarity_day), thresholds)
 
 
 def label_stratum(
@@ -143,22 +217,21 @@ def label_stratum(
     """Classify one timing class's events by their stratum sentiment score."""
     if thresholds is None:
         thresholds, _ = stratum_thresholds(universe, timing, polarity_day)
-    labeled = []
-    for ae in universe.timing_events(timing):
-        polarity = categorize_event(universe.score(ae, polarity_day), thresholds)
-        labeled.append(LabeledEvent(event=ae.event, anchor=ae.anchor, polarity=polarity))
-    return labeled
+    t = universe.table
+    labels = categorize_scores(t.sent_on(polarity_day), thresholds).tolist()
+    return [
+        LabeledEvent(event=t.events[i], anchor=t.anchors[i], polarity=EventPolarity(labels[i]))
+        for i in np.flatnonzero(universe.stratum(timing)).tolist()
+    ]
 
 
 def surprise_regressions(universe: EventUniverse) -> list[RegressionFit]:
     """The four sentiment-vs-surprise fits: timing x scoring day."""
+    t = universe.table
     fits = []
     for timing, day in STRATA:
-        pairs = [
-            (universe.score(ae, day), earnings_surprise(ae.event).es)
-            for ae in universe.timing_events(timing)
-            if not ae.event.excluded
-        ]
+        rows = universe.stratum(timing) & ~t.excluded
+        pairs = list(zip(t.sent_on(day)[rows].tolist(), t.surprise[rows].tolist()))
         fits.append(fit_es_regression(pairs, stratum=f"{TIMING_NAMES[timing]}_day{day}"))
     return fits
 
@@ -195,19 +268,10 @@ def volume_report(
     """
     if rel_days[0] > rel_days[1]:
         raise ValueError(f"relative days {list(rel_days)}: the first exceeds the last")
-    ds, cal, counts = universe.ds, universe.cal, universe.counts
+    ds, cal, counts, t = universe.ds, universe.cal, universe.counts, universe.table
     prices = ds.prices(cal.dates)
     tickers = prices.tickers
     n_days = len(cal.dates)
-    count_rows = {t: i for i, t in enumerate(counts.tickers)}
-
-    def cells(group: list[AnchoredEvent]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Day-0 calendar index, tweet count row and bar row (-1: none) per event."""
-        return (
-            np.array([ae.anchor.day0_index for ae in group], dtype=np.int64),
-            np.array([count_rows.get(ae.event.ticker, -1) for ae in group], dtype=np.int64),
-            np.array([prices.row(ae.event.ticker) for ae in group], dtype=np.int64),
-        )
 
     def on_day(grid: np.ndarray, rows: np.ndarray, days: np.ndarray, missing) -> np.ndarray:
         """grid[row, day] per event; ``missing`` for a row of -1."""
@@ -216,12 +280,13 @@ def volume_report(
         values[known] = grid[rows[known], days[known]]
         return values
 
+    # (day-0 calendar index, tweet count row, bar row) of each group's events
     groups = [
-        (name, cells(group))
-        for name, group in (
-            ("all", universe.events),
-            ("afterclose", universe.timing_events(Timing.AFTER_CLOSE)),
-            ("beforeopen", universe.timing_events(Timing.BEFORE_OPEN)),
+        (name, (t.day0[mask], t.count_row[mask], t.bar_row[mask]))
+        for name, mask in (
+            ("all", universe.used),
+            ("afterclose", universe.stratum(Timing.AFTER_CLOSE)),
+            ("beforeopen", universe.stratum(Timing.BEFORE_OPEN)),
         )
     ]
 

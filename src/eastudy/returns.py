@@ -28,9 +28,6 @@ class ReturnSeries:
     dates: tuple[date, ...]
     values: tuple[float, ...]
 
-    def as_dict(self) -> dict[date, float]:
-        return dict(zip(self.dates, self.values))
-
 
 @dataclass(frozen=True)
 class Surprise:

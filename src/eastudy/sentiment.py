@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from datetime import date
 from functools import cached_property
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .alignment import TradingCalendar, eastern_hours
-from .errors import TooFewEvents, ZeroDenominator
-from .model import TweetBucket, TweetBuckets
+from .errors import TooFewEvents
+from .model import TweetBuckets
 
 LAPLACE_LABELS = 3  # one pseudo-count per sentiment label
 
@@ -37,19 +35,6 @@ class EventPolarity(enum.IntEnum):
     NEGATIVE = -1
     NEUTRAL = 0
     POSITIVE = 1
-
-
-@dataclass(frozen=True)
-class DailyTweetCounts:
-    ticker: str
-    trading_date: date
-    n_neg: int
-    n_neut: int
-    n_pos: int
-
-    @property
-    def total(self) -> int:
-        return self.n_neg + self.n_neut + self.n_pos
 
 
 @dataclass(frozen=True)
@@ -68,8 +53,7 @@ class DailyCounts:
     """Close-delimited daily tweet counts as integer (ticker x day) grids.
 
     Rows are ``tickers`` (the buckets' sorted ticker table), columns the
-    calendar's trading days. Iterating yields a ``DailyTweetCounts`` for
-    every cell that received at least one bucket, in (ticker, date) order.
+    calendar's trading days; ``buckets`` counts the buckets of each cell.
     """
 
     def __init__(self, tweets: TweetBuckets, cal: TradingCalendar):
@@ -99,36 +83,14 @@ class DailyCounts:
         np.add.at(grid, self._cells * 24 + eastern_hours(self._tweets.ts), self._tweets.total)
         return grid.reshape(*self.buckets.shape, 24)
 
-    def at(self, ticker: str, day: date) -> tuple[int, int, int]:
-        """(n_neg, n_neut, n_pos) of one ticker on one trading date."""
-        row = self._row.get(ticker)
-        if row is None:
-            return (0, 0, 0)
-        return tuple(self.labels[:, row, self.cal.index_of(day)].tolist())
+    def row(self, ticker: str) -> int:
+        """The ticker's row, or -1 if it has no tweets."""
+        return self._row.get(ticker, -1)
 
     def day_totals(self, ticker: str) -> np.ndarray:
         """Tweets of one ticker per trading day (zeros for an unknown ticker)."""
-        return self._ticker_row(self.totals, ticker)
-
-    def hour_totals(self, ticker: str) -> np.ndarray:
-        """Tweets of one ticker per (trading day, US/Eastern hour of day)."""
-        return self._ticker_row(self.hourly, ticker)
-
-    def _ticker_row(self, grid: np.ndarray, ticker: str) -> np.ndarray:
-        row = self._row.get(ticker)
-        return grid[row] if row is not None else np.zeros(grid.shape[1:], dtype=np.int64)
-
-    def __iter__(self) -> Iterator[DailyTweetCounts]:
-        rows, days = np.nonzero(self.buckets)
-        neg, neut, pos = (a.tolist() for a in self.labels[:, rows, days])
-        for k, (r, d) in enumerate(zip(rows.tolist(), days.tolist())):
-            yield DailyTweetCounts(
-                ticker=self.tickers[r],
-                trading_date=self.cal.dates[d],
-                n_neg=neg[k],
-                n_neut=neut[k],
-                n_pos=pos[k],
-            )
+        row = self.row(ticker)
+        return self.totals[row] if row >= 0 else np.zeros(len(self.cal), dtype=np.int64)
 
 
 def covered_tweets(tweets: TweetBuckets, cal: TradingCalendar) -> tuple[TweetBuckets, int]:
@@ -143,16 +105,13 @@ def covered_tweets(tweets: TweetBuckets, cal: TradingCalendar) -> tuple[TweetBuc
     return (tweets[inside] if n_outside else tweets), n_outside
 
 
-def daily_counts(
-    tweets: TweetBuckets | Iterable[TweetBucket],
-    cal: TradingCalendar,
-) -> DailyCounts:
+def daily_counts(tweets: TweetBuckets, cal: TradingCalendar) -> DailyCounts:
     """Sum hourly buckets into close-delimited daily counts.
 
     Sum-preserving: every input tweet lands in exactly one output day.
     Raises OutOfCalendarRange if a bucket falls outside calendar coverage.
     """
-    return DailyCounts(TweetBuckets.of(tweets), cal)
+    return DailyCounts(tweets, cal)
 
 
 def sentiment_score(n_neg: int, n_neut: int, n_pos: int) -> float:
@@ -162,17 +121,14 @@ def sentiment_score(n_neg: int, n_neut: int, n_pos: int) -> float:
     return (n_pos - n_neg) / (n_pos + n_neut + n_neg + LAPLACE_LABELS)
 
 
-def sentiment_polarity_score(n_neg: int, n_pos: int) -> float:
-    """Neutral-blind score (n_pos - n_neg)/(n_pos + n_neg), in [-1, +1].
+def sentiment_scores(labels: np.ndarray) -> np.ndarray:
+    """``sentiment_score`` of every (n_neg, n_neut, n_pos) along the last axis.
 
-    Kept for comparison with earlier sentiment measures; the main pipeline
-    uses ``sentiment_score``.
+    The counts are exact int64 sums below 2**53, so the float64 division is
+    the IEEE operation Python's gives, bit for bit.
     """
-    if min(n_neg, n_pos) < 0:
-        raise ValueError("tweet counts must be non-negative")
-    if n_neg + n_pos == 0:
-        raise ZeroDenominator("polarity score needs at least one non-neutral tweet")
-    return (n_pos - n_neg) / (n_pos + n_neg)
+    n_neg, n_neut, n_pos = np.moveaxis(labels, -1, 0)
+    return (n_pos - n_neg) / (n_pos + n_neut + n_neg + LAPLACE_LABELS)
 
 
 def tercile_thresholds(scores: list[float]) -> PolarityThresholds:
@@ -191,18 +147,11 @@ def tercile_thresholds(scores: list[float]) -> PolarityThresholds:
     return PolarityThresholds(t_low=t_low, t_high=t_high)
 
 
+def categorize_scores(scores: np.ndarray, th: PolarityThresholds) -> np.ndarray:
+    """The class of every score by the right-closed intervals of ``th``, as
+    int8 ``EventPolarity`` values."""
+    return (1 - (scores <= th.t_low) - (scores <= th.t_high)).astype(np.int8)
+
+
 def categorize_event(score: float, th: PolarityThresholds) -> EventPolarity:
-    if score <= th.t_low:
-        return EventPolarity.NEGATIVE
-    if score <= th.t_high:
-        return EventPolarity.NEUTRAL
-    return EventPolarity.POSITIVE
-
-
-def categorize_event_by_surprise(es: float, cutoff: float = 0.025) -> EventPolarity:
-    """Classic surprise-based categorization: +/-2.5% cutoffs by default."""
-    if es > cutoff:
-        return EventPolarity.POSITIVE
-    if es < -cutoff:
-        return EventPolarity.NEGATIVE
-    return EventPolarity.NEUTRAL
+    return EventPolarity(int(categorize_scores(np.float64(score), th)))

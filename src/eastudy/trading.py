@@ -5,11 +5,11 @@ study: consider AfterClose announcements only, and when the sentiment of
 the day before the announcement classifies the event as negative, short
 the stock at the day -1 close and buy it back at the day 0 close. All
 proceeds are reinvested; a fixed per-share spread is charged once per
-round trip.
+round trip. It reads the AfterClose rows and Sent(-1) of the event table.
 
 The trade-return curves split the same way as the event study: one
 hold-return pass (``hold_returns``) measures each event once per run, and
-every stratum averages those shared rows by its own labels. Both read
+every stratum averages the rows its mask and labels select. Both read
 closes from the dataset's price grid by calendar index; the hold returns
 of all events are one gather.
 """
@@ -17,26 +17,20 @@ of all events are one gather.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
 
 import numpy as np
 
-from .alignment import TradingCalendar, anchor_event
-from .errors import EmptyClass, MissingBar, NonTradingAnnouncement, OutOfCalendarRange
-from .event_study import LabeledEvent, by_class
+from .alignment import EventAnchor
+from .errors import MissingBar, OutOfCalendarRange
+from .event_study import LabeledEvent, class_rows, labeled_columns
 from .model import Dataset, EarningsEvent, Timing
+from .reports import EventTable, build_universe
 from .returns import check_hold, hold_from_day_m1
-from .sentiment import (
-    DailyCounts,
-    EventPolarity,
-    PolarityThresholds,
-    categorize_event,
-    covered_tweets,
-    daily_counts,
-    sentiment_score,
-)
+from .sentiment import EventPolarity, PolarityThresholds, categorize_scores
 
 
 @dataclass(frozen=True)
@@ -56,82 +50,86 @@ class TradeReturnCurves:
     skipped: tuple[tuple[EarningsEvent, str], ...]
 
 
-@dataclass(frozen=True)
-class HeldEvent:
-    """One event's hold-from-day--1 returns RT_d for d = 0..max_d."""
+@dataclass(frozen=True, eq=False)
+class EventHolds:
+    """RT_d, d = 0..max_d, row i for the i-th anchor given to ``hold_returns``.
 
-    item: LabeledEvent
-    stock: tuple[float, ...]
-    index: tuple[float, ...]
+    ``skips[i]`` is "" where the event was measured, why it was skipped, or
+    None where it was not asked for; the rows of the last two are NaN.
+    """
+
+    stock: np.ndarray  # (event, d)
+    index: np.ndarray
+    skips: tuple[str | None, ...]
 
 
 def hold_returns(
-    items: Sequence[LabeledEvent],
+    anchors: Sequence[EventAnchor | None],
     ds: Dataset,
     max_d: int = 10,
-) -> tuple[list[HeldEvent], list[tuple[EarningsEvent, str]]]:
+) -> EventHolds:
     """RT_d of each event's stock and of the benchmark index, d = 0..max_d.
 
-    ``items`` need only ``event`` and ``anchor``, all anchored on the
-    calendar the dataset's index implies. The index applies the same
-    buy-at-day--1 arithmetic to index levels on each event's own dates. An
-    event with any missing bar over day -1..day max_d is skipped with a
-    reason, not fatal. Events are processed in canonical (ticker,
-    announce_at) order, so the result does not depend on input order.
+    An anchor of None is not measured. The anchors are on the calendar the
+    dataset's index implies. The index applies the same buy-at-day--1
+    arithmetic to index levels on each event's own dates. An event with any
+    missing bar over day -1..day max_d is skipped with a reason, not fatal.
     """
-    if not items:
-        return [], []
-    items = sorted(items, key=lambda le: le.event.key())
-    prices = ds.prices(items[0].anchor.calendar.dates)
     days = range(max_d + 1)
-    rows = np.array([prices.row(item.event.ticker) for item in items], dtype=np.int64)
-    day0 = np.array([item.anchor.day0_index for item in items], dtype=np.int64)
-    stock = hold_from_day_m1(prices.closes, rows, day0, days)
-    index = hold_from_day_m1(prices.index_closes[None, :], np.zeros_like(rows), day0, days)
-    served = ~(np.isnan(stock).any(axis=1) | np.isnan(index).any(axis=1))
-    stock_rows, index_rows = stock.tolist(), index.tolist()
-    held: list[HeldEvent] = []
-    skipped: list[tuple[EarningsEvent, str]] = []
-    for j, item in enumerate(items):
-        if served[j]:
-            held.append(HeldEvent(item, tuple(stock_rows[j]), tuple(index_rows[j])))
-            continue
-        try:  # name the first missing bar, stock before index
-            check_hold(prices.close_row(item.event.ticker), item.anchor, days)
-            check_hold(prices.index_closes, item.anchor, days)
-        except (MissingBar, OutOfCalendarRange) as exc:
-            skipped.append((item.event, f"{type(exc).__name__}: {exc}"))
-    return held, skipped
+    stock = np.full((len(anchors), max_d + 1), np.nan)
+    index = np.full(stock.shape, np.nan)
+    skips = [None if a is None else "" for a in anchors]
+    asked = np.array([i for i, a in enumerate(anchors) if a is not None], dtype=np.int64)
+    if len(asked):
+        items = [anchors[i] for i in asked.tolist()]
+        prices = ds.prices(items[0].calendar.dates)
+        rows = np.array([prices.row(a.event.ticker) for a in items], dtype=np.int64)
+        day0 = np.array([a.day0_index for a in items], dtype=np.int64)
+        rt_stock = hold_from_day_m1(prices.closes, rows, day0, days)
+        rt_index = hold_from_day_m1(prices.index_closes[None, :], np.zeros_like(rows), day0, days)
+        served = ~(np.isnan(rt_stock).any(axis=1) | np.isnan(rt_index).any(axis=1))
+        stock[asked[served]], index[asked[served]] = rt_stock[served], rt_index[served]
+        for i in asked[~served].tolist():
+            try:  # name the first missing bar, stock before index
+                check_hold(prices.close_row(anchors[i].event.ticker), anchors[i], days)
+                check_hold(prices.index_closes, anchors[i], days)
+            except (MissingBar, OutOfCalendarRange) as exc:
+                skips[i] = f"{type(exc).__name__}: {exc}"
+    return EventHolds(stock, index, tuple(skips))
+
+
+def curve_classes(
+    held: EventHolds,
+    events: Sequence[EarningsEvent],
+    in_stratum: np.ndarray,
+    labels: np.ndarray,
+) -> TradeReturnCurves:
+    """Class means of one stratum's RT_d, for the stock and for the index:
+    plain sums over the rows of ``class_rows``, in row order."""
+    classes, skipped = class_rows(held.skips, events, in_stratum, labels)
+    curves = {}
+    for pol, rows in classes.items():
+        n = len(rows)
+        curves[pol] = ClassCurve(
+            polarity=pol,
+            n_events=n,
+            stock_mean=tuple(sum(col) / n for col in held.stock[rows].T.tolist()),
+            index_mean=tuple(sum(col) / n for col in held.index[rows].T.tolist()),
+        )
+    days = tuple(range(held.stock.shape[1]))
+    return TradeReturnCurves(days=days, classes=curves, skipped=tuple(skipped))
 
 
 def trade_return_curves(
     labeled: Sequence[LabeledEvent],
     ds: Dataset,
     max_d: int = 10,
-    held: tuple[list[HeldEvent], list[tuple[EarningsEvent, str]]] | None = None,
 ) -> TradeReturnCurves:
-    """Class means of RT_d for the stock and for the benchmark index.
-
-    ``held`` is ``hold_returns``' result with the same ``max_d`` over any
-    superset of ``labeled``, so that the strata of one run share one pass
-    per event; without it the events of ``labeled`` are measured here. The
-    result is the same either way, skips included.
-    """
-    if not labeled:
-        raise EmptyClass("no events to average")
-    if held is None:
-        held = hold_returns(labeled, ds, max_d)
-    per_class, skipped = by_class(labeled, *held)
-    days = tuple(range(max_d + 1))
-    classes = {}
-    for pol, rows in per_class.items():
-        n = len(rows)
-        stock_mean = tuple(sum(r.stock[j] for r in rows) / n for j in range(len(days)))
-        index_mean = tuple(sum(r.index[j] for r in rows) / n for j in range(len(days)))
-        classes[pol] = ClassCurve(
-            polarity=pol, n_events=n, stock_mean=stock_mean, index_mean=index_mean
-        )
-    return TradeReturnCurves(days=days, classes=classes, skipped=tuple(skipped))
+    """Class means of RT_d for the stock and for the benchmark index, over
+    the events in canonical (ticker, announce_at) order."""
+    anchors, events, labels = labeled_columns(labeled, "no events to average")
+    every = np.ones(len(events), dtype=bool)
+    return curve_classes(hold_returns(anchors, ds, max_d), events, every, labels)
 
 
 @dataclass(frozen=True)
@@ -174,58 +172,55 @@ def run_strategy(
     spread: float = 0.05,
     start: date | None = None,
     end: date | None = None,
-    cal: TradingCalendar | None = None,
-    day_counts: DailyCounts | None = None,
+    table: EventTable | None = None,
 ) -> TradeLedger:
     """Backtest the short-on-negative strategy over [start, end].
 
     ``thresholds`` must be the day -1 sentiment cuts for the AfterClose
-    stratum. Trades whose open or close bar is missing are skipped with a
+    stratum. ``table`` is the dataset's event table, built here if absent.
+    Every AfterClose event of the dataset is a candidate, whatever a
+    universe keeps: one without day-0 tweets, or announced after the
+    threshold sample's end, trades like any other. An event that cannot be
+    anchored, or whose open or close bar is missing, is skipped with a
     diagnostic. Several events closing on the same day split the portfolio
     equally, which is equivalent to applying their mean net return. The
-    ledger is a pure function of its inputs. ``day_counts`` are the daily
-    counts of the tweets of ``ds`` inside ``cal``, counted here if absent.
+    ledger is a pure function of its inputs.
     """
-    if cal is None:
-        cal = TradingCalendar.from_dataset(ds)
+    if table is None:
+        table = build_universe(ds).table
+    cal = table.cal
     if start is None:
         start = cal.dates[0]
     if end is None:
         end = cal.dates[-1]
-    in_range = [d for d in cal.dates if start <= d <= end]
+    lo, hi = bisect_left(cal.dates, start), bisect_right(cal.dates, end)
+    in_range = cal.dates[lo:hi]
     if not in_range:
         raise OutOfCalendarRange(f"no trading dates between {start} and {end}")
-    if day_counts is None:
-        day_counts = daily_counts(covered_tweets(ds.tweets, cal)[0], cal)
     prices = ds.prices(cal.dates)
 
+    day0 = table.day0
+    after_close = table.timing == Timing.AFTER_CLOSE
+    negative = categorize_scores(table.sent_on(-1), thresholds) == EventPolarity.NEGATIVE
+    short = after_close & (day0 - 1 >= lo) & (day0 < hi) & negative
     trades: list[Trade] = []
     skipped: list[tuple[EarningsEvent, str]] = []
-    for ev in sorted(ds.events, key=lambda e: e.key()):
-        if ev.timing is not Timing.AFTER_CLOSE:
+    for i in np.flatnonzero(short | (after_close & (day0 < 0))).tolist():
+        ev, i0 = table.events[i], int(day0[i])
+        if i0 < 0:
+            skipped.append((ev, table.anchor_errors[i]))
             continue
-        try:
-            anchor = anchor_event(ev, cal)
-            open_date = anchor.day(-1)
-        except (OutOfCalendarRange, NonTradingAnnouncement) as exc:
-            skipped.append((ev, f"{type(exc).__name__}: {exc}"))
-            continue
-        if open_date < in_range[0] or anchor.day0 > in_range[-1]:
-            continue
-        score = sentiment_score(*day_counts.at(ev.ticker, open_date))
-        if categorize_event(score, thresholds) is not EventPolarity.NEGATIVE:
-            continue
-        i0 = anchor.day0_index
+        open_date, close_date = cal.dates[i0 - 1], cal.dates[i0]
         open_px, close_px = prices.close_row(ev.ticker)[i0 - 1:i0 + 1].tolist()
         if math.isnan(open_px) or math.isnan(close_px):
-            skipped.append((ev, f"MissingBar: no close on {open_date} or {anchor.day0}"))
+            skipped.append((ev, f"MissingBar: no close on {open_date} or {close_date}"))
             continue
         trades.append(
             Trade(
                 event=ev,
                 ticker=ev.ticker,
                 open_date=open_date,
-                close_date=anchor.day0,
+                close_date=close_date,
                 open_price=open_px,
                 close_price=close_px,
                 spread=spread,
@@ -238,8 +233,7 @@ def run_strategy(
     for t in trades:
         by_close.setdefault(t.close_date, []).append(t)
 
-    first = cal.index_of(in_range[0])
-    levels = prices.index_closes[first:first + len(in_range)]
+    levels = prices.index_closes[lo:hi]
     value = 1.0
     equity = []
     for d in in_range:

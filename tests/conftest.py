@@ -1,11 +1,13 @@
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from zoneinfo import ZoneInfo
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from eastudy.alignment import TradingCalendar
-from eastudy.model import DailyBar, Dataset, EarningsEvent, IndexBar, Timing
+from eastudy.model import DailyBar, Dataset, EarningsEvent, IndexBar, Timing, TweetBuckets
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
@@ -56,11 +58,62 @@ def make_event(ticker: str, announce_at: datetime, timing: Timing,
     )
 
 
+@dataclass(frozen=True)
+class DayCell:
+    ticker: str
+    trading_date: date
+    n_neg: int
+    n_neut: int
+    n_pos: int
+
+    @property
+    def total(self) -> int:
+        return self.n_neg + self.n_neut + self.n_pos
+
+
+def day_cells(days) -> list[DayCell]:
+    """Every (ticker, trading day) cell of daily counts that received a
+    bucket, in (ticker, date) order."""
+    rows, cols = np.nonzero(days.buckets)
+    return [DayCell(days.tickers[r], days.cal.dates[d], *days.labels[:, r, d].tolist())
+            for r, d in zip(rows.tolist(), cols.tolist())]
+
+
+def bars_of(ds: Dataset, ticker: str) -> tuple[DailyBar, ...]:
+    """One ticker's bars, in date order."""
+    return tuple(b for b in ds.bars if b.ticker == ticker)
+
+
+def close_prices(ds: Dataset, ticker: str) -> dict[date, float]:
+    """Closing price by date of one ticker."""
+    return {b.date: b.close for b in bars_of(ds, ticker)}
+
+
+def as_dict(series) -> dict[date, float]:
+    """A ReturnSeries as {date: return}."""
+    return dict(zip(series.dates, series.values))
+
+
+def tweet_columns(buckets) -> TweetBuckets:
+    """Columns of the given buckets, in canonical (ticker, hour_start) order."""
+    buckets = list(buckets)
+    tickers = tuple(sorted({b.ticker for b in buckets}))
+    codes = {t: i for i, t in enumerate(tickers)}
+    return TweetBuckets(
+        tickers=tickers,
+        code=np.array([codes[b.ticker] for b in buckets], dtype=np.int64),
+        ts=np.array([int(b.hour_start.timestamp()) for b in buckets], dtype=np.int64),
+        n_neg=np.array([b.n_neg for b in buckets], dtype=np.int64),
+        n_neut=np.array([b.n_neut for b in buckets], dtype=np.int64),
+        n_pos=np.array([b.n_pos for b in buckets], dtype=np.int64),
+    ).canonical()
+
+
 def make_dataset(bars=(), index=(), tweets=(), events=()) -> Dataset:
     return Dataset(
         bars=tuple(sorted(bars, key=lambda b: (b.ticker, b.date))),
         index=tuple(sorted(index, key=lambda b: b.date)),
-        tweets=tuple(sorted(tweets, key=lambda b: (b.ticker, b.hour_start))),
+        tweets=tweet_columns(tweets),
         events=tuple(sorted(events, key=lambda e: e.key())),
     )
 

@@ -2,10 +2,11 @@ import argparse
 import csv
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from eastudy import event_study
+from eastudy import event_study, reports, trading
 from eastudy.alignment import EventAnchor, TradingCalendar
 from eastudy.cli import build_parser, main
 from eastudy.ingest import load_dataset, write_dataset
@@ -389,7 +390,47 @@ class TestEachEventMeasuredOnce:
         ds = load_dataset(*(data_dir / f"{name}.csv" for name in
                             ("prices", "index", "tweets", "events")))
         universe = build_universe(ds)
-        assert sorted(fitted) == sorted(ae.event.key() for ae in universe.events)
+        assert sorted(fitted) == sorted(ev.key() for ev in universe.events)
+
+
+class TestEachEventAnchoredOnce:
+    def test_pipeline_anchors_each_dataset_event_at_most_once(self, data_dir, tmp_path,
+                                                             monkeypatch):
+        calls = Counter()
+        for module in (reports, trading):  # every place that has looked it up
+            if hasattr(module, "anchor_event"):
+                def counting(ev, cal, original=module.anchor_event):
+                    calls[ev.key()] += 1
+                    return original(ev, cal)
+
+                monkeypatch.setattr(module, "anchor_event", counting)
+        assert main(["--out", str(tmp_path / "out"), "pipeline", *data_flags(data_dir),
+                     "--thresholds-until", "2015-10-15"]) == 0
+        assert len(calls) == SPEC["n_tickers"] * SPEC["events_per_ticker"]
+        assert set(calls.values()) == {1}
+
+
+class TestReturnsAcrossAGap:
+    def test_a_return_spanning_a_missing_bar_is_omitted_and_counted(self, data_dir, tmp_path):
+        lines = (data_dir / "prices.csv").read_text().splitlines(keepends=True)
+        sya = [line.split(",")[0] for line in lines[1:] if line.split(",")[1] == "SYA"]
+        gone, after = sya[10], sya[11]
+        data = tmp_path / "data"
+        data.mkdir()
+        kept = [line for line in lines if not line.startswith(f"{gone},SYA,")]
+        (data / "prices.csv").write_text("".join(kept))
+        for name in ("index.csv", "tweets.csv", "events.csv"):
+            (data / name).write_bytes((data_dir / name).read_bytes())
+        returns = {}
+        for name, source in (("full", data_dir), ("gapped", data)):
+            assert main(["--out", str(tmp_path / name), "returns", *data_flags(source)]) == 0
+            returns[name] = {(r["ticker"], r["date"]): r["ret"]
+                             for r in read_rows(tmp_path / name / "returns.csv")}
+        # the two-day move from the bar before the gap is no daily return
+        assert returns["gapped"] == {key: r for key, r in returns["full"].items()
+                                     if key not in {("SYA", gone), ("SYA", after)}}
+        manifest = json.loads((tmp_path / "gapped" / "manifest.json").read_text())
+        assert manifest["returns"] == {"omitted_across_gaps": 1}
 
 
 def gapped_copy(data_dir, root):

@@ -8,18 +8,20 @@ import pytest
 from eastudy.alignment import anchor_event
 from eastudy.errors import DegenerateRegressor, EmptyClass, InsufficientHistory, MissingBar
 from eastudy.event_study import (
+    StudyConfig,
     abnormal_returns,
     aggregate_study,
     fit_events,
     fit_market_model,
+    study_classes,
     summarize_car,
     z_critical,
 )
 from eastudy.model import Timing
-from eastudy.reports import build_universe, label_stratum
+from eastudy.reports import build_universe, label_stratum, stratum_labels
 from eastudy.sentiment import EventPolarity
 from eastudy.synth import SynthSpec, generate_with_truth
-from eastudy.trading import hold_returns, trade_return_curves
+from eastudy.trading import curve_classes, hold_returns, trade_return_curves
 
 from conftest import eastern, make_calendar, make_event
 
@@ -384,8 +386,9 @@ class TestAggregateStudy:
 
 
 class TestSharedPerEventRows:
-    """A stratum grouping rows measured once over the whole universe gets
-    what it gets by measuring its own events, skips included."""
+    """A stratum reading, through its mask and labels, the rows measured once
+    over the whole universe gets what it gets by measuring its own events,
+    skips included; rows that leave out an event of the stratum are refused."""
 
     @staticmethod
     def scenario():
@@ -400,22 +403,28 @@ class TestSharedPerEventRows:
     @pytest.mark.parametrize("polarity_day", [0, -1])
     def test_same_result_as_a_stratum_of_its_own(self, timing, polarity_day):
         ds, universe = self.scenario()
+        table = universe.table
         labeled = label_stratum(universe, timing, polarity_day)
-        fitted = fit_events(universe.events, ds)
-        held = hold_returns(universe.events, ds)
+        in_stratum = universe.stratum(timing)
+        labels = stratum_labels(universe, timing, polarity_day)
+        fits = fit_events(table.anchors_of(universe.used), ds)
+        held = hold_returns(table.anchors_of(universe.used), ds)
 
         own = aggregate_study(labeled, ds)
         assert own.skipped and own.classes
-        assert aggregate_study(labeled, ds, fitted=fitted) == own
+        assert study_classes(fits, table.events, in_stratum, labels, StudyConfig()) == own
         curves = trade_return_curves(labeled, ds)
         assert curves.skipped and curves.classes
-        assert trade_return_curves(labeled, ds, held=held) == curves
+        assert curve_classes(held, table.events, in_stratum, labels) == curves
 
     def test_rows_that_miss_a_labeled_event_are_refused(self):
         ds, universe = self.scenario()
-        labeled = label_stratum(universe, Timing.AFTER_CLOSE, 0)
-        others = universe.timing_events(Timing.BEFORE_OPEN)
+        table = universe.table
+        in_stratum = universe.stratum(Timing.AFTER_CLOSE)
+        labels = stratum_labels(universe, Timing.AFTER_CLOSE, 0)
+        others = table.anchors_of(universe.stratum(Timing.BEFORE_OPEN))
         with pytest.raises(ValueError):
-            aggregate_study(labeled, ds, fitted=fit_events(others, ds))
+            study_classes(fit_events(others, ds), table.events, in_stratum, labels,
+                          StudyConfig())
         with pytest.raises(ValueError):
-            trade_return_curves(labeled, ds, held=hold_returns(others, ds))
+            curve_classes(hold_returns(others, ds), table.events, in_stratum, labels)

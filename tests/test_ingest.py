@@ -1,5 +1,6 @@
 from datetime import date
 
+import numpy as np
 import pytest
 
 from eastudy.alignment import anchor_event
@@ -226,13 +227,14 @@ class TestWriteReadFixpoint:
 
 def coverage(ds, cfg=StudyConfig()):
     """The study's own exclusions: the universe's (no anchor, no day-0 tweets),
-    then the market-model fit loop's. Returns (universe, fitted, reasons by event)."""
+    then the market-model fit loop's. Returns (universe, fits, reasons by event)."""
     universe = build_universe(ds)
-    fitted, skipped = fit_events(universe.events, ds, cfg)
+    fits = fit_events(universe.table.anchors_of(universe.used), ds, cfg)
     reasons: dict = {}
+    skipped = [(ev, why) for ev, why in zip(universe.table.events, fits.skips) if why]
     for ev, why in universe.dropped + skipped:
         reasons.setdefault(ev, []).append(why)
-    return universe, fitted, reasons
+    return universe, fits, reasons
 
 
 class TestCoverage:
@@ -246,7 +248,9 @@ class TestCoverage:
         aaa = next(ev for ev in ds.events if ev.ticker == "AAA")
         assert aaa in reasons
         assert "no day-0 tweets" in reasons[aaa]
-        assert sum(universe.counts.at("AAA", anchor_event(aaa, universe.cal).day0)) == 0
+        day0 = anchor_event(aaa, universe.cal).day0_index
+        assert universe.counts.labels[:, universe.counts.row("AAA"), day0].sum() == 0
+        assert universe.table.day_labels[universe.table.events.index(aaa), 0].sum() == 0
 
     def test_short_history_flags_estimation_window(self, tmp_path):
         ds = load_dataset(*fixture_files(tmp_path))
@@ -258,15 +262,14 @@ class TestCoverage:
     def test_fully_covered_event_not_excluded(self):
         ds = generate(SynthSpec(seed=9, n_tickers=2, n_days=160, events_per_ticker=1,
                                 first_event_day=135))
-        universe, fitted, reasons = coverage(ds)
-        assert fitted
+        universe, fits, reasons = coverage(ds)
+        fitted = [why == "" for why in fits.skips]
+        assert any(fitted)
         assert not reasons, reasons
-        assert {fe.item.event for fe in fitted} == set(ds.events)
-        for ae in universe.events:
-            assert ae.day0_tweets > 0
-        for fe in fitted:
-            assert fe.fit.n_obs >= 120
-            assert len(fe.ars) == len(StudyConfig().taus)  # the event window is served
+        assert {ev for ev, ok in zip(universe.table.events, fitted) if ok} == set(ds.events)
+        assert (universe.table.day_labels[universe.used, 0].sum(axis=1) > 0).all()
+        assert fits.ars.shape[1] == len(StudyConfig().taus)  # the event window is served
+        assert not np.isnan(fits.ars[fitted]).any()
 
     def test_shorter_requirement_accepts_shorter_history(self):
         ds = generate(SynthSpec(seed=9, n_tickers=1, n_days=90, events_per_ticker=1,

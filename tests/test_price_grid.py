@@ -21,8 +21,7 @@ from eastudy.errors import (
     OutOfCalendarRange,
 )
 from eastudy.event_study import (
-    FittedEvent,
-    LabeledEvent,
+    EventFits,
     MarketModelFit,
     StudyConfig,
     abnormal_returns,
@@ -31,10 +30,18 @@ from eastudy.event_study import (
 )
 from eastudy.model import DailyBar, Dataset, IndexBar, Timing
 from eastudy.returns import daily_returns, trading_return
-from eastudy.sentiment import EventPolarity
-from eastudy.trading import HeldEvent, hold_returns
+from eastudy.trading import EventHolds, hold_returns
 
-from conftest import eastern, make_calendar, make_dataset, make_event
+from conftest import (
+    as_dict,
+    bars_of,
+    close_prices,
+    eastern,
+    make_calendar,
+    make_dataset,
+    make_event,
+    tweet_columns,
+)
 
 # --- reference: the per-date walk ------------------------------------------
 
@@ -92,28 +99,30 @@ def ref_abnormal_returns(fit, anchor, stock_returns, index_returns, cfg):
     return tuple(ars)
 
 
-def ref_fit_events(items, ds, cfg):
-    cal = items[0].anchor.calendar
-    index_returns = daily_returns(ds.index).as_dict()
+def ref_fit_events(anchors, ds, cfg):
+    index_returns = as_dict(daily_returns(ds.index))
     stock_returns = {}
-    fitted, skipped = [], []
-    for item in sorted(items, key=lambda le: le.event.key()):
-        ticker = item.event.ticker
-        if ticker not in stock_returns:
-            bars = ds.bars_by_ticker.get(ticker, ())
-            if len(bars) < 2:
-                skipped.append((item.event, "no price history"))
-                continue
-            stock_returns[ticker] = ref_calendar_aligned_returns(bars, cal)
-        try:
-            fit = ref_fit_market_model(stock_returns[ticker], index_returns, item.anchor, cfg)
-            ars = ref_abnormal_returns(fit, item.anchor, stock_returns[ticker],
-                                       index_returns, cfg)
-        except (InsufficientHistory, MissingBar, DegenerateRegressor, OutOfCalendarRange) as exc:
-            skipped.append((item.event, f"{type(exc).__name__}: {exc}"))
+    ars = np.full((len(anchors), len(cfg.taus)), np.nan)
+    sigma2 = np.full(len(anchors), np.nan)
+    skips = [None] * len(anchors)
+    for i, anchor in enumerate(anchors):
+        if anchor is None:
             continue
-        fitted.append(FittedEvent(item, fit, ars))
-    return fitted, skipped
+        ticker = anchor.event.ticker
+        if ticker not in stock_returns:
+            bars = bars_of(ds, ticker)
+            if len(bars) < 2:
+                skips[i] = "no price history"
+                continue
+            stock_returns[ticker] = ref_calendar_aligned_returns(bars, anchor.calendar)
+        try:
+            fit = ref_fit_market_model(stock_returns[ticker], index_returns, anchor, cfg)
+            ars[i] = ref_abnormal_returns(fit, anchor, stock_returns[ticker], index_returns, cfg)
+        except (InsufficientHistory, MissingBar, DegenerateRegressor, OutOfCalendarRange) as exc:
+            skips[i] = f"{type(exc).__name__}: {exc}"
+            continue
+        sigma2[i], skips[i] = fit.sigma2_eps, ""
+    return EventFits(ars, sigma2, tuple(skips))
 
 
 def ref_trading_return(anchor, prices, d):
@@ -127,20 +136,29 @@ def ref_trading_return(anchor, prices, d):
     return (end - base) / base
 
 
-def ref_hold_returns(items, ds, max_d):
+def ref_hold_returns(anchors, ds, max_d):
     days = range(max_d + 1)
     index_closes = {b.date: b.close for b in ds.index}
-    held, skipped = [], []
-    for item in sorted(items, key=lambda le: le.event.key()):
-        prices = ds.close_prices(item.event.ticker)
-        try:
-            stock = tuple(ref_trading_return(item.anchor, prices, d) for d in days)
-            index = tuple(ref_trading_return(item.anchor, index_closes, d) for d in days)
-        except (MissingBar, OutOfCalendarRange) as exc:
-            skipped.append((item.event, f"{type(exc).__name__}: {exc}"))
+    stock = np.full((len(anchors), max_d + 1), np.nan)
+    index = np.full(stock.shape, np.nan)
+    skips = [None] * len(anchors)
+    for i, anchor in enumerate(anchors):
+        if anchor is None:
             continue
-        held.append(HeldEvent(item, stock, index))
-    return held, skipped
+        prices = close_prices(ds, anchor.event.ticker)
+        try:
+            rt_stock = [ref_trading_return(anchor, prices, d) for d in days]
+            rt_index = [ref_trading_return(anchor, index_closes, d) for d in days]
+        except (MissingBar, OutOfCalendarRange) as exc:
+            skips[i] = f"{type(exc).__name__}: {exc}"
+            continue
+        stock[i], index[i], skips[i] = rt_stock, rt_index, ""
+    return EventHolds(stock, index, tuple(skips))
+
+
+def rows(result):
+    """Every column of a per-event result, as comparable Python values."""
+    return [c if isinstance(c, tuple) else c.tolist() for c in vars(result).values()]
 
 
 def outcome(fn, *args):
@@ -183,39 +201,36 @@ def scenarios(draw):
     cfg = StudyConfig(event_window=(w0, w0 + draw(st.integers(0, 6))),
                       estimation_window_length=draw(st.integers(3, 8)))
     ds = make_dataset(bars=bars, index=index, events=events)
-    items = [LabeledEvent(ev, anchor_event(ev, cal), EventPolarity.NEUTRAL)
-             for ev in ds.events]
-    return ds, cal, items, cfg, draw(st.integers(0, 6))
+    # an event left out (None) is not measured
+    anchors = [anchor_event(ev, cal) if draw(st.integers(0, 4)) else None for ev in ds.events]
+    return ds, cal, anchors, cfg, draw(st.integers(0, 6))
 
 
 class TestKernelsMatchTheDateWalk:
     @settings(max_examples=150)
     @given(scenarios())
     def test_fits_ars_holds_and_skips(self, scenario):
-        ds, cal, items, cfg, max_d = scenario
-        got, want = fit_events(items, ds, cfg), ref_fit_events(items, ds, cfg)
-        assert repr(got) == repr(want)
-        assert got == want
-        got, want = hold_returns(items, ds, max_d), ref_hold_returns(items, ds, max_d)
-        assert repr(got) == repr(want)
-        assert got == want
+        ds, cal, anchors, cfg, max_d = scenario
+        got, want = fit_events(anchors, ds, cfg), ref_fit_events(anchors, ds, cfg)
+        assert repr(rows(got)) == repr(rows(want))
+        got, want = hold_returns(anchors, ds, max_d), ref_hold_returns(anchors, ds, max_d)
+        assert repr(rows(got)) == repr(rows(want))
 
     @settings(max_examples=75)
     @given(scenarios())
     def test_mapping_adapters(self, scenario):
-        ds, cal, items, cfg, max_d = scenario
-        index_returns = daily_returns(ds.index).as_dict()
+        ds, cal, anchors, cfg, max_d = scenario
+        index_returns = as_dict(daily_returns(ds.index))
         index_closes = {b.date: b.close for b in ds.index}
-        for item in items:
-            bars = ds.bars_by_ticker.get(item.event.ticker, ())
+        for a in filter(None, anchors):
+            bars = bars_of(ds, a.event.ticker)
             stock = ref_calendar_aligned_returns(bars, cal)
-            a = item.anchor
             fit = outcome(fit_market_model, stock, index_returns, a, cfg)
             assert repr(fit) == repr(outcome(ref_fit_market_model, stock, index_returns, a, cfg))
             if isinstance(fit, MarketModelFit):
                 assert repr(outcome(abnormal_returns, fit, a, stock, index_returns, cfg)) == repr(
                     outcome(ref_abnormal_returns, fit, a, stock, index_returns, cfg))
-            for prices in (ds.close_prices(item.event.ticker), index_closes):
+            for prices in (close_prices(ds, a.event.ticker), index_closes):
                 for d in range(max_d + 1):
                     assert repr(outcome(trading_return, a, prices, d)) == repr(
                         outcome(ref_trading_return, a, prices, d))
@@ -230,9 +245,9 @@ class TestGridRefusesWhatItCannotHold:
         cal = make_calendar(date(2015, 6, 1), cal_days)
         index = [IndexBar(d, 1000.0 + i) for i, d in enumerate(cal.dates[:index_days])]
         ev = make_event("AAA", eastern(2015, 6, 2, 17, 0), Timing.AFTER_CLOSE)
-        ds = Dataset(bars=tuple(bars), index=tuple(index), tweets=(), events=(ev,))
-        item = LabeledEvent(ev, anchor_event(ev, cal), EventPolarity.NEUTRAL)
-        return fit_events([item], ds, StudyConfig(estimation_window_length=3))
+        ds = Dataset(bars=tuple(bars), index=tuple(index), tweets=tweet_columns(()),
+                     events=(ev,))
+        return fit_events([anchor_event(ev, cal)], ds, StudyConfig(estimation_window_length=3))
 
     def test_bar_on_a_non_trading_date(self):
         saturday = date(2015, 6, 6)
@@ -261,5 +276,5 @@ class TestGridRefusesWhatItCannotHold:
         d1, d2 = date(2015, 6, 1), date(2015, 6, 2)
         bars = [DailyBar("AAA", d1, 10.0, 1), DailyBar("BBB", d1, 5.0, 1),
                 DailyBar("AAA", d2, 11.0, 1), DailyBar("BBB", d2, 6.0, 1)]
-        fitted, skipped = self.fit(bars)
-        assert fitted == [] and "InsufficientHistory" in skipped[0][1]
+        fits = self.fit(bars)
+        assert np.isnan(fits.sigma2).all() and "InsufficientHistory" in fits.skips[0]

@@ -1,17 +1,23 @@
 from datetime import date
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eastudy.model import Timing
+from eastudy.alignment import TradingCalendar
+from eastudy.model import Dataset, Timing
 from eastudy.reports import (
+    STRATA,
     all_thresholds,
     build_universe,
     label_stratum,
+    stratum_labels,
     stratum_thresholds,
     surprise_regressions,
     volume_report,
 )
-from eastudy.sentiment import EventPolarity
+from eastudy.sentiment import EventPolarity, sentiment_score
+from eastudy.trading import run_strategy
 from eastudy.synth import SynthSpec, generate, generate_with_truth
 
 
@@ -31,7 +37,8 @@ class TestUniverse:
     def test_until_filter(self):
         ds = generate(SynthSpec(seed=31, n_tickers=6, n_days=300, events_per_ticker=4,
                                 first_event_day=135, event_spacing=35))
-        first_day0 = min(a.day0 for a in build_universe(ds).events)
+        universe = build_universe(ds)
+        first_day0 = universe.cal.dates[universe.table.day0[universe.used].min()]
         trimmed = build_universe(ds, until=first_day0)
         assert 0 < len(trimmed.events) < 24
 
@@ -39,7 +46,7 @@ class TestUniverse:
         ds = generate(SynthSpec(seed=31, n_tickers=2, n_days=200, events_per_ticker=1,
                                 first_event_day=150, tweet_rate=0.0))
         universe = build_universe(ds)
-        assert universe.events == []
+        assert universe.events == ()
         assert all(reason == "no day-0 tweets" for _, reason in universe.dropped)
 
 
@@ -131,3 +138,48 @@ class TestVolumeReport:
     def test_window_that_ends_before_it_starts(self, universe):
         with pytest.raises(ValueError):
             volume_report(universe, (5, -5))
+
+
+# Quickstart-like, small: both timing classes, every stratum cuts terciles
+PERMUTED_DS = generate(SynthSpec(seed=37, n_tickers=4, n_days=220, events_per_ticker=4,
+                                 first_event_day=130, event_spacing=20,
+                                 afterclose_fraction=0.5))
+
+
+def table_columns(table):
+    """Every column of an event table, as comparable Python values."""
+    return repr([c if isinstance(c, tuple) else c.tolist()
+                 for c in vars(table).values() if not isinstance(c, TradingCalendar)])
+
+
+def outcomes(ds):
+    universe = build_universe(ds)
+    strata = [(universe.stratum(t), stratum_labels(universe, t, d)) for t, d in STRATA]
+    thresholds = all_thresholds(universe)
+    ledger = run_strategy(ds, thresholds[1][2], table=universe.table)
+    return (table_columns(universe.table), thresholds,
+            [(mask.tolist(), labels[mask].tolist()) for mask, labels in strata], ledger)
+
+
+class TestEventTable:
+    def test_scores_are_sentiment_score_bit_for_bit(self):
+        table = build_universe(PERMUTED_DS).table
+        for counts, sent in zip(table.day_labels.tolist(), table.sent.tolist()):
+            assert repr([sentiment_score(*c) for c in counts]) == repr(sent)
+
+    def test_rows_read_the_grids_of_their_ticker(self):
+        ds = PERMUTED_DS
+        universe = build_universe(ds)
+        table, prices = universe.table, ds.prices(universe.cal.dates)
+        assert [prices.row(ev.ticker) for ev in table.events] == table.bar_row.tolist()
+        assert [universe.counts.row(ev.ticker) for ev in table.events] == table.count_row.tolist()
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 2**32 - 1))
+    def test_permuting_events_and_tweets_changes_nothing(self, seed):
+        ds = PERMUTED_DS
+        rng = np.random.default_rng(seed)
+        permuted = Dataset(bars=ds.bars, index=ds.index,
+                           tweets=ds.tweets[rng.permutation(len(ds.tweets))],
+                           events=tuple(ds.events[i] for i in rng.permutation(len(ds.events))))
+        assert outcomes(permuted) == outcomes(ds)

@@ -9,7 +9,7 @@ from eastudy.errors import GapInSeries, MissingBar, ZeroEstimate
 from eastudy.model import Timing
 from eastudy.returns import daily_returns, earnings_surprise, trading_return
 
-from conftest import bars_from_closes, eastern, make_calendar, make_event
+from conftest import as_dict, bars_from_closes, eastern, make_calendar, make_event
 
 prices = st.floats(min_value=1.0, max_value=10_000.0)
 
@@ -95,7 +95,7 @@ class TestTradingReturn:
         by_date = {b.date: b.close for b in bars}
         ev = make_event("AAA", eastern(2015, 6, 2, 17, 0), Timing.AFTER_CLOSE)
         anchor = anchor_event(ev, cal)
-        daily = daily_returns(bars).as_dict()
+        daily = as_dict(daily_returns(bars))
         for d in range(0, 6):
             rt = trading_return(anchor, by_date, d)
             product = 1.0

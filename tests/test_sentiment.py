@@ -6,20 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eastudy.alignment import close_instant, to_eastern
-from eastudy.errors import OutOfCalendarRange, TooFewEvents, ZeroDenominator
+from eastudy.errors import OutOfCalendarRange, TooFewEvents
 from eastudy.model import TweetBucket
 from eastudy.sentiment import (
     EventPolarity,
     PolarityThresholds,
     categorize_event,
-    categorize_event_by_surprise,
     daily_counts,
-    sentiment_polarity_score,
     sentiment_score,
     tercile_thresholds,
 )
 
-from conftest import eastern, make_calendar
+from conftest import day_cells, eastern, make_calendar, tweet_columns
 
 counts = st.integers(min_value=0, max_value=10_000)
 
@@ -79,21 +77,6 @@ class TestSentimentScore:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             sentiment_score(-1, 0, 0)
-
-
-class TestPolarityScore:
-    def test_all_positive(self):
-        assert sentiment_polarity_score(0, 7) == 1.0
-
-    def test_balanced(self):
-        assert sentiment_polarity_score(3, 3) == 0.0
-
-    def test_direct(self):
-        assert sentiment_polarity_score(1, 3) == 0.5
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            sentiment_polarity_score(0, 0)
 
 
 class TestTerciles:
@@ -157,45 +140,30 @@ class TestCategorize:
         assert categorize_event(lo, self.TH) <= categorize_event(hi, self.TH)
 
 
-class TestSurpriseCategorizer:
-    def test_positive(self):
-        assert categorize_event_by_surprise(0.05) is EventPolarity.POSITIVE
-
-    def test_zero(self):
-        assert categorize_event_by_surprise(0.0) is EventPolarity.NEUTRAL
-
-    def test_negative(self):
-        assert categorize_event_by_surprise(-0.03) is EventPolarity.NEGATIVE
-
-    def test_boundary_is_neutral(self):
-        assert categorize_event_by_surprise(0.025) is EventPolarity.NEUTRAL
-        assert categorize_event_by_surprise(-0.025) is EventPolarity.NEUTRAL
-
-
 class TestDailyCounts:
     def test_bucket_after_close_counts_to_next_day(self, week_calendar):
         bucket = TweetBucket("AAA", eastern(2015, 6, 2, 17, 0), 1, 2, 3)
-        [day] = daily_counts([bucket], week_calendar)
+        [day] = day_cells(daily_counts(tweet_columns([bucket]), week_calendar))
         assert day.trading_date == date(2015, 6, 3)
         assert (day.n_neg, day.n_neut, day.n_pos) == (1, 2, 3)
 
     def test_empty_input(self, week_calendar):
-        assert list(daily_counts([], week_calendar)) == []
+        assert day_cells(daily_counts(tweet_columns([]), week_calendar)) == []
 
     def test_split_across_close(self, week_calendar):
         buckets = [
             TweetBucket("AAA", eastern(2015, 6, 2, 10, 0), 1, 0, 0),
             TweetBucket("AAA", eastern(2015, 6, 2, 18, 0), 0, 0, 1),
         ]
-        days = daily_counts(buckets, week_calendar)
-        by_date = {c.trading_date: c for c in days}
+        days = daily_counts(tweet_columns(buckets), week_calendar)
+        by_date = {c.trading_date: c for c in day_cells(days)}
         assert by_date[date(2015, 6, 2)].n_neg == 1
         assert by_date[date(2015, 6, 3)].n_pos == 1
 
     def test_out_of_range_bucket_raises(self, week_calendar):
         bucket = TweetBucket("AAA", eastern(2015, 6, 14, 12, 0), 1, 0, 0)
         with pytest.raises(OutOfCalendarRange):
-            daily_counts([bucket], week_calendar)
+            daily_counts(tweet_columns([bucket]), week_calendar)
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 23), counts, counts, counts),
                     max_size=40))
@@ -205,8 +173,8 @@ class TestDailyCounts:
             TweetBucket("AAA", eastern(2015, 6, 1 + day_off, hour), neg, neut, pos)
             for day_off, hour, neg, neut, pos in spec
         ]
-        days = daily_counts(buckets, cal)
-        assert sum(c.total for c in days) == sum(b.total for b in buckets)
+        days = daily_counts(tweet_columns(buckets), cal)
+        assert sum(c.total for c in day_cells(days)) == sum(b.total for b in buckets)
 
     @given(st.lists(st.tuples(st.sampled_from(["AAA", "BBB"]), hour_starts, counts, counts,
                               counts), max_size=40))
@@ -222,9 +190,9 @@ class TestDailyCounts:
             acc[2] += b.n_pos
             key = (b.ticker, day, to_eastern(b.hour_start).hour)
             ref_hours[key] = ref_hours.get(key, 0) + b.total
-        days = daily_counts(buckets, DST_CALENDAR)
+        days = daily_counts(tweet_columns(buckets), DST_CALENDAR)
         assert {
-            (c.ticker, c.trading_date): [c.n_neg, c.n_neut, c.n_pos] for c in days
+            (c.ticker, c.trading_date): [c.n_neg, c.n_neut, c.n_pos] for c in day_cells(days)
         } == ref_days
         hours = {
             (days.tickers[r], DST_CALENDAR.dates[d], h): int(days.hourly[r, d, h])

@@ -13,6 +13,8 @@ from eastudy.returns import daily_returns
 from eastudy.sentiment import EventPolarity
 from eastudy.synth import SynthSpec, generate, generate_with_truth
 
+from conftest import as_dict, bars_of
+
 VECTOR_SPEC = SynthSpec(seed=42, n_tickers=2, n_days=40, events_per_ticker=1,
                         first_event_day=20)
 
@@ -67,7 +69,7 @@ class TestGeneratedDatasetValidity:
     def test_tweets_inside_calendar_coverage(self):
         ds = generate(VECTOR_SPEC)
         cal = TradingCalendar.from_dataset(ds)
-        assert all(cal.covers(b.hour_start) for b in ds.tweets)
+        assert cal.covers_ts(ds.tweets.ts).all()
 
     def test_event_timing_layout(self):
         ds, truth = generate_with_truth(
@@ -94,7 +96,7 @@ class TestGeneratedDatasetValidity:
         ds = generate(spec)
         assert all(b.close == 1000.0 for b in ds.index)
         for ticker in ds.tickers:
-            series = daily_returns(ds.bars_by_ticker[ticker])
+            series = daily_returns(bars_of(ds, ticker))
             assert all(v == 0.0 for v in series.values)
 
     def test_beta_recovery_within_three_standard_errors(self):
@@ -104,8 +106,8 @@ class TestGeneratedDatasetValidity:
         ds, truth = generate_with_truth(spec)
         cal = TradingCalendar.from_dataset(ds)
         anchor = anchor_event(ds.events[0], cal)
-        stock = daily_returns(ds.bars_by_ticker[truth[0].ticker]).as_dict()
-        index = daily_returns(ds.index).as_dict()
+        stock = as_dict(daily_returns(bars_of(ds, truth[0].ticker)))
+        index = as_dict(daily_returns(ds.index))
         fit = fit_market_model(stock, index, anchor)
         window = sorted(d for d in index if d <= anchor.day(-2))[-120:]
         xs = [index[d] for d in window]

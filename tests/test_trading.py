@@ -7,12 +7,14 @@ from eastudy.alignment import anchor_event
 from eastudy.errors import EmptyClass
 from eastudy.event_study import LabeledEvent
 from eastudy.model import TweetBucket, Timing
+from eastudy.reports import build_universe, stratum_thresholds
 from eastudy.returns import trading_return
 from eastudy.sentiment import EventPolarity, PolarityThresholds
 from eastudy.trading import Trade, run_strategy, trade_return_curves
 
 from conftest import (
     bars_from_closes,
+    close_prices,
     eastern,
     index_from_closes,
     make_calendar,
@@ -130,7 +132,7 @@ class TestRunStrategy:
         ds, cal, ev = one_event_dataset(closes, tweets=tweets)
         ledger = run_strategy(ds, LOOSE_TH, spread=0.0)
         anchor = anchor_event(ev, cal)
-        rt0 = trading_return(anchor, ds.close_prices("AAA"), 0)
+        rt0 = trading_return(anchor, close_prices(ds, "AAA"), 0)
         assert ledger.final_equity - 1.0 == pytest.approx(-rt0, abs=1e-15)
 
     def test_benchmark_normalized_to_one(self):
@@ -197,3 +199,58 @@ class TestRunStrategy:
         ledger = run_strategy(ds, LOOSE_TH, start=date(2015, 6, 4), end=date(2015, 6, 10))
         assert ledger.trades == ()  # event's open date precedes the range
         assert ledger.final_equity == 1.0
+
+
+class TestBacktestEventPolicy:
+    """The backtest's candidates are every AfterClose event of the dataset,
+    not the universe's: it trades an event the universe drops for no day-0
+    tweets and one announced after the threshold sample's end, and it names
+    an event it cannot anchor by the anchoring error, where the universe
+    drops that event as not anchorable."""
+
+    @staticmethod
+    def dataset():
+        cal = make_calendar(date(2015, 6, 1), 12)
+        tickers = ("AAA", "BBB", "CCC", "DDD", "EEE", "FFF")
+        bars = sum((bars_from_closes(t, cal.dates, [100.0 + (i * 7 + k) % 5 for i in range(12)])
+                    for k, t in enumerate(tickers)), ())
+        idx = index_from_closes(cal.dates, [1000.0 + i for i in range(12)])
+        # (ticker, announcement day and hour, day -1 counts, day-0 counts)
+        plan = [
+            ("AAA", (2, 17), (30, 0, 0), None),  # negative, no day-0 tweets
+            ("BBB", (2, 15), (30, 0, 0), (1, 1, 1)),  # AfterClose before 16:00
+            ("CCC", (3, 17), (0, 0, 20), (1, 1, 1)),
+            ("DDD", (3, 17), (0, 10, 0), (1, 1, 1)),
+            ("EEE", (4, 17), (5, 0, 0), (1, 1, 1)),
+            ("FFF", (10, 17), (30, 0, 0), (1, 1, 1)),  # after the sample's end
+        ]
+        events, tweets = [], []
+        for ticker, (day, hour), day_m1, day0 in plan:
+            events.append(make_event(ticker, eastern(2015, 6, day, hour), Timing.AFTER_CLOSE))
+            tweets.append(TweetBucket(ticker, eastern(2015, 6, day, 10), *day_m1))
+            if day0 is not None:  # day 0 is the next trading day
+                tweets.append(TweetBucket(ticker, eastern(2015, 6, day + 1, 10), *day0))
+        return make_dataset(bars=bars, index=idx, tweets=tweets, events=events)
+
+    def test_candidates_and_reasons(self):
+        ds = self.dataset()
+        bbb = next(ev for ev in ds.events if ev.ticker == "BBB")
+        why = f"BBB {bbb.announce_at.isoformat()}: AfterClose but before 16:00"
+        sample = build_universe(ds, until=date(2015, 6, 5))
+        assert len(sample.events) == 3  # CCC, DDD and EEE: see the cuts below
+        assert [(ev.ticker, r) for ev, r in sample.dropped] == [
+            ("AAA", "no day-0 tweets"), ("BBB", f"not anchorable: {why}"),
+        ]
+        assert build_universe(ds).until(date(2015, 6, 5)).dropped == sample.dropped
+        thresholds, n = stratum_thresholds(sample, Timing.AFTER_CLOSE, -1)
+        assert n == 3 and thresholds.t_low == -5 / 8
+
+        ledger = run_strategy(ds, thresholds)
+        assert [(t.ticker, t.open_date, t.close_date) for t in ledger.trades] == [
+            ("AAA", date(2015, 6, 2), date(2015, 6, 3)),
+            ("EEE", date(2015, 6, 4), date(2015, 6, 5)),
+            ("FFF", date(2015, 6, 10), date(2015, 6, 11)),
+        ]
+        assert [(ev.ticker, r) for ev, r in ledger.skipped] == [
+            ("BBB", f"NonTradingAnnouncement: {why}"),
+        ]
