@@ -38,7 +38,14 @@ from .errors import (
     SchemaMismatch,
 )
 from .event_study import StudyConfig, fit_events, study_classes
-from .ingest import OutputDir, format_rfc3339, load_dataset, parse_index_csv, write_dataset
+from .ingest import (
+    OutputDir,
+    format_rfc3339,
+    load_dataset,
+    parse_index_csv,
+    raise_for,
+    write_dataset,
+)
 from .model import INDEX_TICKER, Dataset, EarningsEvent, Timing
 from .reports import (
     CLASS_NAMES,
@@ -419,11 +426,7 @@ def _cmd_ingest(args, config, out: OutputDir) -> int:
 
 def _cmd_calendar(args, config, out: OutputDir) -> int:
     bars, diags = parse_index_csv(_data_paths(args, config, ("index",))["index"])
-    if diags:
-        message = f"{len(diags)} bad index rows, first: {diags[0]}"
-        if any(d.kind == "schema" for d in diags):
-            raise SchemaMismatch(message, diags)
-        raise InvariantViolation(message, diags)
+    raise_for(diags, "bad index rows")
     out.write_csv("calendar.csv", ["date"], ((b.date.isoformat(),) for _, b in bars))
     return 0
 

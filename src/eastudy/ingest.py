@@ -7,10 +7,25 @@ silently. ``load_dataset`` raises on the first problem (carrying all
 diagnostics), while the ``parse_*`` functions expose the collect-all
 behavior directly.
 
-Tweet buckets are parsed straight into columns (``AcceptedTweets``). The
-file repeats each hour stamp once per ticker, so the timestamp parse and
-whole-hour check run once per distinct stamp text and are reused; every
-row still gets every check and its own row-numbered diagnostic.
+The prices, index and tweets files are read by a fast path first: the file
+is one NumPy byte array, cut into blocks of ``BLOCK_LINES`` lines, and each
+block's cells are found from its newline and comma offsets and checked by
+byte class. A fast-path line has exactly the header's width, a canonical
+``YYYY-MM-DD`` date or ``YYYY-MM-DDTHH:00:00Z`` stamp that exists on the
+calendar (``2016-02-30`` does not), a ticker of 1 to 6 bytes of
+``[A-Z.]``, counts and volumes that are plain runs of ASCII digits in range,
+and a close written as digits with at most one inner ``.``, positive. Every
+other line goes through the row loop, the per-row parser with every check
+and its diagnostic text, one line at a time; so do whole files that hold a
+CR, a quote, a blank line, a BOM, another header or malformed UTF-8, or
+that do not end in a newline. The checks that compare rows (a duplicate tweet bucket, a bar
+out of date order) then run once over the accepted rows of both paths, in
+line order, keeping the first occurrence. So both paths accept the same
+rows with the same values and give the same diagnostics in the same order.
+
+A close or an index level must be a positive finite number, and an EPS
+figure a finite one; a tweet count is at most ``MAX_COUNT`` and a share
+volume at most ``MAX_VOLUME``, so that the columns hold them exactly.
 
 The trading calendar is implied by the index file: a date is a trading
 day iff the index has a bar for it.
@@ -23,13 +38,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +53,7 @@ from .alignment import MARKET_CLOSE, MARKET_OPEN, to_eastern
 from .errors import InvalidSpec, InvariantViolation, MissingFile, SchemaMismatch
 from .model import (
     DailyBar,
+    DailyBars,
     Dataset,
     EarningsEvent,
     IndexBar,
@@ -44,6 +61,7 @@ from .model import (
     Timing,
     TweetBucket,
     TweetBuckets,
+    distinct,
 )
 
 PRICES_HEADER = ["date", "ticker", "close", "volume"]
@@ -53,6 +71,11 @@ EVENTS_HEADER = ["ticker", "announce_at_utc", "timing", "eps_reported", "eps_est
 # largest count per label in one bucket: int64 sums over any file that fits
 # in memory stay exact
 MAX_COUNT = 2**31 - 1
+MAX_VOLUME = 2**63 - 1  # largest share volume: the int64 column holds it
+BLOCK_LINES = 1 << 15  # lines per fast-path block: bounds its temporaries
+_PAD = 32  # zero bytes around a block, so fixed-width gathers stay inside it
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_DAY = _EPOCH.date().toordinal()
 
 
 @dataclass(frozen=True)
@@ -66,6 +89,14 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: {self.message}"
+
+
+def raise_for(diags: Sequence[Diagnostic], what: str) -> None:
+    """Raise SchemaMismatch if any diagnostic is a schema one, else
+    InvariantViolation, carrying them all; do nothing if there are none."""
+    if diags:
+        error = SchemaMismatch if any(d.kind == "schema" for d in diags) else InvariantViolation
+        raise error(f"{len(diags)} {what}, first: {diags[0]}", diagnostics=diags)
 
 
 def parse_rfc3339(text: str) -> datetime:
@@ -83,9 +114,20 @@ def format_rfc3339(instant: datetime) -> str:
     return instant.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _read_rows(path: Path, header: list[str], diags: list[Diagnostic]):
-    """Yield (lineno, cells) for data rows of the header's width; raise on a
-    bad header, and add a diagnostic for each row of another width."""
+def _cell_error(path, lineno, column, message) -> Diagnostic:
+    return Diagnostic(str(path), lineno, "schema", f"column {column}: {message}")
+
+
+def _invariant(path, lineno, message) -> Diagnostic:
+    return Diagnostic(str(path), lineno, "invariant", message)
+
+
+# --- the row loop ------------------------------------------------------------
+
+
+def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(lineno, cells) of every data row of the file, read by the csv module;
+    raise on a missing file or a bad header."""
     if not path.exists():
         raise MissingFile(str(path))
     with open(path, newline="", encoding="utf-8") as fh:
@@ -101,97 +143,429 @@ def _read_rows(path: Path, header: list[str], diags: list[Diagnostic]):
                 f"{path}:1: header {','.join(first)!r} does not match "
                 f"expected {','.join(header)!r}"
             )
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                diags.append(Diagnostic(
-                    str(path), lineno, "schema", f"expected {len(header)} cells, got {len(cells)}"
-                ))
-                continue
-            yield lineno, cells
+        yield from enumerate(reader, start=2)
 
 
-def _cell_error(path, lineno, column, message) -> Diagnostic:
-    return Diagnostic(str(path), lineno, "schema", f"column {column}: {message}")
+Check = Callable[[Path, int, list], "tuple | Diagnostic"]
 
 
-def _invariant(path, lineno, message) -> Diagnostic:
-    return Diagnostic(str(path), lineno, "invariant", message)
+def _row_loop(path: Path, header: list[str], numbered: Iterable, check: Check):
+    """Check each (lineno, cells) row: a row of another width than the header
+    gets a diagnostic, any other gets ``check``, which returns the row's
+    values or its diagnostic. Returns (lines, values, diagnostics)."""
+    lines: list[int] = []
+    values: list[tuple] = []
+    diags: list[Diagnostic] = []
+    for lineno, cells in numbered:
+        if len(cells) != len(header):
+            diags.append(Diagnostic(
+                str(path), lineno, "schema", f"expected {len(header)} cells, got {len(cells)}"
+            ))
+            continue
+        got = check(path, lineno, cells)
+        if isinstance(got, Diagnostic):
+            diags.append(got)
+        else:
+            lines.append(lineno)
+            values.append(got)
+    return lines, values, diags
 
 
 def _parse_date(text: str) -> date:
     return date.fromisoformat(text.strip())
 
 
-def parse_prices_csv(path: str | Path):
-    """Parse prices.csv -> (list[(lineno, DailyBar)], list[Diagnostic])."""
-    path = Path(path)
-    accepted: list[tuple[int, DailyBar]] = []
-    diags: list[Diagnostic] = []
-    last_date: dict[str, date] = {}
-    for lineno, cells in _read_rows(path, PRICES_HEADER, diags):
-        raw_date, raw_ticker, raw_close, raw_volume = cells
-        try:
-            day = _parse_date(raw_date)
-        except ValueError:
-            diags.append(_cell_error(path, lineno, "date", f"bad date {raw_date!r}"))
-            continue
+def _price_row(path, lineno, cells):
+    raw_date, raw_ticker, raw_close, raw_volume = cells
+    try:
+        day = _parse_date(raw_date)
+    except ValueError:
+        return _cell_error(path, lineno, "date", f"bad date {raw_date!r}")
+    ticker = raw_ticker.strip()
+    if not TICKER_RE.match(ticker):
+        return _cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}")
+    try:
+        close = float(raw_close)
+    except ValueError:
+        return _cell_error(path, lineno, "close", f"not a number: {raw_close!r}")
+    try:
+        volume = int(raw_volume)
+    except ValueError:
+        return _cell_error(path, lineno, "volume", f"not an integer: {raw_volume!r}")
+    if not (close > 0 and math.isfinite(close)):
+        return _invariant(path, lineno, f"close must be a positive finite number, got {close}")
+    if volume < 0:
+        return _invariant(path, lineno, f"volume must be non-negative, got {volume}")
+    if volume > MAX_VOLUME:
+        return _invariant(path, lineno, f"volume must be at most {MAX_VOLUME}")
+    return _pack(ticker), day.toordinal() - _EPOCH_DAY, close, volume
+
+
+def _index_row(path, lineno, cells):
+    raw_date, raw_close = cells
+    try:
+        day = _parse_date(raw_date)
+    except ValueError:
+        return _cell_error(path, lineno, "date", f"bad date {raw_date!r}")
+    try:
+        close = float(raw_close)
+    except ValueError:
+        return _cell_error(path, lineno, "close", f"not a number: {raw_close!r}")
+    if not (close > 0 and math.isfinite(close)):
+        return _invariant(
+            path, lineno, f"index level must be a positive finite number, got {close}"
+        )
+    return day.toordinal() - _EPOCH_DAY, close
+
+
+def _hour_start(text: str) -> tuple[int, str]:
+    """(UTC epoch seconds, "") of a whole-hour stamp, else (0, the problem)."""
+    try:
+        instant = parse_rfc3339(text)
+    except ValueError:
+        return 0, "bad"
+    if instant.minute or instant.second or instant.microsecond:
+        return 0, "part-hour"
+    return int(instant.timestamp()), ""
+
+
+def _tweet_row_check() -> Check:
+    """The row loop's check of one tweets row. A file repeats each stamp once
+    per ticker, so the stamp parse and the count conversions are memoized by
+    cell text; every row still gets every check and its own diagnostic."""
+    stamps: dict[str, tuple[int, str]] = {}  # stamp text -> _hour_start(text)
+    ints: dict[str, int] = {}  # count cell text -> int(text)
+
+    def check(path, lineno, cells):
+        raw_hour, raw_ticker, raw_neg, raw_neut, raw_pos = cells
+        stamp = stamps.get(raw_hour)
+        if stamp is None:
+            stamp = stamps[raw_hour] = _hour_start(raw_hour)
+        ts, problem = stamp
+        if problem == "bad":
+            return _cell_error(path, lineno, "hour_start_utc", f"bad timestamp {raw_hour!r}")
+        if problem:
+            return _invariant(path, lineno, f"hour_start not on a whole hour: {raw_hour!r}")
         ticker = raw_ticker.strip()
         if not TICKER_RE.match(ticker):
-            diags.append(_cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}"))
-            continue
+            return _cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}")
         try:
-            close = float(raw_close)
-        except ValueError:
-            diags.append(_cell_error(path, lineno, "close", f"not a number: {raw_close!r}"))
-            continue
+            counts = ints[raw_neg], ints[raw_neut], ints[raw_pos]
+        except KeyError:
+            try:
+                counts = int(raw_neg), int(raw_neut), int(raw_pos)
+            except ValueError:
+                return _cell_error(path, lineno, "n_neg/n_neut/n_pos", "counts must be integers")
+            ints.update(zip((raw_neg, raw_neut, raw_pos), counts))
+        if not all(0 <= n <= MAX_COUNT for n in counts):
+            if min(counts) < 0:
+                return _invariant(path, lineno, "tweet counts must be non-negative")
+            return _invariant(path, lineno, f"tweet counts must be at most {MAX_COUNT}")
+        return _pack(ticker), ts, *counts, raw_hour
+
+    return check
+
+
+# --- the fast path -----------------------------------------------------------
+
+
+def _fast_bytes(path: Path, header: list[str]) -> np.ndarray | None:
+    """The file as a byte array if the fast path may read it, else None: it
+    must start with the header and a newline (so no BOM), end in a newline,
+    and hold no CR, no quote, no blank line and no malformed UTF-8."""
+    if not path.exists():
+        raise MissingFile(str(path))
+    data = path.read_bytes()
+    if (
+        not data.startswith(",".join(header).encode() + b"\n")
+        or not data.endswith(b"\n")
+        or b"\n\n" in data
+        or b"\r" in data
+        or b'"' in data
+    ):
+        return None
+    if not data.isascii():
         try:
-            volume = int(raw_volume)
-        except ValueError:
-            diags.append(_cell_error(path, lineno, "volume", f"not an integer: {raw_volume!r}"))
-            continue
-        if not close > 0:
-            diags.append(_invariant(path, lineno, f"close must be positive, got {close}"))
-            continue
-        if volume < 0:
-            diags.append(_invariant(path, lineno, f"volume must be non-negative, got {volume}"))
-            continue
-        prev = last_date.get(ticker)
-        if prev is not None and day <= prev:
-            what = "duplicate" if day == prev else "out-of-order"
-            diags.append(_invariant(path, lineno, f"{what} bar for {ticker} on {day}"))
-            continue
-        last_date[ticker] = day
-        accepted.append((lineno, DailyBar(ticker=ticker, date=day, close=close, volume=volume)))
-    return accepted, diags
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    return np.frombuffer(data, dtype=np.uint8)
+
+
+def _gather(seg: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
+    """(width, n) bytes of ``seg``: row ``p`` holds byte ``p`` from each start."""
+    windows = np.lib.stride_tricks.as_strided(seg, (len(seg) - width + 1, width), (1, 1))
+    return np.ascontiguousarray(windows[start].T)
+
+
+def _tickers(seg, start, size):
+    """Each cell of 1 to 6 bytes of ``[A-Z.]`` packed big-endian into an
+    int64, so that the values sort as the names do; and a mask of those
+    cells. The first byte is below 0x80, so every value is positive."""
+    g = _gather(seg, start, 6)
+    tail = np.arange(6)[:, None] >= size
+    ok = (size >= 1) & (size <= 6) & ((g - 65 <= 25) | (g == 46) | tail).all(axis=0)
+    g[tail] = 0
+    packed = np.zeros(len(start), dtype=np.int64)
+    for byte in g:
+        packed = (packed << 8) | byte
+    return packed << 16, ok
+
+
+def _pack(ticker: str) -> int:
+    return int.from_bytes(ticker.encode().ljust(8, b"\0"), "big")
+
+
+def _unpack(packed: int) -> str:
+    return packed.to_bytes(8, "big").rstrip(b"\0").decode()
+
+
+def _digits(seg, start, size, width: int):
+    """The value of each cell that is a run of 1 to ``width`` ASCII digits
+    (``width`` <= 18), and a mask of those cells."""
+    width = max(min(width, int(size.max(initial=1))), 1)  # no wider than the widest cell
+    end = start + size
+    g = _gather(seg, end - width, width) - 48  # right-aligned; a non-digit wraps above 9
+    lead = np.arange(width)[:, None] < width - size  # bytes before the cell
+    ok = (size >= 1) & (size <= width) & ((g <= 9) | lead).all(axis=0)
+    g[lead] = 0
+    value = np.zeros(len(start), dtype=np.int64)
+    for digit in g:  # Horner, one digit position at a time
+        value = value * 10 + digit
+    return value, ok
+
+
+def _days(g: np.ndarray):
+    """Days since 1970-01-01 of each column of ``g`` that starts with a
+    ``YYYY-MM-DD`` date that exists, and a mask of those columns."""
+    d = g[[0, 1, 2, 3, 5, 6, 8, 9]] - 48
+    ok = (d <= 9).all(axis=0) & (g[4] == 45) & (g[7] == 45)
+    century, yy, month, day = (d[i].astype(np.int64) * 10 + d[i + 1] for i in (0, 2, 4, 6))
+    year = century * 100 + yy
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+    months = np.where(ok, (year - 1970) * 12 + month - 1, 0)
+    days = months.astype("datetime64[M]").astype("datetime64[D]") + (day - 1)
+    ok &= days.astype("datetime64[M]").astype(np.int64) == months  # the day is in its month
+    return days.astype(np.int64), ok
+
+
+_HOUR_FIXED = {10: ord("T"), 13: ord(":"), 14: ord("0"), 15: ord("0"), 16: ord(":"),
+               17: ord("0"), 18: ord("0"), 19: ord("Z")}
+
+
+def _hour_stamps(seg, start, size):
+    """UTC epoch seconds of each ``YYYY-MM-DDTHH:00:00Z`` cell that names a
+    real hour, and a mask of those cells."""
+    g = _gather(seg, start, 20)
+    days, ok = _days(g)
+    fixed = g[list(_HOUR_FIXED)] == np.array(list(_HOUR_FIXED.values()))[:, None]
+    hh = g[11:13] - 48
+    ok &= (size == 20) & fixed.all(axis=0) & (hh <= 9).all(axis=0)
+    hour = hh[0].astype(np.int64) * 10 + hh[1]
+    ok &= hour <= 23
+    return days * 86400 + hour * 3600, ok
+
+
+def _decimals(seg, start, size):
+    """The value of each cell of up to 32 bytes written as digits with at
+    most one inner ``.``, read by NumPy's bytes-to-float conversion (which
+    rounds as ``float()`` does); and a mask of those cells."""
+    width = min(int(size.max(initial=1)), _PAD)
+    g = _gather(seg, start, width)
+    tail = np.arange(width)[:, None] >= size
+    digit = (g - 48 <= 9) & ~tail
+    dot = (g == 46) & ~tail
+    last = np.clip(size - 1, 0, width - 1)
+    ok = (
+        (size >= 1) & (size <= width) & (digit | dot | tail).all(axis=0)
+        & (dot.sum(axis=0) <= 1) & digit[0] & digit[last, np.arange(len(start))]
+    )
+    g[tail | ~ok] = 0
+    g[0, ~ok] = 48  # "0": every cell NumPy reads is a number
+    return np.ascontiguousarray(g.T).view(f"S{width}").ravel().astype(np.float64), ok
+
+
+def _price_cells(seg, start, size):
+    day, ok = _days(_gather(seg, start[:, 0], 10))
+    packed, ok_ticker = _tickers(seg, start[:, 1], size[:, 1])
+    close, ok_close = _decimals(seg, start[:, 2], size[:, 2])
+    volume, ok_volume = _digits(seg, start[:, 3], size[:, 3], 18)
+    ok &= (size[:, 0] == 10) & ok_ticker & ok_close & (close > 0) & ok_volume
+    return ok, (packed, day, close, volume)
+
+
+def _index_cells(seg, start, size):
+    day, ok = _days(_gather(seg, start[:, 0], 10))
+    close, ok_close = _decimals(seg, start[:, 1], size[:, 1])
+    ok &= (size[:, 0] == 10) & ok_close & (close > 0)
+    return ok, (day, close)
+
+
+def _tweet_cells(seg, start, size):
+    ts, ok = _hour_stamps(seg, start[:, 0], size[:, 0])
+    packed, ok_ticker = _tickers(seg, start[:, 1], size[:, 1])
+    counts, ok_counts = _digits(seg, start[:, 2:].ravel(), size[:, 2:].ravel(), 10)
+    counts, ok_counts = counts.reshape(-1, 3), ok_counts.reshape(-1, 3)
+    ok &= ok_ticker & ok_counts.all(axis=1) & (counts <= MAX_COUNT).all(axis=1)
+    return ok, (packed, ts, *counts.T)
+
+
+def _block_cells(seg, begin, stop, width: int):
+    """The lines of a block that have ``width`` cells, and the offset in
+    ``seg`` and the length of each of their cells, as (n, width) arrays."""
+    commas = np.flatnonzero(seg == 44).astype(stop.dtype)
+    upto = np.searchsorted(commas, stop)  # commas before each line's end
+    rows = np.flatnonzero(np.diff(upto, prepend=0) == width - 1)
+    cut = commas[upto[rows, None] - (width - 1) + np.arange(width - 1)]
+    start = np.column_stack((begin[rows], cut + 1))
+    return rows, start, np.column_stack((cut, stop[rows])) - start
+
+
+def _line_ends(buf: np.ndarray) -> np.ndarray:
+    """The offsets of the newlines in ``buf``, searched 4 MiB at a time."""
+    step = 1 << 22
+    return np.concatenate([np.flatnonzero(buf[i:i + step] == 10) + i
+                           for i in range(0, len(buf), step)])
+
+
+def _parse(path: Path, header: list[str], cells, check: Check, dtypes):
+    """Parse a file by the fast path, with the row loop for what it refuses.
+
+    ``cells(seg, start, size)`` reads a block's rows of the header's width
+    (``start`` and ``size`` give each cell's offset in ``seg`` and length)
+    and returns a mask of the rows it accepts and their column values;
+    ``check`` returns the same values, then any others, for one row. Returns
+    the line numbers and the columns (of ``dtypes``) of the accepted rows of
+    both paths in line order, the row loop's diagnostics, and the row loop's
+    values by line number.
+    """
+    buf = _fast_bytes(path, header)
+    ends = _line_ends(buf) if buf is not None else np.zeros(1, dtype=np.int64)
+    lines = np.empty(len(ends) - 1, dtype=np.int64)
+    columns = [np.empty(len(lines), dtype=t) for t in dtypes]
+    n = 0  # rows accepted by the fast path
+    slow = []  # (line number, text) of the rows it refuses
+    for first in range(1, len(ends), BLOCK_LINES):  # ends[0] ends the header
+        last = min(first + BLOCK_LINES, len(ends))
+        lo, hi = int(ends[first - 1]) + 1, int(ends[last - 1]) + 1
+        seg = np.zeros(hi - lo + 2 * _PAD, dtype=np.uint8)
+        seg[_PAD:-_PAD] = buf[lo:hi]
+        offset = np.int32 if len(seg) < 2**31 else np.int64  # of a byte in seg
+        stop = (ends[first:last] - (lo - _PAD)).astype(offset)  # each line's newline in seg
+        begin = np.concatenate(([_PAD], stop[:-1] + 1)).astype(offset)
+        rows, start, size = _block_cells(seg, begin, stop, len(header))
+        ok, values = cells(seg, start, size)
+        accepted = rows[ok]
+        lines[n:n + len(accepted)] = accepted + first + 1
+        for column, v in zip(columns, values):
+            column[n:n + len(accepted)] = v[ok]
+        n += len(accepted)
+        refused = np.ones(len(stop), dtype=bool)
+        refused[accepted] = False
+        for i in np.flatnonzero(refused).tolist():
+            slow.append((first + i + 1, seg[begin[i]:stop[i]].tobytes().decode("utf-8")))
+    numbered = (
+        _csv_rows(path, header) if buf is None
+        else zip([line for line, _ in slow], csv.reader([text for _, text in slow]))
+    )
+    slow_lines, slow_values, diags = _row_loop(path, header, numbered, check)
+    lines, columns = lines[:n], [c[:n] for c in columns]
+    if slow_values:
+        lines = np.concatenate((lines, slow_lines))
+        order = np.argsort(lines, kind="stable")
+        lines = lines[order]
+        columns = [np.concatenate((c, np.array([v[j] for v in slow_values], dtype=t)))[order]
+                   for j, (c, t) in enumerate(zip(columns, dtypes))]
+    return lines, columns, diags, dict(zip(slow_lines, slow_values))
+
+
+def _ticker_codes(packed: np.ndarray):
+    """(sorted ticker names, each row's code into them) of packed tickers."""
+    table = distinct(packed)
+    return tuple(_unpack(int(v)) for v in table), np.searchsorted(table, packed)
+
+
+def _in_order(code: np.ndarray, key: np.ndarray) -> bool:
+    """Whether the rows are sorted by code, and strictly by key within a code."""
+    step = np.diff(code)
+    return bool(((step > 0) | ((step == 0) & (np.diff(key) > 0))).all())
+
+
+def _repeated(code: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """A mask of the rows whose (code, key) an earlier row has."""
+    repeated = np.zeros(len(code), dtype=bool)
+    if not _in_order(code, key):
+        order = np.lexsort((key, code))  # stable: among equal rows, the earliest first
+        c, k = code[order], key[order]
+        repeated[order[1:]] = (c[1:] == c[:-1]) & (k[1:] == k[:-1])
+    return repeated
+
+
+def _dated_rows(path, lines, code, day, diags, message) -> np.ndarray:
+    """A mask of the rows whose day (since 1970-01-01) is after every
+    earlier day of their code. Each other row gets the diagnostic
+    ``message(row, "duplicate" or "out-of-order", its date)``."""
+    keep = np.ones(len(code), dtype=bool)
+    if _in_order(code, day):
+        return keep
+    order = np.argsort(code, kind="stable")
+    run = code[order] * 2**32 + (day[order] + 2**31)  # each code's days above the last's
+    latest = np.maximum.accumulate(run)[:-1]
+    late = (code[order][1:] == code[order][:-1]) & (run[1:] <= latest)
+    for j in np.flatnonzero(late).tolist():
+        i = int(order[j + 1])
+        what = "duplicate" if run[j + 1] == latest[j] else "out-of-order"
+        on = date.fromordinal(int(day[i]) + _EPOCH_DAY)
+        diags.append(_invariant(path, int(lines[i]), message(i, what, on)))
+    keep[order[1:]] = ~late
+    return keep
+
+
+@dataclass(frozen=True)
+class AcceptedBars:
+    """The accepted rows of a prices file, in file order.
+
+    ``lines`` holds each row's physical line number and ``bars`` its
+    columns. Item ``i`` is ``(line, DailyBar)``.
+    """
+
+    lines: np.ndarray
+    bars: DailyBars
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, i: int) -> tuple[int, DailyBar]:
+        return int(self.lines[i]), self.bars[i]
+
+
+def parse_prices_csv(path: str | Path):
+    """Parse prices.csv -> (AcceptedBars, list[Diagnostic])."""
+    path = Path(path)
+    lines, (packed, day, close, volume), diags, _ = _parse(
+        path, PRICES_HEADER, _price_cells, _price_row, (np.int64, np.int64, np.float64, np.int64)
+    )
+    tickers, code = _ticker_codes(packed)
+    keep = _dated_rows(path, lines, code, day, diags,
+                       lambda i, what, on: f"{what} bar for {tickers[code[i]]} on {on}")
+    diags.sort(key=lambda d: d.line)
+    bars = DailyBars(tickers, code, day.view("datetime64[D]"), close, volume)
+    if not keep.all():
+        lines, bars = lines[keep], bars[keep]
+    return AcceptedBars(lines, bars), diags
 
 
 def parse_index_csv(path: str | Path):
+    """Parse index.csv -> (list[(lineno, IndexBar)], list[Diagnostic])."""
     path = Path(path)
-    accepted: list[tuple[int, IndexBar]] = []
-    diags: list[Diagnostic] = []
-    prev: date | None = None
-    for lineno, cells in _read_rows(path, INDEX_HEADER, diags):
-        raw_date, raw_close = cells
-        try:
-            day = _parse_date(raw_date)
-        except ValueError:
-            diags.append(_cell_error(path, lineno, "date", f"bad date {raw_date!r}"))
-            continue
-        try:
-            close = float(raw_close)
-        except ValueError:
-            diags.append(_cell_error(path, lineno, "close", f"not a number: {raw_close!r}"))
-            continue
-        if not close > 0:
-            diags.append(_invariant(path, lineno, f"index level must be positive, got {close}"))
-            continue
-        if prev is not None and day <= prev:
-            what = "duplicate" if day == prev else "out-of-order"
-            diags.append(_invariant(path, lineno, f"{what} index bar on {day}"))
-            continue
-        prev = day
-        accepted.append((lineno, IndexBar(date=day, close=close)))
-    return accepted, diags
+    lines, (day, close), diags, _ = _parse(path, INDEX_HEADER, _index_cells, _index_row,
+                                           (np.int64, np.float64))
+    keep = _dated_rows(path, lines, np.zeros(len(day), dtype=np.int64), day, diags,
+                       lambda i, what, on: f"{what} index bar on {on}")
+    diags.sort(key=lambda d: d.line)
+    rows = zip(lines[keep].tolist(), day[keep].view("datetime64[D]").tolist(),
+               close[keep].tolist())
+    return [(n, IndexBar(d, c)) for n, d, c in rows], diags
 
 
 @dataclass(frozen=True)
@@ -212,145 +586,79 @@ class AcceptedTweets:
         return int(self.lines[i]), self.buckets[i]
 
 
-def _hour_start(text: str) -> tuple[int, str]:
-    """(UTC epoch seconds, "") of a whole-hour stamp, else (0, the problem)."""
-    try:
-        instant = parse_rfc3339(text)
-    except ValueError:
-        return 0, "bad"
-    if instant.minute or instant.second or instant.microsecond:
-        return 0, "part-hour"
-    return int(instant.timestamp()), ""
-
-
 def parse_tweets_csv(path: str | Path):
     """Parse tweets.csv -> (AcceptedTweets, list[Diagnostic])."""
     path = Path(path)
-    diags: list[Diagnostic] = []
-    stamps: dict[str, tuple[int, str]] = {}  # stamp text -> _hour_start(text)
-    ints: dict[str, int] = {}  # count cell text -> int(text)
-    codes: dict[str, int] = {}  # ticker cell text -> code, in order of first use
-    names: dict[str, int] = {}  # ticker name -> code
-    seen: set[tuple[int, int]] = set()
-    rows: list[int] = []  # line, code, ts, n_neg, n_neut, n_pos of each accepted row
-    add_row = rows.extend
-    for lineno, cells in _read_rows(path, TWEETS_HEADER, diags):
-        raw_hour, raw_ticker, raw_neg, raw_neut, raw_pos = cells
-        stamp = stamps.get(raw_hour)
-        if stamp is None:
-            stamp = stamps[raw_hour] = _hour_start(raw_hour)
-        ts, problem = stamp
-        if problem == "bad":
-            diags.append(
-                _cell_error(path, lineno, "hour_start_utc", f"bad timestamp {raw_hour!r}")
-            )
-            continue
-        if problem:
-            diags.append(
-                _invariant(path, lineno, f"hour_start not on a whole hour: {raw_hour!r}")
-            )
-            continue
-        code = codes.get(raw_ticker)
-        if code is None:
-            ticker = raw_ticker.strip()
-            if not TICKER_RE.match(ticker):
-                diags.append(_cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}"))
-                continue
-            code = codes[raw_ticker] = names.setdefault(ticker, len(names))
-        try:
-            n_neg, n_neut, n_pos = ints[raw_neg], ints[raw_neut], ints[raw_pos]
-        except KeyError:
-            try:
-                n_neg, n_neut, n_pos = int(raw_neg), int(raw_neut), int(raw_pos)
-            except ValueError:
-                diags.append(
-                    _cell_error(path, lineno, "n_neg/n_neut/n_pos", "counts must be integers")
-                )
-                continue
-            ints.update(((raw_neg, n_neg), (raw_neut, n_neut), (raw_pos, n_pos)))
-        if not (0 <= n_neg <= MAX_COUNT and 0 <= n_neut <= MAX_COUNT and 0 <= n_pos <= MAX_COUNT):
-            if min(n_neg, n_neut, n_pos) < 0:
-                diags.append(_invariant(path, lineno, "tweet counts must be non-negative"))
-            else:
-                diags.append(_invariant(path, lineno, f"tweet counts must be at most {MAX_COUNT}"))
-            continue
-        key = (code, ts)
-        if key in seen:
-            diags.append(
-                _invariant(path, lineno, f"duplicate bucket for {raw_ticker.strip()} at {raw_hour}")
-            )
-            continue
-        seen.add(key)
-        add_row((lineno, code, ts, n_neg, n_neut, n_pos))
-    lines, code, ts, n_neg, n_neut, n_pos = np.array(rows, dtype=np.int64).reshape(-1, 6).T
-    # renumber the codes so that they follow the sorted ticker names
-    tickers = tuple(sorted(names))
-    renumber = np.zeros(len(names), dtype=np.int64)
-    for new, name in enumerate(tickers):
-        renumber[names[name]] = new
-    buckets = TweetBuckets(tickers, renumber[code], ts, n_neg, n_neut, n_pos)
+    lines, (packed, ts, *counts), diags, slow = _parse(
+        path, TWEETS_HEADER, _tweet_cells, _tweet_row_check(), (np.int64,) * 5
+    )
+    tickers, code = _ticker_codes(packed)
+    buckets = TweetBuckets(tickers, code, ts, *counts)
+    # one bucket per (ticker, hour): the first in line order is kept
+    repeated = _repeated(code, ts)
+    for i in np.flatnonzero(repeated).tolist():
+        line = int(lines[i])
+        stamp = slow[line][-1] if line in slow else (
+            (_EPOCH + timedelta(seconds=int(ts[i]))).isoformat().replace("+00:00", "Z")
+        )
+        diags.append(_invariant(path, line, f"duplicate bucket for {tickers[code[i]]} at {stamp}"))
+    diags.sort(key=lambda d: d.line)
+    if repeated.any():
+        lines, buckets = lines[~repeated], buckets[~repeated]
     return AcceptedTweets(lines, buckets), diags
 
 
-def parse_events_csv(path: str | Path):
-    path = Path(path)
-    accepted: list[tuple[int, EarningsEvent]] = []
-    diags: list[Diagnostic] = []
-    for lineno, cells in _read_rows(path, EVENTS_HEADER, diags):
-        raw_ticker, raw_at, raw_timing, raw_rep, raw_est = cells
-        ticker = raw_ticker.strip()
-        if not TICKER_RE.match(ticker):
-            diags.append(_cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}"))
-            continue
-        try:
-            announce_at = parse_rfc3339(raw_at)
-        except ValueError:
-            diags.append(
-                _cell_error(path, lineno, "announce_at_utc", f"bad timestamp {raw_at!r}")
-            )
-            continue
-        timing_text = raw_timing.strip()
-        try:
-            timing = Timing(timing_text)
-        except ValueError:
-            diags.append(
-                _cell_error(
-                    path, lineno, "timing",
-                    f"{raw_timing!r} not in {{BeforeOpen, AfterClose}}",
-                )
-            )
-            continue
-        try:
-            eps_reported = float(raw_rep)
-            eps_estimated = float(raw_est)
-        except ValueError:
-            diags.append(
-                _cell_error(path, lineno, "eps_reported/eps_estimated", "not a number")
-            )
-            continue
-        local_time = to_eastern(announce_at).time()
-        if timing is Timing.BEFORE_OPEN:
-            wrong, rule = local_time >= MARKET_OPEN, "not before 09:30"
-        else:
-            wrong, rule = local_time < MARKET_CLOSE, "not at/after 16:00"
-        if wrong:
-            diags.append(_invariant(
-                path, lineno,
-                f"{ticker}: {timing.value} announcement at {local_time} US/Eastern ({rule})",
-            ))
-            continue
-        excluded = eps_estimated == 0.0
-        event = EarningsEvent(
-            ticker=ticker,
-            announce_at=announce_at,
-            timing=timing,
-            eps_reported=eps_reported,
-            eps_estimated=eps_estimated,
-            excluded=excluded,
-            exclusion_reason="zero estimate" if excluded else "",
+def _event_row(path, lineno, cells):
+    raw_ticker, raw_at, raw_timing, raw_rep, raw_est = cells
+    ticker = raw_ticker.strip()
+    if not TICKER_RE.match(ticker):
+        return _cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}")
+    try:
+        announce_at = parse_rfc3339(raw_at)
+    except ValueError:
+        return _cell_error(path, lineno, "announce_at_utc", f"bad timestamp {raw_at!r}")
+    timing_text = raw_timing.strip()
+    try:
+        timing = Timing(timing_text)
+    except ValueError:
+        return _cell_error(
+            path, lineno, "timing", f"{raw_timing!r} not in {{BeforeOpen, AfterClose}}"
         )
-        accepted.append((lineno, event))
-    return accepted, diags
+    try:
+        eps_reported = float(raw_rep)
+        eps_estimated = float(raw_est)
+    except ValueError:
+        return _cell_error(path, lineno, "eps_reported/eps_estimated", "not a number")
+    if not (math.isfinite(eps_reported) and math.isfinite(eps_estimated)):
+        return _cell_error(path, lineno, "eps_reported/eps_estimated", "not a finite number")
+    local_time = to_eastern(announce_at).time()
+    if timing is Timing.BEFORE_OPEN:
+        wrong, rule = local_time >= MARKET_OPEN, "not before 09:30"
+    else:
+        wrong, rule = local_time < MARKET_CLOSE, "not at/after 16:00"
+    if wrong:
+        return _invariant(
+            path, lineno,
+            f"{ticker}: {timing.value} announcement at {local_time} US/Eastern ({rule})",
+        )
+    excluded = eps_estimated == 0.0
+    return EarningsEvent(
+        ticker=ticker,
+        announce_at=announce_at,
+        timing=timing,
+        eps_reported=eps_reported,
+        eps_estimated=eps_estimated,
+        excluded=excluded,
+        exclusion_reason="zero estimate" if excluded else "",
+    )
+
+
+def parse_events_csv(path: str | Path):
+    """Parse events.csv -> (list[(lineno, EarningsEvent)], list[Diagnostic])."""
+    path = Path(path)
+    lines, events, diags = _row_loop(path, EVENTS_HEADER, _csv_rows(path, EVENTS_HEADER),
+                                     _event_row)
+    return list(zip(lines, events)), diags
 
 
 def load_dataset(
@@ -373,34 +681,25 @@ def load_dataset(
     if not index:
         diags.append(_invariant(Path(index_path), 1, "index file has no usable rows"))
     else:
-        index_dates = {b.date for _, b in index}
-        bar_tickers = {b.ticker for _, b in bars}
-        for lineno, bar in bars:
-            if bar.date not in index_dates:
-                diags.append(
-                    _invariant(
-                        Path(prices_path), lineno,
-                        f"{bar.ticker} bar on {bar.date} has no index bar (non-trading date)",
-                    )
-                )
+        # the accepted index dates are strictly increasing
+        index_days = np.array([b.date for _, b in index], dtype="datetime64[D]")
+        at = np.minimum(np.searchsorted(index_days, bars.bars.day), len(index_days) - 1)
+        for i in np.flatnonzero(index_days[at] != bars.bars.day).tolist():
+            lineno, bar = bars[i]
+            diags.append(_invariant(
+                Path(prices_path), lineno,
+                f"{bar.ticker} bar on {bar.date} has no index bar (non-trading date)",
+            ))
+        bar_tickers = set(bars.bars.present)
         for lineno, ev in events:
             if ev.ticker not in bar_tickers:
-                diags.append(
-                    _invariant(
-                        Path(events_path), lineno,
-                        f"event ticker {ev.ticker} has no price bars",
-                    )
-                )
+                diags.append(_invariant(
+                    Path(events_path), lineno, f"event ticker {ev.ticker} has no price bars"
+                ))
 
-    if diags:
-        kinds = {d.kind for d in diags}
-        summary = f"{len(diags)} problem(s), first: {diags[0]}"
-        if "schema" in kinds:
-            raise SchemaMismatch(summary, diagnostics=diags)
-        raise InvariantViolation(summary, diagnostics=diags)
-
+    raise_for(diags, "problem(s)")
     return Dataset(
-        bars=tuple(sorted((b for _, b in bars), key=lambda b: (b.ticker, b.date))),
+        bars=bars.bars.canonical(),
         index=tuple(b for _, b in index),
         tweets=tweets.buckets.canonical(),
         events=tuple(sorted((e for _, e in events), key=lambda e: e.key())),
@@ -419,9 +718,12 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "prices.csv", out / "index.csv", out / "tweets.csv", out / "events.csv"]
+    bars = ds.bars
     _write_csv(
         paths[0], PRICES_HEADER,
-        ((b.date.isoformat(), b.ticker, repr(b.close), b.volume) for b in ds.bars),
+        zip([d.isoformat() for d in bars.day.tolist()],
+            [bars.tickers[c] for c in bars.code.tolist()],
+            map(repr, bars.close.tolist()), bars.volume.tolist()),
     )
     _write_csv(
         paths[1], INDEX_HEADER,

@@ -2,21 +2,22 @@
 
 All instants are timezone-aware UTC datetimes; naive timestamps are never
 accepted. Calendar dates are exchange-local ``datetime.date`` values. Tweet
-buckets, by far the largest input, are stored as columns (``TweetBuckets``)
-with instants as integer epoch seconds. Daily bars are also held on the
-trading calendar as (ticker x trading day) grids (``PriceGrid``), so the
-event study, the hold returns and the volume report read a bar by calendar
-index rather than by date.
+buckets, by far the largest input, and daily bars are stored as columns
+(``TweetBuckets``, ``DailyBars``), with instants as integer epoch seconds
+and dates as ``datetime64[D]``. Daily bars are also held on the trading
+calendar as (ticker x trading day) grids (``PriceGrid``), so the event
+study, the hold returns and the volume report read a bar by calendar index
+rather than by date.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, timezone
 from functools import cached_property
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +26,14 @@ from .errors import InvariantViolation
 TICKER_RE = re.compile(r"^[A-Z.]{1,6}$")
 
 INDEX_TICKER = "INDEX"
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values: ``np.unique`` without its import of ``numpy.ma``."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def validate_ticker(symbol: str) -> str:
@@ -74,15 +83,53 @@ class TweetBucket:
         return self.n_neg + self.n_neut + self.n_pos
 
 
+class _Columns:
+    """Rows held as columns: a sorted ticker table ``tickers``, then the
+    column fields, the first of them ``code`` (an index into ``tickers``).
+
+    Indexing with an int gives one record (``_record``); indexing with a mask
+    or an index array gives the selected rows. Rows compare by ticker name,
+    so equal rows may carry different ticker tables.
+    """
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)[1:]]
+
+    def canonical(self):
+        """The same rows sorted by (ticker, the column after ``code``)."""
+        code, key = self._columns()[:2]
+        if len(code) < 2 or (
+            (np.diff(code) > 0) | ((code[1:] == code[:-1]) & (key[1:] >= key[:-1]))
+        ).all():
+            return self
+        return self[np.lexsort((key, code))]
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return self._record(i)
+        return type(self)(self.tickers, *(c[i] for c in self._columns()))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        mine, theirs = (
+            [np.array(b.tickers, dtype=object)[b.code], *b._columns()[1:]] for b in (self, other)
+        )
+        return len(self) == len(other) and all(map(np.array_equal, mine, theirs))
+
+    __hash__ = None
+
+
 @dataclass(frozen=True, eq=False)
-class TweetBuckets:
+class TweetBuckets(_Columns):
     """Hourly tweet buckets as columns: one row per (ticker, hour) bucket.
 
-    ``tickers`` holds the sorted ticker names and ``code`` indexes into it,
-    so sorting rows by ``(code, ts)`` is sorting them by ``(ticker,
-    hour_start)``. ``ts`` is the hour start in UTC epoch seconds. All
-    columns are int64. Indexing with an int gives one ``TweetBucket``;
-    indexing with a mask or an index array gives the selected rows.
+    ``ts`` is the hour start in UTC epoch seconds, so sorting rows by
+    ``(code, ts)`` is sorting them by ``(ticker, hour_start)``. All columns
+    are int64.
     """
 
     tickers: tuple[str, ...]
@@ -92,41 +139,42 @@ class TweetBuckets:
     n_neut: np.ndarray
     n_pos: np.ndarray
 
-    def canonical(self) -> "TweetBuckets":
-        """The same rows sorted by (ticker, hour_start)."""
-        return self[np.lexsort((self.ts, self.code))]
-
     @property
     def total(self) -> np.ndarray:
         return self.n_neg + self.n_neut + self.n_pos
 
-    def __len__(self) -> int:
-        return len(self.ts)
-
-    def __getitem__(self, i):
-        if isinstance(i, (int, np.integer)):
-            return TweetBucket(
-                ticker=self.tickers[self.code[i]],
-                hour_start=datetime.fromtimestamp(int(self.ts[i]), timezone.utc),
-                n_neg=int(self.n_neg[i]),
-                n_neut=int(self.n_neut[i]),
-                n_pos=int(self.n_pos[i]),
-            )
-        return TweetBuckets(
-            self.tickers, self.code[i], self.ts[i], self.n_neg[i], self.n_neut[i], self.n_pos[i]
+    def _record(self, i) -> TweetBucket:
+        return TweetBucket(
+            ticker=self.tickers[self.code[i]],
+            hour_start=datetime.fromtimestamp(int(self.ts[i]), timezone.utc),
+            n_neg=int(self.n_neg[i]),
+            n_neut=int(self.n_neut[i]),
+            n_pos=int(self.n_pos[i]),
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TweetBuckets):
-            return NotImplemented
-        # rows compare by ticker name: equal rows may carry different ticker tables
-        mine, theirs = (
-            (np.array(b.tickers, dtype=object)[b.code], b.ts, b.n_neg, b.n_neut, b.n_pos)
-            for b in (self, other)
-        )
-        return len(self) == len(other) and all(map(np.array_equal, mine, theirs))
 
-    __hash__ = None
+@dataclass(frozen=True, eq=False)
+class DailyBars(_Columns):
+    """Daily bars as columns: one row per (ticker, date) bar.
+
+    ``day`` is the date as ``datetime64[D]``, ``close`` float64 and
+    ``volume`` int64.
+    """
+
+    tickers: tuple[str, ...]
+    code: np.ndarray
+    day: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
+
+    @property
+    def present(self) -> tuple[str, ...]:
+        """The tickers that have a row, sorted."""
+        return tuple(self.tickers[c] for c in distinct(self.code).tolist())
+
+    def _record(self, i) -> DailyBar:
+        return DailyBar(self.tickers[self.code[i]], self.day[i].item(),
+                        float(self.close[i]), int(self.volume[i]))
 
 
 @dataclass(frozen=True)
@@ -173,36 +221,35 @@ class PriceGrid:
     index_closes: np.ndarray
 
     @classmethod
-    def from_bars(cls, bars: Iterable[DailyBar], index: Iterable[IndexBar]) -> "PriceGrid":
+    def from_bars(cls, bars: DailyBars, index: Sequence[IndexBar]) -> "PriceGrid":
         """The grid of ``bars`` on the calendar of ``index``.
 
         Raises InvariantViolation for a bar off the calendar, a ticker's bars
         out of date order or repeated, or a close that is not a positive
         number: the grid cannot hold them as the bars say.
         """
-        bars, index = list(bars), list(index)
         dates = tuple(b.date for b in index)
-        column = {d: i for i, d in enumerate(dates)}
-        tickers = tuple(sorted({b.ticker for b in bars}))
-        row = {t: i for i, t in enumerate(tickers)}
-        rows = np.array([row[b.ticker] for b in bars], dtype=np.int64)
-        cols = np.array([column.get(b.date, -1) for b in bars], dtype=np.int64)
-        if (cols < 0).any():
-            bar = bars[int(np.argmax(cols < 0))]
+        days = np.array(dates, dtype="datetime64[D]")
+        present = distinct(bars.code)
+        rows = np.searchsorted(present, bars.code)
+        cols = np.minimum(np.searchsorted(days, bars.day), max(len(days) - 1, 0))
+        off = days[cols] != bars.day if len(days) else np.ones(len(bars), dtype=bool)
+        if off.any():
+            bar = bars[int(np.argmax(off))]
             raise InvariantViolation(f"{bar.ticker} bar on {bar.date} is not a trading date")
         order = np.argsort(rows, kind="stable")
         same_ticker = np.diff(rows[order]) == 0
         if (same_ticker & (np.diff(cols[order]) <= 0)).any():
             raise InvariantViolation("a ticker's bars are out of date order or repeated")
-        closes = np.full((len(tickers), len(dates)), np.nan)
+        closes = np.full((len(present), len(dates)), np.nan)
         volume = np.full(closes.shape, np.nan)
-        closes[rows, cols] = [b.close for b in bars]
-        volume[rows, cols] = [float(b.volume) for b in bars]
+        closes[rows, cols] = bars.close
+        volume[rows, cols] = bars.volume
         index_closes = np.array([b.close for b in index], dtype=np.float64)
-        for values in (closes[rows, cols], index_closes):
+        for values in (bars.close, index_closes):
             if not (np.isfinite(values) & (values > 0)).all():
                 raise InvariantViolation("every close must be a positive number")
-        return cls(dates, tickers, closes, volume, index_closes)
+        return cls(dates, bars.present, closes, volume, index_closes)
 
     @cached_property
     def _rows(self) -> dict[str, int]:
@@ -232,12 +279,12 @@ class PriceGrid:
 class Dataset:
     """Immutable-by-convention container for the four input collections.
 
-    Collections are canonically sorted: tuples of records, except the tweet
-    buckets, which are columns. The price grid is built on first use, so the
-    dataset can be shared freely.
+    Collections are canonically sorted: tuples of records, except the bars
+    and the tweet buckets, which are columns. The price grid is built on
+    first use, so the dataset can be shared freely.
     """
 
-    bars: tuple[DailyBar, ...]
+    bars: DailyBars
     index: tuple[IndexBar, ...]
     tweets: TweetBuckets
     events: tuple[EarningsEvent, ...]
@@ -261,4 +308,4 @@ class Dataset:
     @property
     def tickers(self) -> tuple[str, ...]:
         """The tickers that have bars, sorted: the price grid's rows."""
-        return tuple(sorted({b.ticker for b in self.bars}))
+        return self.bars.present

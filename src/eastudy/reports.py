@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 from datetime import date
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -236,12 +235,15 @@ def surprise_regressions(universe: EventUniverse) -> list[RegressionFit]:
     return fits
 
 
-def _mean_se(values: Sequence[float]) -> tuple[float, float]:
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of float64 values, with exact sums
+    (``math.fsum``). ``np.float_power`` squares each deviation as Python's
+    ``** 2`` does (``np.square`` may differ in the last bit)."""
     n = len(values)
-    mean = math.fsum(values) / n
+    mean = math.fsum(values.tolist()) / n
     if n < 2:
         return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    var = math.fsum(np.float_power(values - mean, 2.0).tolist()) / (n - 1)
     return mean, math.sqrt(var) / math.sqrt(n)
 
 
@@ -298,10 +300,10 @@ def volume_report(
         if not has_day.any():
             return None
         days = days[has_day]
-        tweets = on_day(counts.totals, count_row[has_day], days, 0).astype(np.float64).tolist()
+        tweets = on_day(counts.totals, count_row[has_day], days, 0).astype(np.float64)
         volume = on_day(prices.volume, bar_row[has_day], days, np.nan)
-        volume = volume[~np.isnan(volume)].tolist()
-        mv, sv = _mean_se(volume) if volume else (0.0, 0.0)
+        volume = volume[~np.isnan(volume)]
+        mv, sv = _mean_se(volume) if len(volume) else (0.0, 0.0)
         return (len(tweets), *_mean_se(tweets), mv, sv)
 
     daily_rows = [
@@ -320,7 +322,7 @@ def volume_report(
             if not has_day.any():
                 continue
             profiles = on_day(counts.hourly, count_row[has_day], days[has_day], 0)
-            for h, column in enumerate(profiles.T.astype(np.float64).tolist()):
+            for h, column in enumerate(profiles.T.astype(np.float64)):
                 hourly_rows.append((name, k, h, len(column), *_mean_se(column)))
 
     n_tickers = max(len(tickers), 1)

@@ -21,7 +21,7 @@ import numpy as np
 from .alignment import EASTERN
 from .errors import InvalidSpec
 from .model import (
-    DailyBar,
+    DailyBars,
     Dataset,
     EarningsEvent,
     IndexBar,
@@ -172,7 +172,7 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
         for d in dates
     ]
 
-    bars: list[DailyBar] = []
+    bar_columns: tuple[list, ...] = ([], [], [], [])  # code, calendar index, close, volume
     columns: tuple[list[int], ...] = ([], [], [], [], [])  # code, ts, neg, neut, pos
     events: list[EarningsEvent] = []
     truth: list[PlantedEvent] = []
@@ -236,10 +236,11 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
             level *= 1.0 + r
             levels.append(level)
 
-        for k, d in enumerate(dates):
+        for k in range(spec.n_days):
             base_volume = 1_000_000.0 * (2.0 if k in elevated else 1.0)
             volume = int(rng.integers(int(0.8 * base_volume), int(1.2 * base_volume) + 1))
-            bars.append(DailyBar(ticker=ticker, date=d, close=levels[k], volume=volume))
+            for column, value in zip(bar_columns, (code, k, levels[k], volume)):
+                column.append(value)
 
             rate = spec.tweet_rate * (
                 spec.event_tweet_multiplier if k in elevated else 1.0
@@ -258,8 +259,12 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
                 for column, value in zip(columns, (code, ts, c_neg, c_neut, c_pos)):
                     column.append(value)
 
+    bar_code, bar_day, bar_close, bar_volume = (
+        np.array(c, dtype=t) for c, t in zip(bar_columns, (np.int64, np.int64, np.float64, np.int64))
+    )
     ds = Dataset(
-        bars=tuple(sorted(bars, key=lambda b: (b.ticker, b.date))),
+        bars=DailyBars(tickers, bar_code, np.array(dates, dtype="datetime64[D]")[bar_day],
+                       bar_close, bar_volume).canonical(),
         index=index_bars,
         tweets=TweetBuckets(tickers, *(np.array(c, dtype=np.int64) for c in columns)).canonical(),
         events=tuple(sorted(events, key=lambda e: e.key())),

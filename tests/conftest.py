@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from eastudy.alignment import TradingCalendar
-from eastudy.model import DailyBar, Dataset, EarningsEvent, IndexBar, Timing, TweetBuckets
+from eastudy.model import DailyBar, DailyBars, Dataset, EarningsEvent, IndexBar, Timing, TweetBuckets
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
@@ -109,9 +109,23 @@ def tweet_columns(buckets) -> TweetBuckets:
     ).canonical()
 
 
+def bar_columns(bars) -> DailyBars:
+    """Columns of the given bars, in their order."""
+    bars = list(bars)
+    tickers = tuple(sorted({b.ticker for b in bars}))
+    codes = {t: i for i, t in enumerate(tickers)}
+    return DailyBars(
+        tickers=tickers,
+        code=np.array([codes[b.ticker] for b in bars], dtype=np.int64),
+        day=np.array([b.date for b in bars], dtype="datetime64[D]"),
+        close=np.array([b.close for b in bars], dtype=np.float64),
+        volume=np.array([b.volume for b in bars], dtype=np.int64),
+    )
+
+
 def make_dataset(bars=(), index=(), tweets=(), events=()) -> Dataset:
     return Dataset(
-        bars=tuple(sorted(bars, key=lambda b: (b.ticker, b.date))),
+        bars=bar_columns(bars).canonical(),
         index=tuple(sorted(index, key=lambda b: b.date)),
         tweets=tweet_columns(tweets),
         events=tuple(sorted(events, key=lambda e: e.key())),

@@ -342,7 +342,7 @@ class TestAggregateStudy:
         ds, _ = generate_with_truth(spec)
         gap_date = ds.index[60].date
         ds_gapped = type(ds)(
-            bars=tuple(b for b in ds.bars if b.date != gap_date),
+            bars=ds.bars[ds.bars.day != np.datetime64(gap_date)],
             index=ds.index,
             tweets=ds.tweets,
             events=ds.events,
@@ -361,7 +361,7 @@ class TestAggregateStudy:
         ds, truth = generate_with_truth(spec)
         gap_date = truth[0].day0
         ds_gapped = type(ds)(
-            bars=tuple(b for b in ds.bars if b.date != gap_date),
+            bars=ds.bars[ds.bars.day != np.datetime64(gap_date)],
             index=ds.index,
             tweets=ds.tweets,
             events=ds.events,

@@ -1,13 +1,24 @@
-from datetime import date
+import csv
+import io
+import json
+from contextlib import contextmanager, nullcontext
+from datetime import date, timedelta, timezone
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eastudy import ingest
 from eastudy.alignment import anchor_event
+from eastudy.cli import main
 from eastudy.errors import InvariantViolation, MissingFile, SchemaMismatch
 from eastudy.event_study import StudyConfig, fit_events
 from eastudy.ingest import (
     load_dataset,
+    parse_rfc3339,
     parse_events_csv,
     parse_index_csv,
     parse_prices_csv,
@@ -278,3 +289,340 @@ class TestCoverage:
         assert set(strict) == set(ds.events)
         _, _, relaxed = coverage(ds, StudyConfig(estimation_window_length=50))
         assert not relaxed
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("close", ["inf", "1e999", "-inf", "nan"])
+    def test_close_gets_a_row_numbered_diagnostic(self, tmp_path, close):
+        prices = (
+            "date,ticker,close,volume\n"
+            "2015-06-01,AAA,100.0,1000\n"
+            f"2015-06-02,AAA,{close},1000\n"
+        )
+        accepted, diags = parse_prices_csv(write(tmp_path / "p.csv", prices))
+        assert len(accepted) == 1
+        assert [(d.line, d.kind) for d in diags] == [(3, "invariant")]
+        assert "close must be a positive finite number" in diags[0].message
+        with pytest.raises(InvariantViolation) as exc_info:
+            load_dataset(*fixture_files(tmp_path, prices=prices))
+        assert "prices.csv:3: close must be a positive finite number" in str(exc_info.value)
+
+    @pytest.mark.parametrize("close", ["inf", "1e999"])
+    def test_index_level_gets_a_row_numbered_diagnostic(self, tmp_path, close):
+        index = f"date,close\n2015-06-01,10\n2015-06-02,{close}\n"
+        accepted, diags = parse_index_csv(write(tmp_path / "i.csv", index))
+        assert len(accepted) == 1
+        assert [(d.line, d.kind) for d in diags] == [(3, "invariant")]
+        assert "index level must be a positive finite number" in diags[0].message
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_eps_gets_a_row_numbered_diagnostic(self, tmp_path, eps, column):
+        figures = [eps, "1.0"] if column == 0 else ["1.05", eps]
+        events = (
+            "ticker,announce_at_utc,timing,eps_reported,eps_estimated\n"
+            "BBB,2015-06-08T12:00:00Z,BeforeOpen,0.95,1.0\n"
+            f"AAA,2015-06-02T20:30:00Z,AfterClose,{','.join(figures)}\n"
+        )
+        accepted, diags = parse_events_csv(write(tmp_path / "e.csv", events))
+        assert len(accepted) == 1
+        assert [(d.line, d.kind) for d in diags] == [(3, "schema")]
+        assert diags[0].message == "column eps_reported/eps_estimated: not a finite number"
+        with pytest.raises(SchemaMismatch):
+            load_dataset(*fixture_files(tmp_path, events=events))
+
+
+def test_volume_beyond_the_int64_column_gets_a_diagnostic(tmp_path):
+    prices = f"date,ticker,close,volume\n2015-06-01,AAA,100.0,{2**63}\n"
+    accepted, diags = parse_prices_csv(write(tmp_path / "p.csv", prices))
+    assert not accepted
+    assert [(d.line, d.kind, d.message) for d in diags] == [
+        (2, "invariant", f"volume must be at most {2**63 - 1}")]
+
+
+class TestOneDiagnosticsPath:
+    """``load_dataset`` and ``calendar`` turn diagnostics into the same
+    exception: a schema problem anywhere makes it SchemaMismatch (exit 3),
+    else InvariantViolation (exit 4)."""
+
+    @pytest.mark.parametrize("index, code", [
+        ("date,close\n2015-06-01,10\n2015-06-01,11\nbogus,12\n", 3),
+        ("date,close\n2015-06-01,10\n2015-06-01,11\n", 4),
+    ])
+    def test_calendar_and_load_dataset_agree(self, tmp_path, capsys, index, code):
+        paths = fixture_files(tmp_path, index=index)
+        rc = main(["--out", str(tmp_path / "out"), "calendar", "--index", str(paths[1])])
+        assert rc == code
+        assert "bad index rows, first:" in capsys.readouterr().err
+        with pytest.raises(SchemaMismatch if code == 3 else InvariantViolation):
+            load_dataset(*paths)
+
+
+# --- the fast path and the row loop ------------------------------------------
+
+PARSERS = {"prices": parse_prices_csv, "index": parse_index_csv, "tweets": parse_tweets_csv}
+
+
+@contextmanager
+def row_loop_only():
+    """Every file goes through the row loop, as if the fast path refused it."""
+    with mock.patch.object(ingest, "_fast_bytes", lambda path, header: None):
+        yield
+
+
+@contextmanager
+def counting_row_loop():
+    """Record, by file name, the line numbers of the rows the row loop sees."""
+    seen: dict[str, list[int]] = {}
+    real = ingest._row_loop
+
+    def counted(path, header, numbered, check):
+        lines = seen.setdefault(Path(path).name, [])
+
+        def each():
+            for lineno, cells in numbered:
+                lines.append(lineno)
+                yield lineno, cells
+
+        return real(path, header, each(), check)
+
+    with mock.patch.object(ingest, "_row_loop", counted):
+        yield seen
+
+
+def outcome(name, path):
+    """Accepted (line, record) items and (line, kind, message) diagnostics,
+    or the error raised."""
+    try:
+        accepted, diags = PARSERS[name](path)
+    except (SchemaMismatch, InvariantViolation) as exc:
+        return type(exc).__name__, str(exc)
+    return [accepted[i] for i in range(len(accepted))], [(d.line, d.kind, d.message)
+                                                         for d in diags]
+
+
+def _cell(column, edit):
+    """Rewrite one cell of data row i (physical line i + 1)."""
+    def mutate(text, i):
+        lines = text.split("\n")
+        cells = lines[i].split(",")
+        if column < len(cells):
+            cells[column] = edit(cells[column])
+        lines[i] = ",".join(cells)
+        return "\n".join(lines), {i + 1}
+    return mutate
+
+
+def _dropped_comma(text, i):
+    lines = text.split("\n")
+    lines[i] = lines[i].replace(",", "", 1)
+    return "\n".join(lines), {i + 1}
+
+
+def _offset_duplicate(text, i):
+    """Repeat row i after it, its stamp in the offset form of the same hour."""
+    lines = text.split("\n")
+    cells = lines[i].split(",")
+    eastern = timezone(timedelta(hours=-4))
+    cells[0] = parse_rfc3339(cells[0]).astimezone(eastern).isoformat()
+    lines.insert(i + 1, ",".join(cells))
+    return "\n".join(lines), {i + 2}
+
+
+def _whole(edit):
+    """A mutation that sends the whole file to the row loop."""
+    return lambda text, i: (edit(text, i), None)
+
+
+def _blank_line(text, i):
+    lines = text.split("\n")
+    lines.insert(i, "")
+    return "\n".join(lines)
+
+
+WHOLE_FILE = {
+    "CRLF": _whole(lambda text, i: text.replace("\n", "\r\n")),
+    "quote": _whole(lambda text, i: _cell(1, lambda c: f'"{c}"')(text, i)[0]),
+    "BOM": _whole(lambda text, i: "\ufeff" + text),
+    "blank line": _whole(_blank_line),
+    "no final newline": _whole(lambda text, i: text[:-1]),
+}
+# mutations that send just the rows they touch to the row loop
+ROW_MUTATIONS = {
+    "tweets": {
+        "dropped comma": _dropped_comma,
+        "part-hour": _cell(0, lambda c: c[:14] + "30:00Z"),
+        "2016-02-30": _cell(0, lambda c: "2016-02-30" + c[10:]),
+        "offset-form duplicate": _offset_duplicate,
+        "+3": _cell(2, lambda c: "+3"),
+        " 3": _cell(3, lambda c: " 3"),
+        "arabic-indic 3": _cell(4, lambda c: "٣"),
+        "1_000": _cell(2, lambda c: "1_000"),
+        "2**31": _cell(3, lambda c: str(2**31)),
+        "lower-case ticker": _cell(1, str.lower),
+        "lower-case z": _cell(0, lambda c: c[:-1] + "z"),
+    },
+    "prices": {
+        "dropped comma": _dropped_comma,
+        "inf close": _cell(2, lambda c: "inf"),
+        "1e999 close": _cell(2, lambda c: "1e999"),
+        "zero close": _cell(2, lambda c: "0.0"),
+        "exponent close": _cell(2, lambda c: "1.5e2"),
+        "2016-02-30": _cell(0, lambda c: "2016-02-30"),
+        "+3 volume": _cell(3, lambda c: "+3"),
+        "1_000 volume": _cell(3, lambda c: "1_000"),
+        "2**63 volume": _cell(3, lambda c: str(2**63)),
+        "spaced ticker": _cell(1, lambda c: f" {c}"),
+    },
+    "index": {
+        "dropped comma": _dropped_comma,
+        "inf close": _cell(1, lambda c: "inf"),
+        "2016-02-30": _cell(0, lambda c: "2016-02-30"),
+        "trailing dot": _cell(1, lambda c: c.split(".")[0] + "."),
+    },
+}
+
+
+def _repeat_row(text, i):
+    lines = text.split("\n")
+    lines.insert(i + 1, lines[i])
+    return "\n".join(lines), {i + 2}
+
+
+def _swap_rows(text, i):
+    lines = text.split("\n")
+    j = i + 1 if i + 1 < len(lines) - 1 else i - 1
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines), {i + 1, j + 1}
+
+
+# rows the fast path reads, whose order the checks across rows decide
+ACROSS_ROWS = {name: {"repeated row": _repeat_row, "swapped rows": _swap_rows}
+               for name in PARSERS}
+
+
+@pytest.fixture(scope="module")
+def base_files(tmp_path_factory):
+    """The texts of a small synthetic dataset, by file name."""
+    root = tmp_path_factory.mktemp("base")
+    write_dataset(generate(SynthSpec(seed=5, n_tickers=2, n_days=30, events_per_ticker=1,
+                                     first_event_day=20)), root)
+    return {name: (root / f"{name}.csv").read_text(encoding="utf-8") for name in PARSERS}
+
+
+def data_rows(text):
+    return text.count("\n") - 1
+
+
+mutations = st.sampled_from(sorted(PARSERS)).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.lists(st.tuples(st.sampled_from(sorted({**WHOLE_FILE, **ROW_MUTATIONS[name],
+                                               **ACROSS_ROWS[name]}.items())),
+                       st.floats(0, 1, exclude_max=True)),
+             min_size=1, max_size=3),
+))
+
+
+def mutate(text, edits):
+    """Apply (mutation, row fraction) edits: row edits from the last row up,
+    so that an inserted line does not move the rows still to be edited, then
+    the whole-file ones."""
+    rows = data_rows(text)
+    targets = sorted(((name in WHOLE_FILE, -int(where * rows), fn)
+                      for (name, fn), where in edits), key=lambda t: t[:2])
+    for _, i, fn in targets:
+        text = fn(text, 1 - i)[0]
+    return text
+
+
+class TestFastPathMatchesRowLoop:
+    @settings(max_examples=120)
+    @given(mutations)
+    def test_same_rows_values_and_diagnostics(self, base_files, tmp_path_factory, drawn):
+        name, edits = drawn
+        path = tmp_path_factory.mktemp("m") / f"{name}.csv"
+        path.write_bytes(mutate(base_files[name], edits).encode("utf-8"))
+        fast = outcome(name, path)
+        with row_loop_only():
+            assert outcome(name, path) == fast
+
+    @settings(max_examples=60)
+    @given(mutations)
+    def test_every_row_accepted_or_diagnosed_once(self, base_files, tmp_path_factory, drawn):
+        name, edits = drawn
+        text = mutate(base_files[name], edits)
+        path = tmp_path_factory.mktemp("m") / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        n_rows = len(list(csv.reader(io.StringIO(text, newline="")))) - 1
+        for context in (nullcontext(), row_loop_only()):
+            with context:
+                got = outcome(name, path)
+            if isinstance(got[0], str):  # a header the parsers refuse
+                assert got[0] == "SchemaMismatch" and text.startswith("\ufeff")
+                continue
+            accepted, diags = got
+            lines = [n for n, _ in accepted] + [n for n, _, _ in diags]
+            assert sorted(lines) == list(range(2, 2 + n_rows))
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_row_loop_sees_exactly_the_mutated_rows(self, base_files, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(PARSERS)))
+        kind, fn = data.draw(st.sampled_from(sorted({**WHOLE_FILE, **ROW_MUTATIONS[name]}.items())))
+        text = base_files[name]
+        text, touched = fn(text, data.draw(st.integers(1, data_rows(text))))
+        path = tmp_path_factory.mktemp("m") / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with counting_row_loop() as seen:
+            got = outcome(name, path)
+        if touched is None:  # the whole file, when it has a header to read
+            n_rows = len(list(csv.reader(io.StringIO(text, newline="")))) - 1
+            expected = [] if kind == "BOM" else list(range(2, 2 + n_rows))
+        else:
+            expected = sorted(touched)
+        assert seen.get(path.name, []) == expected, (kind, got)
+
+    def test_row_loop_sees_no_row_of_synth_output(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 11, "n_tickers": 6, "n_days": 300,
+                                    "events_per_ticker": 4, "first_event_day": 135,
+                                    "event_spacing": 35}))
+        assert main(["--out", str(tmp_path / "d"), "synth", "--spec", str(spec)]) == 0
+        paths = [tmp_path / "d" / f"{n}.csv" for n in ("prices", "index", "tweets", "events")]
+        with counting_row_loop() as seen:
+            ds = load_dataset(*paths)
+        assert len(ds.tweets) > 10_000 and len(ds.bars) == 1800
+        # the events file has no fast path: all of its 24 rows take the row loop
+        assert {name: len(lines) for name, lines in seen.items()} == {
+            "prices.csv": 0, "index.csv": 0, "tweets.csv": 0, "events.csv": 24}
+
+    @settings(max_examples=40)
+    @given(st.lists(st.one_of(
+        st.from_regex(r"[1-9][0-9]{0,15}\.[0-9]{1,15}", fullmatch=True),
+        st.from_regex(r"0\.[0-9]{1,30}", fullmatch=True),
+        st.from_regex(r"[1-9][0-9]{0,31}", fullmatch=True),
+        st.floats(min_value=1e-4, max_value=1e15).map(repr).filter(lambda r: "e" not in r),
+    ), min_size=1, max_size=40))
+    def test_closes_read_as_float_reads_them(self, tmp_path_factory, closes):
+        days = business_days(date(2015, 6, 1), len(closes))
+        path = tmp_path_factory.mktemp("c") / "prices.csv"
+        path.write_text("date,ticker,close,volume\n" + "".join(
+            f"{d.isoformat()},AAA,{c},1\n" for d, c in zip(days, closes)))
+        with counting_row_loop() as seen:
+            accepted, diags = parse_prices_csv(path)
+        assert seen.get("prices.csv", []) == [n for n, c in enumerate(closes, 2)
+                                               if float(c) == 0]
+        got = {n: bar.close for n, bar in (accepted[i] for i in range(len(accepted)))}
+        for n, c in enumerate(closes, 2):
+            if float(c) > 0:
+                assert np.float64(got[n]).tobytes() == np.float64(float(c)).tobytes()
+
+
+class TestWriteThenLoad:
+    @settings(max_examples=10)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(30, 80))
+    def test_is_the_identity(self, tmp_path_factory, seed, n_tickers, n_days):
+        ds = generate(SynthSpec(seed=seed, n_tickers=n_tickers, n_days=n_days,
+                                events_per_ticker=1, first_event_day=20))
+        paths = write_dataset(ds, tmp_path_factory.mktemp("w"))
+        assert load_dataset(*paths) == ds

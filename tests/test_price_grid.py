@@ -34,6 +34,7 @@ from eastudy.trading import EventHolds, hold_returns
 
 from conftest import (
     as_dict,
+    bar_columns,
     bars_of,
     close_prices,
     eastern,
@@ -245,7 +246,7 @@ class TestGridRefusesWhatItCannotHold:
         cal = make_calendar(date(2015, 6, 1), cal_days)
         index = [IndexBar(d, 1000.0 + i) for i, d in enumerate(cal.dates[:index_days])]
         ev = make_event("AAA", eastern(2015, 6, 2, 17, 0), Timing.AFTER_CLOSE)
-        ds = Dataset(bars=tuple(bars), index=tuple(index), tweets=tweet_columns(()),
+        ds = Dataset(bars=bar_columns(bars), index=tuple(index), tweets=tweet_columns(()),
                      events=(ev,))
         return fit_events([anchor_event(ev, cal)], ds, StudyConfig(estimation_window_length=3))
 

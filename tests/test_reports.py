@@ -1,13 +1,15 @@
+import math
 from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eastudy.alignment import TradingCalendar
 from eastudy.model import Dataset, Timing
 from eastudy.reports import (
     STRATA,
+    _mean_se,
     all_thresholds,
     build_universe,
     label_stratum,
@@ -183,3 +185,24 @@ class TestEventTable:
                            tweets=ds.tweets[rng.permutation(len(ds.tweets))],
                            events=tuple(ds.events[i] for i in rng.permutation(len(ds.events))))
         assert outcomes(permuted) == outcomes(ds)
+
+
+def ref_mean_se(values: list[float]) -> tuple[float, float]:
+    """The per-value form the report used before: a generator of ``** 2``."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    if n < 2:
+        return mean, 0.0
+    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    return mean, math.sqrt(var) / math.sqrt(n)
+
+
+class TestMeanSe:
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.integers(0, 10**6).map(float),
+                              st.floats(0, 1e12, allow_nan=False)), min_size=1, max_size=60))
+    # squared with np.square (d * d), one deviation differs from ** 2 in the last bit
+    @example([669.6191446813955, 639.0144482013467, 16.406066729352187])
+    def test_equals_the_per_value_form_bit_for_bit(self, values):
+        got = _mean_se(np.array(values, dtype=np.float64))
+        assert np.array(got).tobytes() == np.array(ref_mean_se(values)).tobytes()
