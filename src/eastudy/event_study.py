@@ -17,10 +17,11 @@ class's means run ``math.fsum`` over the rows in canonical order.
 Returns are read by calendar index, not by date (``AlignedReturns``): the
 estimation window is a slice of the days on which both the stock's and the
 index's return exist, and the abnormal returns are one gather over day 0
-plus the window's offsets. ``fit_events`` takes the returns from the
-dataset's price grid; ``fit_market_model`` and ``abnormal_returns`` take
-them as date mappings and run the same two kernels, ``fit_aligned`` and
-``abnormal_returns_aligned``.
+plus the window's offsets. One kernel fits a ticker's events together
+(``fit_rows``, then ``abnormal_rows``), as (event x window) blocks with the
+arithmetic of one event's fit. ``fit_events`` runs it once per ticker of the
+dataset's price grid; ``fit_market_model`` and ``abnormal_returns`` run it on
+one row of returns given as date mappings.
 """
 
 from __future__ import annotations
@@ -129,69 +130,66 @@ class AlignedReturns:
         return np.cumsum(self.valid)
 
 
-def fit_aligned(
-    returns: AlignedReturns,
-    anchor: EventAnchor,
-    cfg: StudyConfig = StudyConfig(),
-) -> MarketModelFit:
-    """OLS fit of stock on index returns over the pre-event estimation window.
+def fit_rows(
+    returns: AlignedReturns, day0: np.ndarray, cfg: StudyConfig, ticker: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
+    """OLS fits of stock on index returns for one ticker's events by their
+    day-0 calendar index: alpha, beta and sigma2 per row (NaN where the row
+    is not fitted) and the error of each row that is not.
 
     The window is the last ``estimation_window_length`` trading days on
     which both returns exist, ending the day before the event window opens
     (relative day -2 for the default window). Solved in closed form on
-    centered data; no iterative solver.
-    """
-    end = anchor.day0_index + cfg.event_window[0] - 1
-    if end >= len(returns.valid):
-        raise OutOfCalendarRange(f"calendar index {end} out of range")
-    length = cfg.estimation_window_length
-    n_before = int(returns.valid_through[end]) if end >= 0 else 0
-    if n_before < length:
-        raise InsufficientHistory(
-            f"{anchor.event.ticker}: {n_before} paired returns before the "
-            f"event window, need {length}"
-        )
-    window = returns.valid_days[n_before - length:n_before]
-    x = returns.index[window]
-    y = returns.stock[window]
-    x_mean, y_mean = x.mean(), y.mean()
-    xc = x - x_mean
-    sxx = float(xc @ xc)
-    if sxx == 0.0:
-        raise DegenerateRegressor("index returns are constant over the window")
-    beta = float(xc @ (y - y_mean)) / sxx
-    alpha = float(y_mean - beta * x_mean)
-    resid = y - (alpha + beta * x)
-    sigma2 = float(resid @ resid) / (length - 2)
-    return MarketModelFit(alpha=alpha, beta=beta, sigma2_eps=sigma2, n_obs=length)
+    centered (row x window) blocks: row means and stacked dots run the
+    pairwise sums and BLAS dots of one row's 1-D fit."""
+    length, n_days = cfg.estimation_window_length, len(returns.valid)
+    end = day0 + cfg.event_window[0] - 1
+    past = end >= n_days
+    n_before = np.where(past | (end < 0), 0, returns.valid_through[np.clip(end, 0, n_days - 1)])
+    rows = np.flatnonzero(n_before >= length)
+    window = returns.valid_days[n_before[rows, None] - length + np.arange(length)]
+    x, y = returns.index[window], returns.stock[window]
+    x_mean, y_mean = x.mean(axis=1), y.mean(axis=1)
+    xc = x - x_mean[:, None]
+    sxx = _dots(xc, xc)
+    beta = _dots(xc, y - y_mean[:, None]) / np.where(sxx == 0.0, np.nan, sxx)
+    alpha = y_mean - beta * x_mean
+    resid = y - (alpha[:, None] + beta[:, None] * x)
+    fits = np.full((3, len(day0)), np.nan)
+    fits[:, rows] = alpha, beta, _dots(resid, resid) / (length - 2)
+    errors = {i: OutOfCalendarRange(f"calendar index {end[i]} out of range") if past[i]
+              else InsufficientHistory(f"{ticker}: {n_before[i]} paired returns before the "
+                                       f"event window, need {length}")
+              for i in np.flatnonzero(n_before < length).tolist()}
+    errors.update((i, DegenerateRegressor("index returns are constant over the window"))
+                  for i in rows[sxx == 0.0].tolist())
+    return *fits, errors
 
 
-def abnormal_returns_aligned(
-    fit: MarketModelFit,
-    anchor: EventAnchor,
-    returns: AlignedReturns,
-    cfg: StudyConfig = StudyConfig(),
-) -> tuple[float, ...]:
-    """AR_tau = actual return minus market-model expectation, over the window.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    MissingBar names the first day of the window that is past the calendar's
-    end or lacks a return.
-    """
-    days = anchor.day0_index + np.array(cfg.taus)
+
+def abnormal_rows(
+    alpha: np.ndarray, beta: np.ndarray, returns: AlignedReturns, day0: np.ndarray,
+    cfg: StudyConfig, ticker: str, dates: Sequence[date],
+) -> tuple[np.ndarray, dict[int, Exception]]:
+    """AR_tau = actual return minus market-model expectation over the event
+    window, per row, and a MissingBar naming the first day of each row's
+    window that is past the calendar's end or lacks a return."""
+    days = day0[:, None] + np.array(cfg.taus)
     inside = (days >= 0) & (days < len(returns.valid))
-    served = inside.copy()
-    served[inside] = returns.valid[days[inside]]
-    if not served.all():
-        j = int(np.argmin(served))
-        if not inside[j]:
-            raise MissingBar(
-                f"{anchor.event.ticker}: calendar ends before relative day {cfg.taus[j]}"
-            )
-        raise MissingBar(
-            f"{anchor.event.ticker}: no return on {anchor.calendar.dates[days[j]]}"
-        )
-    ars = returns.stock[days] - (fit.alpha + fit.beta * returns.index[days])
-    return tuple(ars.tolist())
+    at = np.where(inside, days, 0)
+    served = inside & returns.valid[at]
+    ars = returns.stock[at] - (alpha[:, None] + beta[:, None] * returns.index[at])
+    errors = {}
+    for i in np.flatnonzero(~served.all(axis=1)).tolist():
+        j = int(np.argmin(served[i]))
+        errors[i] = MissingBar(
+            f"{ticker}: no return on {dates[days[i, j]]}" if inside[i, j]
+            else f"{ticker}: calendar ends before relative day {cfg.taus[j]}")
+    return ars, errors
 
 
 def fit_market_model(
@@ -200,9 +198,12 @@ def fit_market_model(
     anchor: EventAnchor,
     cfg: StudyConfig = StudyConfig(),
 ) -> MarketModelFit:
-    """``fit_aligned`` on returns keyed by date."""
+    """One row of ``fit_rows``, on returns keyed by date."""
     returns = AlignedReturns.from_mappings(stock_returns, index_returns, anchor.calendar)
-    return fit_aligned(returns, anchor, cfg)
+    *fit, errors = fit_rows(returns, np.array([anchor.day0_index]), cfg, anchor.event.ticker)
+    if errors:
+        raise errors[0]
+    return MarketModelFit(*(float(v[0]) for v in fit), cfg.estimation_window_length)
 
 
 def abnormal_returns(
@@ -212,9 +213,14 @@ def abnormal_returns(
     index_returns: Mapping[date, float],
     cfg: StudyConfig = StudyConfig(),
 ) -> tuple[float, ...]:
-    """``abnormal_returns_aligned`` on returns keyed by date."""
+    """One row of ``abnormal_rows``, on returns keyed by date."""
     returns = AlignedReturns.from_mappings(stock_returns, index_returns, anchor.calendar)
-    return abnormal_returns_aligned(fit, anchor, returns, cfg)
+    ars, errors = abnormal_rows(np.array([fit.alpha]), np.array([fit.beta]), returns,
+                                np.array([anchor.day0_index]), cfg, anchor.event.ticker,
+                                anchor.calendar.dates)
+    if errors:
+        raise errors[0]
+    return tuple(ars[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -287,8 +293,16 @@ class LabeledEvent:
     polarity: EventPolarity
 
 
+class MeasuredRows:
+    """Per-event rows with ``skips``: "" where the event was measured."""
+
+    @cached_property
+    def ok(self) -> np.ndarray:
+        return np.array([why == "" for why in self.skips], dtype=bool)
+
+
 @dataclass(frozen=True, eq=False)
-class EventFits:
+class EventFits(MeasuredRows):
     """Market-model results, row i for the i-th anchor given to ``fit_events``.
 
     ``skips[i]`` is "" where the event was fitted, why it was skipped, or
@@ -305,7 +319,7 @@ def fit_events(
     ds: Dataset,
     cfg: StudyConfig = StudyConfig(),
 ) -> EventFits:
-    """Fit the market model and measure abnormal returns, event by event.
+    """Fit the market model and measure abnormal returns, one block per ticker.
 
     An anchor of None is not fitted. The anchors are on the calendar the
     dataset's index implies; returns are read from the dataset's price
@@ -315,28 +329,31 @@ def fit_events(
     ars = np.full((len(anchors), len(cfg.taus)), np.nan)
     sigma2 = np.full(len(anchors), np.nan)
     skips = [None if a is None else "" for a in anchors]
-    aligned: dict[str, AlignedReturns] = {}
-    prices = None
-    for i, anchor in enumerate(anchors):
-        if anchor is None:
-            continue
-        if prices is None:
-            prices = ds.prices(anchor.calendar.dates)
-        ticker = anchor.event.ticker
-        if ticker not in aligned:
-            row = prices.row(ticker)
-            if row < 0 or np.count_nonzero(~np.isnan(prices.closes[row])) < 2:
+    asked = np.array([i for i, a in enumerate(anchors) if a is not None], dtype=np.int64)
+    if not len(asked):
+        return EventFits(ars, sigma2, tuple(skips))
+    items = [anchors[i] for i in asked.tolist()]
+    prices = ds.prices(items[0].calendar.dates)
+    day0 = np.array([a.day0_index for a in items], dtype=np.int64)
+    rows = np.array([prices.row(a.event.ticker) for a in items], dtype=np.int64)
+    n_closes = np.count_nonzero(~np.isnan(prices.closes), axis=1)
+    index, index_ok = prices.index_returns, ~np.isnan(prices.index_returns)
+    order = np.argsort(rows, kind="stable")
+    for block in np.split(order, np.flatnonzero(np.diff(rows[order])) + 1):
+        row, at = int(rows[block[0]]), asked[block]
+        if row < 0 or n_closes[row] < 2:
+            for i in at.tolist():
                 skips[i] = "no price history"
-                continue
-            stock, index = prices.returns[row], prices.index_returns
-            aligned[ticker] = AlignedReturns(stock, index, ~np.isnan(stock) & ~np.isnan(index))
-        try:
-            fit = fit_aligned(aligned[ticker], anchor, cfg)
-            ars[i] = abnormal_returns_aligned(fit, anchor, aligned[ticker], cfg)
-        except (InsufficientHistory, MissingBar, DegenerateRegressor, OutOfCalendarRange) as exc:
-            skips[i] = f"{type(exc).__name__}: {exc}"
             continue
-        sigma2[i] = fit.sigma2_eps
+        stock, ticker = prices.returns[row], prices.tickers[row]
+        returns = AlignedReturns(stock, index, ~np.isnan(stock) & index_ok)
+        alpha, beta, sigma2[at], fit_errors = fit_rows(returns, day0[block], cfg, ticker)
+        ars[at], errors = abnormal_rows(alpha, beta, returns, day0[block], cfg, ticker,
+                                        prices.dates)
+        errors.update(fit_errors)  # a fit's reason comes before a missing bar
+        ars[at[list(errors)]] = sigma2[at[list(errors)]] = np.nan
+        for j, exc in errors.items():
+            skips[at[j]] = f"{type(exc).__name__}: {exc}"
     return EventFits(ars, sigma2, tuple(skips))
 
 
@@ -353,15 +370,15 @@ def labeled_columns(
 
 
 def class_rows(
-    skips: Sequence[str | None],
+    measured: MeasuredRows,
     events: Sequence[EarningsEvent],
     in_stratum: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[dict[EventPolarity, np.ndarray], list[tuple[EarningsEvent, str]]]:
     """The rows of each polarity class among a stratum's measured events,
-    and the stratum's skipped events, both in row order. ``skips`` come
+    and the stratum's skipped events, both in row order. ``measured`` comes
     from one per-event pass over rows aligned to ``events``."""
-    ok = np.array([why == "" for why in skips], dtype=bool)
+    skips, ok = measured.skips, measured.ok
     skipped = [(events[i], skips[i]) for i in np.flatnonzero(in_stratum & ~ok).tolist()]
     if any(why is None for _, why in skipped):
         raise ValueError("the per-event rows do not cover every event of the stratum")
@@ -383,7 +400,7 @@ def study_classes(
 ) -> EventStudyResult:
     """Aggregate one stratum's abnormal returns per polarity class, from
     ``fit_events``' rows under the same ``cfg`` (see ``class_rows``)."""
-    classes, skipped = class_rows(fits.skips, events, in_stratum, labels)
+    classes, skipped = class_rows(fits, events, in_stratum, labels)
     critical = cfg.critical_value
     return EventStudyResult(
         taus=cfg.taus,

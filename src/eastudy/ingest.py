@@ -18,9 +18,10 @@ and a close written as digits with at most one inner ``.``, positive. Every
 other line goes through the row loop, the per-row parser with every check
 and its diagnostic text, one line at a time; so do whole files that hold a
 CR, a quote, a blank line, a BOM, another header or malformed UTF-8, or
-that do not end in a newline. The checks that compare rows (a duplicate tweet bucket, a bar
-out of date order) then run once over the accepted rows of both paths, in
-line order, keeping the first occurrence. So both paths accept the same
+that do not end in a newline; a row with a byte that is not UTF-8 gets a
+schema diagnostic. The checks that compare rows (a duplicate tweet bucket, a
+bar out of date order) then run once over the accepted rows of both paths,
+in line order, keeping the first occurrence. So both paths accept the same
 rows with the same values and give the same diagnostics in the same order.
 
 A close or an index level must be a positive finite number, and an EPS
@@ -130,7 +131,7 @@ def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     raise on a missing file or a bad header."""
     if not path.exists():
         raise MissingFile(str(path))
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader)
@@ -150,13 +151,16 @@ Check = Callable[[Path, int, list], "tuple | Diagnostic"]
 
 
 def _row_loop(path: Path, header: list[str], numbered: Iterable, check: Check):
-    """Check each (lineno, cells) row: a row of another width than the header
-    gets a diagnostic, any other gets ``check``, which returns the row's
-    values or its diagnostic. Returns (lines, values, diagnostics)."""
+    """Check each (lineno, cells) row: a row with a byte that is not UTF-8 (a
+    lone surrogate) or of the wrong width gets a diagnostic, any other gets
+    ``check``, which returns its values or its diagnostic. Returns (lines, values, diagnostics)."""
     lines: list[int] = []
     values: list[tuple] = []
     diags: list[Diagnostic] = []
     for lineno, cells in numbered:
+        if not (text := "".join(cells)).isascii() and any("\udc80" <= c <= "\udcff" for c in text):
+            diags.append(Diagnostic(str(path), lineno, "schema", "bytes that are not UTF-8"))
+            continue
         if len(cells) != len(header):
             diags.append(Diagnostic(
                 str(path), lineno, "schema", f"expected {len(header)} cells, got {len(cells)}"

@@ -236,14 +236,23 @@ def surprise_regressions(universe: EventUniverse) -> list[RegressionFit]:
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of float64 values, with exact sums
-    (``math.fsum``). ``np.float_power`` squares each deviation as Python's
-    ``** 2`` does (``np.square`` may differ in the last bit)."""
+    """Mean and standard error of float64 or int64 values: ``math.fsum``'s
+    exact sums, with squares as Python's ``** 2`` (``np.float_power``). Counts
+    (int64, fewer than 2**27) sum as integers and square per distinct value,
+    split into exact 26-bit halves (Veltkamp) that times a count stay exact."""
     n = len(values)
-    mean = math.fsum(values.tolist()) / n
+    counts = values.dtype.kind == "i" and n < 2**27
+    mean = (float(int(values.sum())) if counts else math.fsum(values.tolist())) / n
     if n < 2:
         return mean, 0.0
-    var = math.fsum(np.float_power(values - mean, 2.0).tolist()) / (n - 1)
+    if counts:
+        distinct, times = np.unique(values, return_counts=True)
+        square = np.float_power(distinct - mean, 2.0)
+        high = (split := square * (2**27 + 1)) - (split - square)
+        terms = np.concatenate((times * high, times * (square - high)))
+    else:
+        terms = np.float_power(values - mean, 2.0)
+    var = math.fsum(terms.tolist()) / (n - 1)
     return mean, math.sqrt(var) / math.sqrt(n)
 
 
@@ -300,7 +309,7 @@ def volume_report(
         if not has_day.any():
             return None
         days = days[has_day]
-        tweets = on_day(counts.totals, count_row[has_day], days, 0).astype(np.float64)
+        tweets = on_day(counts.totals, count_row[has_day], days, 0)
         volume = on_day(prices.volume, bar_row[has_day], days, np.nan)
         volume = volume[~np.isnan(volume)]
         mv, sv = _mean_se(volume) if len(volume) else (0.0, 0.0)
@@ -322,7 +331,7 @@ def volume_report(
             if not has_day.any():
                 continue
             profiles = on_day(counts.hourly, count_row[has_day], days[has_day], 0)
-            for h, column in enumerate(profiles.T.astype(np.float64)):
+            for h, column in enumerate(profiles.T):
                 hourly_rows.append((name, k, h, len(column), *_mean_se(column)))
 
     n_tickers = max(len(tickers), 1)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .alignment import EventAnchor
 from .errors import MissingBar, OutOfCalendarRange
-from .event_study import LabeledEvent, class_rows, labeled_columns
+from .event_study import LabeledEvent, MeasuredRows, class_rows, labeled_columns
 from .model import Dataset, EarningsEvent, Timing
 from .reports import EventTable, build_universe
 from .returns import check_hold, hold_from_day_m1
@@ -51,7 +51,7 @@ class TradeReturnCurves:
 
 
 @dataclass(frozen=True, eq=False)
-class EventHolds:
+class EventHolds(MeasuredRows):
     """RT_d, d = 0..max_d, row i for the i-th anchor given to ``hold_returns``.
 
     ``skips[i]`` is "" where the event was measured, why it was skipped, or
@@ -106,7 +106,7 @@ def curve_classes(
 ) -> TradeReturnCurves:
     """Class means of one stratum's RT_d, for the stock and for the index:
     plain sums over the rows of ``class_rows``, in row order."""
-    classes, skipped = class_rows(held.skips, events, in_stratum, labels)
+    classes, skipped = class_rows(held, events, in_stratum, labels)
     curves = {}
     for pol, rows in classes.items():
         n = len(rows)

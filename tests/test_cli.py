@@ -9,6 +9,7 @@ import pytest
 from eastudy import event_study, reports, trading
 from eastudy.alignment import EventAnchor, TradingCalendar
 from eastudy.cli import build_parser, main
+from eastudy.errors import SchemaMismatch
 from eastudy.ingest import load_dataset, write_dataset
 from eastudy.reports import build_universe
 from eastudy.synth import SynthSpec, generate
@@ -282,6 +283,39 @@ class TestTweetsOutsideCalendar:
                 assert (clean / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes()
 
 
+class TestBytesThatAreNotUtf8:
+    """A line with a byte that is not UTF-8 gets one row-numbered schema
+    diagnostic, the rest of its file is still checked, and the run exits 3."""
+
+    BAD = {
+        "prices.csv": b"2015-06-01,SY\xffA,1.0,1\n",
+        "index.csv": b"2015-06-0\xff,1000.0\n",
+        "tweets.csv": b"2015-06-01T15:00:00Z,SY\xffA,1,1,1\n",
+        "events.csv": b"SY\xffA,2015-06-01T21:00:00Z,AfterClose,1.0,1.0\n",
+    }
+
+    @pytest.mark.parametrize("name", list(BAD))
+    def test_one_schema_diagnostic_then_the_rest_of_the_file(self, name, data_dir, tmp_path,
+                                                             capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for other in self.BAD:
+            (data / other).write_bytes((data_dir / other).read_bytes())
+        text = (data / name).read_bytes()
+        n_lines = text.count(b"\n")
+        (data / name).write_bytes(text + self.BAD[name] + b"x\n")  # then a short line
+        assert main(["--out", str(tmp_path / "out"), "ingest", *data_flags(data)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        with pytest.raises(SchemaMismatch) as raised:
+            load_dataset(*(data / f"{n}.csv" for n in ("prices", "index", "tweets", "events")))
+        width = len(next(csv.reader([text.decode().splitlines()[0]])))
+        assert [(d.path, d.line, d.kind, d.message) for d in raised.value.diagnostics] == [
+            (str(data / name), n_lines + 1, "schema", "bytes that are not UTF-8"),
+            (str(data / name), n_lines + 2, "schema", f"expected {width} cells, got 1"),
+        ]
+
+
 class TestIngestCoverage:
     def test_excluded_count_follows_the_study_settings(self, data_dir, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "ingest", *data_flags(data_dir)]) == 0
@@ -378,18 +412,22 @@ class TestOneRowIndex:
 
 class TestEachEventMeasuredOnce:
     def test_pipeline_fits_each_universe_event_once(self, data_dir, tmp_path, monkeypatch):
-        fitted = []
-        fit = event_study.fit_aligned
-
-        def counting_fit(returns, anchor, *args):
-            fitted.append(anchor.event.key())
-            return fit(returns, anchor, *args)
-
-        monkeypatch.setattr(event_study, "fit_aligned", counting_fit)
-        assert main(["--out", str(tmp_path / "out"), "pipeline", *data_flags(data_dir)]) == 0
         ds = load_dataset(*(data_dir / f"{name}.csv" for name in
                             ("prices", "index", "tweets", "events")))
         universe = build_universe(ds)
+        table = universe.table
+        # an event's key by its (ticker, day 0), which the kernel's rows carry
+        key_of = {(ev.ticker, d): ev.key() for ev, d in zip(table.events, table.day0.tolist())}
+        assert len(key_of) == len(table.events)
+        fitted = []
+        fit = event_study.fit_rows
+
+        def counting_fit(returns, day0, cfg, ticker):
+            fitted.extend(key_of[ticker, d] for d in day0.tolist())
+            return fit(returns, day0, cfg, ticker)
+
+        monkeypatch.setattr(event_study, "fit_rows", counting_fit)
+        assert main(["--out", str(tmp_path / "out"), "pipeline", *data_flags(data_dir)]) == 0
         assert sorted(fitted) == sorted(ev.key() for ev in universe.events)
 
 

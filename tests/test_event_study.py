@@ -4,10 +4,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eastudy.alignment import anchor_event
-from eastudy.errors import DegenerateRegressor, EmptyClass, InsufficientHistory, MissingBar
+from eastudy.errors import (
+    DegenerateRegressor,
+    EmptyClass,
+    InsufficientHistory,
+    MissingBar,
+    OutOfCalendarRange,
+)
 from eastudy.event_study import (
+    AlignedReturns,
+    EventFits,
+    MarketModelFit,
     StudyConfig,
     abnormal_returns,
     aggregate_study,
@@ -17,13 +27,13 @@ from eastudy.event_study import (
     summarize_car,
     z_critical,
 )
-from eastudy.model import Timing
+from eastudy.model import DailyBar, Timing
 from eastudy.reports import build_universe, label_stratum, stratum_labels
 from eastudy.sentiment import EventPolarity
 from eastudy.synth import SynthSpec, generate_with_truth
 from eastudy.trading import curve_classes, hold_returns, trade_return_curves
 
-from conftest import eastern, make_calendar, make_event
+from conftest import eastern, index_from_closes, make_calendar, make_dataset, make_event
 
 
 def ols_oracle(xs, ys):
@@ -428,3 +438,130 @@ class TestSharedPerEventRows:
                           StudyConfig())
         with pytest.raises(ValueError):
             curve_classes(hold_returns(others, ds), table.events, in_stratum, labels)
+
+
+# --- the batched fit against the per-event loop it replaced -----------------
+
+
+def ref_fit_aligned(returns, anchor, cfg):
+    """One event's fit, as one 1-D closed-form OLS over its window."""
+    end = anchor.day0_index + cfg.event_window[0] - 1
+    if end >= len(returns.valid):
+        raise OutOfCalendarRange(f"calendar index {end} out of range")
+    length = cfg.estimation_window_length
+    n_before = int(returns.valid_through[end]) if end >= 0 else 0
+    if n_before < length:
+        raise InsufficientHistory(
+            f"{anchor.event.ticker}: {n_before} paired returns before the "
+            f"event window, need {length}"
+        )
+    window = returns.valid_days[n_before - length:n_before]
+    x = returns.index[window]
+    y = returns.stock[window]
+    x_mean, y_mean = x.mean(), y.mean()
+    xc = x - x_mean
+    sxx = float(xc @ xc)
+    if sxx == 0.0:
+        raise DegenerateRegressor("index returns are constant over the window")
+    beta = float(xc @ (y - y_mean)) / sxx
+    alpha = float(y_mean - beta * x_mean)
+    resid = y - (alpha + beta * x)
+    sigma2 = float(resid @ resid) / (length - 2)
+    return MarketModelFit(alpha=alpha, beta=beta, sigma2_eps=sigma2, n_obs=length)
+
+
+def ref_abnormal_returns_aligned(fit, anchor, returns, cfg):
+    """One event's abnormal returns, or MissingBar naming the first day
+    past the calendar's end or without a return."""
+    days = anchor.day0_index + np.array(cfg.taus)
+    inside = (days >= 0) & (days < len(returns.valid))
+    served = inside.copy()
+    served[inside] = returns.valid[days[inside]]
+    if not served.all():
+        j = int(np.argmin(served))
+        if not inside[j]:
+            raise MissingBar(
+                f"{anchor.event.ticker}: calendar ends before relative day {cfg.taus[j]}"
+            )
+        raise MissingBar(
+            f"{anchor.event.ticker}: no return on {anchor.calendar.dates[days[j]]}"
+        )
+    ars = returns.stock[days] - (fit.alpha + fit.beta * returns.index[days])
+    return tuple(ars.tolist())
+
+
+def ref_fit_events(anchors, ds, cfg):
+    """The market model fitted and measured event by event."""
+    ars = np.full((len(anchors), len(cfg.taus)), np.nan)
+    sigma2 = np.full(len(anchors), np.nan)
+    skips = [None if a is None else "" for a in anchors]
+    aligned = {}
+    for i, anchor in enumerate(anchors):
+        if anchor is None:
+            continue
+        prices = ds.prices(anchor.calendar.dates)
+        ticker = anchor.event.ticker
+        if ticker not in aligned:
+            row = prices.row(ticker)
+            if row < 0 or np.count_nonzero(~np.isnan(prices.closes[row])) < 2:
+                skips[i] = "no price history"
+                continue
+            stock, index = prices.returns[row], prices.index_returns
+            aligned[ticker] = AlignedReturns(stock, index, ~np.isnan(stock) & ~np.isnan(index))
+        try:
+            fit = ref_fit_aligned(aligned[ticker], anchor, cfg)
+            ars[i] = ref_abnormal_returns_aligned(fit, anchor, aligned[ticker], cfg)
+        except (InsufficientHistory, MissingBar, DegenerateRegressor, OutOfCalendarRange) as exc:
+            skips[i] = f"{type(exc).__name__}: {exc}"
+            continue
+        sigma2[i] = fit.sigma2_eps
+    return EventFits(ars, sigma2, tuple(skips))
+
+
+@st.composite
+def fit_scenarios(draw):
+    """Windows of 3 to 300 days (NumPy sums in pairwise blocks of 128), bars
+    missing in estimation and event windows, an index flat up to a random
+    day, events near both ends of the calendar, and tickers with one close
+    (ONE) or none (NOB)."""
+    length = draw(st.integers(3, 300))
+    w0 = draw(st.integers(-1, 4))
+    cfg = StudyConfig(event_window=(w0, w0 + draw(st.integers(0, 12))),
+                      estimation_window_length=length)
+    missing = draw(st.sampled_from([0.0, 0.01, 0.1]))  # the share of absent bars
+    n_days = int(length * (1 + 3 * missing)) + draw(st.integers(20, 50))
+    cal = make_calendar(date(2015, 1, 5), n_days)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = 1000.0 * np.cumprod(1 + rng.normal(0, 0.01, n_days))
+    # the index return is 0.0 up to this day
+    levels[:draw(st.sampled_from([0, n_days // 2, n_days]))] = levels[0]
+    bars = [DailyBar("ONE", cal.dates[0], 10.0, 100)]
+    for ticker in ("AAA", "BBB"):
+        closes = 50.0 * np.cumprod(1 + rng.normal(0, 0.02, n_days))
+        present = rng.random(n_days) >= missing
+        bars += [DailyBar(ticker, d, c, 100) for d, c, p in
+                 zip(cal.dates, closes.tolist(), present.tolist()) if p]
+    day0s = st.one_of(st.integers(1, n_days - 1), st.integers(n_days - 20, n_days - 1))
+    events = [
+        make_event(ticker, eastern(*_ymd(cal.dates[day0 - 1]), 17, 0), Timing.AFTER_CLOSE)
+        for ticker, day0 in draw(st.lists(
+            st.tuples(st.sampled_from(("AAA", "BBB") * 3 + ("ONE", "NOB")), day0s),
+            min_size=1, max_size=12, unique=True))
+    ]
+    ds = make_dataset(bars=bars, index=index_from_closes(cal.dates, levels.tolist()),
+                      events=events)
+    # an event left out (None) is not fitted
+    anchors = [anchor_event(ev, cal) if draw(st.integers(0, 5)) != 3 else None
+               for ev in ds.events]
+    return ds, anchors, cfg
+
+
+class TestBatchedFitMatchesThePerEventLoop:
+    @settings(max_examples=150)
+    @given(fit_scenarios())
+    def test_bit_for_bit(self, scenario):
+        ds, anchors, cfg = scenario
+        got, want = fit_events(anchors, ds, cfg), ref_fit_events(anchors, ds, cfg)
+        assert got.ars.tobytes() == want.ars.tobytes()
+        assert got.sigma2.tobytes() == want.sigma2.tobytes()
+        assert got.skips == want.skips

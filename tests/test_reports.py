@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eastudy.alignment import TradingCalendar
+from eastudy.ingest import MAX_COUNT
 from eastudy.model import Dataset, Timing
 from eastudy.reports import (
     STRATA,
@@ -206,3 +207,32 @@ class TestMeanSe:
     def test_equals_the_per_value_form_bit_for_bit(self, values):
         got = _mean_se(np.array(values, dtype=np.float64))
         assert np.array(got).tobytes() == np.array(ref_mean_se(values)).tobytes()
+
+
+class TestMeanSeOfCounts:
+    """Counts (int64) are summed as integers and grouped by value; both
+    moments equal the per-value form on the same values as floats."""
+
+    @staticmethod
+    def assert_same(values: np.ndarray):
+        got = _mean_se(values)
+        want = ref_mean_se(values.astype(np.float64).tolist())
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.integers(0, 30), st.integers(0, MAX_COUNT)),
+                    min_size=1, max_size=80))
+    @example([7])  # n = 1
+    @example([12] * 9)  # constant
+    @example([MAX_COUNT] * 3)
+    @example([0, MAX_COUNT, MAX_COUNT])
+    def test_equals_the_per_value_form_bit_for_bit(self, values):
+        self.assert_same(np.array(values, dtype=np.int64))
+
+    @settings(max_examples=5)
+    @given(st.integers(0, MAX_COUNT), st.integers(2**20 + 1, 2**20 + 64),
+           st.lists(st.integers(0, MAX_COUNT), max_size=20), st.integers(0, 2**32 - 1))
+    def test_a_value_repeated_over_2_to_the_20_times(self, value, times, others, seed):
+        values = np.concatenate((np.full(times, value), others)).astype(np.int64)
+        np.random.default_rng(seed).shuffle(values)
+        self.assert_same(values)
