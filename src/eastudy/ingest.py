@@ -710,11 +710,17 @@ def load_dataset(
     )
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_lines(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """The header row, then the lines as given, as one string. No field of an
+    input file needs CSV quoting: tickers match ``TICKER_RE``, and the rest
+    are canonical dates and stamps, timing names and numbers."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n" + "".join(lines))
+
+
+def _lookup(table: list[str], keys: np.ndarray) -> list[str]:
+    """``table[k]`` for each ``k`` of ``keys``."""
+    return np.array(table, dtype=object)[keys].tolist()
 
 
 def write_dataset(ds: Dataset, out_dir: str | Path) -> list[Path]:
@@ -722,45 +728,25 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "prices.csv", out / "index.csv", out / "tweets.csv", out / "events.csv"]
-    bars = ds.bars
-    _write_csv(
-        paths[0], PRICES_HEADER,
-        zip([d.isoformat() for d in bars.day.tolist()],
-            [bars.tickers[c] for c in bars.code.tolist()],
-            map(repr, bars.close.tolist()), bars.volume.tolist()),
-    )
-    _write_csv(
-        paths[1], INDEX_HEADER,
-        ((b.date.isoformat(), repr(b.close)) for b in ds.index),
-    )
-    tw = ds.tweets
-    stamps = {
-        t: format_rfc3339(datetime.fromtimestamp(t, timezone.utc))
-        for t in np.unique(tw.ts).tolist()
-    }
-    _write_csv(
-        paths[2], TWEETS_HEADER,
-        (
-            (stamps[t], tw.tickers[c], neg, neut, pos)
-            for c, t, neg, neut, pos in zip(
-                tw.code.tolist(), tw.ts.tolist(),
-                tw.n_neg.tolist(), tw.n_neut.tolist(), tw.n_pos.tolist(),
-            )
-        ),
-    )
-    _write_csv(
-        paths[3], EVENTS_HEADER,
-        (
-            (
-                e.ticker,
-                format_rfc3339(e.announce_at),
-                e.timing.value,
-                repr(e.eps_reported),
-                repr(e.eps_estimated),
-            )
-            for e in ds.events
-        ),
-    )
+    bars, tw = ds.bars, ds.tweets
+    days, hours = distinct(bars.day), distinct(tw.ts)
+    _write_lines(paths[0], PRICES_HEADER, map(
+        "{},{},{!r},{}\n".format,
+        _lookup([d.isoformat() for d in days.tolist()], np.searchsorted(days, bars.day)),
+        _lookup(list(bars.tickers), bars.code), bars.close.tolist(), bars.volume.tolist(),
+    ))
+    _write_lines(paths[1], INDEX_HEADER, (f"{b.date.isoformat()},{b.close!r}\n" for b in ds.index))
+    stamps = [format_rfc3339(datetime.fromtimestamp(t, timezone.utc)) for t in hours.tolist()]
+    _write_lines(paths[2], TWEETS_HEADER, map(
+        "{},{},{},{},{}\n".format,
+        _lookup(stamps, np.searchsorted(hours, tw.ts)), _lookup(list(tw.tickers), tw.code),
+        tw.n_neg.tolist(), tw.n_neut.tolist(), tw.n_pos.tolist(),
+    ))
+    _write_lines(paths[3], EVENTS_HEADER, (
+        f"{e.ticker},{format_rfc3339(e.announce_at)},{e.timing.value},"
+        f"{e.eps_reported!r},{e.eps_estimated!r}\n"
+        for e in ds.events
+    ))
     return paths
 
 
@@ -798,7 +784,10 @@ class OutputDir:
         return path
 
     def write_csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-        _write_csv(self._add(name), header, ([_fmt(v) for v in row] for row in rows))
+        with open(self._add(name), "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
 
     def write_json(self, name: str, payload: dict) -> None:
         with open(self._add(name), "w", encoding="utf-8") as fh:

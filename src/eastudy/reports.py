@@ -237,23 +237,40 @@ def surprise_regressions(universe: EventUniverse) -> list[RegressionFit]:
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of float64 or int64 values: ``math.fsum``'s
-    exact sums, with squares as Python's ``** 2`` (``np.float_power``). Counts
-    (int64, fewer than 2**27) sum as integers and square per distinct value,
-    split into exact 26-bit halves (Veltkamp) that times a count stay exact."""
+    exact sums, with squares as Python's ``** 2`` (``np.float_power``).
+    Counts (int64, fewer than 2**27) go through ``_count_moments``."""
     n = len(values)
-    counts = values.dtype.kind == "i" and n < 2**27
-    mean = (float(int(values.sum())) if counts else math.fsum(values.tolist())) / n
+    if values.dtype.kind == "i" and n < 2**27:
+        return _count_moments(values[:, None])[0]
+    mean = math.fsum(values.tolist()) / n
     if n < 2:
         return mean, 0.0
-    if counts:
-        distinct, times = np.unique(values, return_counts=True)
-        square = np.float_power(distinct - mean, 2.0)
-        high = (split := square * (2**27 + 1)) - (split - square)
-        terms = np.concatenate((times * high, times * (square - high)))
-    else:
-        terms = np.float_power(values - mean, 2.0)
-    var = math.fsum(terms.tolist()) / (n - 1)
+    var = math.fsum(np.float_power(values - mean, 2.0).tolist()) / (n - 1)
     return mean, math.sqrt(var) / math.sqrt(n)
+
+
+def _count_moments(block: np.ndarray) -> list[tuple[float, float]]:
+    """``_mean_se`` of each column of an int64 block of counts with fewer than
+    2**27 rows. Each column sums as integers and squares per distinct value,
+    read from the runs of the column sorted; each square is split into exact
+    26-bit halves (Veltkamp) that times a run length stay exact."""
+    n = len(block)
+    ordered = np.sort(block.T, axis=1)  # one row per column, ascending
+    means = ordered.sum(axis=1) / n
+    if n < 2:
+        return [(mean, 0.0) for mean in means.tolist()]
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    starts = np.flatnonzero(first)  # run starts, column by column
+    times = np.diff(np.append(starts, ordered.size))
+    square = np.float_power(ordered.ravel()[starts] - means[starts // n], 2.0)
+    high = (split := square * (2**27 + 1)) - (split - square)
+    terms = np.stack((times * high, times * (square - high)), axis=1).ravel().tolist()
+    bounds = 2 * np.searchsorted(starts, np.arange(len(ordered) + 1) * n)
+    return [
+        (mean, math.sqrt(math.fsum(terms[a:b]) / (n - 1)) / math.sqrt(n))
+        for mean, a, b in zip(means.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
 
 
 @dataclass
@@ -331,8 +348,8 @@ def volume_report(
             if not has_day.any():
                 continue
             profiles = on_day(counts.hourly, count_row[has_day], days[has_day], 0)
-            for h, column in enumerate(profiles.T):
-                hourly_rows.append((name, k, h, len(column), *_mean_se(column)))
+            for h, moments in enumerate(_count_moments(profiles)):
+                hourly_rows.append((name, k, h, len(profiles), *moments))
 
     n_tickers = max(len(tickers), 1)
     total_tweets = int(counts.totals.sum())

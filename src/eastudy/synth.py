@@ -11,7 +11,9 @@ planted jump sign, so the full pipeline can recover the planted classes.
 
 from __future__ import annotations
 
+import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from datetime import date, datetime, time, timedelta
 from zoneinfo import ZoneInfo
@@ -38,13 +40,14 @@ UTC = ZoneInfo("UTC")
 # run-up. All of them map to d under close-delimited aggregation.
 _EVENING_HOURS = (17, 20)
 _DAYTIME_HOURS = (7, 9, 11, 13, 15)
-_SLOT_WEIGHTS = (0.15, 0.10, 0.10, 0.20, 0.15, 0.15, 0.15)
+# Probabilities are float64 arrays: ``multinomial`` takes them without a per-call conversion.
+_SLOT_WEIGHTS = np.array((0.15, 0.10, 0.10, 0.20, 0.15, 0.15, 0.15))
 
-_BASE_MIX = (0.15, 0.70, 0.15)  # (neg, neut, pos) on ordinary days
+_BASE_MIX = np.array((0.15, 0.70, 0.15))  # (neg, neut, pos) on ordinary days
 _DAY0_MIX = {
-    EventPolarity.NEGATIVE: (0.60, 0.30, 0.10),
+    EventPolarity.NEGATIVE: np.array((0.60, 0.30, 0.10)),
     EventPolarity.NEUTRAL: _BASE_MIX,
-    EventPolarity.POSITIVE: (0.10, 0.30, 0.60),
+    EventPolarity.POSITIVE: np.array((0.10, 0.30, 0.60)),
 }
 _CLASS_ES = {
     EventPolarity.NEGATIVE: -0.05,
@@ -96,6 +99,10 @@ class PlantedEvent:
     jump: float
 
 
+# US/Eastern has kept whole-hour UTC offsets since noon on 1883-11-18
+_FIRST_START = date(1883, 11, 19)
+_MAX_TICKERS = 26 + 26**2 + 26**3 + 26**4  # the distinct names _ticker_name gives
+
 # the value types a spec field of each default type accepts
 _FIELD_TYPES = {int: numbers.Integral, float: numbers.Real, date: date}
 
@@ -105,14 +112,22 @@ def _validate(spec: SynthSpec) -> None:
         value, kind = getattr(spec, f.name), type(f.default)
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
             raise InvalidSpec(f"{f.name} must be {kind.__name__}, not {value!r}")
-    if spec.n_tickers < 1 or spec.n_days < 2:
-        raise InvalidSpec("need at least one ticker and two trading days")
+        if kind is float and not abs(value) <= sys.float_info.max:
+            raise InvalidSpec(f"{f.name} must be finite, not {value!r}")
+    if not 1 <= spec.n_tickers <= _MAX_TICKERS or spec.n_days < 2 or spec.seed < 0:
+        raise InvalidSpec(f"need a non-negative seed, 1 to {_MAX_TICKERS} tickers and two trading days")
+    # n weekdays span fewer than 2n + 9 days
+    if spec.start < _FIRST_START or (date.max - spec.start).days < 2 * spec.n_days + 9:
+        raise InvalidSpec(f"the generated calendar must lie between {_FIRST_START} and {date.max}")
     if min(spec.index_vol, spec.idio_vol, spec.tweet_rate, spec.es_noise) < 0:
         raise InvalidSpec("volatilities and rates must be non-negative")
     if not 0 <= spec.afterclose_fraction <= 1:
         raise InvalidSpec("afterclose_fraction must be in [0, 1]")
     if spec.event_tweet_multiplier < 0:
         raise InvalidSpec("event_tweet_multiplier must be non-negative")
+    # a day's Poisson total then stays far below ingest's MAX_COUNT
+    if spec.tweet_rate * max(spec.event_tweet_multiplier, 1.0) > 1e9:
+        raise InvalidSpec("tweet_rate * max(event_tweet_multiplier, 1) must be at most 1e9")
     if spec.events_per_ticker < 0 or spec.event_spacing < 1:
         raise InvalidSpec("invalid event layout")
     if spec.events_per_ticker:
@@ -125,19 +140,13 @@ def _validate(spec: SynthSpec) -> None:
             raise InvalidSpec("events do not fit inside the generated calendar")
 
 
-def _trading_dates(start: date, n: int) -> list[date]:
-    """n consecutive weekdays starting at the first weekday >= start."""
-    dates = []
-    d = start
-    while len(dates) < n:
-        if d.weekday() < 5:
-            dates.append(d)
-        d += timedelta(days=1)
-    return dates
+def _trading_dates(start: date, n: int) -> np.ndarray:
+    """n consecutive weekdays starting at the first weekday >= start, as datetime64[D]."""
+    return np.busday_offset(np.busday_offset(start, 0, roll="forward"), np.arange(n))
 
 
 def _ticker_name(i: int) -> str:
-    # SYNA, SYNB, ... SYNZ, SZAA, ...
+    # SYA, ..., SYZ, SYAA, ..., SYZZZZ; from _MAX_TICKERS on, the names repeat
     letters = []
     j = i
     while True:
@@ -154,119 +163,104 @@ def _eastern_epoch(day: date, hour: int) -> int:
 
 
 def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, ...]]:
-    """Generate a dataset plus the planted per-event ground truth."""
+    """Generate a dataset plus the planted per-event ground truth.
+
+    The only per-ticker-day Python is the generator calls, in the documented
+    order; prices, volumes and tweet rows are assembled from arrays. A
+    sequential ``cumprod`` of ``1 + r`` multiplies in the order a running
+    product would, so the closes are bit-identical to it.
+    """
     _validate(spec)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    dates = _trading_dates(spec.start, spec.n_days)
+    n_days = spec.n_days
+    days = _trading_dates(spec.start, n_days)
+    dates = days.tolist()
 
-    index_returns = rng.normal(0.0, spec.index_vol, size=spec.n_days - 1)
-    index_levels = [1000.0]
-    for r in index_returns:
-        index_levels.append(index_levels[-1] * (1.0 + float(r)))
-    index_bars = tuple(IndexBar(date=d, close=lv) for d, lv in zip(dates, index_levels))
+    index_returns = rng.normal(0.0, spec.index_vol, size=n_days - 1)
+    index_levels = np.cumprod(np.concatenate(([1000.0], 1.0 + index_returns)))
 
     # UTC epoch seconds of each date's tweet slots, shared by every ticker
-    slot_ts = [
+    slot_ts = np.array([
         [_eastern_epoch(d - timedelta(days=1), h) for h in _EVENING_HOURS]
         + [_eastern_epoch(d, h) for h in _DAYTIME_HOURS]
         for d in dates
-    ]
-
-    bar_columns: tuple[list, ...] = ([], [], [], [])  # code, calendar index, close, volume
-    columns: tuple[list[int], ...] = ([], [], [], [], [])  # code, ts, neg, neut, pos
-    events: list[EarningsEvent] = []
-    truth: list[PlantedEvent] = []
-    event_counter = 0
+    ], dtype=np.int64)
 
     tickers = tuple(sorted(_ticker_name(ti) for ti in range(spec.n_tickers)))
+    closes = np.empty((len(tickers), n_days))  # rows by ticker code
+    volumes = np.empty(closes.shape, dtype=np.int64)
+    tweets: list = [None] * len(tickers)  # per code: (code, ts, neg, neut, pos) columns
+    events: list[EarningsEvent] = []
+    truth: list[PlantedEvent] = []
+
     for ti in range(spec.n_tickers):
         ticker = _ticker_name(ti)
         code = tickers.index(ticker)
-        noise = rng.normal(0.0, spec.idio_vol, size=spec.n_days - 1)
+        noise = rng.normal(0.0, spec.idio_vol, size=n_days - 1)
 
-        day0_by_idx: dict[int, EventPolarity] = {}
-        elevated: set[int] = set()
-        for j in range(spec.events_per_ticker):
-            day0_idx = spec.first_event_day + j * spec.event_spacing + min(ti, 6)
-            polarity = _CLASS_CYCLE[event_counter % 3]
-            event_counter += 1
+        day0s = [spec.first_event_day + j * spec.event_spacing + min(ti, 6)
+                 for j in range(spec.events_per_ticker)]
+        mixes = [_BASE_MIX] * n_days
+        for day0_idx in day0s:
+            polarity = _CLASS_CYCLE[len(truth) % 3]
             after_close = rng.random() < spec.afterclose_fraction
             es = _CLASS_ES[polarity] + float(rng.normal(0.0, spec.es_noise))
-            if after_close:
-                announce_local = datetime.combine(
-                    dates[day0_idx - 1], time(16, 30), tzinfo=EASTERN
-                )
-                timing = Timing.AFTER_CLOSE
-            else:
-                announce_local = datetime.combine(
-                    dates[day0_idx], time(8, 0), tzinfo=EASTERN
-                )
-                timing = Timing.BEFORE_OPEN
-            announce_at = announce_local.astimezone(UTC)
-            events.append(
-                EarningsEvent(
-                    ticker=ticker,
-                    announce_at=announce_at,
-                    timing=timing,
-                    eps_reported=spec.eps_estimated * (1.0 + es),
-                    eps_estimated=spec.eps_estimated,
-                )
-            )
-            truth.append(
-                PlantedEvent(
-                    ticker=ticker,
-                    day0=dates[day0_idx],
-                    polarity=polarity,
-                    timing=timing,
-                    announce_at=announce_at,
-                    jump=spec.jump_for(polarity),
-                )
-            )
-            day0_by_idx[day0_idx] = polarity
-            elevated.update(
-                k for k in (day0_idx - 1, day0_idx, day0_idx + 1) if 0 <= k < spec.n_days
-            )
+            # AfterClose: 16:30 on the trading date before day 0; BeforeOpen: 08:00 on day 0
+            timing, local = ((Timing.AFTER_CLOSE, (dates[day0_idx - 1], time(16, 30))) if after_close
+                             else (Timing.BEFORE_OPEN, (dates[day0_idx], time(8, 0))))
+            announce_at = datetime.combine(*local, tzinfo=EASTERN).astimezone(UTC)
+            events.append(EarningsEvent(ticker, announce_at, timing,
+                                        spec.eps_estimated * (1.0 + es), spec.eps_estimated))
+            truth.append(PlantedEvent(ticker, dates[day0_idx], polarity, timing, announce_at,
+                                      spec.jump_for(polarity)))
+            mixes[day0_idx] = _DAY0_MIX[polarity]
+        day0 = np.array(day0s, dtype=np.int64)
 
-        level = 50.0 + 10.0 * ti
-        levels = [level]
-        for k in range(1, spec.n_days):
-            r = spec.alpha + spec.beta * float(index_returns[k - 1]) + float(noise[k - 1])
-            if k in day0_by_idx:
-                r += spec.jump_for(day0_by_idx[k])
-            level *= 1.0 + r
-            levels.append(level)
+        # r[k - 1] is day k's return; the jump lands on day 0
+        r = spec.alpha + spec.beta * index_returns + noise
+        r[day0 - 1] += [float(t.jump) for t in truth[len(truth) - len(day0s):]]
+        closes[code] = np.cumprod(np.concatenate(([50.0 + 10.0 * ti], 1.0 + r)))
 
-        for k in range(spec.n_days):
-            base_volume = 1_000_000.0 * (2.0 if k in elevated else 1.0)
-            volume = int(rng.integers(int(0.8 * base_volume), int(1.2 * base_volume) + 1))
-            for column, value in zip(bar_columns, (code, k, levels[k], volume)):
-                column.append(value)
+        elevated = np.isin(np.arange(n_days), day0[:, None] + np.arange(-1, 2))  # days -1..+1
+        base_volume = 1_000_000.0 * np.where(elevated, 2.0, 1.0)
+        lows = (0.8 * base_volume).astype(np.int64).tolist()
+        highs = ((1.2 * base_volume).astype(np.int64) + 1).tolist()
+        rates = (spec.tweet_rate * np.where(elevated, spec.event_tweet_multiplier, 1.0)).tolist()
 
-            rate = spec.tweet_rate * (
-                spec.event_tweet_multiplier if k in elevated else 1.0
-            )
-            total = int(rng.poisson(rate)) if rate > 0 else 0
-            if total == 0:
-                continue
-            mix = _DAY0_MIX[day0_by_idx[k]] if k in day0_by_idx else _BASE_MIX
-            n_neg, n_neut, n_pos = (int(c) for c in rng.multinomial(total, mix))
-            # drawn in label order: neg, neut, pos
-            slot_counts = [rng.multinomial(n, _SLOT_WEIGHTS) for n in (n_neg, n_neut, n_pos)]
-            for s, ts in enumerate(slot_ts[k]):
-                c_neg, c_neut, c_pos = (int(counts[s]) for counts in slot_counts)
-                if c_neg + c_neut + c_pos == 0:
-                    continue
-                for column, value in zip(columns, (code, ts, c_neg, c_neut, c_pos)):
-                    column.append(value)
+        volume, drawn, draws = [], [], []
+        for k, low, high, rate, mix in zip(range(n_days), lows, highs, rates, mixes):
+            volume.append(rng.integers(low, high))
+            if rate > 0 and (total := rng.poisson(rate)):
+                drawn.append(k)
+                # drawn in label order: neg, neut, pos
+                draws += [rng.multinomial(n, _SLOT_WEIGHTS) for n in rng.multinomial(total, mix)]
+        volumes[code] = volume
 
-    bar_code, bar_day, bar_close, bar_volume = (
-        np.array(c, dtype=t) for c, t in zip(bar_columns, (np.int64, np.int64, np.float64, np.int64))
-    )
+        # (day, slot) rows of (neg, neut, pos) counts; rows without a tweet are left out
+        block = np.array(draws, dtype=np.int64).reshape(len(drawn), 3, len(_SLOT_WEIGHTS))
+        rows = block.transpose(0, 2, 1).reshape(-1, 3)
+        keep = rows.any(axis=1)
+        tweets[code] = (np.full(np.count_nonzero(keep), code), slot_ts[drawn].ravel()[keep],
+                        *rows[keep].T)
+
+    levels = np.vstack((index_levels, closes))
+    bad = ~(np.isfinite(levels) & (levels > 0))
+    if bad.any():
+        row, k = divmod(int(np.argmax(bad)), n_days)
+        what = f"{tickers[row - 1]} close" if row else "index level"
+        raise InvalidSpec(f"the spec drives the {what} on {dates[k]} to {float(levels[row, k])!r}; "
+                          "every close and index level must be a positive finite number")
+    for e in events:
+        if not math.isfinite(e.eps_reported):
+            raise InvalidSpec(f"the spec drives {e.ticker}'s reported EPS on "
+                              f"{e.announce_at:%Y-%m-%d} to {e.eps_reported!r}; it must be finite")
+
     ds = Dataset(
-        bars=DailyBars(tickers, bar_code, np.array(dates, dtype="datetime64[D]")[bar_day],
-                       bar_close, bar_volume).canonical(),
-        index=index_bars,
-        tweets=TweetBuckets(tickers, *(np.array(c, dtype=np.int64) for c in columns)).canonical(),
+        bars=DailyBars(tickers, np.repeat(np.arange(len(tickers)), n_days),
+                       np.tile(days, len(tickers)),
+                       closes.ravel(), volumes.ravel()),
+        index=tuple(IndexBar(date=d, close=lv) for d, lv in zip(dates, index_levels.tolist())),
+        tweets=TweetBuckets(tickers, *map(np.concatenate, zip(*tweets))),
         events=tuple(sorted(events, key=lambda e: e.key())),
     )
     return ds, tuple(truth)

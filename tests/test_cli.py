@@ -84,6 +84,33 @@ class TestSynthCommand:
         assert rc == 5
 
 
+class TestSynthSpecRules:
+    """A spec whose dataset ingest would refuse, or that the generator cannot
+    draw, exits 5 with one error line and leaves no output."""
+
+    @pytest.mark.parametrize("spec", [
+        '{"tweet_rate": Infinity}', '{"tweet_rate": 1e30}', '{"index_vol": NaN}',
+        '{"alpha": Infinity}', '{"jump_negative": -1.5}', '{"idio_vol": 5.0}',
+        '{"es_noise": NaN}', '{"event_tweet_multiplier": NaN}', '{"es_noise": 1e308}',
+        '{"seed": -1}', '{"start": "9999-12-01"}',
+    ])
+    def test_exit_5_with_one_error_line(self, spec, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(spec)
+        out = tmp_path / "d"
+        assert main(["--out", str(out), "synth", "--spec", str(spec_file)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_rate_at_the_bound_is_ingested(self, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"n_tickers": 1, "n_days": 3, "events_per_ticker": 0,
+                                         "tweet_rate": 1e9, "event_tweet_multiplier": 1.0}))
+        assert main(["--out", str(tmp_path / "d"), "synth", "--spec", str(spec_file)]) == 0
+        assert main(["--out", str(tmp_path / "r"), "ingest", *data_flags(tmp_path / "d")]) == 0
+
+
 class TestSingleCommands:
     def test_ingest_summary(self, data_dir, tmp_path, capsys):
         rc = main(["--out", str(tmp_path), "ingest", *data_flags(data_dir)])
