@@ -8,21 +8,23 @@ diagnostics), while the ``parse_*`` functions expose the collect-all
 behavior directly.
 
 The prices, index and tweets files are read by a fast path first: the file
-is one NumPy byte array, cut into blocks of ``BLOCK_LINES`` lines, and each
-block's cells are found from its newline and comma offsets and checked by
-byte class. A fast-path line has exactly the header's width, a canonical
-``YYYY-MM-DD`` date or ``YYYY-MM-DDTHH:00:00Z`` stamp that exists on the
-calendar (``2016-02-30`` does not), a ticker of 1 to 6 bytes of
-``[A-Z.]``, counts and volumes that are plain runs of ASCII digits in range,
-and a close written as digits with at most one inner ``.``, positive. Every
-other line goes through the row loop, the per-row parser with every check
-and its diagnostic text, one line at a time; so do whole files that hold a
-CR, a quote, a blank line, a BOM, another header or malformed UTF-8, or
-that do not end in a newline; a row with a byte that is not UTF-8 gets a
-schema diagnostic. The checks that compare rows (a duplicate tweet bucket, a
-bar out of date order) then run once over the accepted rows of both paths,
-in line order, keeping the first occurrence. So both paths accept the same
-rows with the same values and give the same diagnostics in the same order.
+is read ``BLOCK_BYTES`` at a time into blocks of whole lines, each block's
+cells are found from its newline and comma offsets and checked by byte
+class, and the accepted rows go into columns sized from the file's length.
+A fast-path line has exactly the header's width, a canonical ``YYYY-MM-DD``
+date or ``YYYY-MM-DDTHH:00:00Z`` stamp that exists on the calendar
+(``2016-02-30`` does not), a ticker of 1 to 6 bytes of ``[A-Z.]``, counts
+and volumes that are plain runs of ASCII digits in range, and a close
+written as digits with at most one inner ``.``, positive. Every other line
+goes through the row loop, the per-row parser with every check and its
+diagnostic text, one line at a time; so do whole files that hold a CR, a
+quote, a blank line, a BOM, another header or malformed UTF-8, or that do
+not end in a newline, whichever block shows it; a row with a byte that is
+not UTF-8 gets a schema diagnostic. The checks that compare rows (a
+duplicate tweet bucket, a bar out of date order) then run once over the
+accepted rows of both paths, in line order, keeping the first occurrence.
+So both paths accept the same rows with the same values and give the same
+diagnostics in the same order.
 
 A close or an index level must be a positive finite number, and an EPS
 figure a finite one; a tweet count is at most ``MAX_COUNT`` and a share
@@ -73,7 +75,7 @@ EVENTS_HEADER = ["ticker", "announce_at_utc", "timing", "eps_reported", "eps_est
 # in memory stay exact
 MAX_COUNT = 2**31 - 1
 MAX_VOLUME = 2**63 - 1  # largest share volume: the int64 column holds it
-BLOCK_LINES = 1 << 15  # lines per fast-path block: bounds its temporaries
+BLOCK_BYTES = 1 << 18  # bytes per fast-path read: bounds a block's temporaries
 _PAD = 32  # zero bytes around a block, so fixed-width gathers stay inside it
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _EPOCH_DAY = _EPOCH.date().toordinal()
@@ -273,27 +275,39 @@ def _tweet_row_check() -> Check:
 # --- the fast path -----------------------------------------------------------
 
 
-def _fast_bytes(path: Path, header: list[str]) -> np.ndarray | None:
-    """The file as a byte array if the fast path may read it, else None: it
-    must start with the header and a newline (so no BOM), end in a newline,
-    and hold no CR, no quote, no blank line and no malformed UTF-8."""
-    if not path.exists():
-        raise MissingFile(str(path))
-    data = path.read_bytes()
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The file's bytes in blocks of whole lines, read ``BLOCK_BYTES`` at a
+    time: a block ends at the last newline read so far, so a line longer than
+    a read lengthens its block. The bytes after the last newline come last."""
+    parts: list[bytes] = []
+    while chunk := fh.read(BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join((*parts, chunk[:cut]))
+            parts = []
+        parts.append(chunk[cut:])
+    if tail := b"".join(parts):
+        yield tail
+
+
+def _fast_block(block: bytes) -> bool:
+    """Whether the fast path may read a block of whole lines: it ends in a
+    newline and holds no CR, no quote, no blank line (a block starts a line,
+    so a leading newline ends a blank one) and no malformed UTF-8."""
     if (
-        not data.startswith(",".join(header).encode() + b"\n")
-        or not data.endswith(b"\n")
-        or b"\n\n" in data
-        or b"\r" in data
-        or b'"' in data
+        not block.endswith(b"\n")
+        or block.startswith(b"\n")
+        or b"\n\n" in block
+        or b"\r" in block
+        or b'"' in block
     ):
-        return None
-    if not data.isascii():
+        return False
+    if not block.isascii():
         try:
-            data.decode("utf-8")
+            block.decode("utf-8")
         except UnicodeDecodeError:
-            return None
-    return np.frombuffer(data, dtype=np.uint8)
+            return False
+    return True
 
 
 def _gather(seg: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
@@ -425,62 +439,78 @@ def _block_cells(seg, begin, stop, width: int):
     return rows, start, np.column_stack((cut, stop[rows])) - start
 
 
-def _line_ends(buf: np.ndarray) -> np.ndarray:
-    """The offsets of the newlines in ``buf``, searched 4 MiB at a time."""
-    step = 1 << 22
-    return np.concatenate([np.flatnonzero(buf[i:i + step] == 10) + i
-                           for i in range(0, len(buf), step)])
-
-
 def _parse(path: Path, header: list[str], cells, check: Check, dtypes):
     """Parse a file by the fast path, with the row loop for what it refuses.
 
-    ``cells(seg, start, size)`` reads a block's rows of the header's width
-    (``start`` and ``size`` give each cell's offset in ``seg`` and length)
-    and returns a mask of the rows it accepts and their column values;
-    ``check`` returns the same values, then any others, for one row. Returns
-    the line numbers and the columns (of ``dtypes``) of the accepted rows of
-    both paths in line order, the row loop's diagnostics, and the row loop's
-    values by line number.
+    The file is read in blocks of whole lines (``_line_blocks``). If it is
+    not a regular file, its first line is not the header, or a block fails
+    ``_fast_block``, the row loop reads the whole file. ``cells(seg, start, size)`` reads a block's
+    rows of the header's width (``start`` and ``size`` give each cell's
+    offset in ``seg`` and length) and returns a mask of the rows it accepts
+    and their column values; ``check`` returns the same values, then any
+    others, for one row. Returns the line numbers (None when the fast path
+    refused no row: then row i is line i + 2) and the columns (of ``dtypes``)
+    of the accepted rows of both paths in line order, the row loop's
+    diagnostics, and the row loop's values by line number.
     """
-    buf = _fast_bytes(path, header)
-    ends = _line_ends(buf) if buf is not None else np.zeros(1, dtype=np.int64)
-    lines = np.empty(len(ends) - 1, dtype=np.int64)
-    columns = [np.empty(len(lines), dtype=t) for t in dtypes]
-    n = 0  # rows accepted by the fast path
-    slow = []  # (line number, text) of the rows it refuses
-    for first in range(1, len(ends), BLOCK_LINES):  # ends[0] ends the header
-        last = min(first + BLOCK_LINES, len(ends))
-        lo, hi = int(ends[first - 1]) + 1, int(ends[last - 1]) + 1
-        seg = np.zeros(hi - lo + 2 * _PAD, dtype=np.uint8)
-        seg[_PAD:-_PAD] = buf[lo:hi]
-        offset = np.int32 if len(seg) < 2**31 else np.int64  # of a byte in seg
-        stop = (ends[first:last] - (lo - _PAD)).astype(offset)  # each line's newline in seg
-        begin = np.concatenate(([_PAD], stop[:-1] + 1)).astype(offset)
-        rows, start, size = _block_cells(seg, begin, stop, len(header))
-        ok, values = cells(seg, start, size)
-        accepted = rows[ok]
-        lines[n:n + len(accepted)] = accepted + first + 1
-        for column, v in zip(columns, values):
-            column[n:n + len(accepted)] = v[ok]
-        n += len(accepted)
-        refused = np.ones(len(stop), dtype=bool)
-        refused[accepted] = False
-        for i in np.flatnonzero(refused).tolist():
-            slow.append((first + i + 1, seg[begin[i]:stop[i]].tobytes().decode("utf-8")))
+    if not path.exists():
+        raise MissingFile(str(path))
+    head = (",".join(header) + "\n").encode()
+    fast, first, n, slow = False, 2, 0, []  # first: the line number of a block's first line
+    columns = [np.empty(0, dtype=t) for t in dtypes]
+    if path.is_file():  # a pipe has no size to bound its rows: the row loop reads it once
+        with open(path, "rb") as fh:
+            # a fast-path row has len(header) cells of at least one byte, each
+            # followed by a comma or a newline; pages never written take no memory
+            rows_at_most = os.fstat(fh.fileno()).st_size // (2 * len(header)) + 1
+            columns = [np.empty(rows_at_most, dtype=t) for t in dtypes]
+            skip = len(head)  # the header's bytes, at the start of the first block
+            for block in _line_blocks(fh):
+                fast = _fast_block(block) and block.startswith(head[:skip])
+                if not fast:
+                    break
+                seg = np.zeros(len(block) - skip + 2 * _PAD, dtype=np.uint8)
+                seg[_PAD:-_PAD] = np.frombuffer(block, dtype=np.uint8)[skip:]
+                skip = 0
+                offset = np.int32 if len(seg) < 2**31 else np.int64  # of a byte in seg
+                stop = np.flatnonzero(seg == 10).astype(offset)  # each line's newline in seg
+                begin = np.concatenate(([_PAD], stop[:-1] + 1)).astype(offset)
+                rows, start, size = _block_cells(seg, begin, stop, len(header))
+                ok, values = cells(seg, start, size)
+                accepted = rows[ok]
+                for column, v in zip(columns, values):
+                    column[n:n + len(accepted)] = v[ok]
+                n += len(accepted)
+                refused = np.ones(len(stop), dtype=bool)
+                refused[accepted] = False
+                for i in np.flatnonzero(refused).tolist():
+                    slow.append((first + i, seg[begin[i]:stop[i]].tobytes().decode("utf-8")))
+                first += len(stop)
+    if not fast:  # the row loop reads every row
+        first, n, slow = 2, 0, []
     numbered = (
-        _csv_rows(path, header) if buf is None
-        else zip([line for line, _ in slow], csv.reader([text for _, text in slow]))
+        zip([line for line, _ in slow], csv.reader([text for _, text in slow])) if fast
+        else _csv_rows(path, header)
     )
     slow_lines, slow_values, diags = _row_loop(path, header, numbered, check)
-    lines, columns = lines[:n], [c[:n] for c in columns]
-    if slow_values:
-        lines = np.concatenate((lines, slow_lines))
+    lines, columns = None, [c[:n] for c in columns]
+    if slow or not fast:
+        # the fast path accepted each line it did not refuse
+        lines = np.concatenate((
+            np.setdiff1d(np.arange(2, first), [line for line, _ in slow], assume_unique=True),
+            np.array(slow_lines, dtype=np.int64),
+        ))
         order = np.argsort(lines, kind="stable")
         lines = lines[order]
         columns = [np.concatenate((c, np.array([v[j] for v in slow_values], dtype=t)))[order]
                    for j, (c, t) in enumerate(zip(columns, dtypes))]
     return lines, columns, diags, dict(zip(slow_lines, slow_values))
+
+
+def _line_numbers(lines: np.ndarray | None, rows):
+    """The line numbers of accepted rows (an index or an index array), where
+    ``lines`` None numbers row i as line i + 2."""
+    return rows + 2 if lines is None else lines[rows]
 
 
 def _ticker_codes(packed: np.ndarray):
@@ -520,7 +550,7 @@ def _dated_rows(path, lines, code, day, diags, message) -> np.ndarray:
         i = int(order[j + 1])
         what = "duplicate" if run[j + 1] == latest[j] else "out-of-order"
         on = date.fromordinal(int(day[i]) + _EPOCH_DAY)
-        diags.append(_invariant(path, int(lines[i]), message(i, what, on)))
+        diags.append(_invariant(path, int(_line_numbers(lines, i)), message(i, what, on)))
     keep[order[1:]] = ~late
     return keep
 
@@ -529,18 +559,18 @@ def _dated_rows(path, lines, code, day, diags, message) -> np.ndarray:
 class AcceptedBars:
     """The accepted rows of a prices file, in file order.
 
-    ``lines`` holds each row's physical line number and ``bars`` its
-    columns. Item ``i`` is ``(line, DailyBar)``.
+    ``lines`` holds each row's physical line number (None when row i is
+    line i + 2) and ``bars`` its columns. Item ``i`` is ``(line, DailyBar)``.
     """
 
-    lines: np.ndarray
+    lines: np.ndarray | None
     bars: DailyBars
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.bars)
 
     def __getitem__(self, i: int) -> tuple[int, DailyBar]:
-        return int(self.lines[i]), self.bars[i]
+        return int(_line_numbers(self.lines, i)), self.bars[i]
 
 
 def parse_prices_csv(path: str | Path):
@@ -555,7 +585,7 @@ def parse_prices_csv(path: str | Path):
     diags.sort(key=lambda d: d.line)
     bars = DailyBars(tickers, code, day.view("datetime64[D]"), close, volume)
     if not keep.all():
-        lines, bars = lines[keep], bars[keep]
+        lines, bars = _line_numbers(lines, np.flatnonzero(keep)), bars[keep]
     return AcceptedBars(lines, bars), diags
 
 
@@ -567,7 +597,7 @@ def parse_index_csv(path: str | Path):
     keep = _dated_rows(path, lines, np.zeros(len(day), dtype=np.int64), day, diags,
                        lambda i, what, on: f"{what} index bar on {on}")
     diags.sort(key=lambda d: d.line)
-    rows = zip(lines[keep].tolist(), day[keep].view("datetime64[D]").tolist(),
+    rows = zip(_line_numbers(lines, np.flatnonzero(keep)).tolist(), day[keep].view("datetime64[D]").tolist(),
                close[keep].tolist())
     return [(n, IndexBar(d, c)) for n, d, c in rows], diags
 
@@ -576,18 +606,19 @@ def parse_index_csv(path: str | Path):
 class AcceptedTweets:
     """The accepted rows of a tweets file, in file order.
 
-    ``lines`` holds each row's physical line number and ``buckets`` its
-    columns. Item ``i`` is ``(line, TweetBucket)``, as for the other parsers.
+    ``lines`` holds each row's physical line number (None when row i is
+    line i + 2) and ``buckets`` its columns. Item ``i`` is
+    ``(line, TweetBucket)``, as for the other parsers.
     """
 
-    lines: np.ndarray
+    lines: np.ndarray | None
     buckets: TweetBuckets
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.buckets)
 
     def __getitem__(self, i: int) -> tuple[int, TweetBucket]:
-        return int(self.lines[i]), self.buckets[i]
+        return int(_line_numbers(self.lines, i)), self.buckets[i]
 
 
 def parse_tweets_csv(path: str | Path):
@@ -601,14 +632,14 @@ def parse_tweets_csv(path: str | Path):
     # one bucket per (ticker, hour): the first in line order is kept
     repeated = _repeated(code, ts)
     for i in np.flatnonzero(repeated).tolist():
-        line = int(lines[i])
+        line = int(_line_numbers(lines, i))
         stamp = slow[line][-1] if line in slow else (
             (_EPOCH + timedelta(seconds=int(ts[i]))).isoformat().replace("+00:00", "Z")
         )
         diags.append(_invariant(path, line, f"duplicate bucket for {tickers[code[i]]} at {stamp}"))
     diags.sort(key=lambda d: d.line)
     if repeated.any():
-        lines, buckets = lines[~repeated], buckets[~repeated]
+        lines, buckets = _line_numbers(lines, np.flatnonzero(~repeated)), buckets[~repeated]
     return AcceptedTweets(lines, buckets), diags
 
 

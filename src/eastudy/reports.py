@@ -291,8 +291,11 @@ def volume_report(
     three-day multiplier compares days -1..+1 cumulatively against three
     average ticker-days, and the day-0 ratio day 0 against the quiet
     baseline, which excludes event windows; both read days -1..+1 whatever
-    ``rel_days`` prints. Every value is a gather from the tweet count grids
-    and the price grid's volume by calendar index.
+    ``rel_days`` prints. Ticker-days are (bar ticker, trading day) cells, so
+    the tweets of a ticker without bars count in neither the average nor the
+    baseline. Every daily value is a gather from the tweet count grids and
+    the price grid's volume by calendar index; the hourly profiles are
+    summed for just the event cells.
     """
     if rel_days[0] > rel_days[1]:
         raise ValueError(f"relative days {list(rel_days)}: the first exceeds the last")
@@ -310,7 +313,7 @@ def volume_report(
 
     # (day-0 calendar index, tweet count row, bar row) of each group's events
     groups = [
-        (name, (t.day0[mask], t.count_row[mask], t.bar_row[mask]))
+        (name, mask, (t.day0[mask], t.count_row[mask], t.bar_row[mask]))
         for name, mask in (
             ("all", universe.used),
             ("afterclose", universe.stratum(Timing.AFTER_CLOSE)),
@@ -334,39 +337,40 @@ def volume_report(
 
     daily_rows = [
         (name, k, *row)
-        for name, group in groups
+        for name, _, group in groups
         for k in range(rel_days[0], rel_days[1] + 1)
         if (row := daily(group, k)) is not None
     ]
 
-    hourly_rows = []
-    for name, (day0, count_row, _) in groups:
-        for k in (-1, 0, 1):
-            # one 24-hour tweet profile per event that has a day k
-            days = day0 + k
-            has_day = (days >= 0) & (days < n_days)
-            if not has_day.any():
-                continue
-            profiles = on_day(counts.hourly, count_row[has_day], days[has_day], 0)
-            for h, moments in enumerate(_count_moments(profiles)):
-                hourly_rows.append((name, k, h, len(profiles), *moments))
+    # days -1..+1 of each used event, as calendar indexes
+    day0, count_row, bar_row = groups[0][2]
+    days = day0[:, None] + np.array([-1, 0, 1])
+    has_day = (days >= 0) & (days < n_days)
 
-    n_tickers = max(len(tickers), 1)
-    total_tweets = int(counts.totals.sum())
-    overall_mean = total_tweets / (n_days * n_tickers)
+    # one 24-hour tweet profile per used event on each of those days it has
+    known = has_day & (count_row >= 0)[:, None]
+    on_known = counts.hourly(np.broadcast_to(count_row[:, None], days.shape)[known], days[known])
+    profiles = np.zeros((*days.shape, 24), dtype=np.int64)
+    profiles[known] = on_known
+    hourly_rows = []
+    for name, mask, _ in groups:
+        in_group = mask[universe.used]
+        for j, k in enumerate((-1, 0, 1)):
+            on_k = profiles[in_group & has_day[:, j], j]
+            for h, moments in enumerate(_count_moments(on_k) if len(on_k) else []):
+                hourly_rows.append((name, k, h, len(on_k), *moments))
 
     # quiet cells: every (bar ticker, trading day) outside days -1..+1 of an event
     quiet = np.ones((len(tickers), n_days), dtype=bool)
-    day0, _, bar_row = groups[0][1]
-    days = day0[:, None] + np.array([-1, 0, 1])
-    event_cell = (days >= 0) & (days < n_days) & (bar_row >= 0)[:, None]
+    event_cell = has_day & (bar_row >= 0)[:, None]
     quiet[np.broadcast_to(bar_row[:, None], days.shape)[event_cell], days[event_cell]] = False
     totals = np.array([counts.day_totals(t) for t in tickers], dtype=np.int64).reshape(quiet.shape)
+    overall_mean = int(totals.sum()) / (n_days * max(len(tickers), 1))
     quiet_total = int(totals[quiet].sum())
     quiet_cells = int(np.count_nonzero(quiet))
     quiet_mean = quiet_total / quiet_cells if quiet_cells else 0.0
 
-    mean_at = {k: row[1] for k in (-1, 0, 1) if (row := daily(groups[0][1], k)) is not None}
+    mean_at = {k: row[1] for k in (-1, 0, 1) if (row := daily(groups[0][2], k)) is not None}
     three_day = sum(mean_at.get(k, 0.0) for k in (-1, 0, 1))
     summary_rows = [
         ("mean_tweets_per_ticker_day", overall_mean),

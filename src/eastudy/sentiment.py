@@ -4,8 +4,9 @@ Hourly tweet buckets roll up into close-delimited trading days in one pass
 over the bucket columns: one ``np.searchsorted`` assigns every bucket its
 trading day, and ``np.add.at`` sums the label counts into an int64
 (ticker x trading day) grid, so totals are exact integers whatever the
-order of the buckets. The same pass keeps each bucket's grid cell, from
-which the US/Eastern hour-of-day totals are summed when first asked for.
+order of the buckets. The same pass keeps each bucket's grid cell, so that
+US/Eastern hour-of-day totals are summed for just the cells asked for: only
+their buckets are read.
 
 A day's sentiment score is the Laplace-smoothed mean of the {-1, 0, +1}
 label distribution, which keeps the score strictly inside (-1, +1) even for
@@ -54,6 +55,7 @@ class DailyCounts:
 
     Rows are ``tickers`` (the buckets' sorted ticker table), columns the
     calendar's trading days; ``buckets`` counts the buckets of each cell.
+    ``hourly`` sums the hour-of-day profiles of the cells asked for.
     """
 
     def __init__(self, tweets: TweetBuckets, cal: TradingCalendar):
@@ -76,12 +78,18 @@ class DailyCounts:
         """Tweets per (ticker, day) cell."""
         return self.labels.sum(axis=0)
 
-    @cached_property
-    def hourly(self) -> np.ndarray:
-        """Tweets per (ticker, day, US/Eastern hour of day) cell."""
-        grid = np.zeros(self.buckets.size * 24, dtype=np.int64)
-        np.add.at(grid, self._cells * 24 + eastern_hours(self._tweets.ts), self._tweets.total)
-        return grid.reshape(*self.buckets.shape, 24)
+    def hourly(self, rows: np.ndarray, days: np.ndarray) -> np.ndarray:
+        """Tweets per US/Eastern hour of day of each (row, day) cell, as a
+        (cells, 24) block; only the buckets of those cells are read."""
+        cells, back = np.unique(rows * len(self.cal) + days, return_inverse=True)
+        wanted = np.zeros(self.buckets.size, dtype=bool)
+        wanted[cells] = True
+        picked = np.flatnonzero(wanted[self._cells])
+        tw = self._tweets
+        block = np.zeros((len(cells), 24), dtype=np.int64)
+        at = np.searchsorted(cells, self._cells[picked]), eastern_hours(tw.ts[picked])
+        np.add.at(block, at, tw.n_neg[picked] + tw.n_neut[picked] + tw.n_pos[picked])
+        return block[back]
 
     def row(self, ticker: str) -> int:
         """The ticker's row, or -1 if it has no tweets."""

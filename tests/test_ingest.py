@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 from contextlib import contextmanager, nullcontext
 from datetime import date, timedelta, timezone
 from pathlib import Path
@@ -366,7 +367,7 @@ PARSERS = {"prices": parse_prices_csv, "index": parse_index_csv, "tweets": parse
 @contextmanager
 def row_loop_only():
     """Every file goes through the row loop, as if the fast path refused it."""
-    with mock.patch.object(ingest, "_fast_bytes", lambda path, header: None):
+    with mock.patch.object(ingest, "_fast_block", lambda block: False):
         yield
 
 
@@ -616,6 +617,119 @@ class TestFastPathMatchesRowLoop:
         for n, c in enumerate(closes, 2):
             if float(c) > 0:
                 assert np.float64(got[n]).tobytes() == np.float64(float(c)).tobytes()
+
+
+def _last_line_start(data: bytes) -> int:
+    return data.rfind(b"\n", 0, len(data) - 1) + 1
+
+
+# edits of a file's bytes near the end or at a read's cut: (data, block size) -> data
+EDGE_EDITS = {
+    "none": lambda data, block: data,
+    "CR in the last line": lambda data, block: data[:-1] + b"\r\n",
+    "quote in the last line": lambda data, block: (
+        data[:(i := _last_line_start(data))] + b'"' + data[i:].replace(b",", b'",', 1)
+    ),
+    "blank line before the last": lambda data, block: (
+        data[:(i := _last_line_start(data))] + b"\n" + data[i:]
+    ),
+    "bad UTF-8 in the last line": lambda data, block: (
+        data[:(i := _last_line_start(data) + 1)] + b"\xff" + data[i:]
+    ),
+    "two-byte character across a cut": lambda data, block: (
+        data[:(i := min(block, len(data)) - 1)] + "é".encode() + data[i:]
+    ),
+    "no final newline": lambda data, block: data[:-1],
+    "empty file": lambda data, block: b"",
+}
+WHOLE_FILE_EDITS = {"CR in the last line", "quote in the last line",
+                    "blank line before the last", "bad UTF-8 in the last line",
+                    "no final newline"}
+
+
+class TestStreamedBlocks:
+    """The fast path reads a file in blocks of whole lines, ``BLOCK_BYTES``
+    a read. With reads of a few dozen bytes, lines straddle reads and
+    outgrow them, and every outcome is still the row loop's."""
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_small_blocks_give_the_row_loops_outcome(self, base_files, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(PARSERS)))
+        block = data.draw(st.integers(40, 200))
+        lines = base_files[name].encode().split(b"\n")[:1 + data.draw(st.integers(0, 12))]
+        if len(lines) > 1 and data.draw(st.booleans()):
+            # zero-pad a row's last cell, up to a line longer than a block
+            i = data.draw(st.integers(1, len(lines) - 1))
+            head, _, last = lines[i].rpartition(b",")
+            lines[i] = head + b"," + last.rjust(data.draw(st.integers(1, 2 * block)), b"0")
+        edit = data.draw(st.sampled_from(sorted(EDGE_EDITS)))
+        text = EDGE_EDITS[edit](b"\n".join(lines) + b"\n", block)
+        path = tmp_path_factory.mktemp("b") / f"{name}.csv"
+        path.write_bytes(text)
+        with mock.patch.object(ingest, "BLOCK_BYTES", block), counting_row_loop() as seen:
+            fast = outcome(name, path)
+        with row_loop_only():
+            assert outcome(name, path) == fast
+        if edit in WHOLE_FILE_EDITS:  # the row loop reads every row
+            rows = csv.reader(io.StringIO(text.decode("utf-8", "surrogateescape"), newline=""))
+            assert seen[path.name] == list(range(2, 1 + len(list(rows))))
+
+    def test_blank_line_that_starts_a_block_sends_the_file_to_the_row_loop(self, base_files,
+                                                                           tmp_path):
+        data = base_files["prices"].encode()
+        cut = data.index(b"\n", 100) + 1
+        path = tmp_path / "prices.csv"
+        path.write_bytes(data[:cut] + b"\n" + data[cut:])
+        with mock.patch.object(ingest, "BLOCK_BYTES", cut), counting_row_loop() as seen:
+            got = outcome("prices", path)
+        assert seen["prices.csv"] == list(range(2, data.count(b"\n") + 2))
+        with row_loop_only():
+            assert outcome("prices", path) == got
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_a_pipe_is_read_once_by_the_row_loop(self, base_files, tmp_path):
+        """A pipe has no size to bound its rows before it is read."""
+        text = base_files["tweets"][:4000].rpartition("\n")[0] + "\n"
+        r, w = os.pipe()
+        try:
+            os.write(w, text.encode())
+            os.close(w)
+            with counting_row_loop() as seen:
+                got = outcome("tweets", Path(f"/dev/fd/{r}"))
+        finally:
+            os.close(r)
+        assert got == outcome("tweets", write(tmp_path / "tweets.csv", text))
+        assert seen[str(r)] == list(range(2, text.count("\n") + 1))
+
+    def test_parse_tweets_reads_at_most_a_block_at_a_time(self, base_files, tmp_path):
+        path = write(tmp_path / "tweets.csv", base_files["tweets"])
+        sizes = []
+
+        class Recorded:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def read(self, size=-1):
+                sizes.append(size)
+                return self.fh.read(size)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        with mock.patch.object(ingest, "BLOCK_BYTES", 4096), mock.patch.object(
+            ingest, "open", lambda *args, **kwargs: Recorded(open(*args, **kwargs)), create=True
+        ):
+            got = outcome("tweets", path)
+        assert got == outcome("tweets", path)
+        assert len(sizes) > path.stat().st_size // 4096
+        assert all(0 < size <= 4096 for size in sizes)
 
 
 class TestWriteThenLoad:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eastudy.alignment import TradingCalendar
 from eastudy.ingest import MAX_COUNT
-from eastudy.model import Dataset, Timing
+from eastudy.model import Dataset, Timing, TweetBuckets
 from eastudy.reports import (
     STRATA,
     _mean_se,
@@ -141,6 +142,35 @@ class TestVolumeReport:
     def test_window_that_ends_before_it_starts(self, universe):
         with pytest.raises(ValueError):
             volume_report(universe, (5, -5))
+
+    def test_tweets_of_a_ticker_without_bars_change_nothing(self, universe):
+        ds, tw = universe.ds, universe.ds.tweets
+        copied = tw[tw.code == 0]
+        assert max(tw.tickers) < "ZZZ" and "ZZZ" not in ds.bars.tickers
+        tweets = TweetBuckets(
+            (*tw.tickers, "ZZZ"),
+            np.concatenate((tw.code, np.full(len(copied), len(tw.tickers)))),
+            *(np.concatenate((getattr(tw, f), getattr(copied, f)))
+              for f in ("ts", "n_neg", "n_neut", "n_pos")),
+        )
+        with_zzz = Dataset(bars=ds.bars, index=ds.index, tweets=tweets, events=ds.events)
+        assert volume_report(build_universe(with_zzz)) == volume_report(universe)
+
+    def test_reads_hourly_profiles_of_event_cells_only(self):
+        """At paper scale the report holds far less than one full (ticker x
+        day x hour) int64 grid at any time."""
+        ds = generate(SynthSpec(seed=7, n_tickers=30, n_days=900, events_per_ticker=12,
+                                event_spacing=60))
+        universe = build_universe(ds)
+        ds.prices(universe.cal.dates)  # built once per dataset, by whichever report is first
+        tracemalloc.start()
+        try:
+            volume_report(universe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid = len(universe.counts.tickers) * len(universe.cal) * 24 * 8
+        assert peak < grid / 4
 
 
 # Quickstart-like, small: both timing classes, every stratum cuts terciles

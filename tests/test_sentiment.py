@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eastudy.alignment import close_instant, to_eastern
+from eastudy.alignment import close_instant, eastern_hours, to_eastern
 from eastudy.errors import OutOfCalendarRange, TooFewEvents
 from eastudy.model import TweetBucket
 from eastudy.sentiment import (
@@ -35,6 +35,19 @@ hour_starts = st.one_of(
     st.sampled_from([close_instant(d) for d in DST_CALENDAR.dates]),  # exactly 16:00 ET
     st.sampled_from(_CHANGEOVER_HOURS),
 )
+# the trading days that hold the changeover hours
+_SWITCH_DAYS = DST_CALENDAR.day_indices(
+    np.array([int(h.timestamp()) for h in _CHANGEOVER_HOURS])
+).tolist()
+
+
+def ref_hourly(days, tweets):
+    """The full (ticker, day, US/Eastern hour) grid of tweet totals, summed
+    over every bucket."""
+    grid = np.zeros(days.buckets.size * 24, dtype=np.int64)
+    cells = tweets.code * len(days.cal) + days.cal.day_indices(tweets.ts)
+    np.add.at(grid, cells * 24 + eastern_hours(tweets.ts), tweets.total)
+    return grid.reshape(*days.buckets.shape, 24)
 
 
 class TestSentimentScore:
@@ -194,8 +207,26 @@ class TestDailyCounts:
         assert {
             (c.ticker, c.trading_date): [c.n_neg, c.n_neut, c.n_pos] for c in day_cells(days)
         } == ref_days
+        rows, cols = np.indices(days.buckets.shape).reshape(2, -1)
+        hourly = days.hourly(rows, cols).reshape(*days.buckets.shape, 24)
         hours = {
-            (days.tickers[r], DST_CALENDAR.dates[d], h): int(days.hourly[r, d, h])
-            for r, d, h in zip(*np.nonzero(days.hourly))
+            (days.tickers[r], DST_CALENDAR.dates[d], h): int(hourly[r, d, h])
+            for r, d, h in zip(*np.nonzero(hourly))
         }
         assert hours == {k: v for k, v in ref_hours.items() if v}
+
+    @given(st.lists(st.tuples(st.sampled_from(["AAA", "BBB"]), hour_starts, counts, counts,
+                              counts), min_size=1, max_size=40), st.data())
+    def test_event_cell_profiles_equal_the_full_grid(self, spec, data):
+        tweets = tweet_columns(TweetBucket(*b) for b in spec)
+        days = daily_counts(tweets, DST_CALENDAR)
+        day = st.one_of(
+            st.integers(0, len(DST_CALENDAR) - 1),  # mostly cells with no buckets
+            st.sampled_from(_SWITCH_DAYS),
+            st.sampled_from(DST_CALENDAR.day_indices(tweets.ts).tolist()),
+        )
+        cells = data.draw(st.lists(st.tuples(st.integers(0, len(days.tickers) - 1), day),
+                                   max_size=30))
+        cells += cells[:data.draw(st.integers(0, len(cells)))]  # repeated cells
+        rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+        assert np.array_equal(days.hourly(rows, cols), ref_hourly(days, tweets)[rows, cols])
