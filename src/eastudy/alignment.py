@@ -165,8 +165,8 @@ class EventAnchor:
         return self.calendar.date_at(self.day0_index + k)
 
 
-def anchor_event(ev: EarningsEvent, cal: TradingCalendar) -> EventAnchor:
-    """Map an announcement to its day-0 trading date.
+def day0_index(ev: EarningsEvent, cal: TradingCalendar) -> int:
+    """Calendar index of an announcement's day-0 trading date.
 
     BeforeOpen: the announcement morning's own session is day 0.
     AfterClose: day 0 is the next trading date after the announcement's
@@ -189,6 +189,11 @@ def anchor_event(ev: EarningsEvent, cal: TradingCalendar) -> EventAnchor:
                 f"{ev.ticker} {ev.announce_at.isoformat()}: AfterClose but before 16:00"
             )
         day0 = cal.next_after(local.date())
-    if cal.index_of(day0) == 0:
+    if (i0 := cal.index_of(day0)) == 0:
         raise OutOfCalendarRange(f"day 0 of {ev.ticker} event has no prior trading date")
-    return EventAnchor(event=ev, calendar=cal, day0=day0)
+    return i0
+
+
+def anchor_event(ev: EarningsEvent, cal: TradingCalendar) -> EventAnchor:
+    """The event pinned to its day-0 trading date (see ``day0_index``)."""
+    return EventAnchor(event=ev, calendar=cal, day0=cal.dates[day0_index(ev, cal)])

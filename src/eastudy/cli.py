@@ -6,10 +6,10 @@ name that ``pipeline`` writes under the same settings. One resolver turns
 flags, then the JSON config file, then defaults into every command's
 settings. Each run builds one event table (``build_universe``); a stratum
 is a mask over it with one label column, the study and the curves average
-the rows that ``fit_events`` and ``hold_returns`` measure once per run, and
-the backtest trades from the same table. Files are staged beside the
-output directory and moved in only when the run succeeds, so a failed run
-leaves it as it found it.
+the rows that ``fit_events`` and ``hold_returns`` measure once per run from
+the table's columns, and the backtest trades from the same table. Files,
+``ingest --emit``'s too, are staged beside their directory and moved in
+only when the run succeeds, so a failed run leaves it as it found it.
 """
 
 from __future__ import annotations
@@ -133,6 +133,13 @@ def _polarity_day(value) -> int:
     return int(value)
 
 
+def _spread(value) -> float:
+    spread = float(value)
+    if not 0.0 <= spread < math.inf:
+        raise ValueError("expected a finite per-share cost of at least 0")
+    return spread
+
+
 def _timing(name) -> Timing:
     by_name = {v: k for k, v in TIMING_NAMES.items()}
     if str(name).lower() not in by_name:
@@ -149,7 +156,7 @@ SETTINGS = {
     "event_window": (("study", "event_window"), (-1, 10), _pair),
     "estimation_window": (("study", "estimation_window"), 120, int),
     "significance": (("study", "significance"), 0.01, float),
-    "spread": (("backtest", "spread"), 0.05, float),
+    "spread": (("backtest", "spread"), 0.05, _spread),
     "start": (("backtest", "from"), None, _day),
     "end": (("backtest", "to"), None, _day),
     "thresholds_until": (("backtest", "thresholds_until"), None, _day),
@@ -271,11 +278,11 @@ def _emit_surprise(run) -> None:
 
 
 def _emit_study(run) -> dict:
-    studies = {}
-    fits = fit_events(run.anchors, run.ds, run.s.study)  # once, for every stratum
+    studies, t = {}, run.universe.table
+    prices = run.ds.prices(t.cal.dates)
+    fits = fit_events(prices, t.day0, t.bar_row, run.measured, run.s.study)  # once
     for (timing, polarity_day), labels in run.labels.items():
-        result = study_classes(fits, run.universe.table.events, run.universe.stratum(timing),
-                               labels, run.s.study)
+        result = study_classes(fits, t.events, run.universe.stratum(timing), labels, run.s.study)
         name = _stratum_file("study", timing, polarity_day)
         rows = _class_rows(result.taus, result.classes, "car", "var_car", "theta", "significant")
         run.out.write_csv(name, ["tau", "class", "N", "car", "var", "theta", "significant"], rows)
@@ -285,10 +292,11 @@ def _emit_study(run) -> dict:
 
 
 def _emit_curves(run) -> None:
-    held = hold_returns(run.anchors, run.ds)  # once, for every stratum
+    t = run.universe.table
+    held = hold_returns(run.ds.prices(t.cal.dates), t.day0, t.bar_row, run.measured,  # once
+                        [ev.ticker for ev in t.events])
     for (timing, polarity_day), labels in run.labels.items():
-        curves = curve_classes(held, run.universe.table.events, run.universe.stratum(timing),
-                               labels)
+        curves = curve_classes(held, t.events, run.universe.stratum(timing), labels)
         rows = _class_rows(curves.days, curves.classes, "stock_mean", "index_mean")
         header = ["d", "class", "N", "stock_rt", "index_rt"]
         run.out.write_csv(_stratum_file("curves", timing, polarity_day), header, rows)
@@ -395,8 +403,8 @@ def _cmd_report(args, config, out: OutputDir) -> int:
     measured = np.zeros(len(universe.table.events), dtype=bool)
     for timing, _ in labels:
         measured |= universe.stratum(timing)
-    anchors = universe.table.anchors_of(measured)
-    run = SimpleNamespace(ds=ds, s=s, out=out, universe=universe, labels=labels, anchors=anchors)
+    run = SimpleNamespace(ds=ds, s=s, out=out, universe=universe, labels=labels,
+                          measured=measured)
     extra = {"excluded_events": _reasons(universe.dropped)}
     for name in reports:
         extra.update(REPORTS[name](run) or {})
@@ -412,15 +420,22 @@ def _cmd_ingest(args, config, out: OutputDir) -> int:
     ds = load_dataset(*(s.paths[name] for name in INPUTS))
     # the exclusions the study itself makes: the universe's, then the fits'
     universe = build_universe(ds)
-    skips = fit_events(universe.table.anchors_of(universe.used), ds, s.study).skips
+    t = universe.table
+    skips = fit_events(ds.prices(t.cal.dates), t.day0, t.bar_row, universe.used, s.study).skips
     print(
         f"loaded {len(ds.bars)} bars, {len(ds.index)} index bars, "
         f"{len(ds.tweets)} tweet buckets, {len(ds.events)} events "
         f"({len(universe.dropped) + sum(map(bool, skips))} excluded by coverage)"
     )
     if args.emit:
-        for path in write_dataset(ds, args.emit):
-            print(f"wrote {path}")
+        emit = OutputDir(args.emit)
+        try:
+            emit.created.extend(write_dataset(ds, emit.stage()))
+            emit.commit()
+        finally:
+            emit.discard()
+        for path in emit.created:
+            print(f"wrote {emit.root / path.name}")
     return 0
 
 

@@ -9,10 +9,11 @@ estimator built from each event's residual variance.
 
 The fit and the abnormal returns belong to the event alone; a stratum only
 decides which class the event is averaged into. So ``fit_events`` measures
-each event of a run's event table once, into rows aligned to the table,
-and every stratum reads those rows through masks: the rows of class k are
-the stratum's rows labelled k whose fit succeeded (``class_rows``). Each
-class's means run ``math.fsum`` over the rows in canonical order.
+each event of a run's event table once, from the table's columns, into rows
+aligned to the table, and every stratum reads those rows through masks: the
+rows of class k are the stratum's rows labelled k whose fit succeeded
+(``class_rows``). Each class's means run ``math.fsum`` over the rows in
+canonical order.
 
 Returns are read by calendar index, not by date (``AlignedReturns``): the
 estimation window is a slice of the days on which both the stock's and the
@@ -44,7 +45,7 @@ from .errors import (
     MissingBar,
     OutOfCalendarRange,
 )
-from .model import Dataset, EarningsEvent
+from .model import Dataset, EarningsEvent, PriceGrid
 from .sentiment import EventPolarity
 
 
@@ -303,7 +304,7 @@ class MeasuredRows:
 
 @dataclass(frozen=True, eq=False)
 class EventFits(MeasuredRows):
-    """Market-model results, row i for the i-th anchor given to ``fit_events``.
+    """Market-model results, row i for the i-th event given to ``fit_events``.
 
     ``skips[i]`` is "" where the event was fitted, why it was skipped, or
     None where it was not asked for; the rows of the last two are NaN.
@@ -314,28 +315,22 @@ class EventFits(MeasuredRows):
     skips: tuple[str | None, ...]
 
 
-def fit_events(
-    anchors: Sequence[EventAnchor | None],
-    ds: Dataset,
-    cfg: StudyConfig = StudyConfig(),
-) -> EventFits:
+def fit_events(prices: PriceGrid, day0: np.ndarray, bar_row: np.ndarray, mask: np.ndarray,
+               cfg: StudyConfig = StudyConfig()) -> EventFits:
     """Fit the market model and measure abnormal returns, one block per ticker.
 
-    An anchor of None is not fitted. The anchors are on the calendar the
-    dataset's index implies; returns are read from the dataset's price
-    grid by calendar index. Events whose history or window cannot be served
-    are skipped with a reason rather than failing the run.
+    Event i has day 0 at calendar index ``day0[i]`` and its bars in row
+    ``bar_row[i]`` of ``prices`` (-1 for none); the events of ``mask`` are
+    fitted. Events whose history or window cannot be served are skipped
+    with a reason rather than failing the run.
     """
-    ars = np.full((len(anchors), len(cfg.taus)), np.nan)
-    sigma2 = np.full(len(anchors), np.nan)
-    skips = [None if a is None else "" for a in anchors]
-    asked = np.array([i for i, a in enumerate(anchors) if a is not None], dtype=np.int64)
+    ars = np.full((len(mask), len(cfg.taus)), np.nan)
+    sigma2 = np.full(len(mask), np.nan)
+    skips = ["" if m else None for m in mask.tolist()]
+    asked = np.flatnonzero(mask)
     if not len(asked):
         return EventFits(ars, sigma2, tuple(skips))
-    items = [anchors[i] for i in asked.tolist()]
-    prices = ds.prices(items[0].calendar.dates)
-    day0 = np.array([a.day0_index for a in items], dtype=np.int64)
-    rows = np.array([prices.row(a.event.ticker) for a in items], dtype=np.int64)
+    day0, rows = day0[asked], bar_row[asked]
     n_closes = np.count_nonzero(~np.isnan(prices.closes), axis=1)
     index, index_ok = prices.index_returns, ~np.isnan(prices.index_returns)
     order = np.argsort(rows, kind="stable")
@@ -358,15 +353,19 @@ def fit_events(
 
 
 def labeled_columns(
-    labeled: Sequence[LabeledEvent], empty: str
-) -> tuple[list[EventAnchor], list[EarningsEvent], np.ndarray]:
-    """The anchors, events and int8 labels of ``labeled``, in canonical
-    (ticker, announce_at) order; EmptyClass(``empty``) if there are none."""
+    labeled: Sequence[LabeledEvent], ds: Dataset, empty: str
+) -> tuple[tuple[PriceGrid, np.ndarray, np.ndarray], list[EarningsEvent], np.ndarray]:
+    """The price grid, day-0 indexes and grid rows that ``fit_events`` takes,
+    the events and the int8 labels of ``labeled``, in canonical (ticker,
+    announce_at) order; EmptyClass(``empty``) if there are none."""
     if not labeled:
         raise EmptyClass(empty)
     labeled = sorted(labeled, key=lambda le: le.event.key())
+    prices = ds.prices(labeled[0].anchor.calendar.dates)
+    day0 = np.array([le.anchor.day0_index for le in labeled], dtype=np.int64)
+    rows = np.array([prices.row(le.event.ticker) for le in labeled], dtype=np.int64)
     labels = np.array([le.polarity for le in labeled], dtype=np.int8)
-    return [le.anchor for le in labeled], [le.event for le in labeled], labels
+    return (prices, day0, rows), [le.event for le in labeled], labels
 
 
 def class_rows(
@@ -424,6 +423,6 @@ def aggregate_study(
     The caller chooses the event set (typically one stratum at a time).
     Events are taken in canonical (ticker, announce_at) order.
     """
-    anchors, events, labels = labeled_columns(labeled, "no events to aggregate")
+    columns, events, labels = labeled_columns(labeled, ds, "no events to aggregate")
     every = np.ones(len(events), dtype=bool)
-    return study_classes(fit_events(anchors, ds, cfg), events, every, labels, cfg)
+    return study_classes(fit_events(*columns, every, cfg), events, every, labels, cfg)

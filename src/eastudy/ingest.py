@@ -22,7 +22,8 @@ quote, a blank line, a BOM, another header or malformed UTF-8, or that do
 not end in a newline, whichever block shows it; a row with a byte that is
 not UTF-8 gets a schema diagnostic. The checks that compare rows (a
 duplicate tweet bucket, a bar out of date order) then run once over the
-accepted rows of both paths, in line order, keeping the first occurrence.
+accepted rows of both paths, in line order, keeping the first occurrence;
+so does the events file's check for a repeated (ticker, instant).
 So both paths accept the same rows with the same values and give the same
 diagnostics in the same order.
 
@@ -693,7 +694,17 @@ def parse_events_csv(path: str | Path):
     path = Path(path)
     lines, events, diags = _row_loop(path, EVENTS_HEADER, _csv_rows(path, EVENTS_HEADER),
                                      _event_row)
-    return list(zip(lines, events)), diags
+    # one event per (ticker, instant): the first in line order is kept
+    kept, seen = [], set()
+    for line, ev in zip(lines, events):
+        if ev.key() in seen:
+            diags.append(_invariant(path, line, f"duplicate event for {ev.ticker} at "
+                                                f"{format_rfc3339(ev.announce_at)}"))
+        else:
+            seen.add(ev.key())
+            kept.append((line, ev))
+    diags.sort(key=lambda d: d.line)
+    return kept, diags
 
 
 def load_dataset(

@@ -5,7 +5,8 @@ per run: every dataset event anchored and scored once, as columns
 (``EventTable``). Every report reads it through masks: the universe is the
 table plus a date window, a stratum the universe's events of one timing
 class, with thresholds cut from its score column and labels in one int8
-column. The volume report gathers each event's relative days by calendar
+column. The study and the curves measure events from its day-0 and bar-row
+columns. The volume report gathers each event's relative days by calendar
 index from the tweet count grids and the dataset's price grid.
 """
 
@@ -18,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .alignment import EventAnchor, TradingCalendar, anchor_event, to_eastern
+from .alignment import EventAnchor, TradingCalendar, day0_index, to_eastern
 from .errors import NonTradingAnnouncement, OutOfCalendarRange
 from .event_study import LabeledEvent
 from .model import Dataset, EarningsEvent, Timing
@@ -59,7 +60,6 @@ class EventTable:
 
     cal: TradingCalendar
     events: tuple[EarningsEvent, ...]
-    anchors: tuple[EventAnchor | None, ...]
     anchor_errors: tuple[str, ...]  # "" where anchored
     day0: np.ndarray  # calendar index of day 0
     timing: np.ndarray  # Timing, compared elementwise
@@ -70,11 +70,6 @@ class EventTable:
     sent: np.ndarray  # sentiment score per event and scoring day
     surprise: np.ndarray  # earnings surprise, NaN where excluded
     excluded: np.ndarray  # by the input, or for a zero EPS estimate
-
-    def anchors_of(self, mask: np.ndarray) -> list[EventAnchor | None]:
-        """The anchor of every event of ``mask``, None for every other event:
-        the rows ``fit_events`` and ``hold_returns`` measure."""
-        return [a if m else None for a, m in zip(self.anchors, mask.tolist())]
 
     def sent_on(self, polarity_day: int) -> np.ndarray:
         """Sent(polarity_day) of every event."""
@@ -146,15 +141,13 @@ def build_universe(
     covered, n_outside = covered_tweets(ds.tweets, cal)
     counts = daily_counts(covered, cal)
     events = tuple(sorted(ds.events, key=EarningsEvent.key))
-    anchors, errors = [], []
-    for ev in events:
+    day0, errors = np.full(len(events), -1, dtype=np.int64), []
+    for i, ev in enumerate(events):
         try:
-            anchors.append(anchor_event(ev, cal))
+            day0[i] = day0_index(ev, cal)
             errors.append("")
         except (OutOfCalendarRange, NonTradingAnnouncement) as exc:
-            anchors.append(None)
             errors.append(f"{type(exc).__name__}: {exc}")
-    day0 = np.array([a.day0_index if a else -1 for a in anchors], dtype=np.int64)
     bar_rows = {t: i for i, t in enumerate(ds.tickers)}  # the price grid's row order
     count_row = np.array([counts.row(ev.ticker) for ev in events], dtype=np.int64)
     # one gather of the label counts on every scoring day of every event
@@ -166,7 +159,6 @@ def build_universe(
     table = EventTable(
         cal=cal,
         events=events,
-        anchors=tuple(anchors),
         anchor_errors=tuple(errors),
         day0=day0,
         timing=np.array([ev.timing for ev in events], dtype=object),
@@ -216,10 +208,11 @@ def label_stratum(
     """Classify one timing class's events by their stratum sentiment score."""
     if thresholds is None:
         thresholds, _ = stratum_thresholds(universe, timing, polarity_day)
-    t = universe.table
+    t, day0 = universe.table, universe.table.day0.tolist()
     labels = categorize_scores(t.sent_on(polarity_day), thresholds).tolist()
     return [
-        LabeledEvent(event=t.events[i], anchor=t.anchors[i], polarity=EventPolarity(labels[i]))
+        LabeledEvent(t.events[i], EventAnchor(t.events[i], t.cal, t.cal.dates[day0[i]]),
+                     EventPolarity(labels[i]))
         for i in np.flatnonzero(universe.stratum(timing)).tolist()
     ]
 

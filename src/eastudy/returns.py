@@ -3,8 +3,9 @@
 Returns are simple (raw) relative price changes, never log returns, so
 trading returns compose multiplicatively with daily returns. Trading
 returns are read from closes by calendar index (``hold_from_day_m1``), for
-many events at once; ``trading_return`` is the same kernel on closes keyed
-by date.
+many events at once, and the same gather names the first missing close or
+calendar day of each event it cannot serve; ``trading_return`` is the same
+kernel on closes keyed by date.
 """
 
 from __future__ import annotations
@@ -64,54 +65,54 @@ def daily_returns(
 
 
 def hold_from_day_m1(
-    closes: np.ndarray, rows: np.ndarray, day0: np.ndarray, days: Sequence[int]
-) -> np.ndarray:
-    """RT_d of many events at once: (p[day0 + d] - p[day0 - 1]) / p[day0 - 1].
+    closes: np.ndarray, rows: np.ndarray, day0: np.ndarray, days: Sequence[int],
+    tickers: Sequence[str], dates: Sequence[date],
+) -> tuple[np.ndarray, dict[int, Exception]]:
+    """RT_d of many events at once: (p[day0 + d] - p[day0 - 1]) / p[day0 - 1],
+    and the first error each event that is not served meets.
 
     ``closes`` is a (row x trading day) grid, NaN where there is no bar;
     event e reads row ``rows[e]`` from calendar index ``day0[e]``, and a
     negative row has no bars. The result has one row per event and one
     column per d of ``days``, NaN where a close is missing or off the
-    calendar.
+    calendar. For each d in turn, day -1 and day d must be on the calendar
+    (OutOfCalendarRange), then have a close (MissingBar naming the event's
+    ticker of ``tickers`` and the date of ``dates``).
     """
     cols = day0[:, None] + np.array([-1, *days], dtype=np.int64)
-    inside = (cols >= 0) & (cols < closes.shape[1]) & (rows >= 0)[:, None]
+    inside = (cols >= 0) & (cols < closes.shape[1])
     p = np.full(cols.shape, np.nan)
-    p[inside] = closes[np.broadcast_to(rows[:, None], cols.shape)[inside], cols[inside]]
-    return (p[:, 1:] - p[:, :1]) / p[:, :1]
-
-
-def check_hold(closes: np.ndarray, anchor: EventAnchor, days: Sequence[int]) -> None:
-    """Raise what reading RT_d for each d of ``days`` in turn meets first.
-
-    ``closes`` holds one price series per trading day, NaN where there is no
-    bar. For each d, day -1 and day d must be on the calendar
-    (OutOfCalendarRange) and have a close (MissingBar), in that order.
-    """
-    dates = anchor.calendar.dates
-    i0 = anchor.day0_index
-    for d in days:
-        for i in (i0 - 1, i0 + d):
-            if not 0 <= i < len(dates):
-                raise OutOfCalendarRange(f"calendar index {i} out of range")
-        for i in (i0 - 1, i0 + d):
-            if np.isnan(closes[i]):
-                raise MissingBar(f"{anchor.event.ticker}: no closing price on {dates[i]}")
+    known = inside & (rows >= 0)[:, None]
+    p[known] = closes[np.broadcast_to(rows[:, None], cols.shape)[known], cols[known]]
+    served = ~np.isnan(p)
+    # per d: day -1 and day d on the calendar, then both with a close
+    checks = np.stack(np.broadcast_arrays(
+        inside[:, :1], inside[:, 1:], served[:, :1], served[:, 1:]), axis=2)
+    checks = checks.reshape(len(cols), 4 * len(days))
+    errors = {}
+    for e in np.flatnonzero(~checks.all(axis=1)).tolist():
+        k = int(np.argmin(checks[e]))
+        i = int(cols[e, 0 if k % 2 == 0 else k // 4 + 1])
+        errors[e] = (OutOfCalendarRange(f"calendar index {i} out of range") if k % 4 < 2
+                     else MissingBar(f"{tickers[e]}: no closing price on {dates[i]}"))
+    return (p[:, 1:] - p[:, :1]) / p[:, :1], errors
 
 
 def trading_return(anchor: EventAnchor, prices: Mapping[date, float], d: int) -> float:
     """RT_d = (p_{day d} - p_{day -1}) / p_{day -1}, the hold-from-day--1 return.
 
-    ``check_hold`` and ``hold_from_day_m1`` on closes keyed by date, placed
-    on the anchor's calendar; a date the mapping lacks has no bar.
+    One row of ``hold_from_day_m1``, on closes keyed by date placed on the
+    anchor's calendar; a date the mapping lacks has no bar.
     """
     if d < 0:
         raise ValueError("trading_return is defined for d >= 0")
     dates = anchor.calendar.dates
     closes = np.array([prices.get(day, np.nan) for day in dates], dtype=np.float64)
-    check_hold(closes, anchor, (d,))
-    rt = hold_from_day_m1(closes[None, :], np.zeros(1, np.int64),
-                          np.array([anchor.day0_index]), (d,))
+    rt, errors = hold_from_day_m1(closes[None, :], np.zeros(1, np.int64),
+                                  np.array([anchor.day0_index]), (d,), [anchor.event.ticker],
+                                  dates)
+    if errors:
+        raise errors[0]
     return float(rt[0, 0])
 
 

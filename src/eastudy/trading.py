@@ -8,10 +8,11 @@ proceeds are reinvested; a fixed per-share spread is charged once per
 round trip. It reads the AfterClose rows and Sent(-1) of the event table.
 
 The trade-return curves split the same way as the event study: one
-hold-return pass (``hold_returns``) measures each event once per run, and
-every stratum averages the rows its mask and labels select. Both read
-closes from the dataset's price grid by calendar index; the hold returns
-of all events are one gather.
+hold-return pass (``hold_returns``) measures each event once per run, from
+the event table's day-0 and bar-row columns under a mask, and every
+stratum averages the rows its mask and labels select. Both read closes
+from the dataset's price grid by calendar index; the hold returns of all
+events are one gather, which also names why each skipped event is skipped.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import EventAnchor
-from .errors import MissingBar, OutOfCalendarRange
+from .errors import OutOfCalendarRange
 from .event_study import LabeledEvent, MeasuredRows, class_rows, labeled_columns
-from .model import Dataset, EarningsEvent, Timing
+from .model import Dataset, EarningsEvent, PriceGrid, Timing
 from .reports import EventTable, build_universe
-from .returns import check_hold, hold_from_day_m1
+from .returns import hold_from_day_m1
 from .sentiment import EventPolarity, PolarityThresholds, categorize_scores
 
 
@@ -52,7 +52,7 @@ class TradeReturnCurves:
 
 @dataclass(frozen=True, eq=False)
 class EventHolds(MeasuredRows):
-    """RT_d, d = 0..max_d, row i for the i-th anchor given to ``hold_returns``.
+    """RT_d, d = 0..max_d, row i for the i-th event given to ``hold_returns``.
 
     ``skips[i]`` is "" where the event was measured, why it was skipped, or
     None where it was not asked for; the rows of the last two are NaN.
@@ -63,38 +63,31 @@ class EventHolds(MeasuredRows):
     skips: tuple[str | None, ...]
 
 
-def hold_returns(
-    anchors: Sequence[EventAnchor | None],
-    ds: Dataset,
-    max_d: int = 10,
-) -> EventHolds:
+def hold_returns(prices: PriceGrid, day0: np.ndarray, bar_row: np.ndarray, mask: np.ndarray,
+                 tickers: Sequence[str], max_d: int = 10) -> EventHolds:
     """RT_d of each event's stock and of the benchmark index, d = 0..max_d.
 
-    An anchor of None is not measured. The anchors are on the calendar the
-    dataset's index implies. The index applies the same buy-at-day--1
+    The events of ``mask`` are measured, read as ``fit_events`` reads them;
+    ``tickers`` names them. The index applies the same buy-at-day--1
     arithmetic to index levels on each event's own dates. An event with any
     missing bar over day -1..day max_d is skipped with a reason, not fatal.
     """
     days = range(max_d + 1)
-    stock = np.full((len(anchors), max_d + 1), np.nan)
+    stock = np.full((len(mask), max_d + 1), np.nan)
     index = np.full(stock.shape, np.nan)
-    skips = [None if a is None else "" for a in anchors]
-    asked = np.array([i for i, a in enumerate(anchors) if a is not None], dtype=np.int64)
-    if len(asked):
-        items = [anchors[i] for i in asked.tolist()]
-        prices = ds.prices(items[0].calendar.dates)
-        rows = np.array([prices.row(a.event.ticker) for a in items], dtype=np.int64)
-        day0 = np.array([a.day0_index for a in items], dtype=np.int64)
-        rt_stock = hold_from_day_m1(prices.closes, rows, day0, days)
-        rt_index = hold_from_day_m1(prices.index_closes[None, :], np.zeros_like(rows), day0, days)
-        served = ~(np.isnan(rt_stock).any(axis=1) | np.isnan(rt_index).any(axis=1))
-        stock[asked[served]], index[asked[served]] = rt_stock[served], rt_index[served]
-        for i in asked[~served].tolist():
-            try:  # name the first missing bar, stock before index
-                check_hold(prices.close_row(anchors[i].event.ticker), anchors[i], days)
-                check_hold(prices.index_closes, anchors[i], days)
-            except (MissingBar, OutOfCalendarRange) as exc:
-                skips[i] = f"{type(exc).__name__}: {exc}"
+    skips = ["" if m else None for m in mask.tolist()]
+    asked = np.flatnonzero(mask)
+    names = [tickers[i] for i in asked.tolist()]
+    rt_stock, errors = hold_from_day_m1(prices.closes, bar_row[asked], day0[asked], days,
+                                        names, prices.dates)
+    rt_index, index_errors = hold_from_day_m1(prices.index_closes[None, :],
+                                              np.zeros_like(asked), day0[asked], days,
+                                              names, prices.dates)
+    errors = {**index_errors, **errors}  # the stock's reason comes before the index's
+    stock[asked], index[asked] = rt_stock, rt_index
+    stock[asked[list(errors)]] = index[asked[list(errors)]] = np.nan
+    for j, exc in errors.items():
+        skips[asked[j]] = f"{type(exc).__name__}: {exc}"
     return EventHolds(stock, index, tuple(skips))
 
 
@@ -127,9 +120,10 @@ def trade_return_curves(
 ) -> TradeReturnCurves:
     """Class means of RT_d for the stock and for the benchmark index, over
     the events in canonical (ticker, announce_at) order."""
-    anchors, events, labels = labeled_columns(labeled, "no events to average")
+    columns, events, labels = labeled_columns(labeled, ds, "no events to average")
     every = np.ones(len(events), dtype=bool)
-    return curve_classes(hold_returns(anchors, ds, max_d), events, every, labels)
+    held = hold_returns(*columns, every, [ev.ticker for ev in events], max_d)
+    return curve_classes(held, events, every, labels)
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,18 @@ def bar_columns(bars) -> DailyBars:
     )
 
 
+def anchor_columns(anchors, ds: Dataset):
+    """What ``fit_events`` and ``hold_returns`` take for a list of anchors,
+    None for an event not asked for: the price grid on the anchors'
+    calendar, then each event's day-0 calendar index, grid row and whether
+    it is asked for."""
+    cal = next((a.calendar for a in anchors if a is not None), None)
+    prices = ds.prices(cal.dates if cal else tuple(b.date for b in ds.index))
+    day0 = np.array([a.day0_index if a else -1 for a in anchors], dtype=np.int64)
+    rows = np.array([prices.row(a.event.ticker) if a else -1 for a in anchors], dtype=np.int64)
+    return prices, day0, rows, np.array([a is not None for a in anchors], dtype=bool)
+
+
 def make_dataset(bars=(), index=(), tweets=(), events=()) -> Dataset:
     return Dataset(
         bars=bar_columns(bars).canonical(),

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from eastudy import event_study, reports, trading
+from eastudy import event_study, ingest, reports, trading
 from eastudy.alignment import EventAnchor, TradingCalendar
 from eastudy.cli import build_parser, main
 from eastudy.errors import SchemaMismatch
@@ -421,6 +421,96 @@ class TestOutputPathIsAFile:
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]  # no staging left
 
 
+class TestSpreadSetting:
+    """The backtest's per-share spread is a finite number of at least 0,
+    whether it comes from ``--spread`` or from ``backtest.spread``."""
+
+    @staticmethod
+    def argv(source, value, data_dir, tmp_path):
+        if source == "flag":
+            return ["backtest", *data_flags(data_dir), "--spread", str(value)]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"backtest": {"spread": float(value)}}))
+        return ["--config", str(config), "backtest", *data_flags(data_dir)]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-0.01"])
+    def test_exit_5_with_one_error_line(self, source, value, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *self.argv(source, value, data_dir, tmp_path)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid backtest.spread ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", [0, 0.05])
+    def test_zero_and_positive_run(self, source, value, data_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *self.argv(source, value, data_dir, tmp_path)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["spread"] == value
+
+
+class TestIngestEmit:
+    """``ingest --emit`` stages the canonical copy like every other output."""
+
+    def test_emit_to_a_file_exits_5_and_leaves_it_alone(self, data_dir, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"not a directory\n")
+        assert main(["--out", str(tmp_path / "out"), "ingest", *data_flags(data_dir),
+                     "--emit", str(afile)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert afile.read_bytes() == b"not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]  # no staging left
+
+    def test_failed_emit_leaves_the_directory_as_it_was(self, data_dir, tmp_path, monkeypatch):
+        emit = tmp_path / "emit"
+        emit.mkdir()
+        (emit / "prices.csv").write_bytes(b"an earlier copy\n")
+        write_lines = ingest._write_lines
+
+        def first_file_only(path, header, lines):
+            if path.name != "prices.csv":
+                raise OSError("no space left on device")
+            write_lines(path, header, lines)
+
+        monkeypatch.setattr(ingest, "_write_lines", first_file_only)
+        with pytest.raises(OSError):
+            main(["--out", str(tmp_path / "out"), "ingest", *data_flags(data_dir),
+                  "--emit", str(emit)])
+        assert [p.name for p in tmp_path.iterdir()] == ["emit"]  # no staging left
+        assert [p.name for p in emit.iterdir()] == ["prices.csv"]
+        assert (emit / "prices.csv").read_bytes() == b"an earlier copy\n"
+
+
+class TestNoEventAnchorOnTheRunPath:
+    """``pipeline`` and ``ingest`` measure events from the event table's
+    columns: with ``EventAnchor`` uninstantiable they run and write the same
+    bytes as without the patch."""
+
+    def test_same_outputs_without_event_anchors(self, data_dir, tmp_path, monkeypatch, capsys):
+        def outputs(root):
+            assert main(["--out", str(root / "reports"), "pipeline", *data_flags(data_dir)]) == 0
+            assert main(["--out", str(root / "ingest"), "ingest", *data_flags(data_dir),
+                         "--emit", str(root / "emit")]) == 0
+            printed = capsys.readouterr().out.replace(str(root), "ROOT")
+            files = {p.relative_to(root).as_posix(): p.read_bytes()
+                     for p in sorted(root.rglob("*")) if p.is_file()}
+            manifest = json.loads(files.pop("reports/manifest.json"))
+            del manifest["created_utc"]
+            return printed, files, manifest
+
+        plain = outputs(tmp_path / "plain")
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an EventAnchor was made on the run path")
+
+        monkeypatch.setattr(EventAnchor, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            EventAnchor(None, None, None)
+        assert outputs(tmp_path / "guarded") == plain
+
+
 class TestOneRowIndex:
     def test_returns_exits_5_on_a_dataset_that_loads(self, data_dir, tmp_path, capsys):
         data = tmp_path / "data"
@@ -462,13 +552,14 @@ class TestEachEventAnchoredOnce:
     def test_pipeline_anchors_each_dataset_event_at_most_once(self, data_dir, tmp_path,
                                                              monkeypatch):
         calls = Counter()
-        for module in (reports, trading):  # every place that has looked it up
-            if hasattr(module, "anchor_event"):
-                def counting(ev, cal, original=module.anchor_event):
-                    calls[ev.key()] += 1
-                    return original(ev, cal)
+        for module in (reports, trading):  # every place that has looked one up
+            for name in ("anchor_event", "day0_index"):
+                if hasattr(module, name):
+                    def counting(ev, cal, original=getattr(module, name)):
+                        calls[ev.key()] += 1
+                        return original(ev, cal)
 
-                monkeypatch.setattr(module, "anchor_event", counting)
+                    monkeypatch.setattr(module, name, counting)
         assert main(["--out", str(tmp_path / "out"), "pipeline", *data_flags(data_dir),
                      "--thresholds-until", "2015-10-15"]) == 0
         assert len(calls) == SPEC["n_tickers"] * SPEC["events_per_ticker"]

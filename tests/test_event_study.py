@@ -33,7 +33,14 @@ from eastudy.sentiment import EventPolarity
 from eastudy.synth import SynthSpec, generate_with_truth
 from eastudy.trading import curve_classes, hold_returns, trade_return_curves
 
-from conftest import eastern, index_from_closes, make_calendar, make_dataset, make_event
+from conftest import (
+    anchor_columns,
+    eastern,
+    index_from_closes,
+    make_calendar,
+    make_dataset,
+    make_event,
+)
 
 
 def ols_oracle(xs, ys):
@@ -417,8 +424,9 @@ class TestSharedPerEventRows:
         labeled = label_stratum(universe, timing, polarity_day)
         in_stratum = universe.stratum(timing)
         labels = stratum_labels(universe, timing, polarity_day)
-        fits = fit_events(table.anchors_of(universe.used), ds)
-        held = hold_returns(table.anchors_of(universe.used), ds)
+        prices, tickers = ds.prices(table.cal.dates), [ev.ticker for ev in table.events]
+        fits = fit_events(prices, table.day0, table.bar_row, universe.used)
+        held = hold_returns(prices, table.day0, table.bar_row, universe.used, tickers)
 
         own = aggregate_study(labeled, ds)
         assert own.skipped and own.classes
@@ -432,12 +440,13 @@ class TestSharedPerEventRows:
         table = universe.table
         in_stratum = universe.stratum(Timing.AFTER_CLOSE)
         labels = stratum_labels(universe, Timing.AFTER_CLOSE, 0)
-        others = table.anchors_of(universe.stratum(Timing.BEFORE_OPEN))
+        prices, tickers = ds.prices(table.cal.dates), [ev.ticker for ev in table.events]
+        others = (prices, table.day0, table.bar_row, universe.stratum(Timing.BEFORE_OPEN))
         with pytest.raises(ValueError):
-            study_classes(fit_events(others, ds), table.events, in_stratum, labels,
+            study_classes(fit_events(*others), table.events, in_stratum, labels,
                           StudyConfig())
         with pytest.raises(ValueError):
-            curve_classes(hold_returns(others, ds), table.events, in_stratum, labels)
+            curve_classes(hold_returns(*others, tickers), table.events, in_stratum, labels)
 
 
 # --- the batched fit against the per-event loop it replaced -----------------
@@ -561,7 +570,8 @@ class TestBatchedFitMatchesThePerEventLoop:
     @given(fit_scenarios())
     def test_bit_for_bit(self, scenario):
         ds, anchors, cfg = scenario
-        got, want = fit_events(anchors, ds, cfg), ref_fit_events(anchors, ds, cfg)
+        got = fit_events(*anchor_columns(anchors, ds), cfg)
+        want = ref_fit_events(anchors, ds, cfg)
         assert got.ars.tobytes() == want.ars.tobytes()
         assert got.sigma2.tobytes() == want.sigma2.tobytes()
         assert got.skips == want.skips

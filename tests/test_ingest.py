@@ -18,6 +18,7 @@ from eastudy.cli import main
 from eastudy.errors import InvariantViolation, MissingFile, SchemaMismatch
 from eastudy.event_study import StudyConfig, fit_events
 from eastudy.ingest import (
+    format_rfc3339,
     load_dataset,
     parse_rfc3339,
     parse_events_csv,
@@ -217,6 +218,38 @@ class TestParsers:
         assert not accepted
         assert diags[0].kind == "schema"
 
+    def test_repeated_event_rejected_and_first_kept(self, tmp_path):
+        events = (
+            "ticker,announce_at_utc,timing,eps_reported,eps_estimated\n"
+            "AAA,2015-06-02T20:30:00Z,AfterClose,1.05,1.0\n"
+            "AAA,2015-06-02T20:30:00Z,AfterClose,1.05,1.0\n"  # an exact repeat
+            "AAA,2015-06-03T20:30:00Z,AfterClose,1.2,1.0\n"  # the next day: another event
+            "AAA,2015-06-02T16:30:00-04:00,AfterClose,9.0,1.0\n"  # the first instant again
+        )
+        path = write(tmp_path / "e.csv", events)
+        accepted, diags = parse_events_csv(path)
+        assert [(line, ev.eps_reported) for line, ev in accepted] == [(2, 1.05), (4, 1.2)]
+        assert [(d.line, d.kind, d.message) for d in diags] == [
+            (line, "invariant", "duplicate event for AAA at 2015-06-02T20:30:00Z")
+            for line in (3, 5)
+        ]
+        paths = fixture_files(tmp_path, events=events)
+        with pytest.raises(InvariantViolation):
+            load_dataset(*paths)
+        flags = [f for name, path in zip(("prices", "index", "tweets", "events"), paths)
+                 for f in (f"--{name}", str(path))]
+        assert main(["--out", str(tmp_path / "out"), "ingest", *flags]) == 4
+
+    def test_events_of_one_ticker_at_different_instants_load(self, tmp_path):
+        events = (
+            "ticker,announce_at_utc,timing,eps_reported,eps_estimated\n"
+            "AAA,2015-06-02T20:30:00Z,AfterClose,1.05,1.0\n"
+            "AAA,2015-06-02T20:30:01Z,AfterClose,1.05,1.0\n"
+        )
+        ds = load_dataset(*fixture_files(tmp_path, events=events))
+        assert [format_rfc3339(ev.announce_at) for ev in ds.events] == [
+            "2015-06-02T20:30:00Z", "2015-06-02T20:30:01Z"]
+
     def test_index_strictly_increasing(self, tmp_path):
         index = "date,close\n2015-06-01,10\n2015-06-01,11\n2015-06-02,0\n"
         accepted, diags = parse_index_csv(write(tmp_path / "i.csv", index))
@@ -241,7 +274,8 @@ def coverage(ds, cfg=StudyConfig()):
     """The study's own exclusions: the universe's (no anchor, no day-0 tweets),
     then the market-model fit loop's. Returns (universe, fits, reasons by event)."""
     universe = build_universe(ds)
-    fits = fit_events(universe.table.anchors_of(universe.used), ds, cfg)
+    t = universe.table
+    fits = fit_events(ds.prices(t.cal.dates), t.day0, t.bar_row, universe.used, cfg)
     reasons: dict = {}
     skipped = [(ev, why) for ev, why in zip(universe.table.events, fits.skips) if why]
     for ev, why in universe.dropped + skipped:

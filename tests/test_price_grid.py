@@ -33,6 +33,7 @@ from eastudy.returns import daily_returns, trading_return
 from eastudy.trading import EventHolds, hold_returns
 
 from conftest import (
+    anchor_columns,
     as_dict,
     bar_columns,
     bars_of,
@@ -212,9 +213,12 @@ class TestKernelsMatchTheDateWalk:
     @given(scenarios())
     def test_fits_ars_holds_and_skips(self, scenario):
         ds, cal, anchors, cfg, max_d = scenario
-        got, want = fit_events(anchors, ds, cfg), ref_fit_events(anchors, ds, cfg)
+        columns = anchor_columns(anchors, ds)
+        got, want = fit_events(*columns, cfg), ref_fit_events(anchors, ds, cfg)
         assert repr(rows(got)) == repr(rows(want))
-        got, want = hold_returns(anchors, ds, max_d), ref_hold_returns(anchors, ds, max_d)
+        tickers = [a.event.ticker if a else "" for a in anchors]
+        got = hold_returns(*columns, tickers, max_d)
+        want = ref_hold_returns(anchors, ds, max_d)
         assert repr(rows(got)) == repr(rows(want))
 
     @settings(max_examples=75)
@@ -248,7 +252,8 @@ class TestGridRefusesWhatItCannotHold:
         ev = make_event("AAA", eastern(2015, 6, 2, 17, 0), Timing.AFTER_CLOSE)
         ds = Dataset(bars=bar_columns(bars), index=tuple(index), tweets=tweet_columns(()),
                      events=(ev,))
-        return fit_events([anchor_event(ev, cal)], ds, StudyConfig(estimation_window_length=3))
+        return fit_events(*anchor_columns([anchor_event(ev, cal)], ds),
+                          StudyConfig(estimation_window_length=3))
 
     def test_bar_on_a_non_trading_date(self):
         saturday = date(2015, 6, 6)
