@@ -59,7 +59,6 @@ from .reports import (
     volume_report,
 )
 from .sentiment import covered_tweets, sentiment_scores
-from .synth import SynthSpec, generate
 from .trading import curve_classes, hold_returns, run_strategy
 
 # exit codes: 0 ok, these three, and 5 for every other domain error
@@ -122,19 +121,34 @@ def _day(text) -> date | None:
     return date.fromisoformat(text) if text else None
 
 
+def _number(value):
+    """The value, unless it is a JSON boolean: no numeric setting takes one."""
+    if isinstance(value, bool):
+        raise ValueError("expected a number, not true or false")
+    return value
+
+
+def _int(value) -> int:
+    return int(_number(value))
+
+
+def _float(value) -> float:
+    return float(_number(value))
+
+
 def _pair(value) -> tuple[int, int]:
     lo, hi = value
-    return int(lo), int(hi)
+    return _int(lo), _int(hi)
 
 
 def _polarity_day(value) -> int:
-    if int(value) not in (0, -1):
+    if _int(value) not in (0, -1):
         raise ValueError("expected 0 or -1")
     return int(value)
 
 
 def _spread(value) -> float:
-    spread = float(value)
+    spread = _float(value)
     if not 0.0 <= spread < math.inf:
         raise ValueError("expected a finite per-share cost of at least 0")
     return spread
@@ -154,14 +168,14 @@ SETTINGS = {
     "polarity_day": (("polarity_day",), 0, _polarity_day),
     "timing": (("timing",), "afterclose", _timing),
     "event_window": (("study", "event_window"), (-1, 10), _pair),
-    "estimation_window": (("study", "estimation_window"), 120, int),
-    "significance": (("study", "significance"), 0.01, float),
+    "estimation_window": (("study", "estimation_window"), 120, _int),
+    "significance": (("study", "significance"), 0.01, _float),
     "spread": (("backtest", "spread"), 0.05, _spread),
     "start": (("backtest", "from"), None, _day),
     "end": (("backtest", "to"), None, _day),
     "thresholds_until": (("backtest", "thresholds_until"), None, _day),
-    "rel_min": (("volume", "rel_min"), -5, int),
-    "rel_max": (("volume", "rel_max"), 5, int),
+    "rel_min": (("volume", "rel_min"), -5, _int),
+    "rel_max": (("volume", "rel_max"), 5, _int),
 }
 
 
@@ -269,11 +283,8 @@ def _emit_returns(run) -> dict:
 
 def _emit_surprise(run) -> None:
     t = run.universe.table
-    rows = (
-        (ev.ticker, format_rfc3339(ev.announce_at), es)
-        for ev, es, excluded in zip(t.events, t.surprise.tolist(), t.excluded.tolist())
-        if not excluded
-    )
+    kept = ~t.excluded
+    rows = zip(t.events.names[kept].tolist(), t.events.stamps(kept), t.surprise[kept].tolist())
     run.out.write_csv("surprise.csv", ["ticker", "announce_at", "es"], rows)
 
 
@@ -294,7 +305,7 @@ def _emit_study(run) -> dict:
 def _emit_curves(run) -> None:
     t = run.universe.table
     held = hold_returns(run.ds.prices(t.cal.dates), t.day0, t.bar_row, run.measured,  # once
-                        [ev.ticker for ev in t.events])
+                        t.events.names)
     for (timing, polarity_day), labels in run.labels.items():
         curves = curve_classes(held, t.events, run.universe.stratum(timing), labels)
         rows = _class_rows(curves.days, curves.classes, "stock_mean", "index_mean")
@@ -446,7 +457,9 @@ def _cmd_calendar(args, config, out: OutputDir) -> int:
     return 0
 
 
-def _synth_spec(args, config) -> SynthSpec:
+def _synth_spec(args, config):
+    from .synth import SynthSpec  # only this command imports the generator
+
     if args.spec:
         payload = _read_json(args.spec)
     else:
@@ -462,6 +475,8 @@ def _synth_spec(args, config) -> SynthSpec:
 
 
 def _cmd_synth(args, config, out: OutputDir) -> int:
+    from .synth import SynthSpec, generate
+
     spec = _synth_spec(args, config)
     ds = generate(spec)
     paths = write_dataset(ds, out.stage())

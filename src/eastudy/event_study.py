@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
 from itertools import accumulate
-from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,6 +50,8 @@ from .sentiment import EventPolarity
 
 def z_critical(alpha: float) -> float:
     """Two-sided normal critical value z_{1 - alpha/2}."""
+    from statistics import NormalDist  # here: only the studies need it, and it is slow to load
+
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     return NormalDist().inv_cdf(1 - alpha / 2)

@@ -7,15 +7,18 @@ silently. ``load_dataset`` raises on the first problem (carrying all
 diagnostics), while the ``parse_*`` functions expose the collect-all
 behavior directly.
 
-The prices, index and tweets files are read by a fast path first: the file
-is read ``BLOCK_BYTES`` at a time into blocks of whole lines, each block's
-cells are found from its newline and comma offsets and checked by byte
-class, and the accepted rows go into columns sized from the file's length.
-A fast-path line has exactly the header's width, a canonical ``YYYY-MM-DD``
-date or ``YYYY-MM-DDTHH:00:00Z`` stamp that exists on the calendar
-(``2016-02-30`` does not), a ticker of 1 to 6 bytes of ``[A-Z.]``, counts
-and volumes that are plain runs of ASCII digits in range, and a close
-written as digits with at most one inner ``.``, positive. Every other line
+Every file is read by a fast path first: the file is read ``BLOCK_BYTES``
+at a time into blocks of whole lines, each block's cells are found from its
+newline and comma offsets and checked by byte class, and the accepted rows
+go into columns sized from the file's length. A fast-path line has exactly
+the header's width, a canonical ``YYYY-MM-DD`` date, ``YYYY-MM-DDTHH:00:00Z``
+tweet hour or ``YYYY-MM-DDTHH:MM:SSZ`` announcement that exists on the
+calendar (``2016-02-30`` does not), a ticker of 1 to 6 bytes of ``[A-Z.]``,
+counts and volumes that are plain runs of ASCII digits in range, a close
+written as digits with at most one inner ``.``, positive, an EPS figure
+written the same way after an optional ``-``, and a timing of exactly
+``BeforeOpen`` or ``AfterClose`` whose local-time rule the announcement
+keeps (read from ``alignment.eastern_offsets``). Every other line
 goes through the row loop, the per-row parser with every check and its
 diagnostic text, one line at a time; so do whole files that hold a CR, a
 quote, a blank line, a BOM, another header or malformed UTF-8, or that do
@@ -53,17 +56,17 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .alignment import MARKET_CLOSE, MARKET_OPEN, to_eastern
+from .alignment import FIRST_DAY, MARKET_CLOSE, MARKET_OPEN, eastern_clock, keeps_bell, to_eastern
 from .errors import InvalidSpec, InvariantViolation, MissingFile, SchemaMismatch
 from .model import (
-    DailyBar,
+    EPOCH,
+    MICROSECOND,
     DailyBars,
     Dataset,
-    EarningsEvent,
+    Events,
     IndexBar,
     TICKER_RE,
     Timing,
-    TweetBucket,
     TweetBuckets,
     distinct,
 )
@@ -78,8 +81,7 @@ MAX_COUNT = 2**31 - 1
 MAX_VOLUME = 2**63 - 1  # largest share volume: the int64 column holds it
 BLOCK_BYTES = 1 << 18  # bytes per fast-path read: bounds a block's temporaries
 _PAD = 32  # zero bytes around a block, so fixed-width gathers stay inside it
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_EPOCH_DAY = _EPOCH.date().toordinal()
+_EPOCH_DAY = EPOCH.date().toordinal()
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,8 @@ def parse_rfc3339(text: str) -> datetime:
 
 
 def format_rfc3339(instant: datetime) -> str:
-    return instant.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, a fraction of a second dropped."""
+    return instant.astimezone(timezone.utc).replace(tzinfo=None, microsecond=0).isoformat() + "Z"
 
 
 def _cell_error(path, lineno, column, message) -> Diagnostic:
@@ -368,21 +371,21 @@ def _days(g: np.ndarray):
     return days.astype(np.int64), ok
 
 
-_HOUR_FIXED = {10: ord("T"), 13: ord(":"), 14: ord("0"), 15: ord("0"), 16: ord(":"),
-               17: ord("0"), 18: ord("0"), 19: ord("Z")}
+_STAMP_FIXED = {10: ord("T"), 13: ord(":"), 16: ord(":"), 19: ord("Z")}
 
 
-def _hour_stamps(seg, start, size):
-    """UTC epoch seconds of each ``YYYY-MM-DDTHH:00:00Z`` cell that names a
-    real hour, and a mask of those cells."""
+def _stamps(seg, start, size):
+    """UTC epoch seconds of each ``YYYY-MM-DDTHH:MM:SSZ`` cell that names a
+    real second, a mask of those cells, and the seconds past the hour."""
     g = _gather(seg, start, 20)
     days, ok = _days(g)
-    fixed = g[list(_HOUR_FIXED)] == np.array(list(_HOUR_FIXED.values()))[:, None]
-    hh = g[11:13] - 48
-    ok &= (size == 20) & fixed.all(axis=0) & (hh <= 9).all(axis=0)
-    hour = hh[0].astype(np.int64) * 10 + hh[1]
-    ok &= hour <= 23
-    return days * 86400 + hour * 3600, ok
+    fixed = g[list(_STAMP_FIXED)] == np.array(list(_STAMP_FIXED.values()))[:, None]
+    d = g[[11, 12, 14, 15, 17, 18]] - 48
+    ok &= (size == 20) & fixed.all(axis=0) & (d <= 9).all(axis=0)
+    hour, minute, second = (d[i].astype(np.int64) * 10 + d[i + 1] for i in (0, 2, 4))
+    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    past_hour = minute * 60 + second
+    return days * 86400 + hour * 3600 + past_hour, ok, past_hour
 
 
 def _decimals(seg, start, size):
@@ -421,12 +424,32 @@ def _index_cells(seg, start, size):
 
 
 def _tweet_cells(seg, start, size):
-    ts, ok = _hour_stamps(seg, start[:, 0], size[:, 0])
+    ts, ok, past_hour = _stamps(seg, start[:, 0], size[:, 0])
+    ok &= past_hour == 0
     packed, ok_ticker = _tickers(seg, start[:, 1], size[:, 1])
     counts, ok_counts = _digits(seg, start[:, 2:].ravel(), size[:, 2:].ravel(), 10)
     counts, ok_counts = counts.reshape(-1, 3), ok_counts.reshape(-1, 3)
     ok &= ok_ticker & ok_counts.all(axis=1) & (counts <= MAX_COUNT).all(axis=1)
     return ok, (packed, ts, *counts.T)
+
+
+_TIMINGS = np.frombuffer(b"".join(t.value.encode() for t in Timing), np.uint8).reshape(-1, 10)
+
+
+def _event_cells(seg, start, size):
+    packed, ok = _tickers(seg, start[:, 0], size[:, 0])
+    ts, ok_at, _ = _stamps(seg, start[:, 1], size[:, 1])
+    timing = (_gather(seg, start[:, 2], 10).T[:, None] == _TIMINGS).all(axis=2)  # row x code
+    minus = seg[start[:, 3:]] == 45  # a leading "-": negate the decimal after it
+    eps, ok_eps = _decimals(seg, (start[:, 3:] + minus).ravel(), (size[:, 3:] - minus).ravel())
+    eps = np.where(minus, -eps.reshape(-1, 2), eps.reshape(-1, 2))
+    ok &= ok_at & (size[:, 2] == 10) & timing.any(axis=1) & ok_eps.reshape(-1, 2).all(axis=1)
+    code = np.argmax(timing, axis=1).astype(np.int8)
+    # the local-time rule, on a local date that a datetime holds
+    at, clock = ts * 10**6, np.zeros((2, len(ts)), dtype=np.int64)
+    clock[:, ok] = eastern_clock(at[ok])
+    ok &= (clock[0] >= FIRST_DAY) & keeps_bell(code, clock[1])
+    return ok, (packed, at, code, *eps.T)
 
 
 def _block_cells(seg, begin, stop, width: int):
@@ -557,25 +580,26 @@ def _dated_rows(path, lines, code, day, diags, message) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AcceptedBars:
-    """The accepted rows of a prices file, in file order.
+class Accepted:
+    """The accepted rows of a file, in file order.
 
     ``lines`` holds each row's physical line number (None when row i is
-    line i + 2) and ``bars`` its columns. Item ``i`` is ``(line, DailyBar)``.
+    line i + 2) and ``rows`` their columns (``DailyBars``, ``TweetBuckets``
+    or ``Events``). Item ``i`` is ``(line, record)``.
     """
 
     lines: np.ndarray | None
-    bars: DailyBars
+    rows: DailyBars | TweetBuckets | Events
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self.rows)
 
-    def __getitem__(self, i: int) -> tuple[int, DailyBar]:
-        return int(_line_numbers(self.lines, i)), self.bars[i]
+    def __getitem__(self, i: int) -> tuple:
+        return int(_line_numbers(self.lines, i)), self.rows[i]
 
 
 def parse_prices_csv(path: str | Path):
-    """Parse prices.csv -> (AcceptedBars, list[Diagnostic])."""
+    """Parse prices.csv -> (Accepted bars, list[Diagnostic])."""
     path = Path(path)
     lines, (packed, day, close, volume), diags, _ = _parse(
         path, PRICES_HEADER, _price_cells, _price_row, (np.int64, np.int64, np.float64, np.int64)
@@ -587,7 +611,7 @@ def parse_prices_csv(path: str | Path):
     bars = DailyBars(tickers, code, day.view("datetime64[D]"), close, volume)
     if not keep.all():
         lines, bars = _line_numbers(lines, np.flatnonzero(keep)), bars[keep]
-    return AcceptedBars(lines, bars), diags
+    return Accepted(lines, bars), diags
 
 
 def parse_index_csv(path: str | Path):
@@ -603,27 +627,8 @@ def parse_index_csv(path: str | Path):
     return [(n, IndexBar(d, c)) for n, d, c in rows], diags
 
 
-@dataclass(frozen=True)
-class AcceptedTweets:
-    """The accepted rows of a tweets file, in file order.
-
-    ``lines`` holds each row's physical line number (None when row i is
-    line i + 2) and ``buckets`` its columns. Item ``i`` is
-    ``(line, TweetBucket)``, as for the other parsers.
-    """
-
-    lines: np.ndarray | None
-    buckets: TweetBuckets
-
-    def __len__(self) -> int:
-        return len(self.buckets)
-
-    def __getitem__(self, i: int) -> tuple[int, TweetBucket]:
-        return int(_line_numbers(self.lines, i)), self.buckets[i]
-
-
 def parse_tweets_csv(path: str | Path):
-    """Parse tweets.csv -> (AcceptedTweets, list[Diagnostic])."""
+    """Parse tweets.csv -> (Accepted tweet buckets, list[Diagnostic])."""
     path = Path(path)
     lines, (packed, ts, *counts), diags, slow = _parse(
         path, TWEETS_HEADER, _tweet_cells, _tweet_row_check(), (np.int64,) * 5
@@ -635,13 +640,13 @@ def parse_tweets_csv(path: str | Path):
     for i in np.flatnonzero(repeated).tolist():
         line = int(_line_numbers(lines, i))
         stamp = slow[line][-1] if line in slow else (
-            (_EPOCH + timedelta(seconds=int(ts[i]))).isoformat().replace("+00:00", "Z")
+            (EPOCH + timedelta(seconds=int(ts[i]))).isoformat().replace("+00:00", "Z")
         )
         diags.append(_invariant(path, line, f"duplicate bucket for {tickers[code[i]]} at {stamp}"))
     diags.sort(key=lambda d: d.line)
     if repeated.any():
         lines, buckets = _line_numbers(lines, np.flatnonzero(~repeated)), buckets[~repeated]
-    return AcceptedTweets(lines, buckets), diags
+    return Accepted(lines, buckets), diags
 
 
 def _event_row(path, lineno, cells):
@@ -651,7 +656,8 @@ def _event_row(path, lineno, cells):
         return _cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}")
     try:
         announce_at = parse_rfc3339(raw_at)
-    except ValueError:
+        local_time = to_eastern(announce_at).time()
+    except (ValueError, OverflowError):  # also an instant or a local time past a datetime's range
         return _cell_error(path, lineno, "announce_at_utc", f"bad timestamp {raw_at!r}")
     timing_text = raw_timing.strip()
     try:
@@ -667,7 +673,6 @@ def _event_row(path, lineno, cells):
         return _cell_error(path, lineno, "eps_reported/eps_estimated", "not a number")
     if not (math.isfinite(eps_reported) and math.isfinite(eps_estimated)):
         return _cell_error(path, lineno, "eps_reported/eps_estimated", "not a finite number")
-    local_time = to_eastern(announce_at).time()
     if timing is Timing.BEFORE_OPEN:
         wrong, rule = local_time >= MARKET_OPEN, "not before 09:30"
     else:
@@ -677,34 +682,30 @@ def _event_row(path, lineno, cells):
             path, lineno,
             f"{ticker}: {timing.value} announcement at {local_time} US/Eastern ({rule})",
         )
-    excluded = eps_estimated == 0.0
-    return EarningsEvent(
-        ticker=ticker,
-        announce_at=announce_at,
-        timing=timing,
-        eps_reported=eps_reported,
-        eps_estimated=eps_estimated,
-        excluded=excluded,
-        exclusion_reason="zero estimate" if excluded else "",
-    )
+    at = (announce_at - EPOCH) // MICROSECOND
+    return _pack(ticker), at, timing.code, eps_reported, eps_estimated
 
 
 def parse_events_csv(path: str | Path):
-    """Parse events.csv -> (list[(lineno, EarningsEvent)], list[Diagnostic])."""
+    """Parse events.csv -> (Accepted events, list[Diagnostic]).
+
+    An event whose EPS estimate is zero is accepted and marked excluded."""
     path = Path(path)
-    lines, events, diags = _row_loop(path, EVENTS_HEADER, _csv_rows(path, EVENTS_HEADER),
-                                     _event_row)
+    lines, (packed, at, timing, reported, estimated), diags, _ = _parse(
+        path, EVENTS_HEADER, _event_cells, _event_row,
+        (np.int64, np.int64, np.int8, np.float64, np.float64),
+    )
+    tickers, code = _ticker_codes(packed)
+    events = Events(tickers, code, at, timing, reported, estimated, estimated == 0.0)
     # one event per (ticker, instant): the first in line order is kept
-    kept, seen = [], set()
-    for line, ev in zip(lines, events):
-        if ev.key() in seen:
-            diags.append(_invariant(path, line, f"duplicate event for {ev.ticker} at "
-                                                f"{format_rfc3339(ev.announce_at)}"))
-        else:
-            seen.add(ev.key())
-            kept.append((line, ev))
+    repeated = _repeated(code, at)
+    for i, stamp in zip(np.flatnonzero(repeated).tolist(), events.stamps(repeated)):
+        diags.append(_invariant(path, int(_line_numbers(lines, i)),
+                                f"duplicate event for {tickers[code[i]]} at {stamp}"))
     diags.sort(key=lambda d: d.line)
-    return kept, diags
+    if repeated.any():
+        lines, events = _line_numbers(lines, np.flatnonzero(~repeated)), events[~repeated]
+    return Accepted(lines, events), diags
 
 
 def load_dataset(
@@ -729,26 +730,25 @@ def load_dataset(
     else:
         # the accepted index dates are strictly increasing
         index_days = np.array([b.date for _, b in index], dtype="datetime64[D]")
-        at = np.minimum(np.searchsorted(index_days, bars.bars.day), len(index_days) - 1)
-        for i in np.flatnonzero(index_days[at] != bars.bars.day).tolist():
+        at = np.minimum(np.searchsorted(index_days, bars.rows.day), len(index_days) - 1)
+        for i in np.flatnonzero(index_days[at] != bars.rows.day).tolist():
             lineno, bar = bars[i]
             diags.append(_invariant(
                 Path(prices_path), lineno,
                 f"{bar.ticker} bar on {bar.date} has no index bar (non-trading date)",
             ))
-        bar_tickers = set(bars.bars.present)
-        for lineno, ev in events:
-            if ev.ticker not in bar_tickers:
-                diags.append(_invariant(
-                    Path(events_path), lineno, f"event ticker {ev.ticker} has no price bars"
-                ))
+        ev, present = events.rows, set(bars.rows.present)
+        has_bars = np.array([t in present for t in ev.tickers], dtype=bool)
+        for i in np.flatnonzero(~has_bars[ev.code]).tolist():
+            diags.append(_invariant(Path(events_path), int(_line_numbers(events.lines, i)),
+                                    f"event ticker {ev.tickers[ev.code[i]]} has no price bars"))
 
     raise_for(diags, "problem(s)")
     return Dataset(
-        bars=bars.bars.canonical(),
+        bars=bars.rows.canonical(),
         index=tuple(b for _, b in index),
-        tweets=tweets.buckets.canonical(),
-        events=tuple(sorted((e for _, e in events), key=lambda e: e.key())),
+        tweets=tweets.rows.canonical(),
+        events=events.rows.canonical(),
     )
 
 
@@ -784,10 +784,11 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> list[Path]:
         _lookup(stamps, np.searchsorted(hours, tw.ts)), _lookup(list(tw.tickers), tw.code),
         tw.n_neg.tolist(), tw.n_neut.tolist(), tw.n_pos.tolist(),
     ))
-    _write_lines(paths[3], EVENTS_HEADER, (
-        f"{e.ticker},{format_rfc3339(e.announce_at)},{e.timing.value},"
-        f"{e.eps_reported!r},{e.eps_estimated!r}\n"
-        for e in ds.events
+    ev = ds.events
+    _write_lines(paths[3], EVENTS_HEADER, map(
+        "{},{},{},{!r},{!r}\n".format,
+        ev.names.tolist(), ev.stamps(), _lookup([t.value for t in Timing], ev.timing),
+        ev.eps_reported.tolist(), ev.eps_estimated.tolist(),
     ))
     return paths
 
@@ -811,10 +812,13 @@ class OutputDir:
             raise InvalidSpec(f"output directory {self.root}: {existing} is not a directory")
         self.created: list[Path] = []  # staged files, in the order written
         self._stage: Path | None = None
+        self._made: list[Path] = []  # the parents of root that stage() made
 
     def stage(self) -> Path:
-        """The staging directory, made beside ``root`` on first use."""
+        """The staging directory, made beside ``root`` on first use, with the
+        parents of ``root`` that are missing."""
         if self._stage is None:
+            self._made = [p for p in self.root.parents if not p.exists()]  # deepest first
             self.root.parent.mkdir(parents=True, exist_ok=True)
             stage = tempfile.mkdtemp(prefix=f".{self.root.name}.", dir=self.root.parent)
             self._stage = Path(stage)
@@ -845,6 +849,14 @@ class OutputDir:
         self.discard()
 
     def discard(self) -> None:
+        """Delete the staging directory, then each parent ``stage`` made that
+        is empty, deepest first."""
         if self._stage is not None:
             shutil.rmtree(self._stage, ignore_errors=True)
             self._stage = None
+        for parent in self._made:
+            try:
+                parent.rmdir()
+            except OSError:  # not empty: it holds a committed run
+                break
+        self._made = []

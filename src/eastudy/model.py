@@ -2,12 +2,14 @@
 
 All instants are timezone-aware UTC datetimes; naive timestamps are never
 accepted. Calendar dates are exchange-local ``datetime.date`` values. Tweet
-buckets, by far the largest input, and daily bars are stored as columns
-(``TweetBuckets``, ``DailyBars``), with instants as integer epoch seconds
-and dates as ``datetime64[D]``. Daily bars are also held on the trading
-calendar as (ticker x trading day) grids (``PriceGrid``), so the event
-study, the hold returns and the volume report read a bar by calendar index
-rather than by date.
+buckets, by far the largest input, daily bars and announcement events are
+stored as columns (``TweetBuckets``, ``DailyBars``, ``Events``), with
+instants as integer epoch seconds (epoch microseconds for announcements,
+which may carry fractions of a second) and dates as ``datetime64[D]``; one
+item of each is a record (``TweetBucket``, ``DailyBar``, ``EarningsEvent``).
+Daily bars are also held on the trading calendar as (ticker x trading
+day) grids (``PriceGrid``), so the event study, the hold returns and the
+volume report read a bar by calendar index rather than by date.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, fields
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
 from typing import Sequence
 
@@ -26,6 +28,8 @@ from .errors import InvariantViolation
 TICKER_RE = re.compile(r"^[A-Z.]{1,6}$")
 
 INDEX_TICKER = "INDEX"
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MICROSECOND = timedelta(microseconds=1)
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -48,6 +52,11 @@ class Timing(enum.Enum):
 
     BEFORE_OPEN = "BeforeOpen"
     AFTER_CLOSE = "AfterClose"
+
+    @property
+    def code(self) -> int:
+        """The timing's code in an int8 column: its place in ``Timing``."""
+        return list(Timing).index(self)
 
 
 @dataclass(frozen=True)
@@ -194,6 +203,63 @@ class EarningsEvent:
         return (self.ticker, self.announce_at)
 
 
+@dataclass(frozen=True, eq=False)
+class Events(_Columns):
+    """Earnings announcements as columns: one row per (ticker, instant) event.
+
+    ``at`` is the announcement in UTC epoch microseconds, so sorting rows by
+    ``(code, at)`` is sorting them by ``EarningsEvent.key``. ``timing`` holds
+    int8 ``Timing.code`` values, the EPS figures are float64, and
+    ``excluded`` marks the events the input excludes (a zero estimate).
+    """
+
+    tickers: tuple[str, ...]
+    code: np.ndarray
+    at: np.ndarray
+    timing: np.ndarray
+    eps_reported: np.ndarray
+    eps_estimated: np.ndarray
+    excluded: np.ndarray
+
+    @classmethod
+    def of(cls, events: Sequence[EarningsEvent]) -> "Events":
+        """Columns of the given records, in their order."""
+        tickers = tuple(sorted({ev.ticker for ev in events}))
+        codes = {t: i for i, t in enumerate(tickers)}
+        return cls(
+            tickers,
+            np.array([codes[ev.ticker] for ev in events], dtype=np.int64),
+            np.array([(ev.announce_at - EPOCH) // MICROSECOND for ev in events], dtype=np.int64),
+            np.array([ev.timing.code for ev in events], dtype=np.int8),
+            np.array([ev.eps_reported for ev in events], dtype=np.float64),
+            np.array([ev.eps_estimated for ev in events], dtype=np.float64),
+            np.array([ev.excluded for ev in events], dtype=bool),
+        )
+
+    @property
+    def names(self) -> np.ndarray:
+        """The ticker of each row, as an object array."""
+        return np.array(self.tickers, dtype=object)[self.code]
+
+    def stamps(self, rows=slice(None)) -> list[str]:
+        """``YYYY-MM-DDTHH:MM:SSZ`` of the selected rows' announcements, the
+        fractions of a second dropped as ``format_rfc3339`` drops them."""
+        seconds = (self.at[rows] // 10**6).astype("datetime64[s]")
+        return [s + "Z" for s in np.datetime_as_string(seconds, unit="s").tolist()]
+
+    def _record(self, i) -> EarningsEvent:
+        excluded = bool(self.excluded[i])
+        return EarningsEvent(
+            ticker=self.tickers[self.code[i]],
+            announce_at=EPOCH + int(self.at[i]) * MICROSECOND,
+            timing=list(Timing)[self.timing[i]],
+            eps_reported=float(self.eps_reported[i]),
+            eps_estimated=float(self.eps_estimated[i]),
+            excluded=excluded,
+            exclusion_reason="zero estimate" if excluded else "",
+        )
+
+
 def _simple_returns(closes: np.ndarray) -> np.ndarray:
     """(c[i] - c[i-1]) / c[i-1] along the last axis; NaN on the first day and
     wherever either close is missing."""
@@ -259,11 +325,6 @@ class PriceGrid:
         """The ticker's row, or -1 if it has no bars."""
         return self._rows.get(ticker, -1)
 
-    def close_row(self, ticker: str) -> np.ndarray:
-        """The ticker's close per trading day (all NaN if it has no bars)."""
-        row = self.row(ticker)
-        return self.closes[row] if row >= 0 else np.full(len(self.dates), np.nan)
-
     @cached_property
     def returns(self) -> np.ndarray:
         """Daily return per (bar ticker, trading day)."""
@@ -279,15 +340,20 @@ class PriceGrid:
 class Dataset:
     """Immutable-by-convention container for the four input collections.
 
-    Collections are canonically sorted: tuples of records, except the bars
-    and the tweet buckets, which are columns. The price grid is built on
-    first use, so the dataset can be shared freely.
+    Collections are canonically sorted: the index bars are a tuple of
+    records, the rest are columns. Events given as records are turned into
+    columns in their order. The price grid is built on first use, so the
+    dataset can be shared freely.
     """
 
     bars: DailyBars
     index: tuple[IndexBar, ...]
     tweets: TweetBuckets
-    events: tuple[EarningsEvent, ...]
+    events: Events
+
+    def __post_init__(self):
+        if not isinstance(self.events, Events):
+            self.events = Events.of(self.events)
 
     @cached_property
     def _prices(self) -> PriceGrid:

@@ -1,13 +1,16 @@
 """Analysis orchestration shared by the CLI subcommands.
 
 ``build_universe`` counts the tweets by day and builds the event table once
-per run: every dataset event anchored and scored once, as columns
-(``EventTable``). Every report reads it through masks: the universe is the
-table plus a date window, a stratum the universe's events of one timing
-class, with thresholds cut from its score column and labels in one int8
-column. The study and the curves measure events from its day-0 and bar-row
-columns. The volume report gathers each event's relative days by calendar
-index from the tweet count grids and the dataset's price grid.
+per run: the dataset's event columns, anchored in one pass
+(``alignment.anchor_days``) and scored once, as columns (``EventTable``).
+An event that cannot be anchored keeps a reason code, whose text is written
+only when a report prints it. Every report reads the table through masks:
+the universe is the table plus a date window, a stratum the universe's
+events of one timing class, with thresholds cut from its score column and
+labels in one int8 column. The study and the curves measure events from its
+day-0 and bar-row columns. The volume report gathers each event's relative
+days by calendar index from the tweet count grids and the dataset's price
+grid.
 """
 
 from __future__ import annotations
@@ -19,12 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .alignment import EventAnchor, TradingCalendar, day0_index, to_eastern
-from .errors import NonTradingAnnouncement, OutOfCalendarRange
+from .alignment import EventAnchor, TradingCalendar, anchor_days, anchor_error
 from .event_study import LabeledEvent
-from .model import Dataset, EarningsEvent, Timing
+from .model import Dataset, EarningsEvent, Events, Timing
 from .regression import RegressionFit, fit_es_regression
-from .returns import earnings_surprise
 from .sentiment import (
     DailyCounts,
     EventPolarity,
@@ -55,14 +56,14 @@ class EventTable:
 
     Row i is the i-th event in canonical (ticker, announce_at) order. A
     ticker without bars or tweets has grid row -1. An event that cannot be
-    anchored has day 0 at -1, zero counts and its anchoring error.
+    anchored has day 0 at -1, zero counts and the code of its anchoring
+    error (``anchor_error`` gives the text).
     """
 
     cal: TradingCalendar
-    events: tuple[EarningsEvent, ...]
-    anchor_errors: tuple[str, ...]  # "" where anchored
+    events: Events
+    reason: np.ndarray  # int8 code of alignment.ANCHOR_ERRORS, 0 where anchored
     day0: np.ndarray  # calendar index of day 0
-    timing: np.ndarray  # Timing, compared elementwise
     announced: np.ndarray  # US/Eastern announcement date, datetime64[D]
     bar_row: np.ndarray  # row in the price grid
     count_row: np.ndarray  # row in the tweet count grids
@@ -74,6 +75,13 @@ class EventTable:
     def sent_on(self, polarity_day: int) -> np.ndarray:
         """Sent(polarity_day) of every event."""
         return self.sent[:, SCORING_DAYS.index(polarity_day)]
+
+    def anchor_error(self, i: int) -> str:
+        """Why row i has no day 0, as ``type: message``."""
+        ev = self.events[i]
+        exc = anchor_error(int(self.reason[i]), ev.ticker, ev.announce_at,
+                           int(self.announced[i].astype(np.int64)))
+        return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,14 +120,14 @@ class EventUniverse:
         t = self.table
         return [
             (t.events[i],
-             f"not anchorable: {t.anchor_errors[i].partition(': ')[2]}" if t.day0[i] < 0
+             f"not anchorable: {t.anchor_error(i).partition(': ')[2]}" if t.day0[i] < 0
              else "no day-0 tweets")
             for i in np.flatnonzero(self.window & ~self.used).tolist()
         ]
 
     def stratum(self, timing: Timing) -> np.ndarray:
         """The used events of one timing class."""
-        return self.used & (self.table.timing == timing)
+        return self.used & (self.table.events.timing == timing.code)
 
     def until(self, until: date | None) -> "EventUniverse":
         """The universe of the dataset's events announced up to ``until``
@@ -140,38 +148,32 @@ def build_universe(
         cal = TradingCalendar.from_dataset(ds)
     covered, n_outside = covered_tweets(ds.tweets, cal)
     counts = daily_counts(covered, cal)
-    events = tuple(sorted(ds.events, key=EarningsEvent.key))
-    day0, errors = np.full(len(events), -1, dtype=np.int64), []
-    for i, ev in enumerate(events):
-        try:
-            day0[i] = day0_index(ev, cal)
-            errors.append("")
-        except (OutOfCalendarRange, NonTradingAnnouncement) as exc:
-            errors.append(f"{type(exc).__name__}: {exc}")
+    events = ds.events.canonical()
+    day0, reason, local_day = anchor_days(cal, events)
     bar_rows = {t: i for i, t in enumerate(ds.tickers)}  # the price grid's row order
-    count_row = np.array([counts.row(ev.ticker) for ev in events], dtype=np.int64)
+    bar_row = np.array([bar_rows.get(t, -1) for t in events.tickers], dtype=np.int64)
+    count_row = np.array([counts.row(t) for t in events.tickers], dtype=np.int64)
+    bar_row, count_row = bar_row[events.code], count_row[events.code]
     # one gather of the label counts on every scoring day of every event
     known = (day0 >= 0) & (count_row >= 0)
     days = day0[known, None] + np.array(SCORING_DAYS)
     day_labels = np.zeros((len(events), len(SCORING_DAYS), 3), dtype=np.int64)
     day_labels[known] = np.moveaxis(counts.labels[:, count_row[known, None], days], 0, -1)
-    excluded = np.array([ev.excluded or ev.eps_estimated == 0 for ev in events], dtype=bool)
+    excluded = events.excluded | (events.eps_estimated == 0)
+    reported, estimated = events.eps_reported, events.eps_estimated
+    with np.errstate(all="ignore"):  # a zero estimate divides by zero, but is excluded
+        surprise = np.where(excluded, np.nan, (reported - estimated) / estimated)
     table = EventTable(
         cal=cal,
         events=events,
-        anchor_errors=tuple(errors),
+        reason=reason,
         day0=day0,
-        timing=np.array([ev.timing for ev in events], dtype=object),
-        announced=np.array(
-            [to_eastern(ev.announce_at).date() for ev in events], dtype="datetime64[D]"
-        ),
-        bar_row=np.array([bar_rows.get(ev.ticker, -1) for ev in events], dtype=np.int64),
+        announced=local_day.astype("datetime64[D]"),
+        bar_row=bar_row,
         count_row=count_row,
         day_labels=day_labels,
         sent=sentiment_scores(day_labels),
-        surprise=np.array(
-            [math.nan if x else earnings_surprise(ev).es for ev, x in zip(events, excluded)]
-        ),
+        surprise=surprise,
         excluded=excluded,
     )
     return EventUniverse(ds, counts, table, np.full(len(events), True), n_outside).until(until)
@@ -370,8 +372,8 @@ def volume_report(
         ("three_day_event_multiplier", three_day / (3 * overall_mean) if overall_mean else 0.0),
         ("quiet_day_mean_tweets", quiet_mean),
         ("day0_to_quiet_ratio", mean_at.get(0, 0.0) / quiet_mean if quiet_mean else 0.0),
-        ("n_events", float(len(universe.events))),
-        ("n_dropped_events", float(len(universe.dropped))),
+        ("n_events", float(np.count_nonzero(universe.used))),
+        ("n_dropped_events", float(np.count_nonzero(universe.window & ~universe.used))),
         ("n_trading_days", float(n_days)),
         ("n_tickers", float(len(tickers))),
     ]

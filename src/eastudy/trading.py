@@ -130,7 +130,6 @@ def trade_return_curves(
 class Trade:
     """One executed short-then-cover round trip."""
 
-    event: EarningsEvent
     ticker: str
     open_date: date  # day -1, short sold at the close
     close_date: date  # day 0, repurchased at the close
@@ -193,35 +192,28 @@ def run_strategy(
         raise OutOfCalendarRange(f"no trading dates between {start} and {end}")
     prices = ds.prices(cal.dates)
 
-    day0 = table.day0
-    after_close = table.timing == Timing.AFTER_CLOSE
+    day0, bar_row = table.day0, table.bar_row
+    after_close = table.events.timing == Timing.AFTER_CLOSE.code
     negative = categorize_scores(table.sent_on(-1), thresholds) == EventPolarity.NEGATIVE
     short = after_close & (day0 - 1 >= lo) & (day0 < hi) & negative
-    trades: list[Trade] = []
-    skipped: list[tuple[EarningsEvent, str]] = []
-    for i in np.flatnonzero(short | (after_close & (day0 < 0))).tolist():
-        ev, i0 = table.events[i], int(day0[i])
-        if i0 < 0:
-            skipped.append((ev, table.anchor_errors[i]))
-            continue
-        open_date, close_date = cal.dates[i0 - 1], cal.dates[i0]
-        open_px, close_px = prices.close_row(ev.ticker)[i0 - 1:i0 + 1].tolist()
-        if math.isnan(open_px) or math.isnan(close_px):
-            skipped.append((ev, f"MissingBar: no close on {open_date} or {close_date}"))
-            continue
-        trades.append(
-            Trade(
-                event=ev,
-                ticker=ev.ticker,
-                open_date=open_date,
-                close_date=close_date,
-                open_price=open_px,
-                close_price=close_px,
-                spread=spread,
-                net_return=Trade.net(open_px, close_px, spread),
-            )
-        )
-    trades.sort(key=lambda t: (t.open_date, t.ticker))
+    # the day -1 and day 0 close of each short, NaN where its bar is missing
+    px = np.full((len(day0), 2), np.nan)
+    rows = np.flatnonzero(short & (bar_row >= 0))
+    px[rows] = prices.closes[bar_row[rows, None], day0[rows, None] + np.array([-1, 0])]
+    missing = short & np.isnan(px).any(axis=1)
+    skipped = [
+        (table.events[i], table.anchor_error(i) if day0[i] < 0 else
+         f"MissingBar: no close on {cal.dates[day0[i] - 1]} or {cal.dates[day0[i]]}")
+        for i in np.flatnonzero((after_close & (day0 < 0)) | missing).tolist()
+    ]
+    # by (open date, ticker), in table order among equals
+    rows = np.flatnonzero(short & ~missing)
+    rows = rows[np.lexsort((table.events.code[rows], day0[rows]))]
+    open_px, close_px = px[rows].T
+    net = (open_px - close_px - spread) / open_px  # Trade.net, elementwise
+    trades = [Trade(ticker, cal.dates[i0 - 1], cal.dates[i0], o, c, spread, n)
+              for ticker, i0, o, c, n in zip(table.events.names[rows].tolist(), day0[rows].tolist(),
+                                             open_px.tolist(), close_px.tolist(), net.tolist())]
 
     by_close: dict[date, list[Trade]] = {}
     for t in trades:

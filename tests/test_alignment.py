@@ -1,17 +1,23 @@
-from datetime import date, datetime, timedelta, timezone
+from bisect import bisect_right
+from datetime import date, datetime, time, timedelta, timezone
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eastudy.alignment import (
+    EASTERN,
     TradingCalendar,
     anchor_event,
     close_instant,
+    eastern_hours,
+    eastern_offsets,
 )
 from eastudy.errors import NonTradingAnnouncement, OutOfCalendarRange
 from eastudy.model import Timing
+from eastudy.reports import build_universe
 
-from conftest import eastern, make_calendar, make_event
+from conftest import eastern, index_from_closes, make_calendar, make_dataset, make_event
 
 
 class TestCloseDelimitedDay:
@@ -175,3 +181,137 @@ class TestCalendarConstruction:
     def test_index_of_unknown_date(self, week_calendar):
         with pytest.raises(OutOfCalendarRange):
             week_calendar.index_of(date(2015, 6, 6))
+
+
+def utc_offset(ts: int) -> int:
+    """The US/Eastern offset in seconds at one epoch second, read from ZoneInfo."""
+    return int(datetime.fromtimestamp(ts, EASTERN).utcoffset().total_seconds())
+
+
+def switch_instants(first_year: int, last_year: int) -> list[int]:
+    """Every instant from ``first_year`` to ``last_year`` at which the
+    US/Eastern offset changes, found hour by hour within each day whose
+    midnights differ: no use of the kernel's table."""
+    start = int(datetime(first_year, 1, 1, tzinfo=timezone.utc).timestamp())
+    stop = int(datetime(last_year + 1, 1, 1, tzinfo=timezone.utc).timestamp())
+    found, before = [], utc_offset(start)
+    for day in range(start, stop, 86400):
+        after = utc_offset(day + 86400)
+        if after != before:
+            hour = next(h for h in range(day, day + 86401, 3600) if utc_offset(h) == after)
+            found.append(hour)
+        before = after
+    return found
+
+
+SWITCHES = switch_instants(1900, 2100)
+MIN_TS = int(datetime(1900, 1, 1, tzinfo=timezone.utc).timestamp())
+MAX_TS = int(datetime(2101, 1, 1, tzinfo=timezone.utc).timestamp()) - 1
+
+
+class TestEasternOffsets:
+    """``eastern_offsets`` gives ZoneInfo's US/Eastern offset at every stamp."""
+
+    def test_every_switch_and_the_seconds_around_it(self):
+        assert 300 < len(SWITCHES) < 500  # about two a year, with gaps
+        ts = np.array([t + d for t in SWITCHES for d in (-3601, -1, 0, 1, 3599)])
+        assert eastern_offsets(ts).tolist() == [utc_offset(t) for t in ts.tolist()]
+
+    @given(st.lists(st.integers(MIN_TS, MAX_TS), min_size=1, max_size=50))
+    def test_random_stamps_1900_to_2100(self, stamps):
+        assert eastern_offsets(np.array(stamps)).tolist() == [utc_offset(t) for t in stamps]
+
+    def test_far_apart_years_build_only_their_own_tables(self):
+        # a year-1 stamp next to a 2015 one: two years of table, not 2,000
+        ts = np.array([-62135553600, 1433188800])
+        assert eastern_offsets(ts).tolist() == [-17762, -14400]  # LMT, then EDT
+
+    def test_hours_are_wall_clock_hours(self):
+        ts = np.array([t + d for t in SWITCHES[-40:] for d in range(-7200, 7201, 1800)])
+        want = [datetime.fromtimestamp(t, EASTERN).hour for t in ts.tolist()]
+        assert eastern_hours(ts).tolist() == want
+
+    @given(st.lists(st.dates(date(1900, 1, 1), date(2100, 12, 31)), min_size=1, max_size=30,
+                    unique=True))
+    def test_calendar_closes_are_close_instants(self, days):
+        cal = TradingCalendar(tuple(sorted(days)))
+        want = [int(close_instant(d).timestamp()) for d in cal.dates]
+        assert cal._closes_ts.tolist() == want
+        assert cal._lower_ts == int(close_instant(cal.dates[0] - timedelta(days=1)).timestamp())
+
+
+def reference_day0(ev, cal) -> int:
+    """Day 0's calendar index by the per-event rule, one date at a time."""
+    local = ev.announce_at.astimezone(EASTERN)
+    if ev.timing is Timing.BEFORE_OPEN:
+        if local.time() >= time(9, 30):
+            raise NonTradingAnnouncement(
+                f"{ev.ticker} {ev.announce_at.isoformat()}: BeforeOpen but at/after 09:30")
+        day0 = local.date()
+        if day0 not in cal.dates:
+            raise NonTradingAnnouncement(
+                f"{ev.ticker} {ev.announce_at.isoformat()}: {day0} is not a trading date")
+    else:
+        if local.time() < time(16, 0):
+            raise NonTradingAnnouncement(
+                f"{ev.ticker} {ev.announce_at.isoformat()}: AfterClose but before 16:00")
+        i = bisect_right(cal.dates, local.date())
+        if i == len(cal.dates):
+            raise OutOfCalendarRange(f"no trading date after {local.date()}")
+        day0 = cal.dates[i]
+    if (i0 := cal.dates.index(day0)) == 0:
+        raise OutOfCalendarRange(f"day 0 of {ev.ticker} event has no prior trading date")
+    return i0
+
+
+def outcome(anchor, ev, cal):
+    """(day 0, "") or (-1, the error as ``type: message``)."""
+    try:
+        return anchor(ev, cal), ""
+    except (NonTradingAnnouncement, OutOfCalendarRange) as exc:
+        return -1, f"{type(exc).__name__}: {exc}"
+
+
+BELLS = [time(9, 29, 59), time(9, 30), time(15, 59, 59), time(16, 0)]
+# a week around each 2015 switch (Sun 2015-03-08 and Sun 2015-11-01)
+SWITCH_WEEKS = [date(2015, 3, 5) + timedelta(days=k) for k in range(7)] + [
+    date(2015, 10, 29) + timedelta(days=k) for k in range(7)]
+
+
+@st.composite
+def calendars_and_events(draw):
+    start = draw(st.sampled_from([date(2015, 3, 2), date(2015, 10, 26), date(2015, 6, 1)]))
+    days = [start + timedelta(days=k) for k in range(30)]
+    dates = [d for d in days if d.weekday() < 5 and draw(st.integers(0, 9))]  # some holidays
+    if not dates:
+        dates = [days[0]]
+    on = st.sampled_from([dates[0], dates[-1], dates[0] - timedelta(days=1),
+                          dates[-1] + timedelta(days=1), *SWITCH_WEEKS, *days])
+    at = st.one_of(st.sampled_from(BELLS), st.times(), st.sampled_from([time(1, 30), time(2, 30)]))
+    events = []
+    for i in range(draw(st.integers(1, 12))):
+        local = datetime.combine(draw(on), draw(at), tzinfo=EASTERN)
+        timing = draw(st.sampled_from(list(Timing)))
+        events.append(make_event(f"T{'ABCDEFGHIJKL'[i]}", local.astimezone(timezone.utc), timing))
+    return tuple(dates), events
+
+
+class TestVectorizedAnchoring:
+    """The event table's one-pass anchoring equals ``anchor_event`` and the
+    per-event rule, event by event, the error text included."""
+
+    @settings(max_examples=300)
+    @given(calendars_and_events())
+    def test_table_equals_anchor_event(self, drawn):
+        dates, events = drawn
+        ds = make_dataset(index=index_from_closes(dates, [100.0] * len(dates)), events=events)
+        cal = TradingCalendar(dates)
+        table = build_universe(ds).table
+        got = [(int(d), table.anchor_error(i) if d < 0 else "")
+               for i, d in enumerate(table.day0.tolist())]
+        events = list(table.events)
+        assert got == [outcome(lambda e, c: anchor_event(e, c).day0_index, ev, cal)
+                       for ev in events]
+        assert got == [outcome(reference_day0, ev, cal) for ev in events]
+        local = [ev.announce_at.astimezone(EASTERN).date() for ev in events]
+        assert table.announced.tolist() == local

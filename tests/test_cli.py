@@ -2,10 +2,16 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import eastudy
 from eastudy import event_study, ingest, reports, trading
 from eastudy.alignment import EventAnchor, TradingCalendar
 from eastudy.cli import build_parser, main
@@ -409,6 +415,120 @@ class TestInvalidSettings:
         assert not out.exists()
 
 
+class TestBooleanSettings:
+    """A JSON ``true`` or ``false`` is no number: every numeric setting
+    refuses one, in place of reading it as 1 or 0."""
+
+    SETTINGS = {
+        "study.event_window": {"study": {"event_window": [-1, True]}},
+        "study.estimation_window": {"study": {"estimation_window": True}},
+        "study.significance": {"study": {"significance": True}},
+        "backtest.spread": {"backtest": {"spread": True}},
+        "volume.rel_min": {"volume": {"rel_min": False}},
+        "volume.rel_max": {"volume": {"rel_max": True}},
+        "polarity_day": {"polarity_day": False},
+    }
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    def test_exit_5_with_one_error_line(self, setting, data_dir, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(self.SETTINGS[setting]))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--config", str(config), "backtest",
+                     *data_flags(data_dir)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid {setting} ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def failing_after_first_file(monkeypatch):
+    """Make every CSV write after the first one fail."""
+    written = []
+    write_lines, write_csv = ingest._write_lines, ingest.OutputDir.write_csv
+
+    def first_only(write):
+        def wrapper(*args):
+            if written:
+                raise OSError("no space left on device")
+            written.append(args)
+            return write(*args)
+        return wrapper
+
+    monkeypatch.setattr(ingest, "_write_lines", first_only(write_lines))
+    monkeypatch.setattr(ingest.OutputDir, "write_csv", first_only(write_csv))
+
+
+class TestFailedRunLeavesNoParents:
+    """A failed run removes the parent directories it made for its output."""
+
+    @pytest.mark.parametrize("option", ["--out", "--emit"])
+    def test_no_new_directory_is_left(self, option, data_dir, tmp_path, monkeypatch):
+        fx = tmp_path / "fx"
+        fx.mkdir()
+        failing_after_first_file(monkeypatch)
+        target = str(fx / "new" / "sub" / "target")
+        if option == "--out":
+            argv = ["--out", target, "pipeline", *data_flags(data_dir)]
+        else:
+            argv = ["--out", str(tmp_path / "out"), "ingest", *data_flags(data_dir),
+                    "--emit", target]
+        with pytest.raises(OSError):
+            main(argv)
+        assert list(fx.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fx"]
+
+    def test_a_committed_run_keeps_them(self, data_dir, tmp_path):
+        target = tmp_path / "fx" / "new" / "out"
+        assert main(["--out", str(target), "calendar", "--index",
+                     str(data_dir / "index.csv")]) == 0
+        assert [p.name for p in target.iterdir()] == ["calendar.csv"]
+
+
+class TestSynthImportedOnlyBySynth:
+    @pytest.mark.parametrize("command", ["calendar", "pipeline"])
+    def test_command_never_loads_the_generator(self, command, data_dir, tmp_path):
+        flags = ["--index", str(data_dir / "index.csv")] if command == "calendar" else data_flags(
+            data_dir)
+        code = ("import sys; from eastudy.cli import main; "
+                f"rc = main({['--out', str(tmp_path / 'out'), command, *flags]!r}); "
+                "print(rc, 'eastudy.synth' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(eastudy.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 False"
+
+
+class TestEventOrderDoesNotMatter:
+    """``pipeline`` on an events file reversed or shuffled writes the same
+    reports and the same manifest, whether the fast path or the row loop
+    reads it."""
+
+    @pytest.mark.parametrize("reader", ["fast path", "row loop"])
+    def test_same_reports_and_manifest(self, reader, data_dir, tmp_path, monkeypatch):
+        if reader == "row loop":
+            monkeypatch.setattr(ingest, "_fast_block", lambda block: False)
+        header, *rows = (data_dir / "events.csv").read_text().splitlines(keepends=True)
+        assert len(set(rows)) == len(rows)
+        shuffled = rows[:]
+        random.Random(3).shuffle(shuffled)
+        runs = []
+        for name, order in (("given", rows), ("reversed", rows[::-1]), ("shuffled", shuffled)):
+            data = tmp_path / name
+            data.mkdir()
+            for other in ("prices.csv", "index.csv", "tweets.csv"):
+                (data / other).write_bytes((data_dir / other).read_bytes())
+            (data / "events.csv").write_text(header + "".join(order))
+            out = tmp_path / f"out_{name}"
+            assert main(["--out", str(out), "pipeline", *data_flags(data)]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            manifest = json.loads(files.pop("manifest.json"))
+            del manifest["created_utc"]
+            del manifest["inputs"]["events"]  # the file's own digest
+            runs.append((files, manifest))
+        assert len(runs[0][0]) == 15
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 class TestOutputPathIsAFile:
     def test_exit_5_and_the_file_is_left_alone(self, data_dir, tmp_path, capsys):
         afile = tmp_path / "afile"
@@ -551,19 +671,21 @@ class TestEachEventMeasuredOnce:
 class TestEachEventAnchoredOnce:
     def test_pipeline_anchors_each_dataset_event_at_most_once(self, data_dir, tmp_path,
                                                              monkeypatch):
-        calls = Counter()
-        for module in (reports, trading):  # every place that has looked one up
-            for name in ("anchor_event", "day0_index"):
-                if hasattr(module, name):
-                    def counting(ev, cal, original=getattr(module, name)):
-                        calls[ev.key()] += 1
-                        return original(ev, cal)
+        calls, anchored = [], Counter()
+        for module in (reports, trading):  # every place that anchors events
+            if hasattr(module, "anchor_days"):
+                def counting(cal, events, original=getattr(module, "anchor_days")):
+                    calls.append(len(events))
+                    anchored.update(ev.key() for ev in events)
+                    return original(cal, events)
 
-                    monkeypatch.setattr(module, name, counting)
+                monkeypatch.setattr(module, "anchor_days", counting)
         assert main(["--out", str(tmp_path / "out"), "pipeline", *data_flags(data_dir),
                      "--thresholds-until", "2015-10-15"]) == 0
-        assert len(calls) == SPEC["n_tickers"] * SPEC["events_per_ticker"]
-        assert set(calls.values()) == {1}
+        n_events = SPEC["n_tickers"] * SPEC["events_per_ticker"]
+        assert calls == [n_events]  # one vectorized pass per run
+        assert len(anchored) == n_events
+        assert set(anchored.values()) == {1}
 
 
 class TestReturnsAcrossAGap:

@@ -27,10 +27,12 @@ from eastudy.ingest import (
     parse_tweets_csv,
     write_dataset,
 )
+from eastudy.model import DailyBars, Dataset
 from eastudy.reports import build_universe
+from eastudy.returns import earnings_surprise
 from eastudy.synth import SynthSpec, generate
 
-from conftest import business_days
+from conftest import business_days, index_from_closes, tweet_columns
 
 
 def write(path, text):
@@ -296,7 +298,7 @@ class TestCoverage:
         assert "no day-0 tweets" in reasons[aaa]
         day0 = anchor_event(aaa, universe.cal).day0_index
         assert universe.counts.labels[:, universe.counts.row("AAA"), day0].sum() == 0
-        assert universe.table.day_labels[universe.table.events.index(aaa), 0].sum() == 0
+        assert universe.table.day_labels[list(universe.table.events).index(aaa), 0].sum() == 0
 
     def test_short_history_flags_estimation_window(self, tmp_path):
         ds = load_dataset(*fixture_files(tmp_path))
@@ -395,7 +397,8 @@ class TestOneDiagnosticsPath:
 
 # --- the fast path and the row loop ------------------------------------------
 
-PARSERS = {"prices": parse_prices_csv, "index": parse_index_csv, "tweets": parse_tweets_csv}
+PARSERS = {"prices": parse_prices_csv, "index": parse_index_csv, "tweets": parse_tweets_csv,
+           "events": parse_events_csv}
 
 
 @contextmanager
@@ -454,14 +457,25 @@ def _dropped_comma(text, i):
     return "\n".join(lines), {i + 1}
 
 
-def _offset_duplicate(text, i):
-    """Repeat row i after it, its stamp in the offset form of the same hour."""
-    lines = text.split("\n")
-    cells = lines[i].split(",")
-    eastern = timezone(timedelta(hours=-4))
-    cells[0] = parse_rfc3339(cells[0]).astimezone(eastern).isoformat()
-    lines.insert(i + 1, ",".join(cells))
-    return "\n".join(lines), {i + 2}
+def _to_offset_form(stamp):
+    return parse_rfc3339(stamp).astimezone(timezone(timedelta(hours=-4))).isoformat()
+
+
+def _offset_duplicate(column):
+    """Repeat row i after it, the stamp in ``column`` in the offset form of
+    the same instant."""
+    def mutate(text, i):
+        lines = text.split("\n")
+        cells = lines[i].split(",")
+        cells[column] = _to_offset_form(cells[column])
+        lines.insert(i + 1, ",".join(cells))
+        return "\n".join(lines), {i + 2}
+    return mutate
+
+
+def _other_timing(word):
+    """The other timing word: the announcement is then on the wrong side of its bell."""
+    return "AfterClose" if word == "BeforeOpen" else "BeforeOpen"
 
 
 def _whole(edit):
@@ -488,7 +502,7 @@ ROW_MUTATIONS = {
         "dropped comma": _dropped_comma,
         "part-hour": _cell(0, lambda c: c[:14] + "30:00Z"),
         "2016-02-30": _cell(0, lambda c: "2016-02-30" + c[10:]),
-        "offset-form duplicate": _offset_duplicate,
+        "offset-form duplicate": _offset_duplicate(0),
         "+3": _cell(2, lambda c: "+3"),
         " 3": _cell(3, lambda c: " 3"),
         "arabic-indic 3": _cell(4, lambda c: "٣"),
@@ -514,6 +528,31 @@ ROW_MUTATIONS = {
         "inf close": _cell(1, lambda c: "inf"),
         "2016-02-30": _cell(0, lambda c: "2016-02-30"),
         "trailing dot": _cell(1, lambda c: c.split(".")[0] + "."),
+    },
+    "events": {
+        "dropped comma": _dropped_comma,
+        "offset stamp": _cell(1, _to_offset_form),
+        "offset-form duplicate": _offset_duplicate(1),
+        "fractional second": _cell(1, lambda c: c[:-1] + ".25Z"),
+        "lower-case z": _cell(1, lambda c: c[:-1] + "z"),
+        "year 1, local year 0": _cell(1, lambda c: "0001-01-01T03:00:00Z"),
+        "2016-02-30": _cell(1, lambda c: "2016-02-30" + c[10:]),
+        "lower-case timing": _cell(2, str.lower),
+        "wrong side of the bell": _cell(2, _other_timing),
+        "+1.5": _cell(3, lambda c: "+1.5"),
+        "nan": _cell(3, lambda c: "nan"),
+        "-.5": _cell(3, lambda c: "-.5"),
+        "1e3": _cell(4, lambda c: "1e3"),
+        "spaced ticker": _cell(0, lambda c: f" {c}"),
+    },
+}
+# mutations whose rows the fast path still reads
+FAST_ROWS = {
+    "events": {
+        "-0.25": _cell(3, lambda c: "-0.25"),
+        "-0.0 estimate": _cell(4, lambda c: "-0.0"),
+        "zero estimate": _cell(4, lambda c: "0"),
+        "leading zeros": _cell(4, lambda c: "007.50"),
     },
 }
 
@@ -552,7 +591,8 @@ def data_rows(text):
 mutations = st.sampled_from(sorted(PARSERS)).flatmap(lambda name: st.tuples(
     st.just(name),
     st.lists(st.tuples(st.sampled_from(sorted({**WHOLE_FILE, **ROW_MUTATIONS[name],
-                                               **ACROSS_ROWS[name]}.items())),
+                                               **ACROSS_ROWS[name],
+                                               **FAST_ROWS.get(name, {})}.items())),
                        st.floats(0, 1, exclude_max=True)),
              min_size=1, max_size=3),
 ))
@@ -627,9 +667,9 @@ class TestFastPathMatchesRowLoop:
         with counting_row_loop() as seen:
             ds = load_dataset(*paths)
         assert len(ds.tweets) > 10_000 and len(ds.bars) == 1800
-        # the events file has no fast path: all of its 24 rows take the row loop
+        assert len(ds.events) == 24
         assert {name: len(lines) for name, lines in seen.items()} == {
-            "prices.csv": 0, "index.csv": 0, "tweets.csv": 0, "events.csv": 24}
+            "prices.csv": 0, "index.csv": 0, "tweets.csv": 0, "events.csv": 0}
 
     @settings(max_examples=40)
     @given(st.lists(st.one_of(
@@ -651,6 +691,62 @@ class TestFastPathMatchesRowLoop:
         for n, c in enumerate(closes, 2):
             if float(c) > 0:
                 assert np.float64(got[n]).tobytes() == np.float64(float(c)).tobytes()
+
+
+EVENT_EDITS = {**ROW_MUTATIONS["events"], **FAST_ROWS["events"], **ACROSS_ROWS["events"]}
+
+
+@pytest.mark.parametrize("kind", sorted(EVENT_EDITS))
+@pytest.mark.parametrize("block", [ingest.BLOCK_BYTES, 60])
+def test_each_event_edit_gives_the_row_loops_outcome(base_files, tmp_path, kind, block):
+    """Every events mutation, on a row of a file read a whole file or 60
+    bytes at a time: the fast path's outcome is the row loop's, and the row
+    loop sees just the rows the fast path refuses."""
+    text, touched = EVENT_EDITS[kind](base_files["events"], 1)
+    path = write(tmp_path / "events.csv", text)
+    with mock.patch.object(ingest, "BLOCK_BYTES", block), counting_row_loop() as seen:
+        fast = outcome("events", path)
+    with row_loop_only():
+        assert outcome("events", path) == fast
+    expected = [] if kind in FAST_ROWS["events"] or kind in ACROSS_ROWS["events"] else touched
+    assert seen.get("events.csv", []) == sorted(expected)
+    assert isinstance(fast[0], list) and len(fast[0]) + len(fast[1]) == data_rows(text)
+
+
+signed_decimals = st.one_of(
+    st.from_regex(r"-?[0-9]{1,16}\.[0-9]{1,15}", fullmatch=True),
+    st.from_regex(r"-?0\.[0-9]{1,29}", fullmatch=True),
+    st.from_regex(r"-?[0-9]{1,31}", fullmatch=True),
+    st.floats(min_value=-1e15, max_value=1e15).map(repr).filter(lambda r: "e" not in r),
+)
+
+
+class TestEventFigures:
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(signed_decimals, signed_decimals), min_size=1, max_size=30))
+    def test_eps_and_surprise_bits(self, tmp_path_factory, figures):
+        """The fast path reads EPS as ``float()`` reads it, and the table's
+        surprise has the bits of ``earnings_surprise``."""
+        days = business_days(date(2015, 6, 1), len(figures) + 1)
+        path = tmp_path_factory.mktemp("e") / "events.csv"
+        path.write_text("ticker,announce_at_utc,timing,eps_reported,eps_estimated\n" + "".join(
+            f"AAA,{d.isoformat()}T22:00:00Z,AfterClose,{r},{e}\n"
+            for d, (r, e) in zip(days, figures)))
+        with counting_row_loop() as seen:
+            accepted, diags = parse_events_csv(path)
+        assert seen["events.csv"] == [] and diags == []
+        bits = lambda x: np.float64(x).tobytes()
+        events = [ev for _, ev in (accepted[i] for i in range(len(accepted)))]
+        assert [(bits(ev.eps_reported), bits(ev.eps_estimated)) for ev in events] == [
+            (bits(float(r)), bits(float(e))) for r, e in figures]
+        assert [ev.excluded for ev in events] == [float(e) == 0 for _, e in figures]
+        ds = Dataset(DailyBars((), *(np.zeros(0, t) for t in (np.int64, "datetime64[D]",
+                                                                np.float64, np.int64))),
+                     index_from_closes(days, [1.0] * len(days)),
+                     tweet_columns([]), accepted.rows)
+        table = build_universe(ds).table
+        assert [bits(x) for x in table.surprise.tolist()] == [
+            bits(np.nan) if ev.excluded else bits(earnings_surprise(ev).es) for ev in events]
 
 
 def _last_line_start(data: bytes) -> int:

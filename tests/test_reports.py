@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eastudy.alignment import TradingCalendar
 from eastudy.ingest import MAX_COUNT
-from eastudy.model import Dataset, Timing, TweetBuckets
+from eastudy.model import Dataset, Events, Timing, TweetBuckets
 from eastudy.reports import (
     STRATA,
     _mean_se,
@@ -181,7 +181,7 @@ PERMUTED_DS = generate(SynthSpec(seed=37, n_tickers=4, n_days=220, events_per_ti
 
 def table_columns(table):
     """Every column of an event table, as comparable Python values."""
-    return repr([c if isinstance(c, tuple) else c.tolist()
+    return repr([c if isinstance(c, tuple) else list(c) if isinstance(c, Events) else c.tolist()
                  for c in vars(table).values() if not isinstance(c, TradingCalendar)])
 
 
