@@ -271,13 +271,12 @@ def _emit_returns(run) -> dict:
         raise InsufficientHistory("need at least two index bars to compute returns")
     # returns between consecutive trading days: one that would span a
     # missing bar is omitted, and counted in the manifest
-    prices = ds.prices(dates)
+    prices = ds.prices
     series = [(INDEX_TICKER, prices.index_returns), *zip(prices.tickers, prices.returns)]
     rows = [(ticker, dates[i].isoformat(), r) for ticker, column in series
             for i, r in enumerate(column.tolist()) if not math.isnan(r)]
     run.out.write_csv("returns.csv", ["ticker", "date", "ret"], rows)
-    n_bars = np.count_nonzero(~np.isnan(prices.closes), axis=1)
-    omitted = np.maximum(n_bars - 1, 0).sum() - np.count_nonzero(~np.isnan(prices.returns))
+    omitted = np.maximum(prices.n_bars - 1, 0).sum() - np.count_nonzero(~np.isnan(prices.returns))
     return {"returns": {"omitted_across_gaps": int(omitted)}}
 
 
@@ -288,29 +287,34 @@ def _emit_surprise(run) -> None:
     run.out.write_csv("surprise.csv", ["ticker", "announce_at", "es"], rows)
 
 
+def _skips(key: str, skipped: dict[str, list]) -> dict:
+    """Each stratum file's skipped events: under ``key``, or at the top level for one stratum."""
+    entries = {name: {"skipped": _reasons(pairs)} for name, pairs in skipped.items()}
+    return {key: entries} if len(entries) > 1 else next(iter(entries.values()))
+
+
 def _emit_study(run) -> dict:
-    studies, t = {}, run.universe.table
-    prices = run.ds.prices(t.cal.dates)
-    fits = fit_events(prices, t.day0, t.bar_row, run.measured, run.s.study)  # once
+    skipped, t = {}, run.universe.table
+    fits = fit_events(run.ds.prices, t.day0, t.events.code, run.measured, run.s.study)  # once
     for (timing, polarity_day), labels in run.labels.items():
         result = study_classes(fits, t.events, run.universe.stratum(timing), labels, run.s.study)
         name = _stratum_file("study", timing, polarity_day)
         rows = _class_rows(result.taus, result.classes, "car", "var_car", "theta", "significant")
         run.out.write_csv(name, ["tau", "class", "N", "car", "var", "theta", "significant"], rows)
-        studies[name] = {"skipped": _reasons(result.skipped)}
-    # the one-stratum study command records its skips at the top level
-    return {"studies": studies} if len(studies) > 1 else next(iter(studies.values()))
+        skipped[name] = result.skipped
+    return _skips("studies", skipped)
 
 
-def _emit_curves(run) -> None:
-    t = run.universe.table
-    held = hold_returns(run.ds.prices(t.cal.dates), t.day0, t.bar_row, run.measured,  # once
-                        t.events.names)
+def _emit_curves(run) -> dict:
+    skipped, t = {}, run.universe.table
+    held = hold_returns(run.ds.prices, t.day0, t.events.code, run.measured)  # once
     for (timing, polarity_day), labels in run.labels.items():
         curves = curve_classes(held, t.events, run.universe.stratum(timing), labels)
+        name = _stratum_file("curves", timing, polarity_day)
         rows = _class_rows(curves.days, curves.classes, "stock_mean", "index_mean")
-        header = ["d", "class", "N", "stock_rt", "index_rt"]
-        run.out.write_csv(_stratum_file("curves", timing, polarity_day), header, rows)
+        run.out.write_csv(name, ["d", "class", "N", "stock_rt", "index_rt"], rows)
+        skipped[name] = curves.skipped
+    return _skips("curves", skipped)
 
 
 def _emit_backtest(run) -> dict:
@@ -432,7 +436,7 @@ def _cmd_ingest(args, config, out: OutputDir) -> int:
     # the exclusions the study itself makes: the universe's, then the fits'
     universe = build_universe(ds)
     t = universe.table
-    skips = fit_events(ds.prices(t.cal.dates), t.day0, t.bar_row, universe.used, s.study).skips
+    skips = fit_events(ds.prices, t.day0, t.events.code, universe.used, s.study).skips
     print(
         f"loaded {len(ds.bars)} bars, {len(ds.index)} index bars, "
         f"{len(ds.tweets)} tweet buckets, {len(ds.events)} events "

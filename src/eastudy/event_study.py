@@ -20,9 +20,9 @@ estimation window is a slice of the days on which both the stock's and the
 index's return exist, and the abnormal returns are one gather over day 0
 plus the window's offsets. One kernel fits a ticker's events together
 (``fit_rows``, then ``abnormal_rows``), as (event x window) blocks with the
-arithmetic of one event's fit. ``fit_events`` runs it once per ticker of the
-dataset's price grid; ``fit_market_model`` and ``abnormal_returns`` run it on
-one row of returns given as date mappings.
+arithmetic of one event's fit. ``fit_events`` runs it once per ticker code
+(a row of the dataset's price grid); ``fit_market_model`` and
+``abnormal_returns`` run it on one row of returns given as date mappings.
 """
 
 from __future__ import annotations
@@ -316,14 +316,14 @@ class EventFits(MeasuredRows):
     skips: tuple[str | None, ...]
 
 
-def fit_events(prices: PriceGrid, day0: np.ndarray, bar_row: np.ndarray, mask: np.ndarray,
+def fit_events(prices: PriceGrid, day0: np.ndarray, code: np.ndarray, mask: np.ndarray,
                cfg: StudyConfig = StudyConfig()) -> EventFits:
     """Fit the market model and measure abnormal returns, one block per ticker.
 
     Event i has day 0 at calendar index ``day0[i]`` and its bars in row
-    ``bar_row[i]`` of ``prices`` (-1 for none); the events of ``mask`` are
-    fitted. Events whose history or window cannot be served are skipped
-    with a reason rather than failing the run.
+    ``code[i]`` of ``prices``; the events of ``mask`` are fitted. Events
+    whose history or window cannot be served are skipped with a reason
+    rather than failing the run.
     """
     ars = np.full((len(mask), len(cfg.taus)), np.nan)
     sigma2 = np.full(len(mask), np.nan)
@@ -331,13 +331,12 @@ def fit_events(prices: PriceGrid, day0: np.ndarray, bar_row: np.ndarray, mask: n
     asked = np.flatnonzero(mask)
     if not len(asked):
         return EventFits(ars, sigma2, tuple(skips))
-    day0, rows = day0[asked], bar_row[asked]
-    n_closes = np.count_nonzero(~np.isnan(prices.closes), axis=1)
+    day0, rows = day0[asked], code[asked]
     index, index_ok = prices.index_returns, ~np.isnan(prices.index_returns)
     order = np.argsort(rows, kind="stable")
     for block in np.split(order, np.flatnonzero(np.diff(rows[order])) + 1):
         row, at = int(rows[block[0]]), asked[block]
-        if row < 0 or n_closes[row] < 2:
+        if prices.n_bars[row] < 2:
             for i in at.tolist():
                 skips[i] = "no price history"
             continue
@@ -356,17 +355,24 @@ def fit_events(prices: PriceGrid, day0: np.ndarray, bar_row: np.ndarray, mask: n
 def labeled_columns(
     labeled: Sequence[LabeledEvent], ds: Dataset, empty: str
 ) -> tuple[tuple[PriceGrid, np.ndarray, np.ndarray], list[EarningsEvent], np.ndarray]:
-    """The price grid, day-0 indexes and grid rows that ``fit_events`` takes,
-    the events and the int8 labels of ``labeled``, in canonical (ticker,
-    announce_at) order; EmptyClass(``empty``) if there are none."""
+    """The price grid, day-0 indexes and ticker codes that ``fit_events``
+    takes, the events and the int8 labels of ``labeled``, in canonical
+    (ticker, announce_at) order; EmptyClass(``empty``) if there are none,
+    ValueError if the anchors are not on the calendar the index implies. A
+    ticker the dataset lacks gets an all-NaN row, as one without bars has."""
     if not labeled:
         raise EmptyClass(empty)
     labeled = sorted(labeled, key=lambda le: le.event.key())
-    prices = ds.prices(labeled[0].anchor.calendar.dates)
+    events = [le.event for le in labeled]
+    if not {ev.ticker for ev in events}.issubset(ds.tickers):
+        ds = Dataset(ds.bars, ds.index, ds.tweets, events)
+    prices = ds.prices
+    if labeled[0].anchor.calendar.dates != prices.dates:
+        raise ValueError("prices are read on the calendar the index implies, not another")
     day0 = np.array([le.anchor.day0_index for le in labeled], dtype=np.int64)
-    rows = np.array([prices.row(le.event.ticker) for le in labeled], dtype=np.int64)
+    code = np.searchsorted(np.array(ds.tickers), [ev.ticker for ev in events])
     labels = np.array([le.polarity for le in labeled], dtype=np.int8)
-    return (prices, day0, rows), [le.event for le in labeled], labels
+    return (prices, day0, code), events, labels
 
 
 def class_rows(

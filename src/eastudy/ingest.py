@@ -232,7 +232,7 @@ def _hour_start(text: str) -> tuple[int, str]:
     """(UTC epoch seconds, "") of a whole-hour stamp, else (0, the problem)."""
     try:
         instant = parse_rfc3339(text)
-    except ValueError:
+    except (ValueError, OverflowError):  # also an instant past a datetime's range
         return 0, "bad"
     if instant.minute or instant.second or instant.microsecond:
         return 0, "part-hour"
@@ -737,7 +737,7 @@ def load_dataset(
                 Path(prices_path), lineno,
                 f"{bar.ticker} bar on {bar.date} has no index bar (non-trading date)",
             ))
-        ev, present = events.rows, set(bars.rows.present)
+        ev, present = events.rows, set(bars.rows.tickers)  # each ticker of the table has a bar
         has_bars = np.array([t in present for t in ev.tickers], dtype=bool)
         for i in np.flatnonzero(~has_bars[ev.code]).tolist():
             diags.append(_invariant(Path(events_path), int(_line_numbers(events.lines, i)),

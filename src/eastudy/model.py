@@ -7,16 +7,17 @@ stored as columns (``TweetBuckets``, ``DailyBars``, ``Events``), with
 instants as integer epoch seconds (epoch microseconds for announcements,
 which may carry fractions of a second) and dates as ``datetime64[D]``; one
 item of each is a record (``TweetBucket``, ``DailyBar``, ``EarningsEvent``).
-Daily bars are also held on the trading calendar as (ticker x trading
-day) grids (``PriceGrid``), so the event study, the hold returns and the
-volume report read a bar by calendar index rather than by date.
+A ``Dataset`` codes its bars, tweets and events into one sorted ticker
+table, so a code is a row of every (ticker x trading day) grid, such as the
+bars on the trading calendar (``PriceGrid``) that the event study, the hold
+returns and the volume report read by code and calendar index.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
 from typing import Sequence
@@ -116,6 +117,14 @@ class _Columns:
     def __len__(self) -> int:
         return len(self.code)
 
+    def on(self, tickers: tuple[str, ...]):
+        """The same rows coded into ``tickers``, a sorted table holding their own."""
+        if tickers == self.tickers:
+            return self
+        at = {t: i for i, t in enumerate(tickers)}
+        code = np.array([at[t] for t in self.tickers], dtype=np.int64)[self.code]
+        return type(self)(tickers, code, *self._columns()[1:])
+
     def __getitem__(self, i):
         if isinstance(i, (int, np.integer)):
             return self._record(i)
@@ -175,11 +184,6 @@ class DailyBars(_Columns):
     day: np.ndarray
     close: np.ndarray
     volume: np.ndarray
-
-    @property
-    def present(self) -> tuple[str, ...]:
-        """The tickers that have a row, sorted."""
-        return tuple(self.tickers[c] for c in distinct(self.code).tolist())
 
     def _record(self, i) -> DailyBar:
         return DailyBar(self.tickers[self.code[i]], self.day[i].item(),
@@ -273,8 +277,8 @@ class PriceGrid:
     """Daily bars on the trading calendar: one column per trading day.
 
     ``dates`` are the index's dates, which are the trading calendar.
-    ``closes`` and ``volume`` have one float row per bar ticker
-    (``tickers``, sorted) and are NaN where that ticker has no bar;
+    ``closes`` and ``volume`` have one float row per code of the bars
+    (``tickers``) and are NaN where that ticker has no bar;
     ``index_closes`` has the index level of every trading day. The daily
     returns are simple returns between consecutive trading days, NaN on the
     first day and wherever either bar is missing, so no return spans a gap.
@@ -296,38 +300,33 @@ class PriceGrid:
         """
         dates = tuple(b.date for b in index)
         days = np.array(dates, dtype="datetime64[D]")
-        present = distinct(bars.code)
-        rows = np.searchsorted(present, bars.code)
         cols = np.minimum(np.searchsorted(days, bars.day), max(len(days) - 1, 0))
         off = days[cols] != bars.day if len(days) else np.ones(len(bars), dtype=bool)
         if off.any():
             bar = bars[int(np.argmax(off))]
             raise InvariantViolation(f"{bar.ticker} bar on {bar.date} is not a trading date")
-        order = np.argsort(rows, kind="stable")
-        same_ticker = np.diff(rows[order]) == 0
+        order = np.argsort(bars.code, kind="stable")
+        same_ticker = np.diff(bars.code[order]) == 0
         if (same_ticker & (np.diff(cols[order]) <= 0)).any():
             raise InvariantViolation("a ticker's bars are out of date order or repeated")
-        closes = np.full((len(present), len(dates)), np.nan)
+        closes = np.full((len(bars.tickers), len(dates)), np.nan)
         volume = np.full(closes.shape, np.nan)
-        closes[rows, cols] = bars.close
-        volume[rows, cols] = bars.volume
+        closes[bars.code, cols] = bars.close
+        volume[bars.code, cols] = bars.volume
         index_closes = np.array([b.close for b in index], dtype=np.float64)
         for values in (bars.close, index_closes):
             if not (np.isfinite(values) & (values > 0)).all():
                 raise InvariantViolation("every close must be a positive number")
-        return cls(dates, bars.present, closes, volume, index_closes)
+        return cls(dates, bars.tickers, closes, volume, index_closes)
 
     @cached_property
-    def _rows(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.tickers)}
-
-    def row(self, ticker: str) -> int:
-        """The ticker's row, or -1 if it has no bars."""
-        return self._rows.get(ticker, -1)
+    def n_bars(self) -> np.ndarray:
+        """The number of bars of each row."""
+        return np.count_nonzero(~np.isnan(self.closes), axis=1)
 
     @cached_property
     def returns(self) -> np.ndarray:
-        """Daily return per (bar ticker, trading day)."""
+        """Daily return per (ticker, trading day)."""
         return _simple_returns(self.closes)
 
     @cached_property
@@ -342,36 +341,27 @@ class Dataset:
 
     Collections are canonically sorted: the index bars are a tuple of
     records, the rest are columns. Events given as records are turned into
-    columns in their order. The price grid is built on first use, so the
-    dataset can be shared freely.
+    columns in their order. ``tickers`` is every ticker of the bars, the
+    tweets and the events, sorted, and all three are coded into it (copied
+    only where their own table differs). The price grid is built on first
+    use, so the dataset can be shared freely.
     """
 
     bars: DailyBars
     index: tuple[IndexBar, ...]
     tweets: TweetBuckets
     events: Events
+    tickers: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.events, Events):
             self.events = Events.of(self.events)
+        columns = self.bars, self.tweets, self.events
+        self.tickers = tuple(sorted({t for c in columns for t in c.tickers}))
+        self.bars, self.tweets, self.events = (c.on(self.tickers) for c in columns)
 
     @cached_property
-    def _prices(self) -> PriceGrid:
+    def prices(self) -> PriceGrid:
+        """The bars on the trading calendar the index implies, a row per ticker
+        (all NaN for one without bars), built once; see ``PriceGrid.from_bars``."""
         return PriceGrid.from_bars(self.bars, self.index)
-
-    def prices(self, dates: tuple[date, ...]) -> PriceGrid:
-        """The bars on the trading calendar ``dates``, built once per dataset.
-
-        The calendar must be the one the index implies (the index's dates in
-        order); a ValueError says so otherwise. See ``PriceGrid.from_bars``
-        for the bars the grid refuses.
-        """
-        grid = self._prices
-        if dates != grid.dates:
-            raise ValueError("prices are read on the calendar the index implies, not another")
-        return grid
-
-    @property
-    def tickers(self) -> tuple[str, ...]:
-        """The tickers that have bars, sorted: the price grid's rows."""
-        return self.bars.present

@@ -7,10 +7,10 @@ An event that cannot be anchored keeps a reason code, whose text is written
 only when a report prints it. Every report reads the table through masks:
 the universe is the table plus a date window, a stratum the universe's
 events of one timing class, with thresholds cut from its score column and
-labels in one int8 column. The study and the curves measure events from its
-day-0 and bar-row columns. The volume report gathers each event's relative
-days by calendar index from the tweet count grids and the dataset's price
-grid.
+labels in one int8 column. An event's ticker code is its row in the tweet
+count grids and the price grid, so the study and the curves measure events
+from the day-0 and code columns, and the volume report gathers each event's
+relative days by code and calendar index.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ TIMING_NAMES = {Timing.AFTER_CLOSE: "afterclose", Timing.BEFORE_OPEN: "beforeope
 class EventTable:
     """Every event of a dataset, anchored and scored once, as columns.
 
-    Row i is the i-th event in canonical (ticker, announce_at) order. A
-    ticker without bars or tweets has grid row -1. An event that cannot be
-    anchored has day 0 at -1, zero counts and the code of its anchoring
+    Row i is the i-th event in canonical (ticker, announce_at) order; its
+    ``events.code`` is its row in the dataset's grids. An event that cannot
+    be anchored has day 0 at -1, zero counts and the code of its anchoring
     error (``anchor_error`` gives the text).
     """
 
@@ -65,8 +65,6 @@ class EventTable:
     reason: np.ndarray  # int8 code of alignment.ANCHOR_ERRORS, 0 where anchored
     day0: np.ndarray  # calendar index of day 0
     announced: np.ndarray  # US/Eastern announcement date, datetime64[D]
-    bar_row: np.ndarray  # row in the price grid
-    count_row: np.ndarray  # row in the tweet count grids
     day_labels: np.ndarray  # (n_neg, n_neut, n_pos) per event and scoring day
     sent: np.ndarray  # sentiment score per event and scoring day
     surprise: np.ndarray  # earnings surprise, NaN where excluded
@@ -137,28 +135,20 @@ class EventUniverse:
         return replace(self, window=self.table.announced <= np.datetime64(until))
 
 
-def build_universe(
-    ds: Dataset,
-    cal: TradingCalendar | None = None,
-    until: date | None = None,
-) -> EventUniverse:
-    """Count the tweets by day and build the event table once, then keep the
-    events announced up to ``until``."""
-    if cal is None:
-        cal = TradingCalendar.from_dataset(ds)
+def build_universe(ds: Dataset, until: date | None = None) -> EventUniverse:
+    """Count the tweets by day and build the event table once, on the
+    calendar the index implies, then keep the events announced up to
+    ``until``."""
+    cal = TradingCalendar.from_dataset(ds)
     covered, n_outside = covered_tweets(ds.tweets, cal)
     counts = daily_counts(covered, cal)
     events = ds.events.canonical()
     day0, reason, local_day = anchor_days(cal, events)
-    bar_rows = {t: i for i, t in enumerate(ds.tickers)}  # the price grid's row order
-    bar_row = np.array([bar_rows.get(t, -1) for t in events.tickers], dtype=np.int64)
-    count_row = np.array([counts.row(t) for t in events.tickers], dtype=np.int64)
-    bar_row, count_row = bar_row[events.code], count_row[events.code]
-    # one gather of the label counts on every scoring day of every event
-    known = (day0 >= 0) & (count_row >= 0)
-    days = day0[known, None] + np.array(SCORING_DAYS)
+    # one gather of the label counts on every scoring day of every anchored event
+    anchored = day0 >= 0
+    days = day0[anchored, None] + np.array(SCORING_DAYS)
     day_labels = np.zeros((len(events), len(SCORING_DAYS), 3), dtype=np.int64)
-    day_labels[known] = np.moveaxis(counts.labels[:, count_row[known, None], days], 0, -1)
+    day_labels[anchored] = np.moveaxis(counts.labels[:, events.code[anchored, None], days], 0, -1)
     excluded = events.excluded | (events.eps_estimated == 0)
     reported, estimated = events.eps_reported, events.eps_estimated
     with np.errstate(all="ignore"):  # a zero estimate divides by zero, but is excluded
@@ -169,8 +159,6 @@ def build_universe(
         reason=reason,
         day0=day0,
         announced=local_day.astype("datetime64[D]"),
-        bar_row=bar_row,
-        count_row=count_row,
         day_labels=day_labels,
         sent=sentiment_scores(day_labels),
         surprise=surprise,
@@ -286,86 +274,73 @@ def volume_report(
     three-day multiplier compares days -1..+1 cumulatively against three
     average ticker-days, and the day-0 ratio day 0 against the quiet
     baseline, which excludes event windows; both read days -1..+1 whatever
-    ``rel_days`` prints. Ticker-days are (bar ticker, trading day) cells, so
-    the tweets of a ticker without bars count in neither the average nor the
-    baseline. Every daily value is a gather from the tweet count grids and
-    the price grid's volume by calendar index; the hourly profiles are
-    summed for just the event cells.
+    ``rel_days`` prints. Ticker-days are the cells of the tickers with a
+    bar, so the tweets of a ticker without bars count in neither the average
+    nor the baseline. Every daily value is a gather from the tweet count
+    grids and the price grid's volume by code and calendar index; the
+    hourly profiles are summed for just the event cells.
     """
     if rel_days[0] > rel_days[1]:
         raise ValueError(f"relative days {list(rel_days)}: the first exceeds the last")
-    ds, cal, counts, t = universe.ds, universe.cal, universe.counts, universe.table
-    prices = ds.prices(cal.dates)
-    tickers = prices.tickers
+    cal, counts, t = universe.cal, universe.counts, universe.table
+    prices = universe.ds.prices
     n_days = len(cal.dates)
 
-    def on_day(grid: np.ndarray, rows: np.ndarray, days: np.ndarray, missing) -> np.ndarray:
-        """grid[row, day] per event; ``missing`` for a row of -1."""
-        values = np.full((len(rows), *grid.shape[2:]), missing, dtype=grid.dtype)
-        known = rows >= 0
-        values[known] = grid[rows[known], days[known]]
-        return values
+    groups = (
+        ("all", universe.used),
+        ("afterclose", universe.stratum(Timing.AFTER_CLOSE)),
+        ("beforeopen", universe.stratum(Timing.BEFORE_OPEN)),
+    )
 
-    # (day-0 calendar index, tweet count row, bar row) of each group's events
-    groups = [
-        (name, mask, (t.day0[mask], t.count_row[mask], t.bar_row[mask]))
-        for name, mask in (
-            ("all", universe.used),
-            ("afterclose", universe.stratum(Timing.AFTER_CLOSE)),
-            ("beforeopen", universe.stratum(Timing.BEFORE_OPEN)),
-        )
-    ]
-
-    def daily(group, k: int) -> tuple | None:
-        """(n, mean, se of tweets, mean, se of share volume) on relative day k."""
-        day0, count_row, bar_row = group
-        days = day0 + k
+    def daily(mask: np.ndarray, k: int) -> tuple | None:
+        """(n, mean, se of tweets, mean, se of share volume) on relative day
+        k of the events of ``mask``."""
+        days = t.day0[mask] + k
         has_day = (days >= 0) & (days < n_days)
         if not has_day.any():
             return None
-        days = days[has_day]
-        tweets = on_day(counts.totals, count_row[has_day], days, 0)
-        volume = on_day(prices.volume, bar_row[has_day], days, np.nan)
+        rows, days = t.events.code[mask][has_day], days[has_day]
+        tweets = counts.totals[rows, days]
+        volume = prices.volume[rows, days]
         volume = volume[~np.isnan(volume)]
         mv, sv = _mean_se(volume) if len(volume) else (0.0, 0.0)
         return (len(tweets), *_mean_se(tweets), mv, sv)
 
     daily_rows = [
         (name, k, *row)
-        for name, _, group in groups
+        for name, mask in groups
         for k in range(rel_days[0], rel_days[1] + 1)
-        if (row := daily(group, k)) is not None
+        if (row := daily(mask, k)) is not None
     ]
 
     # days -1..+1 of each used event, as calendar indexes
-    day0, count_row, bar_row = groups[0][2]
-    days = day0[:, None] + np.array([-1, 0, 1])
+    days = t.day0[universe.used, None] + np.array([-1, 0, 1])
     has_day = (days >= 0) & (days < n_days)
+    rows = np.broadcast_to(t.events.code[universe.used, None], days.shape)[has_day]
+    days = days[has_day]
 
     # one 24-hour tweet profile per used event on each of those days it has
-    known = has_day & (count_row >= 0)[:, None]
-    on_known = counts.hourly(np.broadcast_to(count_row[:, None], days.shape)[known], days[known])
-    profiles = np.zeros((*days.shape, 24), dtype=np.int64)
-    profiles[known] = on_known
+    profiles = np.zeros((*has_day.shape, 24), dtype=np.int64)
+    profiles[has_day] = counts.hourly(rows, days)
     hourly_rows = []
-    for name, mask, _ in groups:
+    for name, mask in groups:
         in_group = mask[universe.used]
         for j, k in enumerate((-1, 0, 1)):
             on_k = profiles[in_group & has_day[:, j], j]
             for h, moments in enumerate(_count_moments(on_k) if len(on_k) else []):
                 hourly_rows.append((name, k, h, len(on_k), *moments))
 
-    # quiet cells: every (bar ticker, trading day) outside days -1..+1 of an event
-    quiet = np.ones((len(tickers), n_days), dtype=bool)
-    event_cell = has_day & (bar_row >= 0)[:, None]
-    quiet[np.broadcast_to(bar_row[:, None], days.shape)[event_cell], days[event_cell]] = False
-    totals = np.array([counts.day_totals(t) for t in tickers], dtype=np.int64).reshape(quiet.shape)
-    overall_mean = int(totals.sum()) / (n_days * max(len(tickers), 1))
-    quiet_total = int(totals[quiet].sum())
+    # quiet cells: every (ticker with a bar, trading day) outside days -1..+1 of an event
+    has_bar = prices.n_bars > 0
+    quiet = np.repeat(has_bar[:, None], n_days, axis=1)
+    quiet[rows, days] = False
+    n_tickers = int(np.count_nonzero(has_bar))
+    overall_mean = int(counts.totals[has_bar].sum()) / (n_days * max(n_tickers, 1))
+    quiet_total = int(counts.totals[quiet].sum())
     quiet_cells = int(np.count_nonzero(quiet))
     quiet_mean = quiet_total / quiet_cells if quiet_cells else 0.0
 
-    mean_at = {k: row[1] for k in (-1, 0, 1) if (row := daily(groups[0][2], k)) is not None}
+    mean_at = {k: row[1] for k in (-1, 0, 1) if (row := daily(universe.used, k)) is not None}
     three_day = sum(mean_at.get(k, 0.0) for k in (-1, 0, 1))
     summary_rows = [
         ("mean_tweets_per_ticker_day", overall_mean),
@@ -375,7 +350,7 @@ def volume_report(
         ("n_events", float(np.count_nonzero(universe.used))),
         ("n_dropped_events", float(np.count_nonzero(universe.window & ~universe.used))),
         ("n_trading_days", float(n_days)),
-        ("n_tickers", float(len(tickers))),
+        ("n_tickers", float(n_tickers)),
     ]
     return VolumeReport(
         daily_rows=daily_rows, hourly_rows=hourly_rows, summary_rows=summary_rows

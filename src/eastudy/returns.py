@@ -71,19 +71,18 @@ def hold_from_day_m1(
     """RT_d of many events at once: (p[day0 + d] - p[day0 - 1]) / p[day0 - 1],
     and the first error each event that is not served meets.
 
-    ``closes`` is a (row x trading day) grid, NaN where there is no bar;
-    event e reads row ``rows[e]`` from calendar index ``day0[e]``, and a
-    negative row has no bars. The result has one row per event and one
-    column per d of ``days``, NaN where a close is missing or off the
-    calendar. For each d in turn, day -1 and day d must be on the calendar
-    (OutOfCalendarRange), then have a close (MissingBar naming the event's
-    ticker of ``tickers`` and the date of ``dates``).
+    ``closes`` is a (row x trading day) grid, NaN where there is no bar, and
+    ``tickers`` names its rows; event e reads row ``rows[e]`` from calendar
+    index ``day0[e]``. The result has one row per event and one column per
+    d of ``days``, NaN where a close is missing or off the calendar. For
+    each d in turn, day -1 and day d must be on the calendar
+    (OutOfCalendarRange), then have a close (MissingBar naming the row's
+    ticker and the date of ``dates``).
     """
     cols = day0[:, None] + np.array([-1, *days], dtype=np.int64)
     inside = (cols >= 0) & (cols < closes.shape[1])
     p = np.full(cols.shape, np.nan)
-    known = inside & (rows >= 0)[:, None]
-    p[known] = closes[np.broadcast_to(rows[:, None], cols.shape)[known], cols[known]]
+    p[inside] = closes[np.broadcast_to(rows[:, None], cols.shape)[inside], cols[inside]]
     served = ~np.isnan(p)
     # per d: day -1 and day d on the calendar, then both with a close
     checks = np.stack(np.broadcast_arrays(
@@ -94,7 +93,7 @@ def hold_from_day_m1(
         k = int(np.argmin(checks[e]))
         i = int(cols[e, 0 if k % 2 == 0 else k // 4 + 1])
         errors[e] = (OutOfCalendarRange(f"calendar index {i} out of range") if k % 4 < 2
-                     else MissingBar(f"{tickers[e]}: no closing price on {dates[i]}"))
+                     else MissingBar(f"{tickers[rows[e]]}: no closing price on {dates[i]}"))
     return (p[:, 1:] - p[:, :1]) / p[:, :1], errors
 
 

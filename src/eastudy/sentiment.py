@@ -53,15 +53,15 @@ class PolarityThresholds:
 class DailyCounts:
     """Close-delimited daily tweet counts as integer (ticker x day) grids.
 
-    Rows are ``tickers`` (the buckets' sorted ticker table), columns the
-    calendar's trading days; ``buckets`` counts the buckets of each cell.
+    Rows are ``tickers`` (the buckets' sorted ticker table, so row i is code
+    i, all zeros for a ticker without buckets), columns the calendar's
+    trading days; ``buckets`` counts the buckets of each cell.
     ``hourly`` sums the hour-of-day profiles of the cells asked for.
     """
 
     def __init__(self, tweets: TweetBuckets, cal: TradingCalendar):
         self.tickers = tweets.tickers
         self.cal = cal
-        self._row = {t: i for i, t in enumerate(self.tickers)}
         self._tweets = tweets
         self._cells = tweets.code * len(cal) + cal.day_indices(tweets.ts)
         n_cells = len(self.tickers) * len(cal)
@@ -90,15 +90,6 @@ class DailyCounts:
         at = np.searchsorted(cells, self._cells[picked]), eastern_hours(tw.ts[picked])
         np.add.at(block, at, tw.n_neg[picked] + tw.n_neut[picked] + tw.n_pos[picked])
         return block[back]
-
-    def row(self, ticker: str) -> int:
-        """The ticker's row, or -1 if it has no tweets."""
-        return self._row.get(ticker, -1)
-
-    def day_totals(self, ticker: str) -> np.ndarray:
-        """Tweets of one ticker per trading day (zeros for an unknown ticker)."""
-        row = self.row(ticker)
-        return self.totals[row] if row >= 0 else np.zeros(len(self.cal), dtype=np.int64)
 
 
 def covered_tweets(tweets: TweetBuckets, cal: TradingCalendar) -> tuple[TweetBuckets, int]:

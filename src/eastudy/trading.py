@@ -9,10 +9,11 @@ round trip. It reads the AfterClose rows and Sent(-1) of the event table.
 
 The trade-return curves split the same way as the event study: one
 hold-return pass (``hold_returns``) measures each event once per run, from
-the event table's day-0 and bar-row columns under a mask, and every
+the event table's day-0 and ticker-code columns under a mask, and every
 stratum averages the rows its mask and labels select. Both read closes
-from the dataset's price grid by calendar index; the hold returns of all
-events are one gather, which also names why each skipped event is skipped.
+from the dataset's price grid by ticker code and calendar index; the hold
+returns of all events are one gather, which also names why each skipped
+event is skipped.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import OutOfCalendarRange
 from .event_study import LabeledEvent, MeasuredRows, class_rows, labeled_columns
-from .model import Dataset, EarningsEvent, PriceGrid, Timing
+from .model import INDEX_TICKER, Dataset, EarningsEvent, PriceGrid, Timing
 from .reports import EventTable, build_universe
 from .returns import hold_from_day_m1
 from .sentiment import EventPolarity, PolarityThresholds, categorize_scores
@@ -63,26 +64,25 @@ class EventHolds(MeasuredRows):
     skips: tuple[str | None, ...]
 
 
-def hold_returns(prices: PriceGrid, day0: np.ndarray, bar_row: np.ndarray, mask: np.ndarray,
-                 tickers: Sequence[str], max_d: int = 10) -> EventHolds:
+def hold_returns(prices: PriceGrid, day0: np.ndarray, code: np.ndarray, mask: np.ndarray,
+                 max_d: int = 10) -> EventHolds:
     """RT_d of each event's stock and of the benchmark index, d = 0..max_d.
 
-    The events of ``mask`` are measured, read as ``fit_events`` reads them;
-    ``tickers`` names them. The index applies the same buy-at-day--1
-    arithmetic to index levels on each event's own dates. An event with any
-    missing bar over day -1..day max_d is skipped with a reason, not fatal.
+    The events of ``mask`` are measured, read as ``fit_events`` reads them.
+    The index applies the same buy-at-day--1 arithmetic to index levels on
+    each event's own dates. An event with any missing bar over day -1..day
+    max_d is skipped with a reason, not fatal.
     """
     days = range(max_d + 1)
     stock = np.full((len(mask), max_d + 1), np.nan)
     index = np.full(stock.shape, np.nan)
     skips = ["" if m else None for m in mask.tolist()]
     asked = np.flatnonzero(mask)
-    names = [tickers[i] for i in asked.tolist()]
-    rt_stock, errors = hold_from_day_m1(prices.closes, bar_row[asked], day0[asked], days,
-                                        names, prices.dates)
+    rt_stock, errors = hold_from_day_m1(prices.closes, code[asked], day0[asked], days,
+                                        prices.tickers, prices.dates)
     rt_index, index_errors = hold_from_day_m1(prices.index_closes[None, :],
                                               np.zeros_like(asked), day0[asked], days,
-                                              names, prices.dates)
+                                              (INDEX_TICKER,), prices.dates)
     errors = {**index_errors, **errors}  # the stock's reason comes before the index's
     stock[asked], index[asked] = rt_stock, rt_index
     stock[asked[list(errors)]] = index[asked[list(errors)]] = np.nan
@@ -122,7 +122,7 @@ def trade_return_curves(
     the events in canonical (ticker, announce_at) order."""
     columns, events, labels = labeled_columns(labeled, ds, "no events to average")
     every = np.ones(len(events), dtype=bool)
-    held = hold_returns(*columns, every, [ev.ticker for ev in events], max_d)
+    held = hold_returns(*columns, every, max_d)
     return curve_classes(held, events, every, labels)
 
 
@@ -190,16 +190,16 @@ def run_strategy(
     in_range = cal.dates[lo:hi]
     if not in_range:
         raise OutOfCalendarRange(f"no trading dates between {start} and {end}")
-    prices = ds.prices(cal.dates)
+    prices = ds.prices
 
-    day0, bar_row = table.day0, table.bar_row
+    day0 = table.day0
     after_close = table.events.timing == Timing.AFTER_CLOSE.code
     negative = categorize_scores(table.sent_on(-1), thresholds) == EventPolarity.NEGATIVE
     short = after_close & (day0 - 1 >= lo) & (day0 < hi) & negative
     # the day -1 and day 0 close of each short, NaN where its bar is missing
     px = np.full((len(day0), 2), np.nan)
-    rows = np.flatnonzero(short & (bar_row >= 0))
-    px[rows] = prices.closes[bar_row[rows, None], day0[rows, None] + np.array([-1, 0])]
+    rows = np.flatnonzero(short)
+    px[rows] = prices.closes[table.events.code[rows, None], day0[rows, None] + np.array([-1, 0])]
     missing = short & np.isnan(px).any(axis=1)
     skipped = [
         (table.events[i], table.anchor_error(i) if day0[i] < 0 else

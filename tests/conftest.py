@@ -124,15 +124,14 @@ def bar_columns(bars) -> DailyBars:
 
 
 def anchor_columns(anchors, ds: Dataset):
-    """What ``fit_events`` and ``hold_returns`` take for a list of anchors,
-    None for an event not asked for: the price grid on the anchors'
-    calendar, then each event's day-0 calendar index, grid row and whether
-    it is asked for."""
-    cal = next((a.calendar for a in anchors if a is not None), None)
-    prices = ds.prices(cal.dates if cal else tuple(b.date for b in ds.index))
+    """What ``fit_events`` and ``hold_returns`` take for a list of anchors
+    of events of ``ds``, None for an event not asked for: the price grid,
+    then each event's day-0 calendar index, ticker code and whether it is
+    asked for."""
     day0 = np.array([a.day0_index if a else -1 for a in anchors], dtype=np.int64)
-    rows = np.array([prices.row(a.event.ticker) if a else -1 for a in anchors], dtype=np.int64)
-    return prices, day0, rows, np.array([a is not None for a in anchors], dtype=bool)
+    code = np.array([ds.tickers.index(a.event.ticker) if a else 0 for a in anchors],
+                    dtype=np.int64)
+    return ds.prices, day0, code, np.array([a is not None for a in anchors], dtype=bool)
 
 
 def make_dataset(bars=(), index=(), tweets=(), events=()) -> Dataset:

@@ -741,7 +741,8 @@ def gapped_copy(data_dir, root):
 def manifest_reasons(manifest):
     lists = {"excluded_events": manifest["excluded_events"],
              "backtest": manifest["backtest"]["skipped"],
-             **{name: study["skipped"] for name, study in manifest["studies"].items()}}
+             **{name: entry["skipped"] for key in ("studies", "curves")
+                for name, entry in manifest[key].items()}}
     return {name: [(r["ticker"], r["announce_at"], r["reason"]) for r in rows]
             for name, rows in lists.items()}
 
@@ -751,6 +752,12 @@ AC_SKIPS = [
     ("SYC", "2015-10-20T20:30:00Z", "MissingBar: SYC: no return on 2015-10-21"),
     ("SYC", "2015-12-08T21:30:00Z", "MissingBar: SYC: no return on 2015-12-09"),
     ("SYF", "2016-02-19T21:00:00Z", "MissingBar: SYF: calendar ends before relative day 5"),
+]
+AC_CURVE_SKIPS = [
+    ("SYB", "2015-08-31T20:30:00Z", "MissingBar: SYB: no closing price on 2015-09-04"),
+    ("SYC", "2015-10-20T20:30:00Z", "MissingBar: SYC: no closing price on 2015-10-21"),
+    ("SYC", "2015-12-08T21:30:00Z", "MissingBar: SYC: no closing price on 2015-12-09"),
+    ("SYF", "2016-02-19T21:00:00Z", "OutOfCalendarRange: calendar index 300 out of range"),
 ]
 
 
@@ -784,6 +791,10 @@ class TestSkipReasonsUnchanged:
         "study_sent0_beforeopen.csv": [],
         "study_sentm1_afterclose.csv": AC_SKIPS,
         "study_sentm1_beforeopen.csv": [],
+        "curves_sent0_afterclose.csv": AC_CURVE_SKIPS,
+        "curves_sent0_beforeopen.csv": [],
+        "curves_sentm1_afterclose.csv": AC_CURVE_SKIPS,
+        "curves_sentm1_beforeopen.csv": [],
     }
 
     def test_same_csvs_and_reasons(self, data_dir, tmp_path):
@@ -794,6 +805,80 @@ class TestSkipReasonsUnchanged:
                    for p in out.iterdir() if p.suffix == ".csv"}
         assert digests == self.DIGESTS
         assert manifest_reasons(json.loads((out / "manifest.json").read_text())) == self.REASONS
+
+    def test_the_curves_command_records_its_skips(self, data_dir, tmp_path):
+        data = gapped_copy(data_dir, tmp_path / "data")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "curves", "--timing", "afterclose",
+                     *data_flags(data)]) == 0
+        skipped = json.loads((out / "manifest.json").read_text())["skipped"]
+        assert [(r["ticker"], r["announce_at"], r["reason"]) for r in skipped] == AC_CURVE_SKIPS
+
+
+def extra_tickers_copy(data_dir, root):
+    """The Quickstart data plus SYA's bars again as SYAA (bars only) and
+    SYB's tweets again as SYBB (tweets only): each of the three inputs then
+    has a ticker table of its own, none of them the dataset's."""
+    root.mkdir()
+    for name, source, copy in (("prices.csv", ",SYA,", ",SYAA,"),
+                               ("tweets.csv", ",SYB,", ",SYBB,")):
+        lines = (data_dir / name).read_text().splitlines(keepends=True)
+        (root / name).write_text("".join(lines) + "".join(
+            line.replace(source, copy) for line in lines if source in line))
+    for name in ("index.csv", "events.csv"):
+        (root / name).write_bytes((data_dir / name).read_bytes())
+    return root
+
+
+class TestTickersWithoutEventsChangeNothing:
+    """``pipeline``, ``score`` and ``returns`` on data whose bars, tweets and
+    events name different tickers write the same bytes and record the same
+    reasons as before the dataset held one ticker table: the digests and
+    the reasons other than the curves' were pinned from that code."""
+
+    DIGESTS = {
+        "curves_sent0_afterclose.csv": "3c83d02e8dad98a2d354703335f7a6c0a861833ba1abdcedc5318f2bb68c74ee",
+        "curves_sent0_beforeopen.csv": "b14083c6cacc3192a4bc5139c5570d94fc06bf07546cc75f56d00b6ad26ca6e3",
+        "curves_sentm1_afterclose.csv": "b6f816f9136aeb38160245b06f58ad10c1c5e80ed217e0e3d6446176719fa519",
+        "curves_sentm1_beforeopen.csv": "4892d640bc9f5711c45eeb0329077ba770bc929dba1ee629d3c430c73c345719",
+        "equity.csv": "093b6357f5c6a9c8b5dac1cb391d168161ec7bace55ca8f5c08248d200dbd1a4",
+        "regression.csv": "f08003cc4d741ac7dc966b82159519a518f4f88de1ac58756f22a4c69b380124",
+        "returns.csv": "aff4a68573176b32c49e771063814d14b1208d55dcf99a634633875948fb7233",
+        "scores.csv": "e2ee19a4229cef7cb392479d8782cba802eba7c645827bc36054a3d89321a8f7",
+        "study_sent0_afterclose.csv": "ac8adc8365a303550ea48278940401d8f554c505fe21d1ba741edcdd09e4d613",
+        "study_sent0_beforeopen.csv": "e281d443145f59c3a9ce28b5394b095b793ebc4d713145119946647a26ebb67b",
+        "study_sentm1_afterclose.csv": "65a435f8b600581df557e08f9b0b463822a40e5e137a1748dda1ed342298c7c8",
+        "study_sentm1_beforeopen.csv": "ce738b43ac79f7eae0312fa7e681627f9c586ed13ed760b3df4480ca43ce7844",
+        "thresholds.csv": "3c801e338db6b272caed65dac1307d3c3fd247169867c3f438fc9d8eeba1a608",
+        "trades.csv": "2452a77333a5ad301a9adc416926d478cdc81f3fd7d0cf4681a756e9ab8e452f",
+        "volume_daily.csv": "528e2635034ce06386904b9b1727edbf63eb320da526e671c07b195bddd5a75a",
+        "volume_hourly.csv": "3fbc958496def4f646b462a8796d8a67aff2df1809f309e6686b6c7ee0da1d4c",
+        "volume_summary.csv": "c892be846619d9d793b5057c0be335217d9bf0ebb48d02c52294e642effd95ae",
+    }
+    REASONS = {
+        "excluded_events": [],
+        "backtest": [],
+        "study_sent0_afterclose.csv": [],
+        "study_sent0_beforeopen.csv": [],
+        "study_sentm1_afterclose.csv": [],
+        "study_sentm1_beforeopen.csv": [],
+        "curves_sent0_afterclose.csv": [],
+        "curves_sent0_beforeopen.csv": [],
+        "curves_sentm1_afterclose.csv": [],
+        "curves_sentm1_beforeopen.csv": [],
+    }
+
+    def test_same_csvs_and_reasons(self, data_dir, tmp_path):
+        data = extra_tickers_copy(data_dir, tmp_path / "data")
+        digests = {}
+        for command in ("pipeline", "score", "returns"):
+            out = tmp_path / command
+            assert main(["--out", str(out), command, *data_flags(data)]) == 0
+            digests.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest())
+                           for p in out.iterdir() if p.suffix == ".csv")
+        manifest = json.loads((tmp_path / "pipeline" / "manifest.json").read_text())
+        assert digests == self.DIGESTS
+        assert manifest_reasons(manifest) == self.REASONS
 
 
 class TestDateLookupsPerEvent:

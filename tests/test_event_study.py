@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 
@@ -402,6 +403,37 @@ class TestAggregateStudy:
         assert all("InsufficientHistory" in why for _, why in result.skipped)
 
 
+class TestTickersTheDatasetLacks:
+    """Labelled events of a ticker the dataset does not hold are skipped, and
+    the other events are measured on their own rows: ZZZ sorts after every
+    ticker of the dataset, SYAA between its first two."""
+
+    @staticmethod
+    def relabelled():
+        _, ds, _, labeled = planted_scenario()
+        renamed = {0: "ZZZ", 1: "SYAA"}
+        labeled = [replace(le, event=replace(le.event, ticker=renamed.get(i, le.event.ticker)))
+                   for i, le in enumerate(labeled)]
+        return ds, labeled, labeled[:2], labeled[2:]
+
+    def test_the_study_skips_them_as_without_price_history(self):
+        ds, labeled, lacking, rest = self.relabelled()
+        result = aggregate_study(labeled, ds)
+        assert [(ev.ticker, why) for ev, why in result.skipped
+                if ev.ticker in ("ZZZ", "SYAA")] == [("SYAA", "no price history"),
+                                                     ("ZZZ", "no price history")]
+        assert result.classes == aggregate_study(rest, ds).classes
+
+    def test_the_curves_skip_them_for_a_missing_bar(self):
+        ds, labeled, lacking, rest = self.relabelled()
+        curves = trade_return_curves(labeled, ds)
+        day_m1 = {le.event.ticker: le.anchor.day(-1) for le in lacking}
+        assert [(ev.ticker, why) for ev, why in curves.skipped
+                if ev.ticker in ("ZZZ", "SYAA")] == [
+            (t, f"MissingBar: {t}: no closing price on {day_m1[t]}") for t in ("SYAA", "ZZZ")]
+        assert curves.classes == trade_return_curves(rest, ds).classes
+
+
 class TestSharedPerEventRows:
     """A stratum reading, through its mask and labels, the rows measured once
     over the whole universe gets what it gets by measuring its own events,
@@ -424,9 +456,8 @@ class TestSharedPerEventRows:
         labeled = label_stratum(universe, timing, polarity_day)
         in_stratum = universe.stratum(timing)
         labels = stratum_labels(universe, timing, polarity_day)
-        prices, tickers = ds.prices(table.cal.dates), [ev.ticker for ev in table.events]
-        fits = fit_events(prices, table.day0, table.bar_row, universe.used)
-        held = hold_returns(prices, table.day0, table.bar_row, universe.used, tickers)
+        fits = fit_events(ds.prices, table.day0, table.events.code, universe.used)
+        held = hold_returns(ds.prices, table.day0, table.events.code, universe.used)
 
         own = aggregate_study(labeled, ds)
         assert own.skipped and own.classes
@@ -440,13 +471,12 @@ class TestSharedPerEventRows:
         table = universe.table
         in_stratum = universe.stratum(Timing.AFTER_CLOSE)
         labels = stratum_labels(universe, Timing.AFTER_CLOSE, 0)
-        prices, tickers = ds.prices(table.cal.dates), [ev.ticker for ev in table.events]
-        others = (prices, table.day0, table.bar_row, universe.stratum(Timing.BEFORE_OPEN))
+        others = (ds.prices, table.day0, table.events.code, universe.stratum(Timing.BEFORE_OPEN))
         with pytest.raises(ValueError):
             study_classes(fit_events(*others), table.events, in_stratum, labels,
                           StudyConfig())
         with pytest.raises(ValueError):
-            curve_classes(hold_returns(*others, tickers), table.events, in_stratum, labels)
+            curve_classes(hold_returns(*others), table.events, in_stratum, labels)
 
 
 # --- the batched fit against the per-event loop it replaced -----------------
@@ -508,11 +538,11 @@ def ref_fit_events(anchors, ds, cfg):
     for i, anchor in enumerate(anchors):
         if anchor is None:
             continue
-        prices = ds.prices(anchor.calendar.dates)
+        prices = ds.prices
         ticker = anchor.event.ticker
         if ticker not in aligned:
-            row = prices.row(ticker)
-            if row < 0 or np.count_nonzero(~np.isnan(prices.closes[row])) < 2:
+            row = ds.tickers.index(ticker)
+            if np.count_nonzero(~np.isnan(prices.closes[row])) < 2:
                 skips[i] = "no price history"
                 continue
             stock, index = prices.returns[row], prices.index_returns

@@ -277,7 +277,7 @@ def coverage(ds, cfg=StudyConfig()):
     then the market-model fit loop's. Returns (universe, fits, reasons by event)."""
     universe = build_universe(ds)
     t = universe.table
-    fits = fit_events(ds.prices(t.cal.dates), t.day0, t.bar_row, universe.used, cfg)
+    fits = fit_events(ds.prices, t.day0, t.events.code, universe.used, cfg)
     reasons: dict = {}
     skipped = [(ev, why) for ev, why in zip(universe.table.events, fits.skips) if why]
     for ev, why in universe.dropped + skipped:
@@ -297,7 +297,7 @@ class TestCoverage:
         assert aaa in reasons
         assert "no day-0 tweets" in reasons[aaa]
         day0 = anchor_event(aaa, universe.cal).day0_index
-        assert universe.counts.labels[:, universe.counts.row("AAA"), day0].sum() == 0
+        assert universe.counts.labels[:, ds.tickers.index("AAA"), day0].sum() == 0
         assert universe.table.day_labels[list(universe.table.events).index(aaa), 0].sum() == 0
 
     def test_short_history_flags_estimation_window(self, tmp_path):
@@ -367,6 +367,20 @@ class TestNonFiniteValues:
         assert diags[0].message == "column eps_reported/eps_estimated: not a finite number"
         with pytest.raises(SchemaMismatch):
             load_dataset(*fixture_files(tmp_path, events=events))
+
+
+def test_tweet_stamp_past_a_datetimes_range_gets_a_diagnostic(tmp_path, capsys):
+    """Its UTC instant is in year 10000: a schema diagnostic, and exit 3."""
+    tweets = "hour_start_utc,ticker,n_neg,n_neut,n_pos\n9999-12-31T23:00:00-05:00,AAA,1,1,1\n"
+    paths = fixture_files(tmp_path, tweets=tweets)
+    accepted, diags = parse_tweets_csv(paths[2])
+    assert not accepted
+    assert [(d.line, d.kind, d.message) for d in diags] == [
+        (2, "schema", "column hour_start_utc: bad timestamp '9999-12-31T23:00:00-05:00'")]
+    flags = [f"--{name}={path}" for name, path in zip(("prices", "index", "tweets", "events"),
+                                                       paths)]
+    assert main(["--out", str(tmp_path / "out"), "ingest", *flags]) == 3
+    assert "bad timestamp" in capsys.readouterr().err
 
 
 def test_volume_beyond_the_int64_column_gets_a_diagnostic(tmp_path):
@@ -510,6 +524,7 @@ ROW_MUTATIONS = {
         "2**31": _cell(3, lambda c: str(2**31)),
         "lower-case ticker": _cell(1, str.lower),
         "lower-case z": _cell(0, lambda c: c[:-1] + "z"),
+        "past a datetime's range": _cell(0, lambda c: "9999-12-31T23:00:00-05:00"),
     },
     "prices": {
         "dropped comma": _dropped_comma,

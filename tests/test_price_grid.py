@@ -22,14 +22,17 @@ from eastudy.errors import (
 )
 from eastudy.event_study import (
     EventFits,
+    LabeledEvent,
     MarketModelFit,
     StudyConfig,
     abnormal_returns,
+    aggregate_study,
     fit_events,
     fit_market_model,
 )
 from eastudy.model import DailyBar, Dataset, IndexBar, Timing
 from eastudy.returns import daily_returns, trading_return
+from eastudy.sentiment import EventPolarity
 from eastudy.trading import EventHolds, hold_returns
 
 from conftest import (
@@ -216,8 +219,7 @@ class TestKernelsMatchTheDateWalk:
         columns = anchor_columns(anchors, ds)
         got, want = fit_events(*columns, cfg), ref_fit_events(anchors, ds, cfg)
         assert repr(rows(got)) == repr(rows(want))
-        tickers = [a.event.ticker if a else "" for a in anchors]
-        got = hold_returns(*columns, tickers, max_d)
+        got = hold_returns(*columns, max_d)
         want = ref_hold_returns(anchors, ds, max_d)
         assert repr(rows(got)) == repr(rows(want))
 
@@ -246,14 +248,18 @@ class TestGridRefusesWhatItCannotHold:
     are refused, never read differently."""
 
     @staticmethod
-    def fit(bars, index_days=10, cal_days=10):
+    def dataset(bars, index_days=10, cal_days=10):
+        """A dataset of ``bars`` and one AAA event, and the event's anchor."""
         cal = make_calendar(date(2015, 6, 1), cal_days)
         index = [IndexBar(d, 1000.0 + i) for i, d in enumerate(cal.dates[:index_days])]
         ev = make_event("AAA", eastern(2015, 6, 2, 17, 0), Timing.AFTER_CLOSE)
         ds = Dataset(bars=bar_columns(bars), index=tuple(index), tweets=tweet_columns(()),
                      events=(ev,))
-        return fit_events(*anchor_columns([anchor_event(ev, cal)], ds),
-                          StudyConfig(estimation_window_length=3))
+        return ds, anchor_event(ev, cal)
+
+    def fit(self, bars):
+        ds, anchor = self.dataset(bars)
+        return fit_events(*anchor_columns([anchor], ds), StudyConfig(estimation_window_length=3))
 
     def test_bar_on_a_non_trading_date(self):
         saturday = date(2015, 6, 6)
@@ -275,8 +281,10 @@ class TestGridRefusesWhatItCannotHold:
 
     def test_events_on_another_calendar(self):
         bars = [DailyBar("AAA", date(2015, 6, 1) + timedelta(days=i), 10.0, 1) for i in range(3)]
+        ds, anchor = self.dataset(bars, index_days=8)
+        labeled = [LabeledEvent(anchor.event, anchor, EventPolarity.NEUTRAL)]
         with pytest.raises(ValueError, match="calendar the index implies"):
-            self.fit(bars, index_days=8)
+            aggregate_study(labeled, ds, StudyConfig(estimation_window_length=3))
 
     def test_interleaved_tickers_are_fine(self):
         d1, d2 = date(2015, 6, 1), date(2015, 6, 2)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -23,6 +24,8 @@ from eastudy.reports import (
 from eastudy.sentiment import EventPolarity, sentiment_score
 from eastudy.trading import run_strategy
 from eastudy.synth import SynthSpec, generate, generate_with_truth
+
+from conftest import bar_columns, close_prices, tweet_columns
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +165,7 @@ class TestVolumeReport:
         ds = generate(SynthSpec(seed=7, n_tickers=30, n_days=900, events_per_ticker=12,
                                 event_spacing=60))
         universe = build_universe(ds)
-        ds.prices(universe.cal.dates)  # built once per dataset, by whichever report is first
+        ds.prices  # built once per dataset, by whichever report is first
         tracemalloc.start()
         try:
             volume_report(universe)
@@ -200,12 +203,38 @@ class TestEventTable:
         for counts, sent in zip(table.day_labels.tolist(), table.sent.tolist()):
             assert repr([sentiment_score(*c) for c in counts]) == repr(sent)
 
-    def test_rows_read_the_grids_of_their_ticker(self):
-        ds = PERMUTED_DS
+    def test_every_grid_has_a_row_per_dataset_ticker_and_events_read_their_own(self):
+        """SYAA has SYA's bars and no tweets, SYBB SYB's tweets and no bars,
+        and neither has events: the bars, the tweets and the events each
+        have a ticker table of their own, which the dataset codes into one."""
+        base = PERMUTED_DS
+        ds = Dataset(
+            bars=bar_columns([*base.bars, *(replace(b, ticker="SYAA") for b in base.bars
+                                            if b.ticker == "SYA")]).canonical(),
+            index=base.index,
+            tweets=tweet_columns([*base.tweets, *(replace(b, ticker="SYBB") for b in base.tweets
+                                                  if b.ticker == "SYB")]),
+            events=base.events,
+        )
         universe = build_universe(ds)
-        table, prices = universe.table, ds.prices(universe.cal.dates)
-        assert [prices.row(ev.ticker) for ev in table.events] == table.bar_row.tolist()
-        assert [universe.counts.row(ev.ticker) for ev in table.events] == table.count_row.tolist()
+        prices, counts, t = ds.prices, universe.counts, universe.table
+        assert ds.tickers == ("SYA", "SYAA", "SYB", "SYBB", "SYC", "SYD")
+        assert prices.tickers == counts.tickers == ds.tickers
+        assert len(prices.closes) == len(counts.totals) == len(ds.tickers)
+        assert universe.tweets_outside == 0
+        for row, ticker in enumerate(ds.tickers):
+            closes = prices.closes[row].tolist()
+            assert {d: c for d, c in zip(prices.dates, closes) if not math.isnan(c)} == (
+                close_prices(ds, ticker))
+            assert counts.totals[row].sum() == sum(b.total for b in ds.tweets
+                                                   if b.ticker == ticker)
+        assert np.isnan(prices.closes[ds.tickers.index("SYBB")]).all()
+        assert not counts.totals[ds.tickers.index("SYAA")].any()
+        assert [ds.tickers[c] for c in t.events.code.tolist()] == [ev.ticker for ev in t.events]
+        for i, ev in enumerate(t.events):
+            assert t.day0[i] > 0
+            on_day0 = counts.labels[:, ds.tickers.index(ev.ticker), t.day0[i]]
+            assert t.day_labels[i, 0].tolist() == on_day0.tolist()
 
     @settings(max_examples=20)
     @given(st.integers(0, 2**32 - 1))
