@@ -72,10 +72,12 @@ def _iso(day: date | None) -> str | None:
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    """The file's SHA-256, read through one 64 KiB buffer."""
+    h, buf = hashlib.sha256(), bytearray(1 << 16)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 

@@ -10,7 +10,8 @@ behavior directly.
 Every file is read by a fast path first: the file is read ``BLOCK_BYTES``
 at a time into blocks of whole lines, each block's cells are found from its
 newline and comma offsets and checked by byte class, and the accepted rows
-go into columns sized from the file's length. A fast-path line has exactly
+go into columns sized by the file's length over the shortest line the fast
+path accepts (``*_MIN_LINE``). A fast-path line has exactly
 the header's width, a canonical ``YYYY-MM-DD`` date, ``YYYY-MM-DDTHH:00:00Z``
 tweet hour or ``YYYY-MM-DDTHH:MM:SSZ`` announcement that exists on the
 calendar (``2016-02-30`` does not), a ticker of 1 to 6 bytes of ``[A-Z.]``,
@@ -69,14 +70,22 @@ from .model import (
     Timing,
     TweetBuckets,
     distinct,
+    in_order,
 )
 
+# Each header, then the bytes of the shortest line the fast path accepts in
+# that file, its newline included: a date or a stamp is 10 or 20 bytes, a
+# timing 10, and every other cell at least one.
 PRICES_HEADER = ["date", "ticker", "close", "volume"]
+PRICES_MIN_LINE = 17  # a date, three one-byte cells, four separators
 INDEX_HEADER = ["date", "close"]
+INDEX_MIN_LINE = 13  # a date, a one-byte close, two separators
 TWEETS_HEADER = ["hour_start_utc", "ticker", "n_neg", "n_neut", "n_pos"]
+TWEETS_MIN_LINE = 29  # a stamp, a one-byte ticker, three one-byte counts, five separators
 EVENTS_HEADER = ["ticker", "announce_at_utc", "timing", "eps_reported", "eps_estimated"]
-# largest count per label in one bucket: int64 sums over any file that fits
-# in memory stay exact
+EVENTS_MIN_LINE = 38  # a one-byte ticker, a stamp, a timing, two one-byte EPS, five separators
+# largest count per label in one bucket: the int32 count columns hold it, and
+# int64 sums over any file that fits in memory stay exact
 MAX_COUNT = 2**31 - 1
 MAX_VOLUME = 2**63 - 1  # largest share volume: the int64 column holds it
 BLOCK_BYTES = 1 << 18  # bytes per fast-path read: bounds a block's temporaries
@@ -287,9 +296,11 @@ def _line_blocks(fh) -> Iterator[bytes]:
     while chunk := fh.read(BLOCK_BYTES):
         cut = chunk.rfind(b"\n") + 1
         if cut:
-            yield b"".join((*parts, chunk[:cut]))
-            parts = []
-        parts.append(chunk[cut:])
+            block, parts = b"".join((*parts, chunk[:cut])), [chunk[cut:]]
+            del chunk  # the read is not held while the block is out
+            yield block
+        else:
+            parts.append(chunk)
     if tail := b"".join(parts):
         yield tail
 
@@ -362,13 +373,14 @@ def _days(g: np.ndarray):
     ``YYYY-MM-DD`` date that exists, and a mask of those columns."""
     d = g[[0, 1, 2, 3, 5, 6, 8, 9]] - 48
     ok = (d <= 9).all(axis=0) & (g[4] == 45) & (g[7] == 45)
-    century, yy, month, day = (d[i].astype(np.int64) * 10 + d[i + 1] for i in (0, 2, 4, 6))
+    # int32 holds every value below and keeps a block's temporaries half as large
+    century, yy, month, day = (d[i].astype(np.int32) * 10 + d[i + 1] for i in (0, 2, 4, 6))
     year = century * 100 + yy
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
     months = np.where(ok, (year - 1970) * 12 + month - 1, 0)
     days = months.astype("datetime64[M]").astype("datetime64[D]") + (day - 1)
     ok &= days.astype("datetime64[M]").astype(np.int64) == months  # the day is in its month
-    return days.astype(np.int64), ok
+    return days.view(np.int64), ok
 
 
 _STAMP_FIXED = {10: ord("T"), 13: ord(":"), 16: ord(":"), 19: ord("Z")}
@@ -382,7 +394,7 @@ def _stamps(seg, start, size):
     fixed = g[list(_STAMP_FIXED)] == np.array(list(_STAMP_FIXED.values()))[:, None]
     d = g[[11, 12, 14, 15, 17, 18]] - 48
     ok &= (size == 20) & fixed.all(axis=0) & (d <= 9).all(axis=0)
-    hour, minute, second = (d[i].astype(np.int64) * 10 + d[i + 1] for i in (0, 2, 4))
+    hour, minute, second = (d[i].astype(np.int32) * 10 + d[i + 1] for i in (0, 2, 4))
     ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
     past_hour = minute * 60 + second
     return days * 86400 + hour * 3600 + past_hour, ok, past_hour
@@ -427,10 +439,13 @@ def _tweet_cells(seg, start, size):
     ts, ok, past_hour = _stamps(seg, start[:, 0], size[:, 0])
     ok &= past_hour == 0
     packed, ok_ticker = _tickers(seg, start[:, 1], size[:, 1])
-    counts, ok_counts = _digits(seg, start[:, 2:].ravel(), size[:, 2:].ravel(), 10)
-    counts, ok_counts = counts.reshape(-1, 3), ok_counts.reshape(-1, 3)
-    ok &= ok_ticker & ok_counts.all(axis=1) & (counts <= MAX_COUNT).all(axis=1)
-    return ok, (packed, ts, *counts.T)
+    ok &= ok_ticker
+    counts = []
+    for j in (2, 3, 4):  # a column at a time, so each read's temporaries are a third
+        count, ok_count = _digits(seg, start[:, j], size[:, j], 10)
+        ok &= ok_count & (count <= MAX_COUNT)
+        counts.append(count)
+    return ok, (packed, ts, *counts)
 
 
 _TIMINGS = np.frombuffer(b"".join(t.value.encode() for t in Timing), np.uint8).reshape(-1, 10)
@@ -463,7 +478,30 @@ def _block_cells(seg, begin, stop, width: int):
     return rows, start, np.column_stack((cut, stop[rows])) - start
 
 
-def _parse(path: Path, header: list[str], cells, check: Check, dtypes):
+def _fast_rows(block: bytes, skip: int, width: int, cells, columns: list[np.ndarray], n: int):
+    """Read the lines of a block after its first ``skip`` bytes by the fast
+    path: the values of the rows that ``cells`` accepts go into ``columns``
+    from row ``n`` on. Returns the row after them, the number of lines, and
+    (index, text) of each refused line. The block's temporaries end with the
+    call."""
+    seg = np.zeros(len(block) - skip + 2 * _PAD, dtype=np.uint8)
+    seg[_PAD:-_PAD] = np.frombuffer(block, dtype=np.uint8)[skip:]
+    offset = np.int32 if len(seg) < 2**31 else np.int64  # of a byte in seg
+    stop = np.flatnonzero(seg == 10).astype(offset)  # each line's newline in seg
+    begin = np.concatenate(([_PAD], stop[:-1] + 1)).astype(offset)
+    rows, start, size = _block_cells(seg, begin, stop, width)
+    ok, values = cells(seg, start, size)
+    accepted = rows[ok]
+    for column, v in zip(columns, values):
+        column[n:n + len(accepted)] = v[ok]
+    refused = np.ones(len(stop), dtype=bool)
+    refused[accepted] = False
+    texts = [(i, seg[begin[i]:stop[i]].tobytes().decode("utf-8"))
+             for i in np.flatnonzero(refused).tolist()]
+    return n + len(accepted), len(stop), texts
+
+
+def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dtypes):
     """Parse a file by the fast path, with the row loop for what it refuses.
 
     The file is read in blocks of whole lines (``_line_blocks``). If it is
@@ -476,6 +514,10 @@ def _parse(path: Path, header: list[str], cells, check: Check, dtypes):
     refused no row: then row i is line i + 2) and the columns (of ``dtypes``)
     of the accepted rows of both paths in line order, the row loop's
     diagnostics, and the row loop's values by line number.
+
+    No fast-path line is shorter than ``min_line`` bytes, so the file's size
+    over ``min_line`` bounds the rows the fast path accepts: the column
+    buffers have that many rows, and the accepted rows are views of them.
     """
     if not path.exists():
         raise MissingFile(str(path))
@@ -484,32 +526,17 @@ def _parse(path: Path, header: list[str], cells, check: Check, dtypes):
     columns = [np.empty(0, dtype=t) for t in dtypes]
     if path.is_file():  # a pipe has no size to bound its rows: the row loop reads it once
         with open(path, "rb") as fh:
-            # a fast-path row has len(header) cells of at least one byte, each
-            # followed by a comma or a newline; pages never written take no memory
-            rows_at_most = os.fstat(fh.fileno()).st_size // (2 * len(header)) + 1
+            rows_at_most = os.fstat(fh.fileno()).st_size // min_line
             columns = [np.empty(rows_at_most, dtype=t) for t in dtypes]
             skip = len(head)  # the header's bytes, at the start of the first block
             for block in _line_blocks(fh):
                 fast = _fast_block(block) and block.startswith(head[:skip])
                 if not fast:
                     break
-                seg = np.zeros(len(block) - skip + 2 * _PAD, dtype=np.uint8)
-                seg[_PAD:-_PAD] = np.frombuffer(block, dtype=np.uint8)[skip:]
+                n, n_lines, refused = _fast_rows(block, skip, len(header), cells, columns, n)
+                slow += [(first + i, text) for i, text in refused]
+                first += n_lines
                 skip = 0
-                offset = np.int32 if len(seg) < 2**31 else np.int64  # of a byte in seg
-                stop = np.flatnonzero(seg == 10).astype(offset)  # each line's newline in seg
-                begin = np.concatenate(([_PAD], stop[:-1] + 1)).astype(offset)
-                rows, start, size = _block_cells(seg, begin, stop, len(header))
-                ok, values = cells(seg, start, size)
-                accepted = rows[ok]
-                for column, v in zip(columns, values):
-                    column[n:n + len(accepted)] = v[ok]
-                n += len(accepted)
-                refused = np.ones(len(stop), dtype=bool)
-                refused[accepted] = False
-                for i in np.flatnonzero(refused).tolist():
-                    slow.append((first + i, seg[begin[i]:stop[i]].tobytes().decode("utf-8")))
-                first += len(stop)
     if not fast:  # the row loop reads every row
         first, n, slow = 2, 0, []
     numbered = (
@@ -543,16 +570,10 @@ def _ticker_codes(packed: np.ndarray):
     return tuple(_unpack(int(v)) for v in table), np.searchsorted(table, packed)
 
 
-def _in_order(code: np.ndarray, key: np.ndarray) -> bool:
-    """Whether the rows are sorted by code, and strictly by key within a code."""
-    step = np.diff(code)
-    return bool(((step > 0) | ((step == 0) & (np.diff(key) > 0))).all())
-
-
 def _repeated(code: np.ndarray, key: np.ndarray) -> np.ndarray:
     """A mask of the rows whose (code, key) an earlier row has."""
     repeated = np.zeros(len(code), dtype=bool)
-    if not _in_order(code, key):
+    if not in_order(code, key):
         order = np.lexsort((key, code))  # stable: among equal rows, the earliest first
         c, k = code[order], key[order]
         repeated[order[1:]] = (c[1:] == c[:-1]) & (k[1:] == k[:-1])
@@ -564,7 +585,7 @@ def _dated_rows(path, lines, code, day, diags, message) -> np.ndarray:
     earlier day of their code. Each other row gets the diagnostic
     ``message(row, "duplicate" or "out-of-order", its date)``."""
     keep = np.ones(len(code), dtype=bool)
-    if _in_order(code, day):
+    if in_order(code, day):
         return keep
     order = np.argsort(code, kind="stable")
     run = code[order] * 2**32 + (day[order] + 2**31)  # each code's days above the last's
@@ -602,7 +623,8 @@ def parse_prices_csv(path: str | Path):
     """Parse prices.csv -> (Accepted bars, list[Diagnostic])."""
     path = Path(path)
     lines, (packed, day, close, volume), diags, _ = _parse(
-        path, PRICES_HEADER, _price_cells, _price_row, (np.int64, np.int64, np.float64, np.int64)
+        path, PRICES_HEADER, PRICES_MIN_LINE, _price_cells, _price_row,
+        (np.int64, np.int64, np.float64, np.int64),
     )
     tickers, code = _ticker_codes(packed)
     keep = _dated_rows(path, lines, code, day, diags,
@@ -617,8 +639,8 @@ def parse_prices_csv(path: str | Path):
 def parse_index_csv(path: str | Path):
     """Parse index.csv -> (list[(lineno, IndexBar)], list[Diagnostic])."""
     path = Path(path)
-    lines, (day, close), diags, _ = _parse(path, INDEX_HEADER, _index_cells, _index_row,
-                                           (np.int64, np.float64))
+    lines, (day, close), diags, _ = _parse(path, INDEX_HEADER, INDEX_MIN_LINE, _index_cells,
+                                           _index_row, (np.int64, np.float64))
     keep = _dated_rows(path, lines, np.zeros(len(day), dtype=np.int64), day, diags,
                        lambda i, what, on: f"{what} index bar on {on}")
     diags.sort(key=lambda d: d.line)
@@ -631,7 +653,8 @@ def parse_tweets_csv(path: str | Path):
     """Parse tweets.csv -> (Accepted tweet buckets, list[Diagnostic])."""
     path = Path(path)
     lines, (packed, ts, *counts), diags, slow = _parse(
-        path, TWEETS_HEADER, _tweet_cells, _tweet_row_check(), (np.int64,) * 5
+        path, TWEETS_HEADER, TWEETS_MIN_LINE, _tweet_cells, _tweet_row_check(),
+        (np.int64, np.int64, np.int32, np.int32, np.int32),
     )
     tickers, code = _ticker_codes(packed)
     buckets = TweetBuckets(tickers, code, ts, *counts)
@@ -692,7 +715,7 @@ def parse_events_csv(path: str | Path):
     An event whose EPS estimate is zero is accepted and marked excluded."""
     path = Path(path)
     lines, (packed, at, timing, reported, estimated), diags, _ = _parse(
-        path, EVENTS_HEADER, _event_cells, _event_row,
+        path, EVENTS_HEADER, EVENTS_MIN_LINE, _event_cells, _event_row,
         (np.int64, np.int64, np.int8, np.float64, np.float64),
     )
     tickers, code = _ticker_codes(packed)

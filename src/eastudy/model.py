@@ -41,6 +41,22 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
+_ORDER_SLICE = 1 << 16  # rows per slice of ``in_order``: bounds its temporaries
+
+
+def in_order(code: np.ndarray, key: np.ndarray) -> bool:
+    """Whether the rows are sorted by code, and strictly by key within a code.
+
+    The rows are compared a slice at a time, so no temporary is as long as
+    the columns.
+    """
+    for lo in range(0, len(code) - 1, _ORDER_SLICE):
+        c, k = code[lo:lo + _ORDER_SLICE + 1], key[lo:lo + _ORDER_SLICE + 1]
+        if not ((c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & (k[1:] > k[:-1]))).all():
+            return False
+    return True
+
+
 def validate_ticker(symbol: str) -> str:
     """Return the symbol if it is a valid ticker, else raise ValueError."""
     if not TICKER_RE.match(symbol):
@@ -108,11 +124,7 @@ class _Columns:
     def canonical(self):
         """The same rows sorted by (ticker, the column after ``code``)."""
         code, key = self._columns()[:2]
-        if len(code) < 2 or (
-            (np.diff(code) > 0) | ((code[1:] == code[:-1]) & (key[1:] >= key[:-1]))
-        ).all():
-            return self
-        return self[np.lexsort((key, code))]
+        return self if in_order(code, key) else self[np.lexsort((key, code))]
 
     def __len__(self) -> int:
         return len(self.code)
@@ -141,13 +153,28 @@ class _Columns:
     __hash__ = None
 
 
+def _int32(values) -> np.ndarray:
+    """``values`` as int32, the same array when it already is; raise
+    InvariantViolation for a value int32 cannot hold."""
+    values = np.asarray(values)
+    if values.dtype == np.int32:
+        return values
+    narrow = values.astype(np.int32)
+    if not np.array_equal(narrow, values):
+        raise InvariantViolation("every tweet count must fit in int32")
+    return narrow
+
+
 @dataclass(frozen=True, eq=False)
 class TweetBuckets(_Columns):
     """Hourly tweet buckets as columns: one row per (ticker, hour) bucket.
 
     ``ts`` is the hour start in UTC epoch seconds, so sorting rows by
-    ``(code, ts)`` is sorting them by ``(ticker, hour_start)``. All columns
-    are int64.
+    ``(code, ts)`` is sorting them by ``(ticker, hour_start)``. ``code`` and
+    ``ts`` are int64; the three label counts are int32, which holds
+    ``MAX_COUNT``. Counts given in another dtype are cast, and a count int32
+    cannot hold raises InvariantViolation. Every sum of counts is taken in
+    int64.
     """
 
     tickers: tuple[str, ...]
@@ -157,9 +184,14 @@ class TweetBuckets(_Columns):
     n_neut: np.ndarray
     n_pos: np.ndarray
 
+    def __post_init__(self):
+        for name in ("n_neg", "n_neut", "n_pos"):
+            object.__setattr__(self, name, _int32(getattr(self, name)))
+
     @property
     def total(self) -> np.ndarray:
-        return self.n_neg + self.n_neut + self.n_pos
+        """Tweets per bucket, as int64: three counts at ``MAX_COUNT`` overflow int32."""
+        return self.n_neg.astype(np.int64) + self.n_neut + self.n_pos
 
     def _record(self, i) -> TweetBucket:
         return TweetBucket(

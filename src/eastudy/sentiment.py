@@ -2,11 +2,11 @@
 
 Hourly tweet buckets roll up into close-delimited trading days in one pass
 over the bucket columns: one ``np.searchsorted`` assigns every bucket its
-trading day, and ``np.add.at`` sums the label counts into an int64
-(ticker x trading day) grid, so totals are exact integers whatever the
-order of the buckets. The same pass keeps each bucket's grid cell, so that
-US/Eastern hour-of-day totals are summed for just the cells asked for: only
-their buckets are read.
+trading day, and ``np.add.at`` sums the int32 label counts, widened to
+int64, into an int64 (ticker x trading day) grid, so totals are exact
+integers whatever the order of the buckets. The same pass keeps each
+bucket's grid cell, so that US/Eastern hour-of-day totals are summed in
+int64 for just the cells asked for: only their buckets are read.
 
 A day's sentiment score is the Laplace-smoothed mean of the {-1, 0, +1}
 label distribution, which keeps the score strictly inside (-1, +1) even for
@@ -67,7 +67,8 @@ class DailyCounts:
         n_cells = len(self.tickers) * len(cal)
         labels = np.zeros((3, n_cells), dtype=np.int64)
         for row, column in zip(labels, (tweets.n_neg, tweets.n_neut, tweets.n_pos)):
-            np.add.at(row, self._cells, column)
+            # int64 values: int32 ones into an int64 grid leave np.add.at's fast path
+            np.add.at(row, self._cells, column.astype(np.int64))
         self.labels = labels.reshape(3, len(self.tickers), len(cal))
         self.buckets = np.bincount(self._cells, minlength=n_cells).reshape(
             len(self.tickers), len(cal)
@@ -88,7 +89,8 @@ class DailyCounts:
         tw = self._tweets
         block = np.zeros((len(cells), 24), dtype=np.int64)
         at = np.searchsorted(cells, self._cells[picked]), eastern_hours(tw.ts[picked])
-        np.add.at(block, at, tw.n_neg[picked] + tw.n_neut[picked] + tw.n_pos[picked])
+        total = tw.n_neg[picked].astype(np.int64) + tw.n_neut[picked] + tw.n_pos[picked]
+        np.add.at(block, at, total)
         return block[back]
 
 

@@ -236,12 +236,13 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
                 draws += [rng.multinomial(n, _SLOT_WEIGHTS) for n in rng.multinomial(total, mix)]
         volumes[code] = volume
 
-        # (day, slot) rows of (neg, neut, pos) counts; rows without a tweet are left out
+        # (day, slot) rows of (neg, neut, pos) counts; rows without a tweet are left
+        # out, and the counts (a draw is at most about 1e9) go int32, as TweetBuckets holds them
         block = np.array(draws, dtype=np.int64).reshape(len(drawn), 3, len(_SLOT_WEIGHTS))
         rows = block.transpose(0, 2, 1).reshape(-1, 3)
         keep = rows.any(axis=1)
         tweets[code] = (np.full(np.count_nonzero(keep), code), slot_ts[drawn].ravel()[keep],
-                        *rows[keep].T)
+                        *rows[keep].T.astype(np.int32))
 
     levels = np.vstack((index_levels, closes))
     bad = ~(np.isfinite(levels) & (levels > 0))

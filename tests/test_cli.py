@@ -9,14 +9,16 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eastudy
 from eastudy import event_study, ingest, reports, trading
-from eastudy.alignment import EventAnchor, TradingCalendar
+from eastudy.alignment import EventAnchor, TradingCalendar, eastern_hours
 from eastudy.cli import build_parser, main
-from eastudy.errors import SchemaMismatch
-from eastudy.ingest import load_dataset, write_dataset
+from eastudy.errors import InvariantViolation, SchemaMismatch
+from eastudy.ingest import MAX_COUNT, load_dataset, write_dataset
+from eastudy.model import TweetBuckets
 from eastudy.reports import build_universe
 from eastudy.synth import SynthSpec, generate
 
@@ -879,6 +881,88 @@ class TestTickersWithoutEventsChangeNothing:
         manifest = json.loads((tmp_path / "pipeline" / "manifest.json").read_text())
         assert digests == self.DIGESTS
         assert manifest_reasons(manifest) == self.REASONS
+
+
+def max_count_copy(data_dir, root):
+    """The Quickstart data with every tweet bucket of five events' tickers on
+    their announcement dates (UTC) at ``MAX_COUNT`` in all three labels."""
+    root.mkdir()
+    events = [line.split(",") for line in (data_dir / "events.csv").read_text().splitlines()[1::5]]
+    days = {(ticker, at[:10]) for ticker, at, *_ in events}
+    lines = (data_dir / "tweets.csv").read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines[1:], 1):
+        stamp, ticker, _ = line.split(",", 2)
+        if (ticker, stamp[:10]) in days:
+            lines[i] = f"{stamp},{ticker},{MAX_COUNT},{MAX_COUNT},{MAX_COUNT}\n"
+    (root / "tweets.csv").write_text("".join(lines))
+    for name in ("prices.csv", "index.csv", "events.csv"):
+        (root / name).write_bytes((data_dir / name).read_bytes())
+    return root
+
+
+class TestCountsAtMaxCount:
+    """Tweet counts are held as int32, which holds ``MAX_COUNT``, and every
+    sum of them is taken in int64: three counts at ``MAX_COUNT`` overflow
+    int32. ``pipeline`` and ``score`` write the bytes that int64 columns
+    gave; the digests were pinned from that code."""
+
+    DIGESTS = {
+        "curves_sent0_afterclose.csv": "e354151098545f07e0f77aa2c1e314e0899df86096dcf744b2bf6f137f2fe2cb",
+        "curves_sent0_beforeopen.csv": "b14083c6cacc3192a4bc5139c5570d94fc06bf07546cc75f56d00b6ad26ca6e3",
+        "curves_sentm1_afterclose.csv": "40751a7ce95618ed2f2c36407230d6992b6f5633dfa126d95bc4583cb56e86ab",
+        "curves_sentm1_beforeopen.csv": "4892d640bc9f5711c45eeb0329077ba770bc929dba1ee629d3c430c73c345719",
+        "equity.csv": "701fc8ea89b42babdba226a054f4c83de1ad10ac2b656d5f4f90cc7e26928780",
+        "regression.csv": "b654c5856d15c57794142fbd02998662330c9f669efc1ef2c9a3798649a111d7",
+        "scores.csv": "be6ff21b24d7c4bd80dfe1efde5db3a00213368cc287a552e04e54925dcf542f",
+        "study_sent0_afterclose.csv": "fcd0da6475521108c35a5d9592562ac8e455175e3cd5f7becf520c539af33dd0",
+        "study_sent0_beforeopen.csv": "e281d443145f59c3a9ce28b5394b095b793ebc4d713145119946647a26ebb67b",
+        "study_sentm1_afterclose.csv": "a25f1351abde46f1ca212e1bf59688c482f1efb72e5ac7a48b202242ac9caa00",
+        "study_sentm1_beforeopen.csv": "ce738b43ac79f7eae0312fa7e681627f9c586ed13ed760b3df4480ca43ce7844",
+        "thresholds.csv": "0a420a365b737c0e0cb9398bc340456a440de2a5c099fe721875be63be40f550",
+        "trades.csv": "edeaf3c09d7d7a3ad0551c288a3743400dfac8d9dd3f5528f4db2b978b909d86",
+        "volume_daily.csv": "3bb3c2d6ab8798f93fcb7a0e9ca6a6d3f8c35969d0be425c2657c13f1a81eb2e",
+        "volume_hourly.csv": "967f7d0da609347e27a5dca81e13ae7c5be3c27c6d151bb061945b7b4765fca0",
+        "volume_summary.csv": "7e7c621e247a59a0cd647caf37e1acb3ed992ab4d83d6147306b2d5399cc1916",
+    }
+
+    def test_same_csvs(self, data_dir, tmp_path):
+        data = max_count_copy(data_dir, tmp_path / "data")
+        digests = {}
+        for command in ("pipeline", "score"):
+            out = tmp_path / command
+            assert main(["--out", str(out), command, *data_flags(data)]) == 0
+            digests.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest())
+                           for p in out.iterdir() if p.suffix == ".csv")
+        assert digests == self.DIGESTS
+
+    def test_sums_are_int64(self, data_dir, tmp_path):
+        data = max_count_copy(data_dir, tmp_path / "data")
+        ds = load_dataset(*(data / f"{name}.csv" for name in ("prices", "index", "tweets", "events")))
+        tw, universe = ds.tweets, build_universe(ds)
+        assert tw.n_neg.dtype == tw.n_neut.dtype == tw.n_pos.dtype == np.int32
+        maxed = tw.n_neg == MAX_COUNT
+        assert np.count_nonzero(maxed) >= 5
+        wide = [c.astype(np.int64) for c in (tw.n_neg, tw.n_neut, tw.n_pos)]
+        assert tw.total.tolist() == (wide[0] + wide[1] + wide[2]).tolist()
+        assert tw.total[maxed].tolist() == [3 * MAX_COUNT] * np.count_nonzero(maxed)
+        # the hourly profile of every cell that holds a bucket at MAX_COUNT
+        cal = universe.cal
+        rows, days = tw.code[maxed], cal.day_indices(tw.ts[maxed])
+        want: dict = {}
+        for cell, hour, total in zip((tw.code * len(cal) + cal.day_indices(tw.ts)).tolist(),
+                                     eastern_hours(tw.ts).tolist(), tw.total.tolist()):
+            want[cell, hour] = want.get((cell, hour), 0) + total
+        got = universe.counts.hourly(rows, days)
+        assert got.dtype == np.int64 and got.max() > 2**31
+        assert got.tolist() == [[want.get((r * len(cal) + d, h), 0) for h in range(24)]
+                                for r, d in zip(rows.tolist(), days.tolist())]
+
+    @pytest.mark.parametrize("count", [MAX_COUNT + 1, -(2**31) - 1, 2**32])
+    def test_a_count_int32_cannot_hold_raises(self, count):
+        column = np.array([1, count], dtype=np.int64)
+        with pytest.raises(InvariantViolation):
+            TweetBuckets(("A",), np.zeros(2, dtype=np.int64), np.array([0, 3600]),
+                         np.ones(2, dtype=np.int64), column, np.ones(2, dtype=np.int64))
 
 
 class TestDateLookupsPerEvent:

@@ -18,6 +18,10 @@ from eastudy.cli import main
 from eastudy.errors import InvariantViolation, MissingFile, SchemaMismatch
 from eastudy.event_study import StudyConfig, fit_events
 from eastudy.ingest import (
+    EVENTS_HEADER,
+    INDEX_HEADER,
+    PRICES_HEADER,
+    TWEETS_HEADER,
     format_rfc3339,
     load_dataset,
     parse_rfc3339,
@@ -792,6 +796,26 @@ WHOLE_FILE_EDITS = {"CR in the last line", "quote in the last line",
                     "no final newline"}
 
 
+def _shortest_lines(name: str, n: int) -> str:
+    """A file of ``n`` distinct data lines, each as short as the fast path
+    accepts in that file: a date or a stamp, a timing, and one byte for every
+    other cell."""
+    hours = np.datetime64("2015-01-05T00", "h") + np.arange(n)
+    days = np.datetime_as_string(np.datetime64("2015-01-05") + np.arange(n)).tolist()
+    rows = {
+        "prices": [f"{d},A,1,0\n" for d in days],
+        "index": [f"{d},1\n" for d in days],
+        "tweets": [f"{h}:00:00Z,A,0,0,0\n" for h in np.datetime_as_string(hours).tolist()],
+        "events": [f"A,{d}T21:00:00Z,AfterClose,1,1\n" for d in days],
+    }[name]
+    header = {"prices": PRICES_HEADER, "index": INDEX_HEADER, "tweets": TWEETS_HEADER,
+              "events": EVENTS_HEADER}[name]
+    return ",".join(header) + "\n" + "".join(rows)
+
+
+SHORTEST_LINE = {"prices": 17, "index": 13, "tweets": 29, "events": 38}
+
+
 class TestStreamedBlocks:
     """The fast path reads a file in blocks of whole lines, ``BLOCK_BYTES``
     a read. With reads of a few dozen bytes, lines straddle reads and
@@ -819,6 +843,24 @@ class TestStreamedBlocks:
         if edit in WHOLE_FILE_EDITS:  # the row loop reads every row
             rows = csv.reader(io.StringIO(text.decode("utf-8", "surrogateescape"), newline=""))
             assert seen[path.name] == list(range(2, 1 + len(list(rows))))
+
+    @pytest.mark.parametrize("block", [ingest.BLOCK_BYTES, 64])
+    @pytest.mark.parametrize("name", sorted(PARSERS))
+    def test_a_file_of_shortest_lines_fits_its_columns(self, tmp_path, name, block):
+        """The columns have the file's size over its shortest fast-path line
+        rows: a file made only of such lines fills them, one more byte in the
+        bound and its rows would not fit."""
+        text = _shortest_lines(name, 600)
+        assert {len(line) + 1 for line in text.splitlines()[1:]} == {SHORTEST_LINE[name]}
+        path = write(tmp_path / f"{name}.csv", text)
+        with mock.patch.object(ingest, "BLOCK_BYTES", block), counting_row_loop() as seen:
+            accepted, diags = PARSERS[name](path)
+            fast = outcome(name, path)
+        assert seen.get(path.name, []) == [] and diags == [] and len(accepted) == 600
+        if name != "index":  # index rows are records with their line numbers
+            assert accepted.lines is None
+        with row_loop_only():
+            assert outcome(name, path) == fast
 
     def test_blank_line_that_starts_a_block_sends_the_file_to_the_row_loop(self, base_files,
                                                                            tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eastudy.alignment import TradingCalendar
-from eastudy.ingest import MAX_COUNT
+from eastudy.ingest import MAX_COUNT, parse_tweets_csv, write_dataset
 from eastudy.model import Dataset, Events, Timing, TweetBuckets
 from eastudy.reports import (
     STRATA,
@@ -174,6 +174,24 @@ class TestVolumeReport:
             tracemalloc.stop()
         grid = len(universe.counts.tickers) * len(universe.cal) * 24 * 8
         assert peak < grid / 4
+
+    def test_tweet_ingest_holds_little_more_than_its_columns(self, tmp_path):
+        """``parse_tweets_csv`` of about 100k buckets peaks below 1.8 times the
+        columns it returns: its column buffers are sized by the shortest
+        tweets line, the counts are int32, the order check and each block's
+        reads make no full-length temporaries."""
+        write_dataset(generate(SynthSpec(seed=3, n_tickers=16, n_days=900,
+                                         events_per_ticker=0)), tmp_path)
+        tracemalloc.start()
+        try:
+            accepted, diags = parse_tweets_csv(tmp_path / "tweets.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tw = accepted.rows
+        held = sum(c.nbytes for c in (tw.code, tw.ts, tw.n_neg, tw.n_neut, tw.n_pos))
+        assert diags == [] and len(tw) > 100_000
+        assert peak < 1.8 * held
 
 
 # Quickstart-like, small: both timing classes, every stratum cuts terciles
