@@ -18,7 +18,9 @@ import argparse
 import hashlib
 import json
 import math
+import signal
 import sys
+import threading
 from dataclasses import fields as dataclass_fields
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -71,16 +73,6 @@ def _iso(day: date | None) -> str | None:
     return day.isoformat() if day else None
 
 
-def _sha256(path: Path) -> str:
-    """The file's SHA-256, read through one 64 KiB buffer."""
-    h, buf = hashlib.sha256(), bytearray(1 << 16)
-    view = memoryview(buf)
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buf):
-            h.update(view[:n])
-    return h.hexdigest()
-
-
 def _read_json(path: str) -> dict:
     """A JSON object from a file: MissingFile if absent, InvalidSpec if malformed."""
     p = Path(path)
@@ -115,6 +107,8 @@ def _data_paths(args, config: dict, names: Sequence[str] = INPUTS) -> dict[str, 
         value = _resolve(args, config, name, "data", name)
         if value is None:
             raise MissingFile(f"no path configured for {name}.csv (use --{name} or config)")
+        if not isinstance(value, str):
+            raise InvalidSpec(f"invalid data.{name} {value!r}: expected a path")
         paths[name] = value
     return paths
 
@@ -200,7 +194,7 @@ def _settings(args, config: dict) -> SimpleNamespace:
     return s
 
 
-def _manifest(out: OutputDir, command: str, effective: dict, paths: dict[str, str],
+def _manifest(out: OutputDir, command: str, effective: dict, inputs: dict[str, str],
               ds: Dataset, tweets_outside: int, extra: dict | None = None) -> None:
     payload = {
         "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -208,7 +202,7 @@ def _manifest(out: OutputDir, command: str, effective: dict, paths: dict[str, st
         "version": __version__,
         "command": command,
         "config": effective,
-        "inputs": {name: _sha256(Path(p)) for name, p in paths.items() if Path(p).exists()},
+        "inputs": inputs,  # input name -> SHA-256
         "outputs": sorted(p.name for p in out.created),
         "dataset": {
             "bars": len(ds.bars),
@@ -425,7 +419,7 @@ def _cmd_report(args, config, out: OutputDir) -> int:
     extra = {"excluded_events": _reasons(universe.dropped)}
     for name in reports:
         extra.update(REPORTS[name](run) or {})
-    _manifest(out, args.command, _effective(s, reports), s.paths, ds,
+    _manifest(out, args.command, _effective(s, reports), ds.digests, ds,
               universe.tweets_outside, extra)
     if len(reports) > 1:
         print(f"pipeline complete: {len(out.created)} files in {out.root}")
@@ -492,7 +486,8 @@ def _cmd_synth(args, config, out: OutputDir) -> int:
     effective = {f.name: getattr(spec, f.name) for f in dataclass_fields(SynthSpec)}
     effective["start"] = effective["start"].isoformat()
     outside = covered_tweets(ds.tweets, TradingCalendar.from_dataset(ds))[1]
-    _manifest(out, "synth", effective, {p.stem: str(p) for p in paths}, ds, outside)
+    digests = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    _manifest(out, "synth", effective, digests, ds, outside)
     return 0
 
 
@@ -554,9 +549,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out = None
+    # for the run's length SIGTERM raises SystemExit(143), so that ``finally``
+    # discards the staged files; only the main thread may set a handler
+    previous = (signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+                if threading.current_thread() is threading.main_thread() else None)
     try:
         config = _read_json(args.config) if args.config else {}
-        out = OutputDir(args.out or config.get("out") or "out")
+        root = args.out or config.get("out") or "out"
+        if not isinstance(root, str):
+            raise InvalidSpec(f"invalid out {root!r}: expected a path")
+        out = OutputDir(root)
         code = args.handler(args, config, out)
         out.commit()
         return code
@@ -568,6 +570,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if out is not None:
             out.discard()
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

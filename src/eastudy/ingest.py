@@ -7,29 +7,28 @@ silently. ``load_dataset`` raises on the first problem (carrying all
 diagnostics), while the ``parse_*`` functions expose the collect-all
 behavior directly.
 
-Every file is read by a fast path first: the file is read ``BLOCK_BYTES``
-at a time into blocks of whole lines, each block's cells are found from its
-newline and comma offsets and checked by byte class, and the accepted rows
-go into columns sized by the file's length over the shortest line the fast
-path accepts (``*_MIN_LINE``). A fast-path line has exactly
-the header's width, a canonical ``YYYY-MM-DD`` date, ``YYYY-MM-DDTHH:00:00Z``
-tweet hour or ``YYYY-MM-DDTHH:MM:SSZ`` announcement that exists on the
-calendar (``2016-02-30`` does not), a ticker of 1 to 6 bytes of ``[A-Z.]``,
-counts and volumes that are plain runs of ASCII digits in range, a close
-written as digits with at most one inner ``.``, positive, an EPS figure
-written the same way after an optional ``-``, and a timing of exactly
-``BeforeOpen`` or ``AfterClose`` whose local-time rule the announcement
-keeps (read from ``alignment.eastern_offsets``). Every other line
-goes through the row loop, the per-row parser with every check and its
-diagnostic text, one line at a time; so do whole files that hold a CR, a
-quote, a blank line, a BOM, another header or malformed UTF-8, or that do
-not end in a newline, whichever block shows it; a row with a byte that is
-not UTF-8 gets a schema diagnostic. The checks that compare rows (a
-duplicate tweet bucket, a bar out of date order) then run once over the
-accepted rows of both paths, in line order, keeping the first occurrence;
-so does the events file's check for a repeated (ticker, instant).
-So both paths accept the same rows with the same values and give the same
-diagnostics in the same order.
+Every file is opened and hashed once, and read ``BLOCK_BYTES`` at a time
+into blocks of whole lines, each ending at an LF, a CRLF or a lone CR. The
+fast path finds each block's cells from its line end and comma offsets and
+checks them by byte class, and the accepted rows go into columns sized by
+the file's length over the shortest line the fast path accepts
+(``*_MIN_LINE``). A fast-path line has exactly the header's width, a
+canonical ``YYYY-MM-DD`` date, ``YYYY-MM-DDTHH:00:00Z`` tweet hour or
+``YYYY-MM-DDTHH:MM:SSZ`` announcement that exists on the calendar
+(``2016-02-30`` does not), a ticker of 1 to 6 bytes of ``[A-Z.]``, counts
+and volumes that are plain runs of ASCII digits in range, a close written
+as digits with at most one inner ``.``, positive, an EPS figure written the
+same way after an optional ``-``, and a timing of exactly ``BeforeOpen`` or
+``AfterClose`` whose local-time rule the announcement keeps (read from
+``alignment.eastern_offsets``). Every other line goes alone through the row
+loop, the per-row parser with every check and its diagnostic text; a line
+break always ends a row, even inside quotes, and a line of malformed UTF-8
+or that the csv module cannot read gets a schema diagnostic. The checks
+that compare rows (a duplicate tweet bucket, a bar out of date order) then
+run once over the accepted rows of both paths, in line order, keeping the
+first occurrence; so does the events file's check for a repeated (ticker,
+instant). So both paths accept the same rows with the same values and give
+the same diagnostics in the same order.
 
 A close or an index level must be a positive finite number, and an EPS
 figure a finite one; a tweet count is at most ``MAX_COUNT`` and a share
@@ -45,10 +44,13 @@ the output directory and moved in only when the run succeeds.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import math
 import os
 import shutil
+import stat
 import tempfile
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
@@ -141,40 +143,37 @@ def _invariant(path, lineno, message) -> Diagnostic:
 # --- the row loop ------------------------------------------------------------
 
 
-def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """(lineno, cells) of every data row of the file, read by the csv module;
-    raise on a missing file or a bad header."""
-    if not path.exists():
-        raise MissingFile(str(path))
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise SchemaMismatch(
-                f"{path}: empty file, expected header {','.join(header)}"
-            ) from None
-        if first != header:
-            raise SchemaMismatch(
-                f"{path}:1: header {','.join(first)!r} does not match "
-                f"expected {','.join(header)!r}"
-            )
-        yield from enumerate(reader, start=2)
+def _header(path: Path, header: list[str], text: str) -> None:
+    """Raise SchemaMismatch unless the csv cells of the first line are the header."""
+    try:
+        first = next(csv.reader([text]))
+    except csv.Error:
+        first = [text]
+    if first != header:
+        raise SchemaMismatch(
+            f"{path}:1: header {','.join(first)!r} does not match expected {','.join(header)!r}"
+        )
 
 
 Check = Callable[[Path, int, list], "tuple | Diagnostic"]
 
 
 def _row_loop(path: Path, header: list[str], numbered: Iterable, check: Check):
-    """Check each (lineno, cells) row: a row with a byte that is not UTF-8 (a
-    lone surrogate) or of the wrong width gets a diagnostic, any other gets
-    ``check``, which returns its values or its diagnostic. Returns (lines, values, diagnostics)."""
+    """Check each (lineno, text) line alone: one with a byte that is not UTF-8
+    (a lone surrogate), that the csv module cannot read or of the wrong width
+    gets a diagnostic, any other ``check``, which returns its values or its
+    diagnostic. Returns (lines, values, diagnostics)."""
     lines: list[int] = []
     values: list[tuple] = []
     diags: list[Diagnostic] = []
-    for lineno, cells in numbered:
-        if not (text := "".join(cells)).isascii() and any("\udc80" <= c <= "\udcff" for c in text):
+    for lineno, text in numbered:
+        if not text.isascii() and any("\udc80" <= c <= "\udcff" for c in text):
             diags.append(Diagnostic(str(path), lineno, "schema", "bytes that are not UTF-8"))
+            continue
+        try:
+            cells = next(csv.reader([text]))
+        except csv.Error as exc:  # such as a cell past the csv module's field limit
+            diags.append(Diagnostic(str(path), lineno, "schema", f"not a CSV row: {exc}"))
             continue
         if len(cells) != len(header):
             diags.append(Diagnostic(
@@ -288,41 +287,42 @@ def _tweet_row_check() -> Check:
 # --- the fast path -----------------------------------------------------------
 
 
-def _line_blocks(fh) -> Iterator[bytes]:
+def _open(path: Path):
+    """The file open for reading, and its size; a pipe has no size that could
+    bound the columns, so it is read whole first. MissingFile if the path
+    cannot be opened or is neither a regular file nor a pipe."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:  # also a directory
+        raise MissingFile(f"{path}: {exc.strerror}") from None
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        return fh, st.st_size
+    with fh:
+        if not stat.S_ISFIFO(st.st_mode):
+            raise MissingFile(f"{path}: not a regular file or a pipe")
+        data = fh.read()
+    return io.BytesIO(data), len(data)
+
+
+def _line_blocks(fh, update) -> Iterator[bytes]:
     """The file's bytes in blocks of whole lines, read ``BLOCK_BYTES`` at a
-    time: a block ends at the last newline read so far, so a line longer than
-    a read lengthens its block. The bytes after the last newline come last."""
+    time and each passed to ``update``. A line ends at an LF, a CRLF or a
+    lone CR, made an LF in its block. A block ends at the last line end read
+    so far, so a line longer than a read lengthens its block, and a CR that
+    ends a read waits for the next, which may start with the LF of a CRLF."""
     parts: list[bytes] = []
-    while chunk := fh.read(BLOCK_BYTES):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            block, parts = b"".join((*parts, chunk[:cut])), [chunk[cut:]]
+    while (chunk := fh.read(BLOCK_BYTES)) or any(parts):
+        update(chunk)
+        chunk = chunk or b"\n"  # the bytes after the last line end are one more line
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+        if cut:  # replace copies only a block that holds a CR
+            block = b"".join((*parts, chunk[:cut])).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            parts = [chunk[cut:]]
             del chunk  # the read is not held while the block is out
             yield block
         else:
             parts.append(chunk)
-    if tail := b"".join(parts):
-        yield tail
-
-
-def _fast_block(block: bytes) -> bool:
-    """Whether the fast path may read a block of whole lines: it ends in a
-    newline and holds no CR, no quote, no blank line (a block starts a line,
-    so a leading newline ends a blank one) and no malformed UTF-8."""
-    if (
-        not block.endswith(b"\n")
-        or block.startswith(b"\n")
-        or b"\n\n" in block
-        or b"\r" in block
-        or b'"' in block
-    ):
-        return False
-    if not block.isascii():
-        try:
-            block.decode("utf-8")
-        except UnicodeDecodeError:
-            return False
-    return True
 
 
 def _gather(seg: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
@@ -496,56 +496,47 @@ def _fast_rows(block: bytes, skip: int, width: int, cells, columns: list[np.ndar
         column[n:n + len(accepted)] = v[ok]
     refused = np.ones(len(stop), dtype=bool)
     refused[accepted] = False
-    texts = [(i, seg[begin[i]:stop[i]].tobytes().decode("utf-8"))
+    texts = [(i, seg[begin[i]:stop[i]].tobytes().decode("utf-8", "surrogateescape"))
              for i in np.flatnonzero(refused).tolist()]
     return n + len(accepted), len(stop), texts
 
 
-def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dtypes):
-    """Parse a file by the fast path, with the row loop for what it refuses.
+def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dtypes, sha=None):
+    """Parse a file by the fast path, with the row loop for each line it refuses.
 
-    The file is read in blocks of whole lines (``_line_blocks``). If it is
-    not a regular file, its first line is not the header, or a block fails
-    ``_fast_block``, the row loop reads the whole file. ``cells(seg, start, size)`` reads a block's
-    rows of the header's width (``start`` and ``size`` give each cell's
-    offset in ``seg`` and length) and returns a mask of the rows it accepts
-    and their column values; ``check`` returns the same values, then any
-    others, for one row. Returns the line numbers (None when the fast path
-    refused no row: then row i is line i + 2) and the columns (of ``dtypes``)
-    of the accepted rows of both paths in line order, the row loop's
-    diagnostics, and the row loop's values by line number.
+    The file is opened once (``_open``) and read in blocks of whole lines
+    (``_line_blocks``), every byte fed to ``sha``. ``cells(seg, start, size)``
+    reads a block's rows of the header's width (``start`` and ``size`` give
+    each cell's offset in ``seg`` and length) and returns a mask of the rows
+    it accepts and their column values; each line it refuses goes alone to
+    the row loop, whose ``check`` returns the same values, then any others,
+    for one row. Returns the line numbers (None when the fast path refused
+    no row: then row i is line i + 2) and the columns (of ``dtypes``) of the
+    accepted rows of both paths in line order, the row loop's diagnostics,
+    and the row loop's values by line number.
 
     No fast-path line is shorter than ``min_line`` bytes, so the file's size
     over ``min_line`` bounds the rows the fast path accepts: the column
     buffers have that many rows, and the accepted rows are views of them.
     """
-    if not path.exists():
-        raise MissingFile(str(path))
-    head = (",".join(header) + "\n").encode()
-    fast, first, n, slow = False, 2, 0, []  # first: the line number of a block's first line
-    columns = [np.empty(0, dtype=t) for t in dtypes]
-    if path.is_file():  # a pipe has no size to bound its rows: the row loop reads it once
-        with open(path, "rb") as fh:
-            rows_at_most = os.fstat(fh.fileno()).st_size // min_line
-            columns = [np.empty(rows_at_most, dtype=t) for t in dtypes]
-            skip = len(head)  # the header's bytes, at the start of the first block
-            for block in _line_blocks(fh):
-                fast = _fast_block(block) and block.startswith(head[:skip])
-                if not fast:
-                    break
-                n, n_lines, refused = _fast_rows(block, skip, len(header), cells, columns, n)
-                slow += [(first + i, text) for i, text in refused]
-                first += n_lines
-                skip = 0
-    if not fast:  # the row loop reads every row
-        first, n, slow = 2, 0, []
-    numbered = (
-        zip([line for line, _ in slow], csv.reader([text for _, text in slow])) if fast
-        else _csv_rows(path, header)
-    )
-    slow_lines, slow_values, diags = _row_loop(path, header, numbered, check)
+    fh, size = _open(path)
+    columns = [np.empty(size // min_line, dtype=t) for t in dtypes]
+    first, n, slow = 1, 0, []  # first: the line number of a block's first line
+    with fh:
+        for block in _line_blocks(fh, (sha or hashlib.sha256()).update):
+            skip = 0  # the header's bytes, at the start of the first block
+            if first == 1:
+                skip = block.index(b"\n") + 1
+                _header(path, header, block[:skip - 1].decode("utf-8", "surrogateescape"))
+                first = 2
+            n, n_lines, refused = _fast_rows(block, skip, len(header), cells, columns, n)
+            slow += [(first + i, text) for i, text in refused]
+            first += n_lines
+    if first == 1:
+        raise SchemaMismatch(f"{path}: empty file, expected header {','.join(header)}")
+    slow_lines, slow_values, diags = _row_loop(path, header, slow, check)
     lines, columns = None, [c[:n] for c in columns]
-    if slow or not fast:
+    if slow:
         # the fast path accepted each line it did not refuse
         lines = np.concatenate((
             np.setdiff1d(np.arange(2, first), [line for line, _ in slow], assume_unique=True),
@@ -619,12 +610,12 @@ class Accepted:
         return int(_line_numbers(self.lines, i)), self.rows[i]
 
 
-def parse_prices_csv(path: str | Path):
-    """Parse prices.csv -> (Accepted bars, list[Diagnostic])."""
+def parse_prices_csv(path: str | Path, sha=None):
+    """Parse prices.csv -> (Accepted bars, list[Diagnostic]), feeding its bytes to ``sha``."""
     path = Path(path)
     lines, (packed, day, close, volume), diags, _ = _parse(
         path, PRICES_HEADER, PRICES_MIN_LINE, _price_cells, _price_row,
-        (np.int64, np.int64, np.float64, np.int64),
+        (np.int64, np.int64, np.float64, np.int64), sha,
     )
     tickers, code = _ticker_codes(packed)
     keep = _dated_rows(path, lines, code, day, diags,
@@ -636,11 +627,11 @@ def parse_prices_csv(path: str | Path):
     return Accepted(lines, bars), diags
 
 
-def parse_index_csv(path: str | Path):
+def parse_index_csv(path: str | Path, sha=None):
     """Parse index.csv -> (list[(lineno, IndexBar)], list[Diagnostic])."""
     path = Path(path)
     lines, (day, close), diags, _ = _parse(path, INDEX_HEADER, INDEX_MIN_LINE, _index_cells,
-                                           _index_row, (np.int64, np.float64))
+                                           _index_row, (np.int64, np.float64), sha)
     keep = _dated_rows(path, lines, np.zeros(len(day), dtype=np.int64), day, diags,
                        lambda i, what, on: f"{what} index bar on {on}")
     diags.sort(key=lambda d: d.line)
@@ -649,12 +640,12 @@ def parse_index_csv(path: str | Path):
     return [(n, IndexBar(d, c)) for n, d, c in rows], diags
 
 
-def parse_tweets_csv(path: str | Path):
+def parse_tweets_csv(path: str | Path, sha=None):
     """Parse tweets.csv -> (Accepted tweet buckets, list[Diagnostic])."""
     path = Path(path)
     lines, (packed, ts, *counts), diags, slow = _parse(
         path, TWEETS_HEADER, TWEETS_MIN_LINE, _tweet_cells, _tweet_row_check(),
-        (np.int64, np.int64, np.int32, np.int32, np.int32),
+        (np.int64, np.int64, np.int32, np.int32, np.int32), sha,
     )
     tickers, code = _ticker_codes(packed)
     buckets = TweetBuckets(tickers, code, ts, *counts)
@@ -709,14 +700,14 @@ def _event_row(path, lineno, cells):
     return _pack(ticker), at, timing.code, eps_reported, eps_estimated
 
 
-def parse_events_csv(path: str | Path):
+def parse_events_csv(path: str | Path, sha=None):
     """Parse events.csv -> (Accepted events, list[Diagnostic]).
 
     An event whose EPS estimate is zero is accepted and marked excluded."""
     path = Path(path)
     lines, (packed, at, timing, reported, estimated), diags, _ = _parse(
         path, EVENTS_HEADER, EVENTS_MIN_LINE, _event_cells, _event_row,
-        (np.int64, np.int64, np.int8, np.float64, np.float64),
+        (np.int64, np.int64, np.int8, np.float64, np.float64), sha,
     )
     tickers, code = _ticker_codes(packed)
     events = Events(tickers, code, at, timing, reported, estimated, estimated == 0.0)
@@ -740,12 +731,14 @@ def load_dataset(
     """Load and cross-validate the four inputs into one Dataset.
 
     Raises MissingFile / SchemaMismatch / InvariantViolation; row-level
-    problems are attached to the exception as ``.diagnostics``.
+    problems are attached to the exception as ``.diagnostics``. The
+    dataset's ``digests`` are the SHA-256 of the bytes the parse read.
     """
-    bars, d1 = parse_prices_csv(prices_path)
-    index, d2 = parse_index_csv(index_path)
-    tweets, d3 = parse_tweets_csv(tweets_path)
-    events, d4 = parse_events_csv(events_path)
+    shas = [hashlib.sha256() for _ in range(4)]
+    bars, d1 = parse_prices_csv(prices_path, shas[0])
+    index, d2 = parse_index_csv(index_path, shas[1])
+    tweets, d3 = parse_tweets_csv(tweets_path, shas[2])
+    events, d4 = parse_events_csv(events_path, shas[3])
     diags = d1 + d2 + d3 + d4
 
     if not index:
@@ -772,6 +765,7 @@ def load_dataset(
         index=tuple(b for _, b in index),
         tweets=tweets.rows.canonical(),
         events=events.rows.canonical(),
+        digests=dict(zip(("prices", "index", "tweets", "events"), (h.hexdigest() for h in shas))),
     )
 
 

@@ -383,6 +383,8 @@ class Dataset:
     index: tuple[IndexBar, ...]
     tweets: TweetBuckets
     events: Events
+    # input name -> SHA-256 of the bytes load_dataset read
+    digests: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
     tickers: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -1,11 +1,14 @@
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from unittest import mock
 from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from eastudy import ingest
 from eastudy.alignment import TradingCalendar
 from eastudy.model import DailyBar, DailyBars, Dataset, EarningsEvent, IndexBar, Timing, TweetBuckets
 
@@ -132,6 +135,18 @@ def anchor_columns(anchors, ds: Dataset):
     code = np.array([ds.tickers.index(a.event.ticker) if a else 0 for a in anchors],
                     dtype=np.int64)
     return ds.prices, day0, code, np.array([a is not None for a in anchors], dtype=bool)
+
+
+@contextmanager
+def row_loop_only():
+    """Every line goes alone through the row loop: the fast path finds no row
+    of the header's width in any block, so it refuses each line."""
+    def no_rows(seg, begin, stop, width):
+        none = np.zeros((0, width), dtype=stop.dtype)
+        return np.zeros(0, dtype=np.int64), none, none
+
+    with mock.patch.object(ingest, "_block_cells", no_rows):
+        yield
 
 
 def make_dataset(bars=(), index=(), tweets=(), events=()) -> Dataset:

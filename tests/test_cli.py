@@ -1,19 +1,24 @@
 import argparse
+import builtins
 import csv
 import hashlib
+import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eastudy
-from eastudy import event_study, ingest, reports, trading
+from eastudy import cli, event_study, ingest, reports, trading
 from eastudy.alignment import EventAnchor, TradingCalendar, eastern_hours
 from eastudy.cli import build_parser, main
 from eastudy.errors import InvariantViolation, SchemaMismatch
@@ -21,6 +26,8 @@ from eastudy.ingest import MAX_COUNT, load_dataset, write_dataset
 from eastudy.model import TweetBuckets
 from eastudy.reports import build_universe
 from eastudy.synth import SynthSpec, generate
+
+from conftest import row_loop_only
 
 SPEC = {
     "seed": 11,
@@ -401,6 +408,10 @@ class TestInvalidSettings:
         "significance": lambda bad, window, data: ["pipeline", *data, "--significance", "2"],
         "until": lambda bad, window, data: ["thresholds", *data, "--until", "2015-13-01"],
         "from": lambda bad, window, data: ["backtest", *data, "--from", "nope"],
+        "config out": lambda bad, window, data: [
+            "--config", str(bad.with_name("out.json")), "score", *data],
+        "config data path": lambda bad, window, data: [
+            "--config", str(bad.with_name("data.json")), "score"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -409,9 +420,12 @@ class TestInvalidSettings:
         bad.write_text('{"until": ')
         window = tmp_path / "window.json"
         window.write_text(json.dumps({"study": {"event_window": [3, 1]}}))
+        (tmp_path / "out.json").write_text(json.dumps({"out": 5}))
+        (tmp_path / "data.json").write_text(json.dumps({"data": {"prices": 7}}))
         argv = self.CASES[case](bad, window, data_flags(data_dir))
         out = tmp_path / "out"
-        assert main(["--out", str(out), *argv]) == 5
+        # the config's out is read only where no --out is given
+        assert main(argv if case == "config out" else ["--out", str(out), *argv]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
@@ -506,9 +520,7 @@ class TestEventOrderDoesNotMatter:
     reads it."""
 
     @pytest.mark.parametrize("reader", ["fast path", "row loop"])
-    def test_same_reports_and_manifest(self, reader, data_dir, tmp_path, monkeypatch):
-        if reader == "row loop":
-            monkeypatch.setattr(ingest, "_fast_block", lambda block: False)
+    def test_same_reports_and_manifest(self, reader, data_dir, tmp_path):
         header, *rows = (data_dir / "events.csv").read_text().splitlines(keepends=True)
         assert len(set(rows)) == len(rows)
         shuffled = rows[:]
@@ -521,7 +533,8 @@ class TestEventOrderDoesNotMatter:
                 (data / other).write_bytes((data_dir / other).read_bytes())
             (data / "events.csv").write_text(header + "".join(order))
             out = tmp_path / f"out_{name}"
-            assert main(["--out", str(out), "pipeline", *data_flags(data)]) == 0
+            with row_loop_only() if reader == "row loop" else nullcontext():
+                assert main(["--out", str(out), "pipeline", *data_flags(data)]) == 0
             files = {p.name: p.read_bytes() for p in out.iterdir()}
             manifest = json.loads(files.pop("manifest.json"))
             del manifest["created_utc"]
@@ -529,6 +542,86 @@ class TestEventOrderDoesNotMatter:
             runs.append((files, manifest))
         assert len(runs[0][0]) == 15
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+class TestEachInputReadOnce:
+    """A run opens each input once, and the manifest's ``inputs`` are the
+    SHA-256 of the bytes it read, a pipe's too."""
+
+    def test_pipeline_opens_each_input_once(self, data_dir, tmp_path, monkeypatch):
+        opened, real = Counter(), io.open
+
+        def counted(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened[os.fspath(file)] += 1
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counted)
+        monkeypatch.setattr(io, "open", counted)
+        assert main(["--out", str(tmp_path / "out"), "pipeline", *data_flags(data_dir)]) == 0
+        inputs = [str(data_dir / f"{name}.csv") for name in ("prices", "index", "tweets", "events")]
+        assert {path: opened[path] for path in inputs} == dict.fromkeys(inputs, 1)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_fifo_input_is_read_once_and_hashed(self, data_dir, tmp_path):
+        fifo = tmp_path / "events.fifo"
+        os.mkfifo(fifo)
+        events = (data_dir / "events.csv").read_bytes()
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(events)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        flags = data_flags(data_dir)
+        flags[flags.index("--events") + 1] = str(fifo)
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(eastudy.__file__).parents[1])}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "eastudy.cli", "--out", str(out), "pipeline", *flags],
+                env=env, capture_output=True, text=True, timeout=60)
+        finally:
+            if writer.is_alive():  # the run never opened the pipe: let the writer go
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(5)
+        assert done.returncode == 0 and not writer.is_alive(), done.stderr
+        digests = {name: hashlib.sha256((data_dir / f"{name}.csv").read_bytes()).hexdigest()
+                   for name in ("prices", "index", "tweets", "events")}
+        assert json.loads((out / "manifest.json").read_text())["inputs"] == digests
+
+    def test_a_directory_input_exits_2_with_one_error_line(self, data_dir, tmp_path, capsys):
+        flags = data_flags(data_dir)
+        flags[flags.index("--prices") + 1] = str(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "ingest", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestSigterm:
+    def test_a_terminated_run_leaves_no_staging_directory(self, data_dir, tmp_path,
+                                                          monkeypatch):
+        """SIGTERM during a run raises SystemExit(143) through ``finally``,
+        which discards the staged files; the handler before the run is
+        restored after it."""
+        def surprise_then_terminate(run):
+            cli._emit_surprise(run)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        monkeypatch.setitem(cli.REPORTS, "surprise", surprise_then_terminate)
+        ignore = lambda signum, frame: None  # noqa: E731  (a run that sets no handler goes on)
+        before = signal.signal(signal.SIGTERM, ignore)
+        try:
+            with pytest.raises(SystemExit) as stop:
+                main(["--out", str(tmp_path / "out"), "surprise", *data_flags(data_dir)])
+            after = signal.getsignal(signal.SIGTERM)
+        finally:
+            signal.signal(signal.SIGTERM, before)
+        assert stop.value.code == 143 and after is ignore
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputPathIsAFile:

@@ -36,7 +36,7 @@ from eastudy.reports import build_universe
 from eastudy.returns import earnings_surprise
 from eastudy.synth import SynthSpec, generate
 
-from conftest import business_days, index_from_closes, tweet_columns
+from conftest import business_days, index_from_closes, row_loop_only, tweet_columns
 
 
 def write(path, text):
@@ -420,13 +420,6 @@ PARSERS = {"prices": parse_prices_csv, "index": parse_index_csv, "tweets": parse
 
 
 @contextmanager
-def row_loop_only():
-    """Every file goes through the row loop, as if the fast path refused it."""
-    with mock.patch.object(ingest, "_fast_block", lambda block: False):
-        yield
-
-
-@contextmanager
 def counting_row_loop():
     """Record, by file name, the line numbers of the rows the row loop sees."""
     seen: dict[str, list[int]] = {}
@@ -476,7 +469,12 @@ def _dropped_comma(text, i):
 
 
 def _to_offset_form(stamp):
-    return parse_rfc3339(stamp).astimezone(timezone(timedelta(hours=-4))).isoformat()
+    """The instant in a -04:00 offset form; a stamp that an earlier edit of
+    the row made unreadable is left as it is."""
+    try:
+        return parse_rfc3339(stamp).astimezone(timezone(timedelta(hours=-4))).isoformat()
+    except ValueError:
+        return stamp
 
 
 def _offset_duplicate(column):
@@ -496,23 +494,34 @@ def _other_timing(word):
     return "AfterClose" if word == "BeforeOpen" else "BeforeOpen"
 
 
-def _whole(edit):
-    """A mutation that sends the whole file to the row loop."""
-    return lambda text, i: (edit(text, i), None)
-
-
 def _blank_line(text, i):
     lines = text.split("\n")
     lines.insert(i, "")
-    return "\n".join(lines)
+    return "\n".join(lines), {i + 1}
 
 
-WHOLE_FILE = {
-    "CRLF": _whole(lambda text, i: text.replace("\n", "\r\n")),
-    "quote": _whole(lambda text, i: _cell(1, lambda c: f'"{c}"')(text, i)[0]),
-    "BOM": _whole(lambda text, i: "\ufeff" + text),
-    "blank line": _whole(_blank_line),
-    "no final newline": _whole(lambda text, i: text[:-1]),
+def _ends(*ends):
+    """End the text's lines with each of ``ends`` in turn: no line changes."""
+    def mutate(text, i):
+        *lines, tail = text.split("\n")
+        return "".join(line + ends[k % len(ends)] for k, line in enumerate(lines)) + tail, set()
+    return mutate
+
+
+# edits any file takes that send just the line they touch to the row loop
+EVERY_FILE = {
+    "quote": _cell(1, lambda c: f'"{c}"'),
+    "blank line": _blank_line,
+}
+# edits of the whole text that touch no line: the other line ends, a
+# missing final line end, and a BOM (a header the parsers refuse)
+LINE_ENDS = {
+    "CRLF": _ends("\r\n"),
+    "CR": _ends("\r"),
+    "mixed LF, CRLF and CR": _ends("\n", "\r\n", "\r"),
+    "no final newline": lambda text, i: (text[:-1], set()),
+    "CR, no final line end": lambda text, i: (_ends("\r")(text, i)[0][:-1], set()),
+    "BOM": lambda text, i: ("\ufeff" + text, set()),
 }
 # mutations that send just the rows they touch to the row loop
 ROW_MUTATIONS = {
@@ -609,7 +618,7 @@ def data_rows(text):
 
 mutations = st.sampled_from(sorted(PARSERS)).flatmap(lambda name: st.tuples(
     st.just(name),
-    st.lists(st.tuples(st.sampled_from(sorted({**WHOLE_FILE, **ROW_MUTATIONS[name],
+    st.lists(st.tuples(st.sampled_from(sorted({**EVERY_FILE, **LINE_ENDS, **ROW_MUTATIONS[name],
                                                **ACROSS_ROWS[name],
                                                **FAST_ROWS.get(name, {})}.items())),
                        st.floats(0, 1, exclude_max=True)),
@@ -620,9 +629,9 @@ mutations = st.sampled_from(sorted(PARSERS)).flatmap(lambda name: st.tuples(
 def mutate(text, edits):
     """Apply (mutation, row fraction) edits: row edits from the last row up,
     so that an inserted line does not move the rows still to be edited, then
-    the whole-file ones."""
+    the edits any file takes in the same way, then the line ends."""
     rows = data_rows(text)
-    targets = sorted(((name in WHOLE_FILE, -int(where * rows), fn)
+    targets = sorted((((name in LINE_ENDS, name in EVERY_FILE), -int(where * rows), fn)
                       for (name, fn), where in edits), key=lambda t: t[:2])
     for _, i, fn in targets:
         text = fn(text, 1 - i)[0]
@@ -662,19 +671,15 @@ class TestFastPathMatchesRowLoop:
     @given(st.data())
     def test_row_loop_sees_exactly_the_mutated_rows(self, base_files, tmp_path_factory, data):
         name = data.draw(st.sampled_from(sorted(PARSERS)))
-        kind, fn = data.draw(st.sampled_from(sorted({**WHOLE_FILE, **ROW_MUTATIONS[name]}.items())))
+        kind, fn = data.draw(st.sampled_from(sorted({**EVERY_FILE, **LINE_ENDS,
+                                                     **ROW_MUTATIONS[name]}.items())))
         text = base_files[name]
         text, touched = fn(text, data.draw(st.integers(1, data_rows(text))))
         path = tmp_path_factory.mktemp("m") / f"{name}.csv"
         path.write_bytes(text.encode("utf-8"))
         with counting_row_loop() as seen:
             got = outcome(name, path)
-        if touched is None:  # the whole file, when it has a header to read
-            n_rows = len(list(csv.reader(io.StringIO(text, newline="")))) - 1
-            expected = [] if kind == "BOM" else list(range(2, 2 + n_rows))
-        else:
-            expected = sorted(touched)
-        assert seen.get(path.name, []) == expected, (kind, got)
+        assert seen.get(path.name, []) == sorted(touched), (kind, got)
 
     def test_row_loop_sees_no_row_of_synth_output(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -773,7 +778,7 @@ def _last_line_start(data: bytes) -> int:
 
 
 # edits of a file's bytes near the end or at a read's cut: (data, block size) -> data
-EDGE_EDITS = {
+BYTE_EDITS = {
     "none": lambda data, block: data,
     "CR in the last line": lambda data, block: data[:-1] + b"\r\n",
     "quote in the last line": lambda data, block: (
@@ -790,10 +795,32 @@ EDGE_EDITS = {
     ),
     "no final newline": lambda data, block: data[:-1],
     "empty file": lambda data, block: b"",
+    "CR line ends": lambda data, block: data.replace(b"\n", b"\r"),
+    "mixed LF, CRLF and CR": lambda data, block: b"".join(
+        line + (b"\n", b"\r\n", b"\r")[k % 3]
+        for k, line in enumerate(data.split(b"\n")[:-1])),
+    "CR, no final line end": lambda data, block: data.replace(b"\n", b"\r")[:-1],
+    "CRLF split by a read": lambda data, block: (  # the first read ends at a CR
+        (crlf := data.replace(b"\n", b"\r\n"))[:block - 1] + b"\r\n" + crlf[block - 1:]
+    ),
 }
-WHOLE_FILE_EDITS = {"CR in the last line", "quote in the last line",
-                    "blank line before the last", "bad UTF-8 in the last line",
-                    "no final newline"}
+
+
+def refused_alone(name: str, data: bytes, tmp: Path) -> list[int]:
+    """The line numbers of the data lines, split at each LF, CRLF or CR as
+    universal newlines split them, that the fast path refuses when each is
+    the only line of an LF-ended file."""
+    header, *rows = io.StringIO(data.decode("utf-8", "surrogateescape"), newline="").readlines()
+    refused = []
+    for n, row in enumerate(rows, 2):
+        path = tmp / f"alone_{name}.csv"
+        path.write_bytes((header.rstrip("\r\n") + "\n" + row.rstrip("\r\n") + "\n").encode(
+            "utf-8", "surrogateescape"))
+        with counting_row_loop() as seen:
+            PARSERS[name](path)
+        if seen[path.name]:
+            refused.append(n)
+    return refused
 
 
 def _shortest_lines(name: str, n: int) -> str:
@@ -818,8 +845,9 @@ SHORTEST_LINE = {"prices": 17, "index": 13, "tweets": 29, "events": 38}
 
 class TestStreamedBlocks:
     """The fast path reads a file in blocks of whole lines, ``BLOCK_BYTES``
-    a read. With reads of a few dozen bytes, lines straddle reads and
-    outgrow them, and every outcome is still the row loop's."""
+    a read. With reads of a few dozen bytes, lines and their CRLF ends
+    straddle reads and outgrow them, and every outcome is still the row
+    loop's, which reads each line alone."""
 
     @settings(max_examples=150)
     @given(st.data())
@@ -832,17 +860,19 @@ class TestStreamedBlocks:
             i = data.draw(st.integers(1, len(lines) - 1))
             head, _, last = lines[i].rpartition(b",")
             lines[i] = head + b"," + last.rjust(data.draw(st.integers(1, 2 * block)), b"0")
-        edit = data.draw(st.sampled_from(sorted(EDGE_EDITS)))
-        text = EDGE_EDITS[edit](b"\n".join(lines) + b"\n", block)
+        edit = data.draw(st.sampled_from(sorted(BYTE_EDITS)))
+        text = BYTE_EDITS[edit](b"\n".join(lines) + b"\n", block)
         path = tmp_path_factory.mktemp("b") / f"{name}.csv"
         path.write_bytes(text)
         with mock.patch.object(ingest, "BLOCK_BYTES", block), counting_row_loop() as seen:
             fast = outcome(name, path)
         with row_loop_only():
             assert outcome(name, path) == fast
-        if edit in WHOLE_FILE_EDITS:  # the row loop reads every row
-            rows = csv.reader(io.StringIO(text.decode("utf-8", "surrogateescape"), newline=""))
-            assert seen[path.name] == list(range(2, 1 + len(list(rows))))
+        if isinstance(fast[0], list):  # the header was read
+            # the row loop gets the lines the edit touches and each padded
+            # line too long for the fast path: for other line ends and a
+            # missing final one, no line at all
+            assert seen.get(path.name, []) == refused_alone(name, text, path.parent), edit
 
     @pytest.mark.parametrize("block", [ingest.BLOCK_BYTES, 64])
     @pytest.mark.parametrize("name", sorted(PARSERS))
@@ -862,21 +892,36 @@ class TestStreamedBlocks:
         with row_loop_only():
             assert outcome(name, path) == fast
 
-    def test_blank_line_that_starts_a_block_sends_the_file_to_the_row_loop(self, base_files,
-                                                                           tmp_path):
+    def test_blank_line_starting_a_block_goes_alone_to_the_row_loop(self, base_files,
+                                                                     tmp_path):
         data = base_files["prices"].encode()
         cut = data.index(b"\n", 100) + 1
         path = tmp_path / "prices.csv"
         path.write_bytes(data[:cut] + b"\n" + data[cut:])
         with mock.patch.object(ingest, "BLOCK_BYTES", cut), counting_row_loop() as seen:
             got = outcome("prices", path)
-        assert seen["prices.csv"] == list(range(2, data.count(b"\n") + 2))
+        assert seen["prices.csv"] == [data[:cut].count(b"\n") + 1]
         with row_loop_only():
             assert outcome("prices", path) == got
 
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+    def test_a_line_end_at_each_read_cut_stays_on_the_fast_path(self, base_files, tmp_path, end):
+        """A CR that ends a read waits for the next, which may start with
+        the LF of a CRLF: with the first read ending at each CR in turn, no
+        line goes to the row loop and the outcome is the LF file's."""
+        data = base_files["prices"].encode()
+        path = write(tmp_path / "prices.csv", data.decode())
+        want = outcome("prices", path)
+        path.write_bytes(data.replace(b"\n", end))
+        for cr in [i for i, byte in enumerate(path.read_bytes()) if byte == 13]:
+            with mock.patch.object(ingest, "BLOCK_BYTES", cr + 1), counting_row_loop() as seen:
+                assert outcome("prices", path) == want
+            assert seen["prices.csv"] == []
+
     @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
-    def test_a_pipe_is_read_once_by_the_row_loop(self, base_files, tmp_path):
-        """A pipe has no size to bound its rows before it is read."""
+    def test_a_pipe_is_read_once(self, base_files, tmp_path):
+        """A pipe has no size to bound its rows before it is read, so it is
+        read whole, once, and the fast path parses it from memory."""
         text = base_files["tweets"][:4000].rpartition("\n")[0] + "\n"
         r, w = os.pipe()
         try:
@@ -887,7 +932,7 @@ class TestStreamedBlocks:
         finally:
             os.close(r)
         assert got == outcome("tweets", write(tmp_path / "tweets.csv", text))
-        assert seen[str(r)] == list(range(2, text.count("\n") + 1))
+        assert seen[str(r)] == []
 
     def test_parse_tweets_reads_at_most_a_block_at_a_time(self, base_files, tmp_path):
         path = write(tmp_path / "tweets.csv", base_files["tweets"])
@@ -917,6 +962,55 @@ class TestStreamedBlocks:
         assert got == outcome("tweets", path)
         assert len(sizes) > path.stat().st_size // 4096
         assert all(0 < size <= 4096 for size in sizes)
+
+
+class TestEachLineIsOneRow:
+    """A line break always ends a row, even inside quotes, and a line the
+    csv module cannot read gets one diagnostic: the row loop reads each
+    line alone, and every diagnostic names its physical line."""
+
+    @staticmethod
+    def ingest(tmp_path, prices):
+        paths = fixture_files(tmp_path, prices=prices)
+        flags = [f"--{name}={path}" for name, path in zip(("prices", "index", "tweets", "events"),
+                                                           paths)]
+        return paths[0], main(["--out", str(tmp_path / "out"), "ingest", *flags])
+
+    def test_a_line_break_inside_quotes_ends_the_row(self, tmp_path, capsys):
+        lines = fixture_files(tmp_path)[0].read_text().split("\n")
+        day, ticker, rest = lines[5].split(",", 2)
+        lines[5:6] = [f'{day},"{ticker}', f'",{rest}']
+        path, code = self.ingest(tmp_path, "\n".join(lines))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("error:") == 1
+        for context in (nullcontext(), row_loop_only()):
+            with context:
+                accepted, diags = parse_prices_csv(path)
+            assert [(d.line, d.message) for d in diags] == [
+                (6, "expected 4 cells, got 2"), (7, "expected 4 cells, got 1")]
+            assert [n for n, _ in (accepted[i] for i in range(len(accepted)))] == [
+                n for n in range(2, len(lines)) if n not in (6, 7)]
+
+    def test_a_cell_past_the_csv_field_limit_gets_one_diagnostic(self, tmp_path, capsys):
+        lines = fixture_files(tmp_path)[0].read_text().split("\n")
+        lines[3] = lines[3].rpartition(",")[0] + "," + "9" * 140_000
+        path, code = self.ingest(tmp_path, "\n".join(lines))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "prices.csv:4: not a CSV row" in err
+        for context in (nullcontext(), row_loop_only()):
+            with context:
+                accepted, diags = parse_prices_csv(path)
+            assert [(d.line, d.kind, d.message) for d in diags] == [
+                (4, "schema", f"not a CSV row: field larger than field limit "
+                              f"({csv.field_size_limit()})")]
+            assert len(accepted) == len(lines) - 3
+
+    def test_a_directory_is_a_missing_file(self, tmp_path):
+        paths = fixture_files(tmp_path)
+        with pytest.raises(MissingFile, match="Is a directory"):
+            load_dataset(tmp_path, *paths[1:])
 
 
 class TestWriteThenLoad:

@@ -180,18 +180,32 @@ class TestVolumeReport:
         columns it returns: its column buffers are sized by the shortest
         tweets line, the counts are int32, the order check and each block's
         reads make no full-length temporaries."""
+        peak, held = self.tweet_ingest_peak(tmp_path, b"\n")
+        assert peak < 1.8 * held
+
+    def test_crlf_tweet_ingest_holds_little_more_than_its_columns(self, tmp_path):
+        """The same bound with CRLF line ends, which keep every line on the
+        fast path."""
+        peak, held = self.tweet_ingest_peak(tmp_path, b"\r\n")
+        assert peak < 1.8 * held
+
+    @staticmethod
+    def tweet_ingest_peak(tmp_path, end: bytes) -> tuple[int, int]:
+        """The traced peak of ``parse_tweets_csv`` on about 100k buckets with
+        the given line ends, and the bytes of the columns it returns."""
         write_dataset(generate(SynthSpec(seed=3, n_tickers=16, n_days=900,
                                          events_per_ticker=0)), tmp_path)
+        path = tmp_path / "tweets.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
         tracemalloc.start()
         try:
-            accepted, diags = parse_tweets_csv(tmp_path / "tweets.csv")
+            accepted, diags = parse_tweets_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         tw = accepted.rows
-        held = sum(c.nbytes for c in (tw.code, tw.ts, tw.n_neg, tw.n_neut, tw.n_pos))
         assert diags == [] and len(tw) > 100_000
-        assert peak < 1.8 * held
+        return peak, sum(c.nbytes for c in (tw.code, tw.ts, tw.n_neg, tw.n_neut, tw.n_pos))
 
 
 # Quickstart-like, small: both timing classes, every stratum cuts terciles
