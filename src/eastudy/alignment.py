@@ -29,9 +29,9 @@ one pass: each event's day 0 or the code of why it has none, and
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from functools import lru_cache
+from typing import NamedTuple
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -138,32 +138,29 @@ def eastern_hours(ts: np.ndarray) -> np.ndarray:
     return (ts + eastern_offsets(ts)) // 3600 % 24
 
 
-@dataclass
 class TradingCalendar:
     """Ordered trading dates with close-delimited day assignment.
 
     The calendar's coverage is the half-open interval of instants
     ``(virtual previous close, close(last date)]`` where the virtual
     previous close is 16:00 US/Eastern on the calendar day before the
-    first trading date.
+    first trading date. ``days`` holds the dates as days since 1970-01-01.
+    Calendars compare by their dates.
     """
 
-    dates: tuple[date, ...]
-
-    _closes_ts: np.ndarray = field(init=False, repr=False, compare=False)  # int64 epoch s
-    _lower_ts: int = field(init=False, repr=False, compare=False)
-    _index: dict[date, int] = field(init=False, repr=False, compare=False)
-    days: np.ndarray = field(init=False, repr=False, compare=False)  # since 1970-01-01
-
-    def __post_init__(self):
-        if not self.dates:
+    def __init__(self, dates: tuple[date, ...]):
+        if not dates:
             raise ValueError("calendar must contain at least one trading date")
-        self.days = np.array([d.toordinal() for d in self.dates], dtype=np.int64) - _EPOCH_ORDINAL
+        self.dates = dates
+        self.days = np.array([d.toordinal() for d in dates], dtype=np.int64) - _EPOCH_ORDINAL
         if (np.diff(self.days) <= 0).any():
             raise ValueError("trading dates must be strictly increasing")
         closes = close_instants(np.concatenate(([self.days[0] - 1], self.days)))
-        self._lower_ts, self._closes_ts = int(closes[0]), closes[1:]
-        self._index = {d: i for i, d in enumerate(self.dates)}
+        self._lower_ts, self._closes_ts = int(closes[0]), closes[1:]  # int64 epoch s
+        self._index = {d: i for i, d in enumerate(dates)}
+
+    def __eq__(self, other) -> bool:
+        return self.dates == other.dates if type(other) is type(self) else NotImplemented
 
     @classmethod
     def from_dataset(cls, ds: Dataset) -> "TradingCalendar":
@@ -224,8 +221,7 @@ class TradingCalendar:
         return self.dates[i]
 
 
-@dataclass(frozen=True)
-class EventAnchor:
+class EventAnchor(NamedTuple):
     """An event pinned to its day-0 trading date on a calendar."""
 
     event: EarningsEvent

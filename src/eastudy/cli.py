@@ -15,13 +15,13 @@ only when the run succeeds, so a failed run leaves it as it found it.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
 import signal
 import sys
 import threading
-from dataclasses import fields as dataclass_fields
 from datetime import date, datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,6 +44,7 @@ from .ingest import (
     OutputDir,
     format_rfc3339,
     load_dataset,
+    open_input,
     parse_index_csv,
     raise_for,
     write_dataset,
@@ -61,7 +62,6 @@ from .reports import (
     volume_report,
 )
 from .sentiment import covered_tweets, sentiment_scores
-from .trading import curve_classes, hold_returns, run_strategy
 
 # exit codes: 0 ok, these three, and 5 for every other domain error
 EXIT_CODES = ((MissingFile, 2), (SchemaMismatch, 3), (InvariantViolation, 4))
@@ -74,13 +74,13 @@ def _iso(day: date | None) -> str | None:
 
 
 def _read_json(path: str) -> dict:
-    """A JSON object from a file: MissingFile if absent, InvalidSpec if malformed."""
+    """A JSON object from a file: MissingFile if it cannot be opened or is
+    neither a regular file nor a pipe, InvalidSpec if malformed."""
     p = Path(path)
-    if not p.exists():
-        raise MissingFile(str(p))
+    fh, _ = open_input(p)
     try:
-        with open(p, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        with fh:
+            payload = json.loads(fh.read().decode("utf-8"))
     except ValueError as exc:
         raise InvalidSpec(f"{p} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -173,6 +173,20 @@ SETTINGS = {
     "rel_min": (("volume", "rel_min"), -5, _int),
     "rel_max": (("volume", "rel_max"), 5, _int),
 }
+
+
+def _check_keys(config: dict) -> None:
+    """InvalidSpec naming the config's first key that no setting reads, or its
+    first section that is not a JSON object; the generator checks ``synth``'s keys."""
+    known = {("out",), ("synth",), *(("data", name) for name in INPUTS),
+             *(keys for keys, _, _ in SETTINGS.values())}
+    sections = {keys[0] for keys in known if len(keys) > 1}
+    for key, value in config.items():
+        if key in sections | {"synth"} and not isinstance(value, dict):
+            raise InvalidSpec(f"invalid {key} {value!r}: expected a JSON object")
+        for name in ((key, sub) for sub in value) if key in sections else [(key,)]:
+            if name not in known:
+                raise InvalidSpec(f"unknown config key {'.'.join(name)}")
 
 
 def _settings(args, config: dict) -> SimpleNamespace:
@@ -302,6 +316,8 @@ def _emit_study(run) -> dict:
 
 
 def _emit_curves(run) -> dict:
+    from .trading import curve_classes, hold_returns  # only the curves and the backtest load it
+
     skipped, t = {}, run.universe.table
     held = hold_returns(run.ds.prices, t.day0, t.events.code, run.measured)  # once
     for (timing, polarity_day), labels in run.labels.items():
@@ -314,6 +330,8 @@ def _emit_curves(run) -> dict:
 
 
 def _emit_backtest(run) -> dict:
+    from .trading import run_strategy
+
     s, sample = run.s, run.universe  # the events the Sent(-1) cuts come from
     if s.thresholds_until is not None:
         sample = sample.until(s.thresholds_until)
@@ -463,7 +481,7 @@ def _synth_spec(args, config):
     if args.spec:
         payload = _read_json(args.spec)
     else:
-        payload = dict(config["synth"]) if isinstance(config.get("synth"), dict) else {}
+        payload = dict(config.get("synth", {}))
     if args.seed is not None:
         payload["seed"] = args.seed
     try:
@@ -475,7 +493,7 @@ def _synth_spec(args, config):
 
 
 def _cmd_synth(args, config, out: OutputDir) -> int:
-    from .synth import SynthSpec, generate
+    from .synth import generate
 
     spec = _synth_spec(args, config)
     ds = generate(spec)
@@ -483,7 +501,7 @@ def _cmd_synth(args, config, out: OutputDir) -> int:
     out.created.extend(paths)
     for path in paths:
         print(f"wrote {out.root / path.name}")
-    effective = {f.name: getattr(spec, f.name) for f in dataclass_fields(SynthSpec)}
+    effective = dict(vars(spec))  # every field, in order
     effective["start"] = effective["start"].isoformat()
     outside = covered_tweets(ds.tweets, TradingCalendar.from_dataset(ds))[1]
     digests = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
@@ -529,7 +547,9 @@ COMMANDS = {
 HANDLERS = {"ingest": _cmd_ingest, "calendar": _cmd_calendar, "synth": _cmd_synth}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser; of the subcommands, only those named in ``argv`` get their
+    flags (every one when it is None): the others are never parsed."""
     parser = argparse.ArgumentParser(
         prog="eastudy",
         description="Sentiment-aligned earnings-announcement event studies.",
@@ -540,14 +560,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in flags:
+        for flag in flags if argv is None or name in argv else ():
             p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(handler=HANDLERS.get(name, _cmd_report))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     out = None
     # for the run's length SIGTERM raises SystemExit(143), so that ``finally``
     # discards the staged files; only the main thread may set a handler
@@ -555,6 +576,7 @@ def main(argv: list[str] | None = None) -> int:
                 if threading.current_thread() is threading.main_thread() else None)
     try:
         config = _read_json(args.config) if args.config else {}
+        _check_keys(config)
         root = args.out or config.get("out") or "out"
         if not isinstance(root, str):
             raise InvalidSpec(f"invalid out {root!r}: expected a path")
@@ -574,5 +596,15 @@ def main(argv: list[str] | None = None) -> int:
             signal.signal(signal.SIGTERM, previous)
 
 
+def run() -> int:
+    """The console script: ``main``, then ``gc.freeze()``, so that the
+    collections at interpreter exit skip the tens of thousands of objects
+    the imports and the run left. ``main``, which callers run in-process,
+    never freezes."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -28,11 +28,11 @@ arithmetic of one event's fit. ``fit_events`` runs it once per ticker code
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date
 from functools import cached_property
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import (
     MissingBar,
     OutOfCalendarRange,
 )
-from .model import Dataset, EarningsEvent, PriceGrid
+from .model import Dataset, EarningsEvent, Frozen, PriceGrid
 from .sentiment import EventPolarity
 
 
@@ -57,23 +57,27 @@ def z_critical(alpha: float) -> float:
     return NormalDist().inv_cdf(1 - alpha / 2)
 
 
-@dataclass(frozen=True)
-class StudyConfig:
+class StudyConfig(namedtuple("StudyConfig",
+                             "event_window estimation_window_length significance_level")):
     """Window geometry and test level for one study run."""
 
-    event_window: tuple[int, int] = (-1, 10)  # 12 trading days
-    estimation_window_length: int = 120
-    significance_level: float = 0.01  # two-sided
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.event_window[0] > self.event_window[1]:
+    def __new__(cls, event_window: tuple[int, int] = (-1, 10),  # 12 trading days
+                estimation_window_length: int = 120, significance_level: float = 0.01):
+        if event_window[0] > event_window[1]:
             raise ValueError("event window start must not exceed its end")
-        if self.event_window[0] < -1:
+        if event_window[0] < -1:
             raise ValueError("event window must start no earlier than day -1")
-        if self.estimation_window_length < 3:
+        if estimation_window_length < 3:
             raise ValueError("estimation window too short to fit two parameters")
-        if not 0 < self.significance_level < 1:
+        if not 0 < significance_level < 1:  # two-sided
             raise ValueError("significance level must be in (0, 1)")
+        return super().__new__(cls, event_window, estimation_window_length, significance_level)
+
+    @classmethod
+    def _make(cls, values):  # so that ``_replace`` checks too
+        return cls(*values)
 
     @property
     def taus(self) -> tuple[int, ...]:
@@ -84,8 +88,7 @@ class StudyConfig:
         return z_critical(self.significance_level)
 
 
-@dataclass(frozen=True)
-class MarketModelFit:
+class MarketModelFit(NamedTuple):
     alpha: float
     beta: float
     sigma2_eps: float  # residual variance, SSR / (n_obs - 2)
@@ -95,8 +98,7 @@ class MarketModelFit:
         return self.alpha + self.beta * market_return
 
 
-@dataclass(frozen=True, eq=False)
-class AlignedReturns:
+class AlignedReturns(Frozen):
     """A stock's and the index's daily returns by calendar index.
 
     ``valid`` marks the trading days on which both returns exist; the
@@ -225,8 +227,7 @@ def abnormal_returns(
     return tuple(ars[0].tolist())
 
 
-@dataclass(frozen=True)
-class ClassStudy:
+class ClassStudy(NamedTuple):
     """Aggregated study statistics for one polarity class."""
 
     polarity: EventPolarity
@@ -238,8 +239,7 @@ class ClassStudy:
     significant: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class EventStudyResult:
+class EventStudyResult(NamedTuple):
     taus: tuple[int, ...]
     classes: dict[EventPolarity, ClassStudy]
     skipped: tuple[tuple[EarningsEvent, str], ...]
@@ -288,14 +288,13 @@ def _theta(car: float, var_car: float) -> float:
     return 0.0 if car == 0.0 else math.copysign(math.inf, car)
 
 
-@dataclass(frozen=True)
-class LabeledEvent:
+class LabeledEvent(NamedTuple):
     event: EarningsEvent
     anchor: EventAnchor
     polarity: EventPolarity
 
 
-class MeasuredRows:
+class MeasuredRows(Frozen):
     """Per-event rows with ``skips``: "" where the event was measured."""
 
     @cached_property
@@ -303,7 +302,6 @@ class MeasuredRows:
         return np.array([why == "" for why in self.skips], dtype=bool)
 
 
-@dataclass(frozen=True, eq=False)
 class EventFits(MeasuredRows):
     """Market-model results, row i for the i-th event given to ``fit_events``.
 

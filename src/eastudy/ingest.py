@@ -52,10 +52,9 @@ import os
 import shutil
 import stat
 import tempfile
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,6 +66,7 @@ from .model import (
     DailyBars,
     Dataset,
     Events,
+    Frozen,
     IndexBar,
     TICKER_RE,
     Timing,
@@ -95,8 +95,7 @@ _PAD = 32  # zero bytes around a block, so fixed-width gathers stay inside it
 _EPOCH_DAY = EPOCH.date().toordinal()
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One rejected row (or header), with its file line number."""
 
     path: str
@@ -287,7 +286,7 @@ def _tweet_row_check() -> Check:
 # --- the fast path -----------------------------------------------------------
 
 
-def _open(path: Path):
+def open_input(path: Path):
     """The file open for reading, and its size; a pipe has no size that could
     bound the columns, so it is read whole first. MissingFile if the path
     cannot be opened or is neither a regular file nor a pipe."""
@@ -504,7 +503,7 @@ def _fast_rows(block: bytes, skip: int, width: int, cells, columns: list[np.ndar
 def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dtypes, sha=None):
     """Parse a file by the fast path, with the row loop for each line it refuses.
 
-    The file is opened once (``_open``) and read in blocks of whole lines
+    The file is opened once (``open_input``) and read in blocks of whole lines
     (``_line_blocks``), every byte fed to ``sha``. ``cells(seg, start, size)``
     reads a block's rows of the header's width (``start`` and ``size`` give
     each cell's offset in ``seg`` and length) and returns a mask of the rows
@@ -519,7 +518,7 @@ def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dt
     over ``min_line`` bounds the rows the fast path accepts: the column
     buffers have that many rows, and the accepted rows are views of them.
     """
-    fh, size = _open(path)
+    fh, size = open_input(path)
     columns = [np.empty(size // min_line, dtype=t) for t in dtypes]
     first, n, slow = 1, 0, []  # first: the line number of a block's first line
     with fh:
@@ -591,8 +590,7 @@ def _dated_rows(path, lines, code, day, diags, message) -> np.ndarray:
     return keep
 
 
-@dataclass(frozen=True)
-class Accepted:
+class Accepted(Frozen):
     """The accepted rows of a file, in file order.
 
     ``lines`` holds each row's physical line number (None when row i is

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,6 +63,33 @@ def validate_ticker(symbol: str) -> str:
     return symbol
 
 
+class Frozen:
+    """A record of the annotated fields, its bases' first, set once by
+    ``__init__`` from positional or keyword arguments. Assigning an
+    attribute raises, as on a frozen dataclass; ``_replace`` is a copy with
+    some fields changed, as on a NamedTuple; a cached property still fills
+    the instance dict. Unlike a dataclass, it costs next to nothing to
+    define, which every command pays at start-up."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or given.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        for name in self._fields:
+            object.__setattr__(self, name, given[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _replace(self, **changes) -> "Frozen":
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+
 class Timing(enum.Enum):
     """When an announcement was made relative to NYSE trading hours."""
 
@@ -76,8 +102,7 @@ class Timing(enum.Enum):
         return list(Timing).index(self)
 
 
-@dataclass(frozen=True)
-class DailyBar:
+class DailyBar(NamedTuple):
     """One ticker's closing price and share volume for one trading day."""
 
     ticker: str
@@ -86,16 +111,14 @@ class DailyBar:
     volume: int
 
 
-@dataclass(frozen=True)
-class IndexBar:
+class IndexBar(NamedTuple):
     """Benchmark index level for one trading day."""
 
     date: date
     close: float
 
 
-@dataclass(frozen=True)
-class TweetBucket:
+class TweetBucket(NamedTuple):
     """Hourly sentiment-labeled tweet counts for one ticker."""
 
     ticker: str
@@ -109,7 +132,7 @@ class TweetBucket:
         return self.n_neg + self.n_neut + self.n_pos
 
 
-class _Columns:
+class _Columns(Frozen):
     """Rows held as columns: a sorted ticker table ``tickers``, then the
     column fields, the first of them ``code`` (an index into ``tickers``).
 
@@ -119,7 +142,7 @@ class _Columns:
     """
 
     def _columns(self) -> list[np.ndarray]:
-        return [getattr(self, f.name) for f in fields(self)[1:]]
+        return [getattr(self, name) for name in self._fields[1:]]
 
     def canonical(self):
         """The same rows sorted by (ticker, the column after ``code``)."""
@@ -165,7 +188,6 @@ def _int32(values) -> np.ndarray:
     return narrow
 
 
-@dataclass(frozen=True, eq=False)
 class TweetBuckets(_Columns):
     """Hourly tweet buckets as columns: one row per (ticker, hour) bucket.
 
@@ -184,9 +206,8 @@ class TweetBuckets(_Columns):
     n_neut: np.ndarray
     n_pos: np.ndarray
 
-    def __post_init__(self):
-        for name in ("n_neg", "n_neut", "n_pos"):
-            object.__setattr__(self, name, _int32(getattr(self, name)))
+    def __init__(self, tickers, code, ts, n_neg, n_neut, n_pos):
+        super().__init__(tickers, code, ts, *map(_int32, (n_neg, n_neut, n_pos)))
 
     @property
     def total(self) -> np.ndarray:
@@ -203,7 +224,6 @@ class TweetBuckets(_Columns):
         )
 
 
-@dataclass(frozen=True, eq=False)
 class DailyBars(_Columns):
     """Daily bars as columns: one row per (ticker, date) bar.
 
@@ -222,8 +242,7 @@ class DailyBars(_Columns):
                         float(self.close[i]), int(self.volume[i]))
 
 
-@dataclass(frozen=True)
-class EarningsEvent:
+class EarningsEvent(NamedTuple):
     """One earnings announcement with its timing class and EPS figures."""
 
     ticker: str
@@ -239,7 +258,6 @@ class EarningsEvent:
         return (self.ticker, self.announce_at)
 
 
-@dataclass(frozen=True, eq=False)
 class Events(_Columns):
     """Earnings announcements as columns: one row per (ticker, instant) event.
 
@@ -304,8 +322,7 @@ def _simple_returns(closes: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PriceGrid:
+class PriceGrid(Frozen):
     """Daily bars on the trading calendar: one column per trading day.
 
     ``dates`` are the index's dates, which are the trading calendar.
@@ -367,7 +384,6 @@ class PriceGrid:
         return _simple_returns(self.index_closes)
 
 
-@dataclass
 class Dataset:
     """Immutable-by-convention container for the four input collections.
 
@@ -375,24 +391,24 @@ class Dataset:
     records, the rest are columns. Events given as records are turned into
     columns in their order. ``tickers`` is every ticker of the bars, the
     tweets and the events, sorted, and all three are coded into it (copied
-    only where their own table differs). The price grid is built on first
-    use, so the dataset can be shared freely.
+    only where their own table differs). ``digests`` maps an input name to
+    the SHA-256 of the bytes ``load_dataset`` read. Datasets compare by
+    their four collections. The price grid is built on first use, so the
+    dataset can be shared freely.
     """
 
-    bars: DailyBars
-    index: tuple[IndexBar, ...]
-    tweets: TweetBuckets
-    events: Events
-    # input name -> SHA-256 of the bytes load_dataset read
-    digests: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
-    tickers: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not isinstance(self.events, Events):
-            self.events = Events.of(self.events)
-        columns = self.bars, self.tweets, self.events
+    def __init__(self, bars: DailyBars, index: tuple[IndexBar, ...], tweets: TweetBuckets,
+                 events: Events | Sequence[EarningsEvent], digests: dict[str, str] | None = None):
+        columns = bars, tweets, events if isinstance(events, Events) else Events.of(events)
         self.tickers = tuple(sorted({t for c in columns for t in c.tickers}))
         self.bars, self.tweets, self.events = (c.on(self.tickers) for c in columns)
+        self.index, self.digests = index, digests or {}
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.bars, self.index, self.tweets, self.events) == (
+            other.bars, other.index, other.tweets, other.events)
 
     @cached_property
     def prices(self) -> PriceGrid:

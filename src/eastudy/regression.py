@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateRegressor, TooFewPoints
 
 
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(NamedTuple):
     stratum: str
     slope: float
     intercept: float

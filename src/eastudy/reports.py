@@ -16,15 +16,15 @@ relative days by code and calendar index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from datetime import date
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .alignment import EventAnchor, TradingCalendar, anchor_days, anchor_error
 from .event_study import LabeledEvent
-from .model import Dataset, EarningsEvent, Events, Timing
+from .model import Dataset, EarningsEvent, Events, Frozen, Timing
 from .regression import RegressionFit, fit_es_regression
 from .sentiment import (
     DailyCounts,
@@ -50,8 +50,7 @@ CLASS_NAMES = {
 TIMING_NAMES = {Timing.AFTER_CLOSE: "afterclose", Timing.BEFORE_OPEN: "beforeopen"}
 
 
-@dataclass(frozen=True, eq=False)
-class EventTable:
+class EventTable(Frozen):
     """Every event of a dataset, anchored and scored once, as columns.
 
     Row i is the i-th event in canonical (ticker, announce_at) order; its
@@ -82,8 +81,7 @@ class EventTable:
         return f"{type(exc).__name__}: {exc}"
 
 
-@dataclass(frozen=True, eq=False)
-class EventUniverse:
+class EventUniverse(Frozen):
     """The event table, the events in use, and the shared tweet counts.
 
     ``window`` marks the events announced up to a date, ``used`` those of
@@ -131,8 +129,8 @@ class EventUniverse:
         """The universe of the dataset's events announced up to ``until``
         (all of them if None), sharing this universe's table and counts."""
         if until is None:
-            return replace(self, window=np.full(len(self.table.events), True))
-        return replace(self, window=self.table.announced <= np.datetime64(until))
+            return self._replace(window=np.full(len(self.table.events), True))
+        return self._replace(window=self.table.announced <= np.datetime64(until))
 
 
 def build_universe(ds: Dataset, until: date | None = None) -> EventUniverse:
@@ -256,8 +254,7 @@ def _count_moments(block: np.ndarray) -> list[tuple[float, float]]:
     ]
 
 
-@dataclass
-class VolumeReport:
+class VolumeReport(NamedTuple):
     daily_rows: list[tuple]  # timing, rel_day, n, mean_tweets, se_tweets, mean_volume, se_volume
     hourly_rows: list[tuple]  # timing, rel_day, hour_eastern, n, mean_tweets, se_tweets
     summary_rows: list[tuple]  # metric, value

@@ -10,9 +10,8 @@ kernel on closes keyed by date.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,8 +20,7 @@ from .errors import GapInSeries, MissingBar, OutOfCalendarRange, ZeroEstimate
 from .model import INDEX_TICKER, DailyBar, EarningsEvent, IndexBar
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
+class ReturnSeries(NamedTuple):
     """Ordered (trading_date, return) pairs for one ticker or the index."""
 
     ticker: str
@@ -30,8 +28,7 @@ class ReturnSeries:
     values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Surprise:
+class Surprise(NamedTuple):
     event: EarningsEvent
     es: float
 

@@ -18,7 +18,7 @@ scoring day), so the three classes are uniformly populated.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -38,16 +38,19 @@ class EventPolarity(enum.IntEnum):
     POSITIVE = 1
 
 
-@dataclass(frozen=True)
-class PolarityThresholds:
+class PolarityThresholds(namedtuple("PolarityThresholds", "t_low t_high")):
     """Right-closed class boundaries: (-1, t_low], (t_low, t_high], (t_high, 1)."""
 
-    t_low: float
-    t_high: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t_low > self.t_high:
-            raise ValueError(f"t_low {self.t_low} exceeds t_high {self.t_high}")
+    def __new__(cls, t_low: float, t_high: float):
+        if t_low > t_high:
+            raise ValueError(f"t_low {t_low} exceeds t_high {t_high}")
+        return super().__new__(cls, t_low, t_high)
+
+    @classmethod
+    def _make(cls, values):  # so that ``_replace`` checks too
+        return cls(*values)
 
 
 class DailyCounts:

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from datetime import date
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,8 +33,7 @@ from .returns import hold_from_day_m1
 from .sentiment import EventPolarity, PolarityThresholds, categorize_scores
 
 
-@dataclass(frozen=True)
-class ClassCurve:
+class ClassCurve(NamedTuple):
     """Mean hold-from-day--1 returns for one polarity class."""
 
     polarity: EventPolarity
@@ -44,14 +42,12 @@ class ClassCurve:
     index_mean: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class TradeReturnCurves:
+class TradeReturnCurves(NamedTuple):
     days: tuple[int, ...]
     classes: dict[EventPolarity, ClassCurve]
     skipped: tuple[tuple[EarningsEvent, str], ...]
 
 
-@dataclass(frozen=True, eq=False)
 class EventHolds(MeasuredRows):
     """RT_d, d = 0..max_d, row i for the i-th event given to ``hold_returns``.
 
@@ -126,8 +122,7 @@ def trade_return_curves(
     return curve_classes(held, events, every, labels)
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(NamedTuple):
     """One executed short-then-cover round trip."""
 
     ticker: str
@@ -143,8 +138,7 @@ class Trade:
         return (open_price - close_price - spread) / open_price
 
 
-@dataclass(frozen=True)
-class TradeLedger:
+class TradeLedger(NamedTuple):
     trades: tuple[Trade, ...]
     equity: tuple[tuple[date, float], ...]  # starts at 1.0
     benchmark: tuple[tuple[date, float], ...]  # index normalized to 1.0 at start

@@ -1,6 +1,7 @@
 import argparse
 import builtins
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -431,6 +432,68 @@ class TestInvalidSettings:
         assert not out.exists()
 
 
+class TestConfigKeys:
+    """Every config key is one a setting reads: a misspelled key or a section
+    that is not an object is refused before any work, never ignored."""
+
+    REFUSED = {
+        "misspelled study key": ({"study": {"estimation_windw": 60}}, "study.estimation_windw"),
+        "section not an object": ({"study": 3}, "study 3"),
+        "nested key at the top": ({"estimation_window": 60}, "estimation_window"),
+        "unknown data input": ({"data": {"quotes": "q.csv"}}, "data.quotes"),
+        "synth not an object": ({"synth": [1]}, "synth [1]"),
+        "first of two": ({"until": None, "volume": {"rel_mn": 1}, "x": 1}, "volume.rel_mn"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_exit_5_naming_the_first(self, case, data_dir, tmp_path, capsys):
+        config, named = self.REFUSED[case]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--config", str(path), "study",
+                     *data_flags(data_dir)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_every_known_key_runs(self, data_dir, tmp_path):
+        config = {
+            "data": {name: str(data_dir / f"{name}.csv") for name in cli.INPUTS},
+            "out": str(tmp_path / "out"),
+            "synth": {"seed": 11},
+            **{keys[0]: {} for keys, _, _ in cli.SETTINGS.values() if len(keys) > 1},
+        }
+        for keys, default, _ in cli.SETTINGS.values():
+            node = config
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = default
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "pipeline"]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(PIPELINE_FILES)
+
+
+class TestSettingsFileIsADirectory:
+    """A directory as ``--config`` or ``synth --spec`` is a missing file, as an
+    input directory is: exit 2 with one error line."""
+
+    CASES = {
+        "config": lambda folder, data: ["--config", str(folder), "calendar",
+                                        "--index", str(data / "index.csv")],
+        "spec": lambda folder, data: ["synth", "--spec", str(folder)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_with_an_error_line(self, case, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *self.CASES[case](data_dir, data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestBooleanSettings:
     """A JSON ``true`` or ``false`` is no number: every numeric setting
     refuses one, in place of reading it as 1 or 0."""
@@ -512,6 +575,113 @@ class TestSynthImportedOnlyBySynth:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def child(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, importing this eastudy."""
+    env = {**os.environ, "PYTHONPATH": str(Path(eastudy.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+class TestImportWork:
+    """What ``import eastudy.cli`` does, pinned by structure: it builds no
+    dataclass and loads neither the trading code nor the generator."""
+
+    def test_no_dataclass_and_no_trading_returns_or_synth(self):
+        done = child("-c", (
+            "import json, sys, eastudy.cli\n"
+            "mods = {n: m for n, m in sys.modules.items() if n.split('.')[0] == 'eastudy'}\n"
+            "print(json.dumps({'loaded': sorted(mods), 'dataclasses': sorted(\n"
+            "    f'{n}.{k}' for n, m in mods.items() for k, c in vars(m).items()\n"
+            "    if isinstance(c, type) and hasattr(c, '__dataclass_fields__'))}))"))
+        assert done.returncode == 0, done.stderr
+        found = json.loads(done.stdout)
+        assert found["dataclasses"] == []
+        assert {"eastudy.cli", "eastudy.ingest", "eastudy.reports"} <= set(found["loaded"])
+        assert not {"eastudy.trading", "eastudy.returns", "eastudy.synth"} & set(found["loaded"])
+
+    @pytest.mark.parametrize("command", ["curves", "backtest"])
+    def test_trading_loaded_by_the_commands_that_use_it(self, command, data_dir, tmp_path):
+        argv = ["--out", str(tmp_path / "out"), command, *data_flags(data_dir)]
+        done = child("-c", "import sys; from eastudy.cli import main; "
+                     f"rc = main({argv!r}); print(rc, 'eastudy.trading' in sys.modules)")
+        assert done.stdout.splitlines()[-1] == "0 True", done.stderr
+
+
+class TestParserBuildsTheNamedSubcommand:
+    """``build_parser(argv)`` gives flags only to the subcommands named in
+    ``argv``, and help prints what the full parser prints."""
+
+    @staticmethod
+    def subparsers(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+    def test_help_is_the_full_parsers(self, command, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["-h"] if command is None else [command, "-h"])
+        assert stop.value.code == 0
+        full = build_parser()
+        parser = full if command is None else self.subparsers(full)[command]
+        assert capsys.readouterr().out == parser.format_help()
+
+    def test_only_the_named_subcommand_gets_flags(self):
+        flagged = {name for name, p in self.subparsers(build_parser(["--seed", "3", "score"])).items()
+                   if len(p._actions) > 1}  # every parser has -h
+        assert flagged == {"score"}
+
+    def test_an_option_value_that_names_a_command(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--out", "study", "score", *data_flags(data_dir)]) == 0
+        assert (tmp_path / "study" / "scores.csv").is_file()
+
+
+class TestScriptPath:
+    """``python -m eastudy.cli`` and the ``eastudy`` script run ``run``: the
+    same exit code, output and report bytes as ``main`` in-process, then
+    ``gc.freeze()``, which ``main`` never calls."""
+
+    @staticmethod
+    def reports(root):
+        files = {p.name: p.read_bytes() for p in sorted(root.iterdir())} if root.exists() else {}
+        if "manifest.json" in files:
+            manifest = json.loads(files.pop("manifest.json"))
+            del manifest["created_utc"]
+            files["manifest.json"] = manifest
+        return files
+
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_same_as_main_in_process(self, code, data_dir, tmp_path, capsys):
+        flags = data_flags(data_dir)
+        if code == 2:
+            flags[1] = str(tmp_path / "absent.csv")
+
+        def argv(out):
+            return ["--out", str(out), "backtest", *flags]
+
+        assert main(argv(tmp_path / "inproc")) == code
+        printed = capsys.readouterr()
+        done = child("-m", "eastudy.cli", *argv(tmp_path / "script"))
+        assert (done.returncode, done.stdout, done.stderr) == (code, printed.out, printed.err)
+        assert self.reports(tmp_path / "script") == self.reports(tmp_path / "inproc")
+        assert bool(self.reports(tmp_path / "inproc")) == (code == 0)
+
+    def test_run_freezes_and_main_does_not(self, data_dir, tmp_path):
+        assert main(["--out", str(tmp_path / "out"), "calendar",
+                     "--index", str(data_dir / "index.csv")]) == 0
+        assert gc.get_freeze_count() == 0
+        argv = ["eastudy", "--out", str(tmp_path / "run"), "calendar",
+                "--index", str(data_dir / "index.csv")]
+        done = child("-c", "import gc, sys; from eastudy.cli import run; "
+                     f"sys.argv = {argv!r}; print(run(), gc.get_freeze_count() > 0)")
+        assert done.stdout.splitlines()[-1] == "0 True", done.stderr
+
+    def test_console_script_names_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"eastudy": "eastudy.cli:run"}
 
 
 class TestEventOrderDoesNotMatter:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 
@@ -403,6 +402,20 @@ class TestAggregateStudy:
         assert all("InsufficientHistory" in why for _, why in result.skipped)
 
 
+class TestStudyConfigChecks:
+    @pytest.mark.parametrize("bad", [
+        {"event_window": (3, 1)}, {"event_window": (-2, 10)},
+        {"estimation_window_length": 2}, {"significance_level": 1.0},
+    ])
+    def test_refused_when_made_and_when_replaced(self, bad):
+        with pytest.raises(ValueError):
+            StudyConfig(**bad)
+        with pytest.raises(ValueError):
+            StudyConfig()._replace(**bad)
+        assert StudyConfig()._replace(estimation_window_length=60) == StudyConfig(
+            estimation_window_length=60)
+
+
 class TestTickersTheDatasetLacks:
     """Labelled events of a ticker the dataset does not hold are skipped, and
     the other events are measured on their own rows: ZZZ sorts after every
@@ -412,7 +425,7 @@ class TestTickersTheDatasetLacks:
     def relabelled():
         _, ds, _, labeled = planted_scenario()
         renamed = {0: "ZZZ", 1: "SYAA"}
-        labeled = [replace(le, event=replace(le.event, ticker=renamed.get(i, le.event.ticker)))
+        labeled = [le._replace(event=le.event._replace(ticker=renamed.get(i, le.event.ticker)))
                    for i, le in enumerate(labeled)]
         return ds, labeled, labeled[:2], labeled[2:]
 

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -241,10 +240,10 @@ class TestEventTable:
         have a ticker table of their own, which the dataset codes into one."""
         base = PERMUTED_DS
         ds = Dataset(
-            bars=bar_columns([*base.bars, *(replace(b, ticker="SYAA") for b in base.bars
+            bars=bar_columns([*base.bars, *(b._replace(ticker="SYAA") for b in base.bars
                                             if b.ticker == "SYA")]).canonical(),
             index=base.index,
-            tweets=tweet_columns([*base.tweets, *(replace(b, ticker="SYBB") for b in base.tweets
+            tweets=tweet_columns([*base.tweets, *(b._replace(ticker="SYBB") for b in base.tweets
                                                   if b.ticker == "SYB")]),
             events=base.events,
         )

@@ -114,6 +114,8 @@ class TestTerciles:
     def test_inverted_thresholds_rejected(self):
         with pytest.raises(ValueError):
             PolarityThresholds(t_low=0.5, t_high=0.1)
+        with pytest.raises(ValueError):
+            PolarityThresholds(t_low=0.0, t_high=0.1)._replace(t_low=0.5)
 
     @given(st.lists(st.floats(min_value=-0.99, max_value=0.99), min_size=3,
                     max_size=300, unique=True))
