@@ -165,7 +165,7 @@ class TradingCalendar:
     @classmethod
     def from_dataset(cls, ds: Dataset) -> "TradingCalendar":
         """A date is a trading day iff the benchmark index has a bar for it."""
-        return cls(tuple(b.date for b in ds.index))
+        return cls(tuple(ds.index.day.tolist()))
 
     def __len__(self) -> int:
         return len(self.dates)

@@ -42,14 +42,13 @@ from .errors import (
 from .event_study import StudyConfig, fit_events, study_classes
 from .ingest import (
     OutputDir,
-    format_rfc3339,
     load_dataset,
     open_input,
     parse_index_csv,
     raise_for,
     write_dataset,
 )
-from .model import INDEX_TICKER, Dataset, EarningsEvent, Timing
+from .model import INDEX_TICKER, Dataset, Timing
 from .reports import (
     CLASS_NAMES,
     STRATA,
@@ -230,11 +229,8 @@ def _manifest(out: OutputDir, command: str, effective: dict, inputs: dict[str, s
     out.write_json("manifest.json", payload)
 
 
-def _reasons(pairs: Iterable[tuple[EarningsEvent, str]]) -> list[dict]:
-    return [
-        {"ticker": ev.ticker, "announce_at": format_rfc3339(ev.announce_at), "reason": why}
-        for ev, why in pairs
-    ]
+def _reasons(entries: Iterable[tuple[str, str, str]]) -> list[dict]:
+    return [dict(zip(("ticker", "announce_at", "reason"), entry)) for entry in entries]
 
 
 def _stratum_file(report: str, timing: Timing, polarity_day: int) -> str:
@@ -469,9 +465,9 @@ def _cmd_ingest(args, config, out: OutputDir) -> int:
 
 
 def _cmd_calendar(args, config, out: OutputDir) -> int:
-    bars, diags = parse_index_csv(_data_paths(args, config, ("index",))["index"])
+    index, diags = parse_index_csv(_data_paths(args, config, ("index",))["index"])
     raise_for(diags, "bad index rows")
-    out.write_csv("calendar.csv", ["date"], ((b.date.isoformat(),) for _, b in bars))
+    out.write_csv("calendar.csv", ["date"], zip(index.rows.day.astype(str).tolist()))
     return 0
 
 

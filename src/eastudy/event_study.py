@@ -44,7 +44,7 @@ from .errors import (
     MissingBar,
     OutOfCalendarRange,
 )
-from .model import Dataset, EarningsEvent, Frozen, PriceGrid
+from .model import Dataset, EarningsEvent, Events, Frozen, PriceGrid
 from .sentiment import EventPolarity
 
 
@@ -242,7 +242,7 @@ class ClassStudy(NamedTuple):
 class EventStudyResult(NamedTuple):
     taus: tuple[int, ...]
     classes: dict[EventPolarity, ClassStudy]
-    skipped: tuple[tuple[EarningsEvent, str], ...]
+    skipped: tuple[tuple[str, str, str], ...]  # (ticker, announcement stamp, reason)
 
 
 def summarize_car(
@@ -352,7 +352,7 @@ def fit_events(prices: PriceGrid, day0: np.ndarray, code: np.ndarray, mask: np.n
 
 def labeled_columns(
     labeled: Sequence[LabeledEvent], ds: Dataset, empty: str
-) -> tuple[tuple[PriceGrid, np.ndarray, np.ndarray], list[EarningsEvent], np.ndarray]:
+) -> tuple[tuple[PriceGrid, np.ndarray, np.ndarray], Events, np.ndarray]:
     """The price grid, day-0 indexes and ticker codes that ``fit_events``
     takes, the events and the int8 labels of ``labeled``, in canonical
     (ticker, announce_at) order; EmptyClass(``empty``) if there are none,
@@ -361,30 +361,31 @@ def labeled_columns(
     if not labeled:
         raise EmptyClass(empty)
     labeled = sorted(labeled, key=lambda le: le.event.key())
-    events = [le.event for le in labeled]
-    if not {ev.ticker for ev in events}.issubset(ds.tickers):
+    events = Events.of([le.event for le in labeled])
+    if not set(events.tickers).issubset(ds.tickers):
         ds = Dataset(ds.bars, ds.index, ds.tweets, events)
     prices = ds.prices
     if labeled[0].anchor.calendar.dates != prices.dates:
         raise ValueError("prices are read on the calendar the index implies, not another")
     day0 = np.array([le.anchor.day0_index for le in labeled], dtype=np.int64)
-    code = np.searchsorted(np.array(ds.tickers), [ev.ticker for ev in events])
+    code = events.on(ds.tickers).code
     labels = np.array([le.polarity for le in labeled], dtype=np.int8)
     return (prices, day0, code), events, labels
 
 
 def class_rows(
     measured: MeasuredRows,
-    events: Sequence[EarningsEvent],
+    events: Events,
     in_stratum: np.ndarray,
     labels: np.ndarray,
-) -> tuple[dict[EventPolarity, np.ndarray], list[tuple[EarningsEvent, str]]]:
+) -> tuple[dict[EventPolarity, np.ndarray], list[tuple[str, str, str]]]:
     """The rows of each polarity class among a stratum's measured events,
-    and the stratum's skipped events, both in row order. ``measured`` comes
-    from one per-event pass over rows aligned to ``events``."""
-    skips, ok = measured.skips, measured.ok
-    skipped = [(events[i], skips[i]) for i in np.flatnonzero(in_stratum & ~ok).tolist()]
-    if any(why is None for _, why in skipped):
+    and the stratum's skipped events as (ticker, announcement stamp,
+    reason), both in row order. ``measured`` comes from one per-event pass
+    over rows aligned to ``events``."""
+    ok, skipped = measured.ok, np.flatnonzero(in_stratum & ~measured.ok)
+    reasons = [measured.skips[i] for i in skipped.tolist()]
+    if None in reasons:
         raise ValueError("the per-event rows do not cover every event of the stratum")
     classes = {
         pol: rows for pol in EventPolarity
@@ -392,12 +393,12 @@ def class_rows(
     }
     if not classes:
         raise EmptyClass("every event was skipped")
-    return classes, skipped
+    return classes, events.exclusions(skipped, reasons)
 
 
 def study_classes(
     fits: EventFits,
-    events: Sequence[EarningsEvent],
+    events: Events,
     in_stratum: np.ndarray,
     labels: np.ndarray,
     cfg: StudyConfig,

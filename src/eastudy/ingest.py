@@ -67,7 +67,7 @@ from .model import (
     Dataset,
     Events,
     Frozen,
-    IndexBar,
+    IndexLevels,
     TICKER_RE,
     Timing,
     TweetBuckets,
@@ -594,18 +594,15 @@ class Accepted(Frozen):
     """The accepted rows of a file, in file order.
 
     ``lines`` holds each row's physical line number (None when row i is
-    line i + 2) and ``rows`` their columns (``DailyBars``, ``TweetBuckets``
-    or ``Events``). Item ``i`` is ``(line, record)``.
+    line i + 2) and ``rows`` their columns (``DailyBars``, ``IndexLevels``,
+    ``TweetBuckets`` or ``Events``).
     """
 
     lines: np.ndarray | None
-    rows: DailyBars | TweetBuckets | Events
+    rows: DailyBars | IndexLevels | TweetBuckets | Events
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __getitem__(self, i: int) -> tuple:
-        return int(_line_numbers(self.lines, i)), self.rows[i]
 
 
 def parse_prices_csv(path: str | Path, sha=None):
@@ -626,16 +623,19 @@ def parse_prices_csv(path: str | Path, sha=None):
 
 
 def parse_index_csv(path: str | Path, sha=None):
-    """Parse index.csv -> (list[(lineno, IndexBar)], list[Diagnostic])."""
+    """Parse index.csv -> (Accepted index levels, list[Diagnostic]); a file
+    without an accepted row gets one more diagnostic, on its header line."""
     path = Path(path)
     lines, (day, close), diags, _ = _parse(path, INDEX_HEADER, INDEX_MIN_LINE, _index_cells,
                                            _index_row, (np.int64, np.float64), sha)
     keep = _dated_rows(path, lines, np.zeros(len(day), dtype=np.int64), day, diags,
                        lambda i, what, on: f"{what} index bar on {on}")
     diags.sort(key=lambda d: d.line)
-    rows = zip(_line_numbers(lines, np.flatnonzero(keep)).tolist(), day[keep].view("datetime64[D]").tolist(),
-               close[keep].tolist())
-    return [(n, IndexBar(d, c)) for n, d, c in rows], diags
+    if not keep.any():
+        diags.append(_invariant(path, 1, "index file has no usable rows"))
+    if not keep.all():
+        lines, day, close = _line_numbers(lines, np.flatnonzero(keep)), day[keep], close[keep]
+    return Accepted(lines, IndexLevels(day.view("datetime64[D]"), close)), diags
 
 
 def parse_tweets_csv(path: str | Path, sha=None):
@@ -739,17 +739,15 @@ def load_dataset(
     events, d4 = parse_events_csv(events_path, shas[3])
     diags = d1 + d2 + d3 + d4
 
-    if not index:
-        diags.append(_invariant(Path(index_path), 1, "index file has no usable rows"))
-    else:
+    if len(index):
         # the accepted index dates are strictly increasing
-        index_days = np.array([b.date for _, b in index], dtype="datetime64[D]")
-        at = np.minimum(np.searchsorted(index_days, bars.rows.day), len(index_days) - 1)
-        for i in np.flatnonzero(index_days[at] != bars.rows.day).tolist():
-            lineno, bar = bars[i]
+        days, rows = index.rows.day, bars.rows
+        at = np.minimum(np.searchsorted(days, rows.day), len(days) - 1)
+        for i in np.flatnonzero(days[at] != rows.day).tolist():
+            ticker = rows.tickers[rows.code[i]]
             diags.append(_invariant(
-                Path(prices_path), lineno,
-                f"{bar.ticker} bar on {bar.date} has no index bar (non-trading date)",
+                Path(prices_path), int(_line_numbers(bars.lines, i)),
+                f"{ticker} bar on {rows.day[i]} has no index bar (non-trading date)",
             ))
         ev, present = events.rows, set(bars.rows.tickers)  # each ticker of the table has a bar
         has_bars = np.array([t in present for t in ev.tickers], dtype=bool)
@@ -760,7 +758,7 @@ def load_dataset(
     raise_for(diags, "problem(s)")
     return Dataset(
         bars=bars.rows.canonical(),
-        index=tuple(b for _, b in index),
+        index=index.rows,
         tweets=tweets.rows.canonical(),
         events=events.rows.canonical(),
         digests=dict(zip(("prices", "index", "tweets", "events"), (h.hexdigest() for h in shas))),
@@ -792,7 +790,8 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> list[Path]:
         _lookup([d.isoformat() for d in days.tolist()], np.searchsorted(days, bars.day)),
         _lookup(list(bars.tickers), bars.code), bars.close.tolist(), bars.volume.tolist(),
     ))
-    _write_lines(paths[1], INDEX_HEADER, (f"{b.date.isoformat()},{b.close!r}\n" for b in ds.index))
+    _write_lines(paths[1], INDEX_HEADER, map("{},{!r}\n".format, ds.index.day.astype(str).tolist(),
+                                             ds.index.close.tolist()))
     stamps = [format_rfc3339(datetime.fromtimestamp(t, timezone.utc)) for t in hours.tolist()]
     _write_lines(paths[2], TWEETS_HEADER, map(
         "{},{},{},{},{}\n".format,

@@ -1,16 +1,17 @@
 """Core domain types: bars, tweet buckets, announcement events, datasets.
 
 All instants are timezone-aware UTC datetimes; naive timestamps are never
-accepted. Calendar dates are exchange-local ``datetime.date`` values. Tweet
-buckets, by far the largest input, daily bars and announcement events are
-stored as columns (``TweetBuckets``, ``DailyBars``, ``Events``), with
-instants as integer epoch seconds (epoch microseconds for announcements,
-which may carry fractions of a second) and dates as ``datetime64[D]``; one
-item of each is a record (``TweetBucket``, ``DailyBar``, ``EarningsEvent``).
-A ``Dataset`` codes its bars, tweets and events into one sorted ticker
-table, so a code is a row of every (ticker x trading day) grid, such as the
-bars on the trading calendar (``PriceGrid``) that the event study, the hold
-returns and the volume report read by code and calendar index.
+accepted. Calendar dates are exchange-local ``datetime.date`` values. All
+four inputs are stored as columns: tweet buckets, by far the largest, daily
+bars, announcement events (``TweetBuckets``, ``DailyBars``, ``Events``) and
+the index levels (``IndexLevels``), with instants as integer epoch seconds
+(epoch microseconds for announcements, which may carry fractions of a
+second) and dates as ``datetime64[D]``. Only ``Events.record`` gives a row
+as a record (``EarningsEvent``), for the one-event adapters. A ``Dataset``
+codes its bars, tweets and events into one sorted ticker table, so a code
+is a row of every (ticker x trading day) grid, such as the bars on the
+trading calendar (``PriceGrid``) that the event study, the hold returns and
+the volume report read by code and calendar index.
 """
 
 from __future__ import annotations
@@ -111,34 +112,12 @@ class DailyBar(NamedTuple):
     volume: int
 
 
-class IndexBar(NamedTuple):
-    """Benchmark index level for one trading day."""
-
-    date: date
-    close: float
-
-
-class TweetBucket(NamedTuple):
-    """Hourly sentiment-labeled tweet counts for one ticker."""
-
-    ticker: str
-    hour_start: datetime  # UTC, truncated to the hour
-    n_neg: int
-    n_neut: int
-    n_pos: int
-
-    @property
-    def total(self) -> int:
-        return self.n_neg + self.n_neut + self.n_pos
-
-
 class _Columns(Frozen):
     """Rows held as columns: a sorted ticker table ``tickers``, then the
     column fields, the first of them ``code`` (an index into ``tickers``).
 
-    Indexing with an int gives one record (``_record``); indexing with a mask
-    or an index array gives the selected rows. Rows compare by ticker name,
-    so equal rows may carry different ticker tables.
+    Indexing with a mask or an index array gives the selected rows. Rows
+    compare by ticker name, so equal rows may carry different ticker tables.
     """
 
     def _columns(self) -> list[np.ndarray]:
@@ -161,8 +140,6 @@ class _Columns(Frozen):
         return type(self)(tickers, code, *self._columns()[1:])
 
     def __getitem__(self, i):
-        if isinstance(i, (int, np.integer)):
-            return self._record(i)
         return type(self)(self.tickers, *(c[i] for c in self._columns()))
 
     def __eq__(self, other) -> bool:
@@ -174,6 +151,7 @@ class _Columns(Frozen):
         return len(self) == len(other) and all(map(np.array_equal, mine, theirs))
 
     __hash__ = None
+    __iter__ = None  # a row is read from the columns, never as an item
 
 
 def _int32(values) -> np.ndarray:
@@ -214,15 +192,6 @@ class TweetBuckets(_Columns):
         """Tweets per bucket, as int64: three counts at ``MAX_COUNT`` overflow int32."""
         return self.n_neg.astype(np.int64) + self.n_neut + self.n_pos
 
-    def _record(self, i) -> TweetBucket:
-        return TweetBucket(
-            ticker=self.tickers[self.code[i]],
-            hour_start=datetime.fromtimestamp(int(self.ts[i]), timezone.utc),
-            n_neg=int(self.n_neg[i]),
-            n_neut=int(self.n_neut[i]),
-            n_pos=int(self.n_pos[i]),
-        )
-
 
 class DailyBars(_Columns):
     """Daily bars as columns: one row per (ticker, date) bar.
@@ -237,9 +206,23 @@ class DailyBars(_Columns):
     close: np.ndarray
     volume: np.ndarray
 
-    def _record(self, i) -> DailyBar:
-        return DailyBar(self.tickers[self.code[i]], self.day[i].item(),
-                        float(self.close[i]), int(self.volume[i]))
+
+class IndexLevels(Frozen):
+    """The benchmark index as columns: one row per trading day, ``day`` as
+    strictly increasing ``datetime64[D]`` and the level ``close`` as float64."""
+
+    day: np.ndarray
+    close: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.day, other.day) and np.array_equal(self.close, other.close)
+
+    __hash__ = None
 
 
 class EarningsEvent(NamedTuple):
@@ -301,7 +284,13 @@ class Events(_Columns):
         seconds = (self.at[rows] // 10**6).astype("datetime64[s]")
         return [s + "Z" for s in np.datetime_as_string(seconds, unit="s").tolist()]
 
-    def _record(self, i) -> EarningsEvent:
+    def exclusions(self, rows: np.ndarray, reasons: Sequence[str]) -> list[tuple[str, str, str]]:
+        """(ticker, announcement stamp, reason) of each row of the index
+        array ``rows``, the shape of every exclusion list."""
+        return list(zip(self.names[rows].tolist(), self.stamps(rows), reasons))
+
+    def record(self, i: int) -> EarningsEvent:
+        """Row i as a record, for the adapters that take one event."""
         excluded = bool(self.excluded[i])
         return EarningsEvent(
             ticker=self.tickers[self.code[i]],
@@ -340,33 +329,32 @@ class PriceGrid(Frozen):
     index_closes: np.ndarray
 
     @classmethod
-    def from_bars(cls, bars: DailyBars, index: Sequence[IndexBar]) -> "PriceGrid":
+    def from_bars(cls, bars: DailyBars, index: IndexLevels) -> "PriceGrid":
         """The grid of ``bars`` on the calendar of ``index``.
 
         Raises InvariantViolation for a bar off the calendar, a ticker's bars
         out of date order or repeated, or a close that is not a positive
         number: the grid cannot hold them as the bars say.
         """
-        dates = tuple(b.date for b in index)
-        days = np.array(dates, dtype="datetime64[D]")
+        days = index.day
         cols = np.minimum(np.searchsorted(days, bars.day), max(len(days) - 1, 0))
         off = days[cols] != bars.day if len(days) else np.ones(len(bars), dtype=bool)
         if off.any():
-            bar = bars[int(np.argmax(off))]
-            raise InvariantViolation(f"{bar.ticker} bar on {bar.date} is not a trading date")
+            i = int(np.argmax(off))
+            raise InvariantViolation(f"{bars.tickers[bars.code[i]]} bar on {bars.day[i]} "
+                                     "is not a trading date")
         order = np.argsort(bars.code, kind="stable")
         same_ticker = np.diff(bars.code[order]) == 0
         if (same_ticker & (np.diff(cols[order]) <= 0)).any():
             raise InvariantViolation("a ticker's bars are out of date order or repeated")
-        closes = np.full((len(bars.tickers), len(dates)), np.nan)
+        closes = np.full((len(bars.tickers), len(days)), np.nan)
         volume = np.full(closes.shape, np.nan)
         closes[bars.code, cols] = bars.close
         volume[bars.code, cols] = bars.volume
-        index_closes = np.array([b.close for b in index], dtype=np.float64)
-        for values in (bars.close, index_closes):
+        for values in (bars.close, index.close):
             if not (np.isfinite(values) & (values > 0)).all():
                 raise InvariantViolation("every close must be a positive number")
-        return cls(dates, bars.tickers, closes, volume, index_closes)
+        return cls(tuple(days.tolist()), bars.tickers, closes, volume, index.close)
 
     @cached_property
     def n_bars(self) -> np.ndarray:
@@ -387,17 +375,16 @@ class PriceGrid(Frozen):
 class Dataset:
     """Immutable-by-convention container for the four input collections.
 
-    Collections are canonically sorted: the index bars are a tuple of
-    records, the rest are columns. Events given as records are turned into
-    columns in their order. ``tickers`` is every ticker of the bars, the
-    tweets and the events, sorted, and all three are coded into it (copied
-    only where their own table differs). ``digests`` maps an input name to
-    the SHA-256 of the bytes ``load_dataset`` read. Datasets compare by
-    their four collections. The price grid is built on first use, so the
+    Collections are canonically sorted columns. Events given as records are
+    turned into columns in their order. ``tickers`` is every ticker of the
+    bars, the tweets and the events, sorted, and all three are coded into it
+    (copied only where their own table differs). ``digests`` maps an input
+    name to the SHA-256 of the bytes ``load_dataset`` read. Datasets compare
+    by their four collections. The price grid is built on first use, so the
     dataset can be shared freely.
     """
 
-    def __init__(self, bars: DailyBars, index: tuple[IndexBar, ...], tweets: TweetBuckets,
+    def __init__(self, bars: DailyBars, index: IndexLevels, tweets: TweetBuckets,
                  events: Events | Sequence[EarningsEvent], digests: dict[str, str] | None = None):
         columns = bars, tweets, events if isinstance(events, Events) else Events.of(events)
         self.tickers = tuple(sorted({t for c in columns for t in c.tickers}))

@@ -24,8 +24,7 @@ import numpy as np
 
 from .alignment import EventAnchor, TradingCalendar, anchor_days, anchor_error
 from .event_study import LabeledEvent
-from .model import Dataset, EarningsEvent, Events, Frozen, Timing
-from .regression import RegressionFit, fit_es_regression
+from .model import EPOCH, MICROSECOND, Dataset, Events, Frozen, Timing
 from .sentiment import (
     DailyCounts,
     EventPolarity,
@@ -75,8 +74,9 @@ class EventTable(Frozen):
 
     def anchor_error(self, i: int) -> str:
         """Why row i has no day 0, as ``type: message``."""
-        ev = self.events[i]
-        exc = anchor_error(int(self.reason[i]), ev.ticker, ev.announce_at,
+        ev = self.events
+        exc = anchor_error(int(self.reason[i]), ev.tickers[ev.code[i]],
+                           EPOCH + int(ev.at[i]) * MICROSECOND,
                            int(self.announced[i].astype(np.int64)))
         return f"{type(exc).__name__}: {exc}"
 
@@ -86,10 +86,10 @@ class EventUniverse(Frozen):
 
     ``window`` marks the events announced up to a date, ``used`` those of
     them that are anchored and have day-0 tweets, and ``dropped`` lists the
-    others with a reason, mirroring the exclusion of announcements with no
-    same-day tweet activity. ``counts`` holds the daily and hourly tweet
-    counts every report reads; tweet buckets outside the calendar are left
-    out of them and counted in ``tweets_outside``.
+    others as (ticker, announcement stamp, reason), mirroring the exclusion
+    of announcements with no same-day tweet activity. ``counts`` holds the
+    daily and hourly tweet counts every report reads; tweet buckets outside
+    the calendar are left out of them and counted in ``tweets_outside``.
     """
 
     ds: Dataset
@@ -108,18 +108,13 @@ class EventUniverse(Frozen):
         return self.window & (self.table.day_labels[:, 0].sum(axis=1) > 0)
 
     @property
-    def events(self) -> tuple[EarningsEvent, ...]:
-        return tuple(self.table.events[i] for i in np.flatnonzero(self.used).tolist())
-
-    @property
-    def dropped(self) -> list[tuple[EarningsEvent, str]]:
-        t = self.table
-        return [
-            (t.events[i],
-             f"not anchorable: {t.anchor_error(i).partition(': ')[2]}" if t.day0[i] < 0
-             else "no day-0 tweets")
-            for i in np.flatnonzero(self.window & ~self.used).tolist()
-        ]
+    def dropped(self) -> list[tuple[str, str, str]]:
+        t, rows = self.table, np.flatnonzero(self.window & ~self.used)
+        return t.events.exclusions(rows, [
+            f"not anchorable: {t.anchor_error(i).partition(': ')[2]}" if t.day0[i] < 0
+            else "no day-0 tweets"
+            for i in rows.tolist()
+        ])
 
     def stratum(self, timing: Timing) -> np.ndarray:
         """The used events of one timing class."""
@@ -199,14 +194,16 @@ def label_stratum(
     t, day0 = universe.table, universe.table.day0.tolist()
     labels = categorize_scores(t.sent_on(polarity_day), thresholds).tolist()
     return [
-        LabeledEvent(t.events[i], EventAnchor(t.events[i], t.cal, t.cal.dates[day0[i]]),
+        LabeledEvent(ev := t.events.record(i), EventAnchor(ev, t.cal, t.cal.dates[day0[i]]),
                      EventPolarity(labels[i]))
         for i in np.flatnonzero(universe.stratum(timing)).tolist()
     ]
 
 
-def surprise_regressions(universe: EventUniverse) -> list[RegressionFit]:
-    """The four sentiment-vs-surprise fits: timing x scoring day."""
+def surprise_regressions(universe: EventUniverse) -> list:
+    """The four sentiment-vs-surprise fits (``RegressionFit``): timing x scoring day."""
+    from .regression import fit_es_regression  # only the commands that regress load it
+
     t = universe.table
     fits = []
     for timing, day in STRATA:

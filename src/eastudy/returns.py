@@ -17,7 +17,7 @@ import numpy as np
 
 from .alignment import EventAnchor, TradingCalendar
 from .errors import GapInSeries, MissingBar, OutOfCalendarRange, ZeroEstimate
-from .model import INDEX_TICKER, DailyBar, EarningsEvent, IndexBar
+from .model import INDEX_TICKER, DailyBar, EarningsEvent
 
 
 class ReturnSeries(NamedTuple):
@@ -33,11 +33,9 @@ class Surprise(NamedTuple):
     es: float
 
 
-def daily_returns(
-    bars: Sequence[DailyBar] | Sequence[IndexBar],
-    cal: TradingCalendar | None = None,
-) -> ReturnSeries:
-    """r_d = (p_d - p_{d-1}) / p_{d-1} over consecutive bars.
+def daily_returns(bars: Sequence[DailyBar], cal: TradingCalendar | None = None) -> ReturnSeries:
+    """r_d = (p_d - p_{d-1}) / p_{d-1} over consecutive bars: records with a
+    ``date`` and a ``close``, named ``INDEX_TICKER`` if they have no ``ticker``.
 
     When a calendar is supplied, consecutive bars must sit on consecutive
     trading dates; a skipped date raises GapInSeries. The return for date

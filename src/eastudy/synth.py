@@ -26,7 +26,7 @@ from .model import (
     DailyBars,
     Dataset,
     EarningsEvent,
-    IndexBar,
+    IndexLevels,
     Timing,
     TweetBuckets,
     validate_ticker,
@@ -260,7 +260,7 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
         bars=DailyBars(tickers, np.repeat(np.arange(len(tickers)), n_days),
                        np.tile(days, len(tickers)),
                        closes.ravel(), volumes.ravel()),
-        index=tuple(IndexBar(date=d, close=lv) for d, lv in zip(dates, index_levels.tolist())),
+        index=IndexLevels(days, index_levels),
         tweets=TweetBuckets(tickers, *map(np.concatenate, zip(*tweets))),
         events=tuple(sorted(events, key=lambda e: e.key())),
     )

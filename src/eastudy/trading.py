@@ -5,7 +5,9 @@ study: consider AfterClose announcements only, and when the sentiment of
 the day before the announcement classifies the event as negative, short
 the stock at the day -1 close and buy it back at the day 0 close. All
 proceeds are reinvested; a fixed per-share spread is charged once per
-round trip. It reads the AfterClose rows and Sent(-1) of the event table.
+round trip. A day whose trades lose all the equity or more (a mean net
+return of -1 or lower) leaves it at 0, where it stays: nothing is left to
+reinvest. It reads the AfterClose rows and Sent(-1) of the event table.
 
 The trade-return curves split the same way as the event study: one
 hold-return pass (``hold_returns``) measures each event once per run, from
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import OutOfCalendarRange
 from .event_study import LabeledEvent, MeasuredRows, class_rows, labeled_columns
-from .model import INDEX_TICKER, Dataset, EarningsEvent, PriceGrid, Timing
+from .model import INDEX_TICKER, Dataset, Events, PriceGrid, Timing
 from .reports import EventTable, build_universe
 from .returns import hold_from_day_m1
 from .sentiment import EventPolarity, PolarityThresholds, categorize_scores
@@ -45,7 +47,7 @@ class ClassCurve(NamedTuple):
 class TradeReturnCurves(NamedTuple):
     days: tuple[int, ...]
     classes: dict[EventPolarity, ClassCurve]
-    skipped: tuple[tuple[EarningsEvent, str], ...]
+    skipped: tuple[tuple[str, str, str], ...]  # (ticker, announcement stamp, reason)
 
 
 class EventHolds(MeasuredRows):
@@ -89,7 +91,7 @@ def hold_returns(prices: PriceGrid, day0: np.ndarray, code: np.ndarray, mask: np
 
 def curve_classes(
     held: EventHolds,
-    events: Sequence[EarningsEvent],
+    events: Events,
     in_stratum: np.ndarray,
     labels: np.ndarray,
 ) -> TradeReturnCurves:
@@ -142,7 +144,7 @@ class TradeLedger(NamedTuple):
     trades: tuple[Trade, ...]
     equity: tuple[tuple[date, float], ...]  # starts at 1.0
     benchmark: tuple[tuple[date, float], ...]  # index normalized to 1.0 at start
-    skipped: tuple[tuple[EarningsEvent, str], ...]
+    skipped: tuple[tuple[str, str, str], ...]  # (ticker, announcement stamp, reason)
 
     @property
     def final_equity(self) -> float:
@@ -195,11 +197,12 @@ def run_strategy(
     rows = np.flatnonzero(short)
     px[rows] = prices.closes[table.events.code[rows, None], day0[rows, None] + np.array([-1, 0])]
     missing = short & np.isnan(px).any(axis=1)
-    skipped = [
-        (table.events[i], table.anchor_error(i) if day0[i] < 0 else
-         f"MissingBar: no close on {cal.dates[day0[i] - 1]} or {cal.dates[day0[i]]}")
-        for i in np.flatnonzero((after_close & (day0 < 0)) | missing).tolist()
-    ]
+    rows = np.flatnonzero((after_close & (day0 < 0)) | missing)
+    skipped = table.events.exclusions(rows, [
+        table.anchor_error(i) if day0[i] < 0 else
+        f"MissingBar: no close on {cal.dates[day0[i] - 1]} or {cal.dates[day0[i]]}"
+        for i in rows.tolist()
+    ])
     # by (open date, ticker), in table order among equals
     rows = np.flatnonzero(short & ~missing)
     rows = rows[np.lexsort((table.events.code[rows], day0[rows]))]
@@ -218,8 +221,8 @@ def run_strategy(
     equity = []
     for d in in_range:
         group = by_close.get(d)
-        if group:
-            value *= 1.0 + sum(t.net_return for t in group) / len(group)
+        if group:  # a wipe-out leaves 0, never a negative equity
+            value = max(0.0, value * (1.0 + sum(t.net_return for t in group) / len(group)))
         equity.append((d, value))
     benchmark = list(zip(in_range, (levels / levels[0]).tolist()))
     return TradeLedger(

@@ -1,6 +1,7 @@
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
+from typing import NamedTuple
 from unittest import mock
 from zoneinfo import ZoneInfo
 
@@ -10,7 +11,16 @@ from hypothesis import settings
 
 from eastudy import ingest
 from eastudy.alignment import TradingCalendar
-from eastudy.model import DailyBar, DailyBars, Dataset, EarningsEvent, IndexBar, Timing, TweetBuckets
+from eastudy.model import (
+    DailyBar,
+    DailyBars,
+    Dataset,
+    EarningsEvent,
+    Events,
+    IndexLevels,
+    Timing,
+    TweetBuckets,
+)
 
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile("ci")
@@ -46,8 +56,55 @@ def bars_from_closes(ticker: str, dates, closes, volume: int = 1000) -> tuple[Da
     )
 
 
-def index_from_closes(dates, closes) -> tuple[IndexBar, ...]:
-    return tuple(IndexBar(date=d, close=c) for d, c in zip(dates, closes))
+class TweetBucket(NamedTuple):
+    """Hourly sentiment-labeled tweet counts for one ticker: a row of ``TweetBuckets``."""
+
+    ticker: str
+    hour_start: datetime  # UTC, truncated to the hour
+    n_neg: int
+    n_neut: int
+    n_pos: int
+
+    @property
+    def total(self) -> int:
+        return self.n_neg + self.n_neut + self.n_pos
+
+
+class IndexBar(NamedTuple):
+    """Benchmark index level for one trading day: a row of ``IndexLevels``."""
+
+    date: date
+    close: float
+
+
+def index_columns(bars) -> IndexLevels:
+    """Columns of the given index bars, in date order."""
+    bars = sorted(bars, key=lambda b: b.date)
+    return IndexLevels(np.array([b.date for b in bars], dtype="datetime64[D]"),
+                       np.array([b.close for b in bars], dtype=np.float64))
+
+
+def index_from_closes(dates, closes) -> IndexLevels:
+    return index_columns(IndexBar(d, c) for d, c in zip(dates, closes))
+
+
+def records(columns) -> list:
+    """The rows of columns as records, in row order; of an ``Accepted``, as
+    ``(line, record)`` pairs."""
+    if isinstance(columns, ingest.Accepted):
+        lines = ingest._line_numbers(columns.lines, np.arange(len(columns))).tolist()
+        return list(zip(lines, records(columns.rows)))
+    if isinstance(columns, IndexLevels):
+        return [IndexBar(*row) for row in zip(columns.day.tolist(), columns.close.tolist())]
+    if isinstance(columns, Events):
+        return [columns.record(i) for i in range(len(columns))]
+    tickers = np.array(columns.tickers, dtype=object)[columns.code].tolist()
+    if isinstance(columns, DailyBars):
+        return [DailyBar(*row) for row in zip(tickers, columns.day.tolist(),
+                                               columns.close.tolist(), columns.volume.tolist())]
+    hours = [datetime.fromtimestamp(ts, timezone.utc) for ts in columns.ts.tolist()]
+    return [TweetBucket(*row) for row in zip(tickers, hours, columns.n_neg.tolist(),
+                                             columns.n_neut.tolist(), columns.n_pos.tolist())]
 
 
 def make_event(ticker: str, announce_at: datetime, timing: Timing,
@@ -84,7 +141,7 @@ def day_cells(days) -> list[DayCell]:
 
 def bars_of(ds: Dataset, ticker: str) -> tuple[DailyBar, ...]:
     """One ticker's bars, in date order."""
-    return tuple(b for b in ds.bars if b.ticker == ticker)
+    return tuple(b for b in records(ds.bars) if b.ticker == ticker)
 
 
 def close_prices(ds: Dataset, ticker: str) -> dict[date, float]:
@@ -152,7 +209,7 @@ def row_loop_only():
 def make_dataset(bars=(), index=(), tweets=(), events=()) -> Dataset:
     return Dataset(
         bars=bar_columns(bars).canonical(),
-        index=tuple(sorted(index, key=lambda b: b.date)),
+        index=index if isinstance(index, IndexLevels) else index_columns(index),
         tweets=tweet_columns(tweets),
         events=tuple(sorted(events, key=lambda e: e.key())),
     )

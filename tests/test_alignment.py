@@ -17,7 +17,7 @@ from eastudy.errors import NonTradingAnnouncement, OutOfCalendarRange
 from eastudy.model import Timing
 from eastudy.reports import build_universe
 
-from conftest import eastern, index_from_closes, make_calendar, make_dataset, make_event
+from conftest import eastern, index_from_closes, make_calendar, make_dataset, make_event, records
 
 
 class TestCloseDelimitedDay:
@@ -309,7 +309,7 @@ class TestVectorizedAnchoring:
         table = build_universe(ds).table
         got = [(int(d), table.anchor_error(i) if d < 0 else "")
                for i, d in enumerate(table.day0.tolist())]
-        events = list(table.events)
+        events = records(table.events)
         assert got == [outcome(lambda e, c: anchor_event(e, c).day0_index, ev, cal)
                        for ev in events]
         assert got == [outcome(reference_day0, ev, cal) for ev in events]

@@ -24,11 +24,11 @@ from eastudy.alignment import EventAnchor, TradingCalendar, eastern_hours
 from eastudy.cli import build_parser, main
 from eastudy.errors import InvariantViolation, SchemaMismatch
 from eastudy.ingest import MAX_COUNT, load_dataset, write_dataset
-from eastudy.model import TweetBuckets
+from eastudy.model import EarningsEvent, TweetBuckets
 from eastudy.reports import build_universe
 from eastudy.synth import SynthSpec, generate
 
-from conftest import row_loop_only
+from conftest import records, row_loop_only
 
 SPEC = {
     "seed": 11,
@@ -585,7 +585,8 @@ def child(*args: str) -> subprocess.CompletedProcess:
 
 class TestImportWork:
     """What ``import eastudy.cli`` does, pinned by structure: it builds no
-    dataclass and loads neither the trading code nor the generator."""
+    dataclass and loads neither the trading code, the regressions nor the
+    generator."""
 
     def test_no_dataclass_and_no_trading_returns_or_synth(self):
         done = child("-c", (
@@ -598,13 +599,21 @@ class TestImportWork:
         found = json.loads(done.stdout)
         assert found["dataclasses"] == []
         assert {"eastudy.cli", "eastudy.ingest", "eastudy.reports"} <= set(found["loaded"])
-        assert not {"eastudy.trading", "eastudy.returns", "eastudy.synth"} & set(found["loaded"])
+        assert not {"eastudy.trading", "eastudy.returns", "eastudy.regression",
+                    "eastudy.synth"} & set(found["loaded"])
 
     @pytest.mark.parametrize("command", ["curves", "backtest"])
     def test_trading_loaded_by_the_commands_that_use_it(self, command, data_dir, tmp_path):
         argv = ["--out", str(tmp_path / "out"), command, *data_flags(data_dir)]
         done = child("-c", "import sys; from eastudy.cli import main; "
                      f"rc = main({argv!r}); print(rc, 'eastudy.trading' in sys.modules)")
+        assert done.stdout.splitlines()[-1] == "0 True", done.stderr
+
+    @pytest.mark.parametrize("command", ["regress", "pipeline"])
+    def test_regression_loaded_by_the_commands_that_regress(self, command, data_dir, tmp_path):
+        argv = ["--out", str(tmp_path / "out"), command, *data_flags(data_dir)]
+        done = child("-c", "import sys; from eastudy.cli import main; "
+                     f"rc = main({argv!r}); print(rc, 'eastudy.regression' in sys.modules)")
         assert done.stdout.splitlines()[-1] == "0 True", done.stderr
 
 
@@ -835,6 +844,56 @@ class TestSpreadSetting:
         assert json.loads((out / "manifest.json").read_text())["config"]["spread"] == value
 
 
+class TestWipeOut:
+    """A day whose shorts lose all the equity or more leaves it at 0, where
+    it stays: a negative factor never flips the sign of the equity."""
+
+    def test_a_spread_of_200_ends_at_zero(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "backtest", *data_flags(data_dir), "--spread", "200"]) == 0
+        nets = [float(r["net_return"]) for r in read_rows(out / "trades.csv")]
+        assert len(nets) == 4 and max(nets) < -1
+        equity = [float(r["strategy"]) for r in read_rows(out / "equity.csv")]
+        assert min(equity) == 0.0 and equity[-1] == 0.0
+        assert json.loads((out / "manifest.json").read_text())["backtest"]["final_equity"] == 0.0
+
+    def test_a_huge_spread_writes_a_valid_manifest(self, data_dir, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "backtest", *data_flags(data_dir), "--spread", "1e308"]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+        assert manifest["backtest"]["final_equity"] == 0.0
+        assert all(0.0 <= float(r["strategy"]) <= 1.0 for r in read_rows(out / "equity.csv"))
+
+
+class TestHeaderOnlyIndex:
+    """An index file without a row fails every command that reads it, the
+    same way: exit 4, one ``error:`` line, and the output left as it was."""
+
+    @pytest.mark.parametrize("command", ["calendar", "returns"])
+    def test_exit_4_and_output_unchanged(self, command, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("prices.csv", "tweets.csv", "events.csv"):
+            (data / name).write_bytes((data_dir / name).read_bytes())
+        (data / "index.csv").write_text("date,close\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "calendar.csv").write_text("an earlier run\n")
+        flags = ["--index", str(data / "index.csv")] if command == "calendar" else data_flags(data)
+        assert main(["--out", str(out), command, *flags]) == 4
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].endswith(f"{data / 'index.csv'}:1: index file has no usable rows")
+        assert [(p.name, p.read_text()) for p in out.iterdir()] == [
+            ("calendar.csv", "an earlier run\n")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out"]  # no staging left
+
+
 class TestIngestEmit:
     """``ingest --emit`` stages the canonical copy like every other output."""
 
@@ -919,7 +978,8 @@ class TestEachEventMeasuredOnce:
         universe = build_universe(ds)
         table = universe.table
         # an event's key by its (ticker, day 0), which the kernel's rows carry
-        key_of = {(ev.ticker, d): ev.key() for ev, d in zip(table.events, table.day0.tolist())}
+        events = records(table.events)
+        key_of = {(ev.ticker, d): ev.key() for ev, d in zip(events, table.day0.tolist())}
         assert len(key_of) == len(table.events)
         fitted = []
         fit = event_study.fit_rows
@@ -930,7 +990,7 @@ class TestEachEventMeasuredOnce:
 
         monkeypatch.setattr(event_study, "fit_rows", counting_fit)
         assert main(["--out", str(tmp_path / "out"), "pipeline", *data_flags(data_dir)]) == 0
-        assert sorted(fitted) == sorted(ev.key() for ev in universe.events)
+        assert sorted(fitted) == sorted(ev.key() for ev, used in zip(events, universe.used) if used)
 
 
 class TestEachEventAnchoredOnce:
@@ -941,7 +1001,7 @@ class TestEachEventAnchoredOnce:
             if hasattr(module, "anchor_days"):
                 def counting(cal, events, original=getattr(module, "anchor_days")):
                     calls.append(len(events))
-                    anchored.update(ev.key() for ev in events)
+                    anchored.update(ev.key() for ev in records(events))
                     return original(cal, events)
 
                 monkeypatch.setattr(module, "anchor_days", counting)
@@ -1078,6 +1138,86 @@ class TestSkipReasonsUnchanged:
                      *data_flags(data)]) == 0
         skipped = json.loads((out / "manifest.json").read_text())["skipped"]
         assert [(r["ticker"], r["announce_at"], r["reason"]) for r in skipped] == AC_CURVE_SKIPS
+
+
+def excluded_copy(data_dir, root):
+    """The Quickstart data with three events the universe excludes: a SYA
+    BeforeOpen on a Saturday, stamped with a fraction of a second, a SYB
+    AfterClose past the calendar's end, and SYD's 2015-09-03 BeforeOpen
+    without its day-0 tweets (its ticker's buckets of that close-delimited
+    day removed)."""
+    root.mkdir()
+    for name in ("prices.csv", "index.csv"):
+        (root / name).write_bytes((data_dir / name).read_bytes())
+    lines = (data_dir / "tweets.csv").read_text().splitlines(keepends=True)
+    day0 = [line for line in lines if line.split(",")[1] == "SYD"
+            and "2015-09-02T20:00:00Z" < line.split(",")[0] <= "2015-09-03T20:00:00Z"]
+    assert len(day0) == 7
+    (root / "tweets.csv").write_text("".join(line for line in lines if line not in day0))
+    extra = ("SYA,2015-03-07T12:00:00.250000Z,BeforeOpen,1.1,1.0\n"
+             "SYB,2016-12-30T22:00:00Z,AfterClose,1.1,1.0\n")
+    (root / "events.csv").write_text((data_dir / "events.csv").read_text() + extra)
+    return root
+
+
+class TestExclusionReasonsUnchanged:
+    """``pipeline`` on data with events that cannot be anchored or have no
+    day-0 tweets writes the CSVs and records the exclusion reasons pinned
+    below: the announcement as ``YYYY-MM-DDTHH:MM:SSZ`` with the fraction of
+    a second dropped, the anchoring error's text with the instant in full."""
+
+    DIGESTS = {
+        "curves_sent0_afterclose.csv": "3c83d02e8dad98a2d354703335f7a6c0a861833ba1abdcedc5318f2bb68c74ee",
+        "curves_sent0_beforeopen.csv": "cd8c339a9a071bdde49f61273ccaf70af71333f9a7a74536f828e35cd81176d9",
+        "curves_sentm1_afterclose.csv": "b6f816f9136aeb38160245b06f58ad10c1c5e80ed217e0e3d6446176719fa519",
+        "curves_sentm1_beforeopen.csv": "4adf0b151cc50ac41b50a39690598eae220e8d1ab388d54c0b802ad0085ea2b8",
+        "equity.csv": "093b6357f5c6a9c8b5dac1cb391d168161ec7bace55ca8f5c08248d200dbd1a4",
+        "regression.csv": "0c8a29dca715a2b20e4ca84bc6c9fd4295c62550819bc778a705244c473dded4",
+        "study_sent0_afterclose.csv": "ac8adc8365a303550ea48278940401d8f554c505fe21d1ba741edcdd09e4d613",
+        "study_sent0_beforeopen.csv": "1aa63983195552ecdd8dc866f96d4bc63c3f518151e83bd2d2df6c92d62cd61b",
+        "study_sentm1_afterclose.csv": "65a435f8b600581df557e08f9b0b463822a40e5e137a1748dda1ed342298c7c8",
+        "study_sentm1_beforeopen.csv": "38acaa144c11bb6e860d5dc4ab03c652482e03f1532b535f1bc43ba4a1e6af82",
+        "thresholds.csv": "c202fdd32108326417db1d05b3e4c45fee54e81d71e5bf6455317caa7f5bd1e2",
+        "trades.csv": "2452a77333a5ad301a9adc416926d478cdc81f3fd7d0cf4681a756e9ab8e452f",
+        "volume_daily.csv": "274e41c2c39fe88d1f3085404a8cc12579eae2f96581ab18fa6eefd80b139e09",
+        "volume_hourly.csv": "81e813c01a116f83848c12feacbfe9bdc5a68f7d1b005cd319d3709b3d5ac699",
+        "volume_summary.csv": "963fa5903778ed521565557600652f3ba092174d5838cffd6f7d421da61ebdae",
+    }
+    REASONS = {
+        "excluded_events": [
+            ("SYA", "2015-03-07T12:00:00Z", "not anchorable: SYA 2015-03-07T12:00:00.250000+00:00: "
+                                            "2015-03-07 is not a trading date"),
+            ("SYB", "2016-12-30T22:00:00Z", "not anchorable: no trading date after 2016-12-30"),
+            ("SYD", "2015-09-03T12:00:00Z", "no day-0 tweets"),
+        ],
+        "backtest": [("SYB", "2016-12-30T22:00:00Z",
+                      "OutOfCalendarRange: no trading date after 2016-12-30")],
+        **{f"{report}_{day}_{timing}.csv": [] for report in ("study", "curves")
+           for day in ("sent0", "sentm1") for timing in ("afterclose", "beforeopen")},
+    }
+
+    def test_same_csvs_and_reasons(self, data_dir, tmp_path):
+        data = excluded_copy(data_dir, tmp_path / "data")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "pipeline", *data_flags(data)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir() if p.suffix == ".csv"}
+        assert digests == self.DIGESTS
+        assert manifest_reasons(json.loads((out / "manifest.json").read_text())) == self.REASONS
+
+    def test_pipeline_builds_no_event_record(self, data_dir, tmp_path, monkeypatch):
+        data = excluded_copy(data_dir, tmp_path / "data")
+        made, new = [], EarningsEvent.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append((args, kwargs))
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(EarningsEvent, "__new__", staticmethod(counting))
+        assert main(["--out", str(tmp_path / "out"), "pipeline", *data_flags(data)]) == 0
+        assert made == []
+        EarningsEvent("SYA", None, None, 1.0, 1.0)
+        assert len(made) == 1  # the wrapper counts
 
 
 def extra_tickers_copy(data_dir, root):

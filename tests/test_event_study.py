@@ -40,6 +40,7 @@ from conftest import (
     make_calendar,
     make_dataset,
     make_event,
+    records,
 )
 
 
@@ -357,7 +358,7 @@ class TestAggregateStudy:
         spec = SynthSpec(seed=7, n_tickers=1, n_days=180, events_per_ticker=1,
                          first_event_day=150, afterclose_fraction=1.0)
         ds, _ = generate_with_truth(spec)
-        gap_date = ds.index[60].date
+        gap_date = records(ds.index)[60].date
         ds_gapped = type(ds)(
             bars=ds.bars[ds.bars.day != np.datetime64(gap_date)],
             index=ds.index,
@@ -399,7 +400,7 @@ class TestAggregateStudy:
         labeled = label_stratum(universe, Timing.AFTER_CLOSE, 0)
         result = aggregate_study(labeled, ds)
         assert result.skipped  # the day-40 events lack 120 days of history
-        assert all("InsufficientHistory" in why for _, why in result.skipped)
+        assert all("InsufficientHistory" in why for _, _, why in result.skipped)
 
 
 class TestStudyConfigChecks:
@@ -432,8 +433,8 @@ class TestTickersTheDatasetLacks:
     def test_the_study_skips_them_as_without_price_history(self):
         ds, labeled, lacking, rest = self.relabelled()
         result = aggregate_study(labeled, ds)
-        assert [(ev.ticker, why) for ev, why in result.skipped
-                if ev.ticker in ("ZZZ", "SYAA")] == [("SYAA", "no price history"),
+        assert [(t, why) for t, _, why in result.skipped
+                if t in ("ZZZ", "SYAA")] == [("SYAA", "no price history"),
                                                      ("ZZZ", "no price history")]
         assert result.classes == aggregate_study(rest, ds).classes
 
@@ -441,8 +442,8 @@ class TestTickersTheDatasetLacks:
         ds, labeled, lacking, rest = self.relabelled()
         curves = trade_return_curves(labeled, ds)
         day_m1 = {le.event.ticker: le.anchor.day(-1) for le in lacking}
-        assert [(ev.ticker, why) for ev, why in curves.skipped
-                if ev.ticker in ("ZZZ", "SYAA")] == [
+        assert [(t, why) for t, _, why in curves.skipped
+                if t in ("ZZZ", "SYAA")] == [
             (t, f"MissingBar: {t}: no closing price on {day_m1[t]}") for t in ("SYAA", "ZZZ")]
         assert curves.classes == trade_return_curves(rest, ds).classes
 
@@ -604,7 +605,7 @@ def fit_scenarios(draw):
                       events=events)
     # an event left out (None) is not fitted
     anchors = [anchor_event(ev, cal) if draw(st.integers(0, 5)) != 3 else None
-               for ev in ds.events]
+               for ev in records(ds.events)]
     return ds, anchors, cfg
 
 

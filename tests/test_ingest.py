@@ -36,7 +36,7 @@ from eastudy.reports import build_universe
 from eastudy.returns import earnings_surprise
 from eastudy.synth import SynthSpec, generate
 
-from conftest import business_days, index_from_closes, row_loop_only, tweet_columns
+from conftest import business_days, index_from_closes, records, row_loop_only, tweet_columns
 
 
 def write(path, text):
@@ -104,7 +104,7 @@ class TestLoadDataset:
             "AAA,2015-06-02T20:30:00Z,AfterClose,1.05,0.0\n"
         )
         ds = load_dataset(*fixture_files(tmp_path, events=events))
-        [ev] = ds.events
+        [ev] = records(ds.events)
         assert ev.excluded
         assert ev.exclusion_reason == "zero estimate"
 
@@ -204,7 +204,7 @@ class TestParsers:
         accepted, diags = parse_tweets_csv(write(tmp_path / "t.csv", tweets))
         assert len(accepted) == 3
         assert len(diags) == 8
-        assert accepted[1][1].hour_start.hour == 11  # normalized to UTC
+        assert records(accepted)[1][1].hour_start.hour == 11  # normalized to UTC
         by_line = {d.line: d for d in diags}
         assert sorted(by_line) == [3, 4, 5, 6, 8, 9, 11, 12]
         assert "at most 2147483647" in by_line[12].message
@@ -234,7 +234,7 @@ class TestParsers:
         )
         path = write(tmp_path / "e.csv", events)
         accepted, diags = parse_events_csv(path)
-        assert [(line, ev.eps_reported) for line, ev in accepted] == [(2, 1.05), (4, 1.2)]
+        assert [(line, ev.eps_reported) for line, ev in records(accepted)] == [(2, 1.05), (4, 1.2)]
         assert [(d.line, d.kind, d.message) for d in diags] == [
             (line, "invariant", "duplicate event for AAA at 2015-06-02T20:30:00Z")
             for line in (3, 5)
@@ -253,7 +253,7 @@ class TestParsers:
             "AAA,2015-06-02T20:30:01Z,AfterClose,1.05,1.0\n"
         )
         ds = load_dataset(*fixture_files(tmp_path, events=events))
-        assert [format_rfc3339(ev.announce_at) for ev in ds.events] == [
+        assert [format_rfc3339(ev.announce_at) for ev in records(ds.events)] == [
             "2015-06-02T20:30:00Z", "2015-06-02T20:30:01Z"]
 
     def test_index_strictly_increasing(self, tmp_path):
@@ -283,8 +283,11 @@ def coverage(ds, cfg=StudyConfig()):
     t = universe.table
     fits = fit_events(ds.prices, t.day0, t.events.code, universe.used, cfg)
     reasons: dict = {}
-    skipped = [(ev, why) for ev, why in zip(universe.table.events, fits.skips) if why]
-    for ev, why in universe.dropped + skipped:
+    events = records(t.events)
+    by_key = {(ev.ticker, format_rfc3339(ev.announce_at)): ev for ev in events}
+    dropped = [(by_key[ticker, at], why) for ticker, at, why in universe.dropped]
+    skipped = [(ev, why) for ev, why in zip(events, fits.skips) if why]
+    for ev, why in dropped + skipped:
         reasons.setdefault(ev, []).append(why)
     return universe, fits, reasons
 
@@ -297,17 +300,17 @@ class TestCoverage:
         )
         ds = load_dataset(*fixture_files(tmp_path, tweets=tweets))
         universe, _, reasons = coverage(ds)
-        aaa = next(ev for ev in ds.events if ev.ticker == "AAA")
+        aaa = next(ev for ev in records(ds.events) if ev.ticker == "AAA")
         assert aaa in reasons
         assert "no day-0 tweets" in reasons[aaa]
         day0 = anchor_event(aaa, universe.cal).day0_index
         assert universe.counts.labels[:, ds.tickers.index("AAA"), day0].sum() == 0
-        assert universe.table.day_labels[list(universe.table.events).index(aaa), 0].sum() == 0
+        assert universe.table.day_labels[records(universe.table.events).index(aaa), 0].sum() == 0
 
     def test_short_history_flags_estimation_window(self, tmp_path):
         ds = load_dataset(*fixture_files(tmp_path))
         _, _, reasons = coverage(ds)
-        aaa = next(ev for ev in ds.events if ev.ticker == "AAA")
+        aaa = next(ev for ev in records(ds.events) if ev.ticker == "AAA")
         assert aaa in reasons
         assert any(why.startswith("InsufficientHistory") for why in reasons[aaa])
 
@@ -318,7 +321,8 @@ class TestCoverage:
         fitted = [why == "" for why in fits.skips]
         assert any(fitted)
         assert not reasons, reasons
-        assert {ev for ev, ok in zip(universe.table.events, fitted) if ok} == set(ds.events)
+        assert {ev for ev, ok in zip(records(universe.table.events), fitted) if ok} == set(
+            records(ds.events))
         assert (universe.table.day_labels[universe.used, 0].sum(axis=1) > 0).all()
         assert fits.ars.shape[1] == len(StudyConfig().taus)  # the event window is served
         assert not np.isnan(fits.ars[fitted]).any()
@@ -327,7 +331,7 @@ class TestCoverage:
         ds = generate(SynthSpec(seed=9, n_tickers=1, n_days=90, events_per_ticker=1,
                                 first_event_day=60))
         _, _, strict = coverage(ds)
-        assert set(strict) == set(ds.events)
+        assert set(strict) == set(records(ds.events))
         _, _, relaxed = coverage(ds, StudyConfig(estimation_window_length=50))
         assert not relaxed
 
@@ -446,8 +450,7 @@ def outcome(name, path):
         accepted, diags = PARSERS[name](path)
     except (SchemaMismatch, InvariantViolation) as exc:
         return type(exc).__name__, str(exc)
-    return [accepted[i] for i in range(len(accepted))], [(d.line, d.kind, d.message)
-                                                         for d in diags]
+    return records(accepted), [(d.line, d.kind, d.message) for d in diags]
 
 
 def _cell(column, edit):
@@ -711,7 +714,7 @@ class TestFastPathMatchesRowLoop:
             accepted, diags = parse_prices_csv(path)
         assert seen.get("prices.csv", []) == [n for n, c in enumerate(closes, 2)
                                                if float(c) == 0]
-        got = {n: bar.close for n, bar in (accepted[i] for i in range(len(accepted)))}
+        got = {n: bar.close for n, bar in records(accepted)}
         for n, c in enumerate(closes, 2):
             if float(c) > 0:
                 assert np.float64(got[n]).tobytes() == np.float64(float(c)).tobytes()
@@ -760,7 +763,7 @@ class TestEventFigures:
             accepted, diags = parse_events_csv(path)
         assert seen["events.csv"] == [] and diags == []
         bits = lambda x: np.float64(x).tobytes()
-        events = [ev for _, ev in (accepted[i] for i in range(len(accepted)))]
+        events = [ev for _, ev in records(accepted)]
         assert [(bits(ev.eps_reported), bits(ev.eps_estimated)) for ev in events] == [
             (bits(float(r)), bits(float(e))) for r, e in figures]
         assert [ev.excluded for ev in events] == [float(e) == 0 for _, e in figures]
@@ -989,7 +992,7 @@ class TestEachLineIsOneRow:
                 accepted, diags = parse_prices_csv(path)
             assert [(d.line, d.message) for d in diags] == [
                 (6, "expected 4 cells, got 2"), (7, "expected 4 cells, got 1")]
-            assert [n for n, _ in (accepted[i] for i in range(len(accepted)))] == [
+            assert [n for n, _ in records(accepted)] == [
                 n for n in range(2, len(lines)) if n not in (6, 7)]
 
     def test_a_cell_past_the_csv_field_limit_gets_one_diagnostic(self, tmp_path, capsys):

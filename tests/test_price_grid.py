@@ -30,7 +30,7 @@ from eastudy.event_study import (
     fit_events,
     fit_market_model,
 )
-from eastudy.model import DailyBar, Dataset, IndexBar, Timing
+from eastudy.model import DailyBar, Dataset, Timing
 from eastudy.returns import daily_returns, trading_return
 from eastudy.sentiment import EventPolarity
 from eastudy.trading import EventHolds, hold_returns
@@ -40,11 +40,14 @@ from conftest import (
     as_dict,
     bar_columns,
     bars_of,
+    IndexBar,
     close_prices,
     eastern,
+    index_columns,
     make_calendar,
     make_dataset,
     make_event,
+    records,
     tweet_columns,
 )
 
@@ -105,7 +108,7 @@ def ref_abnormal_returns(fit, anchor, stock_returns, index_returns, cfg):
 
 
 def ref_fit_events(anchors, ds, cfg):
-    index_returns = as_dict(daily_returns(ds.index))
+    index_returns = as_dict(daily_returns(records(ds.index)))
     stock_returns = {}
     ars = np.full((len(anchors), len(cfg.taus)), np.nan)
     sigma2 = np.full(len(anchors), np.nan)
@@ -143,7 +146,7 @@ def ref_trading_return(anchor, prices, d):
 
 def ref_hold_returns(anchors, ds, max_d):
     days = range(max_d + 1)
-    index_closes = {b.date: b.close for b in ds.index}
+    index_closes = {b.date: b.close for b in records(ds.index)}
     stock = np.full((len(anchors), max_d + 1), np.nan)
     index = np.full(stock.shape, np.nan)
     skips = [None] * len(anchors)
@@ -207,7 +210,8 @@ def scenarios(draw):
                       estimation_window_length=draw(st.integers(3, 8)))
     ds = make_dataset(bars=bars, index=index, events=events)
     # an event left out (None) is not measured
-    anchors = [anchor_event(ev, cal) if draw(st.integers(0, 4)) else None for ev in ds.events]
+    anchors = [anchor_event(ev, cal) if draw(st.integers(0, 4)) else None
+               for ev in records(ds.events)]
     return ds, cal, anchors, cfg, draw(st.integers(0, 6))
 
 
@@ -227,8 +231,8 @@ class TestKernelsMatchTheDateWalk:
     @given(scenarios())
     def test_mapping_adapters(self, scenario):
         ds, cal, anchors, cfg, max_d = scenario
-        index_returns = as_dict(daily_returns(ds.index))
-        index_closes = {b.date: b.close for b in ds.index}
+        index_returns = as_dict(daily_returns(records(ds.index)))
+        index_closes = {b.date: b.close for b in records(ds.index)}
         for a in filter(None, anchors):
             bars = bars_of(ds, a.event.ticker)
             stock = ref_calendar_aligned_returns(bars, cal)
@@ -253,7 +257,7 @@ class TestGridRefusesWhatItCannotHold:
         cal = make_calendar(date(2015, 6, 1), cal_days)
         index = [IndexBar(d, 1000.0 + i) for i, d in enumerate(cal.dates[:index_days])]
         ev = make_event("AAA", eastern(2015, 6, 2, 17, 0), Timing.AFTER_CLOSE)
-        ds = Dataset(bars=bar_columns(bars), index=tuple(index), tweets=tweet_columns(()),
+        ds = Dataset(bars=bar_columns(bars), index=index_columns(index), tweets=tweet_columns(()),
                      events=(ev,))
         return ds, anchor_event(ev, cal)
 

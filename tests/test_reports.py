@@ -24,7 +24,7 @@ from eastudy.sentiment import EventPolarity, sentiment_score
 from eastudy.trading import run_strategy
 from eastudy.synth import SynthSpec, generate, generate_with_truth
 
-from conftest import bar_columns, close_prices, tweet_columns
+from conftest import bar_columns, close_prices, records, tweet_columns
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def universe():
 
 class TestUniverse:
     def test_all_events_anchored(self, universe):
-        assert len(universe.events) == 24
+        assert np.count_nonzero(universe.used) == 24
         assert universe.dropped == []
 
     def test_until_filter(self):
@@ -46,14 +46,14 @@ class TestUniverse:
         universe = build_universe(ds)
         first_day0 = universe.cal.dates[universe.table.day0[universe.used].min()]
         trimmed = build_universe(ds, until=first_day0)
-        assert 0 < len(trimmed.events) < 24
+        assert 0 < np.count_nonzero(trimmed.used) < 24
 
     def test_event_without_day0_tweets_dropped(self):
         ds = generate(SynthSpec(seed=31, n_tickers=2, n_days=200, events_per_ticker=1,
                                 first_event_day=150, tweet_rate=0.0))
         universe = build_universe(ds)
-        assert universe.events == ()
-        assert all(reason == "no day-0 tweets" for _, reason in universe.dropped)
+        assert not universe.used.any()
+        assert all(reason == "no day-0 tweets" for _, _, reason in universe.dropped)
 
 
 class TestThresholds:
@@ -215,7 +215,7 @@ PERMUTED_DS = generate(SynthSpec(seed=37, n_tickers=4, n_days=220, events_per_ti
 
 def table_columns(table):
     """Every column of an event table, as comparable Python values."""
-    return repr([c if isinstance(c, tuple) else list(c) if isinstance(c, Events) else c.tolist()
+    return repr([c if isinstance(c, tuple) else records(c) if isinstance(c, Events) else c.tolist()
                  for c in vars(table).values() if not isinstance(c, TradingCalendar)])
 
 
@@ -239,12 +239,13 @@ class TestEventTable:
         and neither has events: the bars, the tweets and the events each
         have a ticker table of their own, which the dataset codes into one."""
         base = PERMUTED_DS
+        bars, tweets = records(base.bars), records(base.tweets)
         ds = Dataset(
-            bars=bar_columns([*base.bars, *(b._replace(ticker="SYAA") for b in base.bars
-                                            if b.ticker == "SYA")]).canonical(),
+            bars=bar_columns([*bars, *(b._replace(ticker="SYAA") for b in bars
+                                       if b.ticker == "SYA")]).canonical(),
             index=base.index,
-            tweets=tweet_columns([*base.tweets, *(b._replace(ticker="SYBB") for b in base.tweets
-                                                  if b.ticker == "SYB")]),
+            tweets=tweet_columns([*tweets, *(b._replace(ticker="SYBB") for b in tweets
+                                             if b.ticker == "SYB")]),
             events=base.events,
         )
         universe = build_universe(ds)
@@ -257,12 +258,13 @@ class TestEventTable:
             closes = prices.closes[row].tolist()
             assert {d: c for d, c in zip(prices.dates, closes) if not math.isnan(c)} == (
                 close_prices(ds, ticker))
-            assert counts.totals[row].sum() == sum(b.total for b in ds.tweets
+            assert counts.totals[row].sum() == sum(b.total for b in records(ds.tweets)
                                                    if b.ticker == ticker)
         assert np.isnan(prices.closes[ds.tickers.index("SYBB")]).all()
         assert not counts.totals[ds.tickers.index("SYAA")].any()
-        assert [ds.tickers[c] for c in t.events.code.tolist()] == [ev.ticker for ev in t.events]
-        for i, ev in enumerate(t.events):
+        assert [ds.tickers[c] for c in t.events.code.tolist()] == [
+            ev.ticker for ev in records(t.events)]
+        for i, ev in enumerate(records(t.events)):
             assert t.day0[i] > 0
             on_day0 = counts.labels[:, ds.tickers.index(ev.ticker), t.day0[i]]
             assert t.day_labels[i, 0].tolist() == on_day0.tolist()
@@ -270,11 +272,11 @@ class TestEventTable:
     @settings(max_examples=20)
     @given(st.integers(0, 2**32 - 1))
     def test_permuting_events_and_tweets_changes_nothing(self, seed):
-        ds = PERMUTED_DS
+        ds, events = PERMUTED_DS, records(PERMUTED_DS.events)
         rng = np.random.default_rng(seed)
         permuted = Dataset(bars=ds.bars, index=ds.index,
                            tweets=ds.tweets[rng.permutation(len(ds.tweets))],
-                           events=tuple(ds.events[i] for i in rng.permutation(len(ds.events))))
+                           events=tuple(events[i] for i in rng.permutation(len(events))))
         assert outcomes(permuted) == outcomes(ds)
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from eastudy.alignment import close_instant, eastern_hours, to_eastern
 from eastudy.errors import OutOfCalendarRange, TooFewEvents
-from eastudy.model import TweetBucket
 from eastudy.sentiment import (
     EventPolarity,
     PolarityThresholds,
@@ -17,7 +16,7 @@ from eastudy.sentiment import (
     tercile_thresholds,
 )
 
-from conftest import day_cells, eastern, make_calendar, tweet_columns
+from conftest import TweetBucket, day_cells, eastern, make_calendar, tweet_columns
 
 counts = st.integers(min_value=0, max_value=10_000)
 

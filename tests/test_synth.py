@@ -19,7 +19,7 @@ from eastudy.ingest import (
     EVENTS_HEADER, INDEX_HEADER, PRICES_HEADER, TWEETS_HEADER, format_rfc3339, load_dataset,
     write_dataset,
 )
-from eastudy.model import DailyBars, Dataset, EarningsEvent, IndexBar, Timing, TweetBuckets
+from eastudy.model import DailyBars, Dataset, EarningsEvent, Timing, TweetBuckets
 from eastudy.returns import daily_returns
 from eastudy.sentiment import EventPolarity
 from eastudy.synth import (
@@ -27,7 +27,7 @@ from eastudy.synth import (
     generate, generate_with_truth,
 )
 
-from conftest import as_dict, bars_of
+from conftest import IndexBar, as_dict, bars_of, index_columns, records
 
 VECTOR_SPEC = SynthSpec(seed=42, n_tickers=2, n_days=40, events_per_ticker=1,
                         first_event_day=20)
@@ -59,11 +59,11 @@ class TestDeterminism:
 
     def test_frozen_first_values(self):
         ds = generate(VECTOR_SPEC)
-        assert ds.index[0].close == 1000.0
-        assert ds.index[1].close == pytest.approx(1002.4377366380355, abs=0)
-        assert ds.bars[0].ticker == "SYA"
-        assert ds.bars[0].close == 50.0
-        assert ds.tweets[0].hour_start == datetime(2015, 1, 4, 22, 0, tzinfo=timezone.utc)
+        assert records(ds.index)[0].close == 1000.0
+        assert records(ds.index)[1].close == pytest.approx(1002.4377366380355, abs=0)
+        assert records(ds.bars)[0].ticker == "SYA"
+        assert records(ds.bars)[0].close == 50.0
+        assert records(ds.tweets)[0].hour_start == datetime(2015, 1, 4, 22, 0, tzinfo=timezone.utc)
 
     def test_different_seed_differs(self):
         a = generate(VECTOR_SPEC)
@@ -92,7 +92,7 @@ class TestGeneratedDatasetValidity:
         )
         cal = TradingCalendar.from_dataset(ds)
         truth_by_key = {(t.ticker, t.announce_at): t for t in truth}
-        for ev in ds.events:
+        for ev in records(ds.events):
             planted = truth_by_key[(ev.ticker, ev.announce_at)]
             anchor = anchor_event(ev, cal)
             assert anchor.day0 == planted.day0
@@ -108,7 +108,7 @@ class TestGeneratedDatasetValidity:
                          alpha=0.0, beta=1.0, jump_negative=0.0, jump_neutral=0.0,
                          jump_positive=0.0)
         ds = generate(spec)
-        assert all(b.close == 1000.0 for b in ds.index)
+        assert all(b.close == 1000.0 for b in records(ds.index))
         for ticker in ds.tickers:
             series = daily_returns(bars_of(ds, ticker))
             assert all(v == 0.0 for v in series.values)
@@ -119,9 +119,9 @@ class TestGeneratedDatasetValidity:
                          afterclose_fraction=1.0)
         ds, truth = generate_with_truth(spec)
         cal = TradingCalendar.from_dataset(ds)
-        anchor = anchor_event(ds.events[0], cal)
+        anchor = anchor_event(records(ds.events)[0], cal)
         stock = as_dict(daily_returns(bars_of(ds, truth[0].ticker)))
-        index = as_dict(daily_returns(ds.index))
+        index = as_dict(daily_returns(records(ds.index)))
         fit = fit_market_model(stock, index, anchor)
         window = sorted(d for d in index if d <= anchor.day(-2))[-120:]
         xs = [index[d] for d in window]
@@ -245,7 +245,7 @@ def ref_generate_with_truth(spec: SynthSpec):
     index_levels = [1000.0]
     for r in index_returns:
         index_levels.append(index_levels[-1] * (1.0 + float(r)))
-    index_bars = tuple(IndexBar(date=d, close=lv) for d, lv in zip(dates, index_levels))
+    index_bars = index_columns(IndexBar(date=d, close=lv) for d, lv in zip(dates, index_levels))
 
     slot_ts = [
         [_eastern_epoch(d - timedelta(days=1), h) for h in (17, 20)]
@@ -367,7 +367,7 @@ def ref_write_dataset(ds: Dataset, out: Path) -> list[Path]:
           zip([d.isoformat() for d in bars.day.tolist()],
               [bars.tickers[c] for c in bars.code.tolist()],
               map(repr, bars.close.tolist()), bars.volume.tolist()))
-    write(paths[1], INDEX_HEADER, ((b.date.isoformat(), repr(b.close)) for b in ds.index))
+    write(paths[1], INDEX_HEADER, ((b.date.isoformat(), repr(b.close)) for b in records(ds.index)))
     write(paths[2], TWEETS_HEADER, (
         (format_rfc3339(datetime.fromtimestamp(t, timezone.utc)), tw.tickers[c], neg, neut, pos)
         for c, t, neg, neut, pos in zip(tw.code.tolist(), tw.ts.tolist(), tw.n_neg.tolist(),
@@ -376,7 +376,7 @@ def ref_write_dataset(ds: Dataset, out: Path) -> list[Path]:
     write(paths[3], EVENTS_HEADER, (
         (e.ticker, format_rfc3339(e.announce_at), e.timing.value, repr(e.eps_reported),
          repr(e.eps_estimated))
-        for e in ds.events
+        for e in records(ds.events)
     ))
     return paths
 
@@ -479,7 +479,7 @@ class TestWriterEqualsCsvWriter:
 
     def test_empty_columns(self):
         ds = generate(SynthSpec(n_tickers=1, n_days=3, events_per_ticker=0, tweet_rate=0.0))
-        ds = Dataset(bars=ds.bars[:0], index=(), tweets=ds.tweets, events=())
+        ds = Dataset(bars=ds.bars[:0], index=index_columns(()), tweets=ds.tweets, events=())
         assert written(write_dataset, ds) == written(ref_write_dataset, ds)
 
 

@@ -1,18 +1,20 @@
 from datetime import date
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eastudy.alignment import anchor_event
 from eastudy.errors import EmptyClass
 from eastudy.event_study import LabeledEvent
-from eastudy.model import TweetBucket, Timing
+from eastudy.model import Timing
 from eastudy.reports import build_universe, stratum_thresholds
 from eastudy.returns import trading_return
 from eastudy.sentiment import EventPolarity, PolarityThresholds
 from eastudy.trading import Trade, run_strategy, trade_return_curves
 
 from conftest import (
+    TweetBucket,
     bars_from_closes,
     close_prices,
     eastern,
@@ -20,6 +22,7 @@ from conftest import (
     make_calendar,
     make_dataset,
     make_event,
+    records,
 )
 
 # thresholds that call any sub-zero score negative
@@ -190,7 +193,7 @@ class TestRunStrategy:
         ledger = run_strategy(ds, LOOSE_TH)
         assert ledger.trades == ()
         assert len(ledger.skipped) == 1
-        assert "MissingBar" in ledger.skipped[0][1]
+        assert "MissingBar" in ledger.skipped[0][2]
 
     def test_date_range_filter(self):
         closes = [100.0, 100.0, 95.0] + [94.0] * 7
@@ -234,11 +237,11 @@ class TestBacktestEventPolicy:
 
     def test_candidates_and_reasons(self):
         ds = self.dataset()
-        bbb = next(ev for ev in ds.events if ev.ticker == "BBB")
+        bbb = next(ev for ev in records(ds.events) if ev.ticker == "BBB")
         why = f"BBB {bbb.announce_at.isoformat()}: AfterClose but before 16:00"
         sample = build_universe(ds, until=date(2015, 6, 5))
-        assert len(sample.events) == 3  # CCC, DDD and EEE: see the cuts below
-        assert [(ev.ticker, r) for ev, r in sample.dropped] == [
+        assert np.count_nonzero(sample.used) == 3  # CCC, DDD and EEE: see the cuts below
+        assert [(t, r) for t, _, r in sample.dropped] == [
             ("AAA", "no day-0 tweets"), ("BBB", f"not anchorable: {why}"),
         ]
         assert build_universe(ds).until(date(2015, 6, 5)).dropped == sample.dropped
@@ -251,6 +254,6 @@ class TestBacktestEventPolicy:
             ("EEE", date(2015, 6, 4), date(2015, 6, 5)),
             ("FFF", date(2015, 6, 10), date(2015, 6, 11)),
         ]
-        assert [(ev.ticker, r) for ev, r in ledger.skipped] == [
+        assert [(t, r) for t, _, r in ledger.skipped] == [
             ("BBB", f"NonTradingAnnouncement: {why}"),
         ]
