@@ -12,7 +12,7 @@ an AfterClose event whose day 0 is the next trading date. The asymmetry is
 deliberate and covered by tests.
 
 Columns of instants (epoch seconds) map to their days in one
-``np.searchsorted`` over the close instants: ``TradingCalendar.day_indices``.
+``np.searchsorted`` over the closes, for ``day_indices`` and the tweet counts.
 ``close_delimited_day`` does the same for one instant by bisection and is
 the reference the vectorized path is tested against.
 
@@ -155,8 +155,8 @@ class TradingCalendar:
         self.days = np.array([d.toordinal() for d in dates], dtype=np.int64) - _EPOCH_ORDINAL
         if (np.diff(self.days) <= 0).any():
             raise ValueError("trading dates must be strictly increasing")
-        closes = close_instants(np.concatenate(([self.days[0] - 1], self.days)))
-        self._lower_ts, self._closes_ts = int(closes[0]), closes[1:]  # int64 epoch s
+        self._bounds = close_instants(np.concatenate(([self.days[0] - 1], self.days)))
+        self._lower_ts, self._closes_ts = int(self._bounds[0]), self._bounds[1:]  # int64 epoch s
         self._index = {d: i for i, d in enumerate(dates)}
 
     def __eq__(self, other) -> bool:
@@ -196,20 +196,22 @@ class TradingCalendar:
             )
         return self.dates[bisect_left(self._closes_ts, ts)]
 
-    def covers_ts(self, ts):
-        """Coverage mask for epoch seconds (a scalar or an array)."""
-        return (ts > self._lower_ts) & (ts <= self._closes_ts[-1])
+    def _day_columns(self, ts: np.ndarray) -> np.ndarray:
+        """1 + the calendar index of the close-delimited day of each epoch
+        second: 0 before coverage, ``len(self) + 1`` after it."""
+        return np.searchsorted(self._bounds, ts, side="left")
 
     def day_indices(self, ts: np.ndarray) -> np.ndarray:
         """Calendar index of the close-delimited day of each epoch second.
 
         Raises OutOfCalendarRange if any instant is outside coverage.
         """
-        inside = self.covers_ts(ts)
-        if not inside.all():
-            first = datetime.fromtimestamp(int(ts[np.argmin(inside)]), ZoneInfo("UTC"))
+        days = self._day_columns(ts) - 1
+        outside = (days < 0) | (days == len(self))
+        if outside.any():
+            first = datetime.fromtimestamp(int(ts[np.argmax(outside)]), ZoneInfo("UTC"))
             raise OutOfCalendarRange(f"{first.isoformat()} is outside calendar coverage")
-        return np.searchsorted(self._closes_ts, ts, side="left")
+        return days
 
     def next_after(self, day: date) -> date:
         """First trading date strictly after the given calendar day."""

@@ -60,7 +60,7 @@ from .reports import (
     surprise_regressions,
     volume_report,
 )
-from .sentiment import covered_tweets, sentiment_scores
+from .sentiment import DailyCounts, sentiment_scores
 
 # exit codes: 0 ok, these three, and 5 for every other domain error
 EXIT_CODES = ((MissingFile, 2), (SchemaMismatch, 3), (InvariantViolation, 4))
@@ -196,7 +196,7 @@ def _settings(args, config: dict) -> SimpleNamespace:
         value = _resolve(args, config, name, *keys, default=default)
         try:
             setattr(s, name, parse(value))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise InvalidSpec(f"invalid {'.'.join(keys)} {value!r}: {exc}") from None
     try:
         s.study = StudyConfig(s.event_window, s.estimation_window, s.significance)
@@ -205,6 +205,16 @@ def _settings(args, config: dict) -> SimpleNamespace:
     if s.rel_min > s.rel_max:
         raise InvalidSpec(f"invalid volume window: rel_min {s.rel_min} exceeds rel_max {s.rel_max}")
     return s
+
+
+def _check_windows(s, cal: TradingCalendar) -> None:
+    """InvalidSpec for a study window the calendar cannot hold: an estimation
+    window, or an event window end, longer than the calendar."""
+    for key, days in (("estimation_window", s.estimation_window),
+                      ("event_window end", s.event_window[1])):
+        if days > len(cal):
+            raise InvalidSpec(f"invalid study.{key} {days}: longer than the "
+                              f"calendar's {len(cal)} trading days")
 
 
 def _manifest(out: OutputDir, command: str, effective: dict, inputs: dict[str, str],
@@ -419,6 +429,8 @@ def _cmd_report(args, config, out: OutputDir) -> int:
     s = _settings(args, config)
     ds = load_dataset(*(s.paths[name] for name in INPUTS))
     universe = build_universe(ds, until=s.until)
+    if "study" in reports:
+        _check_windows(s, universe.cal)
     strata = STRATA if len(reports) > 1 else [(s.timing, s.polarity_day)]
     # each stratum is labelled once, for both its study and its curves; the
     # study and the curves each measure the events of the strata's timings
@@ -445,8 +457,11 @@ def _cmd_ingest(args, config, out: OutputDir) -> int:
     ds = load_dataset(*(s.paths[name] for name in INPUTS))
     # the exclusions the study itself makes: the universe's, then the fits'
     universe = build_universe(ds)
-    t = universe.table
-    skips = fit_events(ds.prices, t.day0, t.events.code, universe.used, s.study).skips
+    t, n = universe.table, len(universe.cal) + 3
+    # a window past the calendar skips every event, as one clipped to just past it does
+    study = StudyConfig(tuple(min(k, n) for k in s.event_window), min(s.estimation_window, n),
+                        s.significance)
+    skips = fit_events(ds.prices, t.day0, t.events.code, universe.used, study).skips
     print(
         f"loaded {len(ds.bars)} bars, {len(ds.index)} index bars, "
         f"{len(ds.tweets)} tweet buckets, {len(ds.events)} events "
@@ -499,7 +514,7 @@ def _cmd_synth(args, config, out: OutputDir) -> int:
         print(f"wrote {out.root / path.name}")
     effective = dict(vars(spec))  # every field, in order
     effective["start"] = effective["start"].isoformat()
-    outside = covered_tweets(ds.tweets, TradingCalendar.from_dataset(ds))[1]
+    outside = DailyCounts(ds.tweets, TradingCalendar.from_dataset(ds)).outside
     digests = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     _manifest(out, "synth", effective, digests, ds, outside)
     return 0

@@ -30,8 +30,6 @@ from .sentiment import (
     EventPolarity,
     PolarityThresholds,
     categorize_scores,
-    covered_tweets,
-    daily_counts,
     sentiment_scores,
     tercile_thresholds,
 )
@@ -96,7 +94,10 @@ class EventUniverse(Frozen):
     counts: DailyCounts
     table: EventTable
     window: np.ndarray
-    tweets_outside: int
+
+    @property
+    def tweets_outside(self) -> int:
+        return self.counts.outside
 
     @property
     def cal(self) -> TradingCalendar:
@@ -133,8 +134,7 @@ def build_universe(ds: Dataset, until: date | None = None) -> EventUniverse:
     calendar the index implies, then keep the events announced up to
     ``until``."""
     cal = TradingCalendar.from_dataset(ds)
-    covered, n_outside = covered_tweets(ds.tweets, cal)
-    counts = daily_counts(covered, cal)
+    counts = DailyCounts(ds.tweets, cal)
     events = ds.events.canonical()
     day0, reason, local_day = anchor_days(cal, events)
     # one gather of the label counts on every scoring day of every anchored event
@@ -157,7 +157,7 @@ def build_universe(ds: Dataset, until: date | None = None) -> EventUniverse:
         surprise=surprise,
         excluded=excluded,
     )
-    return EventUniverse(ds, counts, table, np.full(len(events), True), n_outside).until(until)
+    return EventUniverse(ds, counts, table, np.full(len(events), True)).until(until)
 
 
 def stratum_thresholds(
@@ -271,7 +271,8 @@ def volume_report(
     ``rel_days`` prints. Ticker-days are the cells of the tickers with a
     bar, so the tweets of a ticker without bars count in neither the average
     nor the baseline. Every daily value is a gather from the tweet count
-    grids and the price grid's volume by code and calendar index; the
+    grids and the price grid's volume by code and calendar index, for the
+    relative days within the calendar's length (no event has another); the
     hourly profiles are summed for just the event cells.
     """
     if rel_days[0] > rel_days[1]:
@@ -303,7 +304,7 @@ def volume_report(
     daily_rows = [
         (name, k, *row)
         for name, mask in groups
-        for k in range(rel_days[0], rel_days[1] + 1)
+        for k in range(max(rel_days[0], 1 - n_days), min(rel_days[1], n_days - 1) + 1)
         if (row := daily(mask, k)) is not None
     ]
 

@@ -1,12 +1,11 @@
 """Daily sentiment aggregation and event polarity classification.
 
 Hourly tweet buckets roll up into close-delimited trading days in one pass
-over the bucket columns: one ``np.searchsorted`` assigns every bucket its
-trading day, and ``np.add.at`` sums the int32 label counts, widened to
-int64, into an int64 (ticker x trading day) grid, so totals are exact
-integers whatever the order of the buckets. The same pass keeps each
-bucket's grid cell, so that US/Eastern hour-of-day totals are summed in
-int64 for just the cells asked for: only their buckets are read.
+over the canonical bucket columns, sorted by (ticker, hour): one
+``np.searchsorted`` gives each bucket its trading day, or an edge column
+outside the calendar, so each (ticker x day) cell's buckets are one run.
+One ``np.add.reduceat`` per label sums the runs in int64, so totals are
+exact integers; US/Eastern hour-of-day totals read just the runs asked for.
 
 A day's sentiment score is the Laplace-smoothed mean of the {-1, 0, +1}
 label distribution, which keeps the score strictly inside (-1, +1) even for
@@ -58,24 +57,27 @@ class DailyCounts:
 
     Rows are ``tickers`` (the buckets' sorted ticker table, so row i is code
     i, all zeros for a ticker without buckets), columns the calendar's
-    trading days; ``buckets`` counts the buckets of each cell.
+    trading days; ``buckets`` counts the buckets of each cell. ``outside``
+    counts the buckets outside the calendar, the one policy for them: in no
+    cell, and reported as ``dataset.tweets_outside_calendar`` in the manifest.
     ``hourly`` sums the hour-of-day profiles of the cells asked for.
     """
 
     def __init__(self, tweets: TweetBuckets, cal: TradingCalendar):
-        self.tickers = tweets.tickers
-        self.cal = cal
-        self._tweets = tweets
-        self._cells = tweets.code * len(cal) + cal.day_indices(tweets.ts)
-        n_cells = len(self.tickers) * len(cal)
-        labels = np.zeros((3, n_cells), dtype=np.int64)
-        for row, column in zip(labels, (tweets.n_neg, tweets.n_neut, tweets.n_pos)):
-            # int64 values: int32 ones into an int64 grid leave np.add.at's fast path
-            np.add.at(row, self._cells, column.astype(np.int64))
-        self.labels = labels.reshape(3, len(self.tickers), len(cal))
-        self.buckets = np.bincount(self._cells, minlength=n_cells).reshape(
-            len(self.tickers), len(cal)
-        )
+        self.tickers, self.cal = tweets.tickers, cal
+        self._tweets = tw = tweets.canonical()
+        # buckets per cell, flat, with an edge column on either side of the trading days
+        width = len(cal) + 2
+        self._runs = np.bincount(tw.code * width + cal._day_columns(tw.ts),
+                                 minlength=len(self.tickers) * width)
+        filled = np.flatnonzero(self._runs)
+        starts = np.cumsum(self._runs)[filled] - self._runs[filled]
+        labels = np.zeros((3, self._runs.size), dtype=np.int64)
+        for row, column in zip(labels, (tw.n_neg, tw.n_neut, tw.n_pos)):
+            row[filled] = np.add.reduceat(column, starts, dtype=np.int64)
+        self.labels = labels.reshape(3, len(self.tickers), width)[:, :, 1:-1]
+        self.buckets = self._runs.reshape(len(self.tickers), width)[:, 1:-1]
+        self.outside = len(tw) - int(self.buckets.sum())
 
     @cached_property
     def totals(self) -> np.ndarray:
@@ -84,29 +86,16 @@ class DailyCounts:
 
     def hourly(self, rows: np.ndarray, days: np.ndarray) -> np.ndarray:
         """Tweets per US/Eastern hour of day of each (row, day) cell, as a
-        (cells, 24) block; only the buckets of those cells are read."""
-        cells, back = np.unique(rows * len(self.cal) + days, return_inverse=True)
-        wanted = np.zeros(self.buckets.size, dtype=bool)
-        wanted[cells] = True
-        picked = np.flatnonzero(wanted[self._cells])
-        tw = self._tweets
+        (cells, 24) block; only the runs of those cells' buckets are read."""
+        cells = rows * (len(self.cal) + 2) + days + 1
+        sizes = self._runs[cells]
+        owner = np.repeat(np.arange(len(cells)), sizes)
+        # a cell's run starts where the running count before the cell ends
+        skip = np.cumsum(self._runs)[cells] - np.cumsum(sizes)
+        tw = self._tweets[np.arange(len(owner)) + skip[owner]]
         block = np.zeros((len(cells), 24), dtype=np.int64)
-        at = np.searchsorted(cells, self._cells[picked]), eastern_hours(tw.ts[picked])
-        total = tw.n_neg[picked].astype(np.int64) + tw.n_neut[picked] + tw.n_pos[picked]
-        np.add.at(block, at, total)
-        return block[back]
-
-
-def covered_tweets(tweets: TweetBuckets, cal: TradingCalendar) -> tuple[TweetBuckets, int]:
-    """The tweet buckets inside the calendar's coverage, and how many are not.
-
-    This is the one policy for buckets outside the calendar: they are left
-    out of every count and reported as ``dataset.tweets_outside_calendar``
-    in the manifest, never an error and never silently.
-    """
-    inside = cal.covers_ts(tweets.ts)
-    n_outside = len(inside) - int(np.count_nonzero(inside))
-    return (tweets[inside] if n_outside else tweets), n_outside
+        np.add.at(block, (owner, eastern_hours(tw.ts)), tw.total)
+        return block
 
 
 def daily_counts(tweets: TweetBuckets, cal: TradingCalendar) -> DailyCounts:
@@ -115,7 +104,10 @@ def daily_counts(tweets: TweetBuckets, cal: TradingCalendar) -> DailyCounts:
     Sum-preserving: every input tweet lands in exactly one output day.
     Raises OutOfCalendarRange if a bucket falls outside calendar coverage.
     """
-    return DailyCounts(tweets, cal)
+    counts = DailyCounts(tweets, cal)
+    if counts.outside:
+        cal.day_indices(tweets.ts)  # raises, naming the first bucket outside
+    return counts
 
 
 def sentiment_score(n_neg: int, n_neut: int, n_pos: int) -> float:

@@ -55,6 +55,20 @@ class TestUniverse:
         assert not universe.used.any()
         assert all(reason == "no day-0 tweets" for _, _, reason in universe.dropped)
 
+    def test_universe_holds_the_count_grids_and_no_per_bucket_array(self):
+        """``build_universe`` over more than 100k buckets keeps the tweet count
+        grids and under 2 bytes per bucket besides: no array of each bucket's
+        cell (8 bytes per bucket) and no copy of the buckets."""
+        ds = generate(SynthSpec(seed=3, n_tickers=16, n_days=900, events_per_ticker=4))
+        assert len(ds.tweets) > 100_000
+        tracemalloc.start()
+        try:
+            counts = build_universe(ds).counts
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < counts.labels.nbytes + counts.buckets.nbytes + 2 * len(ds.tweets)
+
 
 class TestThresholds:
     def test_four_strata(self, universe):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from eastudy.alignment import close_instant, eastern_hours, to_eastern
 from eastudy.errors import OutOfCalendarRange, TooFewEvents
 from eastudy.sentiment import (
+    DailyCounts,
     EventPolarity,
     PolarityThresholds,
     categorize_event,
@@ -34,6 +35,11 @@ hour_starts = st.one_of(
     st.sampled_from([close_instant(d) for d in DST_CALENDAR.dates]),  # exactly 16:00 ET
     st.sampled_from(_CHANGEOVER_HOURS),
 )
+# hours at or before the virtual previous close, and after the last close
+outside_hour_starts = st.one_of(
+    st.integers(0, 200).map(lambda k: _COVERAGE_START - timedelta(hours=k)),
+    st.integers(1, 200).map(lambda k: close_instant(DST_CALENDAR.dates[-1]) + timedelta(hours=k)),
+)
 # the trading days that hold the changeover hours
 _SWITCH_DAYS = DST_CALENDAR.day_indices(
     np.array([int(h.timestamp()) for h in _CHANGEOVER_HOURS])
@@ -47,6 +53,26 @@ def ref_hourly(days, tweets):
     cells = tweets.code * len(days.cal) + days.cal.day_indices(tweets.ts)
     np.add.at(grid, cells * 24 + eastern_hours(tweets.ts), tweets.total)
     return grid.reshape(*days.buckets.shape, 24)
+
+
+def ref_counts(buckets, tickers, cal):
+    """The label grids, bucket counts, buckets outside the calendar and the
+    (ticker, day, US/Eastern hour) grid of tweet totals, one bucket at a time."""
+    labels = np.zeros((3, len(tickers), len(cal)), dtype=np.int64)
+    n_buckets = np.zeros(labels.shape[1:], dtype=np.int64)
+    hourly = np.zeros((*n_buckets.shape, 24), dtype=np.int64)
+    outside = 0
+    for b in buckets:
+        try:
+            day = cal.index_of(cal.close_delimited_day(b.hour_start))
+        except OutOfCalendarRange:
+            outside += 1
+            continue
+        row = tickers.index(b.ticker)
+        labels[:, row, day] += (b.n_neg, b.n_neut, b.n_pos)
+        n_buckets[row, day] += 1
+        hourly[row, day, to_eastern(b.hour_start).hour] += b.total
+    return labels, n_buckets, outside, hourly
 
 
 class TestSentimentScore:
@@ -231,3 +257,22 @@ class TestDailyCounts:
         cells += cells[:data.draw(st.integers(0, len(cells)))]  # repeated cells
         rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
         assert np.array_equal(days.hourly(rows, cols), ref_hourly(days, tweets)[rows, cols])
+
+    @given(st.lists(st.tuples(st.sampled_from(["AAA", "BBB", "CCC"]),
+                              st.one_of(hour_starts, outside_hour_starts), counts, counts,
+                              counts), max_size=60), st.randoms())
+    def test_buckets_in_any_order_and_outside_equal_the_per_bucket_reference(self, spec, rnd):
+        """Buckets out of canonical order, some before the calendar's coverage
+        and some after it, give the per-bucket grids, outside count and
+        hourly profiles."""
+        buckets = [TweetBucket(*b) for b in spec]
+        tweets = tweet_columns(buckets)
+        order = list(range(len(tweets)))
+        rnd.shuffle(order)
+        days = DailyCounts(tweets[np.array(order, dtype=np.int64)], DST_CALENDAR)
+        labels, n_buckets, outside, hourly = ref_counts(buckets, tweets.tickers, DST_CALENDAR)
+        assert np.array_equal(days.labels, labels)
+        assert np.array_equal(days.buckets, n_buckets)
+        assert days.outside == outside
+        rows, cols = np.indices(days.buckets.shape).reshape(2, -1)
+        assert np.array_equal(days.hourly(rows, cols).reshape(hourly.shape), hourly)
