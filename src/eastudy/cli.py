@@ -4,10 +4,10 @@
 runs the one report of its name, so it writes exactly the files of that
 name that ``pipeline`` writes under the same settings. One resolver turns
 flags, then the JSON config file, then defaults into every command's
-settings. Each run builds one event table (``build_universe``); a stratum
-is a mask over it with one label column, the study and the curves average
-the rows that ``fit_events`` and ``hold_returns`` measure once per run from
-the table's columns, and the backtest trades from the same table. Files,
+settings. Each run builds one event universe (``build_universe``); a
+stratum is a mask over it with one label column, the study and the curves
+average the rows that ``fit_events`` and ``hold_returns`` measure once per
+run from its columns, and the backtest trades from the same universe. Files,
 ``ingest --emit``'s too, are staged beside their directory and moved in
 only when the run succeeds, so a failed run leaves it as it found it.
 """
@@ -124,7 +124,11 @@ def _number(value):
 
 
 def _int(value) -> int:
-    return int(_number(value))
+    """The value as an integer: a fraction is refused, never rounded away."""
+    number = int(_number(value))
+    if isinstance(value, float) and number != value:
+        raise ValueError("expected a whole number")
+    return number
 
 
 def _float(value) -> float:
@@ -297,9 +301,9 @@ def _emit_returns(run) -> dict:
 
 
 def _emit_surprise(run) -> None:
-    t = run.universe.table
-    kept = ~t.excluded
-    rows = zip(t.events.names[kept].tolist(), t.events.stamps(kept), t.surprise[kept].tolist())
+    u = run.universe
+    kept = ~u.excluded
+    rows = zip(u.events.names[kept].tolist(), u.events.stamps(kept), u.surprise[kept].tolist())
     run.out.write_csv("surprise.csv", ["ticker", "announce_at", "es"], rows)
 
 
@@ -310,10 +314,10 @@ def _skips(key: str, skipped: dict[str, list]) -> dict:
 
 
 def _emit_study(run) -> dict:
-    skipped, t = {}, run.universe.table
-    fits = fit_events(run.ds.prices, t.day0, t.events.code, run.measured, run.s.study)  # once
+    skipped, u = {}, run.universe
+    fits = fit_events(run.ds.prices, u.day0, u.events.code, run.measured, run.s.study)  # once
     for (timing, polarity_day), labels in run.labels.items():
-        result = study_classes(fits, t.events, run.universe.stratum(timing), labels, run.s.study)
+        result = study_classes(fits, u.events, u.stratum(timing), labels, run.s.study)
         name = _stratum_file("study", timing, polarity_day)
         rows = _class_rows(result.taus, result.classes, "car", "var_car", "theta", "significant")
         run.out.write_csv(name, ["tau", "class", "N", "car", "var", "theta", "significant"], rows)
@@ -324,10 +328,10 @@ def _emit_study(run) -> dict:
 def _emit_curves(run) -> dict:
     from .trading import curve_classes, hold_returns  # only the curves and the backtest load it
 
-    skipped, t = {}, run.universe.table
-    held = hold_returns(run.ds.prices, t.day0, t.events.code, run.measured)  # once
+    skipped, u = {}, run.universe
+    held = hold_returns(run.ds.prices, u.day0, u.events.code, run.measured)  # once
     for (timing, polarity_day), labels in run.labels.items():
-        curves = curve_classes(held, t.events, run.universe.stratum(timing), labels)
+        curves = curve_classes(held, u.events, u.stratum(timing), labels)
         name = _stratum_file("curves", timing, polarity_day)
         rows = _class_rows(curves.days, curves.classes, "stock_mean", "index_mean")
         run.out.write_csv(name, ["d", "class", "N", "stock_rt", "index_rt"], rows)
@@ -343,7 +347,7 @@ def _emit_backtest(run) -> dict:
         sample = sample.until(s.thresholds_until)
     thresholds, n_th = stratum_thresholds(sample, Timing.AFTER_CLOSE, -1)
     ledger = run_strategy(run.ds, thresholds, spread=s.spread, start=s.start, end=s.end,
-                          table=run.universe.table)
+                          universe=run.universe)
     trades = (
         (t.ticker, t.open_date.isoformat(), t.close_date.isoformat(),
          t.open_price, t.close_price, t.net_return)
@@ -437,7 +441,7 @@ def _cmd_report(args, config, out: OutputDir) -> int:
     # once, and drop those rows when done, so they never coexist in memory
     labelled = {"study", "curves"}.intersection(reports)
     labels = {st: stratum_labels(universe, *st) for st in strata} if labelled else {}
-    measured = np.zeros(len(universe.table.events), dtype=bool)
+    measured = np.zeros(len(universe.events), dtype=bool)
     for timing, _ in labels:
         measured |= universe.stratum(timing)
     run = SimpleNamespace(ds=ds, s=s, out=out, universe=universe, labels=labels,
@@ -446,7 +450,7 @@ def _cmd_report(args, config, out: OutputDir) -> int:
     for name in reports:
         extra.update(REPORTS[name](run) or {})
     _manifest(out, args.command, _effective(s, reports), ds.digests, ds,
-              universe.tweets_outside, extra)
+              universe.counts.outside, extra)
     if len(reports) > 1:
         print(f"pipeline complete: {len(out.created)} files in {out.root}")
     return 0
@@ -457,11 +461,11 @@ def _cmd_ingest(args, config, out: OutputDir) -> int:
     ds = load_dataset(*(s.paths[name] for name in INPUTS))
     # the exclusions the study itself makes: the universe's, then the fits'
     universe = build_universe(ds)
-    t, n = universe.table, len(universe.cal) + 3
+    n = len(universe.cal) + 3
     # a window past the calendar skips every event, as one clipped to just past it does
     study = StudyConfig(tuple(min(k, n) for k in s.event_window), min(s.estimation_window, n),
                         s.significance)
-    skips = fit_events(ds.prices, t.day0, t.events.code, universe.used, study).skips
+    skips = fit_events(ds.prices, universe.day0, universe.events.code, universe.used, study).skips
     print(
         f"loaded {len(ds.bars)} bars, {len(ds.index)} index bars, "
         f"{len(ds.tweets)} tweet buckets, {len(ds.events)} events "

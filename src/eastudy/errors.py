@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 
+def reason(exc: Exception) -> str:
+    """Why an event is skipped or excluded, as ``Type: message``."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 class EastudyError(Exception):
     """Base class for every error raised by this package."""
 

@@ -9,11 +9,11 @@ estimator built from each event's residual variance.
 
 The fit and the abnormal returns belong to the event alone; a stratum only
 decides which class the event is averaged into. So ``fit_events`` measures
-each event of a run's event table once, from the table's columns, into rows
-aligned to the table, and every stratum reads those rows through masks: the
-rows of class k are the stratum's rows labelled k whose fit succeeded
-(``class_rows``). Each class's means run ``math.fsum`` over the rows in
-canonical order.
+each event of a run's event universe once, from the universe's columns,
+into rows aligned to them, and every stratum reads those rows through
+masks: the rows of class k are the stratum's rows labelled k whose fit
+succeeded (``class_rows``). Each class's means run ``math.fsum`` over the
+rows in canonical order.
 
 Returns are read by calendar index, not by date (``AlignedReturns``): the
 estimation window is a slice of the days on which both the stock's and the
@@ -43,6 +43,7 @@ from .errors import (
     InsufficientHistory,
     MissingBar,
     OutOfCalendarRange,
+    reason,
 )
 from .model import Dataset, EarningsEvent, Events, Frozen, PriceGrid
 from .sentiment import EventPolarity
@@ -346,7 +347,7 @@ def fit_events(prices: PriceGrid, day0: np.ndarray, code: np.ndarray, mask: np.n
         errors.update(fit_errors)  # a fit's reason comes before a missing bar
         ars[at[list(errors)]] = sigma2[at[list(errors)]] = np.nan
         for j, exc in errors.items():
-            skips[at[j]] = f"{type(exc).__name__}: {exc}"
+            skips[at[j]] = reason(exc)
     return EventFits(ars, sigma2, tuple(skips))
 
 

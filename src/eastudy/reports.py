@@ -1,12 +1,12 @@
 """Analysis orchestration shared by the CLI subcommands.
 
-``build_universe`` counts the tweets by day and builds the event table once
-per run: the dataset's event columns, anchored in one pass
-(``alignment.anchor_days``) and scored once, as columns (``EventTable``).
-An event that cannot be anchored keeps a reason code, whose text is written
-only when a report prints it. Every report reads the table through masks:
-the universe is the table plus a date window, a stratum the universe's
-events of one timing class, with thresholds cut from its score column and
+``build_universe`` builds the event universe once per run: the tweet
+counts by day, and the dataset's event columns, anchored in one pass
+(``alignment.anchor_days``) and scored once (``EventUniverse``). An event
+that cannot be anchored keeps a reason code, whose exception is built only
+when a report prints it. Every report reads the universe's columns through
+masks: its window the events announced up to a date, a stratum the used
+events of one timing class, with thresholds cut from the score column and
 labels in one int8 column. An event's ticker code is its row in the tweet
 count grids and the price grid, so the study and the curves measure events
 from the day-0 and code columns, and the volume report gathers each event's
@@ -38,7 +38,7 @@ from .sentiment import (
 STRATA = tuple(
     (timing, day) for timing in (Timing.AFTER_CLOSE, Timing.BEFORE_OPEN) for day in (0, -1)
 )
-SCORING_DAYS = (0, -1)  # the relative days of the table's count and score columns
+SCORING_DAYS = (0, -1)  # the relative days of the count and score columns
 CLASS_NAMES = {
     EventPolarity.NEGATIVE: "negative",
     EventPolarity.NEUTRAL: "neutral",
@@ -47,15 +47,21 @@ CLASS_NAMES = {
 TIMING_NAMES = {Timing.AFTER_CLOSE: "afterclose", Timing.BEFORE_OPEN: "beforeopen"}
 
 
-class EventTable(Frozen):
-    """Every event of a dataset, anchored and scored once, as columns.
+class EventUniverse(Frozen):
+    """Every event of a dataset, anchored and scored once, as columns, and
+    the daily and hourly tweet counts every report reads.
 
     Row i is the i-th event in canonical (ticker, announce_at) order; its
     ``events.code`` is its row in the dataset's grids. An event that cannot
     be anchored has day 0 at -1, zero counts and the code of its anchoring
-    error (``anchor_error`` gives the text).
+    error (``anchor_error``). ``window`` marks the events announced up to a
+    date, ``used`` those of them that are anchored and have day-0 tweets,
+    and ``dropped`` lists the others as (ticker, announcement stamp, reason).
+    Tweet buckets outside the calendar are counted in ``counts.outside``.
     """
 
+    ds: Dataset
+    counts: DailyCounts
     cal: TradingCalendar
     events: Events
     reason: np.ndarray  # int8 code of alignment.ANCHOR_ERRORS, 0 where anchored
@@ -65,72 +71,44 @@ class EventTable(Frozen):
     sent: np.ndarray  # sentiment score per event and scoring day
     surprise: np.ndarray  # earnings surprise, NaN where excluded
     excluded: np.ndarray  # by the input, or for a zero EPS estimate
+    window: np.ndarray
 
     def sent_on(self, polarity_day: int) -> np.ndarray:
         """Sent(polarity_day) of every event."""
         return self.sent[:, SCORING_DAYS.index(polarity_day)]
 
-    def anchor_error(self, i: int) -> str:
-        """Why row i has no day 0, as ``type: message``."""
+    def anchor_error(self, i: int) -> Exception:
+        """Why row i has no day 0."""
         ev = self.events
-        exc = anchor_error(int(self.reason[i]), ev.tickers[ev.code[i]],
-                           EPOCH + int(ev.at[i]) * MICROSECOND,
-                           int(self.announced[i].astype(np.int64)))
-        return f"{type(exc).__name__}: {exc}"
-
-
-class EventUniverse(Frozen):
-    """The event table, the events in use, and the shared tweet counts.
-
-    ``window`` marks the events announced up to a date, ``used`` those of
-    them that are anchored and have day-0 tweets, and ``dropped`` lists the
-    others as (ticker, announcement stamp, reason), mirroring the exclusion
-    of announcements with no same-day tweet activity. ``counts`` holds the
-    daily and hourly tweet counts every report reads; tweet buckets outside
-    the calendar are left out of them and counted in ``tweets_outside``.
-    """
-
-    ds: Dataset
-    counts: DailyCounts
-    table: EventTable
-    window: np.ndarray
-
-    @property
-    def tweets_outside(self) -> int:
-        return self.counts.outside
-
-    @property
-    def cal(self) -> TradingCalendar:
-        return self.table.cal
+        return anchor_error(int(self.reason[i]), ev.tickers[ev.code[i]],
+                            EPOCH + int(ev.at[i]) * MICROSECOND,
+                            int(self.announced[i].astype(np.int64)))
 
     @cached_property
     def used(self) -> np.ndarray:
         # an event that cannot be anchored has no day-0 tweets either
-        return self.window & (self.table.day_labels[:, 0].sum(axis=1) > 0)
+        return self.window & (self.day_labels[:, 0].sum(axis=1) > 0)
 
     @property
     def dropped(self) -> list[tuple[str, str, str]]:
-        t, rows = self.table, np.flatnonzero(self.window & ~self.used)
-        return t.events.exclusions(rows, [
-            f"not anchorable: {t.anchor_error(i).partition(': ')[2]}" if t.day0[i] < 0
-            else "no day-0 tweets"
+        rows = np.flatnonzero(self.window & ~self.used)
+        return self.events.exclusions(rows, [
+            f"not anchorable: {self.anchor_error(i)}" if self.day0[i] < 0 else "no day-0 tweets"
             for i in rows.tolist()
         ])
 
     def stratum(self, timing: Timing) -> np.ndarray:
         """The used events of one timing class."""
-        return self.used & (self.table.events.timing == timing.code)
+        return self.used & (self.events.timing == timing.code)
 
     def until(self, until: date | None) -> "EventUniverse":
         """The universe of the dataset's events announced up to ``until``
-        (all of them if None), sharing this universe's table and counts."""
-        if until is None:
-            return self._replace(window=np.full(len(self.table.events), True))
-        return self._replace(window=self.table.announced <= np.datetime64(until))
+        (all of them if None), sharing every column and the counts."""
+        return self._replace(window=self.announced <= np.datetime64(until or date.max))
 
 
 def build_universe(ds: Dataset, until: date | None = None) -> EventUniverse:
-    """Count the tweets by day and build the event table once, on the
+    """Count the tweets by day and anchor and score every event once, on the
     calendar the index implies, then keep the events announced up to
     ``until``."""
     cal = TradingCalendar.from_dataset(ds)
@@ -146,7 +124,9 @@ def build_universe(ds: Dataset, until: date | None = None) -> EventUniverse:
     reported, estimated = events.eps_reported, events.eps_estimated
     with np.errstate(all="ignore"):  # a zero estimate divides by zero, but is excluded
         surprise = np.where(excluded, np.nan, (reported - estimated) / estimated)
-    table = EventTable(
+    return EventUniverse(
+        ds=ds,
+        counts=counts,
         cal=cal,
         events=events,
         reason=reason,
@@ -156,15 +136,15 @@ def build_universe(ds: Dataset, until: date | None = None) -> EventUniverse:
         sent=sentiment_scores(day_labels),
         surprise=surprise,
         excluded=excluded,
-    )
-    return EventUniverse(ds, counts, table, np.full(len(events), True)).until(until)
+        window=None,  # set by until
+    ).until(until)
 
 
 def stratum_thresholds(
     universe: EventUniverse, timing: Timing, polarity_day: int
 ) -> tuple[PolarityThresholds, int]:
     """Tercile cuts for one (timing, scoring-day) stratum."""
-    scores = universe.table.sent_on(polarity_day)[universe.stratum(timing)].tolist()
+    scores = universe.sent_on(polarity_day)[universe.stratum(timing)].tolist()
     return tercile_thresholds(scores), len(scores)
 
 
@@ -175,11 +155,11 @@ def all_thresholds(
 
 
 def stratum_labels(universe: EventUniverse, timing: Timing, polarity_day: int) -> np.ndarray:
-    """The class of every table row by the stratum's tercile cuts, as int8
+    """The class of every universe row by the stratum's tercile cuts, as int8
     ``EventPolarity`` values; only the rows of ``universe.stratum(timing)``
     belong to the stratum."""
     thresholds, _ = stratum_thresholds(universe, timing, polarity_day)
-    return categorize_scores(universe.table.sent_on(polarity_day), thresholds)
+    return categorize_scores(universe.sent_on(polarity_day), thresholds)
 
 
 def label_stratum(
@@ -191,10 +171,10 @@ def label_stratum(
     """Classify one timing class's events by their stratum sentiment score."""
     if thresholds is None:
         thresholds, _ = stratum_thresholds(universe, timing, polarity_day)
-    t, day0 = universe.table, universe.table.day0.tolist()
-    labels = categorize_scores(t.sent_on(polarity_day), thresholds).tolist()
+    cal, day0 = universe.cal, universe.day0.tolist()
+    labels = categorize_scores(universe.sent_on(polarity_day), thresholds).tolist()
     return [
-        LabeledEvent(ev := t.events.record(i), EventAnchor(ev, t.cal, t.cal.dates[day0[i]]),
+        LabeledEvent(ev := universe.events.record(i), EventAnchor(ev, cal, cal.dates[day0[i]]),
                      EventPolarity(labels[i]))
         for i in np.flatnonzero(universe.stratum(timing)).tolist()
     ]
@@ -204,11 +184,10 @@ def surprise_regressions(universe: EventUniverse) -> list:
     """The four sentiment-vs-surprise fits (``RegressionFit``): timing x scoring day."""
     from .regression import fit_es_regression  # only the commands that regress load it
 
-    t = universe.table
     fits = []
     for timing, day in STRATA:
-        rows = universe.stratum(timing) & ~t.excluded
-        pairs = list(zip(t.sent_on(day)[rows].tolist(), t.surprise[rows].tolist()))
+        rows = universe.stratum(timing) & ~universe.excluded
+        pairs = list(zip(universe.sent_on(day)[rows].tolist(), universe.surprise[rows].tolist()))
         fits.append(fit_es_regression(pairs, stratum=f"{TIMING_NAMES[timing]}_day{day}"))
     return fits
 
@@ -277,7 +256,7 @@ def volume_report(
     """
     if rel_days[0] > rel_days[1]:
         raise ValueError(f"relative days {list(rel_days)}: the first exceeds the last")
-    cal, counts, t = universe.cal, universe.counts, universe.table
+    cal, counts = universe.cal, universe.counts
     prices = universe.ds.prices
     n_days = len(cal.dates)
 
@@ -290,11 +269,11 @@ def volume_report(
     def daily(mask: np.ndarray, k: int) -> tuple | None:
         """(n, mean, se of tweets, mean, se of share volume) on relative day
         k of the events of ``mask``."""
-        days = t.day0[mask] + k
+        days = universe.day0[mask] + k
         has_day = (days >= 0) & (days < n_days)
         if not has_day.any():
             return None
-        rows, days = t.events.code[mask][has_day], days[has_day]
+        rows, days = universe.events.code[mask][has_day], days[has_day]
         tweets = counts.totals[rows, days]
         volume = prices.volume[rows, days]
         volume = volume[~np.isnan(volume)]
@@ -309,9 +288,9 @@ def volume_report(
     ]
 
     # days -1..+1 of each used event, as calendar indexes
-    days = t.day0[universe.used, None] + np.array([-1, 0, 1])
+    days = universe.day0[universe.used, None] + np.array([-1, 0, 1])
     has_day = (days >= 0) & (days < n_days)
-    rows = np.broadcast_to(t.events.code[universe.used, None], days.shape)[has_day]
+    rows = np.broadcast_to(universe.events.code[universe.used, None], days.shape)[has_day]
     days = days[has_day]
 
     # one 24-hour tweet profile per used event on each of those days it has

@@ -7,11 +7,12 @@ the stock at the day -1 close and buy it back at the day 0 close. All
 proceeds are reinvested; a fixed per-share spread is charged once per
 round trip. A day whose trades lose all the equity or more (a mean net
 return of -1 or lower) leaves it at 0, where it stays: nothing is left to
-reinvest. It reads the AfterClose rows and Sent(-1) of the event table.
+reinvest. It reads the AfterClose rows and Sent(-1) of the event universe,
+whatever its window keeps.
 
 The trade-return curves split the same way as the event study: one
 hold-return pass (``hold_returns``) measures each event once per run, from
-the event table's day-0 and ticker-code columns under a mask, and every
+the universe's day-0 and ticker-code columns under a mask, and every
 stratum averages the rows its mask and labels select. Both read closes
 from the dataset's price grid by ticker code and calendar index; the hold
 returns of all events are one gather, which also names why each skipped
@@ -27,10 +28,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import OutOfCalendarRange
+from .errors import MissingBar, OutOfCalendarRange, reason
 from .event_study import LabeledEvent, MeasuredRows, class_rows, labeled_columns
 from .model import INDEX_TICKER, Dataset, Events, PriceGrid, Timing
-from .reports import EventTable, build_universe
+from .reports import EventUniverse, build_universe
 from .returns import hold_from_day_m1
 from .sentiment import EventPolarity, PolarityThresholds, categorize_scores
 
@@ -85,7 +86,7 @@ def hold_returns(prices: PriceGrid, day0: np.ndarray, code: np.ndarray, mask: np
     stock[asked], index[asked] = rt_stock, rt_index
     stock[asked[list(errors)]] = index[asked[list(errors)]] = np.nan
     for j, exc in errors.items():
-        skips[asked[j]] = f"{type(exc).__name__}: {exc}"
+        skips[asked[j]] = reason(exc)
     return EventHolds(stock, index, tuple(skips))
 
 
@@ -161,23 +162,23 @@ def run_strategy(
     spread: float = 0.05,
     start: date | None = None,
     end: date | None = None,
-    table: EventTable | None = None,
+    universe: EventUniverse | None = None,
 ) -> TradeLedger:
     """Backtest the short-on-negative strategy over [start, end].
 
     ``thresholds`` must be the day -1 sentiment cuts for the AfterClose
-    stratum. ``table`` is the dataset's event table, built here if absent.
-    Every AfterClose event of the dataset is a candidate, whatever a
-    universe keeps: one without day-0 tweets, or announced after the
-    threshold sample's end, trades like any other. An event that cannot be
-    anchored, or whose open or close bar is missing, is skipped with a
-    diagnostic. Several events closing on the same day split the portfolio
-    equally, which is equivalent to applying their mean net return. The
-    ledger is a pure function of its inputs.
+    stratum. ``universe`` is the dataset's event universe, built here if
+    absent. Every AfterClose event of the dataset is a candidate, whatever
+    the universe's window keeps: one without day-0 tweets, or announced
+    after the threshold sample's end, trades like any other. An event that
+    cannot be anchored, or whose open or close bar is missing, is skipped
+    with a diagnostic. Several events closing on the same day split the
+    portfolio equally, which is equivalent to applying their mean net
+    return. The ledger is a pure function of its inputs.
     """
-    if table is None:
-        table = build_universe(ds).table
-    cal = table.cal
+    if universe is None:
+        universe = build_universe(ds)
+    cal, events = universe.cal, universe.events
     if start is None:
         start = cal.dates[0]
     if end is None:
@@ -188,28 +189,28 @@ def run_strategy(
         raise OutOfCalendarRange(f"no trading dates between {start} and {end}")
     prices = ds.prices
 
-    day0 = table.day0
-    after_close = table.events.timing == Timing.AFTER_CLOSE.code
-    negative = categorize_scores(table.sent_on(-1), thresholds) == EventPolarity.NEGATIVE
+    day0 = universe.day0
+    after_close = events.timing == Timing.AFTER_CLOSE.code
+    negative = categorize_scores(universe.sent_on(-1), thresholds) == EventPolarity.NEGATIVE
     short = after_close & (day0 - 1 >= lo) & (day0 < hi) & negative
     # the day -1 and day 0 close of each short, NaN where its bar is missing
     px = np.full((len(day0), 2), np.nan)
     rows = np.flatnonzero(short)
-    px[rows] = prices.closes[table.events.code[rows, None], day0[rows, None] + np.array([-1, 0])]
+    px[rows] = prices.closes[events.code[rows, None], day0[rows, None] + np.array([-1, 0])]
     missing = short & np.isnan(px).any(axis=1)
     rows = np.flatnonzero((after_close & (day0 < 0)) | missing)
-    skipped = table.events.exclusions(rows, [
-        table.anchor_error(i) if day0[i] < 0 else
-        f"MissingBar: no close on {cal.dates[day0[i] - 1]} or {cal.dates[day0[i]]}"
+    skipped = events.exclusions(rows, [
+        reason(universe.anchor_error(i) if day0[i] < 0 else
+               MissingBar(f"no close on {cal.dates[day0[i] - 1]} or {cal.dates[day0[i]]}"))
         for i in rows.tolist()
     ])
-    # by (open date, ticker), in table order among equals
+    # by (open date, ticker), in universe order among equals
     rows = np.flatnonzero(short & ~missing)
-    rows = rows[np.lexsort((table.events.code[rows], day0[rows]))]
+    rows = rows[np.lexsort((events.code[rows], day0[rows]))]
     open_px, close_px = px[rows].T
     net = (open_px - close_px - spread) / open_px  # Trade.net, elementwise
     trades = [Trade(ticker, cal.dates[i0 - 1], cal.dates[i0], o, c, spread, n)
-              for ticker, i0, o, c, n in zip(table.events.names[rows].tolist(), day0[rows].tolist(),
+              for ticker, i0, o, c, n in zip(events.names[rows].tolist(), day0[rows].tolist(),
                                              open_px.tolist(), close_px.tolist(), net.tolist())]
 
     by_close: dict[date, list[Trade]] = {}

@@ -13,7 +13,7 @@ from eastudy.alignment import (
     eastern_hours,
     eastern_offsets,
 )
-from eastudy.errors import NonTradingAnnouncement, OutOfCalendarRange
+from eastudy.errors import NonTradingAnnouncement, OutOfCalendarRange, reason
 from eastudy.model import Timing
 from eastudy.reports import build_universe
 
@@ -306,12 +306,12 @@ class TestVectorizedAnchoring:
         dates, events = drawn
         ds = make_dataset(index=index_from_closes(dates, [100.0] * len(dates)), events=events)
         cal = TradingCalendar(dates)
-        table = build_universe(ds).table
-        got = [(int(d), table.anchor_error(i) if d < 0 else "")
-               for i, d in enumerate(table.day0.tolist())]
-        events = records(table.events)
+        universe = build_universe(ds)
+        got = [(int(d), reason(universe.anchor_error(i)) if d < 0 else "")
+               for i, d in enumerate(universe.day0.tolist())]
+        events = records(universe.events)
         assert got == [outcome(lambda e, c: anchor_event(e, c).day0_index, ev, cal)
                        for ev in events]
         assert got == [outcome(reference_day0, ev, cal) for ev in events]
         local = [ev.announce_at.astimezone(EASTERN).date() for ev in events]
-        assert table.announced.tolist() == local
+        assert universe.announced.tolist() == local

@@ -976,11 +976,10 @@ class TestEachEventMeasuredOnce:
         ds = load_dataset(*(data_dir / f"{name}.csv" for name in
                             ("prices", "index", "tweets", "events")))
         universe = build_universe(ds)
-        table = universe.table
         # an event's key by its (ticker, day 0), which the kernel's rows carry
-        events = records(table.events)
-        key_of = {(ev.ticker, d): ev.key() for ev, d in zip(events, table.day0.tolist())}
-        assert len(key_of) == len(table.events)
+        events = records(universe.events)
+        key_of = {(ev.ticker, d): ev.key() for ev, d in zip(events, universe.day0.tolist())}
+        assert len(key_of) == len(universe.events)
         fitted = []
         fit = event_study.fit_rows
 

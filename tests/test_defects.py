@@ -3,10 +3,12 @@
 Each cell runs one subcommand (or ``pipeline``) in-process on the Quickstart
 data with one defective config file: a file that is not a JSON object, a
 section that is not an object, a value of the wrong type at a ``SETTINGS``
-key, or a number too large for the run (+-1e400, which JSON reads as an
-infinity, and +-10**20) at a numeric key. Whatever the cell, the run exits
-with a documented code, prints no traceback, and a failed run prints one
-``error:`` line and leaves ``--out`` and its parent as it found them.
+key, a number too large for the run (+-1e400, which JSON reads as an
+infinity, and +-10**20) at a numeric key, or a fraction at an integer key.
+Whatever the cell, the run exits with a documented code, prints no
+traceback, and a failed run prints one ``error:`` line and leaves ``--out``
+and its parent as it found them. A fraction at an integer key fails every
+command that reads the settings: it is never rounded away.
 """
 
 import io
@@ -28,9 +30,13 @@ SECTIONS = sorted({keys[0] for keys, _, _ in SETTINGS.values() if len(keys) > 1}
 NOT_OBJECTS = ("[]", "1", '"config"', "null")
 WRONG_TYPES = ("true", '"x"', "[1, 2]", '{"a": 1}')
 TOO_LARGE = ("1e400", "-1e400", str(10**20), str(-10**20))
+FRACTIONS = ("0.5", "-1.5")
 # numeric settings, by their defaults; a pair takes the number at either end
 NUMERIC = sorted(name for name, (_, default, _) in SETTINGS.items()
                  if isinstance(default, (int, float, tuple)))
+INTEGER = sorted(name for name in NUMERIC if not isinstance(SETTINGS[name][1], float))
+# the commands that resolve SETTINGS: every one but those that read no setting
+READS_SETTINGS = sorted(set(COMMANDS) - {"calendar", "synth"})
 
 
 def at(keys: tuple[str, ...], value: str) -> str:
@@ -54,7 +60,11 @@ CONFIGS = st.one_of(
               st.sampled_from(WRONG_TYPES)),
     st.builds(numeric_defect, st.sampled_from(NUMERIC), st.sampled_from(TOO_LARGE),
               st.booleans()),
+    st.builds(numeric_defect, st.sampled_from(INTEGER), st.sampled_from(FRACTIONS),
+              st.booleans()),
 )
+FRACTIONAL = sorted({numeric_defect(name, number, first) for name in INTEGER
+                     for number in FRACTIONS for first in (True, False)})
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +99,17 @@ def listing(path: Path) -> dict[str, bytes]:
 @example(command="volume", config='{"volume": {"rel_min": -3000000000, "rel_max": 0}}',
          flags=())
 def test_every_command_survives_every_config_defect(inputs, command, config, flags):
+    survives(inputs, command, config, flags)
+
+
+@pytest.mark.parametrize("config", FRACTIONAL)
+@pytest.mark.parametrize("command", READS_SETTINGS)
+def test_a_fraction_at_an_integer_key_is_refused(inputs, command, config):
+    assert survives(inputs, command, config, ()) == 5
+
+
+def survives(inputs, command: str, config: str, flags) -> int:
+    """Run one cell and check what every cell must hold; its exit code."""
     with tempfile.TemporaryDirectory(dir=inputs) as tmp:
         parent = Path(tmp) / "parent"
         out = parent / "out"
@@ -107,6 +128,7 @@ def test_every_command_survives_every_config_defect(inputs, command, config, fla
             assert [line for line in err.splitlines() if line.startswith("error:")] == [
                 err.splitlines()[0]], err
             assert listing(parent) == before
+    return code
 
 
 def run(inputs, tmp: Path, config: str, *argv: str) -> tuple[int, str]:

@@ -466,31 +466,30 @@ class TestSharedPerEventRows:
     @pytest.mark.parametrize("polarity_day", [0, -1])
     def test_same_result_as_a_stratum_of_its_own(self, timing, polarity_day):
         ds, universe = self.scenario()
-        table = universe.table
         labeled = label_stratum(universe, timing, polarity_day)
         in_stratum = universe.stratum(timing)
         labels = stratum_labels(universe, timing, polarity_day)
-        fits = fit_events(ds.prices, table.day0, table.events.code, universe.used)
-        held = hold_returns(ds.prices, table.day0, table.events.code, universe.used)
+        fits = fit_events(ds.prices, universe.day0, universe.events.code, universe.used)
+        held = hold_returns(ds.prices, universe.day0, universe.events.code, universe.used)
 
         own = aggregate_study(labeled, ds)
         assert own.skipped and own.classes
-        assert study_classes(fits, table.events, in_stratum, labels, StudyConfig()) == own
+        assert study_classes(fits, universe.events, in_stratum, labels, StudyConfig()) == own
         curves = trade_return_curves(labeled, ds)
         assert curves.skipped and curves.classes
-        assert curve_classes(held, table.events, in_stratum, labels) == curves
+        assert curve_classes(held, universe.events, in_stratum, labels) == curves
 
     def test_rows_that_miss_a_labeled_event_are_refused(self):
         ds, universe = self.scenario()
-        table = universe.table
         in_stratum = universe.stratum(Timing.AFTER_CLOSE)
         labels = stratum_labels(universe, Timing.AFTER_CLOSE, 0)
-        others = (ds.prices, table.day0, table.events.code, universe.stratum(Timing.BEFORE_OPEN))
+        others = (ds.prices, universe.day0, universe.events.code,
+                  universe.stratum(Timing.BEFORE_OPEN))
         with pytest.raises(ValueError):
-            study_classes(fit_events(*others), table.events, in_stratum, labels,
+            study_classes(fit_events(*others), universe.events, in_stratum, labels,
                           StudyConfig())
         with pytest.raises(ValueError):
-            curve_classes(hold_returns(*others), table.events, in_stratum, labels)
+            curve_classes(hold_returns(*others), universe.events, in_stratum, labels)
 
 
 # --- the batched fit against the per-event loop it replaced -----------------

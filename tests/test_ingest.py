@@ -280,10 +280,9 @@ def coverage(ds, cfg=StudyConfig()):
     """The study's own exclusions: the universe's (no anchor, no day-0 tweets),
     then the market-model fit loop's. Returns (universe, fits, reasons by event)."""
     universe = build_universe(ds)
-    t = universe.table
-    fits = fit_events(ds.prices, t.day0, t.events.code, universe.used, cfg)
+    fits = fit_events(ds.prices, universe.day0, universe.events.code, universe.used, cfg)
     reasons: dict = {}
-    events = records(t.events)
+    events = records(universe.events)
     by_key = {(ev.ticker, format_rfc3339(ev.announce_at)): ev for ev in events}
     dropped = [(by_key[ticker, at], why) for ticker, at, why in universe.dropped]
     skipped = [(ev, why) for ev, why in zip(events, fits.skips) if why]
@@ -305,7 +304,7 @@ class TestCoverage:
         assert "no day-0 tweets" in reasons[aaa]
         day0 = anchor_event(aaa, universe.cal).day0_index
         assert universe.counts.labels[:, ds.tickers.index("AAA"), day0].sum() == 0
-        assert universe.table.day_labels[records(universe.table.events).index(aaa), 0].sum() == 0
+        assert universe.day_labels[records(universe.events).index(aaa), 0].sum() == 0
 
     def test_short_history_flags_estimation_window(self, tmp_path):
         ds = load_dataset(*fixture_files(tmp_path))
@@ -321,9 +320,9 @@ class TestCoverage:
         fitted = [why == "" for why in fits.skips]
         assert any(fitted)
         assert not reasons, reasons
-        assert {ev for ev, ok in zip(records(universe.table.events), fitted) if ok} == set(
+        assert {ev for ev, ok in zip(records(universe.events), fitted) if ok} == set(
             records(ds.events))
-        assert (universe.table.day_labels[universe.used, 0].sum(axis=1) > 0).all()
+        assert (universe.day_labels[universe.used, 0].sum(axis=1) > 0).all()
         assert fits.ars.shape[1] == len(StudyConfig().taus)  # the event window is served
         assert not np.isnan(fits.ars[fitted]).any()
 
@@ -771,8 +770,8 @@ class TestEventFigures:
                                                                 np.float64, np.int64))),
                      index_from_closes(days, [1.0] * len(days)),
                      tweet_columns([]), accepted.rows)
-        table = build_universe(ds).table
-        assert [bits(x) for x in table.surprise.tolist()] == [
+        universe = build_universe(ds)
+        assert [bits(x) for x in universe.surprise.tolist()] == [
             bits(np.nan) if ev.excluded else bits(earnings_surprise(ev).es) for ev in events]
 
 

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from eastudy.reports import (
     surprise_regressions,
     volume_report,
 )
-from eastudy.sentiment import EventPolarity, sentiment_score
+from eastudy.sentiment import DailyCounts, EventPolarity, sentiment_score
 from eastudy.trading import run_strategy
 from eastudy.synth import SynthSpec, generate, generate_with_truth
 
@@ -44,9 +44,29 @@ class TestUniverse:
         ds = generate(SynthSpec(seed=31, n_tickers=6, n_days=300, events_per_ticker=4,
                                 first_event_day=135, event_spacing=35))
         universe = build_universe(ds)
-        first_day0 = universe.cal.dates[universe.table.day0[universe.used].min()]
+        first_day0 = universe.cal.dates[universe.day0[universe.used].min()]
         trimmed = build_universe(ds, until=first_day0)
         assert 0 < np.count_nonzero(trimmed.used) < 24
+
+    def test_until_shares_every_column(self, universe):
+        """A window is the one field ``until`` makes: a ``--thresholds-until``
+        sample copies no column."""
+        sample = universe.until(universe.cal.dates[0])
+        assert not sample.window.any()
+        for name in ("ds", "counts", "cal", "events", "day0", "sent", "announced"):
+            assert getattr(sample, name) is getattr(universe, name)
+
+    def test_backtest_ignores_the_window(self, universe):
+        """Every AfterClose event of the dataset is a backtest candidate, even
+        in a universe whose window holds no event."""
+        ds = universe.ds
+        thresholds, _ = stratum_thresholds(universe, Timing.AFTER_CLOSE, -1)
+        before_every_event = universe.announced.min().item() - timedelta(days=1)
+        empty = build_universe(ds, until=before_every_event)
+        assert not empty.window.any()
+        ledger = run_strategy(ds, thresholds)
+        assert ledger.trades
+        assert run_strategy(ds, thresholds, universe=empty) == ledger
 
     def test_event_without_day0_tweets_dropped(self):
         ds = generate(SynthSpec(seed=31, n_tickers=2, n_days=200, events_per_ticker=1,
@@ -227,25 +247,26 @@ PERMUTED_DS = generate(SynthSpec(seed=37, n_tickers=4, n_days=220, events_per_ti
                                  afterclose_fraction=0.5))
 
 
-def table_columns(table):
-    """Every column of an event table, as comparable Python values."""
+def table_columns(universe):
+    """Every event column of a universe, as comparable Python values."""
     return repr([c if isinstance(c, tuple) else records(c) if isinstance(c, Events) else c.tolist()
-                 for c in vars(table).values() if not isinstance(c, TradingCalendar)])
+                 for c in vars(universe).values()
+                 if not isinstance(c, (TradingCalendar, Dataset, DailyCounts))])
 
 
 def outcomes(ds):
     universe = build_universe(ds)
     strata = [(universe.stratum(t), stratum_labels(universe, t, d)) for t, d in STRATA]
     thresholds = all_thresholds(universe)
-    ledger = run_strategy(ds, thresholds[1][2], table=universe.table)
-    return (table_columns(universe.table), thresholds,
+    ledger = run_strategy(ds, thresholds[1][2], universe=universe)
+    return (table_columns(universe), thresholds,
             [(mask.tolist(), labels[mask].tolist()) for mask, labels in strata], ledger)
 
 
 class TestEventTable:
     def test_scores_are_sentiment_score_bit_for_bit(self):
-        table = build_universe(PERMUTED_DS).table
-        for counts, sent in zip(table.day_labels.tolist(), table.sent.tolist()):
+        universe = build_universe(PERMUTED_DS)
+        for counts, sent in zip(universe.day_labels.tolist(), universe.sent.tolist()):
             assert repr([sentiment_score(*c) for c in counts]) == repr(sent)
 
     def test_every_grid_has_a_row_per_dataset_ticker_and_events_read_their_own(self):
@@ -263,11 +284,11 @@ class TestEventTable:
             events=base.events,
         )
         universe = build_universe(ds)
-        prices, counts, t = ds.prices, universe.counts, universe.table
+        prices, counts, t = ds.prices, universe.counts, universe
         assert ds.tickers == ("SYA", "SYAA", "SYB", "SYBB", "SYC", "SYD")
         assert prices.tickers == counts.tickers == ds.tickers
         assert len(prices.closes) == len(counts.totals) == len(ds.tickers)
-        assert universe.tweets_outside == 0
+        assert universe.counts.outside == 0
         for row, ticker in enumerate(ds.tickers):
             closes = prices.closes[row].tolist()
             assert {d: c for d, c in zip(prices.dates, closes) if not math.isnan(c)} == (
