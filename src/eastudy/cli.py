@@ -117,9 +117,9 @@ def _day(text) -> date | None:
 
 
 def _number(value):
-    """The value, unless it is a JSON boolean: no numeric setting takes one."""
-    if isinstance(value, bool):
-        raise ValueError("expected a number, not true or false")
+    """The value if it is a JSON number: an int or a float, not a boolean."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError("expected a number")
     return value
 
 

@@ -52,7 +52,7 @@ import os
 import shutil
 import stat
 import tempfile
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -278,7 +278,7 @@ def _tweet_row_check() -> Check:
             if min(counts) < 0:
                 return _invariant(path, lineno, "tweet counts must be non-negative")
             return _invariant(path, lineno, f"tweet counts must be at most {MAX_COUNT}")
-        return _pack(ticker), ts, *counts, raw_hour
+        return _pack(ticker), ts, *counts
 
     return check
 
@@ -500,29 +500,30 @@ def _fast_rows(block: bytes, skip: int, width: int, cells, columns: list[np.ndar
     return n + len(accepted), len(stop), texts
 
 
-def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dtypes, sha=None):
+def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dtypes):
     """Parse a file by the fast path, with the row loop for each line it refuses.
 
     The file is opened once (``open_input``) and read in blocks of whole lines
-    (``_line_blocks``), every byte fed to ``sha``. ``cells(seg, start, size)``
+    (``_line_blocks``), every byte fed to one SHA-256. ``cells(seg, start, size)``
     reads a block's rows of the header's width (``start`` and ``size`` give
     each cell's offset in ``seg`` and length) and returns a mask of the rows
     it accepts and their column values; each line it refuses goes alone to
-    the row loop, whose ``check`` returns the same values, then any others,
-    for one row. Returns the line numbers (None when the fast path refused
-    no row: then row i is line i + 2) and the columns (of ``dtypes``) of the
-    accepted rows of both paths in line order, the row loop's diagnostics,
-    and the row loop's values by line number.
+    the row loop, whose ``check`` returns the same values for one row.
+    Returns the line numbers (None when the fast path refused no row: then
+    row i is line i + 2) and the columns (of ``dtypes``) of the accepted rows
+    of both paths in line order, the row loop's diagnostics, and the hex
+    SHA-256 of the file's bytes.
 
     No fast-path line is shorter than ``min_line`` bytes, so the file's size
     over ``min_line`` bounds the rows the fast path accepts: the column
     buffers have that many rows, and the accepted rows are views of them.
     """
     fh, size = open_input(path)
+    sha = hashlib.sha256()
     columns = [np.empty(size // min_line, dtype=t) for t in dtypes]
     first, n, slow = 1, 0, []  # first: the line number of a block's first line
     with fh:
-        for block in _line_blocks(fh, (sha or hashlib.sha256()).update):
+        for block in _line_blocks(fh, sha.update):
             skip = 0  # the header's bytes, at the start of the first block
             if first == 1:
                 skip = block.index(b"\n") + 1
@@ -545,7 +546,7 @@ def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dt
         lines = lines[order]
         columns = [np.concatenate((c, np.array([v[j] for v in slow_values], dtype=t)))[order]
                    for j, (c, t) in enumerate(zip(columns, dtypes))]
-    return lines, columns, diags, dict(zip(slow_lines, slow_values))
+    return lines, columns, diags, sha.hexdigest()
 
 
 def _line_numbers(lines: np.ndarray | None, rows):
@@ -594,23 +595,24 @@ class Accepted(Frozen):
     """The accepted rows of a file, in file order.
 
     ``lines`` holds each row's physical line number (None when row i is
-    line i + 2) and ``rows`` their columns (``DailyBars``, ``IndexLevels``,
-    ``TweetBuckets`` or ``Events``).
+    line i + 2), ``rows`` their columns (``DailyBars``, ``IndexLevels``,
+    ``TweetBuckets`` or ``Events``) and ``digest`` the file's hex SHA-256.
     """
 
     lines: np.ndarray | None
     rows: DailyBars | IndexLevels | TweetBuckets | Events
+    digest: str
 
     def __len__(self) -> int:
         return len(self.rows)
 
 
-def parse_prices_csv(path: str | Path, sha=None):
-    """Parse prices.csv -> (Accepted bars, list[Diagnostic]), feeding its bytes to ``sha``."""
+def parse_prices_csv(path: str | Path):
+    """Parse prices.csv -> (Accepted bars, list[Diagnostic])."""
     path = Path(path)
-    lines, (packed, day, close, volume), diags, _ = _parse(
+    lines, (packed, day, close, volume), diags, digest = _parse(
         path, PRICES_HEADER, PRICES_MIN_LINE, _price_cells, _price_row,
-        (np.int64, np.int64, np.float64, np.int64), sha,
+        (np.int64, np.int64, np.float64, np.int64),
     )
     tickers, code = _ticker_codes(packed)
     keep = _dated_rows(path, lines, code, day, diags,
@@ -619,15 +621,15 @@ def parse_prices_csv(path: str | Path, sha=None):
     bars = DailyBars(tickers, code, day.view("datetime64[D]"), close, volume)
     if not keep.all():
         lines, bars = _line_numbers(lines, np.flatnonzero(keep)), bars[keep]
-    return Accepted(lines, bars), diags
+    return Accepted(lines, bars, digest), diags
 
 
-def parse_index_csv(path: str | Path, sha=None):
+def parse_index_csv(path: str | Path):
     """Parse index.csv -> (Accepted index levels, list[Diagnostic]); a file
     without an accepted row gets one more diagnostic, on its header line."""
     path = Path(path)
-    lines, (day, close), diags, _ = _parse(path, INDEX_HEADER, INDEX_MIN_LINE, _index_cells,
-                                           _index_row, (np.int64, np.float64), sha)
+    lines, (day, close), diags, digest = _parse(path, INDEX_HEADER, INDEX_MIN_LINE, _index_cells,
+                                                _index_row, (np.int64, np.float64))
     keep = _dated_rows(path, lines, np.zeros(len(day), dtype=np.int64), day, diags,
                        lambda i, what, on: f"{what} index bar on {on}")
     diags.sort(key=lambda d: d.line)
@@ -635,30 +637,28 @@ def parse_index_csv(path: str | Path, sha=None):
         diags.append(_invariant(path, 1, "index file has no usable rows"))
     if not keep.all():
         lines, day, close = _line_numbers(lines, np.flatnonzero(keep)), day[keep], close[keep]
-    return Accepted(lines, IndexLevels(day.view("datetime64[D]"), close)), diags
+    return Accepted(lines, IndexLevels(day.view("datetime64[D]"), close), digest), diags
 
 
-def parse_tweets_csv(path: str | Path, sha=None):
+def parse_tweets_csv(path: str | Path):
     """Parse tweets.csv -> (Accepted tweet buckets, list[Diagnostic])."""
     path = Path(path)
-    lines, (packed, ts, *counts), diags, slow = _parse(
+    lines, (packed, ts, *counts), diags, digest = _parse(
         path, TWEETS_HEADER, TWEETS_MIN_LINE, _tweet_cells, _tweet_row_check(),
-        (np.int64, np.int64, np.int32, np.int32, np.int32), sha,
+        (np.int64, np.int64, np.int32, np.int32, np.int32),
     )
     tickers, code = _ticker_codes(packed)
     buckets = TweetBuckets(tickers, code, ts, *counts)
     # one bucket per (ticker, hour): the first in line order is kept
     repeated = _repeated(code, ts)
-    for i in np.flatnonzero(repeated).tolist():
-        line = int(_line_numbers(lines, i))
-        stamp = slow[line][-1] if line in slow else (
-            (EPOCH + timedelta(seconds=int(ts[i]))).isoformat().replace("+00:00", "Z")
-        )
-        diags.append(_invariant(path, line, f"duplicate bucket for {tickers[code[i]]} at {stamp}"))
+    stamps = np.datetime_as_string(ts[repeated].astype("datetime64[s]")).tolist()
+    for i, stamp in zip(np.flatnonzero(repeated).tolist(), stamps):
+        diags.append(_invariant(path, int(_line_numbers(lines, i)),
+                                f"duplicate bucket for {tickers[code[i]]} at {stamp}Z"))
     diags.sort(key=lambda d: d.line)
     if repeated.any():
         lines, buckets = _line_numbers(lines, np.flatnonzero(~repeated)), buckets[~repeated]
-    return Accepted(lines, buckets), diags
+    return Accepted(lines, buckets, digest), diags
 
 
 def _event_row(path, lineno, cells):
@@ -698,17 +698,17 @@ def _event_row(path, lineno, cells):
     return _pack(ticker), at, timing.code, eps_reported, eps_estimated
 
 
-def parse_events_csv(path: str | Path, sha=None):
+def parse_events_csv(path: str | Path):
     """Parse events.csv -> (Accepted events, list[Diagnostic]).
 
-    An event whose EPS estimate is zero is accepted and marked excluded."""
+    An event whose EPS estimate is zero is accepted; ``build_universe`` excludes it."""
     path = Path(path)
-    lines, (packed, at, timing, reported, estimated), diags, _ = _parse(
+    lines, (packed, at, timing, reported, estimated), diags, digest = _parse(
         path, EVENTS_HEADER, EVENTS_MIN_LINE, _event_cells, _event_row,
-        (np.int64, np.int64, np.int8, np.float64, np.float64), sha,
+        (np.int64, np.int64, np.int8, np.float64, np.float64),
     )
     tickers, code = _ticker_codes(packed)
-    events = Events(tickers, code, at, timing, reported, estimated, estimated == 0.0)
+    events = Events(tickers, code, at, timing, reported, estimated)
     # one event per (ticker, instant): the first in line order is kept
     repeated = _repeated(code, at)
     for i, stamp in zip(np.flatnonzero(repeated).tolist(), events.stamps(repeated)):
@@ -717,7 +717,7 @@ def parse_events_csv(path: str | Path, sha=None):
     diags.sort(key=lambda d: d.line)
     if repeated.any():
         lines, events = _line_numbers(lines, np.flatnonzero(~repeated)), events[~repeated]
-    return Accepted(lines, events), diags
+    return Accepted(lines, events, digest), diags
 
 
 def load_dataset(
@@ -732,11 +732,10 @@ def load_dataset(
     problems are attached to the exception as ``.diagnostics``. The
     dataset's ``digests`` are the SHA-256 of the bytes the parse read.
     """
-    shas = [hashlib.sha256() for _ in range(4)]
-    bars, d1 = parse_prices_csv(prices_path, shas[0])
-    index, d2 = parse_index_csv(index_path, shas[1])
-    tweets, d3 = parse_tweets_csv(tweets_path, shas[2])
-    events, d4 = parse_events_csv(events_path, shas[3])
+    bars, d1 = parse_prices_csv(prices_path)
+    index, d2 = parse_index_csv(index_path)
+    tweets, d3 = parse_tweets_csv(tweets_path)
+    events, d4 = parse_events_csv(events_path)
     diags = d1 + d2 + d3 + d4
 
     if len(index):
@@ -761,7 +760,8 @@ def load_dataset(
         index=index.rows,
         tweets=tweets.rows.canonical(),
         events=events.rows.canonical(),
-        digests=dict(zip(("prices", "index", "tweets", "events"), (h.hexdigest() for h in shas))),
+        digests=dict(zip(("prices", "index", "tweets", "events"),
+                         (f.digest for f in (bars, index, tweets, events)))),
     )
 
 

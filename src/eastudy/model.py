@@ -57,13 +57,6 @@ def in_order(code: np.ndarray, key: np.ndarray) -> bool:
     return True
 
 
-def validate_ticker(symbol: str) -> str:
-    """Return the symbol if it is a valid ticker, else raise ValueError."""
-    if not TICKER_RE.match(symbol):
-        raise ValueError(f"invalid ticker symbol: {symbol!r}")
-    return symbol
-
-
 class Frozen:
     """A record of the annotated fields, its bases' first, set once by
     ``__init__`` from positional or keyword arguments. Assigning an
@@ -246,8 +239,8 @@ class Events(_Columns):
 
     ``at`` is the announcement in UTC epoch microseconds, so sorting rows by
     ``(code, at)`` is sorting them by ``EarningsEvent.key``. ``timing`` holds
-    int8 ``Timing.code`` values, the EPS figures are float64, and
-    ``excluded`` marks the events the input excludes (a zero estimate).
+    int8 ``Timing.code`` values and the EPS figures are float64; a zero
+    estimate excludes an event, in ``build_universe`` and in ``record``.
     """
 
     tickers: tuple[str, ...]
@@ -256,7 +249,6 @@ class Events(_Columns):
     timing: np.ndarray
     eps_reported: np.ndarray
     eps_estimated: np.ndarray
-    excluded: np.ndarray
 
     @classmethod
     def of(cls, events: Sequence[EarningsEvent]) -> "Events":
@@ -270,7 +262,6 @@ class Events(_Columns):
             np.array([ev.timing.code for ev in events], dtype=np.int8),
             np.array([ev.eps_reported for ev in events], dtype=np.float64),
             np.array([ev.eps_estimated for ev in events], dtype=np.float64),
-            np.array([ev.excluded for ev in events], dtype=bool),
         )
 
     @property
@@ -291,7 +282,7 @@ class Events(_Columns):
 
     def record(self, i: int) -> EarningsEvent:
         """Row i as a record, for the adapters that take one event."""
-        excluded = bool(self.excluded[i])
+        excluded = bool(self.eps_estimated[i] == 0)
         return EarningsEvent(
             ticker=self.tickers[self.code[i]],
             announce_at=EPOCH + int(self.at[i]) * MICROSECOND,

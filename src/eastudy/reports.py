@@ -120,7 +120,7 @@ def build_universe(ds: Dataset, until: date | None = None) -> EventUniverse:
     days = day0[anchored, None] + np.array(SCORING_DAYS)
     day_labels = np.zeros((len(events), len(SCORING_DAYS), 3), dtype=np.int64)
     day_labels[anchored] = np.moveaxis(counts.labels[:, events.code[anchored, None], days], 0, -1)
-    excluded = events.excluded | (events.eps_estimated == 0)
+    excluded = events.eps_estimated == 0
     reported, estimated = events.eps_reported, events.eps_estimated
     with np.errstate(all="ignore"):  # a zero estimate divides by zero, but is excluded
         surprise = np.where(excluded, np.nan, (reported - estimated) / estimated)

@@ -29,7 +29,6 @@ from .model import (
     IndexLevels,
     Timing,
     TweetBuckets,
-    validate_ticker,
 )
 from .sentiment import EventPolarity
 
@@ -155,7 +154,7 @@ def _ticker_name(i: int) -> str:
         if j == 0:
             break
         j -= 1
-    return validate_ticker("SY" + "".join(reversed(letters))[-4:])
+    return "SY" + "".join(reversed(letters))[-4:]
 
 
 def _eastern_epoch(day: date, hour: int) -> int:

@@ -138,6 +138,7 @@ class Trade(NamedTuple):
 
     @staticmethod
     def net(open_price: float, close_price: float, spread: float) -> float:
+        """The net return of a round trip; elementwise on arrays of prices."""
         return (open_price - close_price - spread) / open_price
 
 
@@ -149,11 +150,11 @@ class TradeLedger(NamedTuple):
 
     @property
     def final_equity(self) -> float:
-        return self.equity[-1][1] if self.equity else 1.0
+        return self.equity[-1][1]
 
     @property
     def final_benchmark(self) -> float:
-        return self.benchmark[-1][1] if self.benchmark else 1.0
+        return self.benchmark[-1][1]
 
 
 def run_strategy(
@@ -173,8 +174,9 @@ def run_strategy(
     after the threshold sample's end, trades like any other. An event that
     cannot be anchored, or whose open or close bar is missing, is skipped
     with a diagnostic. Several events closing on the same day split the
-    portfolio equally, which is equivalent to applying their mean net
-    return. The ledger is a pure function of its inputs.
+    portfolio equally: the day's factor is one plus their mean net return,
+    and the equity the running product of the factors. The ledger is a
+    pure function of its inputs.
     """
     if universe is None:
         universe = build_universe(ds)
@@ -208,27 +210,18 @@ def run_strategy(
     rows = np.flatnonzero(short & ~missing)
     rows = rows[np.lexsort((events.code[rows], day0[rows]))]
     open_px, close_px = px[rows].T
-    net = (open_px - close_px - spread) / open_px  # Trade.net, elementwise
+    net = Trade.net(open_px, close_px, spread)
     trades = [Trade(ticker, cal.dates[i0 - 1], cal.dates[i0], o, c, spread, n)
               for ticker, i0, o, c, n in zip(events.names[rows].tolist(), day0[rows].tolist(),
                                              open_px.tolist(), close_px.tolist(), net.tolist())]
-
-    by_close: dict[date, list[Trade]] = {}
-    for t in trades:
-        by_close.setdefault(t.close_date, []).append(t)
-
+    # each in-range day's mean net return, summed in trade order; 0 without trades
+    day = day0[rows] - lo
+    mean = np.bincount(day, net, hi - lo) / np.maximum(np.bincount(day, minlength=hi - lo), 1)
+    equity = np.cumprod(np.maximum(1.0 + mean, 0.0))  # a wipe-out leaves 0 from then on
     levels = prices.index_closes[lo:hi]
-    value = 1.0
-    equity = []
-    for d in in_range:
-        group = by_close.get(d)
-        if group:  # a wipe-out leaves 0, never a negative equity
-            value = max(0.0, value * (1.0 + sum(t.net_return for t in group) / len(group)))
-        equity.append((d, value))
-    benchmark = list(zip(in_range, (levels / levels[0]).tolist()))
     return TradeLedger(
         trades=tuple(trades),
-        equity=tuple(equity),
-        benchmark=tuple(benchmark),
+        equity=tuple(zip(in_range, equity.tolist())),
+        benchmark=tuple(zip(in_range, (levels / levels[0]).tolist())),
         skipped=tuple(skipped),
     )

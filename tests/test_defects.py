@@ -8,7 +8,8 @@ infinity, and +-10**20) at a numeric key, or a fraction at an integer key.
 Whatever the cell, the run exits with a documented code, prints no
 traceback, and a failed run prints one ``error:`` line and leaves ``--out``
 and its parent as it found them. A fraction at an integer key fails every
-command that reads the settings: it is never rounded away.
+command that reads the settings: it is never rounded away. So does a JSON
+string at a numeric key: it is never read as the number it spells.
 """
 
 import io
@@ -28,7 +29,7 @@ from test_cli import SPEC, data_flags
 
 SECTIONS = sorted({keys[0] for keys, _, _ in SETTINGS.values() if len(keys) > 1} | {"synth"})
 NOT_OBJECTS = ("[]", "1", '"config"', "null")
-WRONG_TYPES = ("true", '"x"', "[1, 2]", '{"a": 1}')
+WRONG_TYPES = ("true", '"x"', '"15"', "[1, 2]", '{"a": 1}')
 TOO_LARGE = ("1e400", "-1e400", str(10**20), str(-10**20))
 FRACTIONS = ("0.5", "-1.5")
 # numeric settings, by their defaults; a pair takes the number at either end
@@ -65,6 +66,20 @@ CONFIGS = st.one_of(
 )
 FRACTIONAL = sorted({numeric_defect(name, number, first) for name in INTEGER
                      for number in FRACTIONS for first in (True, False)})
+
+
+def as_strings(default) -> str:
+    """A numeric default written as a JSON string; a pair's ends each one."""
+    return json.dumps([str(n) for n in default] if isinstance(default, tuple) else str(default))
+
+
+# config -> the key it sets: each numeric default as strings, and an event
+# window of a string or an object that unpacks into two ends
+STRINGS = {at(keys, value): ".".join(keys) for keys, value in [
+    *((SETTINGS[name][0], as_strings(SETTINGS[name][1])) for name in NUMERIC),
+    (("study", "event_window"), '"15"'),
+    (("study", "event_window"), '{"-1": 0, "10": 0}'),
+]}
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +121,20 @@ def test_every_command_survives_every_config_defect(inputs, command, config, fla
 @pytest.mark.parametrize("command", READS_SETTINGS)
 def test_a_fraction_at_an_integer_key_is_refused(inputs, command, config):
     assert survives(inputs, command, config, ()) == 5
+
+
+@pytest.mark.parametrize("config", sorted(STRINGS))
+@pytest.mark.parametrize("command", READS_SETTINGS)
+def test_a_string_at_a_numeric_key_is_refused(inputs, command, config):
+    assert survives(inputs, command, config, ()) == 5
+
+
+@pytest.mark.parametrize("config", sorted(STRINGS))
+def test_a_string_setting_names_its_key(inputs, tmp_path, config):
+    code, err = run(inputs, tmp_path, config, "study")
+    assert code == 5
+    assert err.startswith(f"error: invalid {STRINGS[config]} ")
+    assert err.endswith(": expected a number\n")
 
 
 def survives(inputs, command: str, config: str, flags) -> int:

@@ -215,6 +215,18 @@ class TestParsers:
         for line in (5, 11):
             assert "duplicate bucket for AAA" in by_line[line].message
 
+    def test_duplicate_bucket_named_by_its_utc_stamp(self, tmp_path):
+        # the repeat is written with an offset, so the row loop reads it
+        tweets = (
+            "hour_start_utc,ticker,n_neg,n_neut,n_pos\n"
+            "2015-06-01T14:00:00Z,AAA,1,1,1\n"
+            "2015-06-01T10:00:00-04:00,AAA,2,2,2\n"
+        )
+        accepted, diags = parse_tweets_csv(write(tmp_path / "t.csv", tweets))
+        assert len(accepted) == 1
+        assert [(d.line, d.message) for d in diags] == [
+            (3, "duplicate bucket for AAA at 2015-06-01T14:00:00Z")]
+
     def test_event_timing_value_checked(self, tmp_path):
         events = (
             "ticker,announce_at_utc,timing,eps_reported,eps_estimated\n"

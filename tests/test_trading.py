@@ -1,8 +1,10 @@
+from collections import Counter
 from datetime import date
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eastudy.alignment import anchor_event
 from eastudy.errors import EmptyClass
@@ -257,3 +259,76 @@ class TestBacktestEventPolicy:
         assert [(t, r) for t, _, r in ledger.skipped] == [
             ("BBB", f"NonTradingAnnouncement: {why}"),
         ]
+
+
+def walked_equity(trades, dates):
+    """The equity as a walk over the trading days with the trades grouped by
+    close date: a day with trades multiplies the value by one plus their mean
+    net return, summed in trade order, and a wipe-out leaves 0."""
+    by_close = {}
+    for t in trades:
+        by_close.setdefault(t.close_date, []).append(t)
+    value = 1.0
+    equity = []
+    for d in dates:
+        group = by_close.get(d)
+        if group:
+            value = max(0.0, value * (1.0 + sum(t.net_return for t in group) / len(group)))
+        equity.append((d, value))
+    return equity
+
+
+N_DAYS = 8
+# a close of 1.0 before one of 2.5 or more, or 10.0 before 40.0, loses more
+# than a short's equity
+CLOSES = st.lists(st.one_of(st.sampled_from([1.0, 2.5, 10.0, 40.0]), st.floats(1.0, 100.0)),
+                  min_size=N_DAYS, max_size=N_DAYS)
+# per day: 0 no announcement; 1 or 2 an AfterClose one with negative or
+# positive day -1 tweets, so shorted or not
+SIGNALS = st.lists(st.sampled_from([0, 1, 1, 2]), min_size=N_DAYS - 1, max_size=N_DAYS - 1)
+# three trades close on day 1 and wipe the equity out, three more on day 4
+WIPE_OUT = [
+    ([10.0, 40.0, 40.0, 40.0, 10.0, 10.0, 10.0, 10.0], [1, 0, 0, 1, 0, 0, 0]),
+    ([20.0, 20.0, 20.0, 20.0, 25.0, 10.0, 10.0, 10.0], [1, 0, 0, 1, 0, 0, 0]),
+    ([5.0, 5.0, 5.0, 5.0, 4.5, 4.0, 4.0, 4.0], [1, 0, 0, 1, 2, 0, 0]),
+]
+
+
+def strategy_ledger(tickers, spread, first, last):
+    """The ledger over calendar days first..last of one ticker per
+    (closes, signals) pair; signal k announces after the close of day k."""
+    cal = make_calendar(date(2015, 6, 1), N_DAYS)
+    bars, tweets, events = [], [], []
+    for name, (closes, signals) in zip(("AAA", "BBB", "CCC", "DDD", "EEE"), tickers):
+        bars += bars_from_closes(name, cal.dates, closes)
+        for d, signal in zip(cal.dates, signals):
+            if signal:
+                events.append(make_event(name, eastern(d.year, d.month, d.day, 17),
+                                         Timing.AFTER_CLOSE))
+                tweets.append(TweetBucket(name, eastern(d.year, d.month, d.day, 10),
+                                          *((30, 5, 1) if signal == 1 else (0, 0, 20))))
+    ds = make_dataset(bars=bars, index=index_from_closes(cal.dates, [1000.0] * N_DAYS),
+                      tweets=tweets, events=events)
+    ledger = run_strategy(ds, LOOSE_TH, spread=spread, start=cal.dates[first],
+                          end=cal.dates[last])
+    return ledger, cal.dates[first:last + 1]
+
+
+class TestEquityCompounding:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(tickers=st.lists(st.tuples(CLOSES, SIGNALS), min_size=1, max_size=5),
+           spread=st.sampled_from([0.0, 0.05, 0.5]), first=st.integers(0, 2),
+           last=st.integers(N_DAYS - 3, N_DAYS - 1))
+    @example(tickers=WIPE_OUT, spread=0.05, first=0, last=N_DAYS - 1)
+    def test_equity_is_the_walk_by_close_day_bit_for_bit(self, tickers, spread, first, last):
+        ledger, dates = strategy_ledger(tickers, spread, first, last)
+        assert [(d, v.hex()) for d, v in ledger.equity] == [
+            (d, v.hex()) for d, v in walked_equity(ledger.trades, dates)]
+        assert [t.net_return.hex() for t in ledger.trades] == [
+            Trade.net(t.open_price, t.close_price, t.spread).hex() for t in ledger.trades]
+
+    def test_the_wipe_out_example_holds_every_case(self):
+        ledger, dates = strategy_ledger(WIPE_OUT, 0.05, 0, N_DAYS - 1)
+        closing = Counter(t.close_date for t in ledger.trades)
+        assert closing == {dates[1]: 3, dates[4]: 3}  # several a day, most days none
+        assert [v for _, v in ledger.equity] == [1.0] + [0.0] * (N_DAYS - 1)
