@@ -22,8 +22,8 @@ years that hold a stamp, then one ``np.searchsorted``. It serves the
 events parser's local-time rule, the anchoring, the announcement dates and
 the hourly tweet profiles. ``anchor_days`` anchors a column of events in
 one pass: each event's day 0 or the code of why it has none, and
-``anchor_error`` turns a code into the error text. ``day0_index`` and
-``anchor_event`` anchor one event through the same kernel.
+``anchor_error`` turns a code into the error text. ``anchor_event`` anchors
+one event through the same kernel.
 """
 
 from __future__ import annotations
@@ -285,17 +285,12 @@ def anchor_error(reason: int, ticker: str, announce_at: datetime, day: int) -> E
     return kind(text.format(ticker=ticker, at=announce_at.isoformat(), date=local))
 
 
-def day0_index(ev: EarningsEvent, cal: TradingCalendar) -> int:
-    """Calendar index of an announcement's day-0 trading date (see
-    ``anchor_days``); raises its anchoring error if it has none."""
+def anchor_event(ev: EarningsEvent, cal: TradingCalendar) -> EventAnchor:
+    """The event pinned to its day-0 trading date (see ``anchor_days``);
+    raises its anchoring error if it has none."""
     if ev.announce_at.tzinfo is None:
         raise ValueError("naive timestamps are not allowed")
     day0, reason, day = anchor_days(cal, Events.of([ev]))
     if reason[0]:
         raise anchor_error(int(reason[0]), ev.ticker, ev.announce_at, int(day[0]))
-    return int(day0[0])
-
-
-def anchor_event(ev: EarningsEvent, cal: TradingCalendar) -> EventAnchor:
-    """The event pinned to its day-0 trading date (see ``day0_index``)."""
-    return EventAnchor(event=ev, calendar=cal, day0=cal.dates[day0_index(ev, cal)])
+    return EventAnchor(event=ev, calendar=cal, day0=cal.dates[int(day0[0])])

@@ -74,6 +74,8 @@ class StudyConfig(namedtuple("StudyConfig",
             raise ValueError("estimation window too short to fit two parameters")
         if not 0 < significance_level < 1:  # two-sided
             raise ValueError("significance level must be in (0, 1)")
+        if 1 - significance_level / 2 == 1:  # no critical value: its quantile would be 1
+            raise ValueError("significance level so small that 1 - level/2 rounds to 1")
         return super().__new__(cls, event_window, estimation_window_length, significance_level)
 
     @classmethod

@@ -21,14 +21,14 @@ as digits with at most one inner ``.``, positive, an EPS figure written the
 same way after an optional ``-``, and a timing of exactly ``BeforeOpen`` or
 ``AfterClose`` whose local-time rule the announcement keeps (read from
 ``alignment.eastern_offsets``). Every other line goes alone through the row
-loop, the per-row parser with every check and its diagnostic text; a line
-break always ends a row, even inside quotes, and a line of malformed UTF-8
-or that the csv module cannot read gets a schema diagnostic. The checks
-that compare rows (a duplicate tweet bucket, a bar out of date order) then
-run once over the accepted rows of both paths, in line order, keeping the
-first occurrence; so does the events file's check for a repeated (ticker,
-instant). So both paths accept the same rows with the same values and give
-the same diagnostics in the same order.
+loop, where the file's row check (such as ``_price_row``) makes every check
+with its diagnostic text; a line break always ends a row, even inside
+quotes, and a line of malformed UTF-8 or that the csv module cannot read
+gets a schema diagnostic. The checks that compare rows (a bar out of date
+order, ``_dated_rows``; a repeated bucket or event, ``_repeated``) then run
+once over the accepted rows of both paths, in line order, keeping the first
+occurrence, and ``_accepted`` ends every parse. So both paths accept the
+same rows with the same values and give the same diagnostics in the same order.
 
 A close or an index level must be a positive finite number, and an EPS
 figure a finite one; a tweet count is at most ``MAX_COUNT`` and a share
@@ -44,6 +44,7 @@ the output directory and moved in only when the run succeeds.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -235,6 +236,7 @@ def _index_row(path, lineno, cells):
     return day.toordinal() - _EPOCH_DAY, close
 
 
+@functools.lru_cache(maxsize=None)  # a file repeats each stamp once per ticker
 def _hour_start(text: str) -> tuple[int, str]:
     """(UTC epoch seconds, "") of a whole-hour stamp, else (0, the problem)."""
     try:
@@ -246,41 +248,25 @@ def _hour_start(text: str) -> tuple[int, str]:
     return int(instant.timestamp()), ""
 
 
-def _tweet_row_check() -> Check:
-    """The row loop's check of one tweets row. A file repeats each stamp once
-    per ticker, so the stamp parse and the count conversions are memoized by
-    cell text; every row still gets every check and its own diagnostic."""
-    stamps: dict[str, tuple[int, str]] = {}  # stamp text -> _hour_start(text)
-    ints: dict[str, int] = {}  # count cell text -> int(text)
-
-    def check(path, lineno, cells):
-        raw_hour, raw_ticker, raw_neg, raw_neut, raw_pos = cells
-        stamp = stamps.get(raw_hour)
-        if stamp is None:
-            stamp = stamps[raw_hour] = _hour_start(raw_hour)
-        ts, problem = stamp
-        if problem == "bad":
-            return _cell_error(path, lineno, "hour_start_utc", f"bad timestamp {raw_hour!r}")
-        if problem:
-            return _invariant(path, lineno, f"hour_start not on a whole hour: {raw_hour!r}")
-        ticker = raw_ticker.strip()
-        if not TICKER_RE.match(ticker):
-            return _cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}")
-        try:
-            counts = ints[raw_neg], ints[raw_neut], ints[raw_pos]
-        except KeyError:
-            try:
-                counts = int(raw_neg), int(raw_neut), int(raw_pos)
-            except ValueError:
-                return _cell_error(path, lineno, "n_neg/n_neut/n_pos", "counts must be integers")
-            ints.update(zip((raw_neg, raw_neut, raw_pos), counts))
-        if not all(0 <= n <= MAX_COUNT for n in counts):
-            if min(counts) < 0:
-                return _invariant(path, lineno, "tweet counts must be non-negative")
-            return _invariant(path, lineno, f"tweet counts must be at most {MAX_COUNT}")
-        return _pack(ticker), ts, *counts
-
-    return check
+def _tweet_row(path, lineno, cells):
+    raw_hour, raw_ticker, raw_neg, raw_neut, raw_pos = cells
+    ts, problem = _hour_start(raw_hour)
+    if problem == "bad":
+        return _cell_error(path, lineno, "hour_start_utc", f"bad timestamp {raw_hour!r}")
+    if problem:
+        return _invariant(path, lineno, f"hour_start not on a whole hour: {raw_hour!r}")
+    ticker = raw_ticker.strip()
+    if not TICKER_RE.match(ticker):
+        return _cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}")
+    try:
+        counts = int(raw_neg), int(raw_neut), int(raw_pos)
+    except ValueError:
+        return _cell_error(path, lineno, "n_neg/n_neut/n_pos", "counts must be integers")
+    if min(counts) < 0:
+        return _invariant(path, lineno, "tweet counts must be non-negative")
+    if max(counts) > MAX_COUNT:
+        return _invariant(path, lineno, f"tweet counts must be at most {MAX_COUNT}")
+    return _pack(ticker), ts, *counts
 
 
 # --- the fast path -----------------------------------------------------------
@@ -561,14 +547,18 @@ def _ticker_codes(packed: np.ndarray):
     return tuple(_unpack(int(v)) for v in table), np.searchsorted(table, packed)
 
 
-def _repeated(code: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """A mask of the rows whose (code, key) an earlier row has."""
-    repeated = np.zeros(len(code), dtype=bool)
-    if not in_order(code, key):
-        order = np.lexsort((key, code))  # stable: among equal rows, the earliest first
-        c, k = code[order], key[order]
-        repeated[order[1:]] = (c[1:] == c[:-1]) & (k[1:] == k[:-1])
-    return repeated
+def _repeated(path, lines, code, key, diags, message) -> np.ndarray:
+    """A mask of the rows whose (code, key) no earlier row has. Each other
+    row gets the diagnostic ``message(row)``."""
+    if in_order(code, key):  # before the mask: the check's temporaries set the peak
+        return np.ones(len(code), dtype=bool)
+    order = np.lexsort((key, code))  # stable: among equal rows, the earliest first
+    c, k = code[order], key[order]
+    keep = np.ones(len(code), dtype=bool)
+    keep[order[1:]] = (c[1:] != c[:-1]) | (k[1:] != k[:-1])
+    for i in np.flatnonzero(~keep).tolist():
+        diags.append(_invariant(path, int(_line_numbers(lines, i)), message(i)))
+    return keep
 
 
 def _dated_rows(path, lines, code, day, diags, message) -> np.ndarray:
@@ -607,6 +597,15 @@ class Accepted(Frozen):
         return len(self.rows)
 
 
+def _accepted(lines, rows, keep: np.ndarray, diags: list[Diagnostic], digest: str):
+    """The end of every parse: the ``Accepted`` rows of ``rows`` in ``keep``,
+    with their line numbers, and the diagnostics sorted by line."""
+    diags.sort(key=lambda d: d.line)
+    if not keep.all():
+        lines, rows = _line_numbers(lines, np.flatnonzero(keep)), rows[keep]
+    return Accepted(lines, rows, digest), diags
+
+
 def parse_prices_csv(path: str | Path):
     """Parse prices.csv -> (Accepted bars, list[Diagnostic])."""
     path = Path(path)
@@ -617,11 +616,8 @@ def parse_prices_csv(path: str | Path):
     tickers, code = _ticker_codes(packed)
     keep = _dated_rows(path, lines, code, day, diags,
                        lambda i, what, on: f"{what} bar for {tickers[code[i]]} on {on}")
-    diags.sort(key=lambda d: d.line)
     bars = DailyBars(tickers, code, day.view("datetime64[D]"), close, volume)
-    if not keep.all():
-        lines, bars = _line_numbers(lines, np.flatnonzero(keep)), bars[keep]
-    return Accepted(lines, bars, digest), diags
+    return _accepted(lines, bars, keep, diags, digest)
 
 
 def parse_index_csv(path: str | Path):
@@ -632,33 +628,26 @@ def parse_index_csv(path: str | Path):
                                                 _index_row, (np.int64, np.float64))
     keep = _dated_rows(path, lines, np.zeros(len(day), dtype=np.int64), day, diags,
                        lambda i, what, on: f"{what} index bar on {on}")
-    diags.sort(key=lambda d: d.line)
-    if not keep.any():
+    index = IndexLevels(day.view("datetime64[D]"), close)
+    accepted, diags = _accepted(lines, index, keep, diags, digest)
+    if not len(accepted):
         diags.append(_invariant(path, 1, "index file has no usable rows"))
-    if not keep.all():
-        lines, day, close = _line_numbers(lines, np.flatnonzero(keep)), day[keep], close[keep]
-    return Accepted(lines, IndexLevels(day.view("datetime64[D]"), close), digest), diags
+    return accepted, diags
 
 
 def parse_tweets_csv(path: str | Path):
     """Parse tweets.csv -> (Accepted tweet buckets, list[Diagnostic])."""
     path = Path(path)
     lines, (packed, ts, *counts), diags, digest = _parse(
-        path, TWEETS_HEADER, TWEETS_MIN_LINE, _tweet_cells, _tweet_row_check(),
+        path, TWEETS_HEADER, TWEETS_MIN_LINE, _tweet_cells, _tweet_row,
         (np.int64, np.int64, np.int32, np.int32, np.int32),
     )
+    _hour_start.cache_clear()  # the row loop is done: no stamp of this file outlives it
     tickers, code = _ticker_codes(packed)
-    buckets = TweetBuckets(tickers, code, ts, *counts)
     # one bucket per (ticker, hour): the first in line order is kept
-    repeated = _repeated(code, ts)
-    stamps = np.datetime_as_string(ts[repeated].astype("datetime64[s]")).tolist()
-    for i, stamp in zip(np.flatnonzero(repeated).tolist(), stamps):
-        diags.append(_invariant(path, int(_line_numbers(lines, i)),
-                                f"duplicate bucket for {tickers[code[i]]} at {stamp}Z"))
-    diags.sort(key=lambda d: d.line)
-    if repeated.any():
-        lines, buckets = _line_numbers(lines, np.flatnonzero(~repeated)), buckets[~repeated]
-    return Accepted(lines, buckets, digest), diags
+    keep = _repeated(path, lines, code, ts, diags, lambda i: (
+        f"duplicate bucket for {tickers[code[i]]} at {np.datetime64(int(ts[i]), 's')}Z"))
+    return _accepted(lines, TweetBuckets(tickers, code, ts, *counts), keep, diags, digest)
 
 
 def _event_row(path, lineno, cells):
@@ -710,14 +699,9 @@ def parse_events_csv(path: str | Path):
     tickers, code = _ticker_codes(packed)
     events = Events(tickers, code, at, timing, reported, estimated)
     # one event per (ticker, instant): the first in line order is kept
-    repeated = _repeated(code, at)
-    for i, stamp in zip(np.flatnonzero(repeated).tolist(), events.stamps(repeated)):
-        diags.append(_invariant(path, int(_line_numbers(lines, i)),
-                                f"duplicate event for {tickers[code[i]]} at {stamp}"))
-    diags.sort(key=lambda d: d.line)
-    if repeated.any():
-        lines, events = _line_numbers(lines, np.flatnonzero(~repeated)), events[~repeated]
-    return Accepted(lines, events, digest), diags
+    keep = _repeated(path, lines, code, at, diags, lambda i: (
+        f"duplicate event for {tickers[code[i]]} at {events.stamps([i])[0]}"))
+    return _accepted(lines, events, keep, diags, digest)
 
 
 def load_dataset(
@@ -766,9 +750,9 @@ def load_dataset(
 
 
 def _write_lines(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
-    """The header row, then the lines as given, as one string. No field of an
-    input file needs CSV quoting: tickers match ``TICKER_RE``, and the rest
-    are canonical dates and stamps, timing names and numbers."""
+    """The header row, then the lines as given, as one string: a dataset
+    file or a report. No field of either needs CSV quoting: tickers match
+    ``TICKER_RE``, and the rest are dates, stamps, fixed names and numbers."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n" + "".join(lines))
 
@@ -844,10 +828,7 @@ class OutputDir:
         return path
 
     def write_csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-        with open(self._add(name), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([_fmt(v) for v in row] for row in rows)
+        _write_lines(self._add(name), header, (",".join(map(_fmt, row)) + "\n" for row in rows))
 
     def write_json(self, name: str, payload: dict) -> None:
         with open(self._add(name), "w", encoding="utf-8") as fh:

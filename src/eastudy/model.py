@@ -210,6 +210,9 @@ class IndexLevels(Frozen):
     def __len__(self) -> int:
         return len(self.day)
 
+    def __getitem__(self, i):
+        return IndexLevels(self.day[i], self.close[i])
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented

@@ -494,6 +494,53 @@ class TestSettingsFileIsADirectory:
         assert not out.exists()
 
 
+class TestNeitherFileNorPipe:
+    """A device such as ``/dev/null`` as an input or as ``--config`` is
+    refused as a missing file: exit 2 with one error line."""
+
+    CASES = {
+        "events": lambda data: ["ingest", *data_flags(data)[:-1], "/dev/null"],
+        "config": lambda data: ["--config", "/dev/null", "ingest", *data_flags(data)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_with_an_error_line(self, case, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *self.CASES[case](data_dir)]) == 2
+        assert capsys.readouterr().err == "error: /dev/null: not a regular file or a pipe\n"
+        assert not out.exists()
+
+
+class TestSynthSpecFromConfig:
+    """``synth`` without ``--spec`` reads the config's ``synth`` section:
+    the same files and manifest config as ``--spec`` with that object, and
+    ``--seed`` overrides the section's seed."""
+
+    SECTION = {"seed": 3, "n_tickers": 2, "n_days": 40, "events_per_ticker": 1,
+               "first_event_day": 20}
+
+    def run(self, out: Path, *argv: str) -> dict:
+        """The files ``synth`` writes, with the manifest as its ``config``."""
+        assert main(["--out", str(out), *argv]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        files["manifest.json"] = json.loads(files["manifest.json"])["config"]
+        return files
+
+    def test_same_as_the_spec_file(self, tmp_path):
+        config, spec, spec99 = tmp_path / "run.json", tmp_path / "spec.json", tmp_path / "99.json"
+        config.write_text(json.dumps({"synth": self.SECTION}))
+        spec.write_text(json.dumps(self.SECTION))
+        spec99.write_text(json.dumps({**self.SECTION, "seed": 99}))
+        from_config = self.run(tmp_path / "c", "--config", str(config), "synth")
+        assert sorted(from_config) == ["events.csv", "index.csv", "manifest.json",
+                                       "prices.csv", "tweets.csv"]
+        assert from_config == self.run(tmp_path / "s", "synth", "--spec", str(spec))
+        seeded = self.run(tmp_path / "c99", "--config", str(config), "--seed", "99", "synth")
+        assert seeded == self.run(tmp_path / "s99", "synth", "--spec", str(spec99))
+        assert seeded["manifest.json"]["seed"] == 99
+        assert seeded["index.csv"] != from_config["index.csv"]
+
+
 class TestBooleanSettings:
     """A JSON ``true`` or ``false`` is no number: every numeric setting
     refuses one, in place of reading it as 1 or 0."""
@@ -555,6 +602,25 @@ class TestFailedRunLeavesNoParents:
             main(argv)
         assert list(fx.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fx"]
+
+    def test_a_staged_report_is_removed_with_them(self, data_dir, tmp_path, monkeypatch):
+        """Reports and dataset files share one writer: fail its second call,
+        after one report is staged."""
+        fx = tmp_path / "fx"
+        fx.mkdir()
+        write_lines, staged = ingest._write_lines, []
+
+        def second_fails(path, *args):
+            staged.append(path)
+            if len(staged) > 1:
+                raise OSError("no space left on device")
+            return write_lines(path, *args)
+
+        monkeypatch.setattr(ingest, "_write_lines", second_fails)
+        with pytest.raises(OSError):
+            main(["--out", str(fx / "new" / "out"), "pipeline", *data_flags(data_dir)])
+        assert len(staged) == 2 and staged[0].parent.name.startswith(".out.")
+        assert list(fx.iterdir()) == []
 
     def test_a_committed_run_keeps_them(self, data_dir, tmp_path):
         target = tmp_path / "fx" / "new" / "out"

@@ -4,7 +4,9 @@ Each cell runs one subcommand (or ``pipeline``) in-process on the Quickstart
 data with one defective config file: a file that is not a JSON object, a
 section that is not an object, a value of the wrong type at a ``SETTINGS``
 key, a number too large for the run (+-1e400, which JSON reads as an
-infinity, and +-10**20) at a numeric key, or a fraction at an integer key.
+infinity, and +-10**20) or too small for it (1e-300 and 5e-324, a
+significance level at which 1 - level/2 rounds to 1) at a numeric key, or a
+fraction at an integer key.
 Whatever the cell, the run exits with a documented code, prints no
 traceback, and a failed run prints one ``error:`` line and leaves ``--out``
 and its parent as it found them. A fraction at an integer key fails every
@@ -31,6 +33,7 @@ SECTIONS = sorted({keys[0] for keys, _, _ in SETTINGS.values() if len(keys) > 1}
 NOT_OBJECTS = ("[]", "1", '"config"', "null")
 WRONG_TYPES = ("true", '"x"', '"15"', "[1, 2]", '{"a": 1}')
 TOO_LARGE = ("1e400", "-1e400", str(10**20), str(-10**20))
+TOO_SMALL = ("1e-300", "5e-324")
 FRACTIONS = ("0.5", "-1.5")
 # numeric settings, by their defaults; a pair takes the number at either end
 NUMERIC = sorted(name for name, (_, default, _) in SETTINGS.items()
@@ -60,6 +63,8 @@ CONFIGS = st.one_of(
     st.builds(lambda name, v: at(SETTINGS[name][0], v), st.sampled_from(sorted(SETTINGS)),
               st.sampled_from(WRONG_TYPES)),
     st.builds(numeric_defect, st.sampled_from(NUMERIC), st.sampled_from(TOO_LARGE),
+              st.booleans()),
+    st.builds(numeric_defect, st.sampled_from(NUMERIC), st.sampled_from(TOO_SMALL),
               st.booleans()),
     st.builds(numeric_defect, st.sampled_from(INTEGER), st.sampled_from(FRACTIONS),
               st.booleans()),
@@ -113,6 +118,8 @@ def listing(path: Path) -> dict[str, bytes]:
          flags=())
 @example(command="volume", config='{"volume": {"rel_min": -3000000000, "rel_max": 0}}',
          flags=())
+@example(command="study", config="{}", flags=("--significance", "1e-17"))
+@example(command="pipeline", config='{"study": {"significance": 5e-324}}', flags=())
 def test_every_command_survives_every_config_defect(inputs, command, config, flags):
     survives(inputs, command, config, flags)
 
@@ -127,6 +134,16 @@ def test_a_fraction_at_an_integer_key_is_refused(inputs, command, config):
 @pytest.mark.parametrize("command", READS_SETTINGS)
 def test_a_string_at_a_numeric_key_is_refused(inputs, command, config):
     assert survives(inputs, command, config, ()) == 5
+
+
+@pytest.mark.parametrize("command,config,flags,code", [
+    ("study", "{}", ("--significance", "1e-17"), 5),
+    ("pipeline", '{"study": {"significance": 5e-324}}', (), 5),
+    ("study", "{}", ("--significance", "1.2e-16"), 0),
+])
+def test_a_significance_level_at_which_one_minus_half_rounds_to_one_is_refused(
+        inputs, command, config, flags, code):
+    assert survives(inputs, command, config, flags) == code
 
 
 @pytest.mark.parametrize("config", sorted(STRINGS))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from datetime import date, timedelta, timezone
 from pathlib import Path
@@ -31,7 +32,7 @@ from eastudy.ingest import (
     parse_tweets_csv,
     write_dataset,
 )
-from eastudy.model import DailyBars, Dataset
+from eastudy.model import TICKER_RE, DailyBars, Dataset
 from eastudy.reports import build_universe
 from eastudy.returns import earnings_surprise
 from eastudy.synth import SynthSpec, generate
@@ -257,6 +258,19 @@ class TestParsers:
         flags = [f for name, path in zip(("prices", "index", "tweets", "events"), paths)
                  for f in (f"--{name}", str(path))]
         assert main(["--out", str(tmp_path / "out"), "ingest", *flags]) == 4
+
+    def test_event_ticker_and_eps_refusals_name_their_column(self, tmp_path):
+        events = (
+            "ticker,announce_at_utc,timing,eps_reported,eps_estimated\n"
+            "sya,2015-06-02T20:30:00Z,AfterClose,1.05,1.0\n"
+            "SYA,2015-06-03T20:30:00Z,AfterClose,abc,1.0\n"
+        )
+        accepted, diags = parse_events_csv(write(tmp_path / "e.csv", events))
+        assert not accepted
+        assert [(d.line, d.kind, d.message) for d in diags] == [
+            (2, "schema", "column ticker: bad ticker 'sya'"),
+            (3, "schema", "column eps_reported/eps_estimated: not a number"),
+        ]
 
     def test_events_of_one_ticker_at_different_instants_load(self, tmp_path):
         events = (
@@ -586,6 +600,8 @@ ROW_MUTATIONS = {
         "-.5": _cell(3, lambda c: "-.5"),
         "1e3": _cell(4, lambda c: "1e3"),
         "spaced ticker": _cell(0, lambda c: f" {c}"),
+        "lower-case ticker": _cell(0, str.lower),
+        "EPS not a number": _cell(3, lambda c: "abc"),
     },
 }
 # mutations whose rows the fast path still reads
@@ -1035,3 +1051,67 @@ class TestWriteThenLoad:
                                 events_per_ticker=1, first_event_day=20))
         paths = write_dataset(ds, tmp_path_factory.mktemp("w"))
         assert load_dataset(*paths) == ds
+
+
+class TestTweetStampsParsedOncePerParse:
+    """The row loop parses each distinct stamp text once per parse, and the
+    memo is gone when the parse returns."""
+
+    @pytest.fixture
+    def offset_form(self, base_files, tmp_path):
+        lines = base_files["tweets"].split("\n")
+        rows = [line.split(",", 1) for line in lines[1:] if line]
+        path = write(tmp_path / "tweets.csv", "\n".join(
+            [lines[0], *(f"{_to_offset_form(stamp)},{rest}" for stamp, rest in rows)]) + "\n")
+        return path, len(rows), len({stamp for stamp, _ in rows})
+
+    def test_the_stamp_memo_does_not_outlive_the_parse(self, offset_form):
+        path, n_rows, _ = offset_form
+        with counting_row_loop() as seen:
+            accepted, diags = parse_tweets_csv(path)
+        assert len(seen["tweets.csv"]) == n_rows and len(accepted) == n_rows and not diags
+        assert ingest._hour_start.cache_info().currsize == 0
+
+    def test_each_distinct_stamp_parsed_once_per_parse(self, offset_form, monkeypatch):
+        path, n_rows, n_stamps = offset_form
+        assert n_stamps < n_rows  # stamps repeat across tickers
+        parsed = Counter()
+
+        def counting(text):
+            parsed[text] += 1
+            return parse_rfc3339(text)
+
+        monkeypatch.setattr(ingest, "parse_rfc3339", counting)
+        for run in (1, 2):
+            parse_tweets_csv(path)
+            assert len(parsed) == n_stamps and set(parsed.values()) == {run}
+
+
+def csv_module_writer(header, rows) -> bytes:
+    """The report bytes as ``csv.writer`` writes the ``_fmt`` of each value."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([ingest._fmt(v) for v in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+class TestReportWriter:
+    """``OutputDir.write_csv`` writes what ``csv.writer`` writes, for every
+    kind of value a report holds: no report field needs quoting."""
+
+    @settings(max_examples=40)
+    @given(st.lists(st.tuples(
+        st.from_regex(TICKER_RE, fullmatch=True), st.dates().map(date.isoformat),
+        st.sampled_from(["AfterClose", "BeforeOpen", "negative", "all", "strategy"]),
+        st.integers(-2**63, 2**63), st.booleans(),
+        st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                                                -0.0, 0.0, 1e-300, 5e-324, 1e22])),
+    ), max_size=20))
+    def test_same_bytes_as_the_csv_module(self, tmp_path_factory, rows):
+        header = ["ticker", "date", "name", "n", "significant", "value"]
+        root = tmp_path_factory.mktemp("w") / "out"
+        out = ingest.OutputDir(root)
+        out.write_csv("report.csv", header, iter(rows))
+        out.commit()
+        assert (root / "report.csv").read_bytes() == csv_module_writer(header, rows)
