@@ -12,9 +12,9 @@ an AfterClose event whose day 0 is the next trading date. The asymmetry is
 deliberate and covered by tests.
 
 Columns of instants (epoch seconds) map to their days in one
-``np.searchsorted`` over the closes, for ``day_indices`` and the tweet counts.
-``close_delimited_day`` does the same for one instant by bisection and is
-the reference the vectorized path is tested against.
+``np.searchsorted`` over the closes, ``day_indices``, which marks an instant
+outside the coverage and never refuses it. ``close_delimited_day`` raises
+there; it maps one instant by bisection and is the reference for the rest.
 
 US/Eastern wall-clock times come from one offset kernel,
 ``eastern_offsets``: a transition table read from ``ZoneInfo`` for the
@@ -196,22 +196,11 @@ class TradingCalendar:
             )
         return self.dates[bisect_left(self._closes_ts, ts)]
 
-    def _day_columns(self, ts: np.ndarray) -> np.ndarray:
-        """1 + the calendar index of the close-delimited day of each epoch
-        second: 0 before coverage, ``len(self) + 1`` after it."""
-        return np.searchsorted(self._bounds, ts, side="left")
-
     def day_indices(self, ts: np.ndarray) -> np.ndarray:
-        """Calendar index of the close-delimited day of each epoch second.
-
-        Raises OutOfCalendarRange if any instant is outside coverage.
-        """
-        days = self._day_columns(ts) - 1
-        outside = (days < 0) | (days == len(self))
-        if outside.any():
-            first = datetime.fromtimestamp(int(ts[np.argmax(outside)]), ZoneInfo("UTC"))
-            raise OutOfCalendarRange(f"{first.isoformat()} is outside calendar coverage")
-        return days
+        """Calendar index of the close-delimited day of each epoch second:
+        -1 at or before the virtual previous close, ``len(self)`` after the
+        last close: an instant outside the coverage is marked, never refused."""
+        return np.searchsorted(self._bounds, ts, side="left") - 1
 
     def next_after(self, day: date) -> date:
         """First trading date strictly after the given calendar day."""

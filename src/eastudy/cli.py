@@ -62,7 +62,7 @@ from .reports import (
 )
 from .sentiment import DailyCounts, sentiment_scores
 
-# exit codes: 0 ok, these three, and 5 for every other domain error
+# exit codes: 0 ok, these three, 2 for an unwritable output, 5 for every other domain error
 EXIT_CODES = ((MissingFile, 2), (SchemaMismatch, 3), (InvariantViolation, 4))
 
 INPUTS = ("prices", "index", "tweets", "events")
@@ -604,6 +604,10 @@ def main(argv: list[str] | None = None) -> int:
         for diag in getattr(exc, "diagnostics", [])[:20]:
             print(f"  {diag}", file=sys.stderr)
         return next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), 5)
+    except OSError as exc:  # an output that cannot be written, named by its writer
+        print(f"error: cannot write {Path(exc.filename or 'output').name}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     finally:
         if out is not None:
             out.discard()

@@ -749,12 +749,21 @@ def load_dataset(
     )
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one output file; its OSError names ``path`` for ``cli.main``."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        exc.filename = str(path)
+        raise
+
+
 def _write_lines(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
     """The header row, then the lines as given, as one string: a dataset
     file or a report. No field of either needs CSV quoting: tickers match
     ``TICKER_RE``, and the rest are dates, stamps, fixed names and numbers."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n" + "".join(lines))
+    _write_text(path, ",".join(header) + "\n" + "".join(lines))
 
 
 def _lookup(table: list[str], keys: np.ndarray) -> list[str]:
@@ -776,7 +785,7 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> list[Path]:
     ))
     _write_lines(paths[1], INDEX_HEADER, map("{},{!r}\n".format, ds.index.day.astype(str).tolist(),
                                              ds.index.close.tolist()))
-    stamps = [format_rfc3339(datetime.fromtimestamp(t, timezone.utc)) for t in hours.tolist()]
+    stamps = [s + "Z" for s in np.datetime_as_string(hours.astype("datetime64[s]")).tolist()]
     _write_lines(paths[2], TWEETS_HEADER, map(
         "{},{},{},{},{}\n".format,
         _lookup(stamps, np.searchsorted(hours, tw.ts)), _lookup(list(tw.tickers), tw.code),
@@ -831,9 +840,7 @@ class OutputDir:
         _write_lines(self._add(name), header, (",".join(map(_fmt, row)) + "\n" for row in rows))
 
     def write_json(self, name: str, payload: dict) -> None:
-        with open(self._add(name), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(self._add(name), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def commit(self) -> None:
         if self._stage is None:

@@ -69,26 +69,24 @@ def hold_from_day_m1(
     ``closes`` is a (row x trading day) grid, NaN where there is no bar, and
     ``tickers`` names its rows; event e reads row ``rows[e]`` from calendar
     index ``day0[e]``. The result has one row per event and one column per
-    d of ``days``, NaN where a close is missing or off the calendar. For
-    each d in turn, day -1 and day d must be on the calendar
-    (OutOfCalendarRange), then have a close (MissingBar naming the row's
-    ticker and the date of ``dates``).
+    d of ``days``, NaN where a close is missing or off the calendar. An
+    event's error is at its first day with no close (day -1, then the d's),
+    but at the first d when that is off the calendar and day -1 is on it:
+    OutOfCalendarRange off the calendar, else MissingBar naming the row's
+    ticker and the date of ``dates``.
     """
     cols = day0[:, None] + np.array([-1, *days], dtype=np.int64)
     inside = (cols >= 0) & (cols < closes.shape[1])
     p = np.full(cols.shape, np.nan)
     p[inside] = closes[np.broadcast_to(rows[:, None], cols.shape)[inside], cols[inside]]
     served = ~np.isnan(p)
-    # per d: day -1 and day d on the calendar, then both with a close
-    checks = np.stack(np.broadcast_arrays(
-        inside[:, :1], inside[:, 1:], served[:, :1], served[:, 1:]), axis=2)
-    checks = checks.reshape(len(cols), 4 * len(days))
     errors = {}
-    for e in np.flatnonzero(~checks.all(axis=1)).tolist():
-        k = int(np.argmin(checks[e]))
-        i = int(cols[e, 0 if k % 2 == 0 else k // 4 + 1])
-        errors[e] = (OutOfCalendarRange(f"calendar index {i} out of range") if k % 4 < 2
-                     else MissingBar(f"{tickers[rows[e]]}: no closing price on {dates[i]}"))
+    for e in np.flatnonzero(~served.all(axis=1)).tolist():
+        j = int(np.argmin(served[e]))
+        j = 1 if j == 0 and inside[e, 0] and not inside[e, 1] else j
+        i = int(cols[e, j])
+        errors[e] = (MissingBar(f"{tickers[rows[e]]}: no closing price on {dates[i]}")
+                     if inside[e, j] else OutOfCalendarRange(f"calendar index {i} out of range"))
     return (p[:, 1:] - p[:, :1]) / p[:, :1], errors
 
 

@@ -1,8 +1,8 @@
 """Daily sentiment aggregation and event polarity classification.
 
 Hourly tweet buckets roll up into close-delimited trading days in one pass
-over the canonical bucket columns, sorted by (ticker, hour): one
-``np.searchsorted`` gives each bucket its trading day, or an edge column
+over the canonical bucket columns, sorted by (ticker, hour): the calendar's
+``day_indices`` gives each bucket its trading day, or an edge column
 outside the calendar, so each (ticker x day) cell's buckets are one run.
 One ``np.add.reduceat`` per label sums the runs in int64, so totals are
 exact integers; US/Eastern hour-of-day totals read just the runs asked for.
@@ -68,7 +68,7 @@ class DailyCounts:
         self._tweets = tw = tweets.canonical()
         # buckets per cell, flat, with an edge column on either side of the trading days
         width = len(cal) + 2
-        self._runs = np.bincount(tw.code * width + cal._day_columns(tw.ts),
+        self._runs = np.bincount(tw.code * width + cal.day_indices(tw.ts) + 1,
                                  minlength=len(self.tickers) * width)
         filled = np.flatnonzero(self._runs)
         starts = np.cumsum(self._runs)[filled] - self._runs[filled]
@@ -96,18 +96,6 @@ class DailyCounts:
         block = np.zeros((len(cells), 24), dtype=np.int64)
         np.add.at(block, (owner, eastern_hours(tw.ts)), tw.total)
         return block
-
-
-def daily_counts(tweets: TweetBuckets, cal: TradingCalendar) -> DailyCounts:
-    """Sum hourly buckets into close-delimited daily counts.
-
-    Sum-preserving: every input tweet lands in exactly one output day.
-    Raises OutOfCalendarRange if a bucket falls outside calendar coverage.
-    """
-    counts = DailyCounts(tweets, cal)
-    if counts.outside:
-        cal.day_indices(tweets.ts)  # raises, naming the first bucket outside
-    return counts
 
 
 def sentiment_score(n_neg: int, n_neut: int, n_pos: int) -> float:

@@ -68,7 +68,35 @@ class TestCloseDelimitedDay:
         assert cal.close_delimited_day(edt_day) == date(2015, 3, 10)
 
 
+# trading days across both 2015 DST changes, and the UTC epoch seconds of
+# the virtual previous close and of every close
+DST_CALENDAR = make_calendar(date(2015, 3, 2), 185)
+DST_CLOSES = [int(close_instant(d).timestamp())
+              for d in (DST_CALENDAR.dates[0] - timedelta(days=1), *DST_CALENDAR.dates)]
+around_closes = st.one_of(
+    st.sampled_from(DST_CLOSES).flatmap(lambda c: st.sampled_from([c - 1, c, c + 1])),
+    st.integers(DST_CLOSES[0] - 5 * 86400, DST_CLOSES[-1] + 5 * 86400),
+)
+
+
 class TestPartitionProperty:
+    @given(st.lists(around_closes, max_size=20))
+    def test_day_indices_equal_the_reference_and_mark_outside(self, instants):
+        """Inside the coverage ``day_indices`` is the reference's index; it is
+        -1 at or before the virtual previous close and ``len(cal)`` after the
+        last close, where the reference raises."""
+        cal = DST_CALENDAR
+        days = cal.day_indices(np.array(instants, dtype=np.int64))
+        assert days.shape == (len(instants),)
+        for ts, day in zip(instants, days.tolist()):
+            instant = datetime.fromtimestamp(ts, timezone.utc)
+            if DST_CLOSES[0] < ts <= DST_CLOSES[-1]:
+                assert day == cal.index_of(cal.close_delimited_day(instant))
+                continue
+            assert day == (-1 if ts <= DST_CLOSES[0] else len(cal))
+            with pytest.raises(OutOfCalendarRange):
+                cal.close_delimited_day(instant)
+
     @given(st.integers(min_value=0, max_value=14 * 24 * 3600 - 1))
     def test_every_instant_assigned_exactly_once(self, offset):
         cal = make_calendar(date(2015, 6, 1), 10)

@@ -1,12 +1,14 @@
 import argparse
 import builtins
 import csv
+import errno
 import gc
 import hashlib
 import io
 import json
 import os
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -49,6 +51,7 @@ PIPELINE_FILES = [
     "curves_sentm1_afterclose.csv", "curves_sentm1_beforeopen.csv",
     "trades.csv", "equity.csv", "regression.csv", "manifest.json",
 ]
+DATASET_FILES = ["prices.csv", "index.csv", "tweets.csv", "events.csv"]
 
 
 @pytest.fixture(scope="module")
@@ -567,43 +570,55 @@ class TestBooleanSettings:
         assert not out.exists()
 
 
+def no_space(path) -> OSError:
+    """The error a write to ``path`` on a full disk raises: the writer names the file."""
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
+def one_write_error(capsys, name: str) -> None:
+    """The run printed one ``error:`` line, naming ``name`` and the disk being full."""
+    assert capsys.readouterr().err == f"error: cannot write {name}: No space left on device\n"
+
+
 def failing_after_first_file(monkeypatch):
-    """Make every CSV write after the first one fail."""
+    """Make every dataset file or report write after the first one fail, as
+    on a full disk; returns the list of the files written."""
     written = []
-    write_lines, write_csv = ingest._write_lines, ingest.OutputDir.write_csv
+    write_lines = ingest._write_lines
 
-    def first_only(write):
-        def wrapper(*args):
-            if written:
-                raise OSError("no space left on device")
-            written.append(args)
-            return write(*args)
-        return wrapper
+    def first_only(path, *args):
+        if written:
+            raise no_space(path)
+        written.append(path)
+        return write_lines(path, *args)
 
-    monkeypatch.setattr(ingest, "_write_lines", first_only(write_lines))
-    monkeypatch.setattr(ingest.OutputDir, "write_csv", first_only(write_csv))
+    monkeypatch.setattr(ingest, "_write_lines", first_only)
+    return written
 
 
 class TestFailedRunLeavesNoParents:
     """A failed run removes the parent directories it made for its output."""
 
     @pytest.mark.parametrize("option", ["--out", "--emit"])
-    def test_no_new_directory_is_left(self, option, data_dir, tmp_path, monkeypatch):
+    def test_no_new_directory_is_left(self, option, data_dir, tmp_path, monkeypatch, capsys):
         fx = tmp_path / "fx"
         fx.mkdir()
-        failing_after_first_file(monkeypatch)
+        written = failing_after_first_file(monkeypatch)
         target = str(fx / "new" / "sub" / "target")
         if option == "--out":
             argv = ["--out", target, "pipeline", *data_flags(data_dir)]
         else:
             argv = ["--out", str(tmp_path / "out"), "ingest", *data_flags(data_dir),
                     "--emit", target]
-        with pytest.raises(OSError):
-            main(argv)
+        assert main(argv) == 2
+        # the first file is staged, the second fails
+        assert [p.name for p in written] == [
+            "volume_daily.csv" if option == "--out" else "prices.csv"]
+        one_write_error(capsys, "volume_hourly.csv" if option == "--out" else "index.csv")
         assert list(fx.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fx"]
 
-    def test_a_staged_report_is_removed_with_them(self, data_dir, tmp_path, monkeypatch):
+    def test_a_staged_report_is_removed_with_them(self, data_dir, tmp_path, monkeypatch, capsys):
         """Reports and dataset files share one writer: fail its second call,
         after one report is staged."""
         fx = tmp_path / "fx"
@@ -613,12 +628,12 @@ class TestFailedRunLeavesNoParents:
         def second_fails(path, *args):
             staged.append(path)
             if len(staged) > 1:
-                raise OSError("no space left on device")
+                raise no_space(path)
             return write_lines(path, *args)
 
         monkeypatch.setattr(ingest, "_write_lines", second_fails)
-        with pytest.raises(OSError):
-            main(["--out", str(fx / "new" / "out"), "pipeline", *data_flags(data_dir)])
+        assert main(["--out", str(fx / "new" / "out"), "pipeline", *data_flags(data_dir)]) == 2
+        one_write_error(capsys, staged[1].name)
         assert len(staged) == 2 and staged[0].parent.name.startswith(".out.")
         assert list(fx.iterdir()) == []
 
@@ -627,6 +642,35 @@ class TestFailedRunLeavesNoParents:
         assert main(["--out", str(target), "calendar", "--index",
                      str(data_dir / "index.csv")]) == 0
         assert [p.name for p in target.iterdir()] == ["calendar.csv"]
+
+
+class TestOutputTooLarge:
+    """Under a 4096-byte file-size limit every writing command exits 2 with
+    one ``error:`` line naming the file it could not write, and leaves
+    nothing beside ``--out`` or ``--emit``."""
+
+    @pytest.mark.parametrize("command", ["pipeline", "synth", "ingest"])
+    def test_exit_2_with_one_error_line(self, command, data_dir, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC))
+        work = tmp_path / "work"
+        work.mkdir()
+        argv, names = {
+            "pipeline": (["pipeline", *data_flags(data_dir)], PIPELINE_FILES),
+            "synth": (["synth", "--spec", str(spec)], DATASET_FILES),
+            "ingest": (["ingest", *data_flags(data_dir), "--emit", str(work / "emit")],
+                       DATASET_FILES),
+        }[command]
+        done = subprocess.run(
+            [sys.executable, "-m", "eastudy.cli", "--out", str(work / "out"), *argv],
+            env={**os.environ, "PYTHONPATH": str(Path(eastudy.__file__).parents[1])},
+            capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)))
+        assert done.returncode == 2, done.stderr
+        [line] = done.stderr.splitlines()
+        name = line.removeprefix("error: cannot write ").removesuffix(": File too large")
+        assert name in names, line
+        assert list(work.iterdir()) == []
 
 
 class TestSynthImportedOnlyBySynth:
@@ -973,7 +1017,8 @@ class TestIngestEmit:
         assert afile.read_bytes() == b"not a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]  # no staging left
 
-    def test_failed_emit_leaves_the_directory_as_it_was(self, data_dir, tmp_path, monkeypatch):
+    def test_failed_emit_leaves_the_directory_as_it_was(self, data_dir, tmp_path, monkeypatch,
+                                                        capsys):
         emit = tmp_path / "emit"
         emit.mkdir()
         (emit / "prices.csv").write_bytes(b"an earlier copy\n")
@@ -981,13 +1026,13 @@ class TestIngestEmit:
 
         def first_file_only(path, header, lines):
             if path.name != "prices.csv":
-                raise OSError("no space left on device")
+                raise no_space(path)
             write_lines(path, header, lines)
 
         monkeypatch.setattr(ingest, "_write_lines", first_file_only)
-        with pytest.raises(OSError):
-            main(["--out", str(tmp_path / "out"), "ingest", *data_flags(data_dir),
-                  "--emit", str(emit)])
+        assert main(["--out", str(tmp_path / "out"), "ingest", *data_flags(data_dir),
+                     "--emit", str(emit)]) == 2
+        one_write_error(capsys, "index.csv")
         assert [p.name for p in tmp_path.iterdir()] == ["emit"]  # no staging left
         assert [p.name for p in emit.iterdir()] == ["prices.csv"]
         assert (emit / "prices.csv").read_bytes() == b"an earlier copy\n"

@@ -12,7 +12,6 @@ from eastudy.sentiment import (
     EventPolarity,
     PolarityThresholds,
     categorize_event,
-    daily_counts,
     sentiment_score,
     tercile_thresholds,
 )
@@ -183,27 +182,36 @@ class TestCategorize:
 class TestDailyCounts:
     def test_bucket_after_close_counts_to_next_day(self, week_calendar):
         bucket = TweetBucket("AAA", eastern(2015, 6, 2, 17, 0), 1, 2, 3)
-        [day] = day_cells(daily_counts(tweet_columns([bucket]), week_calendar))
+        [day] = day_cells(DailyCounts(tweet_columns([bucket]), week_calendar))
         assert day.trading_date == date(2015, 6, 3)
         assert (day.n_neg, day.n_neut, day.n_pos) == (1, 2, 3)
 
     def test_empty_input(self, week_calendar):
-        assert day_cells(daily_counts(tweet_columns([]), week_calendar)) == []
+        assert day_cells(DailyCounts(tweet_columns([]), week_calendar)) == []
 
     def test_split_across_close(self, week_calendar):
         buckets = [
             TweetBucket("AAA", eastern(2015, 6, 2, 10, 0), 1, 0, 0),
             TweetBucket("AAA", eastern(2015, 6, 2, 18, 0), 0, 0, 1),
         ]
-        days = daily_counts(tweet_columns(buckets), week_calendar)
+        days = DailyCounts(tweet_columns(buckets), week_calendar)
         by_date = {c.trading_date: c for c in day_cells(days)}
         assert by_date[date(2015, 6, 2)].n_neg == 1
         assert by_date[date(2015, 6, 3)].n_pos == 1
 
-    def test_out_of_range_bucket_raises(self, week_calendar):
-        bucket = TweetBucket("AAA", eastern(2015, 6, 14, 12, 0), 1, 0, 0)
-        with pytest.raises(OutOfCalendarRange):
-            daily_counts(tweet_columns([bucket]), week_calendar)
+    def test_buckets_before_and_after_coverage_are_counted_outside(self, week_calendar):
+        """A bucket before the coverage and one after it are counted in
+        ``outside`` and reach no cell; the inside buckets' totals are kept."""
+        inside = [TweetBucket("AAA", eastern(2015, 6, 2, 10, 0), 1, 2, 3),
+                  TweetBucket("BBB", eastern(2015, 6, 3, 18, 0), 4, 5, 6)]
+        before = TweetBucket("AAA", eastern(2015, 5, 31, 16, 0), 7, 0, 0)  # the virtual close
+        after = TweetBucket("BBB", eastern(2015, 6, 14, 12, 0), 0, 0, 8)
+        days = DailyCounts(tweet_columns([before, *inside, after]), week_calendar)
+        assert days.outside == 2
+        assert int(days.buckets.sum()) == len(inside)
+        assert [(c.ticker, c.trading_date, c.total) for c in day_cells(days)] == [
+            ("AAA", date(2015, 6, 2), 6), ("BBB", date(2015, 6, 4), 15)]
+        assert int(days.totals.sum()) == sum(b.total for b in inside)
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 23), counts, counts, counts),
                     max_size=40))
@@ -213,7 +221,7 @@ class TestDailyCounts:
             TweetBucket("AAA", eastern(2015, 6, 1 + day_off, hour), neg, neut, pos)
             for day_off, hour, neg, neut, pos in spec
         ]
-        days = daily_counts(tweet_columns(buckets), cal)
+        days = DailyCounts(tweet_columns(buckets), cal)
         assert sum(c.total for c in day_cells(days)) == sum(b.total for b in buckets)
 
     @given(st.lists(st.tuples(st.sampled_from(["AAA", "BBB"]), hour_starts, counts, counts,
@@ -230,7 +238,7 @@ class TestDailyCounts:
             acc[2] += b.n_pos
             key = (b.ticker, day, to_eastern(b.hour_start).hour)
             ref_hours[key] = ref_hours.get(key, 0) + b.total
-        days = daily_counts(tweet_columns(buckets), DST_CALENDAR)
+        days = DailyCounts(tweet_columns(buckets), DST_CALENDAR)
         assert {
             (c.ticker, c.trading_date): [c.n_neg, c.n_neut, c.n_pos] for c in day_cells(days)
         } == ref_days
@@ -246,7 +254,7 @@ class TestDailyCounts:
                               counts), min_size=1, max_size=40), st.data())
     def test_event_cell_profiles_equal_the_full_grid(self, spec, data):
         tweets = tweet_columns(TweetBucket(*b) for b in spec)
-        days = daily_counts(tweets, DST_CALENDAR)
+        days = DailyCounts(tweets, DST_CALENDAR)
         day = st.one_of(
             st.integers(0, len(DST_CALENDAR) - 1),  # mostly cells with no buckets
             st.sampled_from(_SWITCH_DAYS),

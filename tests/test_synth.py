@@ -83,7 +83,8 @@ class TestGeneratedDatasetValidity:
     def test_tweets_inside_calendar_coverage(self):
         ds = generate(VECTOR_SPEC)
         cal = TradingCalendar.from_dataset(ds)
-        cal.day_indices(ds.tweets.ts)  # raises for an instant outside coverage
+        days = cal.day_indices(ds.tweets.ts)
+        assert ((0 <= days) & (days < len(cal))).all()
 
     def test_event_timing_layout(self):
         ds, truth = generate_with_truth(
@@ -481,6 +482,21 @@ class TestWriterEqualsCsvWriter:
         ds = generate(SynthSpec(n_tickers=1, n_days=3, events_per_ticker=0, tweet_rate=0.0))
         ds = Dataset(bars=ds.bars[:0], index=index_columns(()), tweets=ds.tweets, events=())
         assert written(write_dataset, ds) == written(ref_write_dataset, ds)
+
+    def test_tweet_stamps_at_the_ends_of_time_and_the_dst_changes(self, tmp_path):
+        """The tweet stamps are those ``format_rfc3339`` gives, in year 1, on
+        9999-12-31 and at the hours the US/Eastern clocks change."""
+        hours = [datetime(1, 1, 1, tzinfo=timezone.utc),
+                 datetime(2015, 3, 8, 7, tzinfo=timezone.utc),
+                 datetime(2015, 11, 1, 6, tzinfo=timezone.utc),
+                 datetime(9999, 12, 31, 23, tzinfo=timezone.utc)]
+        ds = generate(SynthSpec(n_tickers=1, n_days=3, events_per_ticker=0, tweet_rate=0.0))
+        tweets = TweetBuckets(("AAA",), *(np.array(c, dtype=np.int64) for c in (
+            [0] * 4, [int(h.timestamp()) for h in hours], [1] * 4, [0] * 4, [2] * 4)))
+        ds = Dataset(bars=ds.bars, index=ds.index, tweets=tweets, events=())
+        lines = write_dataset(ds, tmp_path)[2].read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == [format_rfc3339(h) for h in hours]
+        assert format_rfc3339(hours[0]) == "0001-01-01T00:00:00Z"
 
 
 class TestBenchInputsPinned:
