@@ -608,6 +608,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write {Path(exc.filename or 'output').name}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # SIGINT: as SIGTERM, ``finally`` discards the staged files
+        print("error: interrupted", file=sys.stderr)
+        return 128 + signal.SIGINT
     finally:
         if out is not None:
             out.discard()

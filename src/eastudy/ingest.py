@@ -12,7 +12,10 @@ into blocks of whole lines, each ending at an LF, a CRLF or a lone CR. The
 fast path finds each block's cells from its line end and comma offsets and
 checks them by byte class, and the accepted rows go into columns sized by
 the file's length over the shortest line the fast path accepts
-(``*_MIN_LINE``). A fast-path line has exactly the header's width, a
+(``*_MIN_LINE``), trimmed in place once the file is read. A ticker becomes
+an int32 id as its block is read (``_Names``), and a code into the sorted
+tickers once the file is read; a tweet hour becomes int32 hours since the
+epoch. A fast-path line has exactly the header's width, a
 canonical ``YYYY-MM-DD`` date, ``YYYY-MM-DDTHH:00:00Z`` tweet hour or
 ``YYYY-MM-DDTHH:MM:SSZ`` announcement that exists on the calendar
 (``2016-02-30`` does not), a ticker of 1 to 6 bytes of ``[A-Z.]``, counts
@@ -69,11 +72,13 @@ from .model import (
     Events,
     Frozen,
     IndexLevels,
+    SLICE_ROWS,
     TICKER_RE,
     Timing,
     TweetBuckets,
     distinct,
     in_order,
+    run_starts,
 )
 
 # Each header, then the bytes of the shortest line the fast path accepts in
@@ -94,6 +99,9 @@ MAX_VOLUME = 2**63 - 1  # largest share volume: the int64 column holds it
 BLOCK_BYTES = 1 << 18  # bytes per fast-path read: bounds a block's temporaries
 _PAD = 32  # zero bytes around a block, so fixed-width gathers stay inside it
 _EPOCH_DAY = EPOCH.date().toordinal()
+# the days of each month of a common year, and the days before it; month 0 is no month
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
+_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS, dtype=np.int32) - _MONTH_DAYS
 
 
 class Diagnostic(NamedTuple):
@@ -238,19 +246,19 @@ def _index_row(path, lineno, cells):
 
 @functools.lru_cache(maxsize=None)  # a file repeats each stamp once per ticker
 def _hour_start(text: str) -> tuple[int, str]:
-    """(UTC epoch seconds, "") of a whole-hour stamp, else (0, the problem)."""
+    """(hours since the UTC epoch, "") of a whole-hour stamp, else (0, the problem)."""
     try:
         instant = parse_rfc3339(text)
     except (ValueError, OverflowError):  # also an instant past a datetime's range
         return 0, "bad"
     if instant.minute or instant.second or instant.microsecond:
         return 0, "part-hour"
-    return int(instant.timestamp()), ""
+    return int(instant.timestamp()) // 3600, ""
 
 
 def _tweet_row(path, lineno, cells):
     raw_hour, raw_ticker, raw_neg, raw_neut, raw_pos = cells
-    ts, problem = _hour_start(raw_hour)
+    hour, problem = _hour_start(raw_hour)
     if problem == "bad":
         return _cell_error(path, lineno, "hour_start_utc", f"bad timestamp {raw_hour!r}")
     if problem:
@@ -266,7 +274,7 @@ def _tweet_row(path, lineno, cells):
         return _invariant(path, lineno, "tweet counts must be non-negative")
     if max(counts) > MAX_COUNT:
         return _invariant(path, lineno, f"tweet counts must be at most {MAX_COUNT}")
-    return _pack(ticker), ts, *counts
+    return _pack(ticker), hour, *counts
 
 
 # --- the fast path -----------------------------------------------------------
@@ -290,9 +298,10 @@ def open_input(path: Path):
     return io.BytesIO(data), len(data)
 
 
-def _line_blocks(fh, update) -> Iterator[bytes]:
+def _line_blocks(fh, update) -> Iterator[np.ndarray]:
     """The file's bytes in blocks of whole lines, read ``BLOCK_BYTES`` at a
-    time and each passed to ``update``. A line ends at an LF, a CRLF or a
+    time and each passed to ``update``; a block is a uint8 array with
+    ``_PAD`` zero bytes on either side. A line ends at an LF, a CRLF or a
     lone CR, made an LF in its block. A block ends at the last line end read
     so far, so a line longer than a read lengthens its block, and a CR that
     ends a read waits for the next, which may start with the LF of a CRLF."""
@@ -302,9 +311,12 @@ def _line_blocks(fh, update) -> Iterator[bytes]:
         chunk = chunk or b"\n"  # the bytes after the last line end are one more line
         cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
         if cut:  # replace copies only a block that holds a CR
-            block = b"".join((*parts, chunk[:cut])).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            lines = b"".join((*parts, chunk[:cut])).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             parts = [chunk[cut:]]
-            del chunk  # the read is not held while the block is out
+            del chunk
+            block = np.zeros(len(lines) + 2 * _PAD, dtype=np.uint8)
+            block[_PAD:-_PAD] = np.frombuffer(lines, dtype=np.uint8)
+            del lines  # neither the read nor its bytes are held while the block is out
             yield block
         else:
             parts.append(chunk)
@@ -348,32 +360,39 @@ def _digits(seg, start, size, width: int):
     ok = (size >= 1) & (size <= width) & ((g <= 9) | lead).all(axis=0)
     g[lead] = 0
     value = np.zeros(len(start), dtype=np.int64)
-    for digit in g:  # Horner, one digit position at a time
-        value = value * 10 + digit
+    for digit in g:  # Horner, one digit position at a time, in place
+        value *= 10
+        value += digit
     return value, ok
 
 
 def _days(g: np.ndarray):
     """Days since 1970-01-01 of each column of ``g`` that starts with a
-    ``YYYY-MM-DD`` date that exists, and a mask of those columns."""
+    ``YYYY-MM-DD`` date that exists, and a mask of those columns: the count
+    of ``date.toordinal``, made in int32, which holds every value here and
+    keeps a block's temporaries small."""
     d = g[[0, 1, 2, 3, 5, 6, 8, 9]] - 48
     ok = (d <= 9).all(axis=0) & (g[4] == 45) & (g[7] == 45)
-    # int32 holds every value below and keeps a block's temporaries half as large
     century, yy, month, day = (d[i].astype(np.int32) * 10 + d[i + 1] for i in (0, 2, 4, 6))
     year = century * 100 + yy
+    del d, century, yy
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-    months = np.where(ok, (year - 1970) * 12 + month - 1, 0)
-    days = months.astype("datetime64[M]").astype("datetime64[D]") + (day - 1)
-    ok &= days.astype("datetime64[M]").astype(np.int64) == months  # the day is in its month
-    return days.view(np.int64), ok
+    month[~ok] = 1  # a month the tables hold
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok &= day <= _MONTH_DAYS[month] + (leap & (month == 2))
+    days = _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day - _EPOCH_DAY
+    year -= 1
+    days += year * 365 + year // 4 - year // 100 + year // 400
+    return days, ok
 
 
 _STAMP_FIXED = {10: ord("T"), 13: ord(":"), 16: ord(":"), 19: ord("Z")}
 
 
 def _stamps(seg, start, size):
-    """UTC epoch seconds of each ``YYYY-MM-DDTHH:MM:SSZ`` cell that names a
-    real second, a mask of those cells, and the seconds past the hour."""
+    """Hours since the UTC epoch (int32, which holds every hour of the years
+    1 to 9999) of each ``YYYY-MM-DDTHH:MM:SSZ`` cell that names a real
+    second, a mask of those cells, and the seconds past the hour."""
     g = _gather(seg, start, 20)
     days, ok = _days(g)
     fixed = g[list(_STAMP_FIXED)] == np.array(list(_STAMP_FIXED.values()))[:, None]
@@ -381,8 +400,9 @@ def _stamps(seg, start, size):
     ok &= (size == 20) & fixed.all(axis=0) & (d <= 9).all(axis=0)
     hour, minute, second = (d[i].astype(np.int32) * 10 + d[i + 1] for i in (0, 2, 4))
     ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
-    past_hour = minute * 60 + second
-    return days * 86400 + hour * 3600 + past_hour, ok, past_hour
+    days *= 24  # in place: the block's temporaries stay small
+    days += hour
+    return days, ok, minute * 60 + second
 
 
 def _decimals(seg, start, size):
@@ -421,16 +441,17 @@ def _index_cells(seg, start, size):
 
 
 def _tweet_cells(seg, start, size):
-    ts, ok, past_hour = _stamps(seg, start[:, 0], size[:, 0])
+    hour, ok, past_hour = _stamps(seg, start[:, 0], size[:, 0])
     ok &= past_hour == 0
+    del past_hour
     packed, ok_ticker = _tickers(seg, start[:, 1], size[:, 1])
     ok &= ok_ticker
     counts = []
     for j in (2, 3, 4):  # a column at a time, so each read's temporaries are a third
         count, ok_count = _digits(seg, start[:, j], size[:, j], 10)
         ok &= ok_count & (count <= MAX_COUNT)
-        counts.append(count)
-    return ok, (packed, ts, *counts)
+        counts.append(count.astype(np.int32))  # wraps only in a refused row
+    return ok, (packed, hour, *counts)
 
 
 _TIMINGS = np.frombuffer(b"".join(t.value.encode() for t in Timing), np.uint8).reshape(-1, 10)
@@ -438,7 +459,7 @@ _TIMINGS = np.frombuffer(b"".join(t.value.encode() for t in Timing), np.uint8).r
 
 def _event_cells(seg, start, size):
     packed, ok = _tickers(seg, start[:, 0], size[:, 0])
-    ts, ok_at, _ = _stamps(seg, start[:, 1], size[:, 1])
+    hour, ok_at, past_hour = _stamps(seg, start[:, 1], size[:, 1])
     timing = (_gather(seg, start[:, 2], 10).T[:, None] == _TIMINGS).all(axis=2)  # row x code
     minus = seg[start[:, 3:]] == 45  # a leading "-": negate the decimal after it
     eps, ok_eps = _decimals(seg, (start[:, 3:] + minus).ravel(), (size[:, 3:] - minus).ravel())
@@ -446,7 +467,8 @@ def _event_cells(seg, start, size):
     ok &= ok_at & (size[:, 2] == 10) & timing.any(axis=1) & ok_eps.reshape(-1, 2).all(axis=1)
     code = np.argmax(timing, axis=1).astype(np.int8)
     # the local-time rule, on a local date that a datetime holds
-    at, clock = ts * 10**6, np.zeros((2, len(ts)), dtype=np.int64)
+    at = (hour.astype(np.int64) * 3600 + past_hour) * 10**6
+    clock = np.zeros((2, len(at)), dtype=np.int64)
     clock[:, ok] = eastern_clock(at[ok])
     ok &= (clock[0] >= FIRST_DAY) & keeps_bell(code, clock[1])
     return ok, (packed, at, code, *eps.T)
@@ -459,26 +481,57 @@ def _block_cells(seg, begin, stop, width: int):
     upto = np.searchsorted(commas, stop)  # commas before each line's end
     rows = np.flatnonzero(np.diff(upto, prepend=0) == width - 1)
     cut = commas[upto[rows, None] - (width - 1) + np.arange(width - 1)]
+    del commas, upto
     start = np.column_stack((begin[rows], cut + 1))
-    return rows, start, np.column_stack((cut, stop[rows])) - start
+    size = np.column_stack((cut, stop[rows]))
+    size -= start
+    return rows, start, size
 
 
-def _fast_rows(block: bytes, skip: int, width: int, cells, columns: list[np.ndarray], n: int):
-    """Read the lines of a block after its first ``skip`` bytes by the fast
-    path: the values of the rows that ``cells`` accepts go into ``columns``
-    from row ``n`` on. Returns the row after them, the number of lines, and
-    (index, text) of each refused line. The block's temporaries end with the
-    call."""
-    seg = np.zeros(len(block) - skip + 2 * _PAD, dtype=np.uint8)
-    seg[_PAD:-_PAD] = np.frombuffer(block, dtype=np.uint8)[skip:]
+class _Names(dict):
+    """The packed (``_pack``) ticker names of a file's accepted rows, each
+    mapped to an int32 id in the order first met: ``ids`` gives a block's
+    rows their ids, ``codes`` turns a column of ids into codes into the
+    sorted names. Only the names that start a run of rows are ever sorted."""
+
+    def ids(self, packed: np.ndarray) -> np.ndarray:
+        """The int32 id of each packed ticker."""
+        table = distinct(packed[run_starts(packed)])
+        ids = np.array([self.setdefault(v, len(self)) for v in table.tolist()], dtype=np.int32)
+        return ids[np.searchsorted(table, packed)]
+
+    def codes(self, column: np.ndarray) -> tuple[str, ...]:
+        """The sorted ticker names; each id of ``column`` becomes its name's
+        code, in place, a slice at a time. Names met in sorted order (as in a
+        file in canonical order) have ids that are their codes already."""
+        packed = np.fromiter(self, dtype=np.int64, count=len(self))  # in id order
+        order = np.argsort(packed)
+        if (order != np.arange(len(order))).any():
+            code = np.argsort(order).astype(np.int32)  # the inverse permutation
+            for lo in range(0, len(column), SLICE_ROWS):
+                part = column[lo:lo + SLICE_ROWS]
+                part[:] = code[part]
+        return tuple(_unpack(v) for v in packed[order].tolist())
+
+
+def _fast_rows(seg: np.ndarray, skip: int, width: int, cells, names: _Names | None,
+               columns: list[np.ndarray], n: int):
+    """Read the lines of a block (``_line_blocks``) after its first ``skip``
+    bytes by the fast path: the values of the rows that ``cells`` accepts go
+    into ``columns`` from row ``n`` on, their packed tickers (the first value,
+    when ``names`` is given) as ids in ``names``. Returns the row after them,
+    the number of lines, and (index, text) of each refused line. The block's
+    temporaries end with the call."""
+    seg[_PAD:_PAD + skip] = 0  # the skipped bytes hold no line end and no comma
     offset = np.int32 if len(seg) < 2**31 else np.int64  # of a byte in seg
     stop = np.flatnonzero(seg == 10).astype(offset)  # each line's newline in seg
-    begin = np.concatenate(([_PAD], stop[:-1] + 1)).astype(offset)
+    begin = np.concatenate(([_PAD + skip], stop[:-1] + 1)).astype(offset)
     rows, start, size = _block_cells(seg, begin, stop, width)
     ok, values = cells(seg, start, size)
     accepted = rows[ok]
-    for column, v in zip(columns, values):
-        column[n:n + len(accepted)] = v[ok]
+    for j, (column, v) in enumerate(zip(columns, values)):
+        v = v[ok]
+        column[n:n + len(accepted)] = names.ids(v) if j == 0 and names is not None else v
     refused = np.ones(len(stop), dtype=bool)
     refused[accepted] = False
     texts = [(i, seg[begin[i]:stop[i]].tobytes().decode("utf-8", "surrogateescape"))
@@ -486,7 +539,8 @@ def _fast_rows(block: bytes, skip: int, width: int, cells, columns: list[np.ndar
     return n + len(accepted), len(stop), texts
 
 
-def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dtypes):
+def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dtypes,
+           names: _Names | None = None):
     """Parse a file by the fast path, with the row loop for each line it refuses.
 
     The file is opened once (``open_input``) and read in blocks of whole lines
@@ -494,7 +548,9 @@ def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dt
     reads a block's rows of the header's width (``start`` and ``size`` give
     each cell's offset in ``seg`` and length) and returns a mask of the rows
     it accepts and their column values; each line it refuses goes alone to
-    the row loop, whose ``check`` returns the same values for one row.
+    the row loop, whose ``check`` returns the same values for one row. With
+    ``names``, the first value of a row is its packed ticker, and the first
+    column holds its id in ``names`` (``_Names.codes`` makes the ids codes).
     Returns the line numbers (None when the fast path refused no row: then
     row i is line i + 2) and the columns (of ``dtypes``) of the accepted rows
     of both paths in line order, the row loop's diagnostics, and the hex
@@ -502,7 +558,8 @@ def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dt
 
     No fast-path line is shorter than ``min_line`` bytes, so the file's size
     over ``min_line`` bounds the rows the fast path accepts: the column
-    buffers have that many rows, and the accepted rows are views of them.
+    buffers have that many rows, and each is trimmed in place to the rows it
+    holds.
     """
     fh, size = open_input(path)
     sha = hashlib.sha256()
@@ -512,16 +569,19 @@ def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dt
         for block in _line_blocks(fh, sha.update):
             skip = 0  # the header's bytes, at the start of the first block
             if first == 1:
-                skip = block.index(b"\n") + 1
-                _header(path, header, block[:skip - 1].decode("utf-8", "surrogateescape"))
+                skip = int(np.argmax(block[_PAD:] == 10)) + 1
+                text = block[_PAD:_PAD + skip - 1].tobytes().decode("utf-8", "surrogateescape")
+                _header(path, header, text)
                 first = 2
-            n, n_lines, refused = _fast_rows(block, skip, len(header), cells, columns, n)
+            n, n_lines, refused = _fast_rows(block, skip, len(header), cells, names, columns, n)
             slow += [(first + i, text) for i, text in refused]
             first += n_lines
     if first == 1:
         raise SchemaMismatch(f"{path}: empty file, expected header {','.join(header)}")
     slow_lines, slow_values, diags = _row_loop(path, header, slow, check)
-    lines, columns = None, [c[:n] for c in columns]
+    for c in columns:  # no view of a buffer is left, so none can see it move
+        c.resize(n, refcheck=False)
+    lines = None
     if slow:
         # the fast path accepted each line it did not refuse
         lines = np.concatenate((
@@ -530,8 +590,11 @@ def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dt
         ))
         order = np.argsort(lines, kind="stable")
         lines = lines[order]
-        columns = [np.concatenate((c, np.array([v[j] for v in slow_values], dtype=t)))[order]
-                   for j, (c, t) in enumerate(zip(columns, dtypes))]
+        tail = [[v[j] for v in slow_values] for j in range(len(columns))]
+        if names is not None:
+            tail[0] = names.ids(np.array(tail[0], dtype=np.int64))
+        columns = [np.concatenate((c, np.array(t, dtype=c.dtype)))[order]
+                   for c, t in zip(columns, tail)]
     return lines, columns, diags, sha.hexdigest()
 
 
@@ -539,12 +602,6 @@ def _line_numbers(lines: np.ndarray | None, rows):
     """The line numbers of accepted rows (an index or an index array), where
     ``lines`` None numbers row i as line i + 2."""
     return rows + 2 if lines is None else lines[rows]
-
-
-def _ticker_codes(packed: np.ndarray):
-    """(sorted ticker names, each row's code into them) of packed tickers."""
-    table = distinct(packed)
-    return tuple(_unpack(int(v)) for v in table), np.searchsorted(table, packed)
 
 
 def _repeated(path, lines, code, key, diags, message) -> np.ndarray:
@@ -569,7 +626,8 @@ def _dated_rows(path, lines, code, day, diags, message) -> np.ndarray:
     if in_order(code, day):
         return keep
     order = np.argsort(code, kind="stable")
-    run = code[order] * 2**32 + (day[order] + 2**31)  # each code's days above the last's
+    # each code's days above the last's
+    run = code[order].astype(np.int64) * 2**32 + (day[order] + 2**31)
     latest = np.maximum.accumulate(run)[:-1]
     late = (code[order][1:] == code[order][:-1]) & (run[1:] <= latest)
     for j in np.flatnonzero(late).tolist():
@@ -608,12 +666,12 @@ def _accepted(lines, rows, keep: np.ndarray, diags: list[Diagnostic], digest: st
 
 def parse_prices_csv(path: str | Path):
     """Parse prices.csv -> (Accepted bars, list[Diagnostic])."""
-    path = Path(path)
-    lines, (packed, day, close, volume), diags, digest = _parse(
+    path, names = Path(path), _Names()
+    lines, (code, day, close, volume), diags, digest = _parse(
         path, PRICES_HEADER, PRICES_MIN_LINE, _price_cells, _price_row,
-        (np.int64, np.int64, np.float64, np.int64),
+        (np.int32, np.int64, np.float64, np.int64), names,
     )
-    tickers, code = _ticker_codes(packed)
+    tickers = names.codes(code)
     keep = _dated_rows(path, lines, code, day, diags,
                        lambda i, what, on: f"{what} bar for {tickers[code[i]]} on {on}")
     bars = DailyBars(tickers, code, day.view("datetime64[D]"), close, volume)
@@ -637,17 +695,16 @@ def parse_index_csv(path: str | Path):
 
 def parse_tweets_csv(path: str | Path):
     """Parse tweets.csv -> (Accepted tweet buckets, list[Diagnostic])."""
-    path = Path(path)
-    lines, (packed, ts, *counts), diags, digest = _parse(
-        path, TWEETS_HEADER, TWEETS_MIN_LINE, _tweet_cells, _tweet_row,
-        (np.int64, np.int64, np.int32, np.int32, np.int32),
+    path, names = Path(path), _Names()
+    lines, (code, hour, *counts), diags, digest = _parse(
+        path, TWEETS_HEADER, TWEETS_MIN_LINE, _tweet_cells, _tweet_row, (np.int32,) * 5, names,
     )
     _hour_start.cache_clear()  # the row loop is done: no stamp of this file outlives it
-    tickers, code = _ticker_codes(packed)
+    tickers = names.codes(code)
     # one bucket per (ticker, hour): the first in line order is kept
-    keep = _repeated(path, lines, code, ts, diags, lambda i: (
-        f"duplicate bucket for {tickers[code[i]]} at {np.datetime64(int(ts[i]), 's')}Z"))
-    return _accepted(lines, TweetBuckets(tickers, code, ts, *counts), keep, diags, digest)
+    keep = _repeated(path, lines, code, hour, diags, lambda i: (
+        f"duplicate bucket for {tickers[code[i]]} at {np.datetime64(int(hour[i]) * 3600, 's')}Z"))
+    return _accepted(lines, TweetBuckets(tickers, code, hour, *counts), keep, diags, digest)
 
 
 def _event_row(path, lineno, cells):
@@ -691,12 +748,12 @@ def parse_events_csv(path: str | Path):
     """Parse events.csv -> (Accepted events, list[Diagnostic]).
 
     An event whose EPS estimate is zero is accepted; ``build_universe`` excludes it."""
-    path = Path(path)
-    lines, (packed, at, timing, reported, estimated), diags, digest = _parse(
+    path, names = Path(path), _Names()
+    lines, (code, at, timing, reported, estimated), diags, digest = _parse(
         path, EVENTS_HEADER, EVENTS_MIN_LINE, _event_cells, _event_row,
-        (np.int64, np.int64, np.int8, np.float64, np.float64),
+        (np.int32, np.int64, np.int8, np.float64, np.float64), names,
     )
-    tickers, code = _ticker_codes(packed)
+    tickers = names.codes(code)
     events = Events(tickers, code, at, timing, reported, estimated)
     # one event per (ticker, instant): the first in line order is kept
     keep = _repeated(path, lines, code, at, diags, lambda i: (
@@ -777,7 +834,7 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "prices.csv", out / "index.csv", out / "tweets.csv", out / "events.csv"]
     bars, tw = ds.bars, ds.tweets
-    days, hours = distinct(bars.day), distinct(tw.ts)
+    days, hours = distinct(bars.day), distinct(tw.hour)
     _write_lines(paths[0], PRICES_HEADER, map(
         "{},{},{!r},{}\n".format,
         _lookup([d.isoformat() for d in days.tolist()], np.searchsorted(days, bars.day)),
@@ -785,10 +842,11 @@ def write_dataset(ds: Dataset, out_dir: str | Path) -> list[Path]:
     ))
     _write_lines(paths[1], INDEX_HEADER, map("{},{!r}\n".format, ds.index.day.astype(str).tolist(),
                                              ds.index.close.tolist()))
-    stamps = [s + "Z" for s in np.datetime_as_string(hours.astype("datetime64[s]")).tolist()]
+    stamps = [s + "Z" for s in
+              np.datetime_as_string(hours.astype("datetime64[h]"), unit="s").tolist()]
     _write_lines(paths[2], TWEETS_HEADER, map(
         "{},{},{},{},{}\n".format,
-        _lookup(stamps, np.searchsorted(hours, tw.ts)), _lookup(list(tw.tickers), tw.code),
+        _lookup(stamps, np.searchsorted(hours, tw.hour)), _lookup(list(tw.tickers), tw.code),
         tw.n_neg.tolist(), tw.n_neut.tolist(), tw.n_pos.tolist(),
     ))
     ev = ds.events
@@ -823,11 +881,16 @@ class OutputDir:
 
     def stage(self) -> Path:
         """The staging directory, made beside ``root`` on first use, with the
-        parents of ``root`` that are missing."""
+        parents of ``root`` that are missing. Its OSError names ``root``, the
+        directory the user asked for, for ``cli.main``."""
         if self._stage is None:
             self._made = [p for p in self.root.parents if not p.exists()]  # deepest first
-            self.root.parent.mkdir(parents=True, exist_ok=True)
-            stage = tempfile.mkdtemp(prefix=f".{self.root.name}.", dir=self.root.parent)
+            try:
+                self.root.parent.mkdir(parents=True, exist_ok=True)
+                stage = tempfile.mkdtemp(prefix=f".{self.root.name}.", dir=self.root.parent)
+            except OSError as exc:
+                exc.filename = str(self.root)
+                raise
             self._stage = Path(stage)
         return self._stage
 

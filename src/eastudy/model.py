@@ -4,14 +4,15 @@ All instants are timezone-aware UTC datetimes; naive timestamps are never
 accepted. Calendar dates are exchange-local ``datetime.date`` values. All
 four inputs are stored as columns: tweet buckets, by far the largest, daily
 bars, announcement events (``TweetBuckets``, ``DailyBars``, ``Events``) and
-the index levels (``IndexLevels``), with instants as integer epoch seconds
-(epoch microseconds for announcements, which may carry fractions of a
-second) and dates as ``datetime64[D]``. Only ``Events.record`` gives a row
-as a record (``EarningsEvent``), for the one-event adapters. A ``Dataset``
-codes its bars, tweets and events into one sorted ticker table, so a code
-is a row of every (ticker x trading day) grid, such as the bars on the
-trading calendar (``PriceGrid``) that the event study, the hold returns and
-the volume report read by code and calendar index.
+the index levels (``IndexLevels``), with tweet hours as int32 hours since
+the UTC epoch, announcements as int64 epoch microseconds (they may carry
+fractions of a second) and dates as ``datetime64[D]``. Only
+``Events.record`` gives a row as a record (``EarningsEvent``), for the
+one-event adapters. A ``Dataset`` codes its bars, tweets and events into
+one sorted ticker table, with int32 codes, so a code is a row of every
+(ticker x trading day) grid, such as the bars on the trading calendar
+(``PriceGrid``) that the event study, the hold returns and the volume
+report read by code and calendar index.
 """
 
 from __future__ import annotations
@@ -33,15 +34,20 @@ EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 MICROSECOND = timedelta(microseconds=1)
 
 
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """The index of the first row of each run of equal values."""
+    head = np.ones(len(values), dtype=bool)
+    head[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(head)
+
+
 def distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values: ``np.unique`` without its import of ``numpy.ma``."""
     values = np.sort(values)
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return values[first]
+    return values[run_starts(values)]
 
 
-_ORDER_SLICE = 1 << 16  # rows per slice of ``in_order``: bounds its temporaries
+SLICE_ROWS = 1 << 12  # rows per slice of a pass over whole columns: bounds its temporaries
 
 
 def in_order(code: np.ndarray, key: np.ndarray) -> bool:
@@ -50,8 +56,8 @@ def in_order(code: np.ndarray, key: np.ndarray) -> bool:
     The rows are compared a slice at a time, so no temporary is as long as
     the columns.
     """
-    for lo in range(0, len(code) - 1, _ORDER_SLICE):
-        c, k = code[lo:lo + _ORDER_SLICE + 1], key[lo:lo + _ORDER_SLICE + 1]
+    for lo in range(0, len(code) - 1, SLICE_ROWS):
+        c, k = code[lo:lo + SLICE_ROWS + 1], key[lo:lo + SLICE_ROWS + 1]
         if not ((c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & (k[1:] > k[:-1]))).all():
             return False
     return True
@@ -108,10 +114,20 @@ class DailyBar(NamedTuple):
 class _Columns(Frozen):
     """Rows held as columns: a sorted ticker table ``tickers``, then the
     column fields, the first of them ``code`` (an index into ``tickers``).
+    The columns named in ``_INT32``, ``code`` among them, are int32: given
+    in another dtype they are cast, and a value int32 cannot hold raises
+    InvariantViolation.
 
     Indexing with a mask or an index array gives the selected rows. Rows
     compare by ticker name, so equal rows may carry different ticker tables.
     """
+
+    _INT32 = ("code",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name in self._INT32:
+            object.__setattr__(self, name, _int32(getattr(self, name), name))
 
     def _columns(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self._fields[1:]]
@@ -129,7 +145,7 @@ class _Columns(Frozen):
         if tickers == self.tickers:
             return self
         at = {t: i for i, t in enumerate(tickers)}
-        code = np.array([at[t] for t in self.tickers], dtype=np.int64)[self.code]
+        code = np.array([at[t] for t in self.tickers], dtype=np.int32)[self.code]
         return type(self)(tickers, code, *self._columns()[1:])
 
     def __getitem__(self, i):
@@ -147,7 +163,7 @@ class _Columns(Frozen):
     __iter__ = None  # a row is read from the columns, never as an item
 
 
-def _int32(values) -> np.ndarray:
+def _int32(values, name: str) -> np.ndarray:
     """``values`` as int32, the same array when it already is; raise
     InvariantViolation for a value int32 cannot hold."""
     values = np.asarray(values)
@@ -155,30 +171,32 @@ def _int32(values) -> np.ndarray:
         return values
     narrow = values.astype(np.int32)
     if not np.array_equal(narrow, values):
-        raise InvariantViolation("every tweet count must fit in int32")
+        raise InvariantViolation(f"every {name} value must fit in int32")
     return narrow
 
 
 class TweetBuckets(_Columns):
     """Hourly tweet buckets as columns: one row per (ticker, hour) bucket.
 
-    ``ts`` is the hour start in UTC epoch seconds, so sorting rows by
-    ``(code, ts)`` is sorting them by ``(ticker, hour_start)``. ``code`` and
-    ``ts`` are int64; the three label counts are int32, which holds
-    ``MAX_COUNT``. Counts given in another dtype are cast, and a count int32
-    cannot hold raises InvariantViolation. Every sum of counts is taken in
-    int64.
+    ``hour`` is the hour start in hours since the UTC epoch, so sorting rows
+    by ``(code, hour)`` is sorting them by ``(ticker, hour_start)``. Every
+    column is int32: ``code``, ``hour`` (which holds every hour of the years
+    1 to 9999) and the three label counts (which hold ``MAX_COUNT``). Every
+    sum of counts is taken in int64.
     """
 
     tickers: tuple[str, ...]
     code: np.ndarray
-    ts: np.ndarray
+    hour: np.ndarray
     n_neg: np.ndarray
     n_neut: np.ndarray
     n_pos: np.ndarray
 
-    def __init__(self, tickers, code, ts, n_neg, n_neut, n_pos):
-        super().__init__(tickers, code, ts, *map(_int32, (n_neg, n_neut, n_pos)))
+    _INT32 = ("code", "hour", "n_neg", "n_neut", "n_pos")
+
+    def seconds(self, rows=slice(None)) -> np.ndarray:
+        """The selected rows' hour starts in UTC epoch seconds, as int64."""
+        return self.hour[rows].astype(np.int64) * 3600
 
     @property
     def total(self) -> np.ndarray:
@@ -260,7 +278,7 @@ class Events(_Columns):
         codes = {t: i for i, t in enumerate(tickers)}
         return cls(
             tickers,
-            np.array([codes[ev.ticker] for ev in events], dtype=np.int64),
+            np.array([codes[ev.ticker] for ev in events], dtype=np.int32),
             np.array([(ev.announce_at - EPOCH) // MICROSECOND for ev in events], dtype=np.int64),
             np.array([ev.timing.code for ev in events], dtype=np.int8),
             np.array([ev.eps_reported for ev in events], dtype=np.float64),

@@ -1,11 +1,14 @@
 """Daily sentiment aggregation and event polarity classification.
 
 Hourly tweet buckets roll up into close-delimited trading days in one pass
-over the canonical bucket columns, sorted by (ticker, hour): the calendar's
-``day_indices`` gives each bucket its trading day, or an edge column
-outside the calendar, so each (ticker x day) cell's buckets are one run.
-One ``np.add.reduceat`` per label sums the runs in int64, so totals are
-exact integers; US/Eastern hour-of-day totals read just the runs asked for.
+over the canonical bucket columns (int32 codes and hours since the epoch),
+sorted by (ticker, hour), a slice of ``SLICE_ROWS`` rows at a time: the
+calendar's ``day_indices`` gives each bucket of the slice its trading day,
+from its hour in epoch seconds, or an edge column outside the calendar, so
+each (ticker x day) cell's buckets are one run. One ``np.add.reduceat`` per
+label sums the slice's runs in int64, so totals are exact integers, and no
+temporary is longer than a slice; US/Eastern hour-of-day totals read just
+the runs asked for.
 
 A day's sentiment score is the Laplace-smoothed mean of the {-1, 0, +1}
 label distribution, which keeps the score strictly inside (-1, +1) even for
@@ -24,7 +27,7 @@ import numpy as np
 
 from .alignment import TradingCalendar, eastern_hours
 from .errors import TooFewEvents
-from .model import TweetBuckets
+from .model import SLICE_ROWS, TweetBuckets, run_starts
 
 LAPLACE_LABELS = 3  # one pseudo-count per sentiment label
 
@@ -66,15 +69,21 @@ class DailyCounts:
     def __init__(self, tweets: TweetBuckets, cal: TradingCalendar):
         self.tickers, self.cal = tweets.tickers, cal
         self._tweets = tw = tweets.canonical()
-        # buckets per cell, flat, with an edge column on either side of the trading days
+        # buckets and label sums per cell, flat, with an edge column on either side of
+        # the trading days; a slice may cut a cell's run, so each slice adds its part
         width = len(cal) + 2
-        self._runs = np.bincount(tw.code * width + cal.day_indices(tw.ts) + 1,
-                                 minlength=len(self.tickers) * width)
-        filled = np.flatnonzero(self._runs)
-        starts = np.cumsum(self._runs)[filled] - self._runs[filled]
+        self._runs = np.zeros(len(self.tickers) * width, dtype=np.int64)
         labels = np.zeros((3, self._runs.size), dtype=np.int64)
-        for row, column in zip(labels, (tw.n_neg, tw.n_neut, tw.n_pos)):
-            row[filled] = np.add.reduceat(column, starts, dtype=np.int64)
+        for lo in range(0, len(tw), SLICE_ROWS):
+            part = slice(lo, lo + SLICE_ROWS)
+            cells = cal.day_indices(tw.seconds(part))
+            cells += 1
+            cells += np.multiply(tw.code[part], width, dtype=np.intp)
+            first = run_starts(cells)
+            filled = cells[first]
+            self._runs[filled] += np.diff(first, append=len(cells))
+            for row, column in zip(labels, (tw.n_neg, tw.n_neut, tw.n_pos)):
+                row[filled] += np.add.reduceat(column[part], first, dtype=np.int64)
         self.labels = labels.reshape(3, len(self.tickers), width)[:, :, 1:-1]
         self.buckets = self._runs.reshape(len(self.tickers), width)[:, 1:-1]
         self.outside = len(tw) - int(self.buckets.sum())
@@ -87,14 +96,14 @@ class DailyCounts:
     def hourly(self, rows: np.ndarray, days: np.ndarray) -> np.ndarray:
         """Tweets per US/Eastern hour of day of each (row, day) cell, as a
         (cells, 24) block; only the runs of those cells' buckets are read."""
-        cells = rows * (len(self.cal) + 2) + days + 1
+        cells = rows.astype(np.intp) * (len(self.cal) + 2) + days + 1
         sizes = self._runs[cells]
         owner = np.repeat(np.arange(len(cells)), sizes)
         # a cell's run starts where the running count before the cell ends
         skip = np.cumsum(self._runs)[cells] - np.cumsum(sizes)
         tw = self._tweets[np.arange(len(owner)) + skip[owner]]
         block = np.zeros((len(cells), 24), dtype=np.int64)
-        np.add.at(block, (owner, eastern_hours(tw.ts)), tw.total)
+        np.add.at(block, (owner, eastern_hours(tw.seconds())), tw.total)
         return block
 
 

@@ -178,17 +178,17 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
     index_returns = rng.normal(0.0, spec.index_vol, size=n_days - 1)
     index_levels = np.cumprod(np.concatenate(([1000.0], 1.0 + index_returns)))
 
-    # UTC epoch seconds of each date's tweet slots, shared by every ticker
-    slot_ts = np.array([
-        [_eastern_epoch(d - timedelta(days=1), h) for h in _EVENING_HOURS]
-        + [_eastern_epoch(d, h) for h in _DAYTIME_HOURS]
+    # hours since the UTC epoch of each date's tweet slots, shared by every ticker
+    slot_hours = np.array([
+        [_eastern_epoch(d - timedelta(days=1), h) // 3600 for h in _EVENING_HOURS]
+        + [_eastern_epoch(d, h) // 3600 for h in _DAYTIME_HOURS]
         for d in dates
-    ], dtype=np.int64)
+    ], dtype=np.int32)
 
     tickers = tuple(sorted(_ticker_name(ti) for ti in range(spec.n_tickers)))
     closes = np.empty((len(tickers), n_days))  # rows by ticker code
     volumes = np.empty(closes.shape, dtype=np.int64)
-    tweets: list = [None] * len(tickers)  # per code: (code, ts, neg, neut, pos) columns
+    tweets: list = [None] * len(tickers)  # per code: (code, hour, neg, neut, pos) columns
     events: list[EarningsEvent] = []
     truth: list[PlantedEvent] = []
 
@@ -240,7 +240,8 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
         block = np.array(draws, dtype=np.int64).reshape(len(drawn), 3, len(_SLOT_WEIGHTS))
         rows = block.transpose(0, 2, 1).reshape(-1, 3)
         keep = rows.any(axis=1)
-        tweets[code] = (np.full(np.count_nonzero(keep), code), slot_ts[drawn].ravel()[keep],
+        tweets[code] = (np.full(np.count_nonzero(keep), code, dtype=np.int32),
+                        slot_hours[drawn].ravel()[keep],
                         *rows[keep].T.astype(np.int32))
 
     levels = np.vstack((index_levels, closes))
@@ -256,7 +257,7 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
                               f"{e.announce_at:%Y-%m-%d} to {e.eps_reported!r}; it must be finite")
 
     ds = Dataset(
-        bars=DailyBars(tickers, np.repeat(np.arange(len(tickers)), n_days),
+        bars=DailyBars(tickers, np.repeat(np.arange(len(tickers), dtype=np.int32), n_days),
                        np.tile(days, len(tickers)),
                        closes.ravel(), volumes.ravel()),
         index=IndexLevels(days, index_levels),

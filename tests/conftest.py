@@ -102,7 +102,7 @@ def records(columns) -> list:
     if isinstance(columns, DailyBars):
         return [DailyBar(*row) for row in zip(tickers, columns.day.tolist(),
                                                columns.close.tolist(), columns.volume.tolist())]
-    hours = [datetime.fromtimestamp(ts, timezone.utc) for ts in columns.ts.tolist()]
+    hours = [datetime.fromtimestamp(ts, timezone.utc) for ts in columns.seconds().tolist()]
     return [TweetBucket(*row) for row in zip(tickers, hours, columns.n_neg.tolist(),
                                              columns.n_neut.tolist(), columns.n_pos.tolist())]
 
@@ -162,7 +162,7 @@ def tweet_columns(buckets) -> TweetBuckets:
     return TweetBuckets(
         tickers=tickers,
         code=np.array([codes[b.ticker] for b in buckets], dtype=np.int64),
-        ts=np.array([int(b.hour_start.timestamp()) for b in buckets], dtype=np.int64),
+        hour=np.array([int(b.hour_start.timestamp()) // 3600 for b in buckets], dtype=np.int64),
         n_neg=np.array([b.n_neg for b in buckets], dtype=np.int64),
         n_neut=np.array([b.n_neut for b in buckets], dtype=np.int64),
         n_pos=np.array([b.n_pos for b in buckets], dtype=np.int64),

@@ -913,6 +913,42 @@ class TestSigterm:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestSigint:
+    def test_an_interrupted_pipeline_exits_130_and_leaves_nothing(self, data_dir, tmp_path):
+        """SIGINT during a ``pipeline`` child, once its first report is staged:
+        exit 130 with one ``error:`` line and no traceback, and ``finally``
+        has discarded the staging directory."""
+        out = tmp_path / "work" / "out"
+        out.parent.mkdir()
+        code = ("import os, signal, sys\n"
+                "from eastudy import cli, ingest\n"
+                "write = ingest._write_text\n"
+                "def write_then_interrupt(path, text):\n"
+                "    write(path, text)\n"
+                "    os.kill(os.getpid(), signal.SIGINT)\n"
+                "ingest._write_text = write_then_interrupt\n"
+                "sys.exit(cli.run())\n")
+        done = child("-c", code, "--out", str(out), "pipeline", *data_flags(data_dir))
+        assert done.returncode == 130, done.stderr
+        assert done.stderr.splitlines() == ["error: interrupted"]
+        assert list(out.parent.iterdir()) == []
+
+
+class TestStagingDirectoryError:
+    def test_names_the_target_not_the_staging_directory(self, data_dir, tmp_path, monkeypatch,
+                                                        capsys):
+        """A staging directory that cannot be made is reported by the name of
+        the directory the user asked for, which they can act on."""
+        def refuse(suffix=None, prefix=None, dir=None):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  os.path.join(dir, f"{prefix}abcdefgh"))
+
+        monkeypatch.setattr(ingest.tempfile, "mkdtemp", refuse)
+        assert main(["--out", str(tmp_path / "target"), "score", *data_flags(data_dir)]) == 2
+        assert capsys.readouterr().err == "error: cannot write target: Permission denied\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOutputPathIsAFile:
     def test_exit_5_and_the_file_is_left_alone(self, data_dir, tmp_path, capsys):
         afile = tmp_path / "afile"
@@ -1460,10 +1496,11 @@ class TestCountsAtMaxCount:
         assert tw.total[maxed].tolist() == [3 * MAX_COUNT] * np.count_nonzero(maxed)
         # the hourly profile of every cell that holds a bucket at MAX_COUNT
         cal = universe.cal
-        rows, days = tw.code[maxed], cal.day_indices(tw.ts[maxed])
+        rows, days = tw.code[maxed], cal.day_indices(tw.seconds(maxed))
         want: dict = {}
-        for cell, hour, total in zip((tw.code * len(cal) + cal.day_indices(tw.ts)).tolist(),
-                                     eastern_hours(tw.ts).tolist(), tw.total.tolist()):
+        cells = tw.code.astype(np.int64) * len(cal) + cal.day_indices(tw.seconds())
+        for cell, hour, total in zip(cells.tolist(), eastern_hours(tw.seconds()).tolist(),
+                                     tw.total.tolist()):
             want[cell, hour] = want.get((cell, hour), 0) + total
         got = universe.counts.hourly(rows, days)
         assert got.dtype == np.int64 and got.max() > 2**31

@@ -4,7 +4,7 @@ import json
 import os
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from datetime import date, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -32,12 +32,19 @@ from eastudy.ingest import (
     parse_tweets_csv,
     write_dataset,
 )
-from eastudy.model import TICKER_RE, DailyBars, Dataset
+from eastudy.model import TICKER_RE, DailyBars, Dataset, Events, distinct
 from eastudy.reports import build_universe
 from eastudy.returns import earnings_surprise
 from eastudy.synth import SynthSpec, generate
 
-from conftest import business_days, index_from_closes, records, row_loop_only, tweet_columns
+from conftest import (
+    bar_columns,
+    business_days,
+    index_from_closes,
+    records,
+    row_loop_only,
+    tweet_columns,
+)
 
 
 def write(path, text):
@@ -1051,6 +1058,122 @@ class TestWriteThenLoad:
                                 events_per_ticker=1, first_event_day=20))
         paths = write_dataset(ds, tmp_path_factory.mktemp("w"))
         assert load_dataset(*paths) == ds
+
+
+# names that sort apart from their packed bytes' lengths and take every byte class
+TICKER_NAMES = ["A", "AA", "AAA", "AB", "B", "BRK.B", "M", "MSFT", "X.Y", "Z", "ZZZZZZ"]
+
+
+def arranged_rows(data) -> list[tuple[str, int]]:
+    """(ticker, hour) rows in a drawn order: canonical, shuffled, interleaved
+    (every hour's tickers in turn) or of a single ticker."""
+    kind = data.draw(st.sampled_from(["canonical", "shuffled", "interleaved", "single"]))
+    names = data.draw(st.lists(st.sampled_from(TICKER_NAMES), min_size=1, max_size=6,
+                               unique=True))
+    names = names[:1] if kind == "single" else names
+    rows = [(t, h) for t in names for h in range(data.draw(st.integers(1, 8)))]
+    if kind == "shuffled":
+        return data.draw(st.permutations(rows))
+    return sorted(rows, key=lambda row: row[::-1] if kind == "interleaved" else row)
+
+
+def reference_codes(tickers: list[str]) -> tuple[tuple[str, ...], list[int]]:
+    """The sorted distinct tickers and each row's code into them, from a full
+    sort of the packed column (``distinct``, then ``searchsorted``)."""
+    packed = np.array([ingest._pack(t) for t in tickers], dtype=np.int64)
+    table = distinct(packed)
+    return tuple(ingest._unpack(int(v)) for v in table), np.searchsorted(table, packed).tolist()
+
+
+class TestTickerCodes:
+    """Ticker codes come out of the parse as int32 ids, block by block, and
+    become codes into the sorted names in place: the same codes as a full
+    sort of the packed names gives, in any row order, for the rows of both
+    paths."""
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_block_ids_made_codes_equal_the_full_sort(self, data):
+        rows = arranged_rows(data)
+        packed = np.array([ingest._pack(t) for t, _ in rows], dtype=np.int64)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+        names = ingest._Names()
+        column = np.concatenate([names.ids(block) for block in np.split(packed, cuts)])
+        with mock.patch.object(ingest, "SLICE_ROWS", data.draw(st.integers(1, 5))):
+            tickers = names.codes(column)
+        assert column.dtype == np.int32
+        assert (tickers, column.tolist()) == reference_codes([t for t, _ in rows])
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_parsed_codes_equal_the_full_sort(self, tmp_path_factory, data):
+        """Some lines are refused by the fast path: a quoted ticker, which
+        the row loop accepts, or a count that is no number, which it refuses."""
+        rows = arranged_rows(data)
+        kept, lines = [], []
+        for t, h in rows:
+            edit = data.draw(st.sampled_from(["", "", "", "quoted", "bad count"]))
+            stamp = format_rfc3339(datetime(2015, 6, 1, tzinfo=timezone.utc) + timedelta(hours=h))
+            ticker = f'"{t}"' if edit == "quoted" else t
+            lines.append(f"{stamp},{ticker},{'x' if edit == 'bad count' else 1},2,3\n")
+            kept += [] if edit == "bad count" else [t]
+        path = tmp_path_factory.mktemp("t") / "tweets.csv"
+        path.write_text(",".join(TWEETS_HEADER) + "\n" + "".join(lines))
+        block = data.draw(st.sampled_from([64, 256, ingest.BLOCK_BYTES]))
+        with mock.patch.object(ingest, "BLOCK_BYTES", block), \
+                mock.patch.object(ingest, "SLICE_ROWS", data.draw(st.integers(1, 5))):
+            accepted, diags = parse_tweets_csv(path)
+        tw = accepted.rows
+        assert len(diags) == len(rows) - len(kept)
+        assert tw.code.dtype == np.int32
+        assert (tw.tickers, tw.code.tolist()) == reference_codes(kept)
+
+
+def test_day_kernel_reads_dates_as_date_does():
+    """The fast path counts the days as ``date.toordinal`` does, and refuses
+    exactly the dates ``date.fromisoformat`` refuses: every month 0..13 and
+    day 0..32 of years about each leap rule and at both ends of time."""
+    texts = [f"{y:04d}-{m:02d}-{d:02d}" for y in (0, 1, 4, 1600, 1700, 1900, 1970, 2000, 2015,
+                                                   2016, 2100, 2400, 9999)
+             for m in range(14) for d in range(33)]
+    days, ok = ingest._days(np.frombuffer("".join(texts).encode(), np.uint8).reshape(-1, 10).T)
+    epoch = date(1970, 1, 1).toordinal()
+    for text, day, good in zip(texts, days.tolist(), ok.tolist()):
+        try:
+            want = date.fromisoformat(text).toordinal() - epoch
+        except ValueError:
+            want = None
+        assert (day if good else None) == want, text
+
+
+class TestInt32Columns:
+    """Every ticker code is int32 and so is every tweet hour, however a table
+    is made: loaded, generated, recoded, indexed or sorted."""
+
+    def test_codes_and_hours_are_int32(self, tmp_path):
+        ds = generate(SynthSpec(seed=8, n_tickers=3, n_days=60, events_per_ticker=2,
+                                first_event_day=20, event_spacing=15))
+        loaded = load_dataset(*write_dataset(ds, tmp_path))
+        tables = [t for d in (ds, loaded) for t in (d.bars, d.tweets, d.events)]
+        tables += [t.on(("A", *t.tickers)) for t in tables]  # every code moves up one
+        tables += [t[np.arange(len(t))[::-1]] for t in tables]
+        tables += [t.canonical() for t in tables] + [t[t.code == 1] for t in tables]
+        tables += [tweet_columns(records(ds.tweets)), bar_columns(records(ds.bars)),
+                   Events.of(records(ds.events))]
+        assert loaded == ds and len({type(t) for t in tables}) == 3
+        assert {t.code.dtype for t in tables} == {np.dtype(np.int32)}
+        assert {t.hour.dtype for t in tables if hasattr(t, "hour")} == {np.dtype(np.int32)}
+        assert loaded.tweets.seconds().tolist() == [3600 * h for h in ds.tweets.hour.tolist()]
+
+    def test_parsed_columns_hold_just_their_rows(self, tmp_path):
+        """The column buffers, sized for the shortest tweets line, are
+        trimmed in place to the rows they hold: no view keeps the rest."""
+        write_dataset(generate(SynthSpec(seed=3, n_tickers=2, n_days=60, events_per_ticker=0)),
+                      tmp_path)
+        tw = parse_tweets_csv(tmp_path / "tweets.csv")[0].rows
+        assert len(tw) > 100
+        for column in (tw.code, tw.hour, tw.n_neg, tw.n_neut, tw.n_pos):
+            assert column.base is None and column.nbytes == 4 * len(tw)
 
 
 class TestTweetStampsParsedOncePerParse:

@@ -187,7 +187,7 @@ class TestVolumeReport:
             (*tw.tickers, "ZZZ"),
             np.concatenate((tw.code, np.full(len(copied), len(tw.tickers)))),
             *(np.concatenate((getattr(tw, f), getattr(copied, f)))
-              for f in ("ts", "n_neg", "n_neut", "n_pos")),
+              for f in ("hour", "n_neg", "n_neut", "n_pos")),
         )
         with_zzz = Dataset(bars=ds.bars, index=ds.index, tweets=tweets, events=ds.events)
         assert volume_report(build_universe(with_zzz)) == volume_report(universe)
@@ -238,7 +238,7 @@ class TestVolumeReport:
             tracemalloc.stop()
         tw = accepted.rows
         assert diags == [] and len(tw) > 100_000
-        return peak, sum(c.nbytes for c in (tw.code, tw.ts, tw.n_neg, tw.n_neut, tw.n_pos))
+        return peak, sum(c.nbytes for c in (tw.code, tw.hour, tw.n_neg, tw.n_neut, tw.n_pos))
 
 
 # Quickstart-like, small: both timing classes, every stratum cuts terciles

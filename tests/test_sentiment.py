@@ -1,12 +1,16 @@
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eastudy.alignment import close_instant, eastern_hours, to_eastern
+from eastudy import sentiment
+from eastudy.alignment import TradingCalendar, close_instant, eastern_hours, to_eastern
 from eastudy.errors import OutOfCalendarRange, TooFewEvents
+from eastudy.model import SLICE_ROWS
 from eastudy.sentiment import (
     DailyCounts,
     EventPolarity,
@@ -15,6 +19,7 @@ from eastudy.sentiment import (
     sentiment_score,
     tercile_thresholds,
 )
+from eastudy.synth import SynthSpec, generate
 
 from conftest import TweetBucket, day_cells, eastern, make_calendar, tweet_columns
 
@@ -49,8 +54,8 @@ def ref_hourly(days, tweets):
     """The full (ticker, day, US/Eastern hour) grid of tweet totals, summed
     over every bucket."""
     grid = np.zeros(days.buckets.size * 24, dtype=np.int64)
-    cells = tweets.code * len(days.cal) + days.cal.day_indices(tweets.ts)
-    np.add.at(grid, cells * 24 + eastern_hours(tweets.ts), tweets.total)
+    cells = tweets.code.astype(np.int64) * len(days.cal) + days.cal.day_indices(tweets.seconds())
+    np.add.at(grid, cells * 24 + eastern_hours(tweets.seconds()), tweets.total)
     return grid.reshape(*days.buckets.shape, 24)
 
 
@@ -180,6 +185,21 @@ class TestCategorize:
 
 
 class TestDailyCounts:
+    def test_counting_peaks_below_one_and_a_half_times_what_it_keeps(self):
+        """Over 100k buckets, counted a slice of rows at a time: no temporary
+        is as long as the tweet columns, so the peak stays near the grids."""
+        ds = generate(SynthSpec(seed=3, n_tickers=16, n_days=900, events_per_ticker=0))
+        cal = TradingCalendar.from_dataset(ds)
+        assert len(ds.tweets) > 100_000
+        tracemalloc.start()
+        try:
+            days = DailyCounts(ds.tweets, cal)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert days.buckets.sum() == len(ds.tweets)
+        assert peak < 1.5 * held
+
     def test_bucket_after_close_counts_to_next_day(self, week_calendar):
         bucket = TweetBucket("AAA", eastern(2015, 6, 2, 17, 0), 1, 2, 3)
         [day] = day_cells(DailyCounts(tweet_columns([bucket]), week_calendar))
@@ -258,7 +278,7 @@ class TestDailyCounts:
         day = st.one_of(
             st.integers(0, len(DST_CALENDAR) - 1),  # mostly cells with no buckets
             st.sampled_from(_SWITCH_DAYS),
-            st.sampled_from(DST_CALENDAR.day_indices(tweets.ts).tolist()),
+            st.sampled_from(DST_CALENDAR.day_indices(tweets.seconds()).tolist()),
         )
         cells = data.draw(st.lists(st.tuples(st.integers(0, len(days.tickers) - 1), day),
                                    max_size=30))
@@ -268,16 +288,19 @@ class TestDailyCounts:
 
     @given(st.lists(st.tuples(st.sampled_from(["AAA", "BBB", "CCC"]),
                               st.one_of(hour_starts, outside_hour_starts), counts, counts,
-                              counts), max_size=60), st.randoms())
-    def test_buckets_in_any_order_and_outside_equal_the_per_bucket_reference(self, spec, rnd):
+                              counts), max_size=60), st.randoms(),
+           st.one_of(st.integers(1, 8), st.just(SLICE_ROWS)))
+    def test_buckets_in_any_order_and_outside_equal_the_per_bucket_reference(self, spec, rnd,
+                                                                             slice_rows):
         """Buckets out of canonical order, some before the calendar's coverage
         and some after it, give the per-bucket grids, outside count and
-        hourly profiles."""
+        hourly profiles, whichever slices of rows they are counted in."""
         buckets = [TweetBucket(*b) for b in spec]
         tweets = tweet_columns(buckets)
         order = list(range(len(tweets)))
         rnd.shuffle(order)
-        days = DailyCounts(tweets[np.array(order, dtype=np.int64)], DST_CALENDAR)
+        with mock.patch.object(sentiment, "SLICE_ROWS", slice_rows):
+            days = DailyCounts(tweets[np.array(order, dtype=np.int64)], DST_CALENDAR)
         labels, n_buckets, outside, hourly = ref_counts(buckets, tweets.tickers, DST_CALENDAR)
         assert np.array_equal(days.labels, labels)
         assert np.array_equal(days.buckets, n_buckets)

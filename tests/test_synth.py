@@ -83,7 +83,7 @@ class TestGeneratedDatasetValidity:
     def test_tweets_inside_calendar_coverage(self):
         ds = generate(VECTOR_SPEC)
         cal = TradingCalendar.from_dataset(ds)
-        days = cal.day_indices(ds.tweets.ts)
+        days = cal.day_indices(ds.tweets.seconds())
         assert ((0 <= days) & (days < len(cal))).all()
 
     def test_event_timing_layout(self):
@@ -255,7 +255,7 @@ def ref_generate_with_truth(spec: SynthSpec):
     ]
 
     bar_columns: tuple[list, ...] = ([], [], [], [])  # code, calendar index, close, volume
-    columns: tuple[list[int], ...] = ([], [], [], [], [])  # code, ts, neg, neut, pos
+    columns: tuple[list[int], ...] = ([], [], [], [], [])  # code, hour, neg, neut, pos
     events: list[EarningsEvent] = []
     truth: list[PlantedEvent] = []
     event_counter = 0
@@ -338,7 +338,7 @@ def ref_generate_with_truth(spec: SynthSpec):
                 c_neg, c_neut, c_pos = (int(counts[s]) for counts in slot_counts)
                 if c_neg + c_neut + c_pos == 0:
                     continue
-                for column, value in zip(columns, (code, ts, c_neg, c_neut, c_pos)):
+                for column, value in zip(columns, (code, ts // 3600, c_neg, c_neut, c_pos)):
                     column.append(value)
 
     bar_code, bar_day, bar_close, bar_volume = (
@@ -371,7 +371,7 @@ def ref_write_dataset(ds: Dataset, out: Path) -> list[Path]:
     write(paths[1], INDEX_HEADER, ((b.date.isoformat(), repr(b.close)) for b in records(ds.index)))
     write(paths[2], TWEETS_HEADER, (
         (format_rfc3339(datetime.fromtimestamp(t, timezone.utc)), tw.tickers[c], neg, neut, pos)
-        for c, t, neg, neut, pos in zip(tw.code.tolist(), tw.ts.tolist(), tw.n_neg.tolist(),
+        for c, t, neg, neut, pos in zip(tw.code.tolist(), tw.seconds().tolist(), tw.n_neg.tolist(),
                                         tw.n_neut.tolist(), tw.n_pos.tolist())
     ))
     write(paths[3], EVENTS_HEADER, (
@@ -492,7 +492,7 @@ class TestWriterEqualsCsvWriter:
                  datetime(9999, 12, 31, 23, tzinfo=timezone.utc)]
         ds = generate(SynthSpec(n_tickers=1, n_days=3, events_per_ticker=0, tweet_rate=0.0))
         tweets = TweetBuckets(("AAA",), *(np.array(c, dtype=np.int64) for c in (
-            [0] * 4, [int(h.timestamp()) for h in hours], [1] * 4, [0] * 4, [2] * 4)))
+            [0] * 4, [int(h.timestamp()) // 3600 for h in hours], [1] * 4, [0] * 4, [2] * 4)))
         ds = Dataset(bars=ds.bars, index=ds.index, tweets=tweets, events=())
         lines = write_dataset(ds, tmp_path)[2].read_text().splitlines()[1:]
         assert [line.split(",")[0] for line in lines] == [format_rfc3339(h) for h in hours]
