@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from datetime import date, datetime, time, timedelta
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -210,6 +210,10 @@ class TradingCalendar:
         if i >= len(self.dates):
             raise OutOfCalendarRange(f"no trading date after {day}")
         return self.dates[i]
+
+    def column(self, values: Mapping[date, float]) -> np.ndarray:
+        """``values`` by calendar index, as float64: NaN on a date it lacks."""
+        return np.array([values.get(d, np.nan) for d in self.dates], dtype=np.float64)
 
 
 class EventAnchor(NamedTuple):

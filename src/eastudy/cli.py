@@ -452,6 +452,7 @@ def _cmd_report(args, config, out: OutputDir) -> int:
     _manifest(out, args.command, _effective(s, reports), ds.digests, ds,
               universe.counts.outside, extra)
     if len(reports) > 1:
+        out.commit()
         print(f"pipeline complete: {len(out.created)} files in {out.root}")
     return 0
 
@@ -514,13 +515,14 @@ def _cmd_synth(args, config, out: OutputDir) -> int:
     ds = generate(spec)
     paths = write_dataset(ds, out.stage())
     out.created.extend(paths)
-    for path in paths:
-        print(f"wrote {out.root / path.name}")
     effective = dict(vars(spec))  # every field, in order
     effective["start"] = effective["start"].isoformat()
     outside = DailyCounts(ds.tweets, TradingCalendar.from_dataset(ds)).outside
     digests = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     _manifest(out, "synth", effective, digests, ds, outside)
+    out.commit()
+    for path in paths:
+        print(f"wrote {out.root / path.name}")
     return 0
 
 

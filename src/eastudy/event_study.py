@@ -15,14 +15,15 @@ masks: the rows of class k are the stratum's rows labelled k whose fit
 succeeded (``class_rows``). Each class's means run ``math.fsum`` over the
 rows in canonical order.
 
-Returns are read by calendar index, not by date (``AlignedReturns``): the
-estimation window is a slice of the days on which both the stock's and the
-index's return exist, and the abnormal returns are one gather over day 0
-plus the window's offsets. One kernel fits a ticker's events together
-(``fit_rows``, then ``abnormal_rows``), as (event x window) blocks with the
-arithmetic of one event's fit. ``fit_events`` runs it once per ticker code
-(a row of the dataset's price grid); ``fit_market_model`` and
-``abnormal_returns`` run it on one row of returns given as date mappings.
+Returns are read by calendar index, not by date, from two float rows, the
+stock's and the index's, in which NaN is the one mark of a missing return:
+the estimation window is a slice of the days on which neither is NaN, and
+the abnormal returns are one gather over day 0 plus the window's offsets.
+One kernel fits a ticker's events together (``fit_rows``, then
+``abnormal_rows``), as (event x window) blocks with the arithmetic of one
+event's fit. ``fit_events`` runs it once per ticker code, on that row of the
+dataset's price grid; ``fit_market_model`` and ``abnormal_returns`` run it
+on returns keyed by date, placed on the calendar by ``TradingCalendar.column``.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from datetime import date
-from functools import cached_property
 from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .alignment import EventAnchor, TradingCalendar
+from .alignment import EventAnchor
 from .errors import (
     DegenerateRegressor,
     EmptyClass,
@@ -101,61 +101,27 @@ class MarketModelFit(NamedTuple):
         return self.alpha + self.beta * market_return
 
 
-class AlignedReturns(Frozen):
-    """A stock's and the index's daily returns by calendar index.
-
-    ``valid`` marks the trading days on which both returns exist; the
-    values elsewhere are never read.
-    """
-
-    stock: np.ndarray
-    index: np.ndarray
-    valid: np.ndarray
-
-    @classmethod
-    def from_mappings(
-        cls,
-        stock_returns: Mapping[date, float],
-        index_returns: Mapping[date, float],
-        cal: TradingCalendar,
-    ) -> "AlignedReturns":
-        """Returns keyed by date, placed on the calendar; other dates are ignored."""
-        return cls(
-            np.array([stock_returns.get(d, np.nan) for d in cal.dates], dtype=np.float64),
-            np.array([index_returns.get(d, np.nan) for d in cal.dates], dtype=np.float64),
-            np.array([d in stock_returns and d in index_returns for d in cal.dates], dtype=bool),
-        )
-
-    @cached_property
-    def valid_days(self) -> np.ndarray:
-        """Calendar indexes of the valid days, ascending."""
-        return np.flatnonzero(self.valid)
-
-    @cached_property
-    def valid_through(self) -> np.ndarray:
-        """Number of valid days at or before each calendar index."""
-        return np.cumsum(self.valid)
-
-
 def fit_rows(
-    returns: AlignedReturns, day0: np.ndarray, cfg: StudyConfig, ticker: str
+    stock: np.ndarray, index: np.ndarray, day0: np.ndarray, cfg: StudyConfig, ticker: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
     """OLS fits of stock on index returns for one ticker's events by their
     day-0 calendar index: alpha, beta and sigma2 per row (NaN where the row
     is not fitted) and the error of each row that is not.
 
-    The window is the last ``estimation_window_length`` trading days on
-    which both returns exist, ending the day before the event window opens
-    (relative day -2 for the default window). Solved in closed form on
-    centered (row x window) blocks: row means and stacked dots run the
-    pairwise sums and BLAS dots of one row's 1-D fit."""
-    length, n_days = cfg.estimation_window_length, len(returns.valid)
+    ``stock`` and ``index`` hold the daily returns by calendar index, NaN
+    where there is none. The window is the last ``estimation_window_length``
+    trading days on which neither is NaN, ending the day before the event
+    window opens (relative day -2 for the default window). Solved in closed
+    form on centered (row x window) blocks: row means and stacked dots run
+    the pairwise sums and BLAS dots of one row's 1-D fit."""
+    length, n_days = cfg.estimation_window_length, len(stock)
+    valid = ~(np.isnan(stock) | np.isnan(index))
     end = day0 + cfg.event_window[0] - 1
     past = end >= n_days
-    n_before = np.where(past | (end < 0), 0, returns.valid_through[np.clip(end, 0, n_days - 1)])
+    n_before = np.where(past | (end < 0), 0, np.cumsum(valid)[np.clip(end, 0, n_days - 1)])
     rows = np.flatnonzero(n_before >= length)
-    window = returns.valid_days[n_before[rows, None] - length + np.arange(length)]
-    x, y = returns.index[window], returns.stock[window]
+    window = np.flatnonzero(valid)[n_before[rows, None] - length + np.arange(length)]
+    x, y = index[window], stock[window]
     x_mean, y_mean = x.mean(axis=1), y.mean(axis=1)
     xc = x - x_mean[:, None]
     sxx = _dots(xc, xc)
@@ -179,17 +145,19 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def abnormal_rows(
-    alpha: np.ndarray, beta: np.ndarray, returns: AlignedReturns, day0: np.ndarray,
-    cfg: StudyConfig, ticker: str, dates: Sequence[date],
+    alpha: np.ndarray, beta: np.ndarray, stock: np.ndarray, index: np.ndarray,
+    day0: np.ndarray, cfg: StudyConfig, ticker: str, dates: Sequence[date],
 ) -> tuple[np.ndarray, dict[int, Exception]]:
     """AR_tau = actual return minus market-model expectation over the event
-    window, per row, and a MissingBar naming the first day of each row's
-    window that is past the calendar's end or lacks a return."""
+    window, per row, from returns read as ``fit_rows`` reads them, and a
+    MissingBar naming the first day of each row's window that is past the
+    calendar's end or lacks a return."""
     days = day0[:, None] + np.array(cfg.taus)
-    inside = (days >= 0) & (days < len(returns.valid))
+    inside = (days >= 0) & (days < len(stock))
     at = np.where(inside, days, 0)
-    served = inside & returns.valid[at]
-    ars = returns.stock[at] - (alpha[:, None] + beta[:, None] * returns.index[at])
+    y, x = stock[at], index[at]
+    served = inside & ~(np.isnan(y) | np.isnan(x))
+    ars = y - (alpha[:, None] + beta[:, None] * x)
     errors = {}
     for i in np.flatnonzero(~served.all(axis=1)).tolist():
         j = int(np.argmin(served[i]))
@@ -205,9 +173,11 @@ def fit_market_model(
     anchor: EventAnchor,
     cfg: StudyConfig = StudyConfig(),
 ) -> MarketModelFit:
-    """One row of ``fit_rows``, on returns keyed by date."""
-    returns = AlignedReturns.from_mappings(stock_returns, index_returns, anchor.calendar)
-    *fit, errors = fit_rows(returns, np.array([anchor.day0_index]), cfg, anchor.event.ticker)
+    """One row of ``fit_rows``, on returns keyed by date: a date either
+    mapping lacks, or maps to NaN, has no return."""
+    cal = anchor.calendar
+    *fit, errors = fit_rows(cal.column(stock_returns), cal.column(index_returns),
+                            np.array([anchor.day0_index]), cfg, anchor.event.ticker)
     if errors:
         raise errors[0]
     return MarketModelFit(*(float(v[0]) for v in fit), cfg.estimation_window_length)
@@ -220,11 +190,13 @@ def abnormal_returns(
     index_returns: Mapping[date, float],
     cfg: StudyConfig = StudyConfig(),
 ) -> tuple[float, ...]:
-    """One row of ``abnormal_rows``, on returns keyed by date."""
-    returns = AlignedReturns.from_mappings(stock_returns, index_returns, anchor.calendar)
-    ars, errors = abnormal_rows(np.array([fit.alpha]), np.array([fit.beta]), returns,
+    """One row of ``abnormal_rows``, on returns keyed by date, read as
+    ``fit_market_model`` reads them."""
+    cal = anchor.calendar
+    ars, errors = abnormal_rows(np.array([fit.alpha]), np.array([fit.beta]),
+                                cal.column(stock_returns), cal.column(index_returns),
                                 np.array([anchor.day0_index]), cfg, anchor.event.ticker,
-                                anchor.calendar.dates)
+                                cal.dates)
     if errors:
         raise errors[0]
     return tuple(ars[0].tolist())
@@ -297,15 +269,7 @@ class LabeledEvent(NamedTuple):
     polarity: EventPolarity
 
 
-class MeasuredRows(Frozen):
-    """Per-event rows with ``skips``: "" where the event was measured."""
-
-    @cached_property
-    def ok(self) -> np.ndarray:
-        return np.array([why == "" for why in self.skips], dtype=bool)
-
-
-class EventFits(MeasuredRows):
+class EventFits(Frozen):
     """Market-model results, row i for the i-th event given to ``fit_events``.
 
     ``skips[i]`` is "" where the event was fitted, why it was skipped, or
@@ -333,7 +297,7 @@ def fit_events(prices: PriceGrid, day0: np.ndarray, code: np.ndarray, mask: np.n
     if not len(asked):
         return EventFits(ars, sigma2, tuple(skips))
     day0, rows = day0[asked], code[asked]
-    index, index_ok = prices.index_returns, ~np.isnan(prices.index_returns)
+    index = prices.index_returns
     order = np.argsort(rows, kind="stable")
     for block in np.split(order, np.flatnonzero(np.diff(rows[order])) + 1):
         row, at = int(rows[block[0]]), asked[block]
@@ -342,9 +306,8 @@ def fit_events(prices: PriceGrid, day0: np.ndarray, code: np.ndarray, mask: np.n
                 skips[i] = "no price history"
             continue
         stock, ticker = prices.returns[row], prices.tickers[row]
-        returns = AlignedReturns(stock, index, ~np.isnan(stock) & index_ok)
-        alpha, beta, sigma2[at], fit_errors = fit_rows(returns, day0[block], cfg, ticker)
-        ars[at], errors = abnormal_rows(alpha, beta, returns, day0[block], cfg, ticker,
+        alpha, beta, sigma2[at], fit_errors = fit_rows(stock, index, day0[block], cfg, ticker)
+        ars[at], errors = abnormal_rows(alpha, beta, stock, index, day0[block], cfg, ticker,
                                         prices.dates)
         errors.update(fit_errors)  # a fit's reason comes before a missing bar
         ars[at[list(errors)]] = sigma2[at[list(errors)]] = np.nan
@@ -377,17 +340,18 @@ def labeled_columns(
 
 
 def class_rows(
-    measured: MeasuredRows,
+    skips: Sequence[str | None],
     events: Events,
     in_stratum: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[dict[EventPolarity, np.ndarray], list[tuple[str, str, str]]]:
     """The rows of each polarity class among a stratum's measured events,
     and the stratum's skipped events as (ticker, announcement stamp,
-    reason), both in row order. ``measured`` comes from one per-event pass
-    over rows aligned to ``events``."""
-    ok, skipped = measured.ok, np.flatnonzero(in_stratum & ~measured.ok)
-    reasons = [measured.skips[i] for i in skipped.tolist()]
+    reason), both in row order. ``skips`` comes from one per-event pass
+    over rows aligned to ``events``: "" where the event was measured."""
+    ok = np.array([why == "" for why in skips], dtype=bool)
+    skipped = np.flatnonzero(in_stratum & ~ok)
+    reasons = [skips[i] for i in skipped.tolist()]
     if None in reasons:
         raise ValueError("the per-event rows do not cover every event of the stratum")
     classes = {
@@ -408,7 +372,7 @@ def study_classes(
 ) -> EventStudyResult:
     """Aggregate one stratum's abnormal returns per polarity class, from
     ``fit_events``' rows under the same ``cfg`` (see ``class_rows``)."""
-    classes, skipped = class_rows(fits, events, in_stratum, labels)
+    classes, skipped = class_rows(fits.skips, events, in_stratum, labels)
     critical = cfg.critical_value
     return EventStudyResult(
         taus=cfg.taus,

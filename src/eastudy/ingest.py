@@ -47,6 +47,7 @@ the output directory and moved in only when the run succeeds.
 from __future__ import annotations
 
 import csv
+import errno
 import functools
 import hashlib
 import io
@@ -906,11 +907,18 @@ class OutputDir:
         _write_text(self._add(name), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def commit(self) -> None:
+        """Move the staged files into ``root``; a second call does nothing.
+        If a file's name in ``root`` is a directory, which ``os.replace``
+        cannot overwrite, none is moved: IsADirectoryError names it."""
         if self._stage is None:
             return
+        targets = [self.root / path.name for path in self.created]
+        for target in targets:
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         self.root.mkdir(parents=True, exist_ok=True)
-        for path in self.created:
-            os.replace(path, self.root / path.name)
+        for path, target in zip(self.created, targets):
+            os.replace(path, target)
         self.discard()
 
     def discard(self) -> None:

@@ -287,20 +287,19 @@ def volume_report(
         if (row := daily(mask, k)) is not None
     ]
 
-    # days -1..+1 of each used event, as calendar indexes
+    # days -1..+1 of each used event, as calendar indexes; cell c, one on the
+    # calendar, is used event ``event[c]`` on relative day ``col[c] - 1``
     days = universe.day0[universe.used, None] + np.array([-1, 0, 1])
-    has_day = (days >= 0) & (days < n_days)
-    rows = np.broadcast_to(universe.events.code[universe.used, None], days.shape)[has_day]
-    days = days[has_day]
+    event, col = np.nonzero((days >= 0) & (days < n_days))
+    rows, days = universe.events.code[universe.used][event], days[event, col]
 
-    # one 24-hour tweet profile per used event on each of those days it has
-    profiles = np.zeros((*has_day.shape, 24), dtype=np.int64)
-    profiles[has_day] = counts.hourly(rows, days)
+    # one 24-hour tweet profile per cell, in (event, day) order
+    profiles = counts.hourly(rows, days)
     hourly_rows = []
     for name, mask in groups:
-        in_group = mask[universe.used]
+        in_group = mask[universe.used][event]
         for j, k in enumerate((-1, 0, 1)):
-            on_k = profiles[in_group & has_day[:, j], j]
+            on_k = profiles[in_group & (col == j)]
             for h, moments in enumerate(_count_moments(on_k) if len(on_k) else []):
                 hourly_rows.append((name, k, h, len(on_k), *moments))
 

@@ -94,15 +94,15 @@ def trading_return(anchor: EventAnchor, prices: Mapping[date, float], d: int) ->
     """RT_d = (p_{day d} - p_{day -1}) / p_{day -1}, the hold-from-day--1 return.
 
     One row of ``hold_from_day_m1``, on closes keyed by date placed on the
-    anchor's calendar; a date the mapping lacks has no bar.
+    anchor's calendar (``TradingCalendar.column``): a date the mapping lacks,
+    or maps to NaN, has no bar.
     """
     if d < 0:
         raise ValueError("trading_return is defined for d >= 0")
-    dates = anchor.calendar.dates
-    closes = np.array([prices.get(day, np.nan) for day in dates], dtype=np.float64)
-    rt, errors = hold_from_day_m1(closes[None, :], np.zeros(1, np.int64),
+    cal = anchor.calendar
+    rt, errors = hold_from_day_m1(cal.column(prices)[None, :], np.zeros(1, np.int64),
                                   np.array([anchor.day0_index]), (d,), [anchor.event.ticker],
-                                  dates)
+                                  cal.dates)
     if errors:
         raise errors[0]
     return float(rt[0, 0])

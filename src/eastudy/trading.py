@@ -29,8 +29,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import MissingBar, OutOfCalendarRange, reason
-from .event_study import LabeledEvent, MeasuredRows, class_rows, labeled_columns
-from .model import INDEX_TICKER, Dataset, Events, PriceGrid, Timing
+from .event_study import LabeledEvent, class_rows, labeled_columns
+from .model import INDEX_TICKER, Dataset, Events, Frozen, PriceGrid, Timing
 from .reports import EventUniverse, build_universe
 from .returns import hold_from_day_m1
 from .sentiment import EventPolarity, PolarityThresholds, categorize_scores
@@ -51,7 +51,7 @@ class TradeReturnCurves(NamedTuple):
     skipped: tuple[tuple[str, str, str], ...]  # (ticker, announcement stamp, reason)
 
 
-class EventHolds(MeasuredRows):
+class EventHolds(Frozen):
     """RT_d, d = 0..max_d, row i for the i-th event given to ``hold_returns``.
 
     ``skips[i]`` is "" where the event was measured, why it was skipped, or
@@ -98,7 +98,7 @@ def curve_classes(
 ) -> TradeReturnCurves:
     """Class means of one stratum's RT_d, for the stock and for the index:
     plain sums over the rows of ``class_rows``, in row order."""
-    classes, skipped = class_rows(held, events, in_stratum, labels)
+    classes, skipped = class_rows(held.skips, events, in_stratum, labels)
     curves = {}
     for pol, rows in classes.items():
         n = len(rows)

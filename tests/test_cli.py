@@ -388,6 +388,32 @@ class TestFailedRun:
         assert [p.name for p in tmp_path.iterdir()] == ["reports"]  # no staging left
 
 
+class TestCommitOntoADirectory:
+    """A file the run would move into ``--out`` whose name there is a
+    directory: no file is moved in, no success line is printed, and no
+    staging directory is left."""
+
+    @pytest.mark.parametrize("command, trap, kept", [
+        ("pipeline", "volume_hourly.csv", "volume_daily.csv"),
+        ("synth", "manifest.json", "prices.csv"),
+    ])
+    def test_out_is_left_exactly_as_it_was(self, command, trap, kept, data_dir, tmp_path,
+                                           capsys):
+        out = tmp_path / "out"
+        (out / trap / "x").mkdir(parents=True)
+        (out / kept).write_text("from an earlier run\n")  # a file the run would replace
+        before = {p.relative_to(out): p.is_dir() or p.read_bytes() for p in out.rglob("*")}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC))
+        args = data_flags(data_dir) if command == "pipeline" else ["--spec", str(spec)]
+        assert main(["--out", str(out), command, *args]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == f"error: cannot write {trap}: Is a directory\n"
+        assert "pipeline complete" not in printed.out and "wrote" not in printed.out
+        assert {p.relative_to(out): p.is_dir() or p.read_bytes() for p in out.rglob("*")} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "spec.json"]
+
+
 def mistyped_spec(bad, window, data):
     spec = bad.parent / "typed.json"
     spec.write_text(json.dumps({"n_tickers": "abc"}))
@@ -1130,9 +1156,9 @@ class TestEachEventMeasuredOnce:
         fitted = []
         fit = event_study.fit_rows
 
-        def counting_fit(returns, day0, cfg, ticker):
+        def counting_fit(stock, index, day0, cfg, ticker):
             fitted.extend(key_of[ticker, d] for d in day0.tolist())
-            return fit(returns, day0, cfg, ticker)
+            return fit(stock, index, day0, cfg, ticker)
 
         monkeypatch.setattr(event_study, "fit_rows", counting_fit)
         assert main(["--out", str(tmp_path / "out"), "pipeline", *data_flags(data_dir)]) == 0

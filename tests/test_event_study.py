@@ -1,6 +1,7 @@
 import math
 from datetime import date
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from eastudy.errors import (
     OutOfCalendarRange,
 )
 from eastudy.event_study import (
-    AlignedReturns,
     EventFits,
     MarketModelFit,
     StudyConfig,
@@ -29,6 +29,7 @@ from eastudy.event_study import (
 )
 from eastudy.model import DailyBar, Timing
 from eastudy.reports import build_universe, label_stratum, stratum_labels
+from eastudy.returns import trading_return
 from eastudy.sentiment import EventPolarity
 from eastudy.synth import SynthSpec, generate_with_truth
 from eastudy.trading import curve_classes, hold_returns, trade_return_curves
@@ -213,6 +214,56 @@ class TestAbnormalReturns:
         fit = MarketModelFit(alpha=0.0, beta=1.0, sigma2_eps=0.0, n_obs=120)
         with pytest.raises(MissingBar):
             abnormal_returns(fit, anchor, stock, index)
+
+
+class TestNaNIsAMissingReturn:
+    """In each one-event adapter, a date mapped to NaN is a date the mapping
+    lacks: the same result, or a MissingBar naming the same day."""
+
+    @staticmethod
+    def outcomes(call, mapping, day):
+        results = []
+        absent = {d: v for d, v in mapping.items() if d != day}
+        for changed in ({**absent, day: math.nan}, absent):
+            try:
+                results.append(call(changed))
+            except MissingBar as exc:
+                results.append(str(exc))
+        return results
+
+    @pytest.mark.parametrize("which", ["stock", "index"])
+    def test_fit_market_model(self, which):
+        _, anchor, stock, index = make_fit_scenario(
+            [0.01, -0.02, 0.005, 0.015], lambda i, x: 0.5 * x + 0.001 * (i % 3)
+        )
+        fitted, absent = self.outcomes(
+            lambda m: fit_market_model(*((m, index) if which == "stock" else (stock, m)),
+                                       anchor),
+            stock if which == "stock" else index, anchor.day(-10))
+        assert fitted == absent
+        assert all(map(math.isfinite, fitted))
+
+    @pytest.mark.parametrize("which", ["stock", "index"])
+    def test_abnormal_returns(self, which):
+        _, anchor, stock, index = make_fit_scenario(
+            [0.01, -0.02, 0.005, 0.015], lambda i, x: x
+        )
+        fit = MarketModelFit(alpha=0.0, beta=1.0, sigma2_eps=0.0, n_obs=120)
+        nan, absent = self.outcomes(
+            lambda m: abnormal_returns(fit, anchor, *((m, index) if which == "stock"
+                                                      else (stock, m))),
+            stock if which == "stock" else index, anchor.day(3))
+        assert nan == absent == f"AAA: no return on {anchor.day(3)}"
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_trading_return(self, k):
+        cal = make_calendar(date(2015, 6, 1), 10)
+        anchor = anchor_event(
+            make_event("AAA", eastern(2015, 6, 2, 17, 0), Timing.AFTER_CLOSE), cal)
+        closes = {d: 100.0 + i for i, d in enumerate(cal.dates)}
+        nan, absent = self.outcomes(lambda m: trading_return(anchor, m, 2), closes,
+                                    anchor.day(k))
+        assert nan == absent == f"AAA: no closing price on {anchor.day(k)}"
 
 
 TAUS = tuple(range(-1, 11))
@@ -495,6 +546,25 @@ class TestSharedPerEventRows:
 # --- the batched fit against the per-event loop it replaced -----------------
 
 
+class Aligned(NamedTuple):
+    """A stock's and the index's daily returns by calendar index, and the
+    days on which both exist; the values elsewhere are never read."""
+
+    stock: np.ndarray
+    index: np.ndarray
+    valid: np.ndarray
+
+    @property
+    def valid_days(self) -> np.ndarray:
+        """Calendar indexes of the valid days, ascending."""
+        return np.flatnonzero(self.valid)
+
+    @property
+    def valid_through(self) -> np.ndarray:
+        """Number of valid days at or before each calendar index."""
+        return np.cumsum(self.valid)
+
+
 def ref_fit_aligned(returns, anchor, cfg):
     """One event's fit, as one 1-D closed-form OLS over its window."""
     end = anchor.day0_index + cfg.event_window[0] - 1
@@ -559,7 +629,7 @@ def ref_fit_events(anchors, ds, cfg):
                 skips[i] = "no price history"
                 continue
             stock, index = prices.returns[row], prices.index_returns
-            aligned[ticker] = AlignedReturns(stock, index, ~np.isnan(stock) & ~np.isnan(index))
+            aligned[ticker] = Aligned(stock, index, ~np.isnan(stock) & ~np.isnan(index))
         try:
             fit = ref_fit_aligned(aligned[ticker], anchor, cfg)
             ars[i] = ref_abnormal_returns_aligned(fit, anchor, aligned[ticker], cfg)
