@@ -7,9 +7,11 @@ flags, then the JSON config file, then defaults into every command's
 settings. Each run builds one event universe (``build_universe``); a
 stratum is a mask over it with one label column, the study and the curves
 average the rows that ``fit_events`` and ``hold_returns`` measure once per
-run from its columns, and the backtest trades from the same universe. Files,
-``ingest --emit``'s too, are staged beside their directory and moved in
-only when the run succeeds, so a failed run leaves it as it found it.
+run from its columns, and the backtest trades from the same universe. A
+command only stages its files and queues its stdout lines on the run's
+``OutputDir`` (``--out``, or ``ingest``'s ``--emit``); ``main`` commits once,
+then prints the lines, so a failed run prints nothing and leaves the
+directory as it found it.
 """
 
 from __future__ import annotations
@@ -343,8 +345,8 @@ def _emit_backtest(run) -> dict:
     from .trading import run_strategy
 
     s, sample = run.s, run.universe  # the events the Sent(-1) cuts come from
-    if s.thresholds_until is not None:
-        sample = sample.until(s.thresholds_until)
+    if s.thresholds_until is not None:  # it narrows the run's window, never widens it
+        sample = sample.until(min(s.thresholds_until, s.until or date.max))
     thresholds, n_th = stratum_thresholds(sample, Timing.AFTER_CLOSE, -1)
     ledger = run_strategy(run.ds, thresholds, spread=s.spread, start=s.start, end=s.end,
                           universe=run.universe)
@@ -357,8 +359,8 @@ def _emit_backtest(run) -> dict:
     run.out.write_csv("trades.csv", header, trades)
     equity = ((d.isoformat(), v, b) for (d, v), (_, b) in zip(ledger.equity, ledger.benchmark))
     run.out.write_csv("equity.csv", ["date", "strategy", "benchmark"], equity)
-    print(f"{len(ledger.trades)} trades, final equity {ledger.final_equity:.4f} "
-          f"vs benchmark {ledger.final_benchmark:.4f}")
+    run.out.said.append(f"{len(ledger.trades)} trades, final equity {ledger.final_equity:.4f} "
+                        f"vs benchmark {ledger.final_benchmark:.4f}")
     return {
         "backtest": {
             "n_trades": len(ledger.trades),
@@ -427,7 +429,7 @@ def _effective(s, reports: Sequence[str]) -> dict:
     return effective
 
 
-def _cmd_report(args, config, out: OutputDir) -> int:
+def _cmd_report(args, config, out: OutputDir) -> None:
     """Every report command: ``pipeline`` runs PIPELINE, the others their own report."""
     reports = PIPELINE if args.command == "pipeline" else (args.command,)
     s = _settings(args, config)
@@ -452,12 +454,10 @@ def _cmd_report(args, config, out: OutputDir) -> int:
     _manifest(out, args.command, _effective(s, reports), ds.digests, ds,
               universe.counts.outside, extra)
     if len(reports) > 1:
-        out.commit()
-        print(f"pipeline complete: {len(out.created)} files in {out.root}")
-    return 0
+        out.said.append(f"pipeline complete: {len(out.created)} files in {out.root}")
 
 
-def _cmd_ingest(args, config, out: OutputDir) -> int:
+def _cmd_ingest(args, config, out: OutputDir) -> None:
     s = _settings(args, config)
     ds = load_dataset(*(s.paths[name] for name in INPUTS))
     # the exclusions the study itself makes: the universe's, then the fits'
@@ -467,28 +467,20 @@ def _cmd_ingest(args, config, out: OutputDir) -> int:
     study = StudyConfig(tuple(min(k, n) for k in s.event_window), min(s.estimation_window, n),
                         s.significance)
     skips = fit_events(ds.prices, universe.day0, universe.events.code, universe.used, study).skips
-    print(
+    out.said.append(
         f"loaded {len(ds.bars)} bars, {len(ds.index)} index bars, "
         f"{len(ds.tweets)} tweet buckets, {len(ds.events)} events "
         f"({len(universe.dropped) + sum(map(bool, skips))} excluded by coverage)"
     )
     if args.emit:
-        emit = OutputDir(args.emit)
-        try:
-            emit.created.extend(write_dataset(ds, emit.stage()))
-            emit.commit()
-        finally:
-            emit.discard()
-        for path in emit.created:
-            print(f"wrote {emit.root / path.name}")
-    return 0
+        out.created.extend(write_dataset(ds, out.stage()))
+        out.said.extend(f"wrote {out.root / path.name}" for path in out.created)
 
 
-def _cmd_calendar(args, config, out: OutputDir) -> int:
+def _cmd_calendar(args, config, out: OutputDir) -> None:
     index, diags = parse_index_csv(_data_paths(args, config, ("index",))["index"])
     raise_for(diags, "bad index rows")
     out.write_csv("calendar.csv", ["date"], zip(index.rows.day.astype(str).tolist()))
-    return 0
 
 
 def _synth_spec(args, config):
@@ -508,22 +500,19 @@ def _synth_spec(args, config):
         raise InvalidSpec(f"invalid synth spec: {exc}") from None
 
 
-def _cmd_synth(args, config, out: OutputDir) -> int:
+def _cmd_synth(args, config, out: OutputDir) -> None:
     from .synth import generate
 
     spec = _synth_spec(args, config)
     ds = generate(spec)
     paths = write_dataset(ds, out.stage())
     out.created.extend(paths)
+    out.said.extend(f"wrote {out.root / path.name}" for path in paths)
     effective = dict(vars(spec))  # every field, in order
     effective["start"] = effective["start"].isoformat()
     outside = DailyCounts(ds.tweets, TradingCalendar.from_dataset(ds)).outside
     digests = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     _manifest(out, "synth", effective, digests, ds, outside)
-    out.commit()
-    for path in paths:
-        print(f"wrote {out.root / path.name}")
-    return 0
 
 
 FLAGS = {
@@ -597,10 +586,13 @@ def main(argv: list[str] | None = None) -> int:
         root = args.out or config.get("out") or "out"
         if not isinstance(root, str):
             raise InvalidSpec(f"invalid out {root!r}: expected a path")
-        out = OutputDir(root)
-        code = args.handler(args, config, out)
-        out.commit()
-        return code
+        # ``ingest`` writes only its ``--emit`` copy, if any: it never reads --out
+        out = OutputDir((args.emit or ".") if args.command == "ingest" else root)
+        args.handler(args, config, out)
+        out.commit()  # the one commit of the run, and only then its lines
+        for line in out.said:
+            print(line)
+        return 0
     except EastudyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for diag in getattr(exc, "diagnostics", [])[:20]:

@@ -41,7 +41,8 @@ The trading calendar is implied by the index file: a date is a trading
 day iff the index has a bar for it.
 
 Every file a command writes goes through ``OutputDir``: it is staged beside
-the output directory and moved in only when the run succeeds.
+the run's directory (``--out``, or ``ingest``'s ``--emit``), and the lines the
+run prints wait on it; ``cli.main`` commits the files once, then prints them.
 """
 
 from __future__ import annotations
@@ -868,8 +869,9 @@ def _fmt(value) -> str:
 
 
 class OutputDir:
-    """One run's files, written into a temporary sibling of ``root``:
-    ``commit`` moves them into ``root``, ``discard`` deletes them."""
+    """One run's files, written into a temporary sibling of ``root``, and the
+    lines it prints once they are in (``said``): ``commit`` moves the files
+    into ``root``, ``discard`` deletes them."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -877,6 +879,7 @@ class OutputDir:
         if not existing.is_dir():
             raise InvalidSpec(f"output directory {self.root}: {existing} is not a directory")
         self.created: list[Path] = []  # staged files, in the order written
+        self.said: list[str] = []  # the run's stdout lines, printed after the commit
         self._stage: Path | None = None
         self._made: list[Path] = []  # the parents of root that stage() made
 
@@ -907,7 +910,7 @@ class OutputDir:
         _write_text(self._add(name), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def commit(self) -> None:
-        """Move the staged files into ``root``; a second call does nothing.
+        """Move the staged files into ``root``, if any were staged.
         If a file's name in ``root`` is a directory, which ``os.replace``
         cannot overwrite, none is moved: IsADirectoryError names it."""
         if self._stage is None:

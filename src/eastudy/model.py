@@ -247,8 +247,15 @@ class EarningsEvent(NamedTuple):
     timing: Timing
     eps_reported: float
     eps_estimated: float
-    excluded: bool = False
-    exclusion_reason: str = ""
+
+    @property
+    def excluded(self) -> bool:
+        """A zero EPS estimate excludes the event: its surprise is undefined."""
+        return self.eps_estimated == 0
+
+    @property
+    def exclusion_reason(self) -> str:
+        return "zero estimate" if self.excluded else ""
 
     def key(self) -> tuple:
         """Canonical ordering key, used wherever determinism matters."""
@@ -261,7 +268,7 @@ class Events(_Columns):
     ``at`` is the announcement in UTC epoch microseconds, so sorting rows by
     ``(code, at)`` is sorting them by ``EarningsEvent.key``. ``timing`` holds
     int8 ``Timing.code`` values and the EPS figures are float64; a zero
-    estimate excludes an event, in ``build_universe`` and in ``record``.
+    estimate excludes an event (``build_universe``, ``EarningsEvent.excluded``).
     """
 
     tickers: tuple[str, ...]
@@ -303,15 +310,12 @@ class Events(_Columns):
 
     def record(self, i: int) -> EarningsEvent:
         """Row i as a record, for the adapters that take one event."""
-        excluded = bool(self.eps_estimated[i] == 0)
         return EarningsEvent(
             ticker=self.tickers[self.code[i]],
             announce_at=EPOCH + int(self.at[i]) * MICROSECOND,
             timing=list(Timing)[self.timing[i]],
             eps_reported=float(self.eps_reported[i]),
             eps_estimated=float(self.eps_estimated[i]),
-            excluded=excluded,
-            exclusion_reason="zero estimate" if excluded else "",
         )
 
 

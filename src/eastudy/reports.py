@@ -70,7 +70,7 @@ class EventUniverse(Frozen):
     day_labels: np.ndarray  # (n_neg, n_neut, n_pos) per event and scoring day
     sent: np.ndarray  # sentiment score per event and scoring day
     surprise: np.ndarray  # earnings surprise, NaN where excluded
-    excluded: np.ndarray  # by the input, or for a zero EPS estimate
+    excluded: np.ndarray  # for a zero EPS estimate
     window: np.ndarray
 
     def sent_on(self, polarity_day: int) -> np.ndarray:

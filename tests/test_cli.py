@@ -1,4 +1,5 @@
 import argparse
+import ast
 import builtins
 import csv
 import errno
@@ -389,13 +390,15 @@ class TestFailedRun:
 
 
 class TestCommitOntoADirectory:
-    """A file the run would move into ``--out`` whose name there is a
-    directory: no file is moved in, no success line is printed, and no
-    staging directory is left."""
+    """A file the run would move into its directory (``--out``, or
+    ``ingest``'s ``--emit``) whose name there is a directory: no file is
+    moved in, nothing is printed on stdout, and no staging directory is left."""
 
     @pytest.mark.parametrize("command, trap, kept", [
         ("pipeline", "volume_hourly.csv", "volume_daily.csv"),
+        ("backtest", "equity.csv", "trades.csv"),
         ("synth", "manifest.json", "prices.csv"),
+        ("ingest", "tweets.csv", "prices.csv"),
     ])
     def test_out_is_left_exactly_as_it_was(self, command, trap, kept, data_dir, tmp_path,
                                            capsys):
@@ -405,13 +408,29 @@ class TestCommitOntoADirectory:
         before = {p.relative_to(out): p.is_dir() or p.read_bytes() for p in out.rglob("*")}
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(SPEC))
-        args = data_flags(data_dir) if command == "pipeline" else ["--spec", str(spec)]
+        args = {"synth": ["--spec", str(spec)],
+                "ingest": [*data_flags(data_dir), "--emit", str(out)]}.get(command,
+                                                                        data_flags(data_dir))
         assert main(["--out", str(out), command, *args]) == 2
-        printed = capsys.readouterr()
-        assert printed.err == f"error: cannot write {trap}: Is a directory\n"
-        assert "pipeline complete" not in printed.out and "wrote" not in printed.out
+        assert capsys.readouterr() == ("", f"error: cannot write {trap}: Is a directory\n")
         assert {p.relative_to(out): p.is_dir() or p.read_bytes() for p in out.rglob("*")} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "spec.json"]
+
+
+def test_only_main_prints_and_commits():
+    """``cli.main`` is the run's one end: no other code prints or commits, a
+    command only queues its lines and stages its files."""
+    found = []
+    for path in sorted(Path(eastudy.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        main_nodes = {id(node) for top in tree.body if path.name == "cli.py"
+                      and isinstance(top, ast.FunctionDef) and top.name == "main"
+                      for node in ast.walk(top)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in main_nodes
+                  and (getattr(node.func, "id", None) == "print"
+                       or getattr(node.func, "attr", None) == "commit")]
+    assert found == []
 
 
 def mistyped_spec(bad, window, data):
@@ -1183,6 +1202,28 @@ class TestEachEventAnchoredOnce:
         assert calls == [n_events]  # one vectorized pass per run
         assert len(anchored) == n_events
         assert set(anchored.values()) == {1}
+
+
+class TestThresholdsUntilNarrowsUntil:
+    """``--thresholds-until`` narrows the sample the backtest's Sent(-1) cuts
+    come from, never widens it: the earlier of it and ``until`` bounds it."""
+
+    @pytest.mark.parametrize("command", ["backtest", "pipeline"])
+    def test_the_earlier_date_bounds_the_sample(self, command, data_dir, tmp_path):
+        def cuts(name, until, thresholds_until):
+            config, out = tmp_path / f"{name}.json", tmp_path / name
+            config.write_text(json.dumps({"until": until} if until else {}))
+            flags = ["--thresholds-until", thresholds_until] if thresholds_until else []
+            assert main(["--config", str(config), "--out", str(out), command,
+                         *data_flags(data_dir), *flags]) == 0
+            backtest = json.loads((out / "manifest.json").read_text())["backtest"]
+            return [backtest[key] for key in ("threshold_events", "t_low", "t_high")]
+
+        early, late = "2015-10-15", "2016-02-01"
+        until_only = cuts("until", early, None)
+        assert until_only != cuts("late", late, None)  # the two dates cut different samples
+        assert cuts("later", early, late) == until_only
+        assert cuts("earlier", late, early) == cuts("thresholds_until", None, early)
 
 
 class TestReturnsAcrossAGap:

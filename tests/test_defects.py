@@ -8,10 +8,11 @@ infinity, and +-10**20) or too small for it (1e-300 and 5e-324, a
 significance level at which 1 - level/2 rounds to 1) at a numeric key, or a
 fraction at an integer key.
 Whatever the cell, the run exits with a documented code, prints no
-traceback, and a failed run prints one ``error:`` line and leaves ``--out``
-and its parent as it found them. A fraction at an integer key fails every
-command that reads the settings: it is never rounded away. So does a JSON
-string at a numeric key: it is never read as the number it spells.
+traceback, and a failed run prints one ``error:`` line, nothing on stdout,
+and leaves ``--out`` and its parent as it found them. A fraction at an
+integer key fails every command that reads the settings: it is never
+rounded away. So does a JSON string at a numeric key: it is never read as
+the number it spells.
 """
 
 import io
@@ -163,14 +164,15 @@ def survives(inputs, command: str, config: str, flags) -> int:
         (out / "kept.txt").write_text("kept")
         (Path(tmp) / "config.json").write_text(config)
         before = listing(parent)
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        said, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(said), redirect_stderr(err):
             code = main(["--config", str(Path(tmp) / "config.json"), "--out", str(out), command,
                          *command_flags(command, inputs), *flags])
         err = err.getvalue()
         assert code in (0, 2, 3, 4, 5), (code, err)
         assert "Traceback" not in err
         if code:
+            assert said.getvalue() == "", said.getvalue()
             assert [line for line in err.splitlines() if line.startswith("error:")] == [
                 err.splitlines()[0]], err
             assert listing(parent) == before

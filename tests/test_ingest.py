@@ -32,7 +32,7 @@ from eastudy.ingest import (
     parse_tweets_csv,
     write_dataset,
 )
-from eastudy.model import TICKER_RE, DailyBars, Dataset, Events, distinct
+from eastudy.model import TICKER_RE, DailyBars, Dataset, EarningsEvent, Events, Timing, distinct
 from eastudy.reports import build_universe
 from eastudy.returns import earnings_surprise
 from eastudy.synth import SynthSpec, generate
@@ -115,6 +115,14 @@ class TestLoadDataset:
         [ev] = records(ds.events)
         assert ev.excluded
         assert ev.exclusion_reason == "zero estimate"
+
+    @pytest.mark.parametrize("estimate, excluded", [(0.0, True), (-0.0, True), (0.8, False)])
+    def test_an_event_round_trips_through_the_columns(self, estimate, excluded):
+        """A record's exclusion follows its estimate, built or read back alike."""
+        ev = EarningsEvent("AAA", datetime(2015, 6, 2, 20, 30, tzinfo=timezone.utc),
+                           Timing.AFTER_CLOSE, 1.05, estimate)
+        assert (ev.excluded, ev.exclusion_reason) == (excluded, "zero estimate" * excluded)
+        assert Events.of([ev]).record(0) == ev
 
     def test_missing_file(self, tmp_path):
         paths = fixture_files(tmp_path)
