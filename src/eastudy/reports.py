@@ -212,7 +212,8 @@ def _count_moments(block: np.ndarray) -> list[tuple[float, float]]:
     read from the runs of the column sorted; each square is split into exact
     26-bit halves (Veltkamp) that times a run length stay exact."""
     n = len(block)
-    ordered = np.sort(block.T, axis=1)  # one row per column, ascending
+    ordered = block.T.copy()  # one row per column, C order so ``ravel`` makes no copy
+    ordered.sort(axis=1)  # ascending
     means = ordered.sum(axis=1) / n
     if n < 2:
         return [(mean, 0.0) for mean in means.tolist()]
@@ -251,8 +252,9 @@ def volume_report(
     bar, so the tweets of a ticker without bars count in neither the average
     nor the baseline. Every daily value is a gather from the tweet count
     grids and the price grid's volume by code and calendar index, for the
-    relative days within the calendar's length (no event has another); the
-    hourly profiles are summed for just the event cells.
+    relative days within the calendar's length (no event has another). The
+    hourly profiles are summed for just the event cells, a relative day at a
+    time, so one day's (cells x 24) block is held at once.
     """
     if rel_days[0] > rel_days[1]:
         raise ValueError(f"relative days {list(rel_days)}: the first exceeds the last")
@@ -287,26 +289,24 @@ def volume_report(
         if (row := daily(mask, k)) is not None
     ]
 
-    # days -1..+1 of each used event, as calendar indexes; cell c, one on the
-    # calendar, is used event ``event[c]`` on relative day ``col[c] - 1``
-    days = universe.day0[universe.used, None] + np.array([-1, 0, 1])
-    event, col = np.nonzero((days >= 0) & (days < n_days))
-    rows, days = universe.events.code[universe.used][event], days[event, col]
-
-    # one 24-hour tweet profile per cell, in (event, day) order
-    profiles = counts.hourly(rows, days)
-    hourly_rows = []
-    for name, mask in groups:
-        in_group = mask[universe.used][event]
-        for j, k in enumerate((-1, 0, 1)):
-            on_k = profiles[in_group & (col == j)]
-            for h, moments in enumerate(_count_moments(on_k) if len(on_k) else []):
-                hourly_rows.append((name, k, h, len(on_k), *moments))
-
-    # quiet cells: every (ticker with a bar, trading day) outside days -1..+1 of an event
+    # hourly profiles a relative day at a time, one block that every group reads; quiet
+    # cells: every (ticker with a bar, trading day) outside days -1..+1 of an event
     has_bar = prices.n_bars > 0
     quiet = np.repeat(has_bar[:, None], n_days, axis=1)
-    quiet[rows, days] = False
+    used, profile_rows = universe.used, {}
+    for k in (-1, 0, 1):
+        days = universe.day0[used] + k
+        on = (days >= 0) & (days < n_days)
+        rows, days = universe.events.code[used][on], days[on]
+        quiet[rows, days] = False
+        profiles = counts.hourly(rows, days)
+        for name, mask in groups:
+            on_k = profiles[mask[used][on]]
+            profile_rows[name, k] = [(name, k, h, len(on_k), *moments) for h, moments
+                                     in enumerate(_count_moments(on_k) if len(on_k) else [])]
+        del profiles, on_k  # freed before the next day's block is built
+    hourly_rows = [row for name, _ in groups for k in (-1, 0, 1) for row in profile_rows[name, k]]
+
     n_tickers = int(np.count_nonzero(has_bar))
     overall_mean = int(counts.totals[has_bar].sum()) / (n_days * max(n_tickers, 1))
     quiet_total = int(counts.totals[quiet].sum())
@@ -314,7 +314,8 @@ def volume_report(
     quiet_mean = quiet_total / quiet_cells if quiet_cells else 0.0
 
     mean_at = {k: row[1] for k in (-1, 0, 1) if (row := daily(universe.used, k)) is not None}
-    three_day = sum(mean_at.get(k, 0.0) for k in (-1, 0, 1))
+    # left to right, as ``sum`` gives before Python 3.12 (which compensates)
+    three_day = mean_at.get(-1, 0.0) + mean_at.get(0, 0.0) + mean_at.get(1, 0.0)
     summary_rows = [
         ("mean_tweets_per_ticker_day", overall_mean),
         ("three_day_event_multiplier", three_day / (3 * overall_mean) if overall_mean else 0.0),

@@ -3,9 +3,9 @@
 Returns are simple (raw) relative price changes, never log returns, so
 trading returns compose multiplicatively with daily returns. Trading
 returns are read from closes by calendar index (``hold_from_day_m1``), for
-many events at once, and the same gather names the first missing close or
-calendar day of each event it cannot serve; ``trading_return`` is the same
-kernel on closes keyed by date.
+many events at once, one relative day at a time, and the same pass names
+the first missing close or calendar day of each event it cannot serve;
+``trading_return`` is the same kernel on closes keyed by date.
 """
 
 from __future__ import annotations
@@ -73,21 +73,29 @@ def hold_from_day_m1(
     event's error is at its first day with no close (day -1, then the d's),
     but at the first d when that is off the calendar and day -1 is on it:
     OutOfCalendarRange off the calendar, else MissingBar naming the row's
-    ticker and the date of ``dates``.
+    ticker and the date of ``dates``. The closes are gathered an offset at a
+    time (day -1, then each d) into one column-major block, which becomes
+    RT_d in place: no temporary is longer than one offset's events.
     """
-    cols = day0[:, None] + np.array([-1, *days], dtype=np.int64)
-    inside = (cols >= 0) & (cols < closes.shape[1])
-    p = np.full(cols.shape, np.nan)
-    p[inside] = closes[np.broadcast_to(rows[:, None], cols.shape)[inside], cols[inside]]
-    served = ~np.isnan(p)
+    offsets, n_days = (-1, *days), closes.shape[1]
+    p = np.empty((len(day0), len(offsets)), order="F")  # one offset's events are contiguous
+    missing = np.zeros(len(day0), dtype=bool)
+    for j, k in enumerate(offsets):
+        cols = day0 + k
+        off = (cols < 0) | (cols >= n_days)
+        p[:, j] = closes[rows, cols.clip(0, n_days - 1, out=cols)]
+        p[off, j] = np.nan
+        missing |= np.isnan(p[:, j])
     errors = {}
-    for e in np.flatnonzero(~served.all(axis=1)).tolist():
-        j = int(np.argmin(served[e]))
-        j = 1 if j == 0 and inside[e, 0] and not inside[e, 1] else j
-        i = int(cols[e, j])
-        errors[e] = (MissingBar(f"{tickers[rows[e]]}: no closing price on {dates[i]}")
-                     if inside[e, j] else OutOfCalendarRange(f"calendar index {i} out of range"))
-    return (p[:, 1:] - p[:, :1]) / p[:, :1], errors
+    for e in np.flatnonzero(missing).tolist():
+        at = [int(day0[e]) + k for k in offsets]
+        on = [0 <= i < n_days for i in at]
+        j = 1 if on[0] and not on[1] else int(np.isnan(p[e]).argmax())
+        errors[e] = (MissingBar(f"{tickers[rows[e]]}: no closing price on {dates[at[j]]}")
+                     if on[j] else OutOfCalendarRange(f"calendar index {at[j]} out of range"))
+    rt = p[:, 1:]
+    rt -= p[:, :1]
+    return np.divide(rt, p[:, :1], out=rt), errors
 
 
 def trading_return(anchor: EventAnchor, prices: Mapping[date, float], d: int) -> float:

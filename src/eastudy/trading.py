@@ -15,15 +15,16 @@ hold-return pass (``hold_returns``) measures each event once per run, from
 the universe's day-0 and ticker-code columns under a mask, and every
 stratum averages the rows its mask and labels select. Both read closes
 from the dataset's price grid by ticker code and calendar index; the hold
-returns of all events are one gather, which also names why each skipped
-event is skipped.
+returns of all events are one pass an offset at a time
+(``hold_from_day_m1``), which also names why each skipped event is skipped.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from datetime import date
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -70,20 +71,19 @@ def hold_returns(prices: PriceGrid, day0: np.ndarray, code: np.ndarray, mask: np
     The events of ``mask`` are measured, read as ``fit_events`` reads them.
     The index applies the same buy-at-day--1 arithmetic to index levels on
     each event's own dates. An event with any missing bar over day -1..day
-    max_d is skipped with a reason, not fatal.
+    max_d is skipped with a reason, not fatal. Each pass fills its rows as it returns.
     """
     days = range(max_d + 1)
     stock = np.full((len(mask), max_d + 1), np.nan)
     index = np.full(stock.shape, np.nan)
-    skips = ["" if m else None for m in mask.tolist()]
     asked = np.flatnonzero(mask)
-    rt_stock, errors = hold_from_day_m1(prices.closes, code[asked], day0[asked], days,
-                                        prices.tickers, prices.dates)
-    rt_index, index_errors = hold_from_day_m1(prices.index_closes[None, :],
-                                              np.zeros_like(asked), day0[asked], days,
-                                              (INDEX_TICKER,), prices.dates)
+    stock[asked], errors = hold_from_day_m1(prices.closes, code[asked], day0[asked], days,
+                                            prices.tickers, prices.dates)
+    index[asked], index_errors = hold_from_day_m1(prices.index_closes[None, :],
+                                                  np.zeros_like(asked), day0[asked], days,
+                                                  (INDEX_TICKER,), prices.dates)
     errors = {**index_errors, **errors}  # the stock's reason comes before the index's
-    stock[asked], index[asked] = rt_stock, rt_index
+    skips = ["" if m else None for m in mask.tolist()]
     stock[asked[list(errors)]] = index[asked[list(errors)]] = np.nan
     for j, exc in errors.items():
         skips[asked[j]] = reason(exc)
@@ -97,7 +97,8 @@ def curve_classes(
     labels: np.ndarray,
 ) -> TradeReturnCurves:
     """Class means of one stratum's RT_d, for the stock and for the index:
-    plain sums over the rows of ``class_rows``, in row order."""
+    plain sums over the rows of ``class_rows``, added left to right in row
+    order as ``sum`` does before Python 3.12, which compensates."""
     classes, skipped = class_rows(held.skips, events, in_stratum, labels)
     curves = {}
     for pol, rows in classes.items():
@@ -105,8 +106,8 @@ def curve_classes(
         curves[pol] = ClassCurve(
             polarity=pol,
             n_events=n,
-            stock_mean=tuple(sum(col) / n for col in held.stock[rows].T.tolist()),
-            index_mean=tuple(sum(col) / n for col in held.index[rows].T.tolist()),
+            stock_mean=tuple(reduce(add, col, 0) / n for col in held.stock[rows].T.tolist()),
+            index_mean=tuple(reduce(add, col, 0) / n for col in held.index[rows].T.tolist()),
         )
     days = tuple(range(held.stock.shape[1]))
     return TradeReturnCurves(days=days, classes=curves, skipped=tuple(skipped))

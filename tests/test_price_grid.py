@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eastudy.alignment import anchor_event
+from eastudy.alignment import EventAnchor, anchor_event
 from eastudy.errors import (
     DegenerateRegressor,
     InsufficientHistory,
@@ -245,6 +245,43 @@ class TestKernelsMatchTheDateWalk:
                 for d in range(max_d + 1):
                     assert repr(outcome(trading_return, a, prices, d)) == repr(
                         outcome(ref_trading_return, a, prices, d))
+
+
+class TestHoldReturnsAtTheGatherEdges:
+    """One event at an edge of the per-offset gather: its RT_d, or its first
+    error's type and text, match the date walk, in ``hold_returns`` and in
+    ``trading_return`` at each d."""
+
+    N_DAYS = 12
+
+    @pytest.mark.parametrize("day0, holes, max_d", [
+        (0, (), 3),  # day -1 off the calendar
+        (0, (2,), 3),  # and a hole after it
+        (9, (), 4),  # day0 + max_d past the last day
+        (11, (), 0),  # day 0 the last day
+        (11, (), 1),
+        (5, (4,), 3),  # a hole at day -1
+        (5, (7,), 3),  # a hole at d = 2
+        (5, (4, 7), 3),  # both: day -1's comes first
+        (9, (8,), 4),  # a hole at day -1, and max_d past the last day
+        (9, (11,), 4),  # a hole at d = 2, then past the last day
+        (5, (), 6),  # served
+    ])
+    def test_matches_the_date_walk(self, day0, holes, max_d):
+        cal = make_calendar(date(2015, 6, 1), self.N_DAYS)
+        index = [IndexBar(d, 1000.0 + 7 * i) for i, d in enumerate(cal.dates)]
+        bars = [DailyBar("AAA", d, 10.0 + i, 100) for i, d in enumerate(cal.dates)
+                if i not in holes]
+        ev = make_event("AAA", eastern(2015, 5, 29, 17, 0), Timing.AFTER_CLOSE)
+        ds = make_dataset(bars=bars, index=index, events=[ev])
+        anchor = EventAnchor(ev, cal, cal.dates[day0])  # by hand: day 0 may be index 0
+        got = hold_returns(*anchor_columns([anchor], ds), max_d)
+        want = ref_hold_returns([anchor], ds, max_d)
+        assert repr(rows(got)) == repr(rows(want))
+        prices = close_prices(ds, "AAA")
+        for d in range(max_d + 1):
+            assert repr(outcome(trading_return, anchor, prices, d)) == repr(
+                outcome(ref_trading_return, anchor, prices, d))
 
 
 class TestGridRefusesWhatItCannotHold:

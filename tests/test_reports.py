@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from eastudy import reports, trading
 from eastudy.alignment import TradingCalendar
 from eastudy.ingest import MAX_COUNT, parse_tweets_csv, write_dataset
 from eastudy.model import Dataset, Events, Timing, TweetBuckets
@@ -21,10 +22,41 @@ from eastudy.reports import (
     volume_report,
 )
 from eastudy.sentiment import DailyCounts, EventPolarity, sentiment_score
-from eastudy.trading import run_strategy
+from eastudy.trading import curve_classes, hold_returns, run_strategy
 from eastudy.synth import SynthSpec, generate, generate_with_truth
 
 from conftest import bar_columns, close_prices, records, tweet_columns
+
+
+@pytest.fixture(scope="module")
+def dense():
+    """The event_dense bench workload's universe (4,500 events), with the
+    price grid and the daily totals built, as an earlier report leaves them."""
+    ds = generate(SynthSpec(seed=7, n_tickers=30, n_days=900, events_per_ticker=150,
+                            event_spacing=5, tweet_rate=1.0))
+    universe = build_universe(ds)
+    ds.prices, universe.counts.totals
+    return universe
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory ``tracemalloc`` traces during it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def neumaier_sum(values, start=0):
+    """``sum`` of floats as Python 3.12 and later add them: compensated."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +239,37 @@ class TestVolumeReport:
             tracemalloc.stop()
         grid = len(universe.counts.tickers) * len(universe.cal) * 24 * 8
         assert peak < grid / 4
+
+    def test_builds_the_hourly_profiles_a_relative_day_at_a_time(self, dense):
+        """On the event_dense workload the report peaks below 1.5 times the
+        hourly profiles of days -1..+1: it holds one day's block at a time."""
+        _, peak = traced_peak(volume_report, dense)
+        days = dense.day0[dense.used, None] + np.array([-1, 0, 1])
+        cells = np.count_nonzero((days >= 0) & (days < len(dense.cal)))
+        assert peak < 1.5 * cells * 24 * 8
+
+    def test_hold_returns_hold_little_more_than_their_result(self, dense):
+        """On the event_dense workload ``hold_returns`` peaks below twice its
+        two result arrays: each pass gathers an offset at a time into one
+        block and fills the result rows from it."""
+        held, peak = traced_peak(hold_returns, dense.ds.prices, dense.day0, dense.events.code,
+                                 dense.used)
+        assert peak < 2 * (held.stock.nbytes + held.index.nbytes)
+
+    def test_sums_do_not_depend_on_the_python(self, dense, monkeypatch):
+        """The curve means and the volume summary add floats left to right,
+        so Python 3.12's compensated ``sum`` changes neither."""
+        held = hold_returns(dense.ds.prices, dense.day0, dense.events.code, dense.used)
+
+        def results():
+            curves = [curve_classes(held, dense.events, dense.stratum(t),
+                                    stratum_labels(dense, t, d)) for t, d in STRATA]
+            return repr((curves, volume_report(dense).summary_rows))
+
+        plain = results()
+        for module in (reports, trading):
+            monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+        assert results() == plain
 
     def test_tweet_ingest_holds_little_more_than_its_columns(self, tmp_path):
         """``parse_tweets_csv`` of about 100k buckets peaks below 1.8 times the
