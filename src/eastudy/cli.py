@@ -224,7 +224,7 @@ def _check_windows(s, cal: TradingCalendar) -> None:
 
 
 def _manifest(out: OutputDir, command: str, effective: dict, inputs: dict[str, str],
-              ds: Dataset, tweets_outside: int, extra: dict | None = None) -> None:
+              ds: Dataset, counts: DailyCounts, extra: dict | None = None) -> None:
     payload = {
         "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "tool": "eastudy",
@@ -236,8 +236,8 @@ def _manifest(out: OutputDir, command: str, effective: dict, inputs: dict[str, s
         "dataset": {
             "bars": len(ds.bars),
             "index": len(ds.index),
-            "tweets": len(ds.tweets),
-            "tweets_outside_calendar": tweets_outside,
+            "tweets": int(counts.buckets.sum()) + counts.outside,  # the buckets loaded
+            "tweets_outside_calendar": counts.outside,
             "events": len(ds.events),
         },
         **(extra or {}),
@@ -288,7 +288,7 @@ def _emit_thresholds(run) -> None:
 
 
 def _emit_returns(run) -> dict:
-    ds, dates = run.ds, run.universe.cal.dates
+    ds, dates = run.universe.ds, run.universe.cal.dates
     if len(ds.index) < 2:
         raise InsufficientHistory("need at least two index bars to compute returns")
     # returns between consecutive trading days: one that would span a
@@ -317,7 +317,7 @@ def _skips(key: str, skipped: dict[str, list]) -> dict:
 
 def _emit_study(run) -> dict:
     skipped, u = {}, run.universe
-    fits = fit_events(run.ds.prices, u.day0, u.events.code, run.measured, run.s.study)  # once
+    fits = fit_events(u.ds.prices, u.day0, u.events.code, run.measured, run.s.study)  # once
     for (timing, polarity_day), labels in run.labels.items():
         result = study_classes(fits, u.events, u.stratum(timing), labels, run.s.study)
         name = _stratum_file("study", timing, polarity_day)
@@ -331,7 +331,7 @@ def _emit_curves(run) -> dict:
     from .trading import curve_classes, hold_returns  # only the curves and the backtest load it
 
     skipped, u = {}, run.universe
-    held = hold_returns(run.ds.prices, u.day0, u.events.code, run.measured)  # once
+    held = hold_returns(u.ds.prices, u.day0, u.events.code, run.measured)  # once
     for (timing, polarity_day), labels in run.labels.items():
         curves = curve_classes(held, u.events, u.stratum(timing), labels)
         name = _stratum_file("curves", timing, polarity_day)
@@ -348,7 +348,7 @@ def _emit_backtest(run) -> dict:
     if s.thresholds_until is not None:  # it narrows the run's window, never widens it
         sample = sample.until(min(s.thresholds_until, s.until or date.max))
     thresholds, n_th = stratum_thresholds(sample, Timing.AFTER_CLOSE, -1)
-    ledger = run_strategy(run.ds, thresholds, spread=s.spread, start=s.start, end=s.end,
+    ledger = run_strategy(run.universe.ds, thresholds, spread=s.spread, start=s.start, end=s.end,
                           universe=run.universe)
     trades = (
         (t.ticker, t.open_date.isoformat(), t.close_date.isoformat(),
@@ -430,11 +430,10 @@ def _effective(s, reports: Sequence[str]) -> dict:
 
 
 def _cmd_report(args, config, out: OutputDir) -> None:
-    """Every report command: ``pipeline`` runs PIPELINE, the others their own report."""
+    """PIPELINE or one report, read from ``universe.ds``: the tweets are freed once counted."""
     reports = PIPELINE if args.command == "pipeline" else (args.command,)
     s = _settings(args, config)
-    ds = load_dataset(*(s.paths[name] for name in INPUTS))
-    universe = build_universe(ds, until=s.until)
+    universe = build_universe(load_dataset(*(s.paths[name] for name in INPUTS)), until=s.until)
     if "study" in reports:
         _check_windows(s, universe.cal)
     strata = STRATA if len(reports) > 1 else [(s.timing, s.polarity_day)]
@@ -446,13 +445,12 @@ def _cmd_report(args, config, out: OutputDir) -> None:
     measured = np.zeros(len(universe.events), dtype=bool)
     for timing, _ in labels:
         measured |= universe.stratum(timing)
-    run = SimpleNamespace(ds=ds, s=s, out=out, universe=universe, labels=labels,
-                          measured=measured)
+    run = SimpleNamespace(s=s, out=out, universe=universe, labels=labels, measured=measured)
     extra = {"excluded_events": _reasons(universe.dropped)}
     for name in reports:
         extra.update(REPORTS[name](run) or {})
-    _manifest(out, args.command, _effective(s, reports), ds.digests, ds,
-              universe.counts.outside, extra)
+    _manifest(out, args.command, _effective(s, reports), universe.ds.digests, universe.ds,
+              universe.counts, extra)
     if len(reports) > 1:
         out.said.append(f"pipeline complete: {len(out.created)} files in {out.root}")
 
@@ -510,9 +508,9 @@ def _cmd_synth(args, config, out: OutputDir) -> None:
     out.said.extend(f"wrote {out.root / path.name}" for path in paths)
     effective = dict(vars(spec))  # every field, in order
     effective["start"] = effective["start"].isoformat()
-    outside = DailyCounts(ds.tweets, TradingCalendar.from_dataset(ds)).outside
+    counts = DailyCounts(ds.tweets, TradingCalendar.from_dataset(ds))
     digests = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
-    _manifest(out, "synth", effective, digests, ds, outside)
+    _manifest(out, "synth", effective, digests, ds, counts)
 
 
 FLAGS = {

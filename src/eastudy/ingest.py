@@ -312,8 +312,9 @@ def _line_blocks(fh, update) -> Iterator[np.ndarray]:
         update(chunk)
         chunk = chunk or b"\n"  # the bytes after the last line end are one more line
         cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
-        if cut:  # replace copies only a block that holds a CR
-            lines = b"".join((*parts, chunk[:cut])).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if cut:
+            lines = b"".join((*parts, chunk[:cut]))  # one scan of a read without a CR:
+            lines = lines.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in lines else lines
             parts = [chunk[cut:]]
             del chunk
             block = np.zeros(len(lines) + 2 * _PAD, dtype=np.uint8)

@@ -49,7 +49,7 @@ TIMING_NAMES = {Timing.AFTER_CLOSE: "afterclose", Timing.BEFORE_OPEN: "beforeope
 
 class EventUniverse(Frozen):
     """Every event of a dataset, anchored and scored once, as columns, and
-    the daily and hourly tweet counts every report reads.
+    the daily and hourly tweet counts every report reads, but no tweet row.
 
     Row i is the i-th event in canonical (ticker, announce_at) order; its
     ``events.code`` is its row in the dataset's grids. An event that cannot
@@ -108,15 +108,17 @@ class EventUniverse(Frozen):
 
 
 def build_universe(ds: Dataset, until: date | None = None) -> EventUniverse:
-    """Count the tweets by day and anchor and score every event once, on the
-    calendar the index implies, then keep the events announced up to
-    ``until``."""
+    """Anchor, count the tweets and score every event once, on the calendar the
+    index implies, then keep the events announced up to ``until``. Once counted,
+    ``ds`` is rebound without its tweet rows: a caller's last reference frees them."""
     cal = TradingCalendar.from_dataset(ds)
-    counts = DailyCounts(ds.tweets, cal)
     events = ds.events.canonical()
     day0, reason, local_day = anchor_days(cal, events)
-    # one gather of the label counts on every scoring day of every anchored event
     anchored = day0 >= 0
+    near = np.clip(day0[anchored, None] + np.arange(-1, 2), 0, len(cal) - 1).ravel()
+    counts = DailyCounts(ds.tweets, cal, np.repeat(events.code[anchored], 3), near)
+    ds = Dataset(ds.bars, ds.index, ds.tweets[np.arange(0)], ds.events, ds.digests)
+    # one gather of the label counts on every scoring day of every anchored event
     days = day0[anchored, None] + np.array(SCORING_DAYS)
     day_labels = np.zeros((len(events), len(SCORING_DAYS), 3), dtype=np.int64)
     day_labels[anchored] = np.moveaxis(counts.labels[:, events.code[anchored, None], days], 0, -1)
@@ -276,7 +278,7 @@ def volume_report(
         if not has_day.any():
             return None
         rows, days = universe.events.code[mask][has_day], days[has_day]
-        tweets = counts.totals[rows, days]
+        tweets = counts.labels[:, rows, days].sum(axis=0)
         volume = prices.volume[rows, days]
         volume = volume[~np.isnan(volume)]
         mv, sv = _mean_se(volume) if len(volume) else (0.0, 0.0)
@@ -308,8 +310,9 @@ def volume_report(
     hourly_rows = [row for name, _ in groups for k in (-1, 0, 1) for row in profile_rows[name, k]]
 
     n_tickers = int(np.count_nonzero(has_bar))
-    overall_mean = int(counts.totals[has_bar].sum()) / (n_days * max(n_tickers, 1))
-    quiet_total = int(counts.totals[quiet].sum())
+    # no (ticker x day) grid of totals is made: each sum reads the label grids
+    overall_mean = int(counts.labels.sum(axis=(0, 2))[has_bar].sum()) / (n_days * max(n_tickers, 1))
+    quiet_total = sum(int(row[quiet].sum()) for row in counts.labels)
     quiet_cells = int(np.count_nonzero(quiet))
     quiet_mean = quiet_total / quiet_cells if quiet_cells else 0.0
 

@@ -7,8 +7,8 @@ calendar's ``day_indices`` gives each bucket of the slice its trading day,
 from its hour in epoch seconds, or an edge column outside the calendar, so
 each (ticker x day) cell's buckets are one run. One ``np.add.reduceat`` per
 label sums the slice's runs in int64, so totals are exact integers, and no
-temporary is longer than a slice; US/Eastern hour-of-day totals read just
-the runs asked for.
+temporary is longer than a slice. Only the buckets of the cells kept for
+hourly profiles stay, as US/Eastern hours of day and totals.
 
 A day's sentiment score is the Laplace-smoothed mean of the {-1, 0, +1}
 label distribution, which keeps the score strictly inside (-1, +1) even for
@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from functools import cached_property
 
 import numpy as np
 
 from .alignment import TradingCalendar, eastern_hours
 from .errors import TooFewEvents
-from .model import SLICE_ROWS, TweetBuckets, run_starts
+from .model import SLICE_ROWS, TweetBuckets, distinct, run_starts
 
 LAPLACE_LABELS = 3  # one pseudo-count per sentiment label
 
@@ -63,17 +62,24 @@ class DailyCounts:
     trading days; ``buckets`` counts the buckets of each cell. ``outside``
     counts the buckets outside the calendar, the one policy for them: in no
     cell, and reported as ``dataset.tweets_outside_calendar`` in the manifest.
-    ``hourly`` sums the hour-of-day profiles of the cells asked for.
+    ``hourly`` sums the hour-of-day profiles of kept cells (``rows``, ``days``).
     """
 
-    def __init__(self, tweets: TweetBuckets, cal: TradingCalendar):
+    def __init__(self, tweets: TweetBuckets, cal: TradingCalendar, rows=(), days=()):
         self.tickers, self.cal = tweets.tickers, cal
-        self._tweets = tw = tweets.canonical()
+        tw = tweets.canonical()
         # buckets and label sums per cell, flat, with an edge column on either side of
         # the trading days; a slice may cut a cell's run, so each slice adds its part
         width = len(cal) + 2
         self._runs = np.zeros(len(self.tickers) * width, dtype=np.int64)
         labels = np.zeros((3, self._runs.size), dtype=np.int64)
+        keep = np.zeros(self._runs.size, dtype=bool)
+        keep[np.asarray(rows, np.intp) * width + np.asarray(days, np.intp) + 1] = True
+        kept = np.flatnonzero(keep)
+        # the pass writes the kept cells' buckets, at most the buckets of their tickers
+        code = distinct(kept // width).astype(np.int32)
+        most = int((np.searchsorted(tw.code, code, "right") - np.searchsorted(tw.code, code)).sum())
+        self._hour, self._total, n = np.empty(most, np.int8), np.empty(most, np.int64), 0
         for lo in range(0, len(tw), SLICE_ROWS):
             part = slice(lo, lo + SLICE_ROWS)
             cells = cal.day_indices(tw.seconds(part))
@@ -84,26 +90,28 @@ class DailyCounts:
             self._runs[filled] += np.diff(first, append=len(cells))
             for row, column in zip(labels, (tw.n_neg, tw.n_neut, tw.n_pos)):
                 row[filled] += np.add.reduceat(column[part], first, dtype=np.int64)
+            mine = tw[lo + np.flatnonzero(keep[cells])]
+            at, n = slice(n, n + len(mine)), n + len(mine)
+            self._hour[at], self._total[at] = eastern_hours(mine.seconds()), mine.total
         self.labels = labels.reshape(3, len(self.tickers), width)[:, :, 1:-1]
         self.buckets = self._runs.reshape(len(self.tickers), width)[:, 1:-1]
         self.outside = len(tw) - int(self.buckets.sum())
-
-    @cached_property
-    def totals(self) -> np.ndarray:
-        """Tweets per (ticker, day) cell."""
-        return self.labels.sum(axis=0)
+        for column in (self._hour, self._total):  # trimmed in place to the buckets written
+            column.resize(n, refcheck=False)
+        self._kept, self._ends = kept.astype(np.int32), np.cumsum(self._runs[kept], dtype=np.int32)
 
     def hourly(self, rows: np.ndarray, days: np.ndarray) -> np.ndarray:
         """Tweets per US/Eastern hour of day of each (row, day) cell, as a
-        (cells, 24) block; only the runs of those cells' buckets are read."""
-        cells = rows.astype(np.intp) * (len(self.cal) + 2) + days + 1
-        sizes = self._runs[cells]
-        owner = np.repeat(np.arange(len(cells)), sizes)
-        # a cell's run starts where the running count before the cell ends
-        skip = np.cumsum(self._runs)[cells] - np.cumsum(sizes)
-        tw = self._tweets[np.arange(len(owner)) + skip[owner]]
+        (cells, 24) block; ValueError for a cell that is not kept."""
+        cells = (rows.astype(np.intp) * (len(self.cal) + 2) + days + 1).astype(np.int32)
+        at = np.searchsorted(self._kept, cells)
+        if (np.searchsorted(self._kept, cells, side="right") == at).any():
+            raise ValueError("hourly profiles are kept only for the cells DailyCounts was given")
+        owner = np.repeat(np.arange(len(cells)), self._runs[cells])
+        # a cell's kept buckets start where the kept buckets before it end
+        kept = np.arange(len(owner)) + (self._ends[at] - np.cumsum(self._runs[cells]))[owner]
         block = np.zeros((len(cells), 24), dtype=np.int64)
-        np.add.at(block, (owner, eastern_hours(tw.seconds())), tw.total)
+        np.add.at(block, (owner, self._hour[kept]), self._total[kept])
         return block
 
 

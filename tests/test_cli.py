@@ -309,6 +309,41 @@ class TestPipeline:
         assert rc == 2
 
 
+def manifest_digest(path: Path) -> str:
+    """SHA-256 of a manifest, all but ``created_utc``, as sorted JSON."""
+    manifest = json.loads(path.read_text())
+    del manifest["created_utc"]
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+
+
+class TestManifestsPinned:
+    """The ``synth`` and ``pipeline`` manifests of the Quickstart spec and of
+    the paper-scale spec, all but ``created_utc``, pinned as a run that held
+    every tweet row to its end wrote them: the dataset counts are the rows
+    loaded, whatever the run keeps."""
+
+    PAPER = {"seed": 7, "n_tickers": 30, "n_days": 900, "events_per_ticker": 12,
+             "event_spacing": 60}
+    DIGESTS = {
+        ("quickstart", "synth"): "017ae85e40cd391c008884444145ff96cad1570a24ae617852c9be24f44216a8",
+        ("quickstart", "pipeline"):
+            "805c18e695b56c8d3d411be17224674ff009edfa50417e865b97ed4d578a99f0",
+        ("paper", "synth"): "5b58601469713fe2ac76be1ddd4a737633cdc7600ed8249df98fdd2f7d677d48",
+        ("paper", "pipeline"): "2eb65f3cc2a08e745d67f77c6d8caf290244c1b7efaea23def59e8c41736c29e",
+    }
+
+    @pytest.mark.parametrize("name", ["quickstart", "paper"])
+    def test_synth_and_pipeline_manifests(self, name, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC if name == "quickstart" else self.PAPER))
+        data, reports = tmp_path / "data", tmp_path / "reports"
+        assert main(["--out", str(data), "synth", "--spec", str(spec)]) == 0
+        assert main(["--out", str(reports), "pipeline", *data_flags(data)]) == 0
+        assert {(name, command): manifest_digest(out / "manifest.json")
+                for command, out in (("synth", data), ("pipeline", reports))} == {
+            key: digest for key, digest in self.DIGESTS.items() if key[0] == name}
+
+
 class TestTweetsOutsideCalendar:
     def test_excluded_and_counted_alike_by_every_command(self, data_dir, tmp_path):
         data = tmp_path / "data"
@@ -322,6 +357,7 @@ class TestTweetsOutsideCalendar:
             assert main(["--out", str(out), command, *data_flags(data)]) == 0, command
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["dataset"]["tweets_outside_calendar"] == 1, command
+            assert manifest["dataset"]["tweets"] == tweets.count("\n") - 1, command
         # the excluded bucket changes no report
         clean = tmp_path / "clean"
         assert main(["--out", str(clean), "pipeline", *data_flags(data_dir)]) == 0

@@ -1,14 +1,18 @@
+import gc
 import math
+import sys
 import tracemalloc
+import weakref
 from datetime import date, timedelta
+from types import FunctionType, ModuleType
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eastudy import reports, trading
+from eastudy import cli, reports, trading
 from eastudy.alignment import TradingCalendar
-from eastudy.ingest import MAX_COUNT, parse_tweets_csv, write_dataset
+from eastudy.ingest import MAX_COUNT, load_dataset, parse_tweets_csv, write_dataset
 from eastudy.model import Dataset, Events, Timing, TweetBuckets
 from eastudy.reports import (
     STRATA,
@@ -31,11 +35,11 @@ from conftest import bar_columns, close_prices, records, tweet_columns
 @pytest.fixture(scope="module")
 def dense():
     """The event_dense bench workload's universe (4,500 events), with the
-    price grid and the daily totals built, as an earlier report leaves them."""
+    price grid built, as an earlier report leaves it."""
     ds = generate(SynthSpec(seed=7, n_tickers=30, n_days=900, events_per_ticker=150,
                             event_spacing=5, tweet_rate=1.0))
     universe = build_universe(ds)
-    ds.prices, universe.counts.totals
+    universe.ds.prices
     return universe
 
 
@@ -60,11 +64,15 @@ def neumaier_sum(values, start=0):
 
 
 @pytest.fixture(scope="module")
-def universe():
-    ds = generate(SynthSpec(seed=31, n_tickers=6, n_days=300, events_per_ticker=4,
-                            first_event_day=135, event_spacing=35,
-                            afterclose_fraction=0.5))
-    return build_universe(ds)
+def universe_ds():
+    return generate(SynthSpec(seed=31, n_tickers=6, n_days=300, events_per_ticker=4,
+                              first_event_day=135, event_spacing=35,
+                              afterclose_fraction=0.5))
+
+
+@pytest.fixture(scope="module")
+def universe(universe_ds):
+    return build_universe(universe_ds)
 
 
 class TestUniverse:
@@ -88,10 +96,10 @@ class TestUniverse:
         for name in ("ds", "counts", "cal", "events", "day0", "sent", "announced"):
             assert getattr(sample, name) is getattr(universe, name)
 
-    def test_backtest_ignores_the_window(self, universe):
+    def test_backtest_ignores_the_window(self, universe, universe_ds):
         """Every AfterClose event of the dataset is a backtest candidate, even
         in a universe whose window holds no event."""
-        ds = universe.ds
+        ds = universe_ds
         thresholds, _ = stratum_thresholds(universe, Timing.AFTER_CLOSE, -1)
         before_every_event = universe.announced.min().item() - timedelta(days=1)
         empty = build_universe(ds, until=before_every_event)
@@ -120,6 +128,82 @@ class TestUniverse:
         finally:
             tracemalloc.stop()
         assert held < counts.labels.nbytes + counts.buckets.nbytes + 2 * len(ds.tweets)
+
+
+SMALL = SynthSpec(seed=31, n_tickers=6, n_days=300, events_per_ticker=4, first_event_day=135,
+                  event_spacing=35)
+INPUTS = ("prices", "index", "tweets", "events")
+
+
+class TestTweetRelease:
+    """The universe keeps counts, not tweets: a report run lets go of the
+    tweet columns once ``build_universe`` has counted them."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("data")
+        write_dataset(generate(SMALL), root)
+        return root
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 a caller holds its arguments until the call returns")
+    def test_report_command_frees_the_tweet_columns_in_build_universe(self, written, tmp_path,
+                                                                      monkeypatch):
+        """A weakref to a loaded tweet column is dead when the command's
+        ``build_universe`` returns: no name holds the loaded dataset."""
+        columns = []
+
+        def load(*paths):
+            ds = load_dataset(*paths)
+            columns.append(weakref.ref(ds.tweets.hour))
+            return ds
+
+        freed = []
+
+        def watch(frame, event, arg):  # reads no frame's locals, which would hold them
+            if event == "return" and frame.f_code is reports.build_universe.__code__:
+                freed.append(columns[0]() is None)
+
+        monkeypatch.setattr(cli, "load_dataset", load)
+        flags = [f"--{name}={written / f'{name}.csv'}" for name in INPUTS]
+        sys.setprofile(watch)
+        try:
+            assert cli.main(["--out", str(tmp_path), "volume", *flags]) == 0
+        finally:
+            sys.setprofile(None)
+        assert freed == [True]
+
+    def test_no_array_as_long_as_the_tweets_is_reachable_from_the_universe(self):
+        ds = generate(SMALL)
+        universe = build_universe(ds)
+        lengths, seen, todo = [], set(), [universe]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):  # arrays list no referents: follow a view's base
+                lengths.append(len(obj) if obj.ndim else 0)
+                todo.append(obj.base)
+            todo.extend(gc.get_referents(obj))
+        assert len(lengths) > 10 and len(ds.tweets) not in lengths
+        assert len(universe.ds.tweets) == 0 and universe.ds.digests == ds.digests
+
+    def test_a_caller_held_dataset_is_unchanged(self):
+        ds, same = generate(SMALL), generate(SMALL)
+        universe = build_universe(ds)
+        assert ds == same and len(ds.tweets) == len(same.tweets) > 0
+        assert (universe.ds.bars, universe.ds.index, universe.ds.events) == (
+            ds.bars, ds.index, ds.events)
+
+    def test_ingest_emits_and_counts_every_loaded_bucket(self, written, tmp_path, capsys):
+        emit = tmp_path / "emit"
+        flags = [f"--{name}={written / f'{name}.csv'}" for name in INPUTS]
+        assert cli.main(["ingest", *flags, "--emit", str(emit)]) == 0
+        for name in INPUTS:
+            assert (emit / f"{name}.csv").read_bytes() == (written / f"{name}.csv").read_bytes()
+        n = len(load_dataset(*(written / f"{name}.csv" for name in INPUTS)).tweets)
+        assert f", {n} tweet buckets," in capsys.readouterr().out
 
 
 class TestThresholds:
@@ -211,8 +295,8 @@ class TestVolumeReport:
         with pytest.raises(ValueError):
             volume_report(universe, (5, -5))
 
-    def test_tweets_of_a_ticker_without_bars_change_nothing(self, universe):
-        ds, tw = universe.ds, universe.ds.tweets
+    def test_tweets_of_a_ticker_without_bars_change_nothing(self, universe, universe_ds):
+        ds, tw = universe_ds, universe_ds.tweets
         copied = tw[tw.code == 0]
         assert max(tw.tickers) < "ZZZ" and "ZZZ" not in ds.bars.tickers
         tweets = TweetBuckets(
@@ -230,7 +314,7 @@ class TestVolumeReport:
         ds = generate(SynthSpec(seed=7, n_tickers=30, n_days=900, events_per_ticker=12,
                                 event_spacing=60))
         universe = build_universe(ds)
-        ds.prices  # built once per dataset, by whichever report is first
+        universe.ds.prices  # built once per dataset, by whichever report is first
         tracemalloc.start()
         try:
             volume_report(universe)
@@ -350,16 +434,16 @@ class TestEventTable:
         prices, counts, t = ds.prices, universe.counts, universe
         assert ds.tickers == ("SYA", "SYAA", "SYB", "SYBB", "SYC", "SYD")
         assert prices.tickers == counts.tickers == ds.tickers
-        assert len(prices.closes) == len(counts.totals) == len(ds.tickers)
+        assert len(prices.closes) == counts.labels.shape[1] == len(ds.tickers)
         assert universe.counts.outside == 0
         for row, ticker in enumerate(ds.tickers):
             closes = prices.closes[row].tolist()
             assert {d: c for d, c in zip(prices.dates, closes) if not math.isnan(c)} == (
                 close_prices(ds, ticker))
-            assert counts.totals[row].sum() == sum(b.total for b in records(ds.tweets)
-                                                   if b.ticker == ticker)
+            assert counts.labels[:, row].sum() == sum(b.total for b in records(ds.tweets)
+                                                      if b.ticker == ticker)
         assert np.isnan(prices.closes[ds.tickers.index("SYBB")]).all()
-        assert not counts.totals[ds.tickers.index("SYAA")].any()
+        assert not counts.labels[:, ds.tickers.index("SYAA")].any()
         assert [ds.tickers[c] for c in t.events.code.tolist()] == [
             ev.ticker for ev in records(t.events)]
         for i, ev in enumerate(records(t.events)):

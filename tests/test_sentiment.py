@@ -11,6 +11,7 @@ from eastudy import sentiment
 from eastudy.alignment import TradingCalendar, close_instant, eastern_hours, to_eastern
 from eastudy.errors import OutOfCalendarRange, TooFewEvents
 from eastudy.model import SLICE_ROWS
+from eastudy.reports import build_universe
 from eastudy.sentiment import (
     DailyCounts,
     EventPolarity,
@@ -48,6 +49,11 @@ outside_hour_starts = st.one_of(
 _SWITCH_DAYS = DST_CALENDAR.day_indices(
     np.array([int(h.timestamp()) for h in _CHANGEOVER_HOURS])
 ).tolist()
+
+
+def every_cell(tweets, cal):
+    """The (ticker row, day) of every cell of the count grids, as two arrays."""
+    return np.indices((len(tweets.tickers), len(cal))).reshape(2, -1)
 
 
 def ref_hourly(days, tweets):
@@ -200,6 +206,33 @@ class TestDailyCounts:
         assert days.buckets.sum() == len(ds.tweets)
         assert peak < 1.5 * held
 
+    def test_hourly_peaks_below_twice_its_block(self):
+        """On the event_dense workload one ``hourly`` call, for the day-0 cells
+        of one ticker's events, peaks below twice its (cells x 24) int64 block:
+        it reads only the kept buckets, and nothing as long as the grid."""
+        ds = generate(SynthSpec(seed=7, n_tickers=30, n_days=900, events_per_ticker=150,
+                                event_spacing=5, tweet_rate=1.0))
+        universe = build_universe(ds)
+        mine = (universe.events.code == 0) & (universe.day0 >= 0)
+        rows, days = universe.events.code[mine], universe.day0[mine]
+        tracemalloc.start()
+        try:
+            block = universe.counts.hourly(rows, days)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (len(rows), 24) and len(rows) > 100 and block.sum() > 0
+        assert peak < 2 * block.nbytes
+
+    def test_hourly_of_a_cell_not_kept_raises(self, week_calendar):
+        bucket = TweetBucket("AAA", eastern(2015, 6, 2, 10, 0), 1, 2, 3)
+        days = DailyCounts(tweet_columns([bucket]), week_calendar, [0], [1])
+        assert days.hourly(np.array([0]), np.array([1])).sum() == 6
+        with pytest.raises(ValueError):
+            days.hourly(np.array([0, 0]), np.array([1, 2]))
+        with pytest.raises(ValueError):
+            DailyCounts(tweet_columns([bucket]), week_calendar).hourly(np.array([0]), np.array([1]))
+
     def test_bucket_after_close_counts_to_next_day(self, week_calendar):
         bucket = TweetBucket("AAA", eastern(2015, 6, 2, 17, 0), 1, 2, 3)
         [day] = day_cells(DailyCounts(tweet_columns([bucket]), week_calendar))
@@ -231,7 +264,7 @@ class TestDailyCounts:
         assert int(days.buckets.sum()) == len(inside)
         assert [(c.ticker, c.trading_date, c.total) for c in day_cells(days)] == [
             ("AAA", date(2015, 6, 2), 6), ("BBB", date(2015, 6, 4), 15)]
-        assert int(days.totals.sum()) == sum(b.total for b in inside)
+        assert int(days.labels.sum()) == sum(b.total for b in inside)
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 23), counts, counts, counts),
                     max_size=40))
@@ -258,11 +291,12 @@ class TestDailyCounts:
             acc[2] += b.n_pos
             key = (b.ticker, day, to_eastern(b.hour_start).hour)
             ref_hours[key] = ref_hours.get(key, 0) + b.total
-        days = DailyCounts(tweet_columns(buckets), DST_CALENDAR)
+        tweets = tweet_columns(buckets)
+        rows, cols = every_cell(tweets, DST_CALENDAR)
+        days = DailyCounts(tweets, DST_CALENDAR, rows, cols)
         assert {
             (c.ticker, c.trading_date): [c.n_neg, c.n_neut, c.n_pos] for c in day_cells(days)
         } == ref_days
-        rows, cols = np.indices(days.buckets.shape).reshape(2, -1)
         hourly = days.hourly(rows, cols).reshape(*days.buckets.shape, 24)
         hours = {
             (days.tickers[r], DST_CALENDAR.dates[d], h): int(hourly[r, d, h])
@@ -274,16 +308,16 @@ class TestDailyCounts:
                               counts), min_size=1, max_size=40), st.data())
     def test_event_cell_profiles_equal_the_full_grid(self, spec, data):
         tweets = tweet_columns(TweetBucket(*b) for b in spec)
-        days = DailyCounts(tweets, DST_CALENDAR)
         day = st.one_of(
             st.integers(0, len(DST_CALENDAR) - 1),  # mostly cells with no buckets
             st.sampled_from(_SWITCH_DAYS),
             st.sampled_from(DST_CALENDAR.day_indices(tweets.seconds()).tolist()),
         )
-        cells = data.draw(st.lists(st.tuples(st.integers(0, len(days.tickers) - 1), day),
+        cells = data.draw(st.lists(st.tuples(st.integers(0, len(tweets.tickers) - 1), day),
                                    max_size=30))
         cells += cells[:data.draw(st.integers(0, len(cells)))]  # repeated cells
         rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+        days = DailyCounts(tweets, DST_CALENDAR, rows, cols)  # the drawn cells are kept
         assert np.array_equal(days.hourly(rows, cols), ref_hourly(days, tweets)[rows, cols])
 
     @given(st.lists(st.tuples(st.sampled_from(["AAA", "BBB", "CCC"]),
@@ -299,11 +333,11 @@ class TestDailyCounts:
         tweets = tweet_columns(buckets)
         order = list(range(len(tweets)))
         rnd.shuffle(order)
+        rows, cols = every_cell(tweets, DST_CALENDAR)
         with mock.patch.object(sentiment, "SLICE_ROWS", slice_rows):
-            days = DailyCounts(tweets[np.array(order, dtype=np.int64)], DST_CALENDAR)
+            days = DailyCounts(tweets[np.array(order, dtype=np.int64)], DST_CALENDAR, rows, cols)
         labels, n_buckets, outside, hourly = ref_counts(buckets, tweets.tickers, DST_CALENDAR)
         assert np.array_equal(days.labels, labels)
         assert np.array_equal(days.buckets, n_buckets)
         assert days.outside == outside
-        rows, cols = np.indices(days.buckets.shape).reshape(2, -1)
         assert np.array_equal(days.hourly(rows, cols).reshape(hourly.shape), hourly)
