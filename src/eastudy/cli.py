@@ -309,36 +309,30 @@ def _emit_surprise(run) -> None:
     run.out.write_csv("surprise.csv", ["ticker", "announce_at", "es"], rows)
 
 
-def _skips(key: str, skipped: dict[str, list]) -> dict:
-    """Each stratum file's skipped events: under ``key``, or at the top level for one stratum."""
-    entries = {name: {"skipped": _reasons(pairs)} for name, pairs in skipped.items()}
-    return {key: entries} if len(entries) > 1 else next(iter(entries.values()))
-
-
 def _emit_study(run) -> dict:
-    skipped, u = {}, run.universe
+    by_file, u = {}, run.universe
     fits = fit_events(u.ds.prices, u.day0, u.events.code, run.measured, run.s.study)  # once
     for (timing, polarity_day), labels in run.labels.items():
         result = study_classes(fits, u.events, u.stratum(timing), labels, run.s.study)
         name = _stratum_file("study", timing, polarity_day)
         rows = _class_rows(result.taus, result.classes, "car", "var_car", "theta", "significant")
         run.out.write_csv(name, ["tau", "class", "N", "car", "var", "theta", "significant"], rows)
-        skipped[name] = result.skipped
-    return _skips("studies", skipped)
+        by_file[name] = {"skipped": _reasons(result.skipped)}
+    return {"studies": by_file}
 
 
 def _emit_curves(run) -> dict:
     from .trading import curve_classes, hold_returns  # only the curves and the backtest load it
 
-    skipped, u = {}, run.universe
+    by_file, u = {}, run.universe
     held = hold_returns(u.ds.prices, u.day0, u.events.code, run.measured)  # once
     for (timing, polarity_day), labels in run.labels.items():
         curves = curve_classes(held, u.events, u.stratum(timing), labels)
         name = _stratum_file("curves", timing, polarity_day)
         rows = _class_rows(curves.days, curves.classes, "stock_mean", "index_mean")
         run.out.write_csv(name, ["d", "class", "N", "stock_rt", "index_rt"], rows)
-        skipped[name] = curves.skipped
-    return _skips("curves", skipped)
+        by_file[name] = {"skipped": _reasons(curves.skipped)}
+    return {"curves": by_file}
 
 
 def _emit_backtest(run) -> dict:
@@ -408,10 +402,10 @@ PIPELINE = ("volume", "thresholds", "study", "curves", "backtest", "regress")
 
 
 def _effective(s, reports: Sequence[str]) -> dict:
-    """The settings the reports read, as the manifest records them: the
-    pipeline nests each report's own settings under its name, a one-report
-    command lists them at the top level. Every report of PIPELINE depends
-    on the event sample, so on ``until``."""
+    """The settings the reports read, as the manifest records them: each
+    report's own settings under its name, and ``until`` once a report of
+    PIPELINE ran, since each depends on the event sample. A report command's
+    manifest is thus ``pipeline``'s, limited to the reports it ran."""
     own = {
         "study": {"event_window": list(s.event_window),
                   "estimation_window": s.estimation_window, "significance": s.significance},
@@ -420,12 +414,7 @@ def _effective(s, reports: Sequence[str]) -> dict:
         "volume": {"rel_days": [s.rel_min, s.rel_max]},
     }
     effective = {"until": _iso(s.until)} if set(PIPELINE).intersection(reports) else {}
-    if len(reports) > 1:
-        effective.update((name, own[name]) for name in reports if name in own)
-        return effective
-    effective.update(own.get(reports[0], {}))
-    if reports[0] in ("study", "curves"):
-        effective.update(polarity_day=s.polarity_day, timing=TIMING_NAMES[s.timing])
+    effective.update((name, own[name]) for name in reports if name in own)
     return effective
 
 

@@ -8,7 +8,8 @@ from its hour in epoch seconds, or an edge column outside the calendar, so
 each (ticker x day) cell's buckets are one run. One ``np.add.reduceat`` per
 label sums the slice's runs in int64, so totals are exact integers, and no
 temporary is longer than a slice. Only the buckets of the cells kept for
-hourly profiles stay, as US/Eastern hours of day and totals.
+hourly profiles stay, as US/Eastern hours of day and totals: each slice
+adds its kept buckets, joined once at the end, so nothing longer is held.
 
 A day's sentiment score is the Laplace-smoothed mean of the {-1, 0, +1}
 label distribution, which keeps the score strictly inside (-1, +1) even for
@@ -26,7 +27,7 @@ import numpy as np
 
 from .alignment import TradingCalendar, eastern_hours
 from .errors import TooFewEvents
-from .model import SLICE_ROWS, TweetBuckets, distinct, run_starts
+from .model import SLICE_ROWS, TweetBuckets, run_starts
 
 LAPLACE_LABELS = 3  # one pseudo-count per sentiment label
 
@@ -62,7 +63,8 @@ class DailyCounts:
     trading days; ``buckets`` counts the buckets of each cell. ``outside``
     counts the buckets outside the calendar, the one policy for them: in no
     cell, and reported as ``dataset.tweets_outside_calendar`` in the manifest.
-    ``hourly`` sums the hour-of-day profiles of kept cells (``rows``, ``days``).
+    ``hourly`` sums the hour-of-day profiles of kept cells (``rows``, ``days``),
+    from their buckets alone: int8 Eastern hours and int64 totals.
     """
 
     def __init__(self, tweets: TweetBuckets, cal: TradingCalendar, rows=(), days=()):
@@ -76,10 +78,8 @@ class DailyCounts:
         keep = np.zeros(self._runs.size, dtype=bool)
         keep[np.asarray(rows, np.intp) * width + np.asarray(days, np.intp) + 1] = True
         kept = np.flatnonzero(keep)
-        # the pass writes the kept cells' buckets, at most the buckets of their tickers
-        code = distinct(kept // width).astype(np.int32)
-        most = int((np.searchsorted(tw.code, code, "right") - np.searchsorted(tw.code, code)).sum())
-        self._hour, self._total, n = np.empty(most, np.int8), np.empty(most, np.int64), 0
+        # each slice's kept buckets, in order; the empty seeds hold the dtypes
+        hours, totals = [np.empty(0, np.int8)], [np.empty(0, np.int64)]
         for lo in range(0, len(tw), SLICE_ROWS):
             part = slice(lo, lo + SLICE_ROWS)
             cells = cal.day_indices(tw.seconds(part))
@@ -91,13 +91,12 @@ class DailyCounts:
             for row, column in zip(labels, (tw.n_neg, tw.n_neut, tw.n_pos)):
                 row[filled] += np.add.reduceat(column[part], first, dtype=np.int64)
             mine = tw[lo + np.flatnonzero(keep[cells])]
-            at, n = slice(n, n + len(mine)), n + len(mine)
-            self._hour[at], self._total[at] = eastern_hours(mine.seconds()), mine.total
+            hours.append(eastern_hours(mine.seconds()).astype(np.int8))
+            totals.append(mine.total)
         self.labels = labels.reshape(3, len(self.tickers), width)[:, :, 1:-1]
         self.buckets = self._runs.reshape(len(self.tickers), width)[:, 1:-1]
         self.outside = len(tw) - int(self.buckets.sum())
-        for column in (self._hour, self._total):  # trimmed in place to the buckets written
-            column.resize(n, refcheck=False)
+        self._hour, self._total = np.concatenate(hours), np.concatenate(totals)
         self._kept, self._ends = kept.astype(np.int32), np.cumsum(self._runs[kept], dtype=np.int32)
 
     def hourly(self, rows: np.ndarray, days: np.ndarray) -> np.ndarray:

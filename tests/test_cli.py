@@ -296,13 +296,13 @@ class TestPipeline:
         rc = main(["--config", str(cfg), "backtest"])
         assert rc == 0
         m1 = json.loads((tmp_path / "from_config" / "manifest.json").read_text())
-        assert m1["config"]["spread"] == 0.02
+        assert m1["config"]["backtest"]["spread"] == 0.02
         # flag wins over config
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "flag_out"),
                    "backtest", "--spread", "0.07"])
         assert rc == 0
         m2 = json.loads((tmp_path / "flag_out" / "manifest.json").read_text())
-        assert m2["config"]["spread"] == 0.07
+        assert m2["config"]["backtest"]["spread"] == 0.07
 
     def test_missing_data_path_errors(self, tmp_path):
         rc = main(["--out", str(tmp_path), "pipeline"])
@@ -342,6 +342,48 @@ class TestManifestsPinned:
         assert {(name, command): manifest_digest(out / "manifest.json")
                 for command, out in (("synth", data), ("pipeline", reports))} == {
             key: digest for key, digest in self.DIGESTS.items() if key[0] == name}
+
+
+def key_paths(node, path=()):
+    """Each leaf of a JSON object by its key path; a list is a leaf."""
+    if not isinstance(node, dict):
+        return {path: node}
+    return {leaf: value for key, child in node.items()
+            for leaf, value in key_paths(child, (*path, key)).items()}
+
+
+class TestReportManifestsArePipelines:
+    """A report command's manifest is ``pipeline``'s limited to the reports it
+    ran: each of its key paths but ``created_utc``, ``command`` and
+    ``outputs`` holds the value that ``pipeline``'s holds there, and a
+    stratum is keyed by the CSV its command wrote."""
+
+    STRATA = [["--timing", timing, "--polarity-day", day]
+              for timing in ("afterclose", "beforeopen") for day in ("0", "-1")]
+    RUNS = [["volume"], ["thresholds"], *(["study", *flags] for flags in STRATA),
+            *(["curves", *flags] for flags in STRATA), ["backtest"], ["regress"]]
+
+    @pytest.fixture(scope="class")
+    def pipeline(self, data_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pipeline")
+        assert main(["--out", str(out), "pipeline", *data_flags(data_dir)]) == 0
+        return key_paths(json.loads((out / "manifest.json").read_text()))
+
+    @pytest.mark.parametrize("argv", RUNS, ids=" ".join)
+    def test_every_key_path_is_pipelines(self, argv, pipeline, data_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *argv, *data_flags(data_dir)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        paths = {path: value for path, value in key_paths(manifest).items()
+                 if path[0] not in ("created_utc", "command", "outputs")}
+        assert {path: pipeline.get(path, "absent") for path in paths} == paths
+        section = {"study": "studies", "curves": "curves"}.get(argv[0])
+        if section:
+            tag = "sent0" if argv[-1] == "0" else "sentm1"
+            name = f"{argv[0]}_{tag}_{argv[2]}.csv"
+            assert list(manifest[section]) == [name]
+            assert manifest["outputs"] == [name]
+            assert (out / name).is_file()
 
 
 class TestTweetsOutsideCalendar:
@@ -1068,7 +1110,8 @@ class TestSpreadSetting:
     def test_zero_and_positive_run(self, source, value, data_dir, tmp_path):
         out = tmp_path / "out"
         assert main(["--out", str(out), *self.argv(source, value, data_dir, tmp_path)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["config"]["spread"] == value
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["backtest"]["spread"] == value
 
 
 class TestWipeOut:
@@ -1385,7 +1428,9 @@ class TestSkipReasonsUnchanged:
         out = tmp_path / "out"
         assert main(["--out", str(out), "curves", "--timing", "afterclose",
                      *data_flags(data)]) == 0
-        skipped = json.loads((out / "manifest.json").read_text())["skipped"]
+        curves = json.loads((out / "manifest.json").read_text())["curves"]
+        assert list(curves) == ["curves_sent0_afterclose.csv"]
+        skipped = curves["curves_sent0_afterclose.csv"]["skipped"]
         assert [(r["ticker"], r["announce_at"], r["reason"]) for r in skipped] == AC_CURVE_SKIPS
 
 
@@ -1703,8 +1748,9 @@ CLI_SURFACE = {
                                 "--estimation-window", "--significance"},
 }
 
-# Manifest keys each command wrote before the registry, at the top level and
-# under "config" (with the keys of nested config sections).
+# Manifest keys each command writes, at the top level and under "config"
+# (with the keys of nested config sections): a report command writes the
+# keys of pipeline's manifest that belong to the reports it runs.
 MANIFEST_BASE = {"command", "config", "created_utc", "dataset", "inputs", "outputs",
                  "tool", "version"}
 MANIFEST_KEYS = {
@@ -1712,12 +1758,13 @@ MANIFEST_KEYS = {
     "thresholds": (set(), {"until": None}),
     "returns": (set(), {}),
     "surprise": (set(), {}),
-    "study": ({"skipped"}, {"polarity_day": None, "timing": None, "until": None}),
-    "curves": (set(), {"polarity_day": None, "timing": None, "until": None}),
-    "backtest": ({"backtest"}, {"from": None, "spread": None, "thresholds_until": None,
-                                "to": None}),
+    "study": ({"studies"}, {
+        "until": None, "study": {"estimation_window", "event_window", "significance"}}),
+    "curves": ({"curves"}, {"until": None}),
+    "backtest": ({"backtest"}, {"until": None,
+                                "backtest": {"from", "spread", "thresholds_until", "to"}}),
     "regress": (set(), {"until": None}),
-    "volume": (set(), {"rel_days": None, "until": None}),
+    "volume": (set(), {"until": None, "volume": {"rel_days"}}),
     "pipeline": ({"backtest", "excluded_events", "studies"}, {
         "until": None,
         "backtest": {"from", "spread", "thresholds_until", "to"},
@@ -1754,7 +1801,7 @@ class TestSurface:
         out = tmp_path / "out"
         assert main(["--out", str(out), "study", *data_flags(data_dir),
                      "--estimation-window", "100", "--significance", "0.05"]) == 0
-        config = json.loads((out / "manifest.json").read_text())["config"]
+        config = json.loads((out / "manifest.json").read_text())["config"]["study"]
         assert config["event_window"] == [-1, 10]
         assert config["estimation_window"] == 100
         assert config["significance"] == 0.05

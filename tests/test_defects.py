@@ -221,5 +221,6 @@ def test_the_volume_window_is_walked_within_the_calendar(inputs, tmp_path, given
         config = json.dumps({"volume": {"rel_min": window[0], "rel_max": window[1]}})
         assert run(inputs, tmp_path, config, "volume") == (0, "")
         files[window] = listing(tmp_path / "out")
-        assert json.loads(files[window].pop("manifest.json"))["config"]["rel_days"] == [*window]
+        manifest = json.loads(files[window].pop("manifest.json"))
+        assert manifest["config"]["volume"]["rel_days"] == [*window]
     assert files[given] == files[clipped]

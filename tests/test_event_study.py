@@ -1,12 +1,15 @@
+import ast
 import math
 from datetime import date
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eastudy
 from eastudy.alignment import anchor_event
 from eastudy.errors import (
     DegenerateRegressor,
@@ -688,3 +691,39 @@ class TestBatchedFitMatchesThePerEventLoop:
         assert got.ars.tobytes() == want.ars.tobytes()
         assert got.sigma2.tobytes() == want.sigma2.tobytes()
         assert got.skips == want.skips
+
+
+DOT_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def dot_products(tree: ast.AST) -> list[ast.AST]:
+    """Each ``@``, and each call of a NumPy dot product or of a ``linalg``
+    attribute, under ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(node)
+        elif isinstance(node, ast.Call):
+            names, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                names.append(func.attr)
+                func = func.value
+            names.append(getattr(func, "id", None))
+            if names[0] in DOT_CALLS or "linalg" in names:
+                found.append(node)
+    return found
+
+
+def test_dot_products_are_taken_only_in_dots():
+    """The bytes of a dot product depend on the BLAS kernel the CPU selects,
+    so every report path takes its dot products in ``event_study._dots``."""
+    assert len(dot_products(ast.parse("a @ b; a @= b; np.linalg.lstsq(a, b); a.dot(b)"))) == 4
+    found = []
+    for path in sorted(Path(eastudy.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node) for top in tree.body if path.name == "event_study.py"
+                   and isinstance(top, ast.FunctionDef) and top.name == "_dots"
+                   for node in ast.walk(top)}
+        found += [f"{path.name}:{node.lineno}" for node in dot_products(tree)
+                  if id(node) not in allowed]
+    assert found == []

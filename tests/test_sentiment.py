@@ -191,19 +191,23 @@ class TestCategorize:
 
 
 class TestDailyCounts:
-    def test_counting_peaks_below_one_and_a_half_times_what_it_keeps(self):
+    @pytest.mark.parametrize("kept_days", [(), (449, 450, 451)])
+    def test_counting_peaks_below_one_and_a_half_times_what_it_keeps(self, kept_days):
         """Over 100k buckets, counted a slice of rows at a time: no temporary
-        is as long as the tweet columns, so the peak stays near the grids."""
+        is as long as the tweet columns, so the peak stays near the grids,
+        also when every ticker has kept cells (on ``kept_days``)."""
         ds = generate(SynthSpec(seed=3, n_tickers=16, n_days=900, events_per_ticker=0))
         cal = TradingCalendar.from_dataset(ds)
         assert len(ds.tweets) > 100_000
+        rows, cells = np.repeat(np.arange(16), len(kept_days)), np.array(kept_days * 16, np.intp)
         tracemalloc.start()
         try:
-            days = DailyCounts(ds.tweets, cal)
+            days = DailyCounts(ds.tweets, cal, rows, cells)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert days.buckets.sum() == len(ds.tweets)
+        assert days.hourly(rows, cells).sum() == days.labels[:, rows, cells].sum()
         assert peak < 1.5 * held
 
     def test_hourly_peaks_below_twice_its_block(self):
