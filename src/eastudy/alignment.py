@@ -58,12 +58,17 @@ def close_instant(day: date) -> datetime:
     )
 
 
+def eastern_instants(local: np.ndarray) -> np.ndarray:
+    """UTC epoch seconds of each US/Eastern wall-clock time (local seconds
+    since 1970-01-01), the offset read at the instant, first guessed 5 hours on:
+    ``ZoneInfo``'s instant, but the later one of a time a fall-back repeats."""
+    return local - eastern_offsets(local - eastern_offsets(local + 5 * 3600))
+
+
 def close_instants(days: np.ndarray) -> np.ndarray:
     """UTC epoch seconds of the 16:00 US/Eastern close on each day (days
-    since 1970-01-01): ``close_instant`` through the offset kernel. The
-    offset is read at the close itself, first guessed as 21:00 UTC."""
-    local = days * _DAY_S + _CLOSE_US // 10**6
-    return local - eastern_offsets(local - eastern_offsets(local + 5 * 3600))
+    since 1970-01-01): ``close_instant`` through ``eastern_instants``."""
+    return eastern_instants(days * _DAY_S + _CLOSE_US // 10**6)
 
 
 def to_eastern(instant: datetime) -> datetime:

@@ -46,6 +46,7 @@ from .ingest import (
     OutputDir,
     load_dataset,
     open_input,
+    parse_date,
     parse_index_csv,
     raise_for,
     write_dataset,
@@ -115,7 +116,7 @@ def _data_paths(args, config: dict, names: Sequence[str] = INPUTS) -> dict[str, 
 
 
 def _day(text) -> date | None:
-    return date.fromisoformat(text) if text else None
+    return parse_date(text) if text else None
 
 
 def _number(value):
@@ -481,7 +482,7 @@ def _synth_spec(args, config):
         payload["seed"] = args.seed
     try:
         if "start" in payload:
-            payload["start"] = date.fromisoformat(payload["start"])
+            payload["start"] = parse_date(payload["start"])
         return SynthSpec(**payload)
     except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"invalid synth spec: {exc}") from None

@@ -15,8 +15,8 @@ the file's length over the shortest line the fast path accepts
 (``*_MIN_LINE``), trimmed in place once the file is read. A ticker becomes
 an int32 id as its block is read (``_Names``), and a code into the sorted
 tickers once the file is read; a tweet hour becomes int32 hours since the
-epoch. A fast-path line has exactly the header's width, a
-canonical ``YYYY-MM-DD`` date, ``YYYY-MM-DDTHH:00:00Z`` tweet hour or
+epoch. A fast-path line has exactly the header's width, a canonical
+``YYYY-MM-DD`` date, ``YYYY-MM-DDTHH:00:00Z`` tweet hour or
 ``YYYY-MM-DDTHH:MM:SSZ`` announcement that exists on the calendar
 (``2016-02-30`` does not), a ticker of 1 to 6 bytes of ``[A-Z.]``, counts
 and volumes that are plain runs of ASCII digits in range, a close written
@@ -24,21 +24,22 @@ as digits with at most one inner ``.``, positive, an EPS figure written the
 same way after an optional ``-``, and a timing of exactly ``BeforeOpen`` or
 ``AfterClose`` whose local-time rule the announcement keeps (read from
 ``alignment.eastern_offsets``). Every other line goes alone through the row
-loop, where the file's row check (such as ``_price_row``) makes every check
-with its diagnostic text; a line break always ends a row, even inside
-quotes, and a line of malformed UTF-8 or that the csv module cannot read
-gets a schema diagnostic. The checks that compare rows (a bar out of date
-order, ``_dated_rows``; a repeated bucket or event, ``_repeated``) then run
-once over the accepted rows of both paths, in line order, keeping the first
-occurrence, and ``_accepted`` ends every parse. So both paths accept the
-same rows with the same values and give the same diagnostics in the same order.
+loop (``_row_loop``), where the file's row check (such as ``_price_row``)
+reads each cell through ``_cell`` and returns the row's values or raises
+``_Refused``, its one diagnostic. It reads dates and stamps by the grammar of
+``parse_date`` and ``parse_rfc3339`` on every Python, and a line break always
+ends a row, even inside quotes. The checks that compare rows (a bar out of
+date order, ``_dated_rows``; a repeated bucket or event, ``_repeated``) then
+run once over the accepted rows of both paths, in line order, keeping the
+first occurrence, and ``_accepted`` ends every parse. So both paths accept
+the same rows with the same values and give the same diagnostics in the
+same order.
 
 A close or an index level must be a positive finite number, and an EPS
 figure a finite one; a tweet count is at most ``MAX_COUNT`` and a share
-volume at most ``MAX_VOLUME``, so that the columns hold them exactly.
-
-The trading calendar is implied by the index file: a date is a trading
-day iff the index has a bar for it.
+volume at most ``MAX_VOLUME``, so that the columns hold them exactly. The
+trading calendar is implied by the index file: a date is a trading day iff
+the index has a bar for it.
 
 Every file a command writes goes through ``OutputDir``: it is staged beside
 the run's directory (``--out``, or ``ingest``'s ``--emit``), and the lines the
@@ -55,12 +56,13 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import tempfile
-from datetime import date, datetime, timezone
+from datetime import date, datetime, time, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,24 +128,33 @@ def raise_for(diags: Sequence[Diagnostic], what: str) -> None:
         raise error(f"{len(diags)} {what}, first: {diags[0]}", diagnostics=diags)
 
 
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_STAMP = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt ]([0-9]{2}:[0-9]{2}:[0-9]{2})"
+                    r"(?:\.([0-9]+))?(?:[Zz]|([+-][0-9]{2}:[0-9]{2}))")
+
+
+def parse_date(text: str) -> date:
+    """A date written exactly ``YYYY-MM-DD``; ValueError for any other text."""
+    if not _DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
+
+
 def parse_rfc3339(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp (offset or Z) and normalize to UTC."""
-    t = text.strip()
-    if t.endswith(("Z", "z")):
-        t = t[:-1] + "+00:00"
-    parsed = datetime.fromisoformat(t)
-    if parsed.tzinfo is None:
-        raise ValueError(f"timestamp without UTC offset: {text!r}")
-    return parsed.astimezone(timezone.utc)
+    """A stamp ``YYYY-MM-DD[Tt ]HH:MM:SS[.fraction]`` then ``Z``, ``z`` or
+    ``+HH:MM``/``-HH:MM``, blanks around it stripped, normalized to UTC (a
+    fraction is cut to the microsecond); ValueError for any other text."""
+    match = _STAMP.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not an RFC 3339 timestamp: {text!r}")
+    day, clock, fraction, offset = match.groups()
+    stamp = f"{day}T{clock}.{(fraction or '')[:6]:0<6}{offset or '+00:00'}"  # read by any Python
+    return datetime.fromisoformat(stamp).astimezone(timezone.utc)
 
 
 def format_rfc3339(instant: datetime) -> str:
     """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, a fraction of a second dropped."""
     return instant.astimezone(timezone.utc).replace(tzinfo=None, microsecond=0).isoformat() + "Z"
-
-
-def _cell_error(path, lineno, column, message) -> Diagnostic:
-    return Diagnostic(str(path), lineno, "schema", f"column {column}: {message}")
 
 
 def _invariant(path, lineno, message) -> Diagnostic:
@@ -165,118 +176,137 @@ def _header(path: Path, header: list[str], text: str) -> None:
         )
 
 
-Check = Callable[[Path, int, list], "tuple | Diagnostic"]
+class _Refused(Exception):
+    """A line the row loop refuses: ``args`` are its diagnostic's kind and message."""
 
 
-def _row_loop(path: Path, header: list[str], numbered: Iterable, check: Check):
-    """Check each (lineno, text) line alone: one with a byte that is not UTF-8
-    (a lone surrogate), that the csv module cannot read or of the wrong width
-    gets a diagnostic, any other ``check``, which returns its values or its
-    diagnostic. Returns (lines, values, diagnostics)."""
-    lines: list[int] = []
-    values: list[tuple] = []
-    diags: list[Diagnostic] = []
+def _row_loop(path: Path, header: list[str], numbered: Iterable, check):
+    """Check each (lineno, text) line alone: ``check(cells)`` gives the row's
+    values, and a line's ``_Refused`` (also for malformed UTF-8, a lone
+    surrogate; a line the csv module cannot read; the wrong width) becomes
+    its one diagnostic. Returns (lines, values, diagnostics)."""
+    lines, values, diags = [], [], []
     for lineno, text in numbered:
-        if not text.isascii() and any("\udc80" <= c <= "\udcff" for c in text):
-            diags.append(Diagnostic(str(path), lineno, "schema", "bytes that are not UTF-8"))
-            continue
         try:
-            cells = next(csv.reader([text]))
-        except csv.Error as exc:  # such as a cell past the csv module's field limit
-            diags.append(Diagnostic(str(path), lineno, "schema", f"not a CSV row: {exc}"))
-            continue
-        if len(cells) != len(header):
-            diags.append(Diagnostic(
-                str(path), lineno, "schema", f"expected {len(header)} cells, got {len(cells)}"
-            ))
-            continue
-        got = check(path, lineno, cells)
-        if isinstance(got, Diagnostic):
-            diags.append(got)
-        else:
+            if not text.isascii() and any("\udc80" <= c <= "\udcff" for c in text):
+                raise _Refused("schema", "bytes that are not UTF-8")
+            try:
+                cells = next(csv.reader([text]))
+            except csv.Error as exc:  # such as a cell past the csv module's field limit
+                raise _Refused("schema", f"not a CSV row: {exc}") from None
+            if len(cells) != len(header):
+                raise _Refused("schema", f"expected {len(header)} cells, got {len(cells)}")
+            values.append(check(cells))
             lines.append(lineno)
-            values.append(got)
+        except _Refused as refused:
+            diags.append(Diagnostic(str(path), lineno, *refused.args))
+    for reader in (_day, _ticker, _hour_start):  # no cell of the file outlives its loop
+        reader.cache_clear()
     return lines, values, diags
 
 
-def _parse_date(text: str) -> date:
-    return date.fromisoformat(text.strip())
-
-
-def _price_row(path, lineno, cells):
-    raw_date, raw_ticker, raw_close, raw_volume = cells
+def _cell(column: str, read, raw, message: str):
+    """``read(raw)``, or if it raises ValueError or OverflowError, a schema refusal of ``column``."""
     try:
-        day = _parse_date(raw_date)
-    except ValueError:
-        return _cell_error(path, lineno, "date", f"bad date {raw_date!r}")
-    ticker = raw_ticker.strip()
+        return read(raw)
+    except (ValueError, OverflowError):
+        raise _Refused("schema", f"column {column}: {message.format(raw)}") from None
+
+
+@functools.lru_cache(maxsize=None)  # a file names each ticker on many rows
+def _ticker(raw: str) -> str:
+    ticker = raw.strip()
     if not TICKER_RE.match(ticker):
-        return _cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}")
-    try:
-        close = float(raw_close)
-    except ValueError:
-        return _cell_error(path, lineno, "close", f"not a number: {raw_close!r}")
-    try:
-        volume = int(raw_volume)
-    except ValueError:
-        return _cell_error(path, lineno, "volume", f"not an integer: {raw_volume!r}")
+        raise ValueError
+    return ticker
+
+
+@functools.lru_cache(maxsize=None)  # a file repeats each date once per ticker
+def _day(raw: str) -> int:  # days since 1970-01-01
+    return parse_date(raw.strip()).toordinal() - _EPOCH_DAY
+
+
+def _counts(raw: list[str]) -> tuple[int, int, int]:
+    neg, neut, pos = raw
+    return int(neg), int(neut), int(pos)
+
+
+def _announcement(raw: str) -> tuple[datetime, time]:
+    """The UTC instant and its US/Eastern time of day (OverflowError past a datetime's range)."""
+    announce_at = parse_rfc3339(raw)
+    return announce_at, to_eastern(announce_at).time()
+
+
+def _timing(raw: str) -> Timing:
+    return Timing(raw.strip())
+
+
+def _price_row(cells):
+    raw_date, raw_ticker, raw_close, raw_volume = cells
+    day = _cell("date", _day, raw_date, "bad date {!r}")
+    ticker = _cell("ticker", _ticker, raw_ticker, "bad ticker {!r}")
+    close = _cell("close", float, raw_close, "not a number: {!r}")
+    volume = _cell("volume", int, raw_volume, "not an integer: {!r}")
     if not (close > 0 and math.isfinite(close)):
-        return _invariant(path, lineno, f"close must be a positive finite number, got {close}")
+        raise _Refused("invariant", f"close must be a positive finite number, got {close}")
     if volume < 0:
-        return _invariant(path, lineno, f"volume must be non-negative, got {volume}")
+        raise _Refused("invariant", f"volume must be non-negative, got {volume}")
     if volume > MAX_VOLUME:
-        return _invariant(path, lineno, f"volume must be at most {MAX_VOLUME}")
-    return _pack(ticker), day.toordinal() - _EPOCH_DAY, close, volume
+        raise _Refused("invariant", f"volume must be at most {MAX_VOLUME}")
+    return _pack(ticker), day, close, volume
 
 
-def _index_row(path, lineno, cells):
+def _index_row(cells):
     raw_date, raw_close = cells
-    try:
-        day = _parse_date(raw_date)
-    except ValueError:
-        return _cell_error(path, lineno, "date", f"bad date {raw_date!r}")
-    try:
-        close = float(raw_close)
-    except ValueError:
-        return _cell_error(path, lineno, "close", f"not a number: {raw_close!r}")
+    day = _cell("date", _day, raw_date, "bad date {!r}")
+    close = _cell("close", float, raw_close, "not a number: {!r}")
     if not (close > 0 and math.isfinite(close)):
-        return _invariant(
-            path, lineno, f"index level must be a positive finite number, got {close}"
-        )
-    return day.toordinal() - _EPOCH_DAY, close
+        raise _Refused("invariant", f"index level must be a positive finite number, got {close}")
+    return day, close
 
 
 @functools.lru_cache(maxsize=None)  # a file repeats each stamp once per ticker
-def _hour_start(text: str) -> tuple[int, str]:
-    """(hours since the UTC epoch, "") of a whole-hour stamp, else (0, the problem)."""
+def _hour_start(text: str) -> tuple[int, tuple | None]:
+    """(hours since the UTC epoch, None) of a whole-hour stamp, else (0, its refusal's args)."""
     try:
         instant = parse_rfc3339(text)
     except (ValueError, OverflowError):  # also an instant past a datetime's range
-        return 0, "bad"
+        return 0, ("schema", f"column hour_start_utc: bad timestamp {text!r}")
     if instant.minute or instant.second or instant.microsecond:
-        return 0, "part-hour"
-    return int(instant.timestamp()) // 3600, ""
+        return 0, ("invariant", f"hour_start not on a whole hour: {text!r}")
+    return int(instant.timestamp()) // 3600, None
 
 
-def _tweet_row(path, lineno, cells):
-    raw_hour, raw_ticker, raw_neg, raw_neut, raw_pos = cells
+def _tweet_row(cells):
+    raw_hour, raw_ticker, *raw_counts = cells
     hour, problem = _hour_start(raw_hour)
-    if problem == "bad":
-        return _cell_error(path, lineno, "hour_start_utc", f"bad timestamp {raw_hour!r}")
     if problem:
-        return _invariant(path, lineno, f"hour_start not on a whole hour: {raw_hour!r}")
-    ticker = raw_ticker.strip()
-    if not TICKER_RE.match(ticker):
-        return _cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}")
-    try:
-        counts = int(raw_neg), int(raw_neut), int(raw_pos)
-    except ValueError:
-        return _cell_error(path, lineno, "n_neg/n_neut/n_pos", "counts must be integers")
+        raise _Refused(*problem)
+    ticker = _cell("ticker", _ticker, raw_ticker, "bad ticker {!r}")
+    counts = _cell("n_neg/n_neut/n_pos", _counts, raw_counts, "counts must be integers")
     if min(counts) < 0:
-        return _invariant(path, lineno, "tweet counts must be non-negative")
+        raise _Refused("invariant", "tweet counts must be non-negative")
     if max(counts) > MAX_COUNT:
-        return _invariant(path, lineno, f"tweet counts must be at most {MAX_COUNT}")
+        raise _Refused("invariant", f"tweet counts must be at most {MAX_COUNT}")
     return _pack(ticker), hour, *counts
+
+
+def _event_row(cells):
+    raw_ticker, raw_at, raw_timing, *raw_eps = cells
+    ticker = _cell("ticker", _ticker, raw_ticker, "bad ticker {!r}")
+    announce_at, local_time = _cell("announce_at_utc", _announcement, raw_at, "bad timestamp {!r}")
+    timing = _cell("timing", _timing, raw_timing, "{!r} not in {{BeforeOpen, AfterClose}}")
+    eps = [_cell("eps_reported/eps_estimated", float, raw, "not a number") for raw in raw_eps]
+    if not all(map(math.isfinite, eps)):
+        raise _Refused("schema", "column eps_reported/eps_estimated: not a finite number")
+    if timing is Timing.BEFORE_OPEN:
+        wrong, rule = local_time >= MARKET_OPEN, "not before 09:30"
+    else:
+        wrong, rule = local_time < MARKET_CLOSE, "not at/after 16:00"
+    if wrong:
+        raise _Refused("invariant", f"{ticker}: {timing.value} announcement at {local_time} "
+                                    f"US/Eastern ({rule})")
+    return _pack(ticker), (announce_at - EPOCH) // MICROSECOND, timing.code, *eps
 
 
 # --- the fast path -----------------------------------------------------------
@@ -542,7 +572,7 @@ def _fast_rows(seg: np.ndarray, skip: int, width: int, cells, names: _Names | No
     return n + len(accepted), len(stop), texts
 
 
-def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dtypes,
+def _parse(path: Path, header: list[str], min_line: int, cells, check, dtypes,
            names: _Names | None = None):
     """Parse a file by the fast path, with the row loop for each line it refuses.
 
@@ -555,14 +585,10 @@ def _parse(path: Path, header: list[str], min_line: int, cells, check: Check, dt
     ``names``, the first value of a row is its packed ticker, and the first
     column holds its id in ``names`` (``_Names.codes`` makes the ids codes).
     Returns the line numbers (None when the fast path refused no row: then
-    row i is line i + 2) and the columns (of ``dtypes``) of the accepted rows
+    row i is line i + 2) and the columns (of ``dtypes``, each sized by the
+    file's size over ``min_line`` and trimmed in place) of the accepted rows
     of both paths in line order, the row loop's diagnostics, and the hex
     SHA-256 of the file's bytes.
-
-    No fast-path line is shorter than ``min_line`` bytes, so the file's size
-    over ``min_line`` bounds the rows the fast path accepts: the column
-    buffers have that many rows, and each is trimmed in place to the rows it
-    holds.
     """
     fh, size = open_input(path)
     sha = hashlib.sha256()
@@ -702,49 +728,11 @@ def parse_tweets_csv(path: str | Path):
     lines, (code, hour, *counts), diags, digest = _parse(
         path, TWEETS_HEADER, TWEETS_MIN_LINE, _tweet_cells, _tweet_row, (np.int32,) * 5, names,
     )
-    _hour_start.cache_clear()  # the row loop is done: no stamp of this file outlives it
     tickers = names.codes(code)
     # one bucket per (ticker, hour): the first in line order is kept
     keep = _repeated(path, lines, code, hour, diags, lambda i: (
         f"duplicate bucket for {tickers[code[i]]} at {np.datetime64(int(hour[i]) * 3600, 's')}Z"))
     return _accepted(lines, TweetBuckets(tickers, code, hour, *counts), keep, diags, digest)
-
-
-def _event_row(path, lineno, cells):
-    raw_ticker, raw_at, raw_timing, raw_rep, raw_est = cells
-    ticker = raw_ticker.strip()
-    if not TICKER_RE.match(ticker):
-        return _cell_error(path, lineno, "ticker", f"bad ticker {raw_ticker!r}")
-    try:
-        announce_at = parse_rfc3339(raw_at)
-        local_time = to_eastern(announce_at).time()
-    except (ValueError, OverflowError):  # also an instant or a local time past a datetime's range
-        return _cell_error(path, lineno, "announce_at_utc", f"bad timestamp {raw_at!r}")
-    timing_text = raw_timing.strip()
-    try:
-        timing = Timing(timing_text)
-    except ValueError:
-        return _cell_error(
-            path, lineno, "timing", f"{raw_timing!r} not in {{BeforeOpen, AfterClose}}"
-        )
-    try:
-        eps_reported = float(raw_rep)
-        eps_estimated = float(raw_est)
-    except ValueError:
-        return _cell_error(path, lineno, "eps_reported/eps_estimated", "not a number")
-    if not (math.isfinite(eps_reported) and math.isfinite(eps_estimated)):
-        return _cell_error(path, lineno, "eps_reported/eps_estimated", "not a finite number")
-    if timing is Timing.BEFORE_OPEN:
-        wrong, rule = local_time >= MARKET_OPEN, "not before 09:30"
-    else:
-        wrong, rule = local_time < MARKET_CLOSE, "not at/after 16:00"
-    if wrong:
-        return _invariant(
-            path, lineno,
-            f"{ticker}: {timing.value} announcement at {local_time} US/Eastern ({rule})",
-        )
-    at = (announce_at - EPOCH) // MICROSECOND
-    return _pack(ticker), at, timing.code, eps_reported, eps_estimated
 
 
 def parse_events_csv(path: str | Path):

@@ -15,30 +15,27 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, fields
-from datetime import date, datetime, time, timedelta
-from zoneinfo import ZoneInfo
+from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from .alignment import EASTERN
+from .alignment import eastern_instants
 from .errors import InvalidSpec
 from .model import (
     DailyBars,
     Dataset,
     EarningsEvent,
+    EPOCH,
     IndexLevels,
     Timing,
     TweetBuckets,
 )
 from .sentiment import EventPolarity
 
-UTC = ZoneInfo("UTC")
-
-# Wall-clock tweet slots for the close-delimited day of trading date d:
-# two evening hours on calendar day d-1 plus five hours inside d's session
-# run-up. All of them map to d under close-delimited aggregation.
-_EVENING_HOURS = (17, 20)
-_DAYTIME_HOURS = (7, 9, 11, 13, 15)
+# US/Eastern hours from the midnight that starts trading date d: seven tweet slots
+# (two evening hours of day d-1, five of d's run-up: all in d's close-delimited
+# day), then an AfterClose announcement's 16:30 and a BeforeOpen one's 08:00
+_CLOCK_HOURS = np.array((17 - 24, 20 - 24, 7, 9, 11, 13, 15, 16.5, 8))
 # Probabilities are float64 arrays: ``multinomial`` takes them without a per-call conversion.
 _SLOT_WEIGHTS = np.array((0.15, 0.10, 0.10, 0.20, 0.15, 0.15, 0.15))
 
@@ -157,10 +154,6 @@ def _ticker_name(i: int) -> str:
     return "SY" + "".join(reversed(letters))[-4:]
 
 
-def _eastern_epoch(day: date, hour: int) -> int:
-    return int(datetime.combine(day, time(hour, 0), tzinfo=EASTERN).timestamp())
-
-
 def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, ...]]:
     """Generate a dataset plus the planted per-event ground truth.
 
@@ -178,12 +171,11 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
     index_returns = rng.normal(0.0, spec.index_vol, size=n_days - 1)
     index_levels = np.cumprod(np.concatenate(([1000.0], 1.0 + index_returns)))
 
-    # hours since the UTC epoch of each date's tweet slots, shared by every ticker
-    slot_hours = np.array([
-        [_eastern_epoch(d - timedelta(days=1), h) // 3600 for h in _EVENING_HOURS]
-        + [_eastern_epoch(d, h) // 3600 for h in _DAYTIME_HOURS]
-        for d in dates
-    ], dtype=np.int32)
+    # UTC epoch seconds of each date's wall-clock times, shared by every ticker
+    local = days.astype(np.int64)[:, None] * 86400 + (_CLOCK_HOURS * 3600).astype(np.int64)
+    instants = eastern_instants(local.ravel()).reshape(local.shape)
+    slot_hours = (instants[:, :len(_SLOT_WEIGHTS)] // 3600).astype(np.int32)
+    after_close, before_open = instants[:, -2].tolist(), instants[:, -1].tolist()
 
     tickers = tuple(sorted(_ticker_name(ti) for ti in range(spec.n_tickers)))
     closes = np.empty((len(tickers), n_days))  # rows by ticker code
@@ -202,12 +194,12 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Dataset, tuple[PlantedEvent, .
         mixes = [_BASE_MIX] * n_days
         for day0_idx in day0s:
             polarity = _CLASS_CYCLE[len(truth) % 3]
-            after_close = rng.random() < spec.afterclose_fraction
+            is_after_close = rng.random() < spec.afterclose_fraction
             es = _CLASS_ES[polarity] + float(rng.normal(0.0, spec.es_noise))
             # AfterClose: 16:30 on the trading date before day 0; BeforeOpen: 08:00 on day 0
-            timing, local = ((Timing.AFTER_CLOSE, (dates[day0_idx - 1], time(16, 30))) if after_close
-                             else (Timing.BEFORE_OPEN, (dates[day0_idx], time(8, 0))))
-            announce_at = datetime.combine(*local, tzinfo=EASTERN).astimezone(UTC)
+            timing, at = ((Timing.AFTER_CLOSE, after_close[day0_idx - 1]) if is_after_close
+                          else (Timing.BEFORE_OPEN, before_open[day0_idx]))
+            announce_at = EPOCH + timedelta(seconds=at)
             events.append(EarningsEvent(ticker, announce_at, timing,
                                         spec.eps_estimated * (1.0 + es), spec.eps_estimated))
             truth.append(PlantedEvent(ticker, dates[day0_idx], polarity, timing, announce_at,

@@ -11,6 +11,7 @@ from eastudy.alignment import (
     anchor_event,
     close_instant,
     eastern_hours,
+    eastern_instants,
     eastern_offsets,
 )
 from eastudy.errors import NonTradingAnnouncement, OutOfCalendarRange, reason
@@ -266,6 +267,16 @@ class TestEasternOffsets:
         want = [int(close_instant(d).timestamp()) for d in cal.dates]
         assert cal._closes_ts.tolist() == want
         assert cal._lower_ts == int(close_instant(cal.dates[0] - timedelta(days=1)).timestamp())
+
+    @given(st.lists(st.dates(date(1884, 1, 1), date(9999, 12, 30)), min_size=1, max_size=30),
+           st.integers(4 * 60, 24 * 60 - 1))
+    def test_wall_clock_times_are_zoneinfo_instants(self, days, minute):
+        """A US/Eastern time after 04:00, where no clock change falls (as the
+        generator's slots and announcements do), is ``ZoneInfo``'s instant."""
+        local = np.array([(d - date(1970, 1, 1)).days * 86400 + minute * 60 for d in days])
+        want = [int(datetime.combine(d, time(minute // 60, minute % 60), tzinfo=EASTERN).timestamp())
+                for d in days]
+        assert eastern_instants(local).tolist() == want
 
 
 def reference_day0(ev, cal) -> int:

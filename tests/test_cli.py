@@ -693,6 +693,29 @@ class TestBooleanSettings:
         assert not out.exists()
 
 
+class TestDateGrammar:
+    """A date setting and the generator's ``start`` take ``YYYY-MM-DD`` alone,
+    not the other ISO 8601 forms ``date.fromisoformat`` takes on some Python."""
+
+    @pytest.mark.parametrize("until", ["20151015", "2015-W42-4"])
+    def test_until_exits_5_with_one_error_line(self, until, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "thresholds", "--until", until,
+                     *data_flags(data_dir)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid until {until!r}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start", ["20150105", "2015-W02-1"])
+    def test_synth_start_exits_5_with_one_error_line(self, start, tmp_path, capsys):
+        spec, out = tmp_path / "spec.json", tmp_path / "out"
+        spec.write_text(json.dumps({"n_days": 30, "start": start}))
+        assert main(["--out", str(out), "synth", "--spec", str(spec)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid synth spec: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 def no_space(path) -> OSError:
     """The error a write to ``path`` on a full disk raises: the writer names the file."""
     return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))

@@ -1,7 +1,9 @@
+import ast
 import csv
 import io
 import json
 import os
+import re
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from datetime import date, datetime, timedelta, timezone
@@ -1246,3 +1248,116 @@ class TestReportWriter:
         out.write_csv("report.csv", header, iter(rows))
         out.commit()
         assert (root / "report.csv").read_bytes() == csv_module_writer(header, rows)
+
+
+# ISO 8601 forms that ``fromisoformat`` takes on some Python but the input
+# schemas' grammar does not: (file, column, text)
+OFF_GRAMMAR = [
+    ("tweets", 0, "2015-W23-1T15:00:00Z"),
+    ("tweets", 0, "20150601T160000Z"),
+    ("tweets", 0, "2015-06-01T17Z"),
+    ("tweets", 0, "2015-06-01T21:00Z"),
+    ("tweets", 0, "2015-06-01X20:00:00Z"),
+    ("tweets", 0, "2015-06-01T19:00:00+0000"),
+    ("events", 1, "2015-W23-1T21:00:00Z"),
+    ("events", 1, "20150602T210000Z"),
+    ("prices", 0, "2015-W23-2"),
+    ("prices", 0, "20150603"),
+]
+HEADERS = {"prices": PRICES_HEADER, "index": INDEX_HEADER, "tweets": TWEETS_HEADER,
+           "events": EVENTS_HEADER}
+
+
+class TestStampAndDateGrammar:
+    """A stamp is read as ``YYYY-MM-DD``, ``T``, ``HH:MM:SS``, an optional
+    fraction and ``Z`` or ``+HH:MM``/``-HH:MM`` (``t``, ``z`` and a space
+    for the ``T`` allowed), a date as ``YYYY-MM-DD``: the same on every Python."""
+
+    @pytest.mark.parametrize("name, column, text", OFF_GRAMMAR)
+    def test_refused_alike_on_both_paths(self, base_files, tmp_path, name, column, text):
+        lines = base_files[name].split("\n")
+        cells = lines[1].split(",")
+        cells[column] = text
+        if name == "events":
+            cells[2] = "AfterClose"  # 17:00 US/Eastern: only the stamp's form is wrong
+        lines[1] = ",".join(cells)
+        path = write(tmp_path / f"{name}.csv", "\n".join(lines))
+        what = "date" if name == "prices" else "timestamp"
+        fast = outcome(name, path)
+        assert fast[1] == [(2, "schema", f"column {HEADERS[name][column]}: bad {what} {text!r}")]
+        with row_loop_only():
+            assert outcome(name, path) == fast
+
+    @pytest.mark.parametrize("text, want", [
+        ("2015-06-01T16:00:00Z", datetime(2015, 6, 1, 16)),
+        ("2015-06-01t16:00:00z", datetime(2015, 6, 1, 16)),
+        ("2015-06-01 16:00:00Z", datetime(2015, 6, 1, 16)),
+        (" 2015-06-01T12:00:00-04:00 ", datetime(2015, 6, 1, 16)),
+        ("2015-06-01T16:00:00.25Z", datetime(2015, 6, 1, 16, 0, 0, 250000)),
+        ("2015-06-01T16:00:00.1234567+00:00", datetime(2015, 6, 1, 16, 0, 0, 123456)),
+    ])
+    def test_stamps_of_the_grammar(self, text, want):
+        assert parse_rfc3339(text) == want.replace(tzinfo=timezone.utc)
+
+    @pytest.mark.parametrize("text", [t for name, _, t in OFF_GRAMMAR if name != "prices"] + [
+        "2015-06-01T16:00:00", "2015-06-01T16:00:00.Z", "2015-06-01T16:00:00+04",
+        "2015-6-01T16:00:00Z", "2015-06-01T16:00:00ZZ", "2015-06-01T16:00:00.٢Z",
+    ])
+    def test_other_stamps_are_refused(self, text):
+        with pytest.raises(ValueError):
+            parse_rfc3339(text)
+
+    @settings(max_examples=200)
+    @given(st.datetimes(datetime(1, 1, 2), datetime(9999, 12, 30)),
+           st.integers(-(24 * 60 - 1), 24 * 60 - 1), st.text("0123456789", max_size=9),
+           st.sampled_from("Tt "))
+    def test_every_stamp_of_the_grammar_is_read(self, wall, minutes, fraction, sep):
+        offset = f"{'-' if minutes < 0 else '+'}{abs(minutes) // 60:02}:{abs(minutes) % 60:02}"
+        text = wall.replace(microsecond=0).isoformat(sep) + (f".{fraction}" if fraction else "")
+        want = wall.replace(microsecond=int(fraction[:6].ljust(6, "0") or 0),
+                            tzinfo=timezone(timedelta(minutes=minutes)))
+        assert parse_rfc3339(text + offset) == want
+
+    def test_dates_of_the_grammar(self):
+        assert ingest.parse_date("2015-06-01") == date(2015, 6, 1)
+        for text in ("2015-W23-2", "20150603", " 2015-06-01", "2015-06-01\n", "2015-06-1",
+                     "2015-٠6-01", "2016-02-30", "0000-01-01"):
+            with pytest.raises(ValueError):
+                ingest.parse_date(text)
+        with pytest.raises(TypeError):
+            ingest.parse_date([1, 2])
+
+
+def one_reader_breaches(tree: ast.Module, module: str) -> list[str]:
+    """Each ``fromisoformat`` outside ``parse_date`` and ``parse_rfc3339``,
+    each ``ZoneInfo`` or ``EASTERN`` outside ``alignment``, and each
+    ``ingest._*_row`` that takes more than ``cells``, in one module."""
+    readers = {id(node) for top in tree.body if module == "ingest" and
+               isinstance(top, ast.FunctionDef) and top.name in ("parse_date", "parse_rfc3339")
+               for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+        if name == "fromisoformat" and id(node) not in readers:
+            found.append(f"{module}:{node.lineno}: fromisoformat")
+        if name in ("ZoneInfo", "EASTERN") and module != "alignment":
+            found.append(f"{module}:{getattr(node, 'lineno', '')}: {name}")
+    found += [f"{module}:{top.lineno}: {top.name}({ast.unparse(top.args)})" for top in tree.body
+              if module == "ingest" and isinstance(top, ast.FunctionDef)
+              and re.fullmatch(r"_\w+_row", top.name) and ast.unparse(top.args) != "cells"]
+    return found
+
+
+def test_stamps_dates_and_eastern_times_each_have_one_reader():
+    """Every date and stamp is read by the schemas' grammar, every US/Eastern
+    wall-clock time by ``alignment``'s offset kernel, and every row check
+    reads the row's cells alone."""
+    probe = ("from zoneinfo import ZoneInfo\nfrom .alignment import EASTERN\n"
+             "def parse_date(t): return date.fromisoformat(t)\n"
+             "def _day(t): return date.fromisoformat(t)\n"
+             "def _x_row(path, cells): pass\ndef _y_row(cells): pass\n")
+    assert len(one_reader_breaches(ast.parse(probe), "ingest")) == 4
+    found = []
+    for path in sorted(Path(ingest.__file__).parent.glob("*.py")):
+        found += one_reader_breaches(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == []

@@ -6,6 +6,7 @@ import tempfile
 from unittest import mock
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -23,11 +24,17 @@ from eastudy.model import DailyBars, Dataset, EarningsEvent, Timing, TweetBucket
 from eastudy.returns import daily_returns
 from eastudy.sentiment import EventPolarity
 from eastudy.synth import (
-    UTC, PlantedEvent, SynthSpec, _CLASS_CYCLE, _CLASS_ES, _eastern_epoch, _ticker_name,
-    generate, generate_with_truth,
+    PlantedEvent, SynthSpec, _CLASS_CYCLE, _CLASS_ES, _ticker_name, generate, generate_with_truth,
 )
 
 from conftest import IndexBar, as_dict, bars_of, index_columns, records
+
+UTC = ZoneInfo("UTC")
+
+
+def _eastern_epoch(day: date, hour: int) -> int:
+    """UTC epoch seconds of a whole US/Eastern hour, read from ZoneInfo."""
+    return int(datetime.combine(day, time(hour, 0), tzinfo=EASTERN).timestamp())
 
 VECTOR_SPEC = SynthSpec(seed=42, n_tickers=2, n_days=40, events_per_ticker=1,
                         first_event_day=20)
