@@ -71,10 +71,6 @@ EXIT_CODES = ((MissingFile, 2), (SchemaMismatch, 3), (InvariantViolation, 4))
 INPUTS = ("prices", "index", "tweets", "events")
 
 
-def _iso(day: date | None) -> str | None:
-    return day.isoformat() if day else None
-
-
 def _read_json(path: str) -> dict:
     """A JSON object from a file: MissingFile if it cannot be opened or is
     neither a regular file nor a pipe, InvalidSpec if malformed."""
@@ -312,7 +308,7 @@ def _emit_surprise(run) -> None:
 
 def _emit_study(run) -> dict:
     by_file, u = {}, run.universe
-    fits = fit_events(u.ds.prices, u.day0, u.events.code, run.measured, run.s.study)  # once
+    fits = fit_events(u.ds.prices, u.day0, u.events.code, u.used, run.s.study)  # once
     for (timing, polarity_day), labels in run.labels.items():
         result = study_classes(fits, u.events, u.stratum(timing), labels, run.s.study)
         name = _stratum_file("study", timing, polarity_day)
@@ -326,7 +322,7 @@ def _emit_curves(run) -> dict:
     from .trading import curve_classes, hold_returns  # only the curves and the backtest load it
 
     by_file, u = {}, run.universe
-    held = hold_returns(u.ds.prices, u.day0, u.events.code, run.measured)  # once
+    held = hold_returns(u.ds.prices, u.day0, u.events.code, u.used)  # once
     for (timing, polarity_day), labels in run.labels.items():
         curves = curve_classes(held, u.events, u.stratum(timing), labels)
         name = _stratum_file("curves", timing, polarity_day)
@@ -403,19 +399,18 @@ PIPELINE = ("volume", "thresholds", "study", "curves", "backtest", "regress")
 
 
 def _effective(s, reports: Sequence[str]) -> dict:
-    """The settings the reports read, as the manifest records them: each
-    report's own settings under its name, and ``until`` once a report of
-    PIPELINE ran, since each depends on the event sample. A report command's
-    manifest is thus ``pipeline``'s, limited to the reports it ran."""
-    own = {
-        "study": {"event_window": list(s.event_window),
-                  "estimation_window": s.estimation_window, "significance": s.significance},
-        "backtest": {"spread": s.spread, "from": _iso(s.start), "to": _iso(s.end),
-                     "thresholds_until": _iso(s.thresholds_until)},
-        "volume": {"rel_days": [s.rel_min, s.rel_max]},
-    }
-    effective = {"until": _iso(s.until)} if set(PIPELINE).intersection(reports) else {}
-    effective.update((name, own[name]) for name in reports if name in own)
+    """The settings the reports read, under the keys a config file gives
+    them: every setting of ``SETTINGS`` whose section names a report that
+    ran, dates as ISO strings, and ``until`` once a report of PIPELINE ran,
+    since each depends on the event sample. A report command's manifest is
+    thus ``pipeline``'s, limited to the reports it ran."""
+    ran = {*reports, "until"} if set(PIPELINE).intersection(reports) else set(reports)
+    effective = {}
+    for name, (keys, _, _) in SETTINGS.items():
+        if keys[0] in ran:
+            value = getattr(s, name)
+            node = effective.setdefault(keys[0], {}) if len(keys) > 1 else effective
+            node[keys[-1]] = value.isoformat() if isinstance(value, date) else value
     return effective
 
 
@@ -428,14 +423,11 @@ def _cmd_report(args, config, out: OutputDir) -> None:
         _check_windows(s, universe.cal)
     strata = STRATA if len(reports) > 1 else [(s.timing, s.polarity_day)]
     # each stratum is labelled once, for both its study and its curves; the
-    # study and the curves each measure the events of the strata's timings
-    # once, and drop those rows when done, so they never coexist in memory
+    # study and the curves each measure every used event once, and drop those
+    # rows when done, so they never coexist in memory
     labelled = {"study", "curves"}.intersection(reports)
     labels = {st: stratum_labels(universe, *st) for st in strata} if labelled else {}
-    measured = np.zeros(len(universe.events), dtype=bool)
-    for timing, _ in labels:
-        measured |= universe.stratum(timing)
-    run = SimpleNamespace(s=s, out=out, universe=universe, labels=labels, measured=measured)
+    run = SimpleNamespace(s=s, out=out, universe=universe, labels=labels)
     extra = {"excluded_events": _reasons(universe.dropped)}
     for name in reports:
         extra.update(REPORTS[name](run) or {})

@@ -252,62 +252,52 @@ def volume_report(
     baseline, which excludes event windows; both read days -1..+1 whatever
     ``rel_days`` prints. Ticker-days are the cells of the tickers with a
     bar, so the tweets of a ticker without bars count in neither the average
-    nor the baseline. Every daily value is a gather from the tweet count
-    grids and the price grid's volume by code and calendar index, for the
-    relative days within the calendar's length (no event has another). The
-    hourly profiles are summed for just the event cells, a relative day at a
-    time, so one day's (cells x 24) block is held at once.
+    nor the baseline. Each relative day of ``rel_days`` within the calendar's
+    length (no event has another), and each of days -1..+1, is walked once:
+    its event cells are gathered once from the tweet count grids and the
+    price grid's volume by code and calendar index, and every group reads its
+    daily row from that gather; on days -1..+1 also its hourly profiles, from
+    one (cells x 24) block held a day at a time, and the summary its mean.
     """
     if rel_days[0] > rel_days[1]:
         raise ValueError(f"relative days {list(rel_days)}: the first exceeds the last")
-    cal, counts = universe.cal, universe.counts
-    prices = universe.ds.prices
-    n_days = len(cal.dates)
-
+    counts, prices, used = universe.counts, universe.ds.prices, universe.used
+    n_days = len(universe.cal)
+    # each group as a mask over the used events
     groups = (
-        ("all", universe.used),
-        ("afterclose", universe.stratum(Timing.AFTER_CLOSE)),
-        ("beforeopen", universe.stratum(Timing.BEFORE_OPEN)),
+        ("all", used[used]),
+        ("afterclose", universe.stratum(Timing.AFTER_CLOSE)[used]),
+        ("beforeopen", universe.stratum(Timing.BEFORE_OPEN)[used]),
     )
+    window = range(max(rel_days[0], 1 - n_days), min(rel_days[1], n_days - 1) + 1)
 
-    def daily(mask: np.ndarray, k: int) -> tuple | None:
-        """(n, mean, se of tweets, mean, se of share volume) on relative day
-        k of the events of ``mask``."""
-        days = universe.day0[mask] + k
-        has_day = (days >= 0) & (days < n_days)
-        if not has_day.any():
-            return None
-        rows, days = universe.events.code[mask][has_day], days[has_day]
-        tweets = counts.labels[:, rows, days].sum(axis=0)
-        volume = prices.volume[rows, days]
-        volume = volume[~np.isnan(volume)]
-        mv, sv = _mean_se(volume) if len(volume) else (0.0, 0.0)
-        return (len(tweets), *_mean_se(tweets), mv, sv)
-
-    daily_rows = [
-        (name, k, *row)
-        for name, mask in groups
-        for k in range(max(rel_days[0], 1 - n_days), min(rel_days[1], n_days - 1) + 1)
-        if (row := daily(mask, k)) is not None
-    ]
-
-    # hourly profiles a relative day at a time, one block that every group reads; quiet
-    # cells: every (ticker with a bar, trading day) outside days -1..+1 of an event
+    # quiet cells: every (ticker with a bar, trading day) outside days -1..+1 of an event
     has_bar = prices.n_bars > 0
     quiet = np.repeat(has_bar[:, None], n_days, axis=1)
-    used, profile_rows = universe.used, {}
-    for k in (-1, 0, 1):
+    daily, hourly = {}, {}  # (group, relative day) -> its daily row, its hourly rows
+    for k in sorted({*window, -1, 0, 1}):
         days = universe.day0[used] + k
         on = (days >= 0) & (days < n_days)
         rows, days = universe.events.code[used][on], days[on]
-        quiet[rows, days] = False
-        profiles = counts.hourly(rows, days)
-        for name, mask in groups:
-            on_k = profiles[mask[used][on]]
-            profile_rows[name, k] = [(name, k, h, len(on_k), *moments) for h, moments
-                                     in enumerate(_count_moments(on_k) if len(on_k) else [])]
-        del profiles, on_k  # freed before the next day's block is built
-    hourly_rows = [row for name, _ in groups for k in (-1, 0, 1) for row in profile_rows[name, k]]
+        tweets = counts.labels[:, rows, days].sum(axis=0)
+        volume = prices.volume[rows, days]
+        # the groups with events on day k, each as a mask of the day's cells
+        present = [(name, of) for name, mask in groups if (of := mask[on]).any()]
+        for name, of in present:
+            shares = volume[of & ~np.isnan(volume)]
+            daily[name, k] = (name, k, np.count_nonzero(of), *_mean_se(tweets[of]),
+                              *(_mean_se(shares) if len(shares) else (0.0, 0.0)))
+        del tweets, volume  # freed before the day's hourly block is built
+        if -1 <= k <= 1:
+            quiet[rows, days] = False
+            profiles = counts.hourly(rows, days)  # one block every group reads
+            for name, of in present:
+                hourly[name, k] = [(name, k, h, daily[name, k][2], *moments) for h, moments
+                                   in enumerate(_count_moments(profiles[of]))]
+            del profiles  # freed before the next day's block is built
+    daily_rows = [daily[name, k] for name, _ in groups for k in window if (name, k) in daily]
+    hourly_rows = [row for name, _ in groups for k in (-1, 0, 1)
+                   for row in hourly.get((name, k), [])]
 
     n_tickers = int(np.count_nonzero(has_bar))
     # no (ticker x day) grid of totals is made: each sum reads the label grids
@@ -316,7 +306,7 @@ def volume_report(
     quiet_cells = int(np.count_nonzero(quiet))
     quiet_mean = quiet_total / quiet_cells if quiet_cells else 0.0
 
-    mean_at = {k: row[1] for k in (-1, 0, 1) if (row := daily(universe.used, k)) is not None}
+    mean_at = {k: daily["all", k][3] for k in (-1, 0, 1) if ("all", k) in daily}
     # left to right, as ``sum`` gives before Python 3.12 (which compensates)
     three_day = mean_at.get(-1, 0.0) + mean_at.get(0, 0.0) + mean_at.get(1, 0.0)
     summary_rows = [

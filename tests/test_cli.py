@@ -327,9 +327,9 @@ class TestManifestsPinned:
     DIGESTS = {
         ("quickstart", "synth"): "017ae85e40cd391c008884444145ff96cad1570a24ae617852c9be24f44216a8",
         ("quickstart", "pipeline"):
-            "805c18e695b56c8d3d411be17224674ff009edfa50417e865b97ed4d578a99f0",
+            "4ec8bd516ff5c3c9170b1a47eb09bf75d03d1fd323417bfc128e87e761d72902",
         ("paper", "synth"): "5b58601469713fe2ac76be1ddd4a737633cdc7600ed8249df98fdd2f7d677d48",
-        ("paper", "pipeline"): "2eb65f3cc2a08e745d67f77c6d8caf290244c1b7efaea23def59e8c41736c29e",
+        ("paper", "pipeline"): "c47360b46ec41cb1bcf933a3c6bab2c506babfcb430ae77eba180db2d21503a5",
     }
 
     @pytest.mark.parametrize("name", ["quickstart", "paper"])
@@ -384,6 +384,27 @@ class TestReportManifestsArePipelines:
             assert list(manifest[section]) == [name]
             assert manifest["outputs"] == [name]
             assert (out / name).is_file()
+
+
+def test_a_manifests_config_reruns_its_run(data_dir, tmp_path):
+    """A ``pipeline`` manifest's ``config`` holds every setting under the key
+    a config file gives it: with the data paths it reruns the run, to the
+    same 15 CSVs and the same manifest."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"volume": {"rel_min": -3, "rel_max": 7}}))
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["--config", str(config), "--out", str(first), "pipeline", *data_flags(data_dir),
+                 "--until", "2015-11-30", "--spread", "0.02", "--estimation-window", "100",
+                 "--from", "2015-09-01"]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    config.write_text(json.dumps({**manifest["config"], "data": {
+        name: str(data_dir / f"{name}.csv") for name in cli.INPUTS}}))
+    assert main(["--config", str(config), "--out", str(again), "pipeline"]) == 0
+    csvs = sorted(p.name for p in first.glob("*.csv"))
+    assert len(csvs) == 15
+    assert [(again / name).read_bytes() for name in csvs] == [
+        (first / name).read_bytes() for name in csvs]
+    assert manifest_digest(again / "manifest.json") == manifest_digest(first / "manifest.json")
 
 
 class TestTweetsOutsideCalendar:
@@ -1787,12 +1808,12 @@ MANIFEST_KEYS = {
     "backtest": ({"backtest"}, {"until": None,
                                 "backtest": {"from", "spread", "thresholds_until", "to"}}),
     "regress": (set(), {"until": None}),
-    "volume": (set(), {"until": None, "volume": {"rel_days"}}),
+    "volume": (set(), {"until": None, "volume": {"rel_min", "rel_max"}}),
     "pipeline": ({"backtest", "excluded_events", "studies"}, {
         "until": None,
         "backtest": {"from", "spread", "thresholds_until", "to"},
         "study": {"estimation_window", "event_window", "significance"},
-        "volume": {"rel_days"},
+        "volume": {"rel_min", "rel_max"},
     }),
 }
 

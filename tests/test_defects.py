@@ -15,6 +15,7 @@ rounded away. So does a JSON string at a numeric key: it is never read as
 the number it spells.
 """
 
+import csv
 import io
 import json
 import tempfile
@@ -222,5 +223,42 @@ def test_the_volume_window_is_walked_within_the_calendar(inputs, tmp_path, given
         assert run(inputs, tmp_path, config, "volume") == (0, "")
         files[window] = listing(tmp_path / "out")
         manifest = json.loads(files[window].pop("manifest.json"))
-        assert manifest["config"]["volume"]["rel_days"] == [*window]
+        assert manifest["config"]["volume"] == {"rel_min": window[0], "rel_max": window[1]}
     assert files[given] == files[clipped]
+
+
+# Refusals past the config's shape: a value out of its range, a date range
+# the calendar leaves empty, a spec the generator cannot lay out, and a
+# header line the csv module refuses to read.
+@pytest.mark.parametrize("command,config,flags,message", [
+    ("study", '{"polarity_day": 2}', (), "invalid polarity_day 2: expected 0 or -1"),
+    ("backtest", "{}", ("--from", "2030-01-01"),
+     "no trading dates between 2030-01-01 and 2016-02-26"),
+])
+def test_a_setting_the_data_cannot_meet_is_refused(inputs, tmp_path, command, config, flags,
+                                                   message):
+    assert run(inputs, tmp_path, config, command, *flags) == (5, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"event_tweet_multiplier": -1}, "event_tweet_multiplier must be non-negative"),
+    ({"event_spacing": 0}, "invalid event layout"),
+])
+def test_a_synth_spec_the_generator_cannot_lay_out_is_refused(tmp_path, capsys, spec, message):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "synth", "--spec", str(tmp_path / "spec.json")]) == 5
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_header_longer_than_the_csv_field_limit_is_a_header_mismatch(tmp_path, capsys):
+    """The csv module refuses the header's one quoted cell, so the mismatch
+    names the line as read, quotes and all."""
+    index = tmp_path / "index.csv"
+    header = f'"{"d" * (csv.field_size_limit() + 1)}"'
+    index.write_text(f"{header}\n2016-01-04,100.0\n")
+    assert main(["--out", str(tmp_path / "out"), "calendar", "--index", str(index)]) == 3
+    assert capsys.readouterr().err == (f"error: {index}:1: header {header!r} does not match "
+                                       "expected 'date,close'\n")
